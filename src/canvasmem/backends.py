@@ -3,8 +3,9 @@
 Remote calls speak a small JSON-over-HTTP protocol (see README for the wire
 shapes). All remote failures surface as typed errors carrying the role that
 failed: AuthFailureError, TransportTimeoutError, MalformedResponseError.
-Transient server errors are retried a bounded number of times; the calls are
-idempotent reads, so a retry never duplicates a side effect.
+Transient failures (5xx replies, timeouts, dropped connections) are retried
+a bounded number of times; the calls are idempotent reads, so a retry never
+duplicates a side effect.
 
 The default wiring is mock everything: the whole engine and benchmark run
 offline with no network access.
@@ -128,9 +129,10 @@ def _request(
             stats.calls += 1
         try:
             status, body = send(url, payload, headers, config.timeout_s)
-        except requests.Timeout as exc:
+        except (requests.Timeout, requests.ConnectionError) as exc:
             last_status = None
-            logger.warning("%s request timed out (attempt %d/%d)", role, attempt + 1, attempts)
+            logger.warning("%s request failed in transit (attempt %d/%d): %s",
+                           role, attempt + 1, attempts, exc)
             continue
         if status in (401, 403):
             raise AuthFailureError(f"server rejected credentials (HTTP {status})", role=role)

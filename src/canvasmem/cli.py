@@ -18,7 +18,9 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
@@ -104,6 +106,19 @@ def _write_jsonl(path: str, rows: Sequence[dict]) -> None:
             handle.write(json.dumps(row, sort_keys=True) + "\n")
 
 
+def _write_atomic(path: str, data: bytes) -> None:
+    """Replace path with data in one step: a failure leaves any old file as it was."""
+    fd, temp = tempfile.mkstemp(prefix=".canvasmem-", suffix=".tmp",
+                                dir=os.path.dirname(os.path.abspath(path)))
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
 def _print_table(rows: Sequence[dict], columns: Sequence[str]) -> None:
     if not rows:
         return
@@ -137,8 +152,7 @@ def cmd_ingest(args) -> int:
         gleaning=config.gleaning,
     )
     report = engine.ingest(turns)
-    with open(args.graph, "wb") as handle:
-        handle.write(serialize_graph(engine.graph))
+    _write_atomic(args.graph, serialize_graph(engine.graph))
     print(
         f"ingested {report.turns_ingested} turns "
         f"({report.turns_skipped} failed), "

@@ -22,6 +22,7 @@ from .errors import (
     MalformedInputError,
     VersionMismatchError,
 )
+from .scoring import ScoringIndex
 
 GRAPH_FORMAT = "canvas-graph"
 GRAPH_VERSION = 1
@@ -132,15 +133,24 @@ class CanvasGraph:
 
     Concurrency model: single writer, many readers. Writers (ingestion) take
     the graph's lock; readers work on a snapshot() taken at call start.
+
+    `rows` lists the stored objects in insertion order; row i of the scoring
+    index describes rows[i]. The index catches up with the rows the first
+    time something scores against the graph, not in add_object, so an
+    object stored without a usable embedding raises only once it is scored.
+    Once scored, a stored object's embedding, content and quote must not
+    change: the index keeps what it read.
     """
 
     def __init__(self):
         self.objects: dict[str, CanvasObject] = {}
+        self.rows: list[CanvasObject] = []
         self.edges: list[CanvasEdge] = []
         self.next_turn: int = 0
         self.lock = threading.Lock()
         self._edge_keys: set[tuple[str, str, EdgeKind]] = set()
         self._adjacent: dict[str, list[str]] = {}
+        self._index = ScoringIndex()
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CanvasGraph):
@@ -160,6 +170,7 @@ class CanvasGraph:
         if obj.id in self.objects:
             return AddResult.DUPLICATE
         self.objects[obj.id] = obj
+        self.rows.append(obj)
         self.next_turn = max(self.next_turn, obj.turn + 1)
         return AddResult.ADDED
 
@@ -187,10 +198,21 @@ class CanvasGraph:
         """Advance the sequential ingestion cursor past a processed turn."""
         self.next_turn = max(self.next_turn, index + 1)
 
+    def scoring_index(self) -> ScoringIndex:
+        """The scoring index, first brought up to date with every stored row."""
+        for obj in self.rows[len(self._index):]:
+            self._index.append(obj)
+        return self._index
+
     def snapshot(self) -> "CanvasGraph":
-        """Deep copy for readers; the original keeps accepting writes."""
+        """Deep copy for readers; the original keeps accepting writes.
+
+        The twin's scoring index is a copy-on-write fork of this one.
+        """
         twin = CanvasGraph()
         twin.objects = {oid: copy.deepcopy(obj) for oid, obj in self.objects.items()}
+        twin.rows = list(twin.objects.values())
+        twin._index = self._index.fork()
         twin.edges = list(self.edges)
         twin.next_turn = self.next_turn
         twin._edge_keys = set(self._edge_keys)

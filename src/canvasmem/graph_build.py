@@ -13,15 +13,25 @@ R3: temporal heuristic. A KEY_FACT or REMINDER within temporal_window turns
 
 Edges are deduplicated per (src, dst, kind): similarity beats keyword for
 references, and the heavier weight wins for causal edges.
+
+Linking is screen-then-verify. One matrix-vector product over the graph's
+scoring index gives an approximate cosine against every stored object; only
+objects within SCREEN_MARGIN of theta_causal (the lower threshold) get the
+scalar cosine_sim, so every edge weight is the exact scalar value. The rest
+are below both thresholds and can only gain a KEYWORD or temporal edge.
+Jaccard overlaps come from the index's cached token sets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+
+import numpy as np
 
 from .core import CanvasEdge, CanvasGraph, CanvasObject, EdgeKind, EdgeOrigin, ObjectKind
 from .errors import MissingEmbeddingError
-from .scoring import cosine_sim, keyword_jaccard
+from .scoring import SCREEN_MARGIN, cosine_sim, token_jaccard, token_set
 
 DEFAULT_THETA_REF = 0.5
 DEFAULT_THETA_CAUSAL = 0.45
@@ -79,13 +89,26 @@ def link_object(
         thresholds = LinkThresholds()
     if new_obj.embedding is None:
         raise MissingEmbeddingError(f"object {new_obj.id} has no embedding")
+    index = graph.scoring_index()
+    approx = index.cosines(new_obj.embedding)
+    if approx is None:
+        # Unscreenable: every row gets the scalar cosine, which raises where due.
+        verified = range(len(graph.rows))
+    else:
+        verified = set(np.flatnonzero(approx >= thresholds.theta_causal - SCREEN_MARGIN).tolist())
+    new_tokens = token_set(new_obj.content)
+    temporal_target = new_obj.kind is ObjectKind.DECISION
     added: list[CanvasEdge] = []
-    for other in list(graph.objects.values()):
+    for row, other in enumerate(graph.rows):
         if other.id == new_obj.id:
             continue
-        if other.embedding is None:
-            raise MissingEmbeddingError(f"stored object {other.id} has no embedding")
-        sim = cosine_sim(other.embedding, new_obj.embedding)
+        if row in verified:
+            if other.embedding is None:
+                raise MissingEmbeddingError(f"stored object {other.id} has no embedding")
+            sim = cosine_sim(other.embedding, new_obj.embedding)
+        else:
+            # Screened out: below theta_causal, so below both thresholds.
+            sim = -math.inf
 
         reference: CanvasEdge | None = None
         if sim >= thresholds.theta_ref:
@@ -97,7 +120,7 @@ def link_object(
                 origin=EdgeOrigin.SIMILARITY,
             )
         else:
-            overlap = keyword_jaccard(other.content, new_obj.content)
+            overlap = token_jaccard(index.content_tokens[row], new_tokens)
             if overlap >= thresholds.keyword_edge_min:
                 reference = CanvasEdge(
                     src=other.id,
@@ -109,8 +132,8 @@ def link_object(
 
         causal: CanvasEdge | None = None
         if (
-            (other.kind, new_obj.kind) in thresholds.causal_pairs
-            and sim >= thresholds.theta_causal
+            sim >= thresholds.theta_causal
+            and (other.kind, new_obj.kind) in thresholds.causal_pairs
             and other.turn <= new_obj.turn
         ):
             causal = CanvasEdge(
@@ -121,8 +144,8 @@ def link_object(
                 origin=EdgeOrigin.SIMILARITY,
             )
         if (
-            other.kind in TEMPORAL_SOURCE_KINDS
-            and new_obj.kind is ObjectKind.DECISION
+            temporal_target
+            and other.kind in TEMPORAL_SOURCE_KINDS
             and 0 <= new_obj.turn - other.turn <= thresholds.temporal_window
         ):
             if causal is None or causal.weight < 1.0:

@@ -4,8 +4,11 @@ Stages, in order:
 
 1. classify_query picks a query class and an adaptive top-k (multi-hop 15,
    temporal 12, simple 10).
-2. coarse_retrieve scores every stored object with the hybrid score and
-   keeps the top coarse_k.
+2. coarse_retrieve keeps the top coarse_k objects by hybrid score. It
+   screens every stored object with one matrix-vector product over the
+   graph's scoring index, then re-scores with the scalar hybrid_score only
+   the band that could reach the top coarse_k (within 2 * SCREEN_MARGIN of
+   the coarse_k-th approximate score), so ranks and scores are exact.
 3. expand_graph walks edges breadth-first from those hits, both directions
    and both edge kinds, with a 0.8 score decay per hop.
 4. rerank_candidates orders candidates by a reranker backend, or by the
@@ -31,9 +34,11 @@ from functools import lru_cache
 from importlib import resources
 from typing import Callable, Optional, Protocol, Sequence, runtime_checkable
 
+import numpy as np
+
 from .core import CanvasGraph, CanvasObject, ObjectKind
 from .errors import BackendFailureError
-from .scoring import EmbedderBackend, HybridWeights, hybrid_score
+from .scoring import SCREEN_MARGIN, EmbedderBackend, HybridWeights, hybrid_score
 
 logger = logging.getLogger(__name__)
 
@@ -226,9 +231,18 @@ def coarse_retrieve(
     """
     if weights is None:
         weights = HybridWeights()
+    band = graph.rows
+    if len(band) > plan.coarse_k:
+        approx = graph.scoring_index().hybrid(plan.query_embedding, plan.query_text, weights)
+        if approx is not None:
+            # Screened scores are within SCREEN_MARGIN of the exact ones, so
+            # every exact top-coarse_k object sits in this band.
+            cut = len(approx) - plan.coarse_k
+            kth = np.partition(approx, cut)[cut]
+            band = [band[row] for row in np.flatnonzero(approx >= kth - 2 * SCREEN_MARGIN).tolist()]
     scored = [
         (hybrid_score(plan.query_embedding, plan.query_text, obj, weights), obj)
-        for obj in graph.objects.values()
+        for obj in band
     ]
     scored.sort(key=lambda pair: (-pair[0], -pair[1].confidence, pair[1].turn, pair[1].id))
     return [

@@ -4,6 +4,14 @@ The hybrid score is alpha * clamped_cosine + (1 - alpha) * keyword_score.
 Keyword score measures query coverage: the fraction of the query's
 content-bearing tokens that also appear in the object's content or quote.
 Stopwords come from a fixed 50-word list shipped as a package asset.
+
+Scoring a graph is screen-then-verify. A ScoringIndex holds every stored
+embedding in one float64 matrix, so a single matrix-vector product gives an
+approximate cosine of each object against a query vector. Callers keep only
+the objects whose approximate score could pass their cut within
+SCREEN_MARGIN and re-score those with the scalar cosine_sim and
+hybrid_score, so every stored edge weight and every ranked score is the
+scalar value.
 """
 
 from __future__ import annotations
@@ -11,18 +19,30 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Optional, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
-from .core import CanvasObject
 from .errors import DimensionMismatchError, MissingEmbeddingError, ZeroVectorError
+
+if TYPE_CHECKING:
+    from .core import CanvasObject
 
 DEFAULT_ALPHA = 0.7
 MOCK_EMBEDDING_DIM = 256
+
+# How far a screened score may sit below a cut and still be verified. The
+# matrix-vector cosine differs from cosine_sim by rounding only, about
+# d * 1e-16 for d-dimensional embeddings, so this leaves a wide berth.
+SCREEN_MARGIN = 1e-9
+# Vectors with a norm outside this range are not screened: within it no
+# product overflows and underflow cannot move a cosine by SCREEN_MARGIN.
+_SCREENABLE_NORMS = (1e-150, 1e150)
+_INITIAL_ROWS = 64
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -84,22 +104,39 @@ def cosine_sim(a: Sequence[float], b: Sequence[float]) -> float:
     return float(np.dot(va, vb) / (na * nb))
 
 
-def keyword_score(query_text: str, obj: CanvasObject) -> float:
-    """Fraction of the query's content tokens found in obj.content or obj.quote."""
-    query = set(content_tokens(query_text))
+def token_set(text: str) -> frozenset[str]:
+    """The distinct content tokens of a text, interned (an index holds many)."""
+    return frozenset(map(sys.intern, content_tokens(text)))
+
+
+def document_text(obj: CanvasObject) -> str:
+    """What keyword coverage reads of an object: its content and its quote."""
+    return obj.content + " " + obj.quote
+
+
+def token_coverage(query: frozenset[str], target: frozenset[str]) -> float:
+    """Fraction of the query tokens found in target; 0.0 for an empty query."""
     if not query:
         return 0.0
-    target = set(content_tokens(obj.content + " " + obj.quote))
     return len(query & target) / len(query)
+
+
+def token_jaccard(a: frozenset[str], b: frozenset[str]) -> float:
+    """Jaccard overlap of two token sets; 0.0 when either is empty."""
+    if not a or not b:
+        return 0.0
+    shared = len(a & b)
+    return shared / (len(a) + len(b) - shared)
+
+
+def keyword_score(query_text: str, obj: CanvasObject) -> float:
+    """Fraction of the query's content tokens found in obj.content or obj.quote."""
+    return token_coverage(token_set(query_text), token_set(document_text(obj)))
 
 
 def keyword_jaccard(text_a: str, text_b: str) -> float:
     """Jaccard overlap of two texts on stopword-stripped tokens."""
-    sa = set(content_tokens(text_a))
-    sb = set(content_tokens(text_b))
-    if not sa or not sb:
-        return 0.0
-    return len(sa & sb) / len(sa | sb)
+    return token_jaccard(token_set(text_a), token_set(text_b))
 
 
 def hybrid_score(
@@ -117,6 +154,121 @@ def hybrid_score(
     semantic = min(1.0, max(0.0, semantic))
     lexical = keyword_score(query_text, obj)
     return weights.alpha * semantic + (1.0 - weights.alpha) * lexical
+
+
+def _screenable(embedding, dim: Optional[int]) -> Optional[tuple[np.ndarray, float]]:
+    """The vector and its norm, or None when the screen cannot bound its cosines."""
+    if embedding is None:
+        return None
+    try:
+        vec = np.asarray(embedding, dtype=np.float64)
+    except (TypeError, ValueError):
+        return None
+    if vec.ndim != 1 or (dim is not None and vec.shape[0] != dim):
+        return None
+    norm = float(np.linalg.norm(vec))
+    low, high = _SCREENABLE_NORMS
+    if not low <= norm <= high:
+        return None
+    return vec, norm
+
+
+class ScoringIndex:
+    """Append-only columnar copy of what scoring reads from each object.
+
+    Row i describes the i-th object stored in a graph: its embedding in a
+    contiguous float64 (n, d) matrix that grows by half, the row norm,
+    the content tokens (for Jaccard links) and the content-plus-quote tokens
+    (for keyword coverage).
+
+    The index only screens. A row it cannot screen (no embedding, not a 1-D
+    vector of the index's dimension, a zero or extreme norm) is a fault;
+    while the index holds one, cosines() and hybrid() return None and the
+    caller scores every row with the scalar functions, which raise the same
+    typed errors they always have.
+
+    fork() shares the matrix copy-on-write: the owner keeps appending in
+    place past the rows the fork sees, and a fork copies its rows on its
+    first append.
+    """
+
+    def __init__(self):
+        self._matrix: Optional[np.ndarray] = None
+        self._norms = np.empty(0)
+        self._owner = True
+        self._faults = 0
+        self.content_tokens: list[frozenset[str]] = []
+        self.document_tokens: list[frozenset[str]] = []
+
+    def __len__(self) -> int:
+        return len(self.content_tokens)
+
+    def append(self, obj: CanvasObject) -> None:
+        row = len(self)
+        dim = None if self._matrix is None else self._matrix.shape[1]
+        screenable = _screenable(obj.embedding, dim)
+        if screenable is None:
+            self._faults += 1
+        else:
+            vec, norm = screenable
+            self._reserve(row + 1, vec.shape[0])
+            self._matrix[row] = vec
+            self._norms[row] = norm
+        content = token_set(obj.content)
+        document = token_set(document_text(obj))
+        self.content_tokens.append(content)
+        self.document_tokens.append(content if document == content else document)
+
+    def _reserve(self, rows: int, dim: int) -> None:
+        """Make rows writable in place: grow, and copy what another index shares."""
+        if self._matrix is not None and self._owner and rows <= len(self._matrix):
+            return
+        capacity = len(self._matrix) if self._matrix is not None else _INITIAL_ROWS
+        while capacity < rows:
+            capacity += capacity // 2
+        matrix = np.empty((capacity, dim))
+        norms = np.empty(capacity)
+        if self._matrix is not None:
+            kept = len(self)
+            matrix[:kept] = self._matrix[:kept]
+            norms[:kept] = self._norms[:kept]
+        self._matrix, self._norms, self._owner = matrix, norms, True
+
+    def fork(self) -> "ScoringIndex":
+        """An index with the same rows whose appends never reach this one."""
+        twin = ScoringIndex()
+        twin._matrix, twin._norms, twin._owner = self._matrix, self._norms, False
+        twin._faults = self._faults
+        twin.content_tokens = list(self.content_tokens)
+        twin.document_tokens = list(self.document_tokens)
+        return twin
+
+    def cosines(self, query: Sequence[float]) -> Optional[np.ndarray]:
+        """Approximate cosine of every row against query, or None if unscreenable."""
+        if self._faults or self._matrix is None:
+            return None
+        screenable = _screenable(query, self._matrix.shape[1])
+        if screenable is None:
+            return None
+        vec, norm = screenable
+        n = len(self)
+        return (self._matrix[:n] @ vec) / (self._norms[:n] * norm)
+
+    def hybrid(
+        self, query_embedding: Sequence[float], query_text: str, weights: HybridWeights
+    ) -> Optional[np.ndarray]:
+        """Approximate hybrid_score of every row, or None if unscreenable."""
+        cosines = self.cosines(query_embedding)
+        if cosines is None:
+            return None
+        query = token_set(query_text)
+        coverage = np.fromiter(
+            (token_coverage(query, tokens) for tokens in self.document_tokens),
+            dtype=np.float64,
+            count=len(self),
+        )
+        semantic = np.clip(cosines, 0.0, 1.0)
+        return weights.alpha * semantic + (1.0 - weights.alpha) * coverage
 
 
 class MockEmbedder:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from canvasmem.core import CanvasGraph, CanvasObject, ObjectKind, Source
 
 
@@ -10,6 +12,11 @@ def axis(index: int, dim: int = 8) -> list[float]:
     vec = [0.0] * dim
     vec[index] = 1.0
     return vec
+
+
+def vec_at_cosine(target: float) -> list[float]:
+    """A unit vector whose cosine against axis(0) is exactly `target`."""
+    return [target, math.sqrt(1.0 - target * target)] + [0.0] * 6
 
 
 def make_obj(

@@ -113,6 +113,25 @@ def test_transport_timeouts_are_retried(config):
     assert remote_chat(config, "hello", transport=transport) == "made it"
 
 
+def test_connection_errors_are_retried_then_typed(config):
+    transport = ScriptedTransport(
+        requests.ConnectionError("connection refused"),
+        requests.ConnectionError("connection reset"),
+        (200, _chat_body("made it")),
+    )
+    stats = TransportStats()
+    assert remote_chat(config, "hello", transport=transport, stats=stats) == "made it"
+    assert stats.calls == 3 and stats.retries == 2
+
+    transport = ScriptedTransport(*[requests.ConnectionError("connection refused")] * 3)
+    stats = TransportStats()
+    with pytest.raises(TransportTimeoutError) as caught:
+        remote_embed(config, ["hello"], transport=transport, stats=stats)
+    assert caught.value.role == "embedder"
+    assert stats.calls == 3 and stats.retries == 2
+    assert transport.queue == []
+
+
 def test_non_retryable_4xx_is_malformed_response(config):
     transport = ScriptedTransport((422, {"error": "bad request"}))
     with pytest.raises(MalformedResponseError):

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import canvasmem.cli
 from canvasmem.cli import main
 from canvasmem.core import deserialize_graph
 
@@ -31,6 +32,28 @@ def test_ingest_writes_a_loadable_graph(conversation, tmp_path, capsys):
     graph = deserialize_graph(graph_path.read_bytes())
     assert len(graph.objects) == 3
     assert graph.next_turn == 3
+
+
+def test_failed_ingest_leaves_an_existing_graph_file_intact(conversation, tmp_path, monkeypatch):
+    graph_path = tmp_path / "graph.json"
+    assert main(["ingest", "--input", str(conversation), "--graph", str(graph_path)]) == 0
+    before = graph_path.read_bytes()
+
+    def broken_serialize(graph):
+        raise RuntimeError("serializer crashed")
+
+    monkeypatch.setattr(canvasmem.cli, "serialize_graph", broken_serialize)
+    with pytest.raises(RuntimeError):
+        main(["ingest", "--input", str(conversation), "--graph", str(graph_path)])
+    monkeypatch.undo()
+
+    def broken_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(canvasmem.cli.os, "replace", broken_replace)
+    assert main(["ingest", "--input", str(conversation), "--graph", str(graph_path)]) == 2
+    assert graph_path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["conversation.jsonl", "graph.json"]
 
 
 def test_query_prints_injection_block(conversation, tmp_path, capsys):

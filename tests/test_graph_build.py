@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import math
-
 import pytest
 
 from canvasmem.core import CanvasGraph, EdgeKind, EdgeOrigin, ObjectKind
@@ -13,12 +11,7 @@ from canvasmem.graph_build import (
     link_object,
 )
 
-from conftest import axis, graph_of, make_obj
-
-
-def vec_at_cosine(target: float) -> list[float]:
-    """A unit vector whose cosine against axis(0) is exactly `target`."""
-    return [target, math.sqrt(1.0 - target * target)] + [0.0] * 6
+from conftest import axis, graph_of, make_obj, vec_at_cosine
 
 
 def add_and_link(graph: CanvasGraph, obj, thresholds=None):

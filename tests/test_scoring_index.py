@@ -1,0 +1,472 @@
+"""Screen-then-verify scoring against the scalar per-pair oracle.
+
+The oracle below is the per-pair linking loop and the score-everything
+coarse retrieval that the scoring index replaced. Every edge the screened
+link_object adds, and every coarse hit, must equal the oracle's exactly:
+same order, same float values.
+"""
+
+from __future__ import annotations
+
+import math
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import canvasmem.engine
+import canvasmem.graph_build
+import canvasmem.retrieval
+from canvasmem.core import (
+    AddResult,
+    CanvasEdge,
+    CanvasGraph,
+    EdgeKind,
+    EdgeOrigin,
+    ObjectKind,
+    serialize_graph,
+)
+from canvasmem.engine import CanvasEngine
+from canvasmem.errors import DimensionMismatchError, MissingEmbeddingError, ZeroVectorError
+from canvasmem.extraction import ConversationTurn, MockExtractor
+from canvasmem.graph_build import TEMPORAL_SOURCE_KINDS, LinkThresholds, link_object
+from canvasmem.retrieval import (
+    QueryClass,
+    QueryPlan,
+    RetrievalConfig,
+    ScoredObject,
+    coarse_retrieve,
+    retrieve,
+)
+from canvasmem.scoring import (
+    SCREEN_MARGIN,
+    HybridWeights,
+    MockEmbedder,
+    ScoringIndex,
+    cosine_sim,
+    hybrid_score,
+    keyword_jaccard,
+)
+
+from conftest import axis, make_obj, vec_at_cosine
+
+
+# ---------------------------------------------------------------------------
+# The oracle: the scalar loops, one call per object pair
+# ---------------------------------------------------------------------------
+
+def _clamp01(value: float) -> float:
+    return min(1.0, max(0.0, value))
+
+
+def oracle_link_object(graph, new_obj, thresholds=None):
+    if thresholds is None:
+        thresholds = LinkThresholds()
+    if new_obj.embedding is None:
+        raise MissingEmbeddingError(f"object {new_obj.id} has no embedding")
+    added = []
+    for other in list(graph.objects.values()):
+        if other.id == new_obj.id:
+            continue
+        if other.embedding is None:
+            raise MissingEmbeddingError(f"stored object {other.id} has no embedding")
+        sim = cosine_sim(other.embedding, new_obj.embedding)
+
+        reference = None
+        if sim >= thresholds.theta_ref:
+            reference = CanvasEdge(other.id, new_obj.id, EdgeKind.REFERENCE,
+                                   _clamp01(sim), EdgeOrigin.SIMILARITY)
+        else:
+            overlap = keyword_jaccard(other.content, new_obj.content)
+            if overlap >= thresholds.keyword_edge_min:
+                reference = CanvasEdge(other.id, new_obj.id, EdgeKind.REFERENCE,
+                                       _clamp01(overlap), EdgeOrigin.KEYWORD)
+
+        causal = None
+        if (
+            (other.kind, new_obj.kind) in thresholds.causal_pairs
+            and sim >= thresholds.theta_causal
+            and other.turn <= new_obj.turn
+        ):
+            causal = CanvasEdge(other.id, new_obj.id, EdgeKind.CAUSAL,
+                                _clamp01(sim), EdgeOrigin.SIMILARITY)
+        if (
+            other.kind in TEMPORAL_SOURCE_KINDS
+            and new_obj.kind is ObjectKind.DECISION
+            and 0 <= new_obj.turn - other.turn <= thresholds.temporal_window
+        ):
+            if causal is None or causal.weight < 1.0:
+                causal = CanvasEdge(other.id, new_obj.id, EdgeKind.CAUSAL,
+                                    1.0, EdgeOrigin.TEMPORAL_HEURISTIC)
+
+        for edge in (reference, causal):
+            if edge is not None and graph.add_edge(edge):
+                added.append(edge)
+    return added
+
+
+def oracle_coarse_retrieve(graph, plan, weights=None):
+    if weights is None:
+        weights = HybridWeights()
+    scored = [
+        (hybrid_score(plan.query_embedding, plan.query_text, obj, weights), obj)
+        for obj in graph.objects.values()
+    ]
+    scored.sort(key=lambda pair: (-pair[0], -pair[1].confidence, pair[1].turn, pair[1].id))
+    return [ScoredObject(object_id=obj.id, hybrid=score) for score, obj in scored[: plan.coarse_k]]
+
+
+def build_pair(objects, thresholds=None):
+    """The same objects stored and linked twice: screened, and by the oracle."""
+    screened, oracle = CanvasGraph(), CanvasGraph()
+    for obj in objects:
+        for graph, link in ((screened, link_object), (oracle, oracle_link_object)):
+            if graph.add_object(obj) is AddResult.ADDED:
+                link(graph, obj, thresholds)
+    return screened, oracle
+
+
+def plan_for(embedding, text="the probe query", coarse_k=3):
+    return QueryPlan(query_text=text, query_embedding=embedding, klass=QueryClass.SIMPLE,
+                     k=10, coarse_k=coarse_k)
+
+
+def assert_same_coarse(graph, oracle_graph, plan, weights=None):
+    got = coarse_retrieve(graph, plan, weights)
+    want = oracle_coarse_retrieve(oracle_graph, plan, weights)
+    assert [(h.object_id, h.hybrid) for h in got] == [(h.object_id, h.hybrid) for h in want]
+
+
+# ---------------------------------------------------------------------------
+# Property: random graphs
+# ---------------------------------------------------------------------------
+
+WORDS = ("redis", "cache", "deploy", "friday", "schema", "billing", "gateway", "the", "of")
+
+# Small integer components make exact ties and cosines that land on a
+# threshold up to rounding (1/2 computed as 0.49999999999999989, say).
+_vector = st.lists(st.integers(-2, 2).map(float), min_size=4, max_size=4).filter(any)
+_object = st.builds(
+    lambda kind, words, extra, turn, vec, confidence: make_obj(
+        kind=kind, content=" ".join(words), quote=" ".join(words + extra), turn=turn,
+        embedding=vec, confidence=confidence),
+    st.sampled_from(list(ObjectKind)),
+    st.lists(st.sampled_from(WORDS), min_size=1, max_size=4),
+    st.lists(st.sampled_from(WORDS), max_size=2),
+    st.integers(0, 6),
+    _vector,
+    st.sampled_from([0.5, 1.0]),
+)
+_thresholds = st.sampled_from([
+    LinkThresholds(),
+    LinkThresholds(theta_ref=0.5, theta_causal=0.5, keyword_edge_min=0.0),
+    LinkThresholds(theta_ref=2 / 3, theta_causal=1 / 3, keyword_edge_min=1 / 3),
+    LinkThresholds(theta_ref=math.sqrt(0.5), theta_causal=0.25, temporal_window=6),
+])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    objects=st.lists(_object, min_size=1, max_size=14),
+    thresholds=_thresholds,
+    query=_vector,
+    query_words=st.lists(st.sampled_from(WORDS), max_size=3),
+    coarse_k=st.integers(1, 6),
+    alpha=st.sampled_from([0.0, 0.7, 1.0]),
+)
+def test_random_graphs_match_the_oracle(objects, thresholds, query, query_words, coarse_k, alpha):
+    objects.sort(key=lambda obj: obj.turn)
+    screened, oracle = build_pair(objects, thresholds)
+    assert screened.edges == oracle.edges
+    assert serialize_graph(screened) == serialize_graph(oracle)
+    plan = plan_for(query, " ".join(query_words), coarse_k)
+    assert_same_coarse(screened, oracle, plan, HybridWeights(alpha))
+
+
+# ---------------------------------------------------------------------------
+# Built cases: thresholds to the last bit, keyword_edge_min=0, ties at the cut
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("theta", ["theta_ref", "theta_causal"])
+@pytest.mark.parametrize("ulps", [-1, 0, 1])
+def test_cosines_one_ulp_around_each_threshold(theta, ulps):
+    thresholds = LinkThresholds()
+    target = getattr(thresholds, theta)
+    for _ in range(abs(ulps)):
+        target = math.nextafter(target, math.copysign(math.inf, ulps))
+    # KEY_FACT -> DECISION is a causal pair; turns 5 apart keep R3 out of it.
+    objects = [
+        make_obj(kind=ObjectKind.KEY_FACT, content="service deployment plan", turn=0,
+                 embedding=axis(0)),
+        make_obj(kind=ObjectKind.DECISION, content="holiday menu ideas", turn=5,
+                 embedding=vec_at_cosine(target)),
+    ]
+    screened, oracle = build_pair(objects, thresholds)
+    assert screened.edges == oracle.edges
+    sim = cosine_sim(axis(0), vec_at_cosine(target))
+    assert any(e.kind is EdgeKind.CAUSAL for e in screened.edges) == (sim >= thresholds.theta_causal)
+    assert any(e.origin is EdgeOrigin.SIMILARITY and e.kind is EdgeKind.REFERENCE
+               for e in screened.edges) == (sim >= thresholds.theta_ref)
+
+
+def test_keyword_edge_min_zero_links_every_pair_like_the_oracle():
+    thresholds = LinkThresholds(keyword_edge_min=0.0)
+    objects = [
+        make_obj(content=text, turn=turn, embedding=axis(turn % 4))
+        for turn, text in enumerate(["redis cache", "the of", "schema friday", "redis schema", "of"])
+    ]
+    screened, oracle = build_pair(objects, thresholds)
+    assert screened.edges == oracle.edges
+    # Ten pairs; turns 0 and 4 share an axis, every other pair links by keyword.
+    keyword = [e for e in screened.edges if e.origin is EdgeOrigin.KEYWORD]
+    assert len(keyword) == 9 and {e.weight for e in keyword} == {0.0, 1 / 3}
+
+
+@pytest.mark.parametrize("coarse_k", [1, 2, 3, 4, 5])
+def test_exact_score_ties_across_the_coarse_cut(coarse_k):
+    # Five objects tie exactly on score; confidence, turn and id break them.
+    tied = [
+        make_obj(content=f"orange {tag}", turn=turn, embedding=[1.0, 2.0, 0.0, 0.0],
+                 confidence=confidence)
+        for tag, turn, confidence in [("a", 3, 1.0), ("b", 1, 0.4), ("c", 1, 1.0),
+                                      ("d", 3, 1.0), ("e", 2, 0.4)]
+    ]
+    others = [make_obj(content=f"violet {i}", turn=i, embedding=[0.0, 0.0, 1.0, 1.0])
+              for i in range(4)]
+    screened, oracle = build_pair(others[:2] + tied + others[2:])
+    assert_same_coarse(screened, oracle, plan_for([2.0, 4.0, 0.0, 0.0], "orange", coarse_k))
+
+
+def test_quote_tokens_count_in_the_screen():
+    # Only the quote matches the query; its keyword half must lift it past
+    # an object with the higher cosine.
+    quoted = make_obj(content="alpha", quote="alpha said redis", turn=0,
+                      embedding=vec_at_cosine(0.5))
+    plain = make_obj(content="beta", turn=1, embedding=vec_at_cosine(0.6))
+    screened, oracle = build_pair([quoted, plain])
+    hits = coarse_retrieve(screened, plan_for(axis(0), "redis", 1))
+    assert [h.object_id for h in hits] == [quoted.id]
+    assert_same_coarse(screened, oracle, plan_for(axis(0), "redis", 1))
+
+
+# ---------------------------------------------------------------------------
+# A seeded engine run: graph bytes and rendered blocks
+# ---------------------------------------------------------------------------
+
+TOPICS = ("billing gateway", "redis cache", "schema migration", "release train", "search index")
+FACTS = ("times out after {n} seconds", "runs on node {n}", "holds {n} gigabytes",
+         "was moved to friday", "needs {n} replicas")
+
+
+def seeded_turns(seed: int, count: int) -> list[ConversationTurn]:
+    rng = random.Random(seed)
+    turns = []
+    for index in range(count):
+        lines = []
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            kind = rng.choice(("KEY_FACT", "KEY_FACT", "DECISION", "REMINDER", "TODO", "INSIGHT"))
+            fact = rng.choice(FACTS).format(n=rng.randint(1, 4))
+            lines.append(f"{kind}: the {rng.choice(TOPICS)} {fact}")
+        user = "\n".join(lines) or "nothing new today"
+        assistant = f"GLEAN: the {rng.choice(TOPICS)} is owned by team {index % 3}"
+        turns.append(ConversationTurn(index, user, assistant if rng.random() < 0.2 else "ok"))
+    return turns
+
+
+QUESTIONS = ("why did we move the release train?", "when does the billing gateway time out?",
+             "what holds the redis cache?", "which node runs the search index",
+             "the schema migration needs how many replicas")
+
+
+def engine_run(seed: int):
+    """Ingest a seeded conversation; query a snapshot after every turn."""
+    engine = CanvasEngine(MockExtractor(), MockEmbedder())
+    config = RetrievalConfig(coarse_k=6, hops=2)
+    blocks = []
+    for turn in seeded_turns(seed, 90):
+        engine.ingest_turn(turn)
+        blocks.append(retrieve(engine.snapshot(), QUESTIONS[turn.index % len(QUESTIONS)],
+                               engine.embedder, config))
+    return serialize_graph(engine.graph), blocks
+
+
+@pytest.mark.parametrize("seed", [3, 17])
+def test_seeded_engine_run_is_byte_identical_to_the_oracle(seed, monkeypatch):
+    graph_bytes, blocks = engine_run(seed)
+    monkeypatch.setattr(canvasmem.engine, "link_object", oracle_link_object)
+    monkeypatch.setattr(canvasmem.retrieval, "coarse_retrieve", oracle_coarse_retrieve)
+    oracle_bytes, oracle_blocks = engine_run(seed)
+    assert graph_bytes == oracle_bytes
+    assert blocks == oracle_blocks
+    assert len(set(blocks)) > 10
+
+
+def test_screen_verifies_only_pairs_that_could_link(monkeypatch):
+    calls = []
+    real = canvasmem.graph_build.cosine_sim
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(canvasmem.graph_build, "cosine_sim", counted)
+    graph = CanvasGraph()
+    for turn in range(8):
+        obj = make_obj(content=f"item {turn}", turn=turn, embedding=axis(turn))
+        graph.add_object(obj)
+        link_object(graph, obj)
+    assert calls == []
+    # Cosine 0.46 against axis(0) and 0.89 against axis(1): two pairs to verify.
+    twin = make_obj(content="item again", turn=9, embedding=vec_at_cosine(0.46))
+    graph.add_object(twin)
+    link_object(graph, twin)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("pattern", ["low", "alternating", "reversed"])
+def test_a_screen_off_by_most_of_the_margin_changes_nothing(pattern, monkeypatch):
+    """Callers must leave SCREEN_MARGIN of room for the screen's rounding."""
+    exact_cosines = ScoringIndex.cosines
+    sign = {"low": lambda row: -1, "alternating": lambda row: (-1) ** row,
+            "reversed": lambda row: -(-1) ** row}[pattern]
+
+    def off_by_most_of_the_margin(self, query):
+        approx = exact_cosines(self, query)
+        if approx is None:
+            return None
+        return approx + [0.9 * SCREEN_MARGIN * sign(row) for row in range(len(approx))]
+
+    monkeypatch.setattr(ScoringIndex, "cosines", off_by_most_of_the_margin)
+    # Cosines exactly at theta_causal and theta_ref, and an exact tie at the cut.
+    thresholds = LinkThresholds(theta_ref=0.5, theta_causal=0.25)
+    objects = [
+        make_obj(kind=ObjectKind.KEY_FACT, content="alpha", turn=0, embedding=[1.0, 0.0, 0.0, 0.0]),
+        make_obj(kind=ObjectKind.KEY_FACT, content="beta", turn=0, embedding=[0.0, 1.0, 0.0, 0.0]),
+        make_obj(kind=ObjectKind.DECISION, content="gamma", turn=9, embedding=[1.0, 1.0, 1.0, 1.0]),
+        make_obj(kind=ObjectKind.DECISION, content="delta", turn=9,
+                 embedding=[1.0, math.sqrt(15.0), 0.0, 0.0]),
+    ]
+    screened, oracle = build_pair(objects, thresholds)
+    assert screened.edges == oracle.edges
+    assert {e.weight for e in screened.edges} >= {0.25, 0.5}
+    for coarse_k in (1, 2, 3):
+        assert_same_coarse(screened, oracle, plan_for([1.0, 1.0, 0.0, 0.0], "", coarse_k))
+
+
+def test_index_cosines_sit_within_the_margin_of_cosine_sim():
+    rng = random.Random(5)
+    rows = [[rng.uniform(-1e3, 1e3) for _ in range(64)] for _ in range(40)]
+    index = ScoringIndex()
+    for turn, row in enumerate(rows):
+        index.append(make_obj(content=f"row {turn}", turn=turn, embedding=row))
+    query = [rng.gauss(0.0, 1e-3) for _ in range(64)]
+    approx = index.cosines(query)
+    exact = [cosine_sim(row, query) for row in rows]
+    assert max(abs(a - e) for a, e in zip(approx.tolist(), exact)) < SCREEN_MARGIN / 1000
+
+
+# ---------------------------------------------------------------------------
+# Error paths: the same typed errors from link_object and coarse_retrieve
+# ---------------------------------------------------------------------------
+
+FAULTS = {
+    "missing": (None, MissingEmbeddingError),
+    "zero": ([0.0] * 8, ZeroVectorError),
+    "wrong dimension": ([1.0] * 4, DimensionMismatchError),
+}
+
+
+def _error_of(fn, *args):
+    with pytest.raises(Exception) as caught:
+        fn(*args)
+    return type(caught.value)
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("position", [0, 2])
+def test_stored_fault_raises_the_same_error(fault, position):
+    embedding, error = FAULTS[fault]
+    objects = [make_obj(content=f"fine {i}", turn=i, embedding=axis(i)) for i in range(4)]
+    objects.insert(position, make_obj(content="broken", turn=position, embedding=embedding))
+    screened, oracle = CanvasGraph(), CanvasGraph()
+    for obj in objects:
+        # Storing never raises; the fault shows once something is scored.
+        screened.add_object(obj)
+        oracle.add_object(obj)
+    newest = objects[-1]
+    assert _error_of(link_object, screened, newest) is error
+    assert _error_of(oracle_link_object, oracle, newest) is error
+    for coarse_k in (2, 20):
+        plan = plan_for(axis(0), "fine", coarse_k)
+        assert _error_of(coarse_retrieve, screened, plan) is error
+        assert _error_of(oracle_coarse_retrieve, oracle, plan) is error
+
+
+@pytest.mark.parametrize("query, error", [
+    ([0.0] * 8, ZeroVectorError), ([1.0] * 3, DimensionMismatchError),
+])
+def test_faulty_query_vector_raises_the_same_error(query, error):
+    objects = [make_obj(content=f"fine {i}", turn=i, embedding=axis(i)) for i in range(4)]
+    screened, oracle = build_pair(objects)
+    plan = plan_for(query, "fine", 2)
+    assert _error_of(coarse_retrieve, screened, plan) is error
+    assert _error_of(oracle_coarse_retrieve, oracle, plan) is error
+    newcomer = make_obj(content="newcomer", turn=9, embedding=query)
+    screened.add_object(newcomer)
+    oracle.add_object(newcomer)
+    assert _error_of(link_object, screened, newcomer) is error
+    assert _error_of(oracle_link_object, oracle, newcomer) is error
+
+
+def test_lone_faulty_object_links_to_nothing_like_the_oracle():
+    screened, oracle = build_pair([make_obj(content="alone", turn=0, embedding=[0.0] * 8)])
+    assert screened.edges == oracle.edges == []
+
+
+# ---------------------------------------------------------------------------
+# Snapshots: the copy-on-write fork
+# ---------------------------------------------------------------------------
+
+def _fill(graph, turns, axis_of=lambda t: t % 8):
+    for turn in turns:
+        obj = make_obj(content=f"note {turn} redis", turn=turn, embedding=axis(axis_of(turn)))
+        graph.add_object(obj)
+        link_object(graph, obj)
+
+
+def _hits(graph, plan):
+    return [(h.object_id, h.hybrid) for h in coarse_retrieve(graph, plan)]
+
+
+def test_parent_writes_after_snapshot_leave_its_coarse_hits_alone():
+    engine = CanvasEngine(MockExtractor(), MockEmbedder())
+    turns = seeded_turns(7, 80)
+    for turn in turns[:40]:
+        engine.ingest_turn(turn)
+    frozen = engine.snapshot()
+    plan = plan_for(engine.embedder.embed("redis cache node"), "redis cache node", 5)
+    before = _hits(frozen, plan)
+    for turn in turns[40:]:
+        engine.ingest_turn(turn)
+    assert len(engine.graph) > len(frozen)
+    assert _hits(frozen, plan) == before
+    assert _hits(frozen, plan) == [(h.object_id, h.hybrid)
+                                   for h in oracle_coarse_retrieve(frozen, plan)]
+
+
+def test_writes_to_a_snapshot_do_not_corrupt_the_parent_index():
+    parent = CanvasGraph()
+    _fill(parent, range(10))
+    twin = parent.snapshot()
+    # The twin writes first, into what it shares with the parent...
+    _fill(twin, range(10, 16), axis_of=lambda t: 0)
+    # ...then the parent writes rows the twin has written too.
+    _fill(parent, range(20, 26), axis_of=lambda t: 1)
+    for graph in (parent, twin):
+        for query in (axis(0), axis(1), [1.0] * 8):
+            approx = graph.scoring_index().cosines(query).tolist()
+            assert approx == pytest.approx([cosine_sim(o.embedding, query) for o in graph.rows])
+            plan = plan_for(query, "note redis", 4)
+            assert _hits(graph, plan) == [(h.object_id, h.hybrid)
+                                          for h in oracle_coarse_retrieve(graph, plan)]
