@@ -579,25 +579,32 @@ def chunk_text(text: str, chunk_size: int, overlap: int) -> list[str]:
     return [text[i:i + chunk_size] for i in range(0, len(text), step)]
 
 
-def build_rag_context(
+def rag_retriever(
     turns: Sequence[ConversationTurn],
-    question: str,
     embedder,
     preset: RAGPreset,
-) -> str:
-    """Embed transcript chunks, take the top-k by cosine against the question."""
-    text = render_transcript(turns)
-    chunks = chunk_text(text, preset.chunk_size, preset.overlap)
-    if not chunks:
-        return ""
-    query_vec = embedder.embed(question)
-    scored = [
-        (cosine_sim(query_vec, embedder.embed(chunk)), idx)
-        for idx, chunk in enumerate(chunks)
-    ]
-    scored.sort(key=lambda pair: (-pair[0], pair[1]))
-    top = [chunks[idx] for _, idx in scored[:preset.top_k]]
-    return "\n\n".join(top)
+) -> Callable[[str], str]:
+    """Chunk the transcript once; the returned function builds one question's context.
+
+    The context is the top-k chunks by cosine against the question. Chunks
+    are embedded on the first call and reused by every later one, so each
+    chunk is embedded once per transcript, not once per question. A failed
+    embedding caches nothing, and the next call tries again.
+    """
+    chunks = chunk_text(render_transcript(turns), preset.chunk_size, preset.overlap)
+    vectors: list[list[float]] = []
+
+    def context_for(question: str) -> str:
+        if not chunks:
+            return ""
+        query_vec = embedder.embed(question)
+        if not vectors:
+            vectors.extend([embedder.embed(chunk) for chunk in chunks])
+        scored = [(cosine_sim(query_vec, vec), idx) for idx, vec in enumerate(vectors)]
+        scored.sort(key=lambda pair: (-pair[0], pair[1]))
+        return "\n\n".join(chunks[idx] for _, idx in scored[:preset.top_k])
+
+    return context_for
 
 
 # ---------------------------------------------------------------------------
@@ -711,8 +718,7 @@ def run_condition(
         fixed = build_summarization_context(turns, bundle.summarizer, bench.recent_turns)
         context_for = lambda question: fixed
     elif condition == "rag":
-        preset = RAG_PRESETS[bench.rag_preset]
-        context_for = lambda question: build_rag_context(turns, question, bundle.embedder, preset)
+        context_for = rag_retriever(turns, bundle.embedder, RAG_PRESETS[bench.rag_preset])
     else:
         engine = ingest_case(case, bundle, config)
         context_for = lambda question: retrieve(

@@ -4,12 +4,12 @@ A memory object is a tuple of (kind, content, verbatim quote, source speaker,
 embedding, turn index, confidence). Object identity is a content hash of
 (kind, normalized content, turn), so re-extracting the same statement from the
 same turn collides on purpose and deduplicates. The graph is append-only:
-objects and edges are added, never mutated or removed.
+objects and edges are added, never mutated or removed. Stored objects are
+immutable by contract, so snapshots share them rather than copy them.
 """
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 import threading
@@ -133,6 +133,9 @@ class CanvasGraph:
 
     Concurrency model: single writer, many readers. Writers (ingestion) take
     the graph's lock; readers work on a snapshot() taken at call start.
+    Snapshots hold the same CanvasObject instances as the graph, so a stored
+    object is immutable by contract: mutating one is unsupported, because
+    the change would show through every snapshot that holds it.
 
     `rows` lists the stored objects in insertion order; row i of the scoring
     index describes rows[i]. The index catches up with the rows the first
@@ -205,13 +208,17 @@ class CanvasGraph:
         return self._index
 
     def snapshot(self) -> "CanvasGraph":
-        """Deep copy for readers; the original keeps accepting writes.
+        """Read copy that shares the stored objects; both sides keep accepting writes.
 
-        The twin's scoring index is a copy-on-write fork of this one.
+        The containers (objects, rows, edges, edge keys, adjacency lists) are
+        copied, so an append on either side never reaches the other; the
+        CanvasObject instances are shared, which is sound only because stored
+        objects are never mutated. The twin's scoring index is a
+        copy-on-write fork of this one.
         """
         twin = CanvasGraph()
-        twin.objects = {oid: copy.deepcopy(obj) for oid, obj in self.objects.items()}
-        twin.rows = list(twin.objects.values())
+        twin.objects = dict(self.objects)
+        twin.rows = list(self.rows)
         twin._index = self._index.fork()
         twin.edges = list(self.edges)
         twin.next_turn = self.next_turn

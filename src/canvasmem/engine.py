@@ -2,7 +2,13 @@
 
 The engine owns the graph and is the single writer. A turn that makes the
 extractor backend fail is logged, counted, and skipped; ingestion continues
-with the next turn. Readers should query against snapshot() output.
+with the next turn. An embedder error propagates before anything of the turn
+is stored, so the same turn can be retried.
+
+Readers should query against snapshot() output. A snapshot is cheap: it
+copies the graph's containers but shares the stored objects, which are
+immutable by contract. Mutating a stored object is unsupported, because the
+change would be visible through every snapshot.
 """
 
 from __future__ import annotations
@@ -69,10 +75,14 @@ class CanvasEngine:
             self.diagnostics.failed_turns += 1
             self.graph.mark_turn_ingested(turn.index)
             return []
-        added: list[CanvasObject] = []
+        # Embed every candidate before storing any: an embedder error then
+        # leaves the graph and its turn cursor as they were, so the turn can
+        # be retried, and no object is assigned to once it is stored.
         for obj in candidates:
             if obj.embedding is None:
                 obj.embedding = self.embedder.embed(obj.content)
+        added: list[CanvasObject] = []
+        for obj in candidates:
             if self.graph.add_object(obj) is AddResult.ADDED:
                 link_object(self.graph, obj, self.thresholds)
                 added.append(obj)

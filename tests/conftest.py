@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import math
+import random
 
 from canvasmem.core import CanvasGraph, CanvasObject, ObjectKind, Source
+from canvasmem.errors import BackendFailureError
+from canvasmem.extraction import ConversationTurn
+from canvasmem.scoring import MockEmbedder
 
 
 def axis(index: int, dim: int = 8) -> list[float]:
@@ -44,3 +48,44 @@ def graph_of(*objects: CanvasObject) -> CanvasGraph:
     for obj in objects:
         graph.add_object(obj)
     return graph
+
+
+class CountingEmbedder:
+    """MockEmbedder that counts its calls and can fail on one of them (from 1)."""
+
+    def __init__(self, fail_on_call: int | None = None):
+        self.inner = MockEmbedder()
+        self.fail_on_call = fail_on_call
+        self.calls = 0
+
+    def embed(self, text: str) -> list[float]:
+        self.calls += 1
+        if self.calls == self.fail_on_call:
+            raise BackendFailureError("synthetic outage", role="embedder")
+        return self.inner.embed(text)
+
+
+TOPICS = ("billing gateway", "redis cache", "schema migration", "release train", "search index")
+FACTS = ("times out after {n} seconds", "runs on node {n}", "holds {n} gigabytes",
+         "was moved to friday", "needs {n} replicas")
+
+
+def seeded_turns(seed: int, count: int) -> list[ConversationTurn]:
+    """A seeded conversation of 0-2 marker lines per turn over five topics."""
+    rng = random.Random(seed)
+    turns = []
+    for index in range(count):
+        lines = []
+        for _ in range(rng.choice((0, 1, 1, 2))):
+            kind = rng.choice(("KEY_FACT", "KEY_FACT", "DECISION", "REMINDER", "TODO", "INSIGHT"))
+            fact = rng.choice(FACTS).format(n=rng.randint(1, 4))
+            lines.append(f"{kind}: the {rng.choice(TOPICS)} {fact}")
+        user = "\n".join(lines) or "nothing new today"
+        assistant = f"GLEAN: the {rng.choice(TOPICS)} is owned by team {index % 3}"
+        turns.append(ConversationTurn(index, user, assistant if rng.random() < 0.2 else "ok"))
+    return turns
+
+
+QUESTIONS = ("why did we move the release train?", "when does the billing gateway time out?",
+             "what holds the redis cache?", "which node runs the search index",
+             "the schema migration needs how many replicas")

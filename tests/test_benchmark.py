@@ -19,7 +19,6 @@ from canvasmem.benchmark import (
     Variant,
     aggregate_records,
     build_native_context,
-    build_rag_context,
     build_summarization_context,
     build_truncation_context,
     chunk_text,
@@ -30,6 +29,7 @@ from canvasmem.benchmark import (
     ingest_case,
     keyword_coverage,
     question_label,
+    rag_retriever,
     ref_grid,
     render_transcript,
     render_turn,
@@ -38,6 +38,9 @@ from canvasmem.benchmark import (
 from canvasmem.config import EngineConfig
 from canvasmem.errors import BackendFailureError, EmptyKeywordsError
 from canvasmem.extraction import ConversationTurn
+from canvasmem.scoring import MockEmbedder, cosine_sim
+
+from conftest import CountingEmbedder
 
 
 # ---------------------------------------------------------------------------
@@ -293,13 +296,49 @@ def test_rag_preset_validation():
 def test_rag_context_returns_top_chunks():
     bundle = mock_bundle()
     turns = _tiny_turns()
-    context = build_rag_context(turns, "beta fact", bundle.embedder, RAG_PRESETS["rag-small"])
+    context = rag_retriever(turns, bundle.embedder, RAG_PRESETS["rag-small"])("beta fact")
     # The whole transcript fits one chunk here, so it comes back intact.
     assert "beta fact two." in context
     preset = dataclasses.replace(RAG_PRESETS["rag-small"], name="t", chunk_size=24, overlap=0)
-    context = build_rag_context(turns, "beta fact two", bundle.embedder, preset)
+    context = rag_retriever(turns, bundle.embedder, preset)("beta fact two")
     assert "beta" in context
     assert "\n\n" in context  # several chunks joined
+
+
+def _per_question_rag_context(turns, question, preset):
+    """The RAG baseline as it was: chunk and embed the transcript per question."""
+    embedder = MockEmbedder()
+    chunks = chunk_text(render_transcript(turns), preset.chunk_size, preset.overlap)
+    query_vec = embedder.embed(question)
+    scored = sorted(((cosine_sim(query_vec, embedder.embed(chunk)), idx)
+                     for idx, chunk in enumerate(chunks)), key=lambda p: (-p[0], p[1]))
+    return "\n\n".join(chunks[idx] for _, idx in scored[:preset.top_k])
+
+
+def _rag_run(fail_on_call=None):
+    case = generate_case(0)
+    embedder = CountingEmbedder(fail_on_call)
+    bundle = dataclasses.replace(mock_bundle(), embedder=embedder)
+    result = run_condition(case, "rag", bundle)
+    turns = [t for t in case.turns if t.index <= case.compression_turn]
+    preset = RAG_PRESETS[EngineConfig().bench.rag_preset]
+    expected = [_per_question_rag_context(turns, fact.question, preset) for fact in case.planted]
+    return result, embedder, expected
+
+
+def test_rag_embeds_each_chunk_once_per_case():
+    result, embedder, expected = _rag_run()
+    # 6 questions over 12 chunks: 6 + 12 calls, where chunking per question made 6 * 13.
+    assert (len(result.records), embedder.calls) == (6, 18)
+    assert [r.answer for r in result.records] == expected
+
+
+def test_rag_chunk_embedding_failure_loses_one_question_and_is_retried():
+    # Call 1 embeds the first question; call 2 is its first chunk.
+    result, embedder, expected = _rag_run(fail_on_call=2)
+    assert [r.answered for r in result.records] == [False] + [True] * 5
+    assert [r.answer for r in result.records[1:]] == expected[1:]
+    assert embedder.calls == 2 + 5 + 12
 
 
 # ---------------------------------------------------------------------------

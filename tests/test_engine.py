@@ -7,6 +7,8 @@ from canvasmem.errors import BackendFailureError, SequenceError
 from canvasmem.extraction import ConversationTurn, ExtractionPass, MockExtractor
 from canvasmem.scoring import MockEmbedder
 
+from conftest import CountingEmbedder
+
 
 def _engine(extractor=None, gleaning=True):
     return CanvasEngine(
@@ -106,3 +108,19 @@ def test_gleaning_flag_disables_second_pass():
     contents = {o.content for o in with_glean.graph.objects.values()}
     assert "the gleaned extra fact" in contents
     assert len(without.graph.objects) == 1
+
+
+def test_embedder_error_leaves_the_graph_untouched_and_the_turn_retryable():
+    engine = CanvasEngine(MockExtractor(), CountingEmbedder(fail_on_call=2))
+    turn = _turn(0, user="KEY_FACT: the api gateway times out after 30 seconds\n"
+                         "DECISION: we will cache responses in redis")
+    with pytest.raises(BackendFailureError):
+        engine.ingest_turn(turn)
+    graph = engine.graph
+    assert (graph.objects, graph.rows, graph.edges, graph.next_turn) == ({}, [], [], 0)
+    added = engine.ingest_turn(turn)
+    clean = _engine()
+    clean.ingest_turn(turn)
+    assert len(added) == 2
+    assert graph == clean.graph
+    assert graph.next_turn == 1

@@ -29,7 +29,7 @@ from canvasmem.core import (
 )
 from canvasmem.engine import CanvasEngine
 from canvasmem.errors import DimensionMismatchError, MissingEmbeddingError, ZeroVectorError
-from canvasmem.extraction import ConversationTurn, MockExtractor
+from canvasmem.extraction import MockExtractor
 from canvasmem.graph_build import TEMPORAL_SOURCE_KINDS, LinkThresholds, link_object
 from canvasmem.retrieval import (
     QueryClass,
@@ -49,7 +49,7 @@ from canvasmem.scoring import (
     keyword_jaccard,
 )
 
-from conftest import axis, make_obj, vec_at_cosine
+from conftest import QUESTIONS, axis, make_obj, seeded_turns, vec_at_cosine
 
 
 # ---------------------------------------------------------------------------
@@ -253,31 +253,6 @@ def test_quote_tokens_count_in_the_screen():
 # ---------------------------------------------------------------------------
 # A seeded engine run: graph bytes and rendered blocks
 # ---------------------------------------------------------------------------
-
-TOPICS = ("billing gateway", "redis cache", "schema migration", "release train", "search index")
-FACTS = ("times out after {n} seconds", "runs on node {n}", "holds {n} gigabytes",
-         "was moved to friday", "needs {n} replicas")
-
-
-def seeded_turns(seed: int, count: int) -> list[ConversationTurn]:
-    rng = random.Random(seed)
-    turns = []
-    for index in range(count):
-        lines = []
-        for _ in range(rng.choice((0, 1, 1, 2))):
-            kind = rng.choice(("KEY_FACT", "KEY_FACT", "DECISION", "REMINDER", "TODO", "INSIGHT"))
-            fact = rng.choice(FACTS).format(n=rng.randint(1, 4))
-            lines.append(f"{kind}: the {rng.choice(TOPICS)} {fact}")
-        user = "\n".join(lines) or "nothing new today"
-        assistant = f"GLEAN: the {rng.choice(TOPICS)} is owned by team {index % 3}"
-        turns.append(ConversationTurn(index, user, assistant if rng.random() < 0.2 else "ok"))
-    return turns
-
-
-QUESTIONS = ("why did we move the release train?", "when does the billing gateway time out?",
-             "what holds the redis cache?", "which node runs the search index",
-             "the schema migration needs how many replicas")
-
 
 def engine_run(seed: int):
     """Ingest a seeded conversation; query a snapshot after every turn."""
