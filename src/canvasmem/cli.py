@@ -73,6 +73,8 @@ def _parse_overrides(pairs: Optional[Sequence[str]]) -> dict:
 
 def _load_engine_config(args) -> EngineConfig:
     overrides = _parse_overrides(getattr(args, "set", None))
+    if getattr(args, "preset", None):
+        overrides["preset"] = args.preset
     return load_config(getattr(args, "config", None), overrides)
 
 
@@ -166,14 +168,6 @@ def cmd_ingest(args) -> int:
 
 def cmd_query(args) -> int:
     config = _load_engine_config(args)
-    if args.preset:
-        config = EngineConfig(
-            gleaning=config.gleaning,
-            thresholds=config.thresholds,
-            retrieval=type(config.retrieval).preset(args.preset),
-            backends=config.backends,
-            bench=config.bench,
-        )
     bundle = build_bundle(config)
     with open(args.graph, "rb") as handle:
         graph = deserialize_graph(handle.read())

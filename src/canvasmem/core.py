@@ -6,6 +6,12 @@ embedding, turn index, confidence). Object identity is a content hash of
 same turn collides on purpose and deduplicates. The graph is append-only:
 objects and edges are added, never mutated or removed. Stored objects are
 immutable by contract, so snapshots share them rather than copy them.
+
+Persistence is incremental for the same reason. Each graph keeps the UTF-8
+JSON of the object and edge records it has already serialized, about one
+file's worth of bytes, and a save encodes only the records added since the
+last save. The output is byte-identical to encoding the whole document at
+once only because records are appended, never changed or removed.
 """
 
 from __future__ import annotations
@@ -28,6 +34,11 @@ GRAPH_FORMAT = "canvas-graph"
 GRAPH_VERSION = 1
 
 ID_HEX_LENGTH = 16
+
+# Records a graph has serialized: (objects covered, object chunks, edges
+# covered, edge chunks), each chunk the UTF-8 JSON of one save's new records.
+_Encoded = tuple[int, tuple[bytes, ...], int, tuple[bytes, ...]]
+_NOTHING_ENCODED: _Encoded = (0, (), 0, ())
 
 
 class ObjectKind(str, Enum):
@@ -154,6 +165,7 @@ class CanvasGraph:
         self._edge_keys: set[tuple[str, str, EdgeKind]] = set()
         self._adjacent: dict[str, list[str]] = {}
         self._index = ScoringIndex()
+        self._encoded: _Encoded = _NOTHING_ENCODED
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CanvasGraph):
@@ -214,7 +226,8 @@ class CanvasGraph:
         copied, so an append on either side never reaches the other; the
         CanvasObject instances are shared, which is sound only because stored
         objects are never mutated. The twin's scoring index is a
-        copy-on-write fork of this one.
+        copy-on-write fork of this one, and it shares the immutable cache of
+        records already serialized.
         """
         twin = CanvasGraph()
         twin.objects = dict(self.objects)
@@ -224,6 +237,7 @@ class CanvasGraph:
         twin.next_turn = self.next_turn
         twin._edge_keys = set(self._edge_keys)
         twin._adjacent = {oid: list(ids) for oid, ids in self._adjacent.items()}
+        twin._encoded = self._encoded
         return twin
 
     def counts_by_kind(self) -> dict[str, int]:
@@ -239,37 +253,69 @@ class CanvasGraph:
         return counts
 
 
-def serialize_graph(graph: CanvasGraph) -> bytes:
-    """Serialize to versioned UTF-8 JSON; floats keep full round-trip precision."""
-    doc = {
-        "format": GRAPH_FORMAT,
-        "version": GRAPH_VERSION,
-        "next_turn": graph.next_turn,
-        "objects": [
-            {
-                "id": obj.id,
-                "kind": obj.kind.value,
-                "content": obj.content,
-                "quote": obj.quote,
-                "source": obj.source.value,
-                "turn": obj.turn,
-                "confidence": obj.confidence,
-                "embedding": obj.embedding,
-            }
-            for obj in graph.objects.values()
-        ],
-        "edges": [
-            {
-                "src": edge.src,
-                "dst": edge.dst,
-                "kind": edge.kind.value,
-                "weight": edge.weight,
-                "origin": edge.origin.value,
-            }
-            for edge in graph.edges
-        ],
+def _object_record(obj: CanvasObject) -> dict:
+    return {
+        "id": obj.id,
+        "kind": obj.kind.value,
+        "content": obj.content,
+        "quote": obj.quote,
+        "source": obj.source.value,
+        "turn": obj.turn,
+        "confidence": obj.confidence,
+        "embedding": obj.embedding,
     }
-    return json.dumps(doc, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+
+
+def _edge_record(edge: CanvasEdge) -> dict:
+    return {
+        "src": edge.src,
+        "dst": edge.dst,
+        "kind": edge.kind.value,
+        "weight": edge.weight,
+        "origin": edge.origin.value,
+    }
+
+
+def _json(value) -> str:
+    return json.dumps(value, ensure_ascii=False, separators=(",", ":"))
+
+
+def _append_chunk(chunks: tuple[bytes, ...], records: list[dict]) -> tuple[bytes, ...]:
+    """chunks plus one holding records as they sit inside a JSON array.
+
+    Every chunk but the first starts with the comma that separates it from
+    the one before, so the array body is the plain concatenation of chunks.
+    """
+    if not records:
+        return chunks
+    body = _json(records)[1:-1]
+    return chunks + ((("," + body) if chunks else body).encode("utf-8"),)
+
+
+def serialize_graph(graph: CanvasGraph) -> bytes:
+    """Serialize to versioned UTF-8 JSON; floats keep full round-trip precision.
+
+    Only the objects and edges added since the graph's last save are
+    encoded; the rest comes from the graph's cache of encoded records. The
+    cache is replaced in one assignment once every new record has encoded,
+    so a record that cannot encode (a lone surrogate raises
+    UnicodeEncodeError) leaves it as it was and fails every later save too.
+    """
+    objects, object_chunks, edges, edge_chunks = graph._encoded
+    if len(graph.rows) < objects or len(graph.edges) < edges:
+        objects, object_chunks, edges, edge_chunks = _NOTHING_ENCODED
+    new_objects = graph.rows[objects:]
+    new_edges = graph.edges[edges:]
+    object_chunks = _append_chunk(object_chunks, [_object_record(o) for o in new_objects])
+    edge_chunks = _append_chunk(edge_chunks, [_edge_record(e) for e in new_edges])
+    header = _json({"format": GRAPH_FORMAT, "version": GRAPH_VERSION, "next_turn": graph.next_turn})
+    graph._encoded = (
+        objects + len(new_objects), object_chunks, edges + len(new_edges), edge_chunks,
+    )
+    return b"".join((
+        header[:-1].encode("utf-8"), b',"objects":[', *object_chunks,
+        b'],"edges":[', *edge_chunks, b"]}",
+    ))
 
 
 def _require(condition: bool, message: str) -> None:

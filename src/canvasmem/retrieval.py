@@ -312,8 +312,7 @@ def rerank_candidates(
         raise ValueError("rerank_candidates requires at least one candidate")
     base = sorted(candidates, key=lambda c: -c.hybrid)
     if backend is None:
-        ranked = [replace(c, rerank=c.hybrid) for c in base]
-        return ranked[:k]
+        return [replace(c, rerank=c.hybrid) for c in base[:k]]
     pairs = [
         (c.object_id, f"{graph.objects[c.object_id].content}\n{graph.objects[c.object_id].quote}")
         for c in base
@@ -322,8 +321,7 @@ def rerank_candidates(
         raw = backend.rerank(query_text, pairs)
     except Exception as exc:
         logger.warning("reranker backend failed, falling back to hybrid order: %s", exc)
-        ranked = [replace(c, rerank=c.hybrid) for c in base]
-        return ranked[:k]
+        return [replace(c, rerank=c.hybrid) for c in base[:k]]
     known = {c.object_id for c in base}
     scores = {cid: float(score) for cid, score in raw if cid in known}
     missing = float("-inf")

@@ -74,6 +74,26 @@ def test_query_answer_flag_echoes_context(conversation, tmp_path, capsys):
     assert "api gateway" in out
 
 
+def test_query_preset_keeps_config_file_and_set_overrides(conversation, tmp_path, monkeypatch):
+    graph_path = tmp_path / "graph.json"
+    main(["ingest", "--input", str(conversation), "--graph", str(graph_path)])
+    config_path = tmp_path / "config.yaml"
+    config_path.write_text("retrieval:\n  coarse_k: 7\n", encoding="utf-8")
+    seen = []
+    real_retrieve = canvasmem.cli.retrieve
+
+    def spy(graph, question, embedder, config, reranker):
+        seen.append(config)
+        return real_retrieve(graph, question, embedder, config, reranker)
+
+    monkeypatch.setattr(canvasmem.cli, "retrieve", spy)
+    assert main(["query", "why did we cache responses in redis?", "--graph", str(graph_path),
+                 "--preset", "locomo", "--config", str(config_path),
+                 "--set", "retrieval.budget_tokens=500"]) == 0
+    [config] = seen
+    assert (config.hops, config.budget_tokens, config.coarse_k) == (4, 500, 7)
+
+
 def test_export_tsv_rows_sorted(conversation, tmp_path, capsys):
     graph_path = tmp_path / "graph.json"
     main(["ingest", "--input", str(conversation), "--graph", str(graph_path)])

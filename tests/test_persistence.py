@@ -1,0 +1,288 @@
+"""Incremental serialize_graph against the whole-document oracle.
+
+The oracle below is the serializer that encoded the whole document on
+every save. serialize_graph now encodes only the records added since the
+graph's last save and reuses the bytes of the rest, so every save, on a
+graph or on any of its snapshots, must equal the oracle byte for byte.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+import threading
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from canvasmem.core import (
+    GRAPH_FORMAT,
+    GRAPH_VERSION,
+    CanvasEdge,
+    CanvasGraph,
+    EdgeKind,
+    EdgeOrigin,
+    deserialize_graph,
+    serialize_graph,
+)
+from canvasmem.engine import CanvasEngine
+from canvasmem.extraction import MockExtractor
+from canvasmem.scoring import MockEmbedder
+
+from conftest import axis, make_obj, seeded_turns
+
+
+# ---------------------------------------------------------------------------
+# The oracle: one json.dumps over the whole document
+# ---------------------------------------------------------------------------
+
+def whole_document(graph: CanvasGraph) -> bytes:
+    doc = {
+        "format": GRAPH_FORMAT,
+        "version": GRAPH_VERSION,
+        "next_turn": graph.next_turn,
+        "objects": [
+            {
+                "id": obj.id,
+                "kind": obj.kind.value,
+                "content": obj.content,
+                "quote": obj.quote,
+                "source": obj.source.value,
+                "turn": obj.turn,
+                "confidence": obj.confidence,
+                "embedding": obj.embedding,
+            }
+            for obj in graph.objects.values()
+        ],
+        "edges": [
+            {
+                "src": edge.src,
+                "dst": edge.dst,
+                "kind": edge.kind.value,
+                "weight": edge.weight,
+                "origin": edge.origin.value,
+            }
+            for edge in graph.edges
+        ],
+    }
+    return json.dumps(doc, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+
+
+def assert_saves_like_oracle(graph: CanvasGraph) -> bytes:
+    data = serialize_graph(graph)
+    assert data == whole_document(graph)
+    return data
+
+
+def _edge(src, dst, kind=EdgeKind.REFERENCE, weight=0.5):
+    return CanvasEdge(src=src.id, dst=dst.id, kind=kind, weight=weight,
+                      origin=EdgeOrigin.SIMILARITY)
+
+
+CONTENTS = (
+    "the cache lives in redis",
+    "déploiement prévu vendredi",
+    "キャッシュは redis にある",
+    "ship it 🚀 on friday",
+    'quote "marks" and \\ backslashes\n',
+    "tab\there and   line separator",
+)
+
+
+# ---------------------------------------------------------------------------
+# Interleavings of writes, saves and snapshots on parents and twins
+# ---------------------------------------------------------------------------
+
+graph_pick = st.integers(0, 7)
+operation = st.one_of(
+    st.tuples(st.just("object"), graph_pick, st.integers(0, len(CONTENTS) - 1),
+              st.integers(0, 12),
+              st.one_of(st.none(), st.lists(st.floats(-1e6, 1e6, allow_nan=False),
+                                            min_size=1, max_size=3))),
+    st.tuples(st.just("edge"), graph_pick, st.integers(0, 40), st.integers(0, 40),
+              st.sampled_from(EdgeKind), st.floats(0.0, 1.0)),
+    st.tuples(st.just("mark"), graph_pick, st.integers(0, 20)),
+    st.tuples(st.just("save"), graph_pick),
+    st.tuples(st.just("snapshot"), graph_pick),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(operation, max_size=60))
+def test_every_save_of_every_graph_and_twin_equals_the_oracle(ops):
+    graphs = [CanvasGraph()]
+    for op in ops:
+        graph = graphs[op[1] % len(graphs)]
+        if op[0] == "object":
+            _, _, content, turn, embedding = op
+            graph.add_object(make_obj(content=CONTENTS[content], turn=turn, embedding=embedding))
+        elif op[0] == "edge":
+            _, _, a, b, kind, weight = op
+            if len(graph.rows) < 2:
+                continue
+            n = len(graph.rows)
+            src, dst = graph.rows[a % n], graph.rows[(a + 1 + b % (n - 1)) % n]
+            if src.turn > dst.turn:
+                src, dst = dst, src
+            graph.add_edge(_edge(src, dst, kind, weight))
+        elif op[0] == "mark":
+            graph.mark_turn_ingested(op[2])
+        elif op[0] == "save":
+            assert_saves_like_oracle(graph)
+        else:
+            graphs.append(graph.snapshot())
+    for graph in graphs:
+        assert_saves_like_oracle(graph)
+
+
+def test_twin_and_parent_saves_never_show_each_others_records():
+    a = make_obj(content="the cache lives in redis", turn=0, embedding=axis(0))
+    b = make_obj(content="redis runs on node 2", turn=1, embedding=axis(1))
+    c = make_obj(content="node 2 was moved to friday", turn=2, embedding=axis(2))
+    d = make_obj(content="friday needs 3 replicas", turn=3, embedding=axis(3))
+    parent = CanvasGraph()
+    parent.add_object(a)
+    assert_saves_like_oracle(parent)
+    twin = parent.snapshot()
+    twin.add_object(b)
+    twin.add_edge(_edge(a, b))
+    twin_bytes = assert_saves_like_oracle(twin)
+    parent.add_object(c)
+    parent.add_edge(_edge(a, c))
+    parent_bytes = assert_saves_like_oracle(parent)
+    for graph in (parent, twin):
+        graph.add_object(d)
+    assert [o.id for o in deserialize_graph(parent_bytes).rows] == [a.id, c.id]
+    assert [o.id for o in deserialize_graph(twin_bytes).rows] == [a.id, b.id]
+    assert_saves_like_oracle(twin)
+    assert_saves_like_oracle(parent)
+
+
+def test_seeded_ingest_saved_every_few_turns_equals_the_oracle():
+    engine = CanvasEngine(MockExtractor(), MockEmbedder())
+    twins = []
+    for turn in seeded_turns(5, 60):
+        engine.ingest_turn(turn)
+        if turn.index % 7 == 0:
+            assert_saves_like_oracle(engine.graph)
+        if turn.index % 11 == 0:
+            twins.append(engine.snapshot())
+    assert len(engine.graph.edges) > 10
+    assert_saves_like_oracle(engine.graph)
+    for twin in twins:
+        assert_saves_like_oracle(twin)
+
+
+# ---------------------------------------------------------------------------
+# Round trip, empty graph, non-ASCII content
+# ---------------------------------------------------------------------------
+
+def test_loaded_graph_saves_the_bytes_it_was_loaded_from_and_grows_like_the_oracle():
+    engine = CanvasEngine(MockExtractor(), MockEmbedder())
+    for turn in seeded_turns(2, 30):
+        engine.ingest_turn(turn)
+    data = assert_saves_like_oracle(engine.graph)
+    loaded = deserialize_graph(data)
+    assert serialize_graph(loaded) == data
+    extra = make_obj(content="a fact added after loading", turn=loaded.next_turn, embedding=axis(4))
+    loaded.add_object(extra)
+    loaded.add_edge(_edge(loaded.rows[0], extra))
+    assert_saves_like_oracle(loaded)
+
+
+def test_empty_graph_saves_like_the_oracle():
+    graph = CanvasGraph()
+    assert serialize_graph(graph) == whole_document(graph)
+    assert serialize_graph(graph) == (
+        b'{"format":"canvas-graph","version":1,"next_turn":0,"objects":[],"edges":[]}'
+    )
+    graph.mark_turn_ingested(4)
+    assert_saves_like_oracle(graph)
+    assert deserialize_graph(serialize_graph(graph)).next_turn == 5
+
+
+def test_non_ascii_content_is_written_as_utf8_not_escaped():
+    graph = CanvasGraph()
+    for turn, content in enumerate(CONTENTS):
+        graph.add_object(make_obj(content=content, turn=turn, embedding=[0.1, 1 / 3]))
+        data = assert_saves_like_oracle(graph)
+    assert "キャッシュ".encode("utf-8") in data and b"\\u" not in data
+    assert [o.content for o in deserialize_graph(data).rows] == list(CONTENTS)
+
+
+# ---------------------------------------------------------------------------
+# Failed encodes, shrunken containers, racing savers
+# ---------------------------------------------------------------------------
+
+def test_a_record_that_cannot_encode_fails_every_later_save():
+    graph = CanvasGraph()
+    good = make_obj(content="the cache lives in redis", turn=0, embedding=axis(0))
+    graph.add_object(good)
+    assert_saves_like_oracle(graph)
+    # A lone surrogate in content already fails the id hash; the quote is not hashed.
+    bad = make_obj(content="the quote is not utf-8", quote="lone \ud800 surrogate", turn=1,
+                   embedding=axis(1))
+    graph.add_object(bad)
+    with pytest.raises(UnicodeEncodeError):
+        whole_document(graph)
+    for turn in range(2, 5):
+        with pytest.raises(UnicodeEncodeError):
+            serialize_graph(graph)
+        later = make_obj(content=f"a later fact {turn}", turn=turn, embedding=axis(turn))
+        graph.add_object(later)
+        graph.add_edge(_edge(good, later))
+        with pytest.raises(UnicodeEncodeError):
+            serialize_graph(graph.snapshot())
+
+
+def test_a_graph_holding_fewer_records_than_its_cache_encodes_from_scratch():
+    parent = CanvasGraph()
+    a = make_obj(content="the cache lives in redis", turn=0, embedding=axis(0))
+    b = make_obj(content="redis runs on node 2", turn=1, embedding=axis(1))
+    parent.add_object(a)
+    parent.add_object(b)
+    parent.add_edge(_edge(a, b))
+    assert_saves_like_oracle(parent)
+    shrunk = parent.snapshot()
+    shrunk.objects = {a.id: a}
+    shrunk.rows = [a]
+    assert_saves_like_oracle(shrunk)
+    no_edges = parent.snapshot()
+    no_edges.edges = []
+    assert_saves_like_oracle(no_edges)
+
+
+def test_racing_savers_all_write_the_oracle_bytes():
+    graph = CanvasGraph()
+    savers, rounds, saves_each = 6, 8, 5
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for round_no in range(rounds):
+            for i in range(4):
+                turn = round_no * 4 + i
+                obj = make_obj(content=f"fact {turn} of the run", turn=turn, embedding=axis(i))
+                graph.add_object(obj)
+                if turn:
+                    graph.add_edge(_edge(graph.rows[turn - 1], obj))
+            expected = whole_document(graph)
+            outputs: list[bytes] = []
+            start = threading.Barrier(savers)
+
+            def save_repeatedly():
+                start.wait(timeout=10)
+                for _ in range(saves_each):
+                    outputs.append(serialize_graph(graph))
+
+            threads = [threading.Thread(target=save_repeatedly) for _ in range(savers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+            assert len(outputs) == savers * saves_each
+            assert all(data == expected for data in outputs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert_saves_like_oracle(graph)
