@@ -61,7 +61,6 @@ class BackendConfig:
     retry_backoff_s: float = 0.5
     temperature_extraction: float = 0.1
     temperature_generation: float = 0.0
-    concurrency: int = 4
 
     def to_dict(self) -> dict:
         return {
@@ -73,7 +72,6 @@ class BackendConfig:
             "retry_backoff_s": self.retry_backoff_s,
             "temperature_extraction": self.temperature_extraction,
             "temperature_generation": self.temperature_generation,
-            "concurrency": self.concurrency,
         }
 
 

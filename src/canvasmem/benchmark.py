@@ -35,7 +35,7 @@ from .engine import CanvasEngine
 from .errors import CanvasError, EmptyKeywordsError
 from .extraction import ConversationTurn
 from .retrieval import default_token_counter, retrieve
-from .scoring import cosine_sim, tokenize
+from .scoring import ScoringIndex, cosine_sim, tokenize
 
 FUZZY_RECALL_THRESHOLD = 80.0
 KEYWORD_PASS_THRESHOLD = 0.8
@@ -587,12 +587,17 @@ def rag_retriever(
     """Chunk the transcript once; the returned function builds one question's context.
 
     The context is the top-k chunks by cosine against the question. Chunks
-    are embedded on the first call and reused by every later one, so each
-    chunk is embedded once per transcript, not once per question. A failed
-    embedding caches nothing, and the next call tries again.
+    are embedded on the first call and stacked into a scoring index reused
+    by every later one, so each chunk is embedded once per transcript, not
+    once per question. A failed embedding caches nothing, and the next call
+    tries again. Chunks are ranked by the index's exact_cosine, which is
+    bit-identical to cosine_sim; when the index cannot take a vector (zero,
+    extreme, or of another dimension) the scalar cosine_sim ranks them and
+    raises its typed errors.
     """
     chunks = chunk_text(render_transcript(turns), preset.chunk_size, preset.overlap)
     vectors: list[list[float]] = []
+    index = ScoringIndex()
 
     def context_for(question: str) -> str:
         if not chunks:
@@ -600,7 +605,13 @@ def rag_retriever(
         query_vec = embedder.embed(question)
         if not vectors:
             vectors.extend([embedder.embed(chunk) for chunk in chunks])
-        scored = [(cosine_sim(query_vec, vec), idx) for idx, vec in enumerate(vectors)]
+            for vec in vectors:
+                index.append_vector(vec)
+        query = index.prepare(query_vec)
+        if query is None:
+            scored = [(cosine_sim(query_vec, vec), idx) for idx, vec in enumerate(vectors)]
+        else:
+            scored = [(index.exact_cosine(query, idx), idx) for idx in range(len(index))]
         scored.sort(key=lambda pair: (-pair[0], pair[1]))
         return "\n\n".join(chunks[idx] for _, idx in scored[:preset.top_k])
 

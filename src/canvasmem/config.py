@@ -9,7 +9,7 @@ environment variable, not the key.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Optional, Union
 
 import yaml
@@ -41,6 +41,7 @@ _K_KEYS = {
 }
 
 RoleSetting = Union[str, BackendConfig]
+_BACKEND_KEYS = frozenset(f.name for f in fields(BackendConfig))
 
 
 @dataclass
@@ -173,6 +174,11 @@ class EngineConfig:
             if isinstance(raw, str):
                 return raw
             if isinstance(raw, dict):
+                unknown = [key for key in raw if key not in _BACKEND_KEYS]
+                if unknown:
+                    raise ValueError(
+                        f"backend role {name!r} has unknown keys: {', '.join(map(repr, unknown))}"
+                    )
                 return BackendConfig(**raw)
             raise ValueError(f"backend role {name!r} must be a tag or a mapping")
 

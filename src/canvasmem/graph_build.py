@@ -16,10 +16,13 @@ references, and the heavier weight wins for causal edges.
 
 Linking is screen-then-verify. One matrix-vector product over the graph's
 scoring index gives an approximate cosine against every stored object; only
-objects within SCREEN_MARGIN of theta_causal (the lower threshold) get the
-scalar cosine_sim, so every edge weight is the exact scalar value. The rest
-are below both thresholds and can only gain a KEYWORD or temporal edge.
-Jaccard overlaps come from the index's cached token sets.
+objects within SCREEN_MARGIN of theta_causal (the lower threshold) are
+verified, by the index's exact_cosine, which is bit-identical to
+cosine_sim, so every edge weight is the exact scalar value. The rest are
+below both thresholds and can only gain a KEYWORD or temporal edge.
+Jaccard overlaps come from the index's cached token sets. An index that
+cannot screen (a stored fault, or an unscreenable new vector) sends every
+pair to the scalar cosine_sim, which raises the typed errors.
 """
 
 from __future__ import annotations
@@ -90,11 +93,10 @@ def link_object(
     if new_obj.embedding is None:
         raise MissingEmbeddingError(f"object {new_obj.id} has no embedding")
     index = graph.scoring_index()
-    approx = index.cosines(new_obj.embedding)
-    if approx is None:
-        # Unscreenable: every row gets the scalar cosine, which raises where due.
-        verified = range(len(graph.rows))
-    else:
+    query = index.prepare(new_obj.embedding)
+    verified: set[int] = set()
+    if query is not None:
+        approx = index.cosines(query)
         verified = set(np.flatnonzero(approx >= thresholds.theta_causal - SCREEN_MARGIN).tolist())
     new_tokens = token_set(new_obj.content)
     temporal_target = new_obj.kind is ObjectKind.DECISION
@@ -102,10 +104,13 @@ def link_object(
     for row, other in enumerate(graph.rows):
         if other.id == new_obj.id:
             continue
-        if row in verified:
+        if query is None:
+            # Unscreenable: every row gets the scalar cosine, which raises where due.
             if other.embedding is None:
                 raise MissingEmbeddingError(f"stored object {other.id} has no embedding")
             sim = cosine_sim(other.embedding, new_obj.embedding)
+        elif row in verified:
+            sim = index.exact_cosine(query, row)
         else:
             # Screened out: below theta_causal, so below both thresholds.
             sim = -math.inf

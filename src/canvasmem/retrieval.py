@@ -6,9 +6,12 @@ Stages, in order:
    temporal 12, simple 10).
 2. coarse_retrieve keeps the top coarse_k objects by hybrid score. It
    screens every stored object with one matrix-vector product over the
-   graph's scoring index, then re-scores with the scalar hybrid_score only
-   the band that could reach the top coarse_k (within 2 * SCREEN_MARGIN of
-   the coarse_k-th approximate score), so ranks and scores are exact.
+   graph's scoring index, then verifies only the band that could reach the
+   top coarse_k (within 2 * SCREEN_MARGIN of the coarse_k-th approximate
+   score) with the index's exact_hybrid, which is bit-identical to
+   hybrid_score, so ranks and scores are exact. An index that cannot
+   screen sends every object to the scalar hybrid_score, which raises the
+   typed errors.
 3. expand_graph walks edges breadth-first from those hits, both directions
    and both edge kinds, with a 0.8 score decay per hop.
 4. rerank_candidates orders candidates by a reranker backend, or by the
@@ -231,19 +234,23 @@ def coarse_retrieve(
     """
     if weights is None:
         weights = HybridWeights()
-    band = graph.rows
-    if len(band) > plan.coarse_k:
-        approx = graph.scoring_index().hybrid(plan.query_embedding, plan.query_text, weights)
-        if approx is not None:
-            # Screened scores are within SCREEN_MARGIN of the exact ones, so
-            # every exact top-coarse_k object sits in this band.
-            cut = len(approx) - plan.coarse_k
-            kth = np.partition(approx, cut)[cut]
-            band = [band[row] for row in np.flatnonzero(approx >= kth - 2 * SCREEN_MARGIN).tolist()]
-    scored = [
-        (hybrid_score(plan.query_embedding, plan.query_text, obj, weights), obj)
-        for obj in band
-    ]
+    index = graph.scoring_index()
+    query = index.prepare(plan.query_embedding, plan.query_text)
+    if query is None:
+        # Unscreenable: every object gets the scalar score, which raises where due.
+        scored = [
+            (hybrid_score(plan.query_embedding, plan.query_text, obj, weights), obj)
+            for obj in graph.rows
+        ]
+    else:
+        # Screened scores are within SCREEN_MARGIN of the exact ones, so every
+        # exact top-coarse_k object sits in the band around the coarse_k-th
+        # (every row, when the graph holds coarse_k objects or fewer).
+        approx = index.hybrids(query, weights)
+        cut = max(len(approx) - plan.coarse_k, 0)
+        kth = np.partition(approx, cut)[cut]
+        band = np.flatnonzero(approx >= kth - 2 * SCREEN_MARGIN).tolist()
+        scored = [(index.exact_hybrid(query, row, weights), graph.rows[row]) for row in band]
     scored.sort(key=lambda pair: (-pair[0], -pair[1].confidence, pair[1].turn, pair[1].id))
     return [
         ScoredObject(object_id=obj.id, hybrid=score)

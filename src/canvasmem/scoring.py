@@ -6,12 +6,16 @@ content-bearing tokens that also appear in the object's content or quote.
 Stopwords come from a fixed 50-word list shipped as a package asset.
 
 Scoring a graph is screen-then-verify. A ScoringIndex holds every stored
-embedding in one float64 matrix, so a single matrix-vector product gives an
-approximate cosine of each object against a query vector. Callers keep only
-the objects whose approximate score could pass their cut within
-SCREEN_MARGIN and re-score those with the scalar cosine_sim and
-hybrid_score, so every stored edge weight and every ranked score is the
-scalar value.
+embedding in one float64 matrix with its row norms and cached token sets,
+so a single matrix-vector product gives an approximate cosine of each
+object against a query prepared once (its float64 vector, norm and token
+set). Callers keep only the objects whose approximate score could pass
+their cut within SCREEN_MARGIN and verify those from the index:
+exact_cosine and exact_hybrid run the operations of cosine_sim and
+hybrid_score, in the same order, on the same float64 values, so every
+stored edge weight and every ranked score is bit-identical to the scalar
+value. The scalar functions stay the public API, the fallback for an index
+that cannot screen (which raises their typed errors), and the oracle.
 """
 
 from __future__ import annotations
@@ -173,6 +177,15 @@ def _screenable(embedding, dim: Optional[int]) -> Optional[tuple[np.ndarray, flo
     return vec, norm
 
 
+@dataclass(frozen=True)
+class PreparedQuery:
+    """A query as the index scores it: float64 vector, its norm, its token set."""
+
+    vector: np.ndarray
+    norm: float
+    tokens: frozenset[str]
+
+
 class ScoringIndex:
     """Append-only columnar copy of what scoring reads from each object.
 
@@ -181,11 +194,13 @@ class ScoringIndex:
     the content tokens (for Jaccard links) and the content-plus-quote tokens
     (for keyword coverage).
 
-    The index only screens. A row it cannot screen (no embedding, not a 1-D
-    vector of the index's dimension, a zero or extreme norm) is a fault;
-    while the index holds one, cosines() and hybrid() return None and the
-    caller scores every row with the scalar functions, which raise the same
-    typed errors they always have.
+    cosines() and hybrids() screen every row at once, within SCREEN_MARGIN;
+    exact_cosine() and exact_hybrid() verify one row, bit-identical to
+    cosine_sim and hybrid_score. A row the index cannot screen (no
+    embedding, not a 1-D vector of the index's dimension, a zero or extreme
+    norm) is a fault; while the index holds one, prepare() returns None and
+    the caller scores every row with the scalar functions, which raise the
+    same typed errors they always have.
 
     fork() shares the matrix copy-on-write: the owner keeps appending in
     place past the rows the fork sees, and a fork copies its rows on its
@@ -204,9 +219,20 @@ class ScoringIndex:
         return len(self.content_tokens)
 
     def append(self, obj: CanvasObject) -> None:
+        content = token_set(obj.content)
+        document = token_set(document_text(obj))
+        self.append_vector(obj.embedding, content, content if document == content else document)
+
+    def append_vector(
+        self,
+        embedding,
+        content_tokens: frozenset[str] = frozenset(),
+        document_tokens: frozenset[str] = frozenset(),
+    ) -> None:
+        """Add a row: the embedding, the Jaccard tokens and the coverage tokens."""
         row = len(self)
         dim = None if self._matrix is None else self._matrix.shape[1]
-        screenable = _screenable(obj.embedding, dim)
+        screenable = _screenable(embedding, dim)
         if screenable is None:
             self._faults += 1
         else:
@@ -214,10 +240,8 @@ class ScoringIndex:
             self._reserve(row + 1, vec.shape[0])
             self._matrix[row] = vec
             self._norms[row] = norm
-        content = token_set(obj.content)
-        document = token_set(document_text(obj))
-        self.content_tokens.append(content)
-        self.document_tokens.append(content if document == content else document)
+        self.content_tokens.append(content_tokens)
+        self.document_tokens.append(document_tokens)
 
     def _reserve(self, rows: int, dim: int) -> None:
         """Make rows writable in place: grow, and copy what another index shares."""
@@ -243,32 +267,52 @@ class ScoringIndex:
         twin.document_tokens = list(self.document_tokens)
         return twin
 
-    def cosines(self, query: Sequence[float]) -> Optional[np.ndarray]:
-        """Approximate cosine of every row against query, or None if unscreenable."""
+    def prepare(self, embedding: Sequence[float], text: str = "") -> Optional[PreparedQuery]:
+        """The query ready to score against every row, or None if unscreenable.
+
+        None means the index holds a fault or no rows, or the query vector
+        itself cannot be screened; the caller then takes the scalar path.
+        """
         if self._faults or self._matrix is None:
             return None
-        screenable = _screenable(query, self._matrix.shape[1])
+        screenable = _screenable(embedding, self._matrix.shape[1])
         if screenable is None:
             return None
         vec, norm = screenable
-        n = len(self)
-        return (self._matrix[:n] @ vec) / (self._norms[:n] * norm)
+        return PreparedQuery(vec, norm, token_set(text))
 
-    def hybrid(
-        self, query_embedding: Sequence[float], query_text: str, weights: HybridWeights
-    ) -> Optional[np.ndarray]:
-        """Approximate hybrid_score of every row, or None if unscreenable."""
-        cosines = self.cosines(query_embedding)
-        if cosines is None:
-            return None
-        query = token_set(query_text)
+    def cosines(self, query: Sequence[float] | PreparedQuery) -> Optional[np.ndarray]:
+        """Approximate cosine of every row against query, or None if unscreenable."""
+        if not isinstance(query, PreparedQuery):
+            query = self.prepare(query)
+            if query is None:
+                return None
+        n = len(self)
+        return (self._matrix[:n] @ query.vector) / (self._norms[:n] * query.norm)
+
+    def hybrids(self, query: PreparedQuery, weights: HybridWeights) -> np.ndarray:
+        """Approximate hybrid_score of every row; the keyword half is exact."""
         coverage = np.fromiter(
-            (token_coverage(query, tokens) for tokens in self.document_tokens),
+            (token_coverage(query.tokens, tokens) for tokens in self.document_tokens),
             dtype=np.float64,
             count=len(self),
         )
-        semantic = np.clip(cosines, 0.0, 1.0)
+        semantic = np.clip(self.cosines(query), 0.0, 1.0)
         return weights.alpha * semantic + (1.0 - weights.alpha) * coverage
+
+    def exact_cosine(self, query: PreparedQuery, row: int) -> float:
+        """cosine_sim of the query and row's embedding, to the last bit.
+
+        The same float64 values and the same operations as cosine_sim: one
+        dot product, divided by the product of the two norms.
+        """
+        return float(np.dot(query.vector, self._matrix[row]) / (query.norm * self._norms[row]))
+
+    def exact_hybrid(self, query: PreparedQuery, row: int, weights: HybridWeights) -> float:
+        """hybrid_score of the query and row's object, to the last bit."""
+        semantic = min(1.0, max(0.0, self.exact_cosine(query, row)))
+        lexical = token_coverage(query.tokens, self.document_tokens[row])
+        return weights.alpha * semantic + (1.0 - weights.alpha) * lexical
 
 
 class MockEmbedder:

@@ -6,6 +6,7 @@ from functools import lru_cache
 
 import pytest
 
+import canvasmem.benchmark
 from canvasmem.backends import FirstSentenceSummarizer, mock_bundle
 from canvasmem.benchmark import (
     FUZZY_RECALL_THRESHOLD,
@@ -36,9 +37,9 @@ from canvasmem.benchmark import (
     run_condition,
 )
 from canvasmem.config import EngineConfig
-from canvasmem.errors import BackendFailureError, EmptyKeywordsError
+from canvasmem.errors import BackendFailureError, EmptyKeywordsError, ZeroVectorError
 from canvasmem.extraction import ConversationTurn
-from canvasmem.scoring import MockEmbedder, cosine_sim
+from canvasmem.scoring import MOCK_EMBEDDING_DIM, MockEmbedder, cosine_sim
 
 from conftest import CountingEmbedder
 
@@ -428,3 +429,22 @@ def test_ref_grid_pairs_causal_below_reference():
     assert [name for name, _, _ in grid] == ["ref-0.3", "ref-0.5", "ref-0.7"]
     for _, ref, causal in grid:
         assert causal == pytest.approx(ref - 0.05)
+
+
+def test_rag_ranks_chunks_with_the_index_not_the_scalar_cosine(monkeypatch):
+    def scalar(*args):
+        raise AssertionError("screenable chunk vectors must not take the scalar path")
+
+    monkeypatch.setattr(canvasmem.benchmark, "cosine_sim", scalar)
+    result, _, expected = _rag_run()
+    assert [r.answer for r in result.records] == expected
+
+
+def test_rag_zero_chunk_vector_still_raises_the_scalar_error():
+    class ZeroForChunks:
+        def embed(self, text):
+            return MockEmbedder().embed(text) if text == "question" else [0.0] * MOCK_EMBEDDING_DIM
+
+    context_for = rag_retriever(_tiny_turns(), ZeroForChunks(), RAG_PRESETS["rag-small"])
+    with pytest.raises(ZeroVectorError):
+        context_for("question")

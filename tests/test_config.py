@@ -174,3 +174,10 @@ def test_backend_config_into_selection_roundtrip():
 def test_bench_options_validation(kwargs):
     with pytest.raises(ValueError):
         BenchOptions(**kwargs)
+
+
+@pytest.mark.parametrize("key", ["concurrency", "endpont"])
+def test_unknown_backend_key_is_a_value_error_naming_it(key):
+    data = {"backends": {"embedder": {"endpoint": "https://example.invalid/v1", key: 4}}}
+    with pytest.raises(ValueError, match=f"'embedder'.*'{key}'"):
+        EngineConfig.from_dict(data)

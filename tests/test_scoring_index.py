@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import canvasmem.engine
-import canvasmem.graph_build
 import canvasmem.retrieval
 from canvasmem.core import (
     AddResult,
@@ -40,6 +40,7 @@ from canvasmem.retrieval import (
     retrieve,
 )
 from canvasmem.scoring import (
+    _SCREENABLE_NORMS,
     SCREEN_MARGIN,
     HybridWeights,
     MockEmbedder,
@@ -279,13 +280,13 @@ def test_seeded_engine_run_is_byte_identical_to_the_oracle(seed, monkeypatch):
 
 def test_screen_verifies_only_pairs_that_could_link(monkeypatch):
     calls = []
-    real = canvasmem.graph_build.cosine_sim
+    real = ScoringIndex.exact_cosine
 
-    def counted(a, b):
+    def counted(self, query, row):
         calls.append(1)
-        return real(a, b)
+        return real(self, query, row)
 
-    monkeypatch.setattr(canvasmem.graph_build, "cosine_sim", counted)
+    monkeypatch.setattr(ScoringIndex, "exact_cosine", counted)
     graph = CanvasGraph()
     for turn in range(8):
         obj = make_obj(content=f"item {turn}", turn=turn, embedding=axis(turn))
@@ -445,3 +446,130 @@ def test_writes_to_a_snapshot_do_not_corrupt_the_parent_index():
             plan = plan_for(query, "note redis", 4)
             assert _hits(graph, plan) == [(h.object_id, h.hybrid)
                                           for h in oracle_coarse_retrieve(graph, plan)]
+
+
+# ---------------------------------------------------------------------------
+# Exact verify: the index's per-row scorers against the scalar functions
+# ---------------------------------------------------------------------------
+
+def _bits(value: float) -> str:
+    return float(value).hex()
+
+
+LOW_NORM, HIGH_NORM = _SCREENABLE_NORMS
+
+
+def _vector(rng, dim: int, shape: str, norm: float) -> list[float]:
+    if shape == "mock":
+        words = rng.choice(WORDS + ("node", "replica", "gigabyte"), size=rng.integers(1, 6))
+        vec = np.asarray(MockEmbedder(dim).embed(" ".join(words)))
+    elif shape == "sparse":
+        vec = np.zeros(dim)
+        picked = rng.choice(dim, size=min(dim, int(rng.integers(1, 4))), replace=False)
+        vec[picked] = rng.integers(-3, 4, size=len(picked)) + rng.random(len(picked))
+        if not vec.any():
+            vec[picked[0]] = 1.0
+    else:
+        vec = rng.standard_normal(dim)
+    return (vec * (norm / np.linalg.norm(vec))).tolist()
+
+
+_dims = st.one_of(st.integers(1, 69), st.sampled_from([127, 255, 257, 384, 511, 768, 1024]))
+_norms = st.one_of(
+    st.sampled_from([LOW_NORM * 1.5, LOW_NORM * 1e3, 1.0, HIGH_NORM / 1e3, HIGH_NORM / 1.5]),
+    st.floats(-140.0, 140.0).map(lambda exponent: 10.0 ** exponent),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dim=_dims,
+    shape=st.sampled_from(["dense", "sparse", "mock"]),
+    seed=st.integers(0, 2**32 - 1),
+    norms=st.lists(_norms, min_size=2, max_size=6),
+    query_words=st.lists(st.sampled_from(WORDS), max_size=4),
+    alpha=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+)
+def test_exact_scorers_are_bit_identical_to_the_scalar_functions(
+    dim, shape, seed, norms, query_words, alpha
+):
+    rng = np.random.default_rng(seed)
+    query_vec = _vector(rng, dim, shape, norms[0])
+    query_text = " ".join(query_words)
+    objects = [
+        make_obj(content=" ".join(rng.choice(WORDS, size=2)), quote=" ".join(rng.choice(WORDS, size=3)),
+                 turn=turn, embedding=_vector(rng, dim, shape, norm))
+        for turn, norm in enumerate(norms[1:])
+    ]
+    index = ScoringIndex()
+    for obj in objects:
+        index.append(obj)
+    query = index.prepare(query_vec, query_text)
+    assert query is not None
+    weights = HybridWeights(alpha)
+    for row, obj in enumerate(objects):
+        exact = index.exact_cosine(query, row)
+        # Linking passes the stored vector first, retrieval the query first.
+        assert _bits(exact) == _bits(cosine_sim(query_vec, obj.embedding))
+        assert _bits(exact) == _bits(cosine_sim(obj.embedding, query_vec))
+        assert _bits(index.exact_hybrid(query, row, weights)) == _bits(
+            hybrid_score(query_vec, query_text, obj, weights))
+
+
+def test_a_fork_verifies_its_rows_after_the_owner_appended_past_it():
+    rng = np.random.default_rng(11)
+    objects = [make_obj(content=f"row {i} redis", turn=i, embedding=rng.standard_normal(33).tolist())
+               for i in range(200)]
+    owner = ScoringIndex()
+    for obj in objects[:40]:
+        owner.append(obj)
+    fork = owner.fork()
+    # The owner writes in place past the fork's rows, then outgrows the shared matrix.
+    for obj in objects[40:]:
+        owner.append(obj)
+    query_vec = rng.standard_normal(33).tolist()
+    for index, seen in ((fork, objects[:40]), (owner, objects)):
+        query = index.prepare(query_vec, "redis row")
+        assert len(index) == len(index.cosines(query)) == len(seen)
+        for row, obj in enumerate(seen):
+            assert _bits(index.exact_cosine(query, row)) == _bits(cosine_sim(query_vec, obj.embedding))
+            assert _bits(index.exact_hybrid(query, row, HybridWeights())) == _bits(
+                hybrid_score(query_vec, "redis row", obj))
+
+
+@pytest.mark.parametrize("size", [1, 2, 5, 6])
+def test_coarse_retrieve_at_or_below_coarse_k_is_the_oracle_without_the_scalar_score(
+    size, monkeypatch
+):
+    objects = [make_obj(content=f"orange {i}", turn=i, embedding=axis(i % 3)) for i in range(size)]
+    screened, oracle = build_pair(objects)
+    plans = [plan_for([1.0, 2.0, 0.5] + [0.0] * 5, "orange", coarse_k) for coarse_k in (size, 6)]
+    want = [oracle_coarse_retrieve(oracle, plan) for plan in plans]
+
+    def scalar_score(*args):
+        raise AssertionError("a screenable graph must not take the scalar path")
+
+    monkeypatch.setattr(canvasmem.retrieval, "hybrid_score", scalar_score)
+    for plan, hits in zip(plans, want):
+        assert [(h.object_id, _bits(h.hybrid)) for h in coarse_retrieve(screened, plan)] == [
+            (h.object_id, _bits(h.hybrid)) for h in hits]
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_an_index_with_a_fault_takes_the_scalar_path(fault, monkeypatch):
+    embedding, error = FAULTS[fault]
+
+    def exact(*args):
+        raise AssertionError("an index with a fault must not verify rows itself")
+
+    monkeypatch.setattr(ScoringIndex, "exact_cosine", exact)
+    monkeypatch.setattr(ScoringIndex, "exact_hybrid", exact)
+    graph = CanvasGraph()
+    objects = [make_obj(content=f"fine {i}", turn=i, embedding=axis(i)) for i in range(3)]
+    objects.insert(1, make_obj(content="broken", turn=1, embedding=embedding))
+    for obj in objects:
+        graph.add_object(obj)
+    assert graph.scoring_index().prepare(axis(0), "fine") is None
+    assert _error_of(link_object, graph, objects[-1]) is error
+    for coarse_k in (2, 20):
+        assert _error_of(coarse_retrieve, graph, plan_for(axis(0), "fine", coarse_k)) is error
