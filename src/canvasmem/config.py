@@ -42,6 +42,23 @@ _K_KEYS = {
 
 RoleSetting = Union[str, BackendConfig]
 _BACKEND_KEYS = frozenset(f.name for f in fields(BackendConfig))
+_THRESHOLD_KEYS = frozenset(f.name for f in fields(LinkThresholds))
+_RETRIEVAL_KEYS = frozenset({
+    "alpha", "coarse_k", "hops", "budget_tokens", "causal_indicators", "temporal_indicators",
+}) | frozenset(_K_KEYS)
+
+
+def _section(data: dict, name: str, known: frozenset[str]) -> dict:
+    """The mapping under data[name] (empty if absent); unknown keys are an error."""
+    section = data.get(name, {})
+    if not isinstance(section, dict):
+        raise ValueError(f"config section {name!r} must be a mapping")
+    unknown = [key for key in section if key not in known]
+    if unknown:
+        raise ValueError(
+            f"config section {name!r} has unknown keys: {', '.join(map(repr, unknown))}"
+        )
+    return section
 
 
 @dataclass
@@ -66,6 +83,9 @@ class BenchOptions:
             raise ValueError("recent_turns, native_token_limit, and cases must be positive")
 
 
+_BENCH_KEYS = frozenset(f.name for f in fields(BenchOptions))
+
+
 @dataclass
 class BackendSelection:
     """Which implementation serves each role: a mock tag or remote settings."""
@@ -75,6 +95,9 @@ class BackendSelection:
     reranker: RoleSetting = PASSTHROUGH
     answerer: RoleSetting = MOCK
     summarizer: RoleSetting = MOCK
+
+
+_ROLE_KEYS = frozenset(f.name for f in fields(BackendSelection))
 
 
 @dataclass
@@ -133,7 +156,7 @@ class EngineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EngineConfig":
-        thresholds_d = data.get("thresholds", {})
+        thresholds_d = _section(data, "thresholds", _THRESHOLD_KEYS)
         pairs = thresholds_d.get("causal_pairs")
         thresholds = LinkThresholds(
             theta_ref=thresholds_d.get("theta_ref", 0.5),
@@ -146,7 +169,7 @@ class EngineConfig:
                 else LinkThresholds().causal_pairs
             ),
         )
-        retrieval_d = data.get("retrieval", {})
+        retrieval_d = _section(data, "retrieval", _RETRIEVAL_KEYS)
         base_retrieval = (
             RetrievalConfig.preset(data["preset"]) if "preset" in data else RetrievalConfig()
         )
@@ -167,7 +190,7 @@ class EngineConfig:
                 retrieval_d.get("temporal_indicators", base_retrieval.temporal_indicators)
             ),
         )
-        backends_d = data.get("backends", {})
+        backends_d = _section(data, "backends", _ROLE_KEYS)
 
         def role(name: str, default: str) -> RoleSetting:
             raw = backends_d.get(name, default)
@@ -189,8 +212,7 @@ class EngineConfig:
             answerer=role("answerer", MOCK),
             summarizer=role("summarizer", MOCK),
         )
-        bench_d = data.get("bench", {})
-        bench = BenchOptions(**{k: v for k, v in bench_d.items()})
+        bench = BenchOptions(**_section(data, "bench", _BENCH_KEYS))
         return cls(
             gleaning=data.get("gleaning", True),
             thresholds=thresholds,

@@ -149,7 +149,8 @@ class CanvasGraph:
     the change would show through every snapshot that holds it.
 
     `rows` lists the stored objects in insertion order; row i of the scoring
-    index describes rows[i]. The index catches up with the rows the first
+    index describes rows[i]. `turn_ordered` is True while the rows' turns
+    never decrease. The index catches up with the rows the first
     time something scores against the graph, not in add_object, so an
     object stored without a usable embedding raises only once it is scored.
     Once scored, a stored object's embedding, content and quote must not
@@ -159,6 +160,7 @@ class CanvasGraph:
     def __init__(self):
         self.objects: dict[str, CanvasObject] = {}
         self.rows: list[CanvasObject] = []
+        self.turn_ordered = True
         self.edges: list[CanvasEdge] = []
         self.next_turn: int = 0
         self.lock = threading.Lock()
@@ -184,6 +186,8 @@ class CanvasGraph:
         obj.validate()
         if obj.id in self.objects:
             return AddResult.DUPLICATE
+        if self.rows and obj.turn < self.rows[-1].turn:
+            self.turn_ordered = False
         self.objects[obj.id] = obj
         self.rows.append(obj)
         self.next_turn = max(self.next_turn, obj.turn + 1)
@@ -215,8 +219,7 @@ class CanvasGraph:
 
     def scoring_index(self) -> ScoringIndex:
         """The scoring index, first brought up to date with every stored row."""
-        for obj in self.rows[len(self._index):]:
-            self._index.append(obj)
+        self._index.extend(self.rows[len(self._index):])
         return self._index
 
     def snapshot(self) -> "CanvasGraph":
@@ -232,6 +235,7 @@ class CanvasGraph:
         twin = CanvasGraph()
         twin.objects = dict(self.objects)
         twin.rows = list(self.rows)
+        twin.turn_ordered = self.turn_ordered
         twin._index = self._index.fork()
         twin.edges = list(self.edges)
         twin.next_turn = self.next_turn

@@ -88,8 +88,12 @@ def quote_matches(quote: str, text: str) -> bool:
 
 
 def prior_digest(graph: CanvasGraph, cap: int = DIGEST_CAP) -> list[str]:
-    """Kind-and-content lines for the most recent `cap` objects by turn."""
-    ordered = sorted(graph.objects.values(), key=lambda o: o.turn)
+    """Kind-and-content lines for the most recent `cap` objects by turn.
+
+    Objects of one turn keep their insertion order. While the graph's rows
+    are in turn order that order is the rows', and nothing is sorted.
+    """
+    ordered = graph.rows if graph.turn_ordered else sorted(graph.rows, key=lambda o: o.turn)
     return [f"{obj.kind.value}: {obj.content}" for obj in ordered[-cap:]]
 
 

@@ -14,15 +14,23 @@ R3: temporal heuristic. A KEY_FACT or REMINDER within temporal_window turns
 Edges are deduplicated per (src, dst, kind): similarity beats keyword for
 references, and the heavier weight wins for causal edges.
 
-Linking is screen-then-verify. One matrix-vector product over the graph's
-scoring index gives an approximate cosine against every stored object; only
-objects within SCREEN_MARGIN of theta_causal (the lower threshold) are
-verified, by the index's exact_cosine, which is bit-identical to
-cosine_sim, so every edge weight is the exact scalar value. The rest are
-below both thresholds and can only gain a KEYWORD or temporal edge.
-Jaccard overlaps come from the index's cached token sets. An index that
-cannot screen (a stored fault, or an unscreenable new vector) sends every
-pair to the scalar cosine_sim, which raises the typed errors.
+Linking is screen-then-verify, and it visits only the stored objects that
+can gain an edge. Over the graph's scoring index, one matrix-vector product
+gives an approximate cosine against every stored object, one pass of the
+token kernel gives the exact Jaccard overlap of every stored content, and
+for a DECISION the turn column gives the objects in the temporal window.
+The visit set is the union of three kinds of row, in row order, so edges
+are added in the order a scan of every object would add them:
+- rows within SCREEN_MARGIN of theta_causal (the lower threshold), whose
+  cosine is verified by the index's exact_cosine, bit-identical to
+  cosine_sim, so every edge weight is the exact scalar value;
+- rows whose Jaccard reaches keyword_edge_min; the kernel's Jaccard is
+  token_jaccard's float to the last bit;
+- for a DECISION, rows at most temporal_window turns before it.
+Every other row is below both thresholds, below keyword_edge_min and
+outside the window, and gains nothing. An index that cannot screen (a
+stored fault, or an unscreenable new vector) visits every row and sends
+every pair to the scalar cosine_sim, which raises the typed errors.
 """
 
 from __future__ import annotations
@@ -30,11 +38,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import CanvasEdge, CanvasGraph, CanvasObject, EdgeKind, EdgeOrigin, ObjectKind
 from .errors import MissingEmbeddingError
-from .scoring import SCREEN_MARGIN, cosine_sim, token_jaccard, token_set
+from .scoring import SCREEN_MARGIN, cosine_sim, token_set
 
 DEFAULT_THETA_REF = 0.5
 DEFAULT_THETA_CAUSAL = 0.45
@@ -94,14 +100,22 @@ def link_object(
         raise MissingEmbeddingError(f"object {new_obj.id} has no embedding")
     index = graph.scoring_index()
     query = index.prepare(new_obj.embedding)
-    verified: set[int] = set()
-    if query is not None:
-        approx = index.cosines(query)
-        verified = set(np.flatnonzero(approx >= thresholds.theta_causal - SCREEN_MARGIN).tolist())
-    new_tokens = token_set(new_obj.content)
+    overlaps = index.jaccards(token_set(new_obj.content))
     temporal_target = new_obj.kind is ObjectKind.DECISION
+    if query is None:
+        rows = range(len(graph.rows))
+    else:
+        # Only these rows can gain an edge: the others are below theta_causal
+        # (so below both thresholds), below keyword_edge_min, and outside
+        # the temporal window.
+        screened = index.cosines(query) >= thresholds.theta_causal - SCREEN_MARGIN
+        visit = screened | (overlaps >= thresholds.keyword_edge_min)
+        if temporal_target:
+            visit |= index.turn_window(new_obj.turn, thresholds.temporal_window)
+        rows = visit.nonzero()[0].tolist()
     added: list[CanvasEdge] = []
-    for row, other in enumerate(graph.rows):
+    for row in rows:
+        other = graph.rows[row]
         if other.id == new_obj.id:
             continue
         if query is None:
@@ -109,7 +123,7 @@ def link_object(
             if other.embedding is None:
                 raise MissingEmbeddingError(f"stored object {other.id} has no embedding")
             sim = cosine_sim(other.embedding, new_obj.embedding)
-        elif row in verified:
+        elif screened[row]:
             sim = index.exact_cosine(query, row)
         else:
             # Screened out: below theta_causal, so below both thresholds.
@@ -125,7 +139,7 @@ def link_object(
                 origin=EdgeOrigin.SIMILARITY,
             )
         else:
-            overlap = token_jaccard(index.content_tokens[row], new_tokens)
+            overlap = float(overlaps[row])
             if overlap >= thresholds.keyword_edge_min:
                 reference = CanvasEdge(
                     src=other.id,

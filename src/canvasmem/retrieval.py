@@ -5,13 +5,14 @@ Stages, in order:
 1. classify_query picks a query class and an adaptive top-k (multi-hop 15,
    temporal 12, simple 10).
 2. coarse_retrieve keeps the top coarse_k objects by hybrid score. It
-   screens every stored object with one matrix-vector product over the
-   graph's scoring index, then verifies only the band that could reach the
-   top coarse_k (within 2 * SCREEN_MARGIN of the coarse_k-th approximate
-   score) with the index's exact_hybrid, which is bit-identical to
-   hybrid_score, so ranks and scores are exact. An index that cannot
-   screen sends every object to the scalar hybrid_score, which raises the
-   typed errors.
+   screens every stored object at once over the graph's scoring index: one
+   matrix-vector product for the cosine half, and the index's token-overlap
+   kernel for the keyword coverage, which is exact. It then verifies only
+   the band that could reach the top coarse_k (within 2 * SCREEN_MARGIN of
+   the coarse_k-th approximate score) with the index's exact_hybrid, which
+   is bit-identical to hybrid_score, so ranks and scores are exact. An
+   index that cannot screen sends every object to the scalar hybrid_score,
+   which raises the typed errors.
 3. expand_graph walks edges breadth-first from those hits, both directions
    and both edge kinds, with a 0.8 score decay per hop.
 4. rerank_candidates orders candidates by a reranker backend, or by the

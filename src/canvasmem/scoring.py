@@ -6,16 +6,24 @@ content-bearing tokens that also appear in the object's content or quote.
 Stopwords come from a fixed 50-word list shipped as a package asset.
 
 Scoring a graph is screen-then-verify. A ScoringIndex holds every stored
-embedding in one float64 matrix with its row norms and cached token sets,
-so a single matrix-vector product gives an approximate cosine of each
-object against a query prepared once (its float64 vector, norm and token
-set). Callers keep only the objects whose approximate score could pass
-their cut within SCREEN_MARGIN and verify those from the index:
-exact_cosine and exact_hybrid run the operations of cosine_sim and
-hybrid_score, in the same order, on the same float64 values, so every
-stored edge weight and every ranked score is bit-identical to the scalar
-value. The scalar functions stay the public API, the fallback for an index
-that cannot screen (which raises their typed errors), and the oracle.
+embedding in one float64 matrix with its row norms, each row's turn, and
+each row's tokens interned to integer ids in CSR arrays (per-row offsets
+into one flat id array), so a single matrix-vector product gives an
+approximate cosine of each object against a query prepared once (its
+float64 vector, norm, token set and token ids). Callers keep only the
+objects whose approximate score could pass their cut within SCREEN_MARGIN
+and verify those from the index: exact_cosine and exact_hybrid run the
+operations of cosine_sim and hybrid_score, in the same order, on the same
+float64 values, so every stored edge weight and every ranked score is
+bit-identical to the scalar value.
+
+The token half needs no screen. The token-overlap kernel marks a query's
+ids in a mask over the vocabulary and counts, for every row at once, how
+many of its ids are marked. Jaccard and coverage divide those integer
+counts by integer sizes, as token_jaccard and token_coverage do, so every
+row's value is the scalar one to the last bit. The scalar functions stay
+the public API, the fallback for an index that cannot screen (which raises
+their typed errors), and the oracle.
 """
 
 from __future__ import annotations
@@ -27,6 +35,7 @@ import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
+from itertools import accumulate
 from typing import TYPE_CHECKING, Optional, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -47,6 +56,8 @@ SCREEN_MARGIN = 1e-9
 # product overflows and underflow cannot move a cosine by SCREEN_MARGIN.
 _SCREENABLE_NORMS = (1e-150, 1e150)
 _INITIAL_ROWS = 64
+# The turn column is int64; larger turns are stored as this (see turn_window).
+_TURN_CAP = 2**62
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -179,92 +190,162 @@ def _screenable(embedding, dim: Optional[int]) -> Optional[tuple[np.ndarray, flo
 
 @dataclass(frozen=True)
 class PreparedQuery:
-    """A query as the index scores it: float64 vector, its norm, its token set."""
+    """A query as the index scores it: float64 vector and norm, token set and ids.
+
+    token_ids are the ids of the tokens the index has seen; a query token it
+    has not seen counts in len(tokens) and matches no row.
+    """
 
     vector: np.ndarray
     norm: float
     tokens: frozenset[str]
+    token_ids: frozenset[int]
+
+
+def _room(buf: np.ndarray, used: int, needed: int, owned: bool) -> np.ndarray:
+    """buf itself if the caller owns it and it has room for `needed` entries;
+    otherwise a private copy of its first `used` entries with that room."""
+    if owned and needed <= len(buf):
+        return buf
+    capacity = max(len(buf), _INITIAL_ROWS)
+    while capacity < needed:
+        capacity += capacity // 2
+    grown = np.empty((capacity,) + buf.shape[1:], dtype=buf.dtype)
+    grown[:used] = buf[:used]
+    return grown
+
+
+# A column of token rows in CSR form: row i holds ids[offsets[i]:offsets[i + 1]].
+_TokenRows = tuple[np.ndarray, np.ndarray]
+
+
+def _no_token_rows() -> _TokenRows:
+    return np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)
 
 
 class ScoringIndex:
     """Append-only columnar copy of what scoring reads from each object.
 
     Row i describes the i-th object stored in a graph: its embedding in a
-    contiguous float64 (n, d) matrix that grows by half, the row norm,
-    the content tokens (for Jaccard links) and the content-plus-quote tokens
-    (for keyword coverage).
+    contiguous float64 (n, d) matrix that grows by half, the row norm, its
+    turn, and two columns of token rows: the content tokens (for Jaccard
+    links) and the content-plus-quote tokens (for keyword coverage). Tokens
+    are interned to integer ids, and a column keeps every row's ids in one
+    flat array with per-row offsets (CSR).
 
     cosines() and hybrids() screen every row at once, within SCREEN_MARGIN;
     exact_cosine() and exact_hybrid() verify one row, bit-identical to
-    cosine_sim and hybrid_score. A row the index cannot screen (no
+    cosine_sim and hybrid_score. The token kernel is exact: a query marks
+    its ids in a mask over the vocabulary, and the marked entries of a
+    column's flat id array, counted per row, give every row's overlap with
+    the query at once. jaccards() and the coverage in hybrids() divide those integer counts by
+    integer sizes, as token_jaccard and token_coverage do, so they are the
+    same float64 to the last bit. A row the index cannot screen (no
     embedding, not a 1-D vector of the index's dimension, a zero or extreme
     norm) is a fault; while the index holds one, prepare() returns None and
     the caller scores every row with the scalar functions, which raise the
     same typed errors they always have.
 
-    fork() shares the matrix copy-on-write: the owner keeps appending in
-    place past the rows the fork sees, and a fork copies its rows on its
-    first append.
+    fork() shares every column and the token table copy-on-write: the owner
+    keeps appending in place past the rows and token ids the fork sees, and
+    a fork copies what it sees on its first append.
     """
 
     def __init__(self):
-        self._matrix: Optional[np.ndarray] = None
-        self._norms = np.empty(0)
+        self._rows = 0
         self._owner = True
         self._faults = 0
-        self.content_tokens: list[frozenset[str]] = []
-        self.document_tokens: list[frozenset[str]] = []
+        self._matrix: Optional[np.ndarray] = None
+        self._norms = np.empty(0)
+        self._turns = np.empty(0, dtype=np.int64)
+        self._content = _no_token_rows()
+        self._document = _no_token_rows()
+        self._vocab: dict[str, int] = {}
+        self._vocab_size = 0
 
     def __len__(self) -> int:
-        return len(self.content_tokens)
+        return self._rows
 
     def append(self, obj: CanvasObject) -> None:
-        content = token_set(obj.content)
-        document = token_set(document_text(obj))
-        self.append_vector(obj.embedding, content, content if document == content else document)
+        self.extend([obj])
+
+    def extend(self, objects: Sequence[CanvasObject]) -> None:
+        """Add a row for each object, writing each column once."""
+        self._append_rows(
+            [obj.embedding for obj in objects],
+            [token_set(obj.content) for obj in objects],
+            [token_set(document_text(obj)) for obj in objects],
+            [obj.turn for obj in objects],
+        )
 
     def append_vector(
         self,
         embedding,
         content_tokens: frozenset[str] = frozenset(),
         document_tokens: frozenset[str] = frozenset(),
+        turn: int = 0,
     ) -> None:
-        """Add a row: the embedding, the Jaccard tokens and the coverage tokens."""
-        row = len(self)
-        dim = None if self._matrix is None else self._matrix.shape[1]
-        screenable = _screenable(embedding, dim)
-        if screenable is None:
-            self._faults += 1
-        else:
-            vec, norm = screenable
-            self._reserve(row + 1, vec.shape[0])
-            self._matrix[row] = vec
-            self._norms[row] = norm
-        self.content_tokens.append(content_tokens)
-        self.document_tokens.append(document_tokens)
+        """Add a row: the embedding, the Jaccard tokens, the coverage tokens, the turn."""
+        self._append_rows([embedding], [content_tokens], [document_tokens], [turn])
 
-    def _reserve(self, rows: int, dim: int) -> None:
-        """Make rows writable in place: grow, and copy what another index shares."""
-        if self._matrix is not None and self._owner and rows <= len(self._matrix):
-            return
-        capacity = len(self._matrix) if self._matrix is not None else _INITIAL_ROWS
-        while capacity < rows:
-            capacity += capacity // 2
-        matrix = np.empty((capacity, dim))
-        norms = np.empty(capacity)
-        if self._matrix is not None:
-            kept = len(self)
-            matrix[:kept] = self._matrix[:kept]
-            norms[:kept] = self._norms[:kept]
-        self._matrix, self._norms, self._owner = matrix, norms, True
+    def _append_rows(self, embeddings, contents, documents, turns) -> None:
+        if not embeddings:
+            return  # a fork that appends nothing keeps sharing its columns
+        start, owned = self._rows, self._owner
+        end = start + len(embeddings)
+        if not owned:
+            # Ids the owner handed out after the fork are this index's to
+            # hand out again: copy the table (atomically) without them.
+            size = self._vocab_size
+            self._vocab = {tok: i for tok, i in dict(self._vocab).items() if i < size}
+        screened = []
+        dim = None if self._matrix is None else self._matrix.shape[1]
+        for row, embedding in enumerate(embeddings, start):
+            screenable = _screenable(embedding, dim)
+            if screenable is None:
+                self._faults += 1
+            else:
+                screened.append((row, *screenable))
+                dim = screenable[0].shape[0]
+        if dim is not None:
+            kept = start
+            if self._matrix is None:
+                # Every earlier row is a fault, which is never read.
+                self._matrix, kept = np.empty((0, dim)), 0
+            self._matrix = _room(self._matrix, kept, end, owned)
+            self._norms = _room(self._norms, kept, end, owned)
+            for row, vec, norm in screened:
+                self._matrix[row] = vec
+                self._norms[row] = norm
+        self._turns = _room(self._turns, start, end, owned)
+        self._turns[start:end] = [min(turn, _TURN_CAP) for turn in turns]
+        self._content = self._append_token_rows(self._content, contents, owned)
+        self._document = self._append_token_rows(self._document, documents, owned)
+        self._vocab_size = len(self._vocab)
+        self._rows, self._owner = end, True
+
+    def _append_token_rows(
+        self, column: _TokenRows, token_sets: list[frozenset[str]], owned: bool
+    ) -> _TokenRows:
+        """column with a row of interned ids for each token set, new tokens
+        taking the next free ids."""
+        vocab = self._vocab
+        flat = [vocab.setdefault(tok, len(vocab)) for tokens in token_sets for tok in tokens]
+        offsets, ids = column
+        start = self._rows
+        used = int(offsets[start])
+        ends = list(accumulate(map(len, token_sets), initial=used))
+        offsets = _room(offsets, start + 1, start + len(ends), owned)
+        offsets[start + 1:start + len(ends)] = ends[1:]
+        ids = _room(ids, used, ends[-1], owned)
+        ids[used:ends[-1]] = flat
+        return offsets, ids
 
     def fork(self) -> "ScoringIndex":
         """An index with the same rows whose appends never reach this one."""
-        twin = ScoringIndex()
-        twin._matrix, twin._norms, twin._owner = self._matrix, self._norms, False
-        twin._faults = self._faults
-        twin.content_tokens = list(self.content_tokens)
-        twin.document_tokens = list(self.document_tokens)
+        twin = ScoringIndex.__new__(ScoringIndex)
+        twin.__dict__.update(self.__dict__)
+        twin._owner = False
         return twin
 
     def prepare(self, embedding: Sequence[float], text: str = "") -> Optional[PreparedQuery]:
@@ -279,7 +360,48 @@ class ScoringIndex:
         if screenable is None:
             return None
         vec, norm = screenable
-        return PreparedQuery(vec, norm, token_set(text))
+        tokens = token_set(text)
+        return PreparedQuery(vec, norm, tokens, frozenset(self._known_ids(tokens)))
+
+    def _known_ids(self, tokens: frozenset[str]) -> list[int]:
+        size = self._vocab_size
+        return [i for i in map(self._vocab.get, tokens) if i is not None and i < size]
+
+    def _shared_counts(self, column: _TokenRows, token_ids) -> np.ndarray:
+        """How many of token_ids each row of column holds."""
+        n = self._rows
+        offsets, ids = column
+        if not token_ids:
+            return np.zeros(n, dtype=np.int64)
+        mask = np.zeros(self._vocab_size, dtype=bool)
+        mask[list(token_ids)] = True
+        starts = offsets[:n + 1]
+        hits = mask[ids[:starts[n]]].nonzero()[0]
+        # Entry j belongs to the last row starting at or before it; side="right"
+        # steps past the empty rows that start at j too.
+        rows = starts.searchsorted(hits, side="right") - 1
+        return np.bincount(rows, minlength=n)
+
+    def jaccards(self, tokens: frozenset[str]) -> np.ndarray:
+        """token_jaccard of every row's content tokens and tokens, to the last bit."""
+        n = self._rows
+        if not tokens:
+            return np.zeros(n)
+        shared = self._shared_counts(self._content, self._known_ids(tokens))
+        offsets = self._content[0]
+        sizes = offsets[1:n + 1] - offsets[:n]
+        # Integers below 2**53 divide to the float64 that Python's int / int gives.
+        return shared / (sizes + len(tokens) - shared)
+
+    def turn_window(self, turn: int, window: int) -> np.ndarray:
+        """Mask of the rows whose turn lies at most `window` turns before `turn`.
+
+        Turns past _TURN_CAP are stored as _TURN_CAP, which can only add rows
+        to the mask; the caller checks each row's exact turn.
+        """
+        turn = min(turn, _TURN_CAP)
+        turns = self._turns[:self._rows]
+        return (turns <= turn) & (turns >= turn - window)
 
     def cosines(self, query: Sequence[float] | PreparedQuery) -> Optional[np.ndarray]:
         """Approximate cosine of every row against query, or None if unscreenable."""
@@ -292,11 +414,10 @@ class ScoringIndex:
 
     def hybrids(self, query: PreparedQuery, weights: HybridWeights) -> np.ndarray:
         """Approximate hybrid_score of every row; the keyword half is exact."""
-        coverage = np.fromiter(
-            (token_coverage(query.tokens, tokens) for tokens in self.document_tokens),
-            dtype=np.float64,
-            count=len(self),
-        )
+        if query.tokens:
+            coverage = self._shared_counts(self._document, query.token_ids) / len(query.tokens)
+        else:
+            coverage = np.zeros(len(self))
         semantic = np.clip(self.cosines(query), 0.0, 1.0)
         return weights.alpha * semantic + (1.0 - weights.alpha) * coverage
 
@@ -311,7 +432,11 @@ class ScoringIndex:
     def exact_hybrid(self, query: PreparedQuery, row: int, weights: HybridWeights) -> float:
         """hybrid_score of the query and row's object, to the last bit."""
         semantic = min(1.0, max(0.0, self.exact_cosine(query, row)))
-        lexical = token_coverage(query.tokens, self.document_tokens[row])
+        lexical = 0.0
+        if query.tokens:
+            offsets, ids = self._document
+            row_ids = ids[offsets[row]:offsets[row + 1]].tolist()
+            lexical = len(query.token_ids.intersection(row_ids)) / len(query.tokens)
         return weights.alpha * semantic + (1.0 - weights.alpha) * lexical
 
 

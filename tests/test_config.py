@@ -181,3 +181,32 @@ def test_unknown_backend_key_is_a_value_error_naming_it(key):
     data = {"backends": {"embedder": {"endpoint": "https://example.invalid/v1", key: 4}}}
     with pytest.raises(ValueError, match=f"'embedder'.*'{key}'"):
         EngineConfig.from_dict(data)
+
+
+@pytest.mark.parametrize("data, section, key", [
+    ({"bench": {"case": 3}}, "bench", "case"),
+    ({"thresholds": {"theta_reff": 0.3}}, "thresholds", "theta_reff"),
+    ({"retrieval": {"hop": 2, "hops": 2}}, "retrieval", "hop"),
+    ({"backends": {"embeder": "mock"}}, "backends", "embeder"),
+])
+def test_unknown_section_key_is_a_value_error_naming_section_and_key(data, section, key):
+    with pytest.raises(ValueError, match=f"'{section}'.*'{key}'"):
+        EngineConfig.from_dict(data)
+
+
+@pytest.mark.parametrize("section", ["thresholds", "retrieval", "backends", "bench"])
+def test_a_section_that_is_not_a_mapping_is_a_value_error(section):
+    with pytest.raises(ValueError, match=f"'{section}'"):
+        EngineConfig.from_dict({section: [1, 2]})
+
+
+def test_every_key_the_config_writes_loads_back():
+    config = EngineConfig()
+    config.backends.reranker = BackendConfig(
+        endpoint="https://example.invalid/v1", api_key_env="KEY_ENV"
+    )
+    data = config.to_dict()
+    assert EngineConfig.from_dict(data).to_dict() == data
+    for section in ("thresholds", "retrieval", "backends", "bench"):
+        for key, value in data[section].items():
+            assert EngineConfig.from_dict({section: {key: value}}).to_dict()[section][key] == value

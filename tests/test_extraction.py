@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from canvasmem.core import CanvasGraph, ObjectKind, Source
 from canvasmem.errors import BackendFailureError, SequenceError
@@ -190,6 +192,42 @@ def test_prior_digest_caps_at_most_recent_by_turn():
     assert len(digest) == DIGEST_CAP
     assert digest[0] == "KEY_FACT: fact number 10"
     assert digest[-1] == f"KEY_FACT: fact number {total - 1}"
+
+
+def oracle_prior_digest(graph, cap=DIGEST_CAP):
+    """The stable sort of every stored object by turn."""
+    ordered = sorted(graph.objects.values(), key=lambda o: o.turn)
+    return [f"{obj.kind.value}: {obj.content}" for obj in ordered[-cap:]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    turns=st.lists(st.integers(0, 6), min_size=0, max_size=12),
+    in_order=st.booleans(),
+    split=st.integers(0, 12),
+    cap=st.integers(0, 5),
+)
+def test_prior_digest_is_the_stable_sort_by_turn(turns, in_order, split, cap):
+    if in_order:
+        turns.sort()
+    objects = [make_obj(content=f"fact {i}", turn=turn) for i, turn in enumerate(turns)]
+    graph = graph_of(*objects[:split])
+    snapshot = graph.snapshot()
+    for obj in objects[split:]:
+        graph.add_object(obj)
+        snapshot.add_object(obj)
+    for g in (graph, snapshot, graph.snapshot()):
+        assert g.turn_ordered == (turns == sorted(turns))
+        assert prior_digest(g, cap) == oracle_prior_digest(g, cap)
+
+
+def test_an_early_turn_stored_late_goes_to_its_place_in_the_digest():
+    graph = graph_of(make_obj(content="late", turn=9), make_obj(content="early", turn=1))
+    twin = graph.snapshot()
+    twin.add_object(make_obj(content="later", turn=12))
+    assert prior_digest(graph) == ["KEY_FACT: early", "KEY_FACT: late"]
+    assert prior_digest(twin) == ["KEY_FACT: early", "KEY_FACT: late", "KEY_FACT: later"]
+    assert not twin.turn_ordered
 
 
 def test_diagnostics_merge_adds_counters():

@@ -48,6 +48,9 @@ from canvasmem.scoring import (
     cosine_sim,
     hybrid_score,
     keyword_jaccard,
+    token_coverage,
+    token_jaccard,
+    token_set,
 )
 
 from conftest import QUESTIONS, axis, make_obj, seeded_turns, vec_at_cosine
@@ -147,7 +150,7 @@ WORDS = ("redis", "cache", "deploy", "friday", "schema", "billing", "gateway", "
 
 # Small integer components make exact ties and cosines that land on a
 # threshold up to rounding (1/2 computed as 0.49999999999999989, say).
-_vector = st.lists(st.integers(-2, 2).map(float), min_size=4, max_size=4).filter(any)
+_int_vector = st.lists(st.integers(-2, 2).map(float), min_size=4, max_size=4).filter(any)
 _object = st.builds(
     lambda kind, words, extra, turn, vec, confidence: make_obj(
         kind=kind, content=" ".join(words), quote=" ".join(words + extra), turn=turn,
@@ -156,7 +159,7 @@ _object = st.builds(
     st.lists(st.sampled_from(WORDS), min_size=1, max_size=4),
     st.lists(st.sampled_from(WORDS), max_size=2),
     st.integers(0, 6),
-    _vector,
+    _int_vector,
     st.sampled_from([0.5, 1.0]),
 )
 _thresholds = st.sampled_from([
@@ -171,7 +174,7 @@ _thresholds = st.sampled_from([
 @given(
     objects=st.lists(_object, min_size=1, max_size=14),
     thresholds=_thresholds,
-    query=_vector,
+    query=_int_vector,
     query_words=st.lists(st.sampled_from(WORDS), max_size=3),
     coarse_k=st.integers(1, 6),
     alpha=st.sampled_from([0.0, 0.7, 1.0]),
@@ -531,6 +534,8 @@ def test_a_fork_verifies_its_rows_after_the_owner_appended_past_it():
     for index, seen in ((fork, objects[:40]), (owner, objects)):
         query = index.prepare(query_vec, "redis row")
         assert len(index) == len(index.cosines(query)) == len(seen)
+        assert [_bits(j) for j in index.jaccards(token_set("row 7 redis")).tolist()] == [
+            _bits(token_jaccard(token_set(obj.content), token_set("row 7 redis"))) for obj in seen]
         for row, obj in enumerate(seen):
             assert _bits(index.exact_cosine(query, row)) == _bits(cosine_sim(query_vec, obj.embedding))
             assert _bits(index.exact_hybrid(query, row, HybridWeights())) == _bits(
@@ -573,3 +578,114 @@ def test_an_index_with_a_fault_takes_the_scalar_path(fault, monkeypatch):
     assert _error_of(link_object, graph, objects[-1]) is error
     for coarse_k in (2, 20):
         assert _error_of(coarse_retrieve, graph, plan_for(axis(0), "fine", coarse_k)) is error
+
+
+# ---------------------------------------------------------------------------
+# The token-overlap kernel against token_jaccard and token_coverage
+# ---------------------------------------------------------------------------
+
+_tokens = st.frozensets(st.sampled_from(WORDS + ("node", "replica")), max_size=5)
+# A row: its content tokens, its quote-only tokens, and how it is appended.
+_row = st.tuples(_tokens, _tokens, st.sampled_from(["vector", "bare", "object"]))
+
+
+def _kernel_index(rows):
+    """An index of rows appended one by one, bare (no tokens), or in batches."""
+    index, batch, stored = ScoringIndex(), [], []
+    for turn, (content, extra, how) in enumerate(rows):
+        if how == "object":
+            obj = make_obj(content=" ".join(sorted(content)) or "of",
+                           quote=" ".join(sorted(content | extra)) or "of",
+                           turn=turn, embedding=axis(turn % 8))
+            batch.append(obj)
+            stored.append((token_set(obj.content), token_set(obj.content + " " + obj.quote)))
+            continue
+        index.extend(batch)
+        batch = []
+        if how == "bare":
+            index.append_vector(axis(turn % 8))
+            stored.append((frozenset(), frozenset()))
+        else:
+            index.append_vector(axis(turn % 8), content, content | extra, turn)
+            stored.append((content, content | extra))
+    index.extend(batch)
+    return index, stored
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    rows=st.lists(_row, min_size=1, max_size=12),
+    query=st.frozensets(st.sampled_from(WORDS + ("unseen", "nowhere")), max_size=4),
+)
+def test_token_kernel_is_bit_identical_to_the_scalar_functions(rows, query):
+    index, stored = _kernel_index(rows)
+    assert len(index) == len(stored)
+    assert [_bits(j) for j in index.jaccards(query).tolist()] == [
+        _bits(token_jaccard(content, query)) for content, _ in stored]
+    # With alpha 0 a hybrid score is its keyword coverage, exactly.
+    text = " ".join(sorted(query))
+    prepared = index.prepare(axis(0), text)
+    coverage = [_bits(token_coverage(token_set(text), document)) for _, document in stored]
+    assert [_bits(c) for c in index.hybrids(prepared, HybridWeights(0.0)).tolist()] == coverage
+    assert [_bits(index.exact_hybrid(prepared, row, HybridWeights(0.0)))
+            for row in range(len(stored))] == coverage
+
+
+def test_forks_and_their_owner_never_see_each_others_rows_or_token_ids():
+    owner = ScoringIndex()
+    owner.append_vector(axis(0), frozenset({"redis"}), frozenset({"redis", "cache"}), 0)
+    fork = owner.fork()
+    # Both sides intern new tokens after the fork, in turns.
+    owner.append_vector(axis(1), frozenset({"alpha"}), frozenset({"alpha"}), 1)
+    fork.append_vector(axis(2), frozenset({"beta"}), frozenset({"beta"}), 1)
+    owner.append_vector(axis(3), frozenset({"gamma"}), frozenset({"gamma"}), 2)
+    fork.append_vector(axis(4), frozenset({"delta"}), frozenset({"delta"}), 2)
+    sides = ((owner, {"alpha", "gamma"}, {"beta", "delta"}),
+             (fork, {"beta", "delta"}, {"alpha", "gamma"}))
+    for index, own, other in sides:
+        assert len(index) == 3
+        assert index.prepare(axis(0), " ".join(other)).token_ids == frozenset()
+        assert index.jaccards(frozenset(other)).tolist() == [0.0, 0.0, 0.0]
+        assert index.jaccards(frozenset(own)).tolist() == [0.0, 0.5, 0.5]
+        assert index.jaccards(frozenset({"redis"})).tolist() == [1.0, 0.0, 0.0]
+        assert index.turn_window(2, 1).tolist() == [False, True, True]
+
+
+_turn_objects = st.builds(
+    lambda kind, words, turn, vec: make_obj(kind=kind, content=" ".join(words), turn=turn,
+                                            embedding=vec),
+    st.sampled_from(list(ObjectKind)),
+    st.lists(st.sampled_from(WORDS), min_size=1, max_size=3),
+    st.integers(0, 9),
+    _int_vector,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    objects=st.lists(_turn_objects, min_size=1, max_size=14),
+    keyword_edge_min=st.sampled_from([0.0, 1.0]),
+    temporal_window=st.integers(1, 4),
+)
+def test_out_of_turn_order_graphs_link_like_the_oracle(objects, keyword_edge_min, temporal_window):
+    # Objects arrive in any turn order; every row within the window counts.
+    thresholds = LinkThresholds(theta_ref=0.9, theta_causal=0.8,
+                                keyword_edge_min=keyword_edge_min, temporal_window=temporal_window)
+    screened, oracle = build_pair(objects, thresholds)
+    assert screened.edges == oracle.edges
+
+
+@pytest.mark.parametrize("turn", [5, 2**64])
+@pytest.mark.parametrize("window", [1, 3])
+def test_temporal_window_edges_link_like_the_oracle(turn, window):
+    # Orthogonal vectors and no shared tokens: only R3 can link.
+    words = iter(["alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta"])
+    facts = [make_obj(kind=ObjectKind.KEY_FACT, content=next(words), turn=turn + offset,
+                      embedding=axis(index))
+             for index, offset in enumerate([1, 0, -window, -window - 1, -1])]
+    decision = make_obj(kind=ObjectKind.DECISION, content=next(words), turn=turn,
+                        embedding=axis(7))
+    screened, oracle = build_pair(facts + [decision], LinkThresholds(temporal_window=window))
+    assert screened.edges == oracle.edges
+    linked = {e.src for e in screened.edges if e.origin is EdgeOrigin.TEMPORAL_HEURISTIC}
+    assert linked == {facts[1].id, facts[2].id, facts[4].id}
