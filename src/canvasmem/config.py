@@ -156,6 +156,10 @@ class EngineConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "EngineConfig":
+        """The config that data describes; an unknown key at any level is a ValueError."""
+        unknown = [key for key in data if key not in _TOP_LEVEL_KEYS]
+        if unknown:
+            raise ValueError(f"config has unknown keys: {', '.join(map(repr, unknown))}")
         thresholds_d = _section(data, "thresholds", _THRESHOLD_KEYS)
         pairs = thresholds_d.get("causal_pairs")
         thresholds = LinkThresholds(
@@ -220,6 +224,10 @@ class EngineConfig:
             backends=backends,
             bench=bench,
         )
+
+
+# What to_dict emits, plus the retrieval preset a config file or flag may name.
+_TOP_LEVEL_KEYS = frozenset(f.name for f in fields(EngineConfig)) | {"preset"}
 
 
 def deep_merge(base: dict, override: dict) -> dict:

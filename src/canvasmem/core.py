@@ -12,6 +12,10 @@ JSON of the object and edge records it has already serialized, about one
 file's worth of bytes, and a save encodes only the records added since the
 last save. The output is byte-identical to encoding the whole document at
 once only because records are appended, never changed or removed.
+
+The graph keeps no adjacency lists. Its scoring index holds the src and dst
+row of every edge in append-only columns, shared copy-on-write with every
+snapshot, and the neighborhood walk reads those.
 """
 
 from __future__ import annotations
@@ -150,11 +154,14 @@ class CanvasGraph:
 
     `rows` lists the stored objects in insertion order; row i of the scoring
     index describes rows[i]. `turn_ordered` is True while the rows' turns
-    never decrease. The index catches up with the rows the first
-    time something scores against the graph, not in add_object, so an
-    object stored without a usable embedding raises only once it is scored.
-    Once scored, a stored object's embedding, content and quote must not
-    change: the index keeps what it read.
+    never decrease. The graph keeps no adjacency lists: the index's edge
+    columns (the src and dst row of each edge) answer neighbors() and the
+    retrieval walk. The index catches up with the rows and edges the first
+    time something scores against, walks or snapshots the graph, not in
+    add_object or add_edge, so an object stored without a usable embedding
+    raises only once it is scored. Once scored, a stored object's
+    embedding, content and quote must not change: the index keeps what it
+    read.
     """
 
     def __init__(self):
@@ -165,7 +172,6 @@ class CanvasGraph:
         self.next_turn: int = 0
         self.lock = threading.Lock()
         self._edge_keys: set[tuple[str, str, EdgeKind]] = set()
-        self._adjacent: dict[str, list[str]] = {}
         self._index = ScoringIndex()
         self._encoded: _Encoded = _NOTHING_ENCODED
 
@@ -205,42 +211,52 @@ class CanvasGraph:
             return False
         self._edge_keys.add(key)
         self.edges.append(edge)
-        self._adjacent.setdefault(edge.src, []).append(edge.dst)
-        self._adjacent.setdefault(edge.dst, []).append(edge.src)
         return True
 
     def neighbors(self, oid: str) -> list[str]:
-        """Ids adjacent to oid across both edge kinds and both directions."""
-        return list(self._adjacent.get(oid, ()))
+        """Ids adjacent to oid across both edge kinds and both directions,
+        in edge insertion order (an id twice when two edges join the pair)."""
+        index = self.scoring_index()
+        row = index.row_of(oid)
+        if row is None:
+            return []
+        return [self.rows[other].id for other in index.neighbor_rows(row)]
 
     def mark_turn_ingested(self, index: int) -> None:
         """Advance the sequential ingestion cursor past a processed turn."""
         self.next_turn = max(self.next_turn, index + 1)
 
     def scoring_index(self) -> ScoringIndex:
-        """The scoring index, first brought up to date with every stored row."""
-        self._index.extend(self.rows[len(self._index):])
-        return self._index
+        """The scoring index, first brought up to date with every stored row
+        and edge."""
+        index = self._index
+        if len(index) < len(self.rows):
+            index.extend(self.rows[len(index):])
+        if index.edge_count < len(self.edges):
+            index.extend_edges(self.edges[index.edge_count:])
+        return index
 
     def snapshot(self) -> "CanvasGraph":
         """Read copy that shares the stored objects; both sides keep accepting writes.
 
-        The containers (objects, rows, edges, edge keys, adjacency lists) are
-        copied, so an append on either side never reaches the other; the
-        CanvasObject instances are shared, which is sound only because stored
-        objects are never mutated. The twin's scoring index is a
-        copy-on-write fork of this one, and it shares the immutable cache of
+        The containers (objects, rows, edges, edge keys) are copied, so an
+        append on either side never reaches the other; the CanvasObject
+        instances are shared, which is sound only because stored objects are
+        never mutated. The scoring index is brought up to date here, where
+        the owner appends in place, and the twin's is a copy-on-write fork
+        of it, so a read of the twin copies no column; that write is why a
+        snapshot is taken under the graph's lock while a writer may run, as
+        engine.snapshot() does. The twin shares the immutable cache of
         records already serialized.
         """
         twin = CanvasGraph()
         twin.objects = dict(self.objects)
         twin.rows = list(self.rows)
         twin.turn_ordered = self.turn_ordered
-        twin._index = self._index.fork()
+        twin._index = self.scoring_index().fork()
         twin.edges = list(self.edges)
         twin.next_turn = self.next_turn
         twin._edge_keys = set(self._edge_keys)
-        twin._adjacent = {oid: list(ids) for oid, ids in self._adjacent.items()}
         twin._encoded = self._encoded
         return twin
 

@@ -99,7 +99,10 @@ def link_object(
     if new_obj.embedding is None:
         raise MissingEmbeddingError(f"object {new_obj.id} has no embedding")
     index = graph.scoring_index()
-    query = index.prepare(new_obj.embedding)
+    # The stored row holds the float64 vector and norm prepare() would make
+    # of new_obj.embedding; an object not stored takes the scalar path.
+    own_row = index.row_of(new_obj.id)
+    query = None if own_row is None else index.prepare_row(own_row)
     overlaps = index.jaccards(token_set(new_obj.content))
     temporal_target = new_obj.kind is ObjectKind.DECISION
     if query is None:

@@ -14,9 +14,15 @@ Stages, in order:
    index that cannot screen sends every object to the scalar hybrid_score,
    which raises the typed errors.
 3. expand_graph walks edges breadth-first from those hits, both directions
-   and both edge kinds, with a 0.8 score decay per hop.
+   and both edge kinds, with a 0.8 score decay per hop. It walks the edge
+   columns of the scoring index one hop at a time with array operations
+   (edge masks, np.maximum.at, np.lexsort on score and id key). Without a
+   reranker backend it is given k and builds candidates only for the
+   expansions inside the stable top k of seeds then hops, which are all
+   that the cut in stage 4 can keep.
 4. rerank_candidates orders candidates by a reranker backend, or by the
-   hybrid score itself when no backend is configured, then cuts to k.
+   hybrid score itself when no backend is configured, then cuts to k. A
+   backend sees every candidate of a full expansion.
 5. greedy_select packs rendered lines into the token budget, skipping lines
    that do not fit and continuing down the list.
 6. build_injection renders the block: a header, one line per object grouped
@@ -263,44 +269,104 @@ def expand_graph(
     graph: CanvasGraph,
     seeds: Sequence[ScoredObject],
     hops: int,
+    k: Optional[int] = None,
 ) -> list[ScoredObject]:
     """Breadth-first neighborhood expansion from the coarse hits.
 
     Both edge kinds count and edges are walked in both directions. An object
     first reached at hop distance d inherits the best adjacent score decayed
-    by 0.8 per hop. Seeds come back unchanged, expansions are appended.
+    by 0.8 per hop; each hop's objects come in (-score, id) order. Seeds come
+    back unchanged, expansions are appended.
+
+    The walk runs on the arrays of the graph's scoring index. Each hop masks
+    the edges leaving the frontier forward and backward, takes the best
+    frontier score per reached row with np.maximum.at (exact, since
+    max(a) * 0.8 == max(a * 0.8)), orders the rows with np.lexsort on the
+    rows' uint64 id keys, and marks every reached row seen.
+
+    With k, only the expansions inside the top k of the stable sort of
+    seeds-then-hops by descending score are returned (every one is still
+    walked and marked seen), so that sort's first k, which is what
+    rerank_candidates keeps without a backend, is the same as for the full
+    list. The walk stops once no later hop can enter that top k.
     """
     result = list(seeds)
     if hops <= 0 or not seeds:
         return result
-    best_score: dict[str, float] = {s.object_id: s.hybrid for s in seeds}
-    frontier: list[str] = [s.object_id for s in seeds]
-    seen: set[str] = set(frontier)
+    index = graph.scoring_index()
+    src, dst = index.edge_rows()
+    id_keys = index.id_keys()
+    n = len(index)
+    seed_scores: dict[int, float] = {}
+    for seed in seeds:
+        row = index.row_of(seed.object_id)
+        if row is not None:
+            seed_scores[row] = seed.hybrid
+    frontier = np.fromiter(seed_scores, dtype=np.intp, count=len(seed_scores))
+    score = np.zeros(n)  # best score of each seen row
+    score[frontier] = list(seed_scores.values())
+    seen = np.zeros(n, dtype=bool)
+    seen[frontier] = True
+    in_frontier = np.zeros(n, dtype=bool)
+    scores = [np.array([seed.hybrid for seed in seeds], dtype=np.float64)]
+    reached_rows: list[np.ndarray] = []
     for hop in range(1, hops + 1):
-        reached: dict[str, float] = {}
-        for oid in frontier:
-            for neighbor in graph.neighbors(oid):
-                if neighbor in seen:
-                    continue
-                inherited = best_score[oid] * EXPANSION_DECAY
-                if inherited > reached.get(neighbor, float("-inf")):
-                    reached[neighbor] = inherited
-        if not reached:
+        in_frontier[:] = False
+        in_frontier[frontier] = True
+        forward, backward = in_frontier[src], in_frontier[dst]
+        reached = np.concatenate((dst[forward], src[backward]))
+        parents = np.concatenate((src[forward], dst[backward]))
+        fresh = ~seen[reached]
+        best = np.full(n, -np.inf)
+        np.maximum.at(best, reached[fresh], score[parents[fresh]])
+        rows = np.flatnonzero(best > -np.inf)
+        if not rows.size:
             break
-        ordered = sorted(reached.items(), key=lambda item: (-item[1], item[0]))
-        for oid, score in ordered:
-            seen.add(oid)
-            best_score[oid] = score
-            result.append(
-                ScoredObject(
-                    object_id=oid,
-                    hybrid=score,
-                    provenance=Provenance.EXPANDED,
-                    hop=hop,
-                )
-            )
-        frontier = [oid for oid, _ in ordered]
+        inherited = best[rows] * EXPANSION_DECAY
+        order = np.lexsort((id_keys[rows], -inherited))
+        frontier, inherited = rows[order], inherited[order]
+        seen[frontier] = True
+        score[frontier] = inherited
+        reached_rows.append(frontier)
+        scores.append(inherited)
+        if k is not None and _top_k_closed(scores, k, inherited[0] * EXPANSION_DECAY):
+            break
+    if not reached_rows:
+        return result
+    rows = np.concatenate(reached_rows)
+    hop_of = np.repeat(np.arange(1, len(reached_rows) + 1), [r.size for r in reached_rows])
+    inherited = np.concatenate(scores[1:])
+    if k is not None:
+        # Positions past the seeds that the stable sort puts in its first k.
+        top = np.argsort(-np.concatenate(scores), kind="stable")[:k] - len(seeds)
+        kept = np.sort(top[top >= 0])
+        rows, hop_of, inherited = rows[kept], hop_of[kept], inherited[kept]
+    result.extend(
+        ScoredObject(
+            object_id=graph.rows[row].id,
+            hybrid=value,
+            provenance=Provenance.EXPANDED,
+            hop=hop,
+        )
+        for row, value, hop in zip(rows.tolist(), inherited.tolist(), hop_of.tolist())
+    )
     return result
+
+
+def _top_k_closed(scores: list[np.ndarray], k: int, next_best: float) -> bool:
+    """True when no later hop can enter the stable top k of scores.
+
+    A later candidate sorts after every earlier one of equal score, so it
+    enters only with a score above the k-th best so far. Later hops inherit
+    at most next_best, or stay below zero when that is negative.
+    """
+    if k < 1:
+        return True
+    pooled = np.concatenate(scores)
+    if pooled.size < k:
+        return False
+    kth = np.partition(pooled, pooled.size - k)[pooled.size - k]
+    return bool(kth >= max(next_best, 0.0))
 
 
 def rerank_candidates(
@@ -414,7 +480,9 @@ def retrieve_detailed(
         config = RetrievalConfig()
     plan = plan_query(query_text, embedder, config)
     coarse = coarse_retrieve(graph, plan, config.weights)
-    expanded = expand_graph(graph, coarse, plan.hops)
+    # Without a backend the rerank keeps the hybrid top k, so the walk
+    # builds only the expansions that can be in it.
+    expanded = expand_graph(graph, coarse, plan.hops, plan.k if reranker is None else None)
     if expanded:
         ranked = rerank_candidates(graph, reranker, plan.query_text, expanded, plan.k)
     else:

@@ -43,7 +43,7 @@ import numpy as np
 from .errors import DimensionMismatchError, MissingEmbeddingError, ZeroVectorError
 
 if TYPE_CHECKING:
-    from .core import CanvasObject
+    from .core import CanvasEdge, CanvasObject
 
 DEFAULT_ALPHA = 0.7
 MOCK_EMBEDDING_DIM = 256
@@ -246,9 +246,17 @@ class ScoringIndex:
     the caller scores every row with the scalar functions, which raise the
     same typed errors they always have.
 
-    fork() shares every column and the token table copy-on-write: the owner
-    keeps appending in place past the rows and token ids the fork sees, and
-    a fork copies what it sees on its first append.
+    The index also holds the graph's shape: each row's id in an id -> row
+    map and as a uint64 key (the 16-hex id read as a number, so the keys'
+    order is the ids' string order), and append-only edge columns holding
+    the src and dst row of each edge in insertion order. These work whether
+    or not the embeddings can be screened.
+
+    fork() shares every column, the token table and the id map
+    copy-on-write: the owner keeps appending in place past the rows, edges
+    and token ids the fork sees, and a fork copies what it sees of the row
+    columns on its first row append, and of the edge columns on its first
+    edge append.
     """
 
     def __init__(self):
@@ -262,9 +270,19 @@ class ScoringIndex:
         self._document = _no_token_rows()
         self._vocab: dict[str, int] = {}
         self._vocab_size = 0
+        self._row_of: dict[str, int] = {}
+        self._id_keys = np.empty(0, dtype=np.uint64)
+        self._edges = 0
+        self._owns_edges = True
+        self._src = np.empty(0, dtype=np.intp)
+        self._dst = np.empty(0, dtype=np.intp)
 
     def __len__(self) -> int:
         return self._rows
+
+    @property
+    def edge_count(self) -> int:
+        return self._edges
 
     def append(self, obj: CanvasObject) -> None:
         self.extend([obj])
@@ -276,7 +294,21 @@ class ScoringIndex:
             [token_set(obj.content) for obj in objects],
             [token_set(document_text(obj)) for obj in objects],
             [obj.turn for obj in objects],
+            [obj.id for obj in objects],
         )
+
+    def extend_edges(self, edges: Sequence[CanvasEdge]) -> None:
+        """Add the src and dst row of each edge; both ends must be rows already."""
+        if not edges:
+            return  # a fork that appends nothing keeps sharing its columns
+        start, owned = self._edges, self._owns_edges
+        end = start + len(edges)
+        row_of = self._row_of
+        self._src = _room(self._src, start, end, owned)
+        self._dst = _room(self._dst, start, end, owned)
+        self._src[start:end] = [row_of[edge.src] for edge in edges]
+        self._dst[start:end] = [row_of[edge.dst] for edge in edges]
+        self._edges, self._owns_edges = end, True
 
     def append_vector(
         self,
@@ -285,19 +317,25 @@ class ScoringIndex:
         document_tokens: frozenset[str] = frozenset(),
         turn: int = 0,
     ) -> None:
-        """Add a row: the embedding, the Jaccard tokens, the coverage tokens, the turn."""
-        self._append_rows([embedding], [content_tokens], [document_tokens], [turn])
+        """Add a row without an id: the embedding, the Jaccard tokens, the
+        coverage tokens, the turn."""
+        self._append_rows([embedding], [content_tokens], [document_tokens], [turn], [None])
 
-    def _append_rows(self, embeddings, contents, documents, turns) -> None:
+    def _append_rows(self, embeddings, contents, documents, turns, ids) -> None:
         if not embeddings:
             return  # a fork that appends nothing keeps sharing its columns
         start, owned = self._rows, self._owner
         end = start + len(embeddings)
         if not owned:
-            # Ids the owner handed out after the fork are this index's to
-            # hand out again: copy the table (atomically) without them.
+            # Ids and rows the owner handed out after the fork are this
+            # index's to hand out again: copy the tables (atomically) without them.
             size = self._vocab_size
             self._vocab = {tok: i for tok, i in dict(self._vocab).items() if i < size}
+            self._row_of = {oid: r for oid, r in dict(self._row_of).items() if r < start}
+        self._row_of.update((oid, row) for row, oid in enumerate(ids, start) if oid is not None)
+        self._id_keys = _room(self._id_keys, start, end, owned)
+        hex_ids = "".join(oid or "0" * 16 for oid in ids)
+        self._id_keys[start:end] = np.frombuffer(bytes.fromhex(hex_ids), dtype=">u8")
         screened = []
         dim = None if self._matrix is None else self._matrix.shape[1]
         for row, embedding in enumerate(embeddings, start):
@@ -342,11 +380,30 @@ class ScoringIndex:
         return offsets, ids
 
     def fork(self) -> "ScoringIndex":
-        """An index with the same rows whose appends never reach this one."""
+        """An index with the same rows and edges whose appends never reach this one."""
         twin = ScoringIndex.__new__(ScoringIndex)
         twin.__dict__.update(self.__dict__)
-        twin._owner = False
+        twin._owner = twin._owns_edges = False
         return twin
+
+    def row_of(self, oid: str) -> Optional[int]:
+        """The row of the object with id oid, or None if the index has no such row."""
+        row = self._row_of.get(oid)
+        return row if row is not None and row < self._rows else None
+
+    def id_keys(self) -> np.ndarray:
+        """Each row's 16-hex id as a uint64; numeric order is the ids' order."""
+        return self._id_keys[:self._rows]
+
+    def edge_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The src rows and the dst rows of every edge, in insertion order."""
+        return self._src[:self._edges], self._dst[:self._edges]
+
+    def neighbor_rows(self, row: int) -> list[int]:
+        """The rows joined to row by an edge, either way, in edge insertion order."""
+        src, dst = self.edge_rows()
+        hits = ((src == row) | (dst == row)).nonzero()[0]
+        return np.where(src[hits] == row, dst[hits], src[hits]).tolist()
 
     def prepare(self, embedding: Sequence[float], text: str = "") -> Optional[PreparedQuery]:
         """The query ready to score against every row, or None if unscreenable.
@@ -362,6 +419,14 @@ class ScoringIndex:
         vec, norm = screenable
         tokens = token_set(text)
         return PreparedQuery(vec, norm, tokens, frozenset(self._known_ids(tokens)))
+
+    def prepare_row(self, row: int) -> Optional[PreparedQuery]:
+        """Row's own vector and norm as a query without tokens, or None if
+        the index cannot screen; the same values prepare() reads from the
+        row's embedding, without converting it again."""
+        if self._faults or self._matrix is None:
+            return None
+        return PreparedQuery(self._matrix[row], float(self._norms[row]), frozenset(), frozenset())
 
     def _known_ids(self, tokens: frozenset[str]) -> list[int]:
         size = self._vocab_size

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from canvasmem.backends import (
@@ -12,6 +14,7 @@ from canvasmem.backends import (
     RemoteReranker,
     RemoteSummarizer,
 )
+from canvasmem.cli import main
 from canvasmem.config import (
     BenchOptions,
     EngineConfig,
@@ -210,3 +213,32 @@ def test_every_key_the_config_writes_loads_back():
     for section in ("thresholds", "retrieval", "backends", "bench"):
         for key, value in data[section].items():
             assert EngineConfig.from_dict({section: {key: value}}).to_dict()[section][key] == value
+
+
+@pytest.mark.parametrize("data, key", [
+    ({"threshold": {"theta_ref": 0.9}}, "threshold"),
+    ({"gleening": False}, "gleening"),
+    ({"presets": "locomo"}, "presets"),
+])
+def test_unknown_top_level_key_is_a_value_error_naming_it(data, key):
+    with pytest.raises(ValueError, match=f"'{key}'"):
+        EngineConfig.from_dict(data)
+
+
+def test_top_level_keys_are_those_to_dict_writes_plus_preset():
+    assert set(EngineConfig().to_dict()) | {"preset"} == {
+        "gleaning", "thresholds", "retrieval", "backends", "bench", "preset",
+    }
+    config = EngineConfig.from_dict({"preset": "locomo", "gleaning": False})
+    assert config.retrieval.hops == 4 and config.gleaning is False
+
+
+def test_a_result_files_embedded_config_loads_back(tmp_path):
+    out = tmp_path / "run.jsonl"
+    assert main(["bench", "run", "--cases", "1", "--conditions", "canvas",
+                 "--set", "retrieval.hops=4", "--set", "retrieval.alpha=0.6",
+                 "--output", str(out)]) == 0
+    embedded = json.loads(out.read_text(encoding="utf-8").splitlines()[0])["config"]
+    config = EngineConfig.from_dict(embedded)
+    assert config.to_dict() == embedded
+    assert config.retrieval.hops == 4 and config.retrieval.weights.alpha == 0.6

@@ -165,6 +165,31 @@ def test_neighbors_sees_both_directions():
     assert graph.neighbors("f" * 16) == []
 
 
+def test_neighbors_list_parallel_edges_in_insertion_order():
+    a = make_obj(content="first fact", turn=0)
+    b = make_obj(content="second fact", turn=1)
+    c = make_obj(content="third fact", turn=2)
+    graph = graph_of(a, b, c)
+
+    def edge(src, dst, kind):
+        graph.add_edge(CanvasEdge(src=src.id, dst=dst.id, kind=kind, weight=0.5,
+                                  origin=EdgeOrigin.SIMILARITY))
+
+    edge(a, b, EdgeKind.REFERENCE)
+    edge(c, a, EdgeKind.REFERENCE)
+    assert graph.neighbors(a.id) == [b.id, c.id]
+    # A causal edge on the same pair, and a reference edge back the other way.
+    edge(a, b, EdgeKind.CAUSAL)
+    edge(b, a, EdgeKind.REFERENCE)
+    edge(b, c, EdgeKind.CAUSAL)
+    assert graph.neighbors(a.id) == [b.id, c.id, b.id, b.id]
+    assert graph.neighbors(b.id) == [a.id, a.id, a.id, c.id]
+    assert graph.neighbors(c.id) == [a.id, b.id]
+    # A rejected duplicate adds nothing.
+    edge(a, b, EdgeKind.CAUSAL)
+    assert graph.neighbors(a.id) == [b.id, c.id, b.id, b.id]
+
+
 def test_counts_by_kind_and_origin():
     graph = graph_of(
         make_obj(kind=ObjectKind.DECISION, content="decide a", turn=0),

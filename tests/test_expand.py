@@ -1,0 +1,258 @@
+"""The array walk of expand_graph against the dict walk it replaced.
+
+The oracle below is the breadth-first walk over per-object adjacency lists,
+built here from graph.edges in insertion order, exactly as the graph used to
+keep them. The array walk must give the same candidates in the same order
+with the same float scores; with k it must return the seeds plus exactly the
+expansions inside the stable top k of the full list, so that the rerank
+without a backend ranks the shorter list as it ranks the full one.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from canvasmem.core import CanvasEdge, CanvasGraph, EdgeKind, EdgeOrigin
+from canvasmem.engine import CanvasEngine
+from canvasmem.extraction import MockExtractor
+from canvasmem.retrieval import (
+    EXPANSION_DECAY,
+    Provenance,
+    QueryClass,
+    RetrievalConfig,
+    ScoredObject,
+    build_injection,
+    coarse_retrieve,
+    expand_graph,
+    greedy_select,
+    plan_query,
+    rerank_candidates,
+    retrieve_detailed,
+)
+from canvasmem.scoring import MockEmbedder
+
+from conftest import QUESTIONS, axis, make_obj, seeded_turns
+
+
+# ---------------------------------------------------------------------------
+# The oracle: the dict walk over adjacency lists
+# ---------------------------------------------------------------------------
+
+def oracle_adjacency(graph: CanvasGraph) -> dict[str, list[str]]:
+    adjacent: dict[str, list[str]] = {}
+    for edge in graph.edges:
+        adjacent.setdefault(edge.src, []).append(edge.dst)
+        adjacent.setdefault(edge.dst, []).append(edge.src)
+    return adjacent
+
+
+def oracle_expand_graph(graph, seeds, hops):
+    adjacent = oracle_adjacency(graph)
+    result = list(seeds)
+    if hops <= 0 or not seeds:
+        return result
+    best_score = {s.object_id: s.hybrid for s in seeds}
+    frontier = [s.object_id for s in seeds]
+    seen = set(frontier)
+    for hop in range(1, hops + 1):
+        reached: dict[str, float] = {}
+        for oid in frontier:
+            for neighbor in adjacent.get(oid, ()):
+                if neighbor in seen:
+                    continue
+                inherited = best_score[oid] * EXPANSION_DECAY
+                if inherited > reached.get(neighbor, float("-inf")):
+                    reached[neighbor] = inherited
+        if not reached:
+            break
+        ordered = sorted(reached.items(), key=lambda item: (-item[1], item[0]))
+        for oid, score in ordered:
+            seen.add(oid)
+            best_score[oid] = score
+            result.append(ScoredObject(object_id=oid, hybrid=score,
+                                       provenance=Provenance.EXPANDED, hop=hop))
+        frontier = [oid for oid, _ in ordered]
+    return result
+
+
+def oracle_pruned(full, seeds, k):
+    """The seeds, then the expansions of full inside its stable top k, in order."""
+    top = set(sorted(range(len(full)), key=lambda i: -full[i].hybrid)[:k])
+    return list(seeds) + [c for i, c in enumerate(full) if i >= len(seeds) and i in top]
+
+
+def exact(candidates):
+    """Candidates with their floats spelled bit for bit."""
+    return [(c.object_id, c.hybrid.hex(), c.rerank, c.provenance, c.hop) for c in candidates]
+
+
+# ---------------------------------------------------------------------------
+# Hypothesis graphs: parallel and two-way edges, ties, forks
+# ---------------------------------------------------------------------------
+
+# Few distinct values, so seeds and whole hops tie often.
+SCORE = st.one_of(st.sampled_from((0.0, 0.25, 0.5, 0.8, 1.0)), st.floats(0.0, 1.0))
+
+
+@st.composite
+def scenarios(draw):
+    """Two graphs that share a prefix: an owner and a snapshot, each appended
+    to after the fork, with reads in between that catch their indexes up."""
+    n = draw(st.integers(1, 10))
+    turns = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    embedded = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    objects = [
+        make_obj(content=f"object number {i}", turn=turns[i],
+                 embedding=axis(i % 8) if embedded[i] else None)
+        for i in range(n)
+    ]
+    steps: list[tuple] = [("object", i) for i in range(n)]
+    if n > 1:
+        pairs = draw(st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(1, n - 1), st.sampled_from(EdgeKind)),
+            max_size=30,
+        ))
+        for a, shift, kind in pairs:
+            b = (a + shift) % n
+            if kind is EdgeKind.CAUSAL and turns[a] > turns[b]:
+                a, b = b, a
+            after = next(i for i, step in enumerate(steps) if step == ("object", max(a, b)))
+            steps.insert(draw(st.integers(after + 1, len(steps))), ("edge", a, b, kind))
+    fork_at = draw(st.integers(0, len(steps)))
+    sides = draw(st.lists(st.sampled_from(("owner", "twin", "both")),
+                          min_size=len(steps), max_size=len(steps)))
+    reads = draw(st.lists(st.booleans(), min_size=len(steps), max_size=len(steps)))
+    return objects, steps, fork_at, sides, reads
+
+
+def _apply(graph, objects, step):
+    if step[0] == "object":
+        graph.add_object(objects[step[1]])
+    else:
+        _, a, b, kind = step
+        graph.add_edge(CanvasEdge(src=objects[a].id, dst=objects[b].id, kind=kind,
+                                  weight=0.5, origin=EdgeOrigin.SIMILARITY))
+
+
+def build(scenario):
+    objects, steps, fork_at, sides, reads = scenario
+    owner = CanvasGraph()
+    for step, read in zip(steps[:fork_at], reads):
+        _apply(owner, objects, step)
+        if read:
+            owner.scoring_index()
+    twin = owner.snapshot()
+    for step, side, read in zip(steps[fork_at:], sides[fork_at:], reads[fork_at:]):
+        # Objects reach both sides, so an edge can land on either one.
+        targets = (owner, twin) if step[0] == "object" or side == "both" else (
+            (owner,) if side == "owner" else (twin,))
+        for graph in targets:
+            _apply(graph, objects, step)
+            if read:
+                graph.scoring_index()
+    return owner, twin
+
+
+@settings(max_examples=300, deadline=None)
+@given(scenarios(), st.data())
+def test_array_walk_equals_the_dict_walk(scenario, data):
+    for graph in build(scenario):
+        rows = graph.rows
+        chosen = data.draw(st.lists(st.integers(0, len(rows) - 1), unique=True, max_size=len(rows)))
+        seeds = [ScoredObject(object_id=rows[i].id, hybrid=data.draw(SCORE))
+                 for i in chosen]
+        hops = data.draw(st.integers(0, 5))
+        full = oracle_expand_graph(graph, seeds, hops)
+        assert exact(expand_graph(graph, seeds, hops)) == exact(full)
+        for k in range(1, len(full) + 3):
+            pruned = expand_graph(graph, seeds, hops, k)
+            assert exact(pruned) == exact(oracle_pruned(full, seeds, k))
+            if full:
+                assert exact(rerank_candidates(graph, None, "q", pruned, k)) == exact(
+                    rerank_candidates(graph, None, "q", full, k))
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenarios())
+def test_neighbors_equal_the_adjacency_lists(scenario):
+    for graph in build(scenario):
+        adjacent = oracle_adjacency(graph)
+        for obj in graph.rows:
+            assert graph.neighbors(obj.id) == adjacent.get(obj.id, [])
+        assert graph.neighbors("f" * 16) == []
+
+
+def test_unknown_seed_ids_come_back_and_expand_nothing():
+    a = make_obj(content="seed item", turn=0, embedding=axis(0))
+    b = make_obj(content="one hop out", turn=1, embedding=axis(1))
+    graph = CanvasGraph()
+    graph.add_object(a)
+    graph.add_object(b)
+    graph.add_edge(CanvasEdge(src=a.id, dst=b.id, kind=EdgeKind.REFERENCE, weight=0.5,
+                              origin=EdgeOrigin.SIMILARITY))
+    stranger = ScoredObject(object_id="f" * 16, hybrid=1.0)
+    seeds = [stranger, ScoredObject(object_id=a.id, hybrid=0.5)]
+    full = oracle_expand_graph(graph, seeds, 2)
+    assert exact(expand_graph(graph, seeds, 2)) == exact(full)
+    assert [c.object_id for c in full] == [stranger.object_id, a.id, b.id]
+    for k in (1, 2, 3):
+        assert exact(expand_graph(graph, seeds, 2, k)) == exact(oracle_pruned(full, seeds, k))
+
+
+# ---------------------------------------------------------------------------
+# The pipeline: a pruned walk ranks, packs and renders as a full one
+# ---------------------------------------------------------------------------
+
+def _ingested(seed: int, turns: int) -> CanvasGraph:
+    engine = CanvasEngine(MockExtractor(), MockEmbedder())
+    for turn in seeded_turns(seed, turns):
+        engine.ingest_turn(turn)
+    return engine.graph
+
+
+def _full_pipeline(graph, question, embedder, config):
+    plan = plan_query(question, embedder, config)
+    coarse = coarse_retrieve(graph, plan, config.weights)
+    expanded = oracle_expand_graph(graph, coarse, plan.hops)
+    ranked = rerank_candidates(graph, None, plan.query_text, expanded, plan.k) if expanded else []
+    selected = greedy_select(graph, ranked, plan.budget_tokens)
+    return expanded, ranked, selected, build_injection(graph, selected, plan)
+
+
+def test_retrieve_detailed_at_every_k_equals_a_full_expand_then_rerank():
+    embedder = MockEmbedder()
+    graph = _ingested(5, 70)
+    for hops in (1, 2, 4):
+        for question in QUESTIONS:
+            probe = RetrievalConfig(coarse_k=6, hops=hops)
+            count = len(_full_pipeline(graph, question, embedder, probe)[0])
+            assert count > 6
+            for k in range(1, count + 3):
+                config = RetrievalConfig(coarse_k=6, hops=hops,
+                                         k_map={klass: k for klass in QueryClass})
+                _, ranked, selected, injection = _full_pipeline(graph, question, embedder, config)
+                got = retrieve_detailed(graph, question, embedder, config)
+                assert exact(got.ranked) == exact(ranked)
+                assert exact(got.selected) == exact(selected)
+                assert got.injection == injection
+
+
+class _RecordingReranker:
+    def __init__(self):
+        self.seen: list[int] = []
+
+    def rerank(self, query_text, candidates):
+        self.seen.append(len(candidates))
+        return [(cid, float(len(text))) for cid, text in candidates]
+
+
+def test_a_reranker_backend_still_gets_every_candidate():
+    embedder = MockEmbedder()
+    graph = _ingested(9, 60)
+    config = RetrievalConfig(coarse_k=6, hops=4, k_map={klass: 2 for klass in QueryClass})
+    for question in QUESTIONS:
+        reranker = _RecordingReranker()
+        retrieve_detailed(graph, question, embedder, config, reranker)
+        full = _full_pipeline(graph, question, embedder, config)[0]
+        assert reranker.seen == [len(full)] and len(full) > 2

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import canvasmem.engine
 import canvasmem.retrieval
+import canvasmem.scoring
 from canvasmem.core import (
     AddResult,
     CanvasEdge,
@@ -689,3 +690,25 @@ def test_temporal_window_edges_link_like_the_oracle(turn, window):
     assert screened.edges == oracle.edges
     linked = {e.src for e in screened.edges if e.origin is EdgeOrigin.TEMPORAL_HEURISTIC}
     assert linked == {facts[1].id, facts[2].id, facts[4].id}
+
+
+def test_one_link_screens_the_new_embedding_once(monkeypatch):
+    graph, oracle = CanvasGraph(), CanvasGraph()
+    objects = [make_obj(content=f"the redis cache fact {i}", turn=i, embedding=vec_at_cosine(c))
+               for i, c in enumerate((0.2, 0.46, 0.5, 0.9))]
+    for obj in objects[:-1]:
+        for g in (graph, oracle):
+            g.add_object(obj)
+    graph.scoring_index()
+    newest = objects[-1]
+    graph.add_object(newest)
+    oracle.add_object(newest)
+    calls = []
+    screen = canvasmem.scoring._screenable
+    monkeypatch.setattr(canvasmem.scoring, "_screenable",
+                        lambda embedding, dim: calls.append(embedding) or screen(embedding, dim))
+    edges = link_object(graph, newest)
+    assert calls == [newest.embedding]
+    assert edges == oracle_link_object(oracle, newest) and edges
+    assert [e.weight.hex() for e in edges] == [
+        e.weight.hex() for e in oracle.edges]

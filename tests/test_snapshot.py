@@ -96,3 +96,41 @@ def test_snapshot_reads_equal_reads_of_an_independent_copy(seed):
     # Later ingestion left every earlier snapshot's read as it was.
     for twin, question, block in held:
         assert retrieve(twin, question, engine.embedder, config) == block
+
+
+def _edge_state(graph):
+    src, dst = graph.scoring_index().edge_rows()
+    return src.tolist(), dst.tolist(), {oid: graph.neighbors(oid) for oid in graph.objects}
+
+
+@pytest.mark.parametrize("first", ["parent", "twin"])
+def test_edge_columns_stay_isolated_both_ways_after_snapshot(first):
+    """Both sides append different edges past the shared columns, one side
+    after the other and each read in between; neither sees the other's."""
+    graph, a, b = _pair_graph()
+    c = make_obj(content="the cache ttl is 90 seconds", turn=2, embedding=axis(0))
+    d = make_obj(content="node 2 has 64 gigabytes", turn=3, embedding=axis(1))
+    twin = graph.snapshot()
+    assert _edge_state(twin) == _edge_state(graph)
+    for side in (graph, twin):
+        side.add_object(c)
+        side.add_object(d)
+    writes = {"parent": (graph, [(b, a), (a, c)]), "twin": (twin, [(c, b), (d, b)])}
+    order = [first, "twin" if first == "parent" else "parent"]
+    for name in order:
+        side, pairs = writes[name]
+        other = twin if side is graph else graph
+        before = _edge_state(other)
+        for src, dst in pairs:
+            side.add_edge(_edge(src, dst))
+            side.scoring_index()
+        assert _edge_state(other) == before
+    for side in (graph, twin):
+        src_rows, dst_rows, _ = _edge_state(side)
+        ids = [obj.id for obj in side.rows]
+        assert [(ids[s], ids[t]) for s, t in zip(src_rows, dst_rows)] == [
+            (edge.src, edge.dst) for edge in side.edges]
+    assert graph.neighbors(a.id) == [b.id, b.id, c.id]
+    assert graph.neighbors(d.id) == []
+    assert twin.neighbors(a.id) == [b.id]
+    assert twin.neighbors(b.id) == [a.id, c.id, d.id]
