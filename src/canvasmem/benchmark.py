@@ -28,6 +28,8 @@ from enum import Enum
 from statistics import fmean
 from typing import Callable, Optional, Sequence
 
+import numpy as np
+
 from .backends import BackendBundle
 from .config import EngineConfig
 from .core import CanvasGraph, ObjectKind, normalize_text
@@ -590,10 +592,10 @@ def rag_retriever(
     are embedded on the first call and stacked into a scoring index reused
     by every later one, so each chunk is embedded once per transcript, not
     once per question. A failed embedding caches nothing, and the next call
-    tries again. Chunks are ranked by the index's exact_cosine, which is
-    bit-identical to cosine_sim; when the index cannot take a vector (zero,
-    extreme, or of another dimension) the scalar cosine_sim ranks them and
-    raises its typed errors.
+    tries again. Chunks are ranked by one call of the index's exact_cosines
+    over every chunk, which is bit-identical to cosine_sim; when the index
+    cannot take a vector (zero, extreme, or of another dimension) the scalar
+    cosine_sim ranks them and raises its typed errors.
     """
     chunks = chunk_text(render_transcript(turns), preset.chunk_size, preset.overlap)
     vectors: list[list[float]] = []
@@ -611,7 +613,8 @@ def rag_retriever(
         if query is None:
             scored = [(cosine_sim(query_vec, vec), idx) for idx, vec in enumerate(vectors)]
         else:
-            scored = [(index.exact_cosine(query, idx), idx) for idx in range(len(index))]
+            exact = index.exact_cosines(query, np.arange(len(index)))
+            scored = list(zip(exact.tolist(), range(len(index))))
         scored.sort(key=lambda pair: (-pair[0], pair[1]))
         return "\n\n".join(chunks[idx] for _, idx in scored[:preset.top_k])
 

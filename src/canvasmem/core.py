@@ -171,7 +171,8 @@ class CanvasGraph:
         self.edges: list[CanvasEdge] = []
         self.next_turn: int = 0
         self.lock = threading.Lock()
-        self._edge_keys: set[tuple[str, str, EdgeKind]] = set()
+        # (src, dst, kind) of every edge; None until a snapshot's first add_edge.
+        self._edge_keys: Optional[set[tuple[str, str, EdgeKind]]] = set()
         self._index = ScoringIndex()
         self._encoded: _Encoded = _NOTHING_ENCODED
 
@@ -190,6 +191,10 @@ class CanvasGraph:
     def add_object(self, obj: CanvasObject) -> AddResult:
         """Insert an object; a second insert of the same identity is a DUPLICATE."""
         obj.validate()
+        return self._store(obj)
+
+    def _store(self, obj: CanvasObject) -> AddResult:
+        """add_object for an object already validated."""
         if obj.id in self.objects:
             return AddResult.DUPLICATE
         if self.rows and obj.turn < self.rows[-1].turn:
@@ -206,10 +211,13 @@ class CanvasGraph:
         if edge.kind is EdgeKind.CAUSAL:
             if self.objects[edge.src].turn > self.objects[edge.dst].turn:
                 raise ValueError("causal edges must point forward in time")
+        keys = self._edge_keys
+        if keys is None:
+            keys = self._edge_keys = {(e.src, e.dst, e.kind) for e in self.edges}
         key = (edge.src, edge.dst, edge.kind)
-        if key in self._edge_keys:
+        if key in keys:
             return False
-        self._edge_keys.add(key)
+        keys.add(key)
         self.edges.append(edge)
         return True
 
@@ -239,15 +247,17 @@ class CanvasGraph:
     def snapshot(self) -> "CanvasGraph":
         """Read copy that shares the stored objects; both sides keep accepting writes.
 
-        The containers (objects, rows, edges, edge keys) are copied, so an
-        append on either side never reaches the other; the CanvasObject
-        instances are shared, which is sound only because stored objects are
-        never mutated. The scoring index is brought up to date here, where
-        the owner appends in place, and the twin's is a copy-on-write fork
-        of it, so a read of the twin copies no column; that write is why a
-        snapshot is taken under the graph's lock while a writer may run, as
-        engine.snapshot() does. The twin shares the immutable cache of
-        records already serialized.
+        The containers (objects, rows, edges) are copied, so an append on
+        either side never reaches the other; the twin builds its set of edge
+        keys from its own edges on its first add_edge, so a read-only
+        snapshot never pays for it. The CanvasObject instances are shared,
+        which is sound only because stored objects are never mutated. The
+        scoring index is brought up to date here, where the owner appends in
+        place, and the twin's is a copy-on-write fork of it, so a read of
+        the twin copies no column; that write is why a snapshot is taken
+        under the graph's lock while a writer may run, as engine.snapshot()
+        does. The twin shares the immutable cache of records already
+        serialized.
         """
         twin = CanvasGraph()
         twin.objects = dict(self.objects)
@@ -256,7 +266,7 @@ class CanvasGraph:
         twin._index = self.scoring_index().fork()
         twin.edges = list(self.edges)
         twin.next_turn = self.next_turn
-        twin._edge_keys = set(self._edge_keys)
+        twin._edge_keys = None
         twin._encoded = self._encoded
         return twin
 
@@ -338,6 +348,14 @@ def serialize_graph(graph: CanvasGraph) -> bytes:
     ))
 
 
+# The loader maps each enum's stored value to its member with a dict lookup:
+# an unknown value raises KeyError, an unhashable one TypeError.
+_OBJECT_KINDS = {kind.value: kind for kind in ObjectKind}
+_SOURCES = {source.value: source for source in Source}
+_EDGE_KINDS = {kind.value: kind for kind in EdgeKind}
+_EDGE_ORIGINS = {origin.value: origin for origin in EdgeOrigin}
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise MalformedInputError(message)
@@ -367,11 +385,12 @@ def deserialize_graph(data: bytes) -> CanvasGraph:
     for raw in doc["objects"]:
         _require(isinstance(raw, dict), "each object must be a JSON object")
         try:
+            # CanvasObject validates the record; _store does not validate again.
             obj = CanvasObject(
-                kind=ObjectKind(raw["kind"]),
+                kind=_OBJECT_KINDS[raw["kind"]],
                 content=raw["content"],
                 quote=raw["quote"],
-                source=Source(raw["source"]),
+                source=_SOURCES[raw["source"]],
                 turn=raw["turn"],
                 confidence=raw["confidence"],
                 embedding=raw.get("embedding"),
@@ -379,16 +398,16 @@ def deserialize_graph(data: bytes) -> CanvasGraph:
         except (KeyError, ValueError, TypeError, InvalidObjectError) as exc:
             raise MalformedInputError(f"invalid object record: {exc}") from exc
         _require(raw.get("id") == obj.id, f"object id {raw.get('id')!r} does not match its content hash")
-        _require(graph.add_object(obj) is AddResult.ADDED, f"duplicate object id {obj.id}")
+        _require(graph._store(obj) is AddResult.ADDED, f"duplicate object id {obj.id}")
     for raw in doc["edges"]:
         _require(isinstance(raw, dict), "each edge must be a JSON object")
         try:
             edge = CanvasEdge(
                 src=raw["src"],
                 dst=raw["dst"],
-                kind=EdgeKind(raw["kind"]),
+                kind=_EDGE_KINDS[raw["kind"]],
                 weight=raw["weight"],
-                origin=EdgeOrigin(raw["origin"]),
+                origin=_EDGE_ORIGINS[raw["origin"]],
             )
             added = graph.add_edge(edge)
         except (KeyError, ValueError, TypeError) as exc:

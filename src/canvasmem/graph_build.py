@@ -22,8 +22,9 @@ for a DECISION the turn column gives the objects in the temporal window.
 The visit set is the union of three kinds of row, in row order, so edges
 are added in the order a scan of every object would add them:
 - rows within SCREEN_MARGIN of theta_causal (the lower threshold), whose
-  cosine is verified by the index's exact_cosine, bit-identical to
-  cosine_sim, so every edge weight is the exact scalar value;
+  cosines are verified before the loop by one call of the index's
+  exact_cosines, bit-identical to cosine_sim, so every edge weight is the
+  exact scalar value;
 - rows whose Jaccard reaches keyword_edge_min; the kernel's Jaccard is
   token_jaccard's float to the last bit;
 - for a DECISION, rows at most temporal_window turns before it.
@@ -112,10 +113,18 @@ def link_object(
         # (so below both thresholds), below keyword_edge_min, and outside
         # the temporal window.
         screened = index.cosines(query) >= thresholds.theta_causal - SCREEN_MARGIN
+        screened[own_row] = False  # new_obj never links to itself
         visit = screened | (overlaps >= thresholds.keyword_edge_min)
         if temporal_target:
             visit |= index.turn_window(new_obj.turn, thresholds.temporal_window)
         rows = visit.nonzero()[0].tolist()
+        # A row not verified is below theta_causal, so below both thresholds.
+        # Most links verify nothing or a row or two, so an empty screen
+        # skips the call.
+        verify = screened.nonzero()[0]
+        sims = {}
+        if verify.size:
+            sims = dict(zip(verify.tolist(), index.exact_cosines(query, verify).tolist()))
     added: list[CanvasEdge] = []
     for row in rows:
         other = graph.rows[row]
@@ -126,11 +135,8 @@ def link_object(
             if other.embedding is None:
                 raise MissingEmbeddingError(f"stored object {other.id} has no embedding")
             sim = cosine_sim(other.embedding, new_obj.embedding)
-        elif screened[row]:
-            sim = index.exact_cosine(query, row)
         else:
-            # Screened out: below theta_causal, so below both thresholds.
-            sim = -math.inf
+            sim = sims.get(row, -math.inf)
 
         reference: CanvasEdge | None = None
         if sim >= thresholds.theta_ref:

@@ -3,16 +3,18 @@
 Stages, in order:
 
 1. classify_query picks a query class and an adaptive top-k (multi-hop 15,
-   temporal 12, simple 10).
+   temporal 12, simple 10). Each indicator list is matched by one compiled
+   alternation of whole phrases, cached per list.
 2. coarse_retrieve keeps the top coarse_k objects by hybrid score. It
    screens every stored object at once over the graph's scoring index: one
    matrix-vector product for the cosine half, and the index's token-overlap
-   kernel for the keyword coverage, which is exact. It then verifies only
-   the band that could reach the top coarse_k (within 2 * SCREEN_MARGIN of
-   the coarse_k-th approximate score) with the index's exact_hybrid, which
-   is bit-identical to hybrid_score, so ranks and scores are exact. An
-   index that cannot screen sends every object to the scalar hybrid_score,
-   which raises the typed errors.
+   kernel for the keyword coverage, which is exact and computed once per
+   query. It then verifies only the band that could reach the top coarse_k
+   (within 2 * SCREEN_MARGIN of the coarse_k-th approximate score) with one
+   call of the index's exact_hybrids, which reuses that coverage and is
+   bit-identical to hybrid_score, so ranks and scores are exact. An index
+   that cannot screen sends every object to the scalar hybrid_score, which
+   raises the typed errors.
 3. expand_graph walks edges breadth-first from those hits, both directions
    and both edge kinds, with a 0.8 score decay per hop. It walks the edge
    columns of the scoring index one hop at a time with array operations
@@ -38,7 +40,7 @@ from __future__ import annotations
 import logging
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
@@ -181,8 +183,23 @@ class ScoredObject:
     hop: int = 0
 
 
-def _phrase_found(phrase: str, text: str) -> bool:
-    return re.search(rf"\b{re.escape(phrase)}\b", text) is not None
+@lru_cache(maxsize=64)
+def _indicator_pattern(phrases: tuple[str, ...]) -> Optional[re.Pattern[str]]:
+    """One compiled alternation that finds any of the lowercased phrases as a
+    whole phrase (between word boundaries), or None for no phrases.
+
+    Alternation backtracks through every phrase at every position, so it
+    matches exactly where one of the per-phrase \\b...\\b searches would.
+    """
+    if not phrases:
+        return None
+    alternatives = "|".join(re.escape(phrase.lower()) for phrase in phrases)
+    return re.compile(rf"\b(?:{alternatives})\b")
+
+
+def _any_phrase(phrases: Sequence[str], lowered: str) -> bool:
+    pattern = _indicator_pattern(tuple(phrases))
+    return pattern is not None and pattern.search(lowered) is not None
 
 
 def classify_query(
@@ -198,9 +215,9 @@ def classify_query(
     temporal = temporal_indicators if temporal_indicators is not None else default_temporal_indicators()
     kmap = k_map if k_map is not None else DEFAULT_K_MAP
     lowered = query_text.lower()
-    if any(_phrase_found(p.lower(), lowered) for p in causal):
+    if _any_phrase(causal, lowered):
         klass = QueryClass.MULTI_HOP
-    elif any(_phrase_found(p.lower(), lowered) for p in temporal):
+    elif _any_phrase(temporal, lowered):
         klass = QueryClass.TEMPORAL
     else:
         klass = QueryClass.SIMPLE
@@ -253,11 +270,14 @@ def coarse_retrieve(
         # Screened scores are within SCREEN_MARGIN of the exact ones, so every
         # exact top-coarse_k object sits in the band around the coarse_k-th
         # (every row, when the graph holds coarse_k objects or fewer).
-        approx = index.hybrids(query, weights)
+        coverage = index.coverage(query)
+        approx = index.hybrids(query, weights, coverage)
         cut = max(len(approx) - plan.coarse_k, 0)
         kth = np.partition(approx, cut)[cut]
-        band = np.flatnonzero(approx >= kth - 2 * SCREEN_MARGIN).tolist()
-        scored = [(index.exact_hybrid(query, row, weights), graph.rows[row]) for row in band]
+        band = np.flatnonzero(approx >= kth - 2 * SCREEN_MARGIN)
+        exact = index.exact_hybrids(query, band, weights, coverage)
+        rows = graph.rows
+        scored = [(score, rows[row]) for score, row in zip(exact.tolist(), band.tolist())]
     scored.sort(key=lambda pair: (-pair[0], -pair[1].confidence, pair[1].turn, pair[1].id))
     return [
         ScoredObject(object_id=obj.id, hybrid=score)
@@ -386,7 +406,7 @@ def rerank_candidates(
         raise ValueError("rerank_candidates requires at least one candidate")
     base = sorted(candidates, key=lambda c: -c.hybrid)
     if backend is None:
-        return [replace(c, rerank=c.hybrid) for c in base[:k]]
+        return _hybrid_ranked(base, k)
     pairs = [
         (c.object_id, f"{graph.objects[c.object_id].content}\n{graph.objects[c.object_id].quote}")
         for c in base
@@ -395,13 +415,26 @@ def rerank_candidates(
         raw = backend.rerank(query_text, pairs)
     except Exception as exc:
         logger.warning("reranker backend failed, falling back to hybrid order: %s", exc)
-        return [replace(c, rerank=c.hybrid) for c in base[:k]]
+        return _hybrid_ranked(base, k)
     known = {c.object_id for c in base}
     scores = {cid: float(score) for cid, score in raw if cid in known}
     missing = float("-inf")
-    rescored = [replace(c, rerank=scores.get(c.object_id, missing)) for c in base]
-    rescored.sort(key=lambda c: -(c.rerank if c.rerank is not None else missing))
+    rescored = [
+        ScoredObject(object_id=c.object_id, hybrid=c.hybrid, rerank=scores.get(c.object_id, missing),
+                     provenance=c.provenance, hop=c.hop)
+        for c in base
+    ]
+    rescored.sort(key=lambda c: -c.rerank)
     return rescored[:k]
+
+
+def _hybrid_ranked(base: Sequence[ScoredObject], k: int) -> list[ScoredObject]:
+    """The first k candidates, each with its hybrid score as its rerank score."""
+    return [
+        ScoredObject(object_id=c.object_id, hybrid=c.hybrid, rerank=c.hybrid,
+                     provenance=c.provenance, hop=c.hop)
+        for c in base[:k]
+    ]
 
 
 def render_object_line(obj: CanvasObject) -> str:

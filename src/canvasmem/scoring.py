@@ -12,9 +12,11 @@ into one flat id array), so a single matrix-vector product gives an
 approximate cosine of each object against a query prepared once (its
 float64 vector, norm, token set and token ids). Callers keep only the
 objects whose approximate score could pass their cut within SCREEN_MARGIN
-and verify those from the index: exact_cosine and exact_hybrid run the
-operations of cosine_sim and hybrid_score, in the same order, on the same
-float64 values, so every stored edge weight and every ranked score is
+and verify those from the index in one call: exact_cosines and
+exact_hybrids take the rows to verify and run the operations of cosine_sim
+and hybrid_score, in the same order, on the same float64 values (one dot
+product per row, then the division, the clamp and the blend as float64
+array operations), so every stored edge weight and every ranked score is
 bit-identical to the scalar value.
 
 The token half needs no screen. The token-overlap kernel marks a query's
@@ -234,13 +236,15 @@ class ScoringIndex:
     flat array with per-row offsets (CSR).
 
     cosines() and hybrids() screen every row at once, within SCREEN_MARGIN;
-    exact_cosine() and exact_hybrid() verify one row, bit-identical to
-    cosine_sim and hybrid_score. The token kernel is exact: a query marks
-    its ids in a mask over the vocabulary, and the marked entries of a
-    column's flat id array, counted per row, give every row's overlap with
-    the query at once. jaccards() and the coverage in hybrids() divide those integer counts by
-    integer sizes, as token_jaccard and token_coverage do, so they are the
-    same float64 to the last bit. A row the index cannot screen (no
+    exact_cosines() and exact_hybrids() verify the rows a caller lists, in
+    one call, bit-identical to cosine_sim and hybrid_score. The token
+    kernel is exact: a query marks its ids in a mask over the vocabulary,
+    and the marked entries of a column's flat id array, counted per row,
+    give every row's overlap with the query at once. jaccards() and
+    coverage() divide those integer counts by integer sizes, as
+    token_jaccard and token_coverage do, so they are the same float64 to
+    the last bit; a caller computes coverage() once per query and passes it
+    to both hybrids() and exact_hybrids(). A row the index cannot screen (no
     embedding, not a 1-D vector of the index's dimension, a zero or extreme
     norm) is a fault; while the index holds one, prepare() returns None and
     the caller scores every row with the scalar functions, which raise the
@@ -477,32 +481,48 @@ class ScoringIndex:
         n = len(self)
         return (self._matrix[:n] @ query.vector) / (self._norms[:n] * query.norm)
 
-    def hybrids(self, query: PreparedQuery, weights: HybridWeights) -> np.ndarray:
-        """Approximate hybrid_score of every row; the keyword half is exact."""
-        if query.tokens:
-            coverage = self._shared_counts(self._document, query.token_ids) / len(query.tokens)
-        else:
-            coverage = np.zeros(len(self))
+    def coverage(self, query: PreparedQuery) -> np.ndarray:
+        """token_coverage of the query's tokens in every row's content and
+        quote, to the last bit: integer counts over an integer size."""
+        if not query.tokens:
+            return np.zeros(self._rows)
+        return self._shared_counts(self._document, query.token_ids) / len(query.tokens)
+
+    def hybrids(
+        self, query: PreparedQuery, weights: HybridWeights, coverage: np.ndarray
+    ) -> np.ndarray:
+        """Approximate hybrid_score of every row; coverage (from coverage())
+        is the exact keyword half."""
         semantic = np.clip(self.cosines(query), 0.0, 1.0)
         return weights.alpha * semantic + (1.0 - weights.alpha) * coverage
 
-    def exact_cosine(self, query: PreparedQuery, row: int) -> float:
-        """cosine_sim of the query and row's embedding, to the last bit.
+    def exact_cosines(self, query: PreparedQuery, rows: np.ndarray) -> np.ndarray:
+        """cosine_sim of the query and each listed row's embedding, to the last bit.
 
         The same float64 values and the same operations as cosine_sim: one
-        dot product, divided by the product of the two norms.
+        dot product per row (a matrix-vector product may sum in another
+        order), each divided by the product of the two norms.
         """
-        return float(np.dot(query.vector, self._matrix[row]) / (query.norm * self._norms[row]))
+        dot, matrix = query.vector.dot, self._matrix
+        dots = np.array([dot(matrix[row]) for row in rows.tolist()])
+        return dots / (query.norm * self._norms[rows])
 
-    def exact_hybrid(self, query: PreparedQuery, row: int, weights: HybridWeights) -> float:
-        """hybrid_score of the query and row's object, to the last bit."""
-        semantic = min(1.0, max(0.0, self.exact_cosine(query, row)))
-        lexical = 0.0
-        if query.tokens:
-            offsets, ids = self._document
-            row_ids = ids[offsets[row]:offsets[row + 1]].tolist()
-            lexical = len(query.token_ids.intersection(row_ids)) / len(query.tokens)
-        return weights.alpha * semantic + (1.0 - weights.alpha) * lexical
+    def exact_hybrids(
+        self,
+        query: PreparedQuery,
+        rows: np.ndarray,
+        weights: HybridWeights,
+        coverage: np.ndarray,
+    ) -> np.ndarray:
+        """hybrid_score of the query and each listed row's object, to the last bit.
+
+        The cosine is clamped as min(1.0, max(0.0, cosine)) is, and blended
+        as hybrid_score blends it, one float64 array operation at a time;
+        the keyword half is coverage (from coverage()) at those rows.
+        """
+        cos = self.exact_cosines(query, rows)
+        semantic = np.where(cos > 0.0, np.where(cos < 1.0, cos, 1.0), 0.0)
+        return weights.alpha * semantic + (1.0 - weights.alpha) * coverage[rows]
 
 
 class MockEmbedder:

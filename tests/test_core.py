@@ -274,6 +274,81 @@ def test_deserialize_rejects_edge_to_unknown_object():
         deserialize_graph(json.dumps(doc).encode())
 
 
+def _tampered(section, field, value):
+    doc = json.loads(serialize_graph(_sample_graph()))
+    doc[section][0][field] = value
+    return json.dumps(doc).encode()
+
+
+@pytest.mark.parametrize("section, field", [
+    ("objects", "kind"), ("objects", "source"), ("edges", "kind"), ("edges", "origin"),
+])
+@pytest.mark.parametrize("value", ["BOGUS", "decision", ["DECISION"], {"a": 1}, None, 0])
+def test_deserialize_rejects_unknown_or_unhashable_enum_values(section, field, value):
+    with pytest.raises(MalformedInputError):
+        deserialize_graph(_tampered(section, field, value))
+
+
+@pytest.mark.parametrize("section, field, value", [
+    ("objects", "turn", -1),
+    ("objects", "turn", True),
+    ("objects", "quote", "   "),
+    ("objects", "confidence", 1.5),
+    ("objects", "embedding", []),
+    ("edges", "weight", 1.5),
+    ("edges", "src", ["unhashable"]),
+    ("edges", "dst", {"unhashable": 1}),
+    ("edges", "src", 7),
+])
+def test_deserialize_rejects_invalid_field_values(section, field, value):
+    with pytest.raises(MalformedInputError):
+        deserialize_graph(_tampered(section, field, value))
+
+
+def test_deserialize_rejects_backward_causal_and_self_loop_and_duplicate_edges():
+    doc = json.loads(serialize_graph(_sample_graph()))
+    edge = doc["edges"][0]
+    backward = dict(edge, src=edge["dst"], dst=edge["src"])
+    loop = dict(edge, dst=edge["src"])
+    for edges in ([backward], [loop], [edge, dict(edge)], [edge, dict(edge, weight=0.5)]):
+        with pytest.raises(MalformedInputError):
+            deserialize_graph(json.dumps(dict(doc, edges=edges)).encode())
+    # A backward edge of the other kind is fine, and so is the same pair
+    # under another kind.
+    reference = dict(backward, kind="REFERENCE", origin="SIMILARITY")
+    loaded = deserialize_graph(json.dumps(dict(doc, edges=[edge, reference])).encode())
+    assert [e.kind for e in loaded.edges] == [EdgeKind.CAUSAL, EdgeKind.REFERENCE]
+
+
+@pytest.mark.parametrize("next_turn", [-1, "3", None, 2.0])
+def test_deserialize_rejects_bad_next_turn(next_turn):
+    doc = json.loads(serialize_graph(_sample_graph()))
+    doc["next_turn"] = next_turn
+    with pytest.raises(MalformedInputError):
+        deserialize_graph(json.dumps(doc).encode())
+
+
+def test_a_loaded_graph_behaves_like_the_graph_it_was_saved_from():
+    late = make_obj(content="late fact", turn=9, embedding=[0.0, 1.0])
+    early = make_obj(content="early fact", turn=4, embedding=[1.0, 0.0])
+    graph = _sample_graph()
+    graph.add_object(late)
+    graph.add_object(early)
+    graph.mark_turn_ingested(11)
+    loaded = deserialize_graph(serialize_graph(graph))
+    assert loaded == graph
+    assert loaded.rows == graph.rows
+    assert (loaded.turn_ordered, loaded.next_turn) == (graph.turn_ordered, graph.next_turn) == (
+        False, 12)
+    edge = graph.edges[0]
+    # The loaded graph rejects the edge it holds, and takes new ones.
+    assert loaded.add_edge(edge) is False
+    assert loaded.add_edge(CanvasEdge(src=late.id, dst=early.id, kind=EdgeKind.REFERENCE,
+                                      weight=0.5, origin=EdgeOrigin.KEYWORD)) is True
+    assert loaded.add_object(early) is AddResult.DUPLICATE
+    assert loaded.neighbors(late.id) == [early.id]
+
+
 @given(
     content=st.text(min_size=1).filter(lambda s: s.split()),
     turn=st.integers(min_value=0, max_value=10_000),

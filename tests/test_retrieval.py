@@ -1,13 +1,17 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from canvasmem.core import CanvasEdge, CanvasGraph, EdgeKind, EdgeOrigin, ObjectKind
 from canvasmem.retrieval import (
     DEFAULT_BUDGET_TOKENS,
     DEFAULT_COARSE_K,
+    DEFAULT_K_MAP,
     EXPANSION_DECAY,
     INJECTION_HEADER,
     REASONING_INSTRUCTION,
@@ -20,6 +24,8 @@ from canvasmem.retrieval import (
     build_injection,
     classify_query,
     coarse_retrieve,
+    default_causal_indicators,
+    default_temporal_indicators,
     default_token_counter,
     expand_graph,
     greedy_select,
@@ -85,6 +91,55 @@ def test_classify_query_accepts_custom_indicators_and_k_map():
         k_map={QueryClass.MULTI_HOP: 3, QueryClass.TEMPORAL: 2, QueryClass.SIMPLE: 1},
     )
     assert klass is QueryClass.MULTI_HOP and k == 3
+
+
+def _oracle_classify(query_text, causal, temporal):
+    """The per-phrase search classify_query replaced: one re.search per phrase."""
+    lowered = query_text.lower()
+
+    def found(phrase):
+        return re.search(rf"\b{re.escape(phrase.lower())}\b", lowered) is not None
+
+    if any(found(p) for p in causal):
+        return QueryClass.MULTI_HOP
+    if any(found(p) for p in temporal):
+        return QueryClass.TEMPORAL
+    return QueryClass.SIMPLE
+
+
+# Phrases with regex metacharacters, upper case, spaces, word and non-word
+# edges, the empty phrase, and "after", which the default lists share.
+_PHRASES = ("after", "why did", "When", "how long", "c++", "a.b", "(x)", "[y]", "$5", "^up",
+            "a|b", "end.", ".net", "what?", "x*", "", "led to", "Before", "back\\slash")
+_phrase_lists = st.lists(st.sampled_from(_PHRASES), max_size=5)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    causal=_phrase_lists,
+    temporal=_phrase_lists,
+    as_list=st.booleans(),
+    words=st.lists(st.sampled_from(_PHRASES[:-1] + ("AFTER", "afterwards", "c+++", "axb", "x", "y",
+                                                 "$", "5", "net", "what", "b", "ab")),
+                   min_size=1, max_size=6),
+    separator=st.sampled_from([" ", "", ", ", "-", "_"]),
+)
+def test_classify_query_matches_the_per_phrase_search(causal, temporal, as_list, words, separator):
+    text = separator.join(words)
+    assume(text.strip())
+    if not as_list:
+        causal, temporal = tuple(causal), tuple(temporal)
+    want = _oracle_classify(text, causal, temporal)
+    assert classify_query(text, causal, temporal) == (want, DEFAULT_K_MAP[want])
+
+
+def test_classify_query_with_default_lists_matches_the_per_phrase_search():
+    causal, temporal = default_causal_indicators(), default_temporal_indicators()
+    assert "after" in causal and "after" in temporal
+    for text in ("What happened after the deploy?", "AFTERWARDS we left", "how long, after all?",
+                 "When did it break", "before lunch", "plain question", "what date was it",
+                 "it resulted in", "whence", "why didn't it"):
+        assert classify_query(text)[0] is _oracle_classify(text, causal, temporal)
 
 
 def test_retrieval_config_presets():

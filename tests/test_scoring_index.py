@@ -3,7 +3,8 @@
 The oracle below is the per-pair linking loop and the score-everything
 coarse retrieval that the scoring index replaced. Every edge the screened
 link_object adds, and every coarse hit, must equal the oracle's exactly:
-same order, same float values.
+same order, same float values. The index's array verify is also held to the
+per-row verify it replaced (one row's cosine and hybrid score per call).
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from canvasmem.retrieval import (
     ScoredObject,
     coarse_retrieve,
     retrieve,
+    retrieve_detailed,
 )
 from canvasmem.scoring import (
     _SCREENABLE_NORMS,
@@ -284,13 +286,13 @@ def test_seeded_engine_run_is_byte_identical_to_the_oracle(seed, monkeypatch):
 
 def test_screen_verifies_only_pairs_that_could_link(monkeypatch):
     calls = []
-    real = ScoringIndex.exact_cosine
+    real = ScoringIndex.exact_cosines
 
-    def counted(self, query, row):
-        calls.append(1)
-        return real(self, query, row)
+    def counted(self, query, rows):
+        calls.extend(rows.tolist())
+        return real(self, query, rows)
 
-    monkeypatch.setattr(ScoringIndex, "exact_cosine", counted)
+    monkeypatch.setattr(ScoringIndex, "exact_cosines", counted)
     graph = CanvasGraph()
     for turn in range(8):
         obj = make_obj(content=f"item {turn}", turn=turn, embedding=axis(turn))
@@ -453,11 +455,50 @@ def test_writes_to_a_snapshot_do_not_corrupt_the_parent_index():
 
 
 # ---------------------------------------------------------------------------
-# Exact verify: the index's per-row scorers against the scalar functions
+# Exact verify: the index's array scorers against the scalar functions and
+# against the per-row verify they replaced
 # ---------------------------------------------------------------------------
 
 def _bits(value: float) -> str:
     return float(value).hex()
+
+
+def oracle_exact_cosine(index, query, row):
+    """The per-row verify: one row's cosine, as cosine_sim computes it."""
+    return float(np.dot(query.vector, index._matrix[row]) / (query.norm * index._norms[row]))
+
+
+def oracle_exact_hybrid(index, query, row, weights):
+    """The per-row verify: one row's hybrid score, as hybrid_score computes it."""
+    semantic = min(1.0, max(0.0, oracle_exact_cosine(index, query, row)))
+    lexical = 0.0
+    if query.tokens:
+        offsets, ids = index._document
+        row_ids = ids[offsets[row]:offsets[row + 1]].tolist()
+        lexical = len(query.token_ids.intersection(row_ids)) / len(query.tokens)
+    return weights.alpha * semantic + (1.0 - weights.alpha) * lexical
+
+
+def oracle_verified_coarse_retrieve(graph, plan, weights=None):
+    """coarse_retrieve with the per-row verify: the same screen and band, each
+    row of the band scored by its own call."""
+    if weights is None:
+        weights = HybridWeights()
+    index = graph.scoring_index()
+    query = index.prepare(plan.query_embedding, plan.query_text)
+    if query is None:
+        return oracle_coarse_retrieve(graph, plan, weights)
+    approx = index.hybrids(query, weights, index.coverage(query))
+    cut = max(len(approx) - plan.coarse_k, 0)
+    kth = np.partition(approx, cut)[cut]
+    band = np.flatnonzero(approx >= kth - 2 * SCREEN_MARGIN).tolist()
+    scored = [(oracle_exact_hybrid(index, query, row, weights), graph.rows[row]) for row in band]
+    scored.sort(key=lambda pair: (-pair[0], -pair[1].confidence, pair[1].turn, pair[1].id))
+    return [ScoredObject(object_id=obj.id, hybrid=score) for score, obj in scored[: plan.coarse_k]]
+
+
+def _all_rows(index) -> np.ndarray:
+    return np.arange(len(index))
 
 
 LOW_NORM, HIGH_NORM = _SCREENABLE_NORMS
@@ -511,13 +552,16 @@ def test_exact_scorers_are_bit_identical_to_the_scalar_functions(
     query = index.prepare(query_vec, query_text)
     assert query is not None
     weights = HybridWeights(alpha)
+    rows = _all_rows(index)
+    cosines = index.exact_cosines(query, rows).tolist()
+    hybrids = index.exact_hybrids(query, rows, weights, index.coverage(query)).tolist()
     for row, obj in enumerate(objects):
-        exact = index.exact_cosine(query, row)
         # Linking passes the stored vector first, retrieval the query first.
-        assert _bits(exact) == _bits(cosine_sim(query_vec, obj.embedding))
-        assert _bits(exact) == _bits(cosine_sim(obj.embedding, query_vec))
-        assert _bits(index.exact_hybrid(query, row, weights)) == _bits(
-            hybrid_score(query_vec, query_text, obj, weights))
+        assert _bits(cosines[row]) == _bits(cosine_sim(query_vec, obj.embedding))
+        assert _bits(cosines[row]) == _bits(cosine_sim(obj.embedding, query_vec))
+        assert _bits(cosines[row]) == _bits(oracle_exact_cosine(index, query, row))
+        assert _bits(hybrids[row]) == _bits(hybrid_score(query_vec, query_text, obj, weights))
+        assert _bits(hybrids[row]) == _bits(oracle_exact_hybrid(index, query, row, weights))
 
 
 def test_a_fork_verifies_its_rows_after_the_owner_appended_past_it():
@@ -537,10 +581,133 @@ def test_a_fork_verifies_its_rows_after_the_owner_appended_past_it():
         assert len(index) == len(index.cosines(query)) == len(seen)
         assert [_bits(j) for j in index.jaccards(token_set("row 7 redis")).tolist()] == [
             _bits(token_jaccard(token_set(obj.content), token_set("row 7 redis"))) for obj in seen]
+        rows = _all_rows(index)
+        cosines = index.exact_cosines(query, rows).tolist()
+        hybrids = index.exact_hybrids(query, rows, HybridWeights(), index.coverage(query)).tolist()
         for row, obj in enumerate(seen):
-            assert _bits(index.exact_cosine(query, row)) == _bits(cosine_sim(query_vec, obj.embedding))
-            assert _bits(index.exact_hybrid(query, row, HybridWeights())) == _bits(
-                hybrid_score(query_vec, "redis row", obj))
+            assert _bits(cosines[row]) == _bits(cosine_sim(query_vec, obj.embedding))
+            assert _bits(hybrids[row]) == _bits(hybrid_score(query_vec, "redis row", obj))
+
+
+# Small integer components, signed zeros included, make exact ties, negative
+# cosines and cosines that round past 1 ([1, 1, 1] against itself reads
+# 1.0000000000000002).
+_edge_vector = st.lists(st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0]),
+                        min_size=3, max_size=3).filter(any)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    vectors=st.lists(_edge_vector, min_size=1, max_size=8),
+    words=st.lists(st.lists(st.sampled_from(WORDS), min_size=1, max_size=3), min_size=8, max_size=8),
+    query=_edge_vector,
+    query_words=st.lists(st.sampled_from(WORDS + ("unseen",)), max_size=3),
+    alpha=st.sampled_from([0.0, 0.7, 1.0]),
+    picks=st.lists(st.integers(0, 7), max_size=10),
+)
+def test_array_verify_equals_the_per_row_verify(vectors, words, query, query_words, alpha, picks):
+    objects = [make_obj(content=" ".join(words[turn]), turn=turn, embedding=vec)
+               for turn, vec in enumerate(vectors)]
+    index = ScoringIndex()
+    index.extend(objects)
+    prepared = index.prepare(query, " ".join(query_words))
+    weights = HybridWeights(alpha)
+    coverage = index.coverage(prepared)
+    # Any rows in any order, repeats and none at all included.
+    rows = np.array([pick % len(objects) for pick in picks], dtype=np.intp)
+    cosines = index.exact_cosines(prepared, rows)
+    hybrids = index.exact_hybrids(prepared, rows, weights, coverage)
+    assert cosines.shape == hybrids.shape == rows.shape
+    for row, cos, hybrid in zip(rows.tolist(), cosines.tolist(), hybrids.tolist()):
+        assert _bits(cos) == _bits(oracle_exact_cosine(index, prepared, row))
+        assert _bits(cos) == _bits(cosine_sim(query, objects[row].embedding))
+        assert _bits(hybrid) == _bits(oracle_exact_hybrid(index, prepared, row, weights))
+        assert _bits(hybrid) == _bits(hybrid_score(query, " ".join(query_words), objects[row], weights))
+
+
+def test_cosines_past_one_and_below_zero_reach_the_verify():
+    index = ScoringIndex()
+    index.extend([make_obj(content="same", turn=0, embedding=[1.0, 1.0, 1.0]),
+                  make_obj(content="opposite", turn=1, embedding=[-1.0, -1.0, -1.0])])
+    query = index.prepare([1.0, 1.0, 1.0], "same")
+    rows = _all_rows(index)
+    assert index.exact_cosines(query, rows).tolist() == [1.0000000000000002, -1.0000000000000002]
+    for alpha in (0.0, 0.7, 1.0):
+        weights = HybridWeights(alpha)
+        assert [_bits(h) for h in index.exact_hybrids(query, rows, weights, index.coverage(query))] == [
+            _bits(oracle_exact_hybrid(index, query, row, weights)) for row in rows.tolist()]
+
+
+_cosine = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1.0, -1.0, 1.0000000000000002, 0.9999999999999999,
+                     5e-324, -5e-324, 0.5, -1.0000000000000002]),
+    st.floats(-1.5, 1.5),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cosines=st.lists(_cosine, max_size=6), alpha=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+       covered=st.lists(st.integers(0, 3), min_size=6, max_size=6))
+def test_clamp_and_blend_follow_the_scalar_rule(cosines, alpha, covered):
+    """Any cosine, -0.0 and values past 1 included, is clamped and blended
+    as hybrid_score does it."""
+    index = ScoringIndex()
+    index.extend([make_obj(content=f"row {i}", turn=i, embedding=axis(i)) for i in range(6)])
+    rows = np.arange(len(cosines), dtype=np.intp)
+    index.exact_cosines = lambda query, picked: np.array(cosines, dtype=np.float64)[picked]
+    coverage = np.array(covered) / 3
+    weights = HybridWeights(alpha)
+    got = index.exact_hybrids(index.prepare(axis(0)), rows, weights, coverage)
+    assert [_bits(h) for h in got.tolist()] == [
+        _bits(alpha * min(1.0, max(0.0, cos)) + (1.0 - alpha) * (covered[row] / 3))
+        for row, cos in enumerate(cosines)]
+
+
+def test_empty_rows_verify_to_empty_arrays():
+    index = ScoringIndex()
+    index.extend([make_obj(content="redis", turn=0, embedding=axis(0))])
+    query = index.prepare(axis(0), "redis")
+    none = np.empty(0, dtype=np.intp)
+    assert index.exact_cosines(query, none).shape == (0,)
+    assert index.exact_hybrids(query, none, HybridWeights(), index.coverage(query)).shape == (0,)
+
+
+class _FixedEmbedder:
+    def __init__(self, vector):
+        self.vector = vector
+
+    def embed(self, text):
+        return list(self.vector)
+
+
+def _result_bits(result):
+    def rows(scored):
+        return [(s.object_id, _bits(s.hybrid), None if s.rerank is None else _bits(s.rerank),
+                 s.provenance, s.hop) for s in scored]
+
+    return rows(result.ranked), rows(result.selected), result.injection
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    objects=st.lists(_object, min_size=1, max_size=14),
+    query=_int_vector,
+    question=st.sampled_from(["why did the redis cache fail", "when is the deploy",
+                              "schema billing gateway", "the of"]),
+    coarse_k=st.integers(1, 6),
+    alpha=st.sampled_from([0.0, 0.7, 1.0]),
+)
+def test_retrieve_detailed_equals_the_per_row_verify(objects, query, question, coarse_k, alpha):
+    objects.sort(key=lambda obj: obj.turn)
+    graph, _ = build_pair(objects)
+    embedder = _FixedEmbedder(query)
+    for hops in (0, 1, 4):
+        config = RetrievalConfig(weights=HybridWeights(alpha), coarse_k=coarse_k, hops=hops)
+        got = retrieve_detailed(graph, question, embedder, config)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(canvasmem.retrieval, "coarse_retrieve", oracle_verified_coarse_retrieve)
+            want = retrieve_detailed(graph, question, embedder, config)
+        assert _result_bits(got) == _result_bits(want)
 
 
 @pytest.mark.parametrize("size", [1, 2, 5, 6])
@@ -568,8 +735,8 @@ def test_an_index_with_a_fault_takes_the_scalar_path(fault, monkeypatch):
     def exact(*args):
         raise AssertionError("an index with a fault must not verify rows itself")
 
-    monkeypatch.setattr(ScoringIndex, "exact_cosine", exact)
-    monkeypatch.setattr(ScoringIndex, "exact_hybrid", exact)
+    monkeypatch.setattr(ScoringIndex, "exact_cosines", exact)
+    monkeypatch.setattr(ScoringIndex, "exact_hybrids", exact)
     graph = CanvasGraph()
     objects = [make_obj(content=f"fine {i}", turn=i, embedding=axis(i)) for i in range(3)]
     objects.insert(1, make_obj(content="broken", turn=1, embedding=embedding))
@@ -627,9 +794,11 @@ def test_token_kernel_is_bit_identical_to_the_scalar_functions(rows, query):
     text = " ".join(sorted(query))
     prepared = index.prepare(axis(0), text)
     coverage = [_bits(token_coverage(token_set(text), document)) for _, document in stored]
-    assert [_bits(c) for c in index.hybrids(prepared, HybridWeights(0.0)).tolist()] == coverage
-    assert [_bits(index.exact_hybrid(prepared, row, HybridWeights(0.0)))
-            for row in range(len(stored))] == coverage
+    covered = index.coverage(prepared)
+    assert [_bits(c) for c in covered.tolist()] == coverage
+    assert [_bits(c) for c in index.hybrids(prepared, HybridWeights(0.0), covered).tolist()] == coverage
+    assert [_bits(c) for c in index.exact_hybrids(
+        prepared, _all_rows(index), HybridWeights(0.0), covered).tolist()] == coverage
 
 
 def test_forks_and_their_owner_never_see_each_others_rows_or_token_ids():

@@ -134,3 +134,28 @@ def test_edge_columns_stay_isolated_both_ways_after_snapshot(first):
     assert graph.neighbors(d.id) == []
     assert twin.neighbors(a.id) == [b.id]
     assert twin.neighbors(b.id) == [a.id, c.id, d.id]
+
+
+def test_duplicate_edges_are_rejected_on_both_sides_after_snapshot():
+    """A snapshot copies no edge keys; each side still rejects a repeated
+    (src, dst, kind) triple, its own and those it held before the fork."""
+    graph, a, b = _pair_graph()
+    c = make_obj(content="the cache ttl is 90 seconds", turn=2, embedding=axis(2))
+    twin = graph.snapshot()
+    for side in (graph, twin):
+        side.add_object(c)
+        assert side.add_edge(_edge(a, b)) is False
+        assert side.add_edge(_edge(b, c)) is True
+        assert side.add_edge(_edge(b, c)) is False
+        # Another kind on the same pair is a different triple.
+        assert side.add_edge(CanvasEdge(src=b.id, dst=c.id, kind=EdgeKind.CAUSAL, weight=0.5,
+                                        origin=EdgeOrigin.SIMILARITY)) is True
+    # A fork of a fork, written after its parent wrote.
+    grandchild = twin.snapshot()
+    assert twin.add_edge(_edge(a, c)) is True
+    assert grandchild.add_edge(_edge(b, c)) is False
+    assert grandchild.add_edge(_edge(a, c)) is True
+    assert [(e.src, e.dst, e.kind) for e in graph.edges] == [
+        (a.id, b.id, EdgeKind.REFERENCE), (b.id, c.id, EdgeKind.REFERENCE),
+        (b.id, c.id, EdgeKind.CAUSAL)]
+    assert twin.edges == grandchild.edges
