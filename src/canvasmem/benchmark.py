@@ -18,26 +18,33 @@ Conditions:
 
 The answering backend defaults to an echo mock that returns its context, so
 metrics measure what each strategy preserved rather than model skill.
+
+Sweeps: run_sweep takes a list of settings, each the label fields of one
+table row plus the EngineConfig it runs under, runs the condition of every
+setting over every case and pools each setting's records into its row. The
+threshold, rag and alpha sweeps and the per-hop retrieval recall are such
+lists. A case is ingested once per distinct link setting (thresholds and
+gleaning); settings that change only retrieval reuse that graph.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, replace
 from enum import Enum
 from statistics import fmean
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .backends import BackendBundle
+from .backends import BackendBundle, EchoAnswerer
 from .config import EngineConfig
 from .core import CanvasGraph, ObjectKind, normalize_text
 from .engine import CanvasEngine
 from .errors import CanvasError, EmptyKeywordsError
 from .extraction import ConversationTurn
 from .retrieval import default_token_counter, retrieve
-from .scoring import ScoringIndex, cosine_sim, tokenize
+from .scoring import HybridWeights, ScoringIndex, cosine_sim, tokenize
 
 FUZZY_RECALL_THRESHOLD = 80.0
 KEYWORD_PASS_THRESHOLD = 0.8
@@ -52,6 +59,7 @@ THRESHOLD_PRESETS = (
     ("high", 0.7, 0.6),
     ("very-high", 0.8, 0.7),
 )
+ALPHA_GRID = (0.0, 0.3, 0.5, 0.7, 1.0)
 
 
 class Variant(str, Enum):
@@ -708,11 +716,14 @@ def run_condition(
     condition: str,
     bundle: BackendBundle,
     config: EngineConfig | None = None,
+    graph: CanvasGraph | None = None,
 ) -> ConditionResult:
     """Evaluate one memory strategy on one case.
 
-    A backend failure on a single question marks it unanswered with zero
-    scores and evaluation moves on.
+    The canvas condition retrieves from graph when one is given, which must
+    be the case ingested under config's link settings, and ingests the case
+    otherwise. A backend failure on a single question marks it unanswered
+    with zero scores and evaluation moves on.
     """
     if config is None:
         config = EngineConfig()
@@ -732,11 +743,16 @@ def run_condition(
         fixed = build_summarization_context(turns, bundle.summarizer, bench.recent_turns)
         context_for = lambda question: fixed
     elif condition == "rag":
+        if bench.rag_preset not in RAG_PRESETS:
+            raise ValueError(
+                f"unknown rag preset {bench.rag_preset!r}; choose from {', '.join(RAG_PRESETS)}"
+            )
         context_for = rag_retriever(turns, bundle.embedder, RAG_PRESETS[bench.rag_preset])
     else:
-        engine = ingest_case(case, bundle, config)
+        if graph is None:
+            graph = ingest_case(case, bundle, config).graph
         context_for = lambda question: retrieve(
-            engine.graph, question, bundle.embedder, config.retrieval, bundle.reranker
+            graph, question, bundle.embedder, config.retrieval, bundle.reranker
         )
 
     records: list[QuestionRecord] = []
@@ -773,36 +789,44 @@ def run_condition(
 # Sweeps and retrieval-only evaluation
 # ---------------------------------------------------------------------------
 
-def _pooled_row(results: Sequence[ConditionResult]) -> dict:
+# A sweep setting: the label fields of its row and the config it runs under.
+Setting = tuple[dict, EngineConfig]
+
+
+def pooled_row(results: Sequence[ConditionResult]) -> dict:
+    """The aggregates of every record in results, as one table row."""
     pooled: list[QuestionRecord] = []
     for result in results:
         pooled.extend(result.records)
     return aggregate_records(pooled).to_dict()
 
 
-def threshold_sweep(
+def run_sweep(
     cases: Sequence[BenchmarkCase],
     bundle: BackendBundle,
-    config: EngineConfig | None = None,
-    grid: Sequence[tuple[str, float, float]] = THRESHOLD_PRESETS,
+    settings: Sequence[Setting],
+    condition: str = "canvas",
 ) -> list[dict]:
-    """Canvas-condition metrics per (theta_ref, theta_causal) configuration."""
-    if config is None:
-        config = EngineConfig()
-    rows = []
-    for label, theta_ref, theta_causal in grid:
-        swept = replace(
-            config,
-            thresholds=replace(config.thresholds, theta_ref=theta_ref, theta_causal=theta_causal),
-        )
-        results = [run_condition(case, "canvas", bundle, swept) for case in cases]
-        rows.append({
-            "config": label,
-            "theta_ref": theta_ref,
-            "theta_causal": theta_causal,
-            **_pooled_row(results),
-        })
-    return rows
+    """One row per setting: its label fields, then the condition's metrics
+    pooled over every case run under the setting's config.
+
+    For the canvas condition each case is ingested once per distinct link
+    setting (thresholds and gleaning, all that ingest reads from the
+    config), and that graph serves every setting that differs from it only
+    in retrieval.
+    """
+    results: list[list[ConditionResult]] = [[] for _ in settings]
+    for case in cases:
+        graphs: dict[tuple, CanvasGraph] = {}
+        for (_, config), pooled in zip(settings, results):
+            graph = None
+            if condition == "canvas":
+                link = (astuple(config.thresholds), config.gleaning)
+                if link not in graphs:
+                    graphs[link] = ingest_case(case, bundle, config).graph
+                graph = graphs[link]
+            pooled.append(run_condition(case, condition, bundle, config, graph))
+    return [{**fields, **pooled_row(pooled)} for (fields, _), pooled in zip(settings, results)]
 
 
 def ref_grid(values: Sequence[float] = THRESHOLD_GRID_DEFAULT) -> list[tuple[str, float, float]]:
@@ -813,50 +837,53 @@ def ref_grid(values: Sequence[float] = THRESHOLD_GRID_DEFAULT) -> list[tuple[str
     ]
 
 
-def rag_sweep(
-    cases: Sequence[BenchmarkCase],
-    bundle: BackendBundle,
-    config: EngineConfig | None = None,
-    preset_names: Sequence[str] = ("rag-small", "rag-default", "rag-large", "rag-topk10"),
-) -> list[dict]:
-    """RAG-condition metrics per chunking preset."""
-    if config is None:
-        config = EngineConfig()
-    rows = []
-    for name in preset_names:
-        preset = RAG_PRESETS[name]
-        swept = replace(config, bench=replace(config.bench, rag_preset=name))
-        results = [run_condition(case, "rag", bundle, swept) for case in cases]
-        rows.append({
-            "config": name,
-            "chunk_size": preset.chunk_size,
-            "top_k": preset.top_k,
-            "overlap": preset.overlap,
-            **_pooled_row(results),
-        })
-    return rows
-
-
-def alpha_sweep(
-    cases: Sequence[BenchmarkCase],
-    bundle: BackendBundle,
-    config: EngineConfig | None = None,
-    alphas: Sequence[float] = (0.0, 0.3, 0.5, 0.7, 1.0),
-) -> list[dict]:
-    """Canvas-condition metrics per hybrid blend weight."""
-    if config is None:
-        config = EngineConfig()
-    from .scoring import HybridWeights
-
-    rows = []
-    for alpha in alphas:
-        swept = replace(
-            config,
-            retrieval=replace(config.retrieval, weights=HybridWeights(alpha=alpha)),
+def threshold_settings(
+    config: EngineConfig,
+    grid: Sequence[tuple[str, float, float]] = THRESHOLD_PRESETS,
+) -> list[Setting]:
+    """One canvas setting per (label, theta_ref, theta_causal) grid entry."""
+    return [
+        (
+            {"config": label, "theta_ref": theta_ref, "theta_causal": theta_causal},
+            replace(config, thresholds=replace(
+                config.thresholds, theta_ref=theta_ref, theta_causal=theta_causal,
+            )),
         )
-        results = [run_condition(case, "canvas", bundle, swept) for case in cases]
-        rows.append({"config": f"alpha-{alpha:g}", "alpha": alpha, **_pooled_row(results)})
-    return rows
+        for label, theta_ref, theta_causal in grid
+    ]
+
+
+def rag_settings(config: EngineConfig) -> list[Setting]:
+    """One rag setting per chunking preset."""
+    return [
+        (
+            {"config": name, "chunk_size": preset.chunk_size, "top_k": preset.top_k,
+             "overlap": preset.overlap},
+            replace(config, bench=replace(config.bench, rag_preset=name)),
+        )
+        for name, preset in RAG_PRESETS.items()
+    ]
+
+
+def alpha_settings(config: EngineConfig) -> list[Setting]:
+    """One canvas setting per hybrid blend weight; all share one ingest per case."""
+    return [
+        (
+            {"config": f"alpha-{alpha:g}", "alpha": alpha},
+            replace(config, retrieval=replace(config.retrieval, weights=HybridWeights(alpha))),
+        )
+        for alpha in ALPHA_GRID
+    ]
+
+
+def threshold_sweep(
+    cases: Sequence[BenchmarkCase],
+    bundle: BackendBundle,
+    config: EngineConfig | None = None,
+    grid: Sequence[tuple[str, float, float]] = THRESHOLD_PRESETS,
+) -> list[dict]:
+    """Canvas-condition metrics per (theta_ref, theta_causal) configuration."""
+    return run_sweep(cases, bundle, threshold_settings(config or EngineConfig(), grid))
 
 
 def retrieval_recall_eval(
@@ -867,24 +894,18 @@ def retrieval_recall_eval(
 ) -> list[dict]:
     """Keyword recall of the injected block itself, per hop budget.
 
-    No answerer in the loop: per question, recall is the keyword coverage of
-    the injection block. Graphs are ingested once per case and shared
-    across hop settings, since hops only affect retrieval.
+    No answerer in the loop: the canvas condition runs with an echo
+    answerer, so per question recall is the keyword coverage of the
+    injection block. Hops only affect retrieval, so each case is ingested
+    once and shared across hop settings.
     """
-    if config is None:
-        config = EngineConfig()
-    graphs = [ingest_case(case, bundle, config).graph for case in cases]
-    rows = []
-    for hops in hops_list:
-        swept = replace(config.retrieval, hops=hops)
-        scores: list[float] = []
-        for case, graph in zip(cases, graphs):
-            for fact in case.planted:
-                block = retrieve(graph, fact.question, bundle.embedder, swept, bundle.reranker)
-                scores.append(keyword_coverage(block, fact.keywords))
-        rows.append({
-            "hops": hops,
-            "recall": fmean(scores) if scores else 0.0,
-            "questions": len(scores),
-        })
-    return rows
+    config = config or EngineConfig()
+    settings = [
+        ({"hops": hops}, replace(config, retrieval=replace(config.retrieval, hops=hops)))
+        for hops in hops_list
+    ]
+    rows = run_sweep(cases, replace(bundle, answerer=EchoAnswerer()), settings)
+    return [
+        {"hops": row["hops"], "recall": row["keyword_coverage"], "questions": row["questions"]}
+        for row in rows
+    ]

@@ -26,19 +26,22 @@ from typing import Optional, Sequence
 
 import yaml
 
+from .backends import BackendBundle
 from .benchmark import (
     CONDITIONS,
     THRESHOLD_PRESETS,
     BenchmarkCase,
     ConditionResult,
     Variant,
-    alpha_sweep,
+    alpha_settings,
     generate_cases,
-    rag_sweep,
+    pooled_row,
+    rag_settings,
     ref_grid,
     retrieval_recall_eval,
     run_condition,
-    threshold_sweep,
+    run_sweep,
+    threshold_settings,
 )
 from .config import EngineConfig, build_bundle, deep_merge, load_config
 from .core import deserialize_graph, serialize_graph
@@ -227,14 +230,14 @@ def _result_row(result: ConditionResult) -> dict:
     }
 
 
-def cmd_bench_run(args) -> int:
+def _bench_prelude(
+    args, kind: str,
+) -> tuple[EngineConfig, BackendBundle, list[BenchmarkCase], dict]:
+    """What every bench command starts from: the config, its backends, the
+    cases the bench options describe, and the header line of the output."""
     config = _load_engine_config(args)
     bundle = build_bundle(config)
     variant = Variant(args.variant)
-    conditions = args.conditions.split(",") if args.conditions else list(CONDITIONS)
-    for condition in conditions:
-        if condition not in CONDITIONS:
-            raise ValueError(f"unknown condition {condition!r}")
     count = args.cases if args.cases is not None else config.bench.cases
     cases = generate_cases(
         count,
@@ -246,6 +249,32 @@ def cmd_bench_run(args) -> int:
         facts_per_case=config.bench.facts_per_case,
         stories_per_case=config.bench.stories_per_case,
     )
+    header = {
+        "kind": kind,
+        "base_seed": args.seed,
+        "cases": count,
+        "variant": variant.value,
+        "config": config.to_dict(),
+    }
+    return config, bundle, cases, header
+
+
+def _report(args, table: Sequence[dict], columns: Sequence[str],
+            header: dict, rows: Sequence[dict]) -> int:
+    """Print the table; with --output, write the header and the rows as JSONL."""
+    _print_table(table, columns)
+    if args.output:
+        _write_jsonl(args.output, [header, *rows])
+        print(f"wrote {args.output}")
+    return 0
+
+
+def cmd_bench_run(args) -> int:
+    config, bundle, cases, header = _bench_prelude(args, "bench-run")
+    conditions = args.conditions.split(",") if args.conditions else list(CONDITIONS)
+    for condition in conditions:
+        if condition not in CONDITIONS:
+            raise ValueError(f"unknown condition {condition!r}")
 
     tasks = [(case, condition) for condition in conditions for case in cases]
     if args.jobs > 1:
@@ -256,89 +285,42 @@ def cmd_bench_run(args) -> int:
     else:
         results = [run_condition(case, condition, bundle, config) for case, condition in tasks]
 
-    summary_rows = []
-    for condition in conditions:
-        pooled = []
-        for result in results:
-            if result.condition == condition:
-                pooled.extend(result.records)
-        from .benchmark import aggregate_records
-
-        summary_rows.append({"condition": condition, **aggregate_records(pooled).to_dict()})
-    _print_table(
-        summary_rows,
+    summary = [
+        {"condition": condition,
+         **pooled_row([r for r in results if r.condition == condition])}
+        for condition in conditions
+    ]
+    header.update(tagged=not args.untagged, conditions=conditions)
+    return _report(
+        args, summary,
         ["condition", "questions", "recall_rate", "exact_rate",
          "keyword_coverage", "pass_rate", "causal_coverage", "impact_coverage"],
+        header, [_result_row(r) for r in results],
     )
-
-    if args.output:
-        header = {
-            "kind": "bench-run",
-            "base_seed": args.seed,
-            "cases": count,
-            "variant": variant.value,
-            "tagged": not args.untagged,
-            "conditions": conditions,
-            "config": config.to_dict(),
-        }
-        _write_jsonl(args.output, [header] + [_result_row(r) for r in results])
-        print(f"wrote {args.output}")
-    return 0
 
 
 def cmd_bench_sweep(args) -> int:
-    config = _load_engine_config(args)
-    bundle = build_bundle(config)
-    variant = Variant(args.variant)
-    count = args.cases if args.cases is not None else config.bench.cases
-    cases = generate_cases(count, variant, base_seed=args.seed, tagged=not args.untagged)
-
+    config, bundle, cases, header = _bench_prelude(args, f"bench-sweep-{args.kind}")
+    condition = "canvas"
     if args.kind == "threshold":
-        grid = ref_grid() if args.grid else list(THRESHOLD_PRESETS)
-        rows = threshold_sweep(cases, bundle, config, grid)
-        columns = ["config", "theta_ref", "theta_causal"]
+        settings = threshold_settings(config, ref_grid() if args.grid else THRESHOLD_PRESETS)
     elif args.kind == "rag":
-        rows = rag_sweep(cases, bundle, config)
-        columns = ["config", "chunk_size", "top_k", "overlap"]
+        settings, condition = rag_settings(config), "rag"
     else:
-        rows = alpha_sweep(cases, bundle, config)
-        columns = ["config", "alpha"]
-    columns += ["questions", "recall_rate", "exact_rate", "keyword_coverage", "pass_rate"]
-    _print_table(rows, columns)
-
-    if args.output:
-        header = {
-            "kind": f"bench-sweep-{args.kind}",
-            "base_seed": args.seed,
-            "cases": count,
-            "variant": variant.value,
-            "config": config.to_dict(),
-        }
-        _write_jsonl(args.output, [header] + [{"kind": "row", **row} for row in rows])
-        print(f"wrote {args.output}")
-    return 0
+        settings = alpha_settings(config)
+    rows = run_sweep(cases, bundle, settings, condition)
+    # The label fields of a setting lead its row's columns.
+    columns = [*settings[0][0], "questions", "recall_rate", "exact_rate",
+               "keyword_coverage", "pass_rate"]
+    return _report(args, rows, columns, header, [{"kind": "row", **row} for row in rows])
 
 
 def cmd_bench_recall(args) -> int:
-    config = _load_engine_config(args)
-    bundle = build_bundle(config)
-    variant = Variant(args.variant)
-    count = args.cases if args.cases is not None else config.bench.cases
-    cases = generate_cases(count, variant, base_seed=args.seed, tagged=not args.untagged)
+    config, bundle, cases, header = _bench_prelude(args, "bench-recall")
     hops_list = [int(h) for h in args.hops.split(",")]
     rows = retrieval_recall_eval(cases, bundle, config, hops_list)
-    _print_table(rows, ["hops", "questions", "recall"])
-    if args.output:
-        header = {
-            "kind": "bench-recall",
-            "base_seed": args.seed,
-            "cases": count,
-            "variant": variant.value,
-            "config": config.to_dict(),
-        }
-        _write_jsonl(args.output, [header] + [{"kind": "row", **row} for row in rows])
-        print(f"wrote {args.output}")
-    return 0
+    return _report(args, rows, ["hops", "questions", "recall"],
+                   header, [{"kind": "row", **row} for row in rows])
 
 
 # ---------------------------------------------------------------------------

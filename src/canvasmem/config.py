@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass, field, fields
-from typing import Any, Optional, Union
+from typing import Optional, Union
 
 import yaml
 
@@ -160,19 +160,11 @@ class EngineConfig:
         unknown = [key for key in data if key not in _TOP_LEVEL_KEYS]
         if unknown:
             raise ValueError(f"config has unknown keys: {', '.join(map(repr, unknown))}")
-        thresholds_d = _section(data, "thresholds", _THRESHOLD_KEYS)
-        pairs = thresholds_d.get("causal_pairs")
-        thresholds = LinkThresholds(
-            theta_ref=thresholds_d.get("theta_ref", 0.5),
-            theta_causal=thresholds_d.get("theta_causal", 0.45),
-            keyword_edge_min=thresholds_d.get("keyword_edge_min", 0.5),
-            temporal_window=thresholds_d.get("temporal_window", 3),
-            causal_pairs=(
-                tuple((ObjectKind(a), ObjectKind(b)) for a, b in pairs)
-                if pairs is not None
-                else LinkThresholds().causal_pairs
-            ),
-        )
+        thresholds_d = dict(_section(data, "thresholds", _THRESHOLD_KEYS))
+        pairs = thresholds_d.pop("causal_pairs", None)
+        if pairs is not None:
+            thresholds_d["causal_pairs"] = tuple((ObjectKind(a), ObjectKind(b)) for a, b in pairs)
+        thresholds = LinkThresholds(**thresholds_d)
         retrieval_d = _section(data, "retrieval", _RETRIEVAL_KEYS)
         base_retrieval = (
             RetrievalConfig.preset(data["preset"]) if "preset" in data else RetrievalConfig()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional, Protocol, Sequence, runtime_checkable
 
@@ -73,11 +73,6 @@ class ExtractionDiagnostics:
     dropped_quotes: int = 0
     failed_turns: int = 0
     duplicates: int = 0
-
-    def merge(self, other: "ExtractionDiagnostics") -> None:
-        self.dropped_quotes += other.dropped_quotes
-        self.failed_turns += other.failed_turns
-        self.duplicates += other.duplicates
 
 
 def quote_matches(quote: str, text: str) -> bool:

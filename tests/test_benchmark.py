@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import dataclasses
 import random
+from dataclasses import replace
 from functools import lru_cache
+from statistics import fmean
 
 import pytest
 
@@ -14,11 +16,13 @@ from canvasmem.benchmark import (
     RAG_PRESETS,
     SINGLE_FACTS,
     STORIES,
+    THRESHOLD_PRESETS,
     Aggregates,
     BenchmarkCase,
     QuestionRecord,
     Variant,
     aggregate_records,
+    alpha_settings,
     build_native_context,
     build_summarization_context,
     build_truncation_context,
@@ -31,15 +35,20 @@ from canvasmem.benchmark import (
     keyword_coverage,
     question_label,
     rag_retriever,
+    rag_settings,
     ref_grid,
     render_transcript,
     render_turn,
+    retrieval_recall_eval,
     run_condition,
+    run_sweep,
+    threshold_sweep,
 )
 from canvasmem.config import EngineConfig
 from canvasmem.errors import BackendFailureError, EmptyKeywordsError, ZeroVectorError
 from canvasmem.extraction import ConversationTurn
-from canvasmem.scoring import MOCK_EMBEDDING_DIM, MockEmbedder, cosine_sim
+from canvasmem.retrieval import retrieve
+from canvasmem.scoring import MOCK_EMBEDDING_DIM, HybridWeights, MockEmbedder, cosine_sim
 
 from conftest import CountingEmbedder
 
@@ -448,3 +457,106 @@ def test_rag_zero_chunk_vector_still_raises_the_scalar_error():
     context_for = rag_retriever(_tiny_turns(), ZeroForChunks(), RAG_PRESETS["rag-small"])
     with pytest.raises(ZeroVectorError):
         context_for("question")
+
+
+def test_unknown_rag_preset_is_a_value_error_naming_the_known_ones():
+    config = EngineConfig()
+    config = replace(config, bench=replace(config.bench, rag_preset="nope"))
+    with pytest.raises(ValueError, match="'nope'.*rag-small, rag-default"):
+        run_condition(generate_case(0), "rag", mock_bundle(), config)
+
+
+# ---------------------------------------------------------------------------
+# Sweep driver against the per-sweep loops it replaced
+# ---------------------------------------------------------------------------
+
+def _pooled(results) -> dict:
+    return aggregate_records([r for result in results for r in result.records]).to_dict()
+
+
+def oracle_threshold_sweep(cases, bundle, config, grid):
+    rows = []
+    for label, theta_ref, theta_causal in grid:
+        swept = replace(
+            config,
+            thresholds=replace(config.thresholds, theta_ref=theta_ref, theta_causal=theta_causal),
+        )
+        results = [run_condition(case, "canvas", bundle, swept) for case in cases]
+        rows.append({"config": label, "theta_ref": theta_ref, "theta_causal": theta_causal,
+                     **_pooled(results)})
+    return rows
+
+
+def oracle_rag_sweep(cases, bundle, config):
+    rows = []
+    for name in ("rag-small", "rag-default", "rag-large", "rag-topk10"):
+        preset = RAG_PRESETS[name]
+        swept = replace(config, bench=replace(config.bench, rag_preset=name))
+        results = [run_condition(case, "rag", bundle, swept) for case in cases]
+        rows.append({"config": name, "chunk_size": preset.chunk_size, "top_k": preset.top_k,
+                     "overlap": preset.overlap, **_pooled(results)})
+    return rows
+
+
+def oracle_alpha_sweep(cases, bundle, config):
+    rows = []
+    for alpha in (0.0, 0.3, 0.5, 0.7, 1.0):
+        swept = replace(config, retrieval=replace(config.retrieval, weights=HybridWeights(alpha)))
+        results = [run_condition(case, "canvas", bundle, swept) for case in cases]
+        rows.append({"config": f"alpha-{alpha:g}", "alpha": alpha, **_pooled(results)})
+    return rows
+
+
+def oracle_recall_eval(cases, bundle, config, hops_list):
+    graphs = [ingest_case(case, bundle, config).graph for case in cases]
+    rows = []
+    for hops in hops_list:
+        swept = replace(config.retrieval, hops=hops)
+        scores = []
+        for case, graph in zip(cases, graphs):
+            for fact in case.planted:
+                block = retrieve(graph, fact.question, bundle.embedder, swept, bundle.reranker)
+                scores.append(keyword_coverage(block, fact.keywords))
+        rows.append({"hops": hops, "recall": fmean(scores) if scores else 0.0,
+                     "questions": len(scores)})
+    return rows
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("tagged", [True, False])
+def test_sweep_driver_rows_equal_the_per_sweep_loops(variant, tagged):
+    cases = generate_cases(3, variant, tagged=tagged)
+    bundle, config = mock_bundle(), EngineConfig()
+    for grid in (THRESHOLD_PRESETS, ref_grid()):
+        assert threshold_sweep(cases, bundle, config, grid) == \
+            oracle_threshold_sweep(cases, bundle, config, grid)
+    assert run_sweep(cases, bundle, rag_settings(config), "rag") == \
+        oracle_rag_sweep(cases, bundle, config)
+    assert run_sweep(cases, bundle, alpha_settings(config)) == \
+        oracle_alpha_sweep(cases, bundle, config)
+    assert retrieval_recall_eval(cases, bundle, config, [0, 1, 2, 4]) == \
+        oracle_recall_eval(cases, bundle, config, [0, 1, 2, 4])
+
+
+def test_sweep_driver_ingests_each_case_once_per_link_setting(monkeypatch):
+    calls = []
+    real_ingest = canvasmem.benchmark.ingest_case
+
+    def counting(case, bundle, config):
+        calls.append(case.seed)
+        return real_ingest(case, bundle, config)
+
+    monkeypatch.setattr(canvasmem.benchmark, "ingest_case", counting)
+    cases, bundle, config = generate_cases(3), mock_bundle(), EngineConfig()
+    expected = {
+        "alpha": (lambda: run_sweep(cases, bundle, alpha_settings(config)), len(cases)),
+        "threshold": (lambda: threshold_sweep(cases, bundle, config),
+                      len(THRESHOLD_PRESETS) * len(cases)),
+        "recall": (lambda: retrieval_recall_eval(cases, bundle, config, [0, 1, 2, 4]),
+                   len(cases)),
+        "rag": (lambda: run_sweep(cases, bundle, rag_settings(config), "rag"), 0),
+    }
+    for name, (run, count) in expected.items():
+        calls.clear()
+        run()
+        assert len(calls) == count, name

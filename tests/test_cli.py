@@ -167,6 +167,30 @@ def test_bench_recall_reports_each_hop_budget(capsys):
     assert "hops" in out and "recall" in out
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "--conditions", "canvas"],
+    ["sweep", "--kind", "alpha"],
+    ["recall"],
+])
+def test_bench_options_shape_the_cases_of_every_bench_command(command, tmp_path):
+    out = tmp_path / "out.jsonl"
+    assert main(["bench", *command, "--cases", "3", "--set", "bench.facts_per_case=2",
+                 "--output", str(out)]) == 0
+    rows = [json.loads(line) for line in out.read_text(encoding="utf-8").splitlines()[1:]]
+    if command[0] == "run":
+        assert sum(len(row["records"]) for row in rows) == 6
+    else:
+        assert {row["questions"] for row in rows} == {6}
+
+
+def test_unknown_rag_preset_exits_2_naming_the_known_ones(capsys):
+    code = main(["bench", "run", "--cases", "1", "--conditions", "rag",
+                 "--set", "bench.rag_preset=nope"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "'nope'" in err and "rag-default" in err
+
+
 def test_unknown_override_path_exits_2(capsys):
     code = main(["bench", "run", "--cases", "1", "--set", "not-an-assignment"])
     assert code == 2

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -24,6 +25,7 @@ from canvasmem.config import (
 )
 from canvasmem.core import ObjectKind
 from canvasmem.extraction import MockExtractor
+from canvasmem.graph_build import LinkThresholds
 from canvasmem.retrieval import QueryClass
 from canvasmem.scoring import MockEmbedder
 
@@ -50,6 +52,18 @@ def test_from_dict_partial_override_keeps_other_defaults():
     assert config.retrieval.k_map[QueryClass.MULTI_HOP] == 25
     assert config.retrieval.k_map[QueryClass.SIMPLE] == 10
     assert config.bench.cases == 20
+
+
+@pytest.mark.parametrize("key, value, loaded", [
+    ("theta_ref", 0.6, 0.6),
+    ("theta_causal", 0.4, 0.4),
+    ("keyword_edge_min", 0.3, 0.3),
+    ("temporal_window", 5, 5),
+    ("causal_pairs", [["KEY_FACT", "DECISION"]], ((ObjectKind.KEY_FACT, ObjectKind.DECISION),)),
+])
+def test_a_partial_thresholds_section_keeps_every_other_default(key, value, loaded):
+    config = EngineConfig.from_dict({"thresholds": {key: value}})
+    assert config.thresholds == dataclasses.replace(LinkThresholds(), **{key: loaded})
 
 
 def test_from_dict_preset_key_changes_hops():

@@ -229,9 +229,3 @@ def test_an_early_turn_stored_late_goes_to_its_place_in_the_digest():
     assert prior_digest(twin) == ["KEY_FACT: early", "KEY_FACT: late", "KEY_FACT: later"]
     assert not twin.turn_ordered
 
-
-def test_diagnostics_merge_adds_counters():
-    a = ExtractionDiagnostics(dropped_quotes=1, failed_turns=2, duplicates=3)
-    b = ExtractionDiagnostics(dropped_quotes=10, failed_turns=20, duplicates=30)
-    a.merge(b)
-    assert (a.dropped_quotes, a.failed_turns, a.duplicates) == (11, 22, 33)
