@@ -75,7 +75,7 @@ from .retrieval import (
     retrieve,
     retrieve_detailed,
 )
-from .scoring import HybridWeights, MockEmbedder, cosine_sim, hybrid_score, keyword_score
+from .scoring import HybridWeights, MockEmbedder, cosine_sim, hybrid_score
 
 __version__ = "0.1.0"
 
@@ -136,7 +136,6 @@ __all__ = [
     "generate_cases",
     "hybrid_score",
     "keyword_coverage",
-    "keyword_score",
     "link_object",
     "load_config",
     "mock_bundle",

@@ -18,7 +18,7 @@ import logging
 import os
 import re
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from typing import Any, Callable, Optional, Protocol, Sequence, runtime_checkable
 
@@ -63,16 +63,7 @@ class BackendConfig:
     temperature_generation: float = 0.0
 
     def to_dict(self) -> dict:
-        return {
-            "endpoint": self.endpoint,
-            "model": self.model,
-            "api_key_env": self.api_key_env,
-            "timeout_s": self.timeout_s,
-            "max_retries": self.max_retries,
-            "retry_backoff_s": self.retry_backoff_s,
-            "temperature_extraction": self.temperature_extraction,
-            "temperature_generation": self.temperature_generation,
-        }
+        return asdict(self)
 
 
 @dataclass

@@ -44,7 +44,7 @@ from .engine import CanvasEngine
 from .errors import CanvasError, EmptyKeywordsError
 from .extraction import ConversationTurn
 from .retrieval import default_token_counter, retrieve
-from .scoring import HybridWeights, ScoringIndex, cosine_sim, tokenize
+from .scoring import HybridWeights, ScoringIndex, tokenize
 
 FUZZY_RECALL_THRESHOLD = 80.0
 KEYWORD_PASS_THRESHOLD = 0.8
@@ -601,9 +601,9 @@ def rag_retriever(
     by every later one, so each chunk is embedded once per transcript, not
     once per question. A failed embedding caches nothing, and the next call
     tries again. Chunks are ranked by one call of the index's exact_cosines
-    over every chunk, which is bit-identical to cosine_sim; when the index
-    cannot take a vector (zero, extreme, or of another dimension) the scalar
-    cosine_sim ranks them and raises its typed errors.
+    over every chunk, which is bit-identical to the scalar cosine; a chunk
+    or question vector that the scalar cosine cannot score (zero, or of
+    another dimension) makes the index raise the scalar cosine's typed error.
     """
     chunks = chunk_text(render_transcript(turns), preset.chunk_size, preset.overlap)
     vectors: list[list[float]] = []
@@ -617,12 +617,8 @@ def rag_retriever(
             vectors.extend([embedder.embed(chunk) for chunk in chunks])
             for vec in vectors:
                 index.append_vector(vec)
-        query = index.prepare(query_vec)
-        if query is None:
-            scored = [(cosine_sim(query_vec, vec), idx) for idx, vec in enumerate(vectors)]
-        else:
-            exact = index.exact_cosines(query, np.arange(len(index)))
-            scored = list(zip(exact.tolist(), range(len(index))))
+        exact = index.exact_cosines(index.prepare(query_vec), np.arange(len(index)))
+        scored = list(zip(exact.tolist(), range(len(index))))
         scored.sort(key=lambda pair: (-pair[0], pair[1]))
         return "\n\n".join(chunks[idx] for _, idx in scored[:preset.top_k])
 

@@ -255,6 +255,7 @@ def _bench_prelude(
         "cases": count,
         "variant": variant.value,
         "config": config.to_dict(),
+        "tagged": not args.untagged,
     }
     return config, bundle, cases, header
 
@@ -290,7 +291,7 @@ def cmd_bench_run(args) -> int:
          **pooled_row([r for r in results if r.condition == condition])}
         for condition in conditions
     ]
-    header.update(tagged=not args.untagged, conditions=conditions)
+    header["conditions"] = conditions
     return _report(
         args, summary,
         ["condition", "questions", "recall_rate", "exact_rate",

@@ -9,7 +9,7 @@ environment variable, not the key.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from typing import Optional, Union
 
 import yaml
@@ -142,16 +142,7 @@ class EngineConfig:
                     ("summarizer", self.backends.summarizer),
                 )
             },
-            "bench": {
-                "n_turns": self.bench.n_turns,
-                "compression_turn": self.bench.compression_turn,
-                "facts_per_case": self.bench.facts_per_case,
-                "stories_per_case": self.bench.stories_per_case,
-                "recent_turns": self.bench.recent_turns,
-                "native_token_limit": self.bench.native_token_limit,
-                "rag_preset": self.bench.rag_preset,
-                "cases": self.bench.cases,
-            },
+            "bench": asdict(self.bench),
         }
 
     @classmethod

@@ -15,23 +15,17 @@ Edges are deduplicated per (src, dst, kind): similarity beats keyword for
 references, and the heavier weight wins for causal edges.
 
 Linking is screen-then-verify, and it visits only the stored objects that
-can gain an edge. Over the graph's scoring index, one matrix-vector product
-gives an approximate cosine against every stored object, one pass of the
-token kernel gives the exact Jaccard overlap of every stored content, and
-for a DECISION the turn column gives the objects in the temporal window.
-The visit set is the union of three kinds of row, in row order, so edges
-are added in the order a scan of every object would add them:
-- rows within SCREEN_MARGIN of theta_causal (the lower threshold), whose
-  cosines are verified before the loop by one call of the index's
-  exact_cosines, bit-identical to cosine_sim, so every edge weight is the
-  exact scalar value;
-- rows whose Jaccard reaches keyword_edge_min; the kernel's Jaccard is
-  token_jaccard's float to the last bit;
-- for a DECISION, rows at most temporal_window turns before it.
-Every other row is below both thresholds, below keyword_edge_min and
-outside the window, and gains nothing. An index that cannot screen (a
-stored fault, or an unscreenable new vector) visits every row and sends
-every pair to the scalar cosine_sim, which raises the typed errors.
+can gain an edge. The graph's scoring index gives, in one call of
+cosines_from, every stored object whose cosine may reach theta_causal (the
+lower threshold) with its exact cosine, bit-identical to the scalar
+cosine, so every edge weight is the exact scalar value; one pass of its token kernel
+gives the exact Jaccard overlap of every stored content; and for a DECISION
+its turn column gives the objects in the temporal window. The visit set is
+the union of those three kinds of row, in row order, so edges are added in
+the order a scan of every object would add them. Every other row is below
+both thresholds, below keyword_edge_min and outside the window, and gains
+nothing. A stored or new vector that the scalar cosine cannot score makes
+the index raise the scalar cosine's typed error before any edge is added.
 """
 
 from __future__ import annotations
@@ -41,7 +35,7 @@ from dataclasses import dataclass
 
 from .core import CanvasEdge, CanvasGraph, CanvasObject, EdgeKind, EdgeOrigin, ObjectKind
 from .errors import MissingEmbeddingError
-from .scoring import SCREEN_MARGIN, cosine_sim, token_set
+from .scoring import token_set
 
 DEFAULT_THETA_REF = 0.5
 DEFAULT_THETA_CAUSAL = 0.45
@@ -100,43 +94,27 @@ def link_object(
     if new_obj.embedding is None:
         raise MissingEmbeddingError(f"object {new_obj.id} has no embedding")
     index = graph.scoring_index()
-    # The stored row holds the float64 vector and norm prepare() would make
-    # of new_obj.embedding; an object not stored takes the scalar path.
     own_row = index.row_of(new_obj.id)
-    query = None if own_row is None else index.prepare_row(own_row)
+    if len(index) == (own_row is not None):
+        return []  # nothing else is stored
+    # The stored row holds the float64 vector and norm prepare() would make
+    # of new_obj.embedding.
+    query = index.prepare(new_obj.embedding) if own_row is None else index.prepare_row(own_row)
+    # A row without a verified cosine is below theta_causal, so below both
+    # thresholds; new_obj never links to itself.
+    sims = index.cosines_from(query, thresholds.theta_causal, own_row)
     overlaps = index.jaccards(token_set(new_obj.content))
+    visit = overlaps >= thresholds.keyword_edge_min
+    visit[list(sims)] = True
     temporal_target = new_obj.kind is ObjectKind.DECISION
-    if query is None:
-        rows = range(len(graph.rows))
-    else:
-        # Only these rows can gain an edge: the others are below theta_causal
-        # (so below both thresholds), below keyword_edge_min, and outside
-        # the temporal window.
-        screened = index.cosines(query) >= thresholds.theta_causal - SCREEN_MARGIN
-        screened[own_row] = False  # new_obj never links to itself
-        visit = screened | (overlaps >= thresholds.keyword_edge_min)
-        if temporal_target:
-            visit |= index.turn_window(new_obj.turn, thresholds.temporal_window)
-        rows = visit.nonzero()[0].tolist()
-        # A row not verified is below theta_causal, so below both thresholds.
-        # Most links verify nothing or a row or two, so an empty screen
-        # skips the call.
-        verify = screened.nonzero()[0]
-        sims = {}
-        if verify.size:
-            sims = dict(zip(verify.tolist(), index.exact_cosines(query, verify).tolist()))
+    if temporal_target:
+        visit |= index.turn_window(new_obj.turn, thresholds.temporal_window)
     added: list[CanvasEdge] = []
-    for row in rows:
+    for row in visit.nonzero()[0].tolist():
         other = graph.rows[row]
         if other.id == new_obj.id:
             continue
-        if query is None:
-            # Unscreenable: every row gets the scalar cosine, which raises where due.
-            if other.embedding is None:
-                raise MissingEmbeddingError(f"stored object {other.id} has no embedding")
-            sim = cosine_sim(other.embedding, new_obj.embedding)
-        else:
-            sim = sims.get(row, -math.inf)
+        sim = sims.get(row, -math.inf)
 
         reference: CanvasEdge | None = None
         if sim >= thresholds.theta_ref:

@@ -5,16 +5,15 @@ Stages, in order:
 1. classify_query picks a query class and an adaptive top-k (multi-hop 15,
    temporal 12, simple 10). Each indicator list is matched by one compiled
    alternation of whole phrases, cached per list.
-2. coarse_retrieve keeps the top coarse_k objects by hybrid score. It
-   screens every stored object at once over the graph's scoring index: one
-   matrix-vector product for the cosine half, and the index's token-overlap
-   kernel for the keyword coverage, which is exact and computed once per
-   query. It then verifies only the band that could reach the top coarse_k
-   (within 2 * SCREEN_MARGIN of the coarse_k-th approximate score) with one
-   call of the index's exact_hybrids, which reuses that coverage and is
-   bit-identical to hybrid_score, so ranks and scores are exact. An index
-   that cannot screen sends every object to the scalar hybrid_score, which
-   raises the typed errors.
+2. coarse_retrieve keeps the top coarse_k objects by hybrid score, in one
+   call of the graph's scoring index: top_hybrids screens every stored
+   object at once (one matrix-vector product for the cosine half, and the
+   index's token-overlap kernel for the keyword coverage, which is exact
+   and computed once per query), then verifies only the band that could
+   reach the top coarse_k with exact_hybrids, which reuses that coverage
+   and is bit-identical to the scalar hybrid score, so ranks and scores
+   are exact. A stored or query vector that the scalar cosine cannot score
+   makes the index raise the scalar cosine's typed error.
 3. expand_graph walks edges breadth-first from those hits, both directions
    and both edge kinds, with a 0.8 score decay per hop. It walks the edge
    columns of the scoring index one hop at a time with array operations
@@ -50,7 +49,7 @@ import numpy as np
 
 from .core import CanvasGraph, CanvasObject, ObjectKind
 from .errors import BackendFailureError
-from .scoring import SCREEN_MARGIN, EmbedderBackend, HybridWeights, hybrid_score
+from .scoring import EmbedderBackend, HybridWeights
 
 logger = logging.getLogger(__name__)
 
@@ -258,26 +257,13 @@ def coarse_retrieve(
     """
     if weights is None:
         weights = HybridWeights()
+    if not graph.rows:
+        return []
     index = graph.scoring_index()
     query = index.prepare(plan.query_embedding, plan.query_text)
-    if query is None:
-        # Unscreenable: every object gets the scalar score, which raises where due.
-        scored = [
-            (hybrid_score(plan.query_embedding, plan.query_text, obj, weights), obj)
-            for obj in graph.rows
-        ]
-    else:
-        # Screened scores are within SCREEN_MARGIN of the exact ones, so every
-        # exact top-coarse_k object sits in the band around the coarse_k-th
-        # (every row, when the graph holds coarse_k objects or fewer).
-        coverage = index.coverage(query)
-        approx = index.hybrids(query, weights, coverage)
-        cut = max(len(approx) - plan.coarse_k, 0)
-        kth = np.partition(approx, cut)[cut]
-        band = np.flatnonzero(approx >= kth - 2 * SCREEN_MARGIN)
-        exact = index.exact_hybrids(query, band, weights, coverage)
-        rows = graph.rows
-        scored = [(score, rows[row]) for score, row in zip(exact.tolist(), band.tolist())]
+    band, exact = index.top_hybrids(query, weights, plan.coarse_k)
+    rows = graph.rows
+    scored = [(score, rows[row]) for score, row in zip(exact.tolist(), band.tolist())]
     scored.sort(key=lambda pair: (-pair[0], -pair[1].confidence, pair[1].turn, pair[1].id))
     return [
         ScoredObject(object_id=obj.id, hybrid=score)

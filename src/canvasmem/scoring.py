@@ -1,31 +1,35 @@
 """Relevance scoring: cosine similarity, lexical overlap, and the hybrid blend.
 
-The hybrid score is alpha * clamped_cosine + (1 - alpha) * keyword_score.
-Keyword score measures query coverage: the fraction of the query's
-content-bearing tokens that also appear in the object's content or quote.
-Stopwords come from a fixed 50-word list shipped as a package asset.
+The hybrid score is alpha * clamped_cosine + (1 - alpha) * keyword coverage.
+Keyword coverage is the fraction of the query's content-bearing tokens that
+also appear in the object's content or quote. Stopwords come from a fixed
+50-word list shipped as a package asset.
 
-Scoring a graph is screen-then-verify. A ScoringIndex holds every stored
-embedding in one float64 matrix with its row norms, each row's turn, and
-each row's tokens interned to integer ids in CSR arrays (per-row offsets
-into one flat id array), so a single matrix-vector product gives an
-approximate cosine of each object against a query prepared once (its
-float64 vector, norm, token set and token ids). Callers keep only the
-objects whose approximate score could pass their cut within SCREEN_MARGIN
-and verify those from the index in one call: exact_cosines and
-exact_hybrids take the rows to verify and run the operations of cosine_sim
-and hybrid_score, in the same order, on the same float64 values (one dot
-product per row, then the division, the clamp and the blend as float64
-array operations), so every stored edge weight and every ranked score is
-bit-identical to the scalar value.
+Scoring a graph is screen-then-verify, and the ScoringIndex owns both
+halves: linking, coarse retrieval and the RAG baseline score through it
+alone. The index holds every stored embedding in one float64 matrix with
+its row norms, each row's turn, and each row's tokens interned to integer
+ids in CSR arrays (per-row offsets into one flat id array). One
+matrix-vector product gives an approximate cosine of each object against a
+query prepared once (its float64 vector, norm, token set and token ids).
+cosines_from and top_hybrids keep the rows whose approximate score could
+pass a floor, or reach the top k, within SCREEN_MARGIN, and verify those
+with exact_cosines and exact_hybrids. These run the operations of
+cosine_sim and hybrid_score, in the same order, on the same float64 values
+(one dot product per row, then the division, the clamp and the blend as
+float64 array operations), so every stored edge weight and every ranked
+score is bit-identical to the scalar value. A vector whose norm is too
+large or too small for the screen to bound its cosines is screened as +inf,
+so it is always verified. A vector cosine_sim cannot score is a fault:
+preparing a query against an index that holds one, or preparing such a
+query, raises cosine_sim's typed error. There is no other scoring path.
 
 The token half needs no screen. The token-overlap kernel marks a query's
 ids in a mask over the vocabulary and counts, for every row at once, how
 many of its ids are marked. Jaccard and coverage divide those integer
 counts by integer sizes, as token_jaccard and token_coverage do, so every
 row's value is the scalar one to the last bit. The scalar functions stay
-the public API, the fallback for an index that cannot screen (which raises
-their typed errors), and the oracle.
+the public API and the test oracle.
 """
 
 from __future__ import annotations
@@ -42,7 +46,7 @@ from typing import TYPE_CHECKING, Optional, Protocol, Sequence, runtime_checkabl
 
 import numpy as np
 
-from .errors import DimensionMismatchError, MissingEmbeddingError, ZeroVectorError
+from .errors import CanvasError, DimensionMismatchError, MissingEmbeddingError, ZeroVectorError
 
 if TYPE_CHECKING:
     from .core import CanvasEdge, CanvasObject
@@ -54,8 +58,8 @@ MOCK_EMBEDDING_DIM = 256
 # matrix-vector cosine differs from cosine_sim by rounding only, about
 # d * 1e-16 for d-dimensional embeddings, so this leaves a wide berth.
 SCREEN_MARGIN = 1e-9
-# Vectors with a norm outside this range are not screened: within it no
-# product overflows and underflow cannot move a cosine by SCREEN_MARGIN.
+# The screen bounds the cosines of vectors with a norm in this range: within
+# it no product overflows and underflow cannot move a cosine by SCREEN_MARGIN.
 _SCREENABLE_NORMS = (1e-150, 1e150)
 _INITIAL_ROWS = 64
 # The turn column is int64; larger turns are stored as this (see turn_window).
@@ -146,16 +150,6 @@ def token_jaccard(a: frozenset[str], b: frozenset[str]) -> float:
     return shared / (len(a) + len(b) - shared)
 
 
-def keyword_score(query_text: str, obj: CanvasObject) -> float:
-    """Fraction of the query's content tokens found in obj.content or obj.quote."""
-    return token_coverage(token_set(query_text), token_set(document_text(obj)))
-
-
-def keyword_jaccard(text_a: str, text_b: str) -> float:
-    """Jaccard overlap of two texts on stopword-stripped tokens."""
-    return token_jaccard(token_set(text_a), token_set(text_b))
-
-
 def hybrid_score(
     query_embedding: Sequence[float],
     query_text: str,
@@ -169,25 +163,26 @@ def hybrid_score(
         raise MissingEmbeddingError(f"object {obj.id} has no embedding")
     semantic = cosine_sim(query_embedding, obj.embedding)
     semantic = min(1.0, max(0.0, semantic))
-    lexical = keyword_score(query_text, obj)
+    lexical = token_coverage(token_set(query_text), token_set(document_text(obj)))
     return weights.alpha * semantic + (1.0 - weights.alpha) * lexical
 
 
-def _screenable(embedding, dim: Optional[int]) -> Optional[tuple[np.ndarray, float]]:
-    """The vector and its norm, or None when the screen cannot bound its cosines."""
-    if embedding is None:
-        return None
-    try:
-        vec = np.asarray(embedding, dtype=np.float64)
-    except (TypeError, ValueError):
-        return None
+def _vector(embedding, dim: Optional[int]) -> tuple[np.ndarray, float]:
+    """The float64 vector and its norm. Raises what cosine_sim raises when it
+    scores the vector against one of dimension dim (of its own, if None)."""
+    vec = np.asarray(embedding, dtype=np.float64)
     if vec.ndim != 1 or (dim is not None and vec.shape[0] != dim):
-        return None
+        raise DimensionMismatchError(f"vector shapes differ: {vec.shape} vs ({dim},)")
     norm = float(np.linalg.norm(vec))
-    low, high = _SCREENABLE_NORMS
-    if not low <= norm <= high:
-        return None
+    if norm == 0.0:
+        raise ZeroVectorError("cosine similarity is undefined for zero vectors")
     return vec, norm
+
+
+def _boundable(norms):
+    """Whether the screen bounds cosines at each of norms (a float or an array)."""
+    low, high = _SCREENABLE_NORMS
+    return (low <= norms) & (norms <= high)
 
 
 @dataclass(frozen=True)
@@ -235,20 +230,21 @@ class ScoringIndex:
     are interned to integer ids, and a column keeps every row's ids in one
     flat array with per-row offsets (CSR).
 
-    cosines() and hybrids() screen every row at once, within SCREEN_MARGIN;
-    exact_cosines() and exact_hybrids() verify the rows a caller lists, in
-    one call, bit-identical to cosine_sim and hybrid_score. The token
-    kernel is exact: a query marks its ids in a mask over the vocabulary,
-    and the marked entries of a column's flat id array, counted per row,
-    give every row's overlap with the query at once. jaccards() and
-    coverage() divide those integer counts by integer sizes, as
-    token_jaccard and token_coverage do, so they are the same float64 to
-    the last bit; a caller computes coverage() once per query and passes it
-    to both hybrids() and exact_hybrids(). A row the index cannot screen (no
-    embedding, not a 1-D vector of the index's dimension, a zero or extreme
-    norm) is a fault; while the index holds one, prepare() returns None and
-    the caller scores every row with the scalar functions, which raise the
-    same typed errors they always have.
+    cosines_from() and top_hybrids() are what callers score with: each
+    screens every row at once and verifies only the rows that can pass.
+    cosines() and hybrids() are the screen, within SCREEN_MARGIN, and +inf
+    at a row whose cosine it cannot bound (the row's or the query's norm
+    outside _SCREENABLE_NORMS); exact_cosines() and exact_hybrids() verify
+    the rows listed, in one call, bit-identical to cosine_sim and
+    hybrid_score. The token kernel is exact: a query marks its ids in a
+    mask over the vocabulary, and the marked entries of a column's flat id
+    array, counted per row, give every row's overlap with the query at
+    once. jaccards() and coverage() divide those integer counts by integer
+    sizes, as token_jaccard and token_coverage do, so they are the same
+    float64 to the last bit. A row cosine_sim could not score (no
+    embedding, not a 1-D vector of the index's dimension, a zero norm) is
+    a fault: storing it never raises, but once the index holds one,
+    prepare() and prepare_row() raise the first fault's typed error.
 
     The index also holds the graph's shape: each row's id in an id -> row
     map and as a uint64 key (the 16-hex id read as a number, so the keys'
@@ -266,7 +262,8 @@ class ScoringIndex:
     def __init__(self):
         self._rows = 0
         self._owner = True
-        self._faults = 0
+        self._fault: Optional[Exception] = None
+        self._unbounded = 0
         self._matrix: Optional[np.ndarray] = None
         self._norms = np.empty(0)
         self._turns = np.empty(0, dtype=np.int64)
@@ -340,15 +337,20 @@ class ScoringIndex:
         self._id_keys = _room(self._id_keys, start, end, owned)
         hex_ids = "".join(oid or "0" * 16 for oid in ids)
         self._id_keys[start:end] = np.frombuffer(bytes.fromhex(hex_ids), dtype=">u8")
-        screened = []
-        dim = None if self._matrix is None else self._matrix.shape[1]
-        for row, embedding in enumerate(embeddings, start):
-            screenable = _screenable(embedding, dim)
-            if screenable is None:
-                self._faults += 1
-            else:
-                screened.append((row, *screenable))
-                dim = screenable[0].shape[0]
+        vectors = []
+        dim = self._dim()
+        for row, (embedding, oid) in enumerate(zip(embeddings, ids), start):
+            try:
+                if embedding is None:
+                    raise MissingEmbeddingError(f"stored object {oid or row} has no embedding")
+                vec, norm = _vector(embedding, dim)
+            except (CanvasError, TypeError, ValueError) as fault:
+                if self._fault is None:
+                    self._fault = fault
+                continue
+            vectors.append((row, vec, norm))
+            dim = vec.shape[0]
+            self._unbounded += not _boundable(norm)
         if dim is not None:
             kept = start
             if self._matrix is None:
@@ -356,7 +358,7 @@ class ScoringIndex:
                 self._matrix, kept = np.empty((0, dim)), 0
             self._matrix = _room(self._matrix, kept, end, owned)
             self._norms = _room(self._norms, kept, end, owned)
-            for row, vec, norm in screened:
+            for row, vec, norm in vectors:
                 self._matrix[row] = vec
                 self._norms[row] = norm
         self._turns = _room(self._turns, start, end, owned)
@@ -409,27 +411,31 @@ class ScoringIndex:
         hits = ((src == row) | (dst == row)).nonzero()[0]
         return np.where(src[hits] == row, dst[hits], src[hits]).tolist()
 
-    def prepare(self, embedding: Sequence[float], text: str = "") -> Optional[PreparedQuery]:
-        """The query ready to score against every row, or None if unscreenable.
+    def _dim(self) -> Optional[int]:
+        return None if self._matrix is None else self._matrix.shape[1]
 
-        None means the index holds a fault or no rows, or the query vector
-        itself cannot be screened; the caller then takes the scalar path.
+    def _raise_fault(self) -> None:
+        """Raise the typed error of the first stored row cosine_sim could not score."""
+        if self._fault is not None:
+            raise type(self._fault)(*self._fault.args)
+
+    def prepare(self, embedding: Sequence[float], text: str = "") -> PreparedQuery:
+        """The query ready to score against every row.
+
+        Raises the error cosine_sim raises on the first stored fault, else
+        on the query vector: MissingEmbeddingError, DimensionMismatchError
+        or ZeroVectorError.
         """
-        if self._faults or self._matrix is None:
-            return None
-        screenable = _screenable(embedding, self._matrix.shape[1])
-        if screenable is None:
-            return None
-        vec, norm = screenable
+        self._raise_fault()
+        vec, norm = _vector(embedding, self._dim())
         tokens = token_set(text)
         return PreparedQuery(vec, norm, tokens, frozenset(self._known_ids(tokens)))
 
-    def prepare_row(self, row: int) -> Optional[PreparedQuery]:
-        """Row's own vector and norm as a query without tokens, or None if
-        the index cannot screen; the same values prepare() reads from the
-        row's embedding, without converting it again."""
-        if self._faults or self._matrix is None:
-            return None
+    def prepare_row(self, row: int) -> PreparedQuery:
+        """Row's own vector and norm as a query without tokens: the values
+        prepare() reads from the row's embedding, without converting it
+        again. Raises the first stored fault's error, as prepare() does."""
+        self._raise_fault()
         return PreparedQuery(self._matrix[row], float(self._norms[row]), frozenset(), frozenset())
 
     def _known_ids(self, tokens: frozenset[str]) -> list[int]:
@@ -472,14 +478,39 @@ class ScoringIndex:
         turns = self._turns[:self._rows]
         return (turns <= turn) & (turns >= turn - window)
 
-    def cosines(self, query: Sequence[float] | PreparedQuery) -> Optional[np.ndarray]:
-        """Approximate cosine of every row against query, or None if unscreenable."""
+    def cosines(self, query: Sequence[float] | PreparedQuery) -> np.ndarray:
+        """Approximate cosine of every row against query, within SCREEN_MARGIN,
+        or +inf where either norm lies outside _SCREENABLE_NORMS."""
         if not isinstance(query, PreparedQuery):
             query = self.prepare(query)
-            if query is None:
-                return None
-        n = len(self)
-        return (self._matrix[:n] @ query.vector) / (self._norms[:n] * query.norm)
+        n = self._rows
+        if not n or not _boundable(query.norm):
+            return np.full(n, np.inf)
+        matrix, norms = self._matrix[:n], self._norms[:n]
+        if not self._unbounded:
+            return (matrix @ query.vector) / (norms * query.norm)
+        bounded = _boundable(norms)
+        approx = np.full(n, np.inf)
+        approx[bounded] = (matrix[bounded] @ query.vector) / (norms[bounded] * query.norm)
+        return approx
+
+    def _bounds_every_row(self, query: PreparedQuery) -> bool:
+        """Whether cosines(query) holds no +inf."""
+        return not self._unbounded and _boundable(query.norm)
+
+    def cosines_from(
+        self, query: PreparedQuery, floor: float, skip: Optional[int]
+    ) -> dict[int, float]:
+        """Each row whose cosine may reach floor, row skip aside, with its
+        exact cosine (cosine_sim to the last bit). Every other row's cosine
+        is below floor."""
+        passed = self.cosines(query) >= floor - SCREEN_MARGIN
+        if skip is not None:
+            passed[skip] = False
+        rows = passed.nonzero()[0]
+        if not rows.size:
+            return {}  # most links pass nothing: skip the verify
+        return dict(zip(rows.tolist(), self.exact_cosines(query, rows).tolist()))
 
     def coverage(self, query: PreparedQuery) -> np.ndarray:
         """token_coverage of the query's tokens in every row's content and
@@ -491,10 +522,33 @@ class ScoringIndex:
     def hybrids(
         self, query: PreparedQuery, weights: HybridWeights, coverage: np.ndarray
     ) -> np.ndarray:
-        """Approximate hybrid_score of every row; coverage (from coverage())
-        is the exact keyword half."""
-        semantic = np.clip(self.cosines(query), 0.0, 1.0)
-        return weights.alpha * semantic + (1.0 - weights.alpha) * coverage
+        """Approximate hybrid_score of every row, +inf where the cosine is;
+        coverage (from coverage()) is the exact keyword half."""
+        cosines = self.cosines(query)
+        approx = weights.alpha * np.clip(cosines, 0.0, 1.0) + (1.0 - weights.alpha) * coverage
+        if not self._bounds_every_row(query):
+            approx[cosines == np.inf] = np.inf
+        return approx
+
+    def top_hybrids(
+        self, query: PreparedQuery, weights: HybridWeights, k: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The rows that may hold the k best hybrid scores, in row order, and
+        their exact hybrid_score, to the last bit.
+
+        Screened scores sit within SCREEN_MARGIN of the exact ones, so every
+        exact top-k row lies within 2 * SCREEN_MARGIN of the k-th best
+        screened score among the rows the screen bounds; the band is those
+        rows and every row it cannot bound (every row, when k or fewer are
+        bounded). The keyword coverage is computed once, for both passes.
+        """
+        coverage = self.coverage(query)
+        approx = self.hybrids(query, weights, coverage)
+        bounded = approx if self._bounds_every_row(query) else approx[approx < np.inf]
+        cut = len(bounded) - k
+        kth = np.partition(bounded, cut)[cut] if cut > 0 else -np.inf
+        band = np.flatnonzero(approx >= kth - 2 * SCREEN_MARGIN)
+        return band, self.exact_hybrids(query, band, weights, coverage)
 
     def exact_cosines(self, query: PreparedQuery, rows: np.ndarray) -> np.ndarray:
         """cosine_sim of the query and each listed row's embedding, to the last bit.

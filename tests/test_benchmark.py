@@ -9,6 +9,7 @@ from statistics import fmean
 import pytest
 
 import canvasmem.benchmark
+import canvasmem.scoring
 from canvasmem.backends import FirstSentenceSummarizer, mock_bundle
 from canvasmem.benchmark import (
     FUZZY_RECALL_THRESHOLD,
@@ -442,9 +443,9 @@ def test_ref_grid_pairs_causal_below_reference():
 
 def test_rag_ranks_chunks_with_the_index_not_the_scalar_cosine(monkeypatch):
     def scalar(*args):
-        raise AssertionError("screenable chunk vectors must not take the scalar path")
+        raise AssertionError("the RAG baseline ranks with the index, never the scalar cosine")
 
-    monkeypatch.setattr(canvasmem.benchmark, "cosine_sim", scalar)
+    monkeypatch.setattr(canvasmem.scoring, "cosine_sim", scalar)
     result, _, expected = _rag_run()
     assert [r.answer for r in result.records] == expected
 

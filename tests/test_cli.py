@@ -167,6 +167,18 @@ def test_bench_recall_reports_each_hop_budget(capsys):
     assert "hops" in out and "recall" in out
 
 
+@pytest.mark.parametrize("command", [["sweep", "--kind", "alpha"], ["recall", "--hops", "0"]])
+def test_sweep_and_recall_headers_say_whether_the_cases_are_tagged(command, tmp_path):
+    headers = []
+    for flags in ([], ["--untagged"]):
+        out = tmp_path / "out.jsonl"
+        assert main(["bench", *command, "--cases", "1", *flags, "--output", str(out)]) == 0
+        headers.append(json.loads(out.read_text(encoding="utf-8").splitlines()[0]))
+    tagged, untagged = headers
+    assert (tagged.pop("tagged"), untagged.pop("tagged")) == (True, False)
+    assert tagged == untagged
+
+
 @pytest.mark.parametrize("command", [
     ["run", "--conditions", "canvas"],
     ["sweep", "--kind", "alpha"],

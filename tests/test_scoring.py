@@ -15,14 +15,27 @@ from canvasmem.scoring import (
     MockEmbedder,
     content_tokens,
     cosine_sim,
+    document_text,
     hybrid_score,
-    keyword_jaccard,
-    keyword_score,
     stopwords,
+    token_coverage,
+    token_jaccard,
+    token_set,
     tokenize,
 )
 
 from conftest import make_obj
+
+
+def keyword_score(query_text, obj):
+    """The keyword half of hybrid_score: query coverage of content and quote."""
+    return token_coverage(token_set(query_text), token_set(document_text(obj)))
+
+
+def keyword_jaccard(text_a, text_b):
+    """What a KEYWORD edge weighs: Jaccard of the two contents' token sets."""
+    return token_jaccard(token_set(text_a), token_set(text_b))
+
 
 # Frozen expected value: cos((1,1),(1,0)) = 1/sqrt(2), computed independently.
 COS_45_DEG = 0.7071067811865475

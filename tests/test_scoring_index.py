@@ -50,7 +50,6 @@ from canvasmem.scoring import (
     ScoringIndex,
     cosine_sim,
     hybrid_score,
-    keyword_jaccard,
     token_coverage,
     token_jaccard,
     token_set,
@@ -85,7 +84,7 @@ def oracle_link_object(graph, new_obj, thresholds=None):
             reference = CanvasEdge(other.id, new_obj.id, EdgeKind.REFERENCE,
                                    _clamp01(sim), EdgeOrigin.SIMILARITY)
         else:
-            overlap = keyword_jaccard(other.content, new_obj.content)
+            overlap = token_jaccard(token_set(other.content), token_set(new_obj.content))
             if overlap >= thresholds.keyword_edge_min:
                 reference = CanvasEdge(other.id, new_obj.id, EdgeKind.REFERENCE,
                                        _clamp01(overlap), EdgeOrigin.KEYWORD)
@@ -315,8 +314,6 @@ def test_a_screen_off_by_most_of_the_margin_changes_nothing(pattern, monkeypatch
 
     def off_by_most_of_the_margin(self, query):
         approx = exact_cosines(self, query)
-        if approx is None:
-            return None
         return approx + [0.9 * SCREEN_MARGIN * sign(row) for row in range(len(approx))]
 
     monkeypatch.setattr(ScoringIndex, "cosines", off_by_most_of_the_margin)
@@ -407,6 +404,36 @@ def test_lone_faulty_object_links_to_nothing_like_the_oracle():
 
 
 # ---------------------------------------------------------------------------
+# Extreme norms: screened as +inf, so always verified
+# ---------------------------------------------------------------------------
+
+EXTREME = (1.0, 1e152, 1e-152)
+
+
+@pytest.mark.parametrize("query_norm", EXTREME)
+def test_extreme_norms_link_and_rank_bit_identical_to_the_oracle(query_norm):
+    kinds = [ObjectKind.KEY_FACT, ObjectKind.REMINDER, ObjectKind.DECISION]
+    objects = [
+        make_obj(kind=kinds[i % 3], content=f"redis note {i}", turn=i,
+                 embedding=[x * EXTREME[i % 3] for x in vec_at_cosine(c)])
+        # Bounded rows (every third) near the query, extreme ones far from it.
+        for i, c in enumerate((0.85, -0.3, 0.1, 0.9, 0.2, 0.46, 0.95, 0.5))
+    ]
+    screened, oracle = build_pair(objects)
+    assert serialize_graph(screened) == serialize_graph(oracle)
+    assert {e.origin for e in screened.edges} >= {EdgeOrigin.SIMILARITY}
+    query = [x * query_norm for x in vec_at_cosine(0.9)]
+    # The screen bounds a cosine only when both norms lie in its range.
+    bounded = [query_norm == 1.0 and i % 3 == 0 for i in range(len(objects))]
+    assert np.isinf(screened.scoring_index().cosines(query)).tolist() == [not b for b in bounded]
+    for coarse_k in (1, 2, len(objects) + 3):
+        plan = plan_for(query, "redis note", coarse_k)
+        got = [(h.object_id, _bits(h.hybrid)) for h in coarse_retrieve(screened, plan)]
+        want = [(h.object_id, _bits(h.hybrid)) for h in oracle_coarse_retrieve(oracle, plan)]
+        assert got == want
+
+
+# ---------------------------------------------------------------------------
 # Snapshots: the copy-on-write fork
 # ---------------------------------------------------------------------------
 
@@ -486,8 +513,6 @@ def oracle_verified_coarse_retrieve(graph, plan, weights=None):
         weights = HybridWeights()
     index = graph.scoring_index()
     query = index.prepare(plan.query_embedding, plan.query_text)
-    if query is None:
-        return oracle_coarse_retrieve(graph, plan, weights)
     approx = index.hybrids(query, weights, index.coverage(query))
     cut = max(len(approx) - plan.coarse_k, 0)
     kth = np.partition(approx, cut)[cut]
@@ -720,16 +745,17 @@ def test_coarse_retrieve_at_or_below_coarse_k_is_the_oracle_without_the_scalar_s
     want = [oracle_coarse_retrieve(oracle, plan) for plan in plans]
 
     def scalar_score(*args):
-        raise AssertionError("a screenable graph must not take the scalar path")
+        raise AssertionError("coarse retrieval ranks with the index, never the scalar scores")
 
-    monkeypatch.setattr(canvasmem.retrieval, "hybrid_score", scalar_score)
+    monkeypatch.setattr(canvasmem.scoring, "hybrid_score", scalar_score)
+    monkeypatch.setattr(canvasmem.scoring, "cosine_sim", scalar_score)
     for plan, hits in zip(plans, want):
         assert [(h.object_id, _bits(h.hybrid)) for h in coarse_retrieve(screened, plan)] == [
             (h.object_id, _bits(h.hybrid)) for h in hits]
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
-def test_an_index_with_a_fault_takes_the_scalar_path(fault, monkeypatch):
+def test_an_index_with_a_fault_raises_before_it_verifies(fault, monkeypatch):
     embedding, error = FAULTS[fault]
 
     def exact(*args):
@@ -742,10 +768,15 @@ def test_an_index_with_a_fault_takes_the_scalar_path(fault, monkeypatch):
     objects.insert(1, make_obj(content="broken", turn=1, embedding=embedding))
     for obj in objects:
         graph.add_object(obj)
-    assert graph.scoring_index().prepare(axis(0), "fine") is None
+    index = graph.scoring_index()
+    assert _error_of(index.prepare, axis(0), "fine") is error
+    assert _error_of(index.prepare_row, 0) is error
     assert _error_of(link_object, graph, objects[-1]) is error
+    assert _error_of(oracle_link_object, graph, objects[-1]) is error
     for coarse_k in (2, 20):
-        assert _error_of(coarse_retrieve, graph, plan_for(axis(0), "fine", coarse_k)) is error
+        plan = plan_for(axis(0), "fine", coarse_k)
+        assert _error_of(coarse_retrieve, graph, plan) is error
+        assert _error_of(oracle_coarse_retrieve, graph, plan) is error
 
 
 # ---------------------------------------------------------------------------
@@ -873,8 +904,8 @@ def test_one_link_screens_the_new_embedding_once(monkeypatch):
     graph.add_object(newest)
     oracle.add_object(newest)
     calls = []
-    screen = canvasmem.scoring._screenable
-    monkeypatch.setattr(canvasmem.scoring, "_screenable",
+    screen = canvasmem.scoring._vector
+    monkeypatch.setattr(canvasmem.scoring, "_vector",
                         lambda embedding, dim: calls.append(embedding) or screen(embedding, dim))
     edges = link_object(graph, newest)
     assert calls == [newest.embedding]
