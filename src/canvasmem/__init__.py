@@ -59,6 +59,7 @@ from .errors import (
     MalformedInputError,
     MalformedResponseError,
     MissingEmbeddingError,
+    ReadOnlyGraphError,
     RemoteBackendError,
     SequenceError,
     TransportTimeoutError,
@@ -111,6 +112,7 @@ __all__ = [
     "PlantedFact",
     "QueryClass",
     "RAG_PRESETS",
+    "ReadOnlyGraphError",
     "RemoteAnswerer",
     "RemoteBackendError",
     "RemoteEmbedder",

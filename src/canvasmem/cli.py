@@ -4,7 +4,7 @@ Subcommands:
 
   ingest            read a conversation JSONL file, build a graph, save it
   query             load a graph and print the injected context for a question
-  export            dump a graph as TSV node and edge lines
+  export            dump a graph as backslash-escaped TSV node and edge lines
   bench run         planted-fact benchmark across memory conditions
   bench sweep       threshold, rag, or alpha sweep tables
   bench recall      retrieval-only keyword recall per hop budget
@@ -118,10 +118,21 @@ def _write_atomic(path: str, data: bytes) -> None:
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
+            # On disk before the rename, or a crash can leave path naming a partial file.
+            handle.flush()
+            os.fsync(handle.fileno())
         os.replace(temp, path)
     except BaseException:
         os.unlink(temp)
         raise
+
+
+# What would break a TSV line, written as its backslash escape.
+_TSV_ESCAPES = str.maketrans({"\\": "\\\\", "\t": "\\t", "\n": "\\n", "\r": "\\r"})
+
+
+def _tsv(*fields: str) -> str:
+    return "\t".join(field.translate(_TSV_ESCAPES) for field in fields)
 
 
 def _print_table(rows: Sequence[dict], columns: Sequence[str]) -> None:
@@ -185,21 +196,10 @@ def cmd_query(args) -> int:
 def cmd_export(args) -> int:
     with open(args.graph, "rb") as handle:
         graph = deserialize_graph(handle.read())
-    lines = []
-    for obj in sorted(graph.objects.values(), key=lambda o: (o.turn, o.id)):
-        lines.append(
-            "\t".join([
-                "node", obj.id, obj.kind.value, str(obj.turn),
-                f"{obj.confidence:.6f}", obj.content, obj.quote,
-            ])
-        )
-    for edge in sorted(graph.edges, key=lambda e: (e.src, e.dst, e.kind.value)):
-        lines.append(
-            "\t".join([
-                "edge", edge.src, edge.dst, edge.kind.value,
-                f"{edge.weight:.6f}", edge.origin.value,
-            ])
-        )
+    lines = [_tsv("node", o.id, o.kind.value, str(o.turn), f"{o.confidence:.6f}", o.content,
+                  o.quote) for o in sorted(graph.objects.values(), key=lambda o: (o.turn, o.id))]
+    lines += [_tsv("edge", e.src, e.dst, e.kind.value, f"{e.weight:.6f}", e.origin.value)
+              for e in sorted(graph.edges, key=lambda e: (e.src, e.dst, e.kind.value))]
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:

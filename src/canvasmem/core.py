@@ -5,7 +5,7 @@ embedding, turn index, confidence). Object identity is a content hash of
 (kind, normalized content, turn), so re-extracting the same statement from the
 same turn collides on purpose and deduplicates. The graph is append-only:
 objects and edges are added, never mutated or removed. Stored objects are
-immutable by contract, so snapshots share them rather than copy them.
+immutable by contract, so snapshots, which are read-only, share them.
 
 Persistence is incremental for the same reason. Each graph keeps the UTF-8
 JSON of the object and edge records it has already serialized, about one
@@ -13,9 +13,8 @@ file's worth of bytes, and a save encodes only the records added since the
 last save. The output is byte-identical to encoding the whole document at
 once only because records are appended, never changed or removed.
 
-The graph keeps no adjacency lists. Its scoring index holds the src and dst
-row of every edge in append-only columns, shared copy-on-write with every
-snapshot, and the neighborhood walk reads those.
+The graph keeps no adjacency lists: the neighborhood walk reads the src and
+dst row of every edge from append-only columns in its scoring index.
 """
 
 from __future__ import annotations
@@ -25,11 +24,12 @@ import json
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Optional
+from typing import NoReturn, Optional
 
 from .errors import (
     InvalidObjectError,
     MalformedInputError,
+    ReadOnlyGraphError,
     VersionMismatchError,
 )
 from .scoring import ScoringIndex
@@ -147,7 +147,7 @@ class CanvasGraph:
     """Append-only store of objects and edges with duplicate rejection.
 
     Concurrency model: single writer, many readers. Writers (ingestion) take
-    the graph's lock; readers work on a snapshot() taken at call start.
+    the graph's lock; readers work on a read-only snapshot() taken at call start.
     Snapshots hold the same CanvasObject instances as the graph, so a stored
     object is immutable by contract: mutating one is unsupported, because
     the change would show through every snapshot that holds it.
@@ -171,8 +171,8 @@ class CanvasGraph:
         self.edges: list[CanvasEdge] = []
         self.next_turn: int = 0
         self.lock = threading.Lock()
-        # (src, dst, kind) of every edge; None until a snapshot's first add_edge.
-        self._edge_keys: Optional[set[tuple[str, str, EdgeKind]]] = set()
+        # (src, dst, kind) of every edge.
+        self._edge_keys: set[tuple[str, str, EdgeKind]] = set()
         self._index = ScoringIndex()
         self._encoded: _Encoded = _NOTHING_ENCODED
 
@@ -211,13 +211,10 @@ class CanvasGraph:
         if edge.kind is EdgeKind.CAUSAL:
             if self.objects[edge.src].turn > self.objects[edge.dst].turn:
                 raise ValueError("causal edges must point forward in time")
-        keys = self._edge_keys
-        if keys is None:
-            keys = self._edge_keys = {(e.src, e.dst, e.kind) for e in self.edges}
         key = (edge.src, edge.dst, edge.kind)
-        if key in keys:
+        if key in self._edge_keys:
             return False
-        keys.add(key)
+        self._edge_keys.add(key)
         self.edges.append(edge)
         return True
 
@@ -245,28 +242,24 @@ class CanvasGraph:
         return index
 
     def snapshot(self) -> "CanvasGraph":
-        """Read copy that shares the stored objects; both sides keep accepting writes.
+        """Read-only copy of the graph as it stands: later writes to the graph
+        never reach it, and a write to it raises ReadOnlyGraphError.
 
-        The containers (objects, rows, edges) are copied, so an append on
-        either side never reaches the other; the twin builds its set of edge
-        keys from its own edges on its first add_edge, so a read-only
-        snapshot never pays for it. The CanvasObject instances are shared,
-        which is sound only because stored objects are never mutated. The
-        scoring index is brought up to date here, where the owner appends in
-        place, and the twin's is a copy-on-write fork of it, so a read of
-        the twin copies no column; that write is why a snapshot is taken
-        under the graph's lock while a writer may run, as engine.snapshot()
-        does. The twin shares the immutable cache of records already
-        serialized.
+        It copies the objects dict and the rows and edges lists. It shares
+        the CanvasObject instances (stored objects are never mutated), the
+        cache of serialized records and the scoring index's columns, read
+        through a read-only fork only up to the rows and edges it was taken
+        with. The index catches up here first, a write, so a snapshot is
+        taken under the graph's lock while a writer may run, as
+        engine.snapshot() does.
         """
-        twin = CanvasGraph()
+        twin = _Snapshot()
         twin.objects = dict(self.objects)
         twin.rows = list(self.rows)
         twin.turn_ordered = self.turn_ordered
         twin._index = self.scoring_index().fork()
         twin.edges = list(self.edges)
         twin.next_turn = self.next_turn
-        twin._edge_keys = None
         twin._encoded = self._encoded
         return twin
 
@@ -281,6 +274,15 @@ class CanvasGraph:
         for edge in self.edges:
             counts[edge.origin.value] += 1
         return counts
+
+
+class _Snapshot(CanvasGraph):
+    """What CanvasGraph.snapshot() returns: every write raises and changes nothing."""
+
+    def _store(self, *_) -> NoReturn:
+        raise ReadOnlyGraphError("a snapshot is read-only; write to the graph it was taken from")
+
+    add_edge = mark_turn_ingested = _store
 
 
 def _object_record(obj: CanvasObject) -> dict:

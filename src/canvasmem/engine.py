@@ -5,10 +5,10 @@ extractor backend fail is logged, counted, and skipped; ingestion continues
 with the next turn. An embedder error propagates before anything of the turn
 is stored, so the same turn can be retried.
 
-Readers should query against snapshot() output. A snapshot is cheap: it
-copies the graph's containers but shares the stored objects, which are
-immutable by contract. Mutating a stored object is unsupported, because the
-change would be visible through every snapshot.
+Readers query snapshot() output, a read-only graph: a write to it raises
+ReadOnlyGraphError. It copies the objects dict and the rows and edges lists
+and shares the stored objects (immutable by contract: a change would show
+through every snapshot), the scoring index's columns and the encode cache.
 """
 
 from __future__ import annotations

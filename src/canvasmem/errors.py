@@ -33,6 +33,10 @@ class MissingEmbeddingError(CanvasError):
     """An operation that requires embeddings met an object without one."""
 
 
+class ReadOnlyGraphError(CanvasError):
+    """A write reached a snapshot or its scoring index, which are read-only."""
+
+
 class SequenceError(CanvasError):
     """A turn arrived out of order during sequential ingestion."""
 

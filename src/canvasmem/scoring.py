@@ -46,7 +46,8 @@ from typing import TYPE_CHECKING, Optional, Protocol, Sequence, runtime_checkabl
 
 import numpy as np
 
-from .errors import CanvasError, DimensionMismatchError, MissingEmbeddingError, ZeroVectorError
+from .errors import (CanvasError, DimensionMismatchError, MissingEmbeddingError,
+                     ReadOnlyGraphError, ZeroVectorError)
 
 if TYPE_CHECKING:
     from .core import CanvasEdge, CanvasObject
@@ -199,10 +200,9 @@ class PreparedQuery:
     token_ids: frozenset[int]
 
 
-def _room(buf: np.ndarray, used: int, needed: int, owned: bool) -> np.ndarray:
-    """buf itself if the caller owns it and it has room for `needed` entries;
-    otherwise a private copy of its first `used` entries with that room."""
-    if owned and needed <= len(buf):
+def _room(buf: np.ndarray, used: int, needed: int) -> np.ndarray:
+    """buf if it holds `needed` entries, else its first `used` in a buffer grown by half."""
+    if needed <= len(buf):
         return buf
     capacity = max(len(buf), _INITIAL_ROWS)
     while capacity < needed:
@@ -252,16 +252,15 @@ class ScoringIndex:
     the src and dst row of each edge in insertion order. These work whether
     or not the embeddings can be screened.
 
-    fork() shares every column, the token table and the id map
-    copy-on-write: the owner keeps appending in place past the rows, edges
-    and token ids the fork sees, and a fork copies what it sees of the row
-    columns on its first row append, and of the edge columns on its first
-    edge append.
+    fork() returns a read-only index (a write raises ReadOnlyGraphError)
+    sharing every column, the token table and the id map: the owner keeps
+    appending in place past them, and the fork reads only up to its own row
+    count, edge count and vocabulary size.
     """
 
     def __init__(self):
         self._rows = 0
-        self._owner = True
+        self._read_only = False
         self._fault: Optional[Exception] = None
         self._unbounded = 0
         self._matrix: Optional[np.ndarray] = None
@@ -274,7 +273,6 @@ class ScoringIndex:
         self._row_of: dict[str, int] = {}
         self._id_keys = np.empty(0, dtype=np.uint64)
         self._edges = 0
-        self._owns_edges = True
         self._src = np.empty(0, dtype=np.intp)
         self._dst = np.empty(0, dtype=np.intp)
 
@@ -300,16 +298,16 @@ class ScoringIndex:
 
     def extend_edges(self, edges: Sequence[CanvasEdge]) -> None:
         """Add the src and dst row of each edge; both ends must be rows already."""
-        if not edges:
-            return  # a fork that appends nothing keeps sharing its columns
-        start, owned = self._edges, self._owns_edges
+        if self._read_only:
+            raise ReadOnlyGraphError("a forked scoring index is read-only")
+        start = self._edges
         end = start + len(edges)
         row_of = self._row_of
-        self._src = _room(self._src, start, end, owned)
-        self._dst = _room(self._dst, start, end, owned)
+        self._src = _room(self._src, start, end)
+        self._dst = _room(self._dst, start, end)
         self._src[start:end] = [row_of[edge.src] for edge in edges]
         self._dst[start:end] = [row_of[edge.dst] for edge in edges]
-        self._edges, self._owns_edges = end, True
+        self._edges = end
 
     def append_vector(
         self,
@@ -323,18 +321,12 @@ class ScoringIndex:
         self._append_rows([embedding], [content_tokens], [document_tokens], [turn], [None])
 
     def _append_rows(self, embeddings, contents, documents, turns, ids) -> None:
-        if not embeddings:
-            return  # a fork that appends nothing keeps sharing its columns
-        start, owned = self._rows, self._owner
+        if self._read_only:
+            raise ReadOnlyGraphError("a forked scoring index is read-only")
+        start = self._rows
         end = start + len(embeddings)
-        if not owned:
-            # Ids and rows the owner handed out after the fork are this
-            # index's to hand out again: copy the tables (atomically) without them.
-            size = self._vocab_size
-            self._vocab = {tok: i for tok, i in dict(self._vocab).items() if i < size}
-            self._row_of = {oid: r for oid, r in dict(self._row_of).items() if r < start}
         self._row_of.update((oid, row) for row, oid in enumerate(ids, start) if oid is not None)
-        self._id_keys = _room(self._id_keys, start, end, owned)
+        self._id_keys = _room(self._id_keys, start, end)
         hex_ids = "".join(oid or "0" * 16 for oid in ids)
         self._id_keys[start:end] = np.frombuffer(bytes.fromhex(hex_ids), dtype=">u8")
         vectors = []
@@ -356,40 +348,38 @@ class ScoringIndex:
             if self._matrix is None:
                 # Every earlier row is a fault, which is never read.
                 self._matrix, kept = np.empty((0, dim)), 0
-            self._matrix = _room(self._matrix, kept, end, owned)
-            self._norms = _room(self._norms, kept, end, owned)
+            self._matrix = _room(self._matrix, kept, end)
+            self._norms = _room(self._norms, kept, end)
             for row, vec, norm in vectors:
                 self._matrix[row] = vec
                 self._norms[row] = norm
-        self._turns = _room(self._turns, start, end, owned)
+        self._turns = _room(self._turns, start, end)
         self._turns[start:end] = [min(turn, _TURN_CAP) for turn in turns]
-        self._content = self._append_token_rows(self._content, contents, owned)
-        self._document = self._append_token_rows(self._document, documents, owned)
+        self._content = self._append_token_rows(self._content, contents)
+        self._document = self._append_token_rows(self._document, documents)
         self._vocab_size = len(self._vocab)
-        self._rows, self._owner = end, True
+        self._rows = end
 
-    def _append_token_rows(
-        self, column: _TokenRows, token_sets: list[frozenset[str]], owned: bool
-    ) -> _TokenRows:
+    def _append_token_rows(self, column: _TokenRows, sets: list[frozenset[str]]) -> _TokenRows:
         """column with a row of interned ids for each token set, new tokens
         taking the next free ids."""
         vocab = self._vocab
-        flat = [vocab.setdefault(tok, len(vocab)) for tokens in token_sets for tok in tokens]
+        flat = [vocab.setdefault(tok, len(vocab)) for tokens in sets for tok in tokens]
         offsets, ids = column
         start = self._rows
         used = int(offsets[start])
-        ends = list(accumulate(map(len, token_sets), initial=used))
-        offsets = _room(offsets, start + 1, start + len(ends), owned)
+        ends = list(accumulate(map(len, sets), initial=used))
+        offsets = _room(offsets, start + 1, start + len(ends))
         offsets[start + 1:start + len(ends)] = ends[1:]
-        ids = _room(ids, used, ends[-1], owned)
+        ids = _room(ids, used, ends[-1])
         ids[used:ends[-1]] = flat
         return offsets, ids
 
     def fork(self) -> "ScoringIndex":
-        """An index with the same rows and edges whose appends never reach this one."""
+        """A read-only index of this one's rows and edges as they stand now."""
         twin = ScoringIndex.__new__(ScoringIndex)
         twin.__dict__.update(self.__dict__)
-        twin._owner = twin._owns_edges = False
+        twin._read_only = True
         return twin
 
     def row_of(self, oid: str) -> Optional[int]:

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
 import json
+import os
+import re
+from pathlib import Path
 
 import pytest
 
 import canvasmem.cli
 from canvasmem.cli import main
-from canvasmem.core import deserialize_graph
+from canvasmem.core import (CanvasEdge, CanvasGraph, EdgeKind, EdgeOrigin, deserialize_graph,
+                            serialize_graph)
+
+from conftest import axis, make_obj
 
 
 @pytest.fixture
@@ -106,6 +112,92 @@ def test_export_tsv_rows_sorted(conversation, tmp_path, capsys):
     assert turns == sorted(turns)
     for line in edge_lines:
         assert len(line.split("\t")) == 6
+
+
+_UNESCAPES = {"\\": "\\", "t": "\t", "n": "\n", "r": "\r"}
+
+
+def _unescape(field: str) -> str:
+    return re.sub(r"\\(.)", lambda m: _UNESCAPES[m.group(1)], field)
+
+
+def _export_rows(graph_path, capsys) -> list[list[str]]:
+    capsys.readouterr()
+    assert main(["export", "--graph", str(graph_path)]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("\n")
+    return [line.split("\t") for line in out[:-1].split("\n")]
+
+
+def test_export_escapes_a_tab_in_an_ingested_line(tmp_path, capsys):
+    conversation = tmp_path / "conversation.jsonl"
+    turn = {"index": 0, "user": "DECISION: use\tredis for caching"}
+    conversation.write_text(json.dumps(turn) + "\n", encoding="utf-8")
+    graph_path = tmp_path / "graph.json"
+    assert main(["ingest", "--input", str(conversation), "--graph", str(graph_path)]) == 0
+    [obj] = deserialize_graph(graph_path.read_bytes()).rows
+    assert "\t" in obj.content
+    [row] = _export_rows(graph_path, capsys)
+    assert len(row) == 7 and "\\t" in row[5]
+    assert [_unescape(row[5]), _unescape(row[6])] == [obj.content, obj.quote]
+
+
+def test_export_escapes_what_would_break_a_row_and_leaves_plain_rows_alone(tmp_path, capsys):
+    awkward = ["tab\there", "two\nlines", "carriage\rreturn", "C:\\temp\\cache", "\\t is not a tab",
+               "all\t\\\n\r\\n at once"]
+    objects = [make_obj(content=text, quote=f"q {text} q", turn=i, embedding=axis(i % 8))
+               for i, text in enumerate(awkward)]
+    objects += [make_obj(content="the cache lives in redis", turn=9, embedding=axis(0)),
+                make_obj(content="ship it 🚀 on friday", turn=10, embedding=axis(1))]
+    graph = CanvasGraph()
+    for obj in objects:
+        graph.add_object(obj)
+    for src, dst in zip(objects, objects[1:]):
+        graph.add_edge(CanvasEdge(src=src.id, dst=dst.id, kind=EdgeKind.REFERENCE, weight=0.5,
+                                  origin=EdgeOrigin.SIMILARITY))
+    graph_path = tmp_path / "graph.json"
+    graph_path.write_bytes(serialize_graph(graph))
+    rows = _export_rows(graph_path, capsys)
+    nodes = [row for row in rows if row[0] == "node"]
+    edges = [row for row in rows if row[0] == "edge"]
+    assert len(nodes) == len(objects) and len(edges) == len(objects) - 1
+    assert all(len(row) == 7 for row in nodes) and all(len(row) == 6 for row in edges)
+    for obj, row in zip(objects, nodes):
+        assert [_unescape(row[5]), _unescape(row[6])] == [obj.content, obj.quote]
+        if not any(c in obj.content + obj.quote for c in "\\\t\n\r"):
+            # A row with nothing to escape is written as before escaping existed.
+            assert "\t".join(row) == "\t".join(["node", obj.id, obj.kind.value, str(obj.turn),
+                                                f"{obj.confidence:.6f}", obj.content, obj.quote])
+
+
+def test_atomic_write_syncs_the_temp_file_before_the_rename(tmp_path, monkeypatch):
+    events = []
+    real_mkstemp, real_fsync, real_replace = (canvasmem.cli.tempfile.mkstemp, os.fsync,
+                                              os.replace)
+
+    def mkstemp(**kwargs):
+        fd, temp = real_mkstemp(**kwargs)
+        events.append(("mkstemp", fd, temp))
+        return fd, temp
+
+    def fsync(fd):
+        temp = events[0][2]
+        events.append(("fsync", fd, Path(temp).read_bytes()))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", src, dst))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(canvasmem.cli.tempfile, "mkstemp", mkstemp)
+    monkeypatch.setattr(canvasmem.cli.os, "fsync", fsync)
+    monkeypatch.setattr(canvasmem.cli.os, "replace", replace)
+    path = tmp_path / "graph.json"
+    canvasmem.cli._write_atomic(str(path), b"payload")
+    [(_, fd, temp), synced, replaced] = events
+    assert synced == ("fsync", fd, b"payload")
+    assert replaced == ("replace", temp, str(path))
+    assert path.read_bytes() == b"payload"
 
 
 def test_export_to_file(conversation, tmp_path):

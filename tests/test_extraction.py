@@ -212,20 +212,21 @@ def test_prior_digest_is_the_stable_sort_by_turn(turns, in_order, split, cap):
         turns.sort()
     objects = [make_obj(content=f"fact {i}", turn=turn) for i, turn in enumerate(turns)]
     graph = graph_of(*objects[:split])
-    snapshot = graph.snapshot()
+    snapshots = [graph.snapshot()]
     for obj in objects[split:]:
         graph.add_object(obj)
-        snapshot.add_object(obj)
-    for g in (graph, snapshot, graph.snapshot()):
-        assert g.turn_ordered == (turns == sorted(turns))
+        snapshots.append(graph.snapshot())
+    for g in (graph, *snapshots):
+        stored = [obj.turn for obj in g.rows]
+        assert g.turn_ordered == (stored == sorted(stored))
         assert prior_digest(g, cap) == oracle_prior_digest(g, cap)
 
 
 def test_an_early_turn_stored_late_goes_to_its_place_in_the_digest():
     graph = graph_of(make_obj(content="late", turn=9), make_obj(content="early", turn=1))
     twin = graph.snapshot()
-    twin.add_object(make_obj(content="later", turn=12))
-    assert prior_digest(graph) == ["KEY_FACT: early", "KEY_FACT: late"]
-    assert prior_digest(twin) == ["KEY_FACT: early", "KEY_FACT: late", "KEY_FACT: later"]
-    assert not twin.turn_ordered
+    graph.add_object(make_obj(content="later", turn=12))
+    assert prior_digest(twin) == ["KEY_FACT: early", "KEY_FACT: late"]
+    assert prior_digest(graph) == ["KEY_FACT: early", "KEY_FACT: late", "KEY_FACT: later"]
+    assert not twin.turn_ordered and not graph.turn_ordered
 

@@ -3,7 +3,8 @@
 The oracle below is the serializer that encoded the whole document on
 every save. serialize_graph now encodes only the records added since the
 graph's last save and reuses the bytes of the rest, so every save, on a
-graph or on any of its snapshots, must equal the oracle byte for byte.
+graph or on any of its read-only snapshots, must equal the oracle byte for
+byte.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from canvasmem.core import (
     serialize_graph,
 )
 from canvasmem.engine import CanvasEngine
+from canvasmem.errors import ReadOnlyGraphError
 from canvasmem.extraction import MockExtractor
 from canvasmem.scoring import MockEmbedder
 
@@ -91,7 +93,7 @@ CONTENTS = (
 
 
 # ---------------------------------------------------------------------------
-# Interleavings of writes, saves and snapshots on parents and twins
+# Interleavings of writes, saves, loads and snapshots on parents and twins
 # ---------------------------------------------------------------------------
 
 graph_pick = st.integers(0, 7)
@@ -105,15 +107,20 @@ operation = st.one_of(
     st.tuples(st.just("mark"), graph_pick, st.integers(0, 20)),
     st.tuples(st.just("save"), graph_pick),
     st.tuples(st.just("snapshot"), graph_pick),
+    st.tuples(st.just("load"), graph_pick),
 )
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.lists(operation, max_size=60))
 def test_every_save_of_every_graph_and_twin_equals_the_oracle(ops):
-    graphs = [CanvasGraph()]
+    # Writes go to the graphs that take them: the first and those loaded
+    # since. Saves, loads and snapshots go to any graph, snapshots included.
+    writable = [CanvasGraph()]
+    graphs = list(writable)
     for op in ops:
-        graph = graphs[op[1] % len(graphs)]
+        pool = writable if op[0] in ("object", "edge", "mark") else graphs
+        graph = pool[op[1] % len(pool)]
         if op[0] == "object":
             _, _, content, turn, embedding = op
             graph.add_object(make_obj(content=CONTENTS[content], turn=turn, embedding=embedding))
@@ -130,6 +137,9 @@ def test_every_save_of_every_graph_and_twin_equals_the_oracle(ops):
             graph.mark_turn_ingested(op[2])
         elif op[0] == "save":
             assert_saves_like_oracle(graph)
+        elif op[0] == "load":
+            writable.append(deserialize_graph(assert_saves_like_oracle(graph)))
+            graphs.append(writable[-1])
         else:
             graphs.append(graph.snapshot())
     for graph in graphs:
@@ -144,17 +154,19 @@ def test_twin_and_parent_saves_never_show_each_others_records():
     parent = CanvasGraph()
     parent.add_object(a)
     assert_saves_like_oracle(parent)
+    parent.add_object(b)
+    parent.add_edge(_edge(a, b))
     twin = parent.snapshot()
-    twin.add_object(b)
-    twin.add_edge(_edge(a, b))
     twin_bytes = assert_saves_like_oracle(twin)
     parent.add_object(c)
     parent.add_edge(_edge(a, c))
     parent_bytes = assert_saves_like_oracle(parent)
-    for graph in (parent, twin):
-        graph.add_object(d)
-    assert [o.id for o in deserialize_graph(parent_bytes).rows] == [a.id, c.id]
+    with pytest.raises(ReadOnlyGraphError):
+        twin.add_object(d)
+    parent.add_object(d)
+    assert [o.id for o in deserialize_graph(parent_bytes).rows] == [a.id, b.id, c.id]
     assert [o.id for o in deserialize_graph(twin_bytes).rows] == [a.id, b.id]
+    assert serialize_graph(twin) == twin_bytes
     assert_saves_like_oracle(twin)
     assert_saves_like_oracle(parent)
 

@@ -30,7 +30,8 @@ from canvasmem.core import (
     serialize_graph,
 )
 from canvasmem.engine import CanvasEngine
-from canvasmem.errors import DimensionMismatchError, MissingEmbeddingError, ZeroVectorError
+from canvasmem.errors import (DimensionMismatchError, MissingEmbeddingError, ReadOnlyGraphError,
+                             ZeroVectorError)
 from canvasmem.extraction import MockExtractor
 from canvasmem.graph_build import TEMPORAL_SOURCE_KINDS, LinkThresholds, link_object
 from canvasmem.retrieval import (
@@ -434,7 +435,7 @@ def test_extreme_norms_link_and_rank_bit_identical_to_the_oracle(query_norm):
 
 
 # ---------------------------------------------------------------------------
-# Snapshots: the copy-on-write fork
+# Snapshots: the read-only fork
 # ---------------------------------------------------------------------------
 
 def _fill(graph, turns, axis_of=lambda t: t % 8):
@@ -468,9 +469,15 @@ def test_writes_to_a_snapshot_do_not_corrupt_the_parent_index():
     parent = CanvasGraph()
     _fill(parent, range(10))
     twin = parent.snapshot()
-    # The twin writes first, into what it shares with the parent...
-    _fill(twin, range(10, 16), axis_of=lambda t: 0)
-    # ...then the parent writes rows the twin has written too.
+    # A write to the twin or its index raises before it touches what both share...
+    extra = make_obj(content="note 10 redis", turn=10, embedding=axis(0))
+    for write in (lambda: _fill(twin, [10], axis_of=lambda t: 0),
+                  lambda: twin.scoring_index().extend([extra]),
+                  lambda: twin.scoring_index().append_vector(axis(0), frozenset({"note"}))):
+        with pytest.raises(ReadOnlyGraphError):
+            write()
+    assert len(twin) == len(twin.scoring_index()) == len(parent.scoring_index()) == 10
+    # ...and the parent then writes in place past the rows the twin reads.
     _fill(parent, range(20, 26), axis_of=lambda t: 1)
     for graph in (parent, twin):
         for query in (axis(0), axis(1), [1.0] * 8):
@@ -836,20 +843,20 @@ def test_forks_and_their_owner_never_see_each_others_rows_or_token_ids():
     owner = ScoringIndex()
     owner.append_vector(axis(0), frozenset({"redis"}), frozenset({"redis", "cache"}), 0)
     fork = owner.fork()
-    # Both sides intern new tokens after the fork, in turns.
+    # The owner interns new tokens after the fork; the fork's appends raise.
     owner.append_vector(axis(1), frozenset({"alpha"}), frozenset({"alpha"}), 1)
-    fork.append_vector(axis(2), frozenset({"beta"}), frozenset({"beta"}), 1)
+    with pytest.raises(ReadOnlyGraphError):
+        fork.append_vector(axis(2), frozenset({"beta"}), frozenset({"beta"}), 1)
     owner.append_vector(axis(3), frozenset({"gamma"}), frozenset({"gamma"}), 2)
-    fork.append_vector(axis(4), frozenset({"delta"}), frozenset({"delta"}), 2)
-    sides = ((owner, {"alpha", "gamma"}, {"beta", "delta"}),
-             (fork, {"beta", "delta"}, {"alpha", "gamma"}))
-    for index, own, other in sides:
-        assert len(index) == 3
-        assert index.prepare(axis(0), " ".join(other)).token_ids == frozenset()
-        assert index.jaccards(frozenset(other)).tolist() == [0.0, 0.0, 0.0]
-        assert index.jaccards(frozenset(own)).tolist() == [0.0, 0.5, 0.5]
-        assert index.jaccards(frozenset({"redis"})).tolist() == [1.0, 0.0, 0.0]
-        assert index.turn_window(2, 1).tolist() == [False, True, True]
+    assert len(owner) == 3 and len(fork) == 1
+    assert owner.prepare(axis(0), "beta").token_ids == frozenset()
+    assert owner.jaccards(frozenset({"alpha", "gamma"})).tolist() == [0.0, 0.5, 0.5]
+    assert owner.jaccards(frozenset({"redis"})).tolist() == [1.0, 0.0, 0.0]
+    assert owner.turn_window(2, 1).tolist() == [False, True, True]
+    assert fork.prepare(axis(0), "alpha gamma beta").token_ids == frozenset()
+    assert fork.jaccards(frozenset({"alpha", "gamma"})).tolist() == [0.0]
+    assert fork.jaccards(frozenset({"redis"})).tolist() == [1.0]
+    assert fork.turn_window(2, 1).tolist() == [False]
 
 
 _turn_objects = st.builds(

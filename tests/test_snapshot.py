@@ -1,13 +1,18 @@
-"""Snapshots share the stored objects and copy only the containers.
+"""Snapshots are read-only, share the stored objects and copy only the containers.
 
-Readers query engine.snapshot() while ingestion goes on. The twin holds the
-very CanvasObject instances of the graph, so these tests check both halves
-of that contract: identity is shared, and appends on either side stay on
-that side. The oracle is an independent copy made by a serialize/load round
-trip, which shares nothing with the engine's graph.
+Readers query engine.snapshot() while ingestion goes on. The snapshot holds
+the very CanvasObject instances of the graph and reads the index columns the
+graph keeps appending to in place, so these tests check every half of that
+contract: identity is shared, the graph's appends never reach a snapshot,
+and every write to a snapshot or its index raises and changes neither side.
+The oracle is an independent copy made by a serialize/load round trip,
+which shares nothing with the engine's graph.
 """
 
 from __future__ import annotations
+
+import sys
+import threading
 
 import pytest
 
@@ -20,6 +25,7 @@ from canvasmem.core import (
     serialize_graph,
 )
 from canvasmem.engine import CanvasEngine
+from canvasmem.errors import ReadOnlyGraphError
 from canvasmem.extraction import MockExtractor
 from canvasmem.graph_build import link_object
 from canvasmem.retrieval import RetrievalConfig, retrieve
@@ -50,6 +56,34 @@ def _state(graph):
             {oid: graph.neighbors(oid) for oid in graph.objects}, graph.next_turn)
 
 
+def _index_state(graph):
+    index = graph.scoring_index()
+    src, dst = index.edge_rows()
+    return len(index), index.id_keys().tolist(), src.tolist(), dst.tolist()
+
+
+def assert_every_write_raises(twin, owner, obj, edge):
+    """Each write to the snapshot or its index raises ReadOnlyGraphError and
+    leaves the snapshot and its owner as they were."""
+    def both():
+        return [(_state(graph), _index_state(graph)) for graph in (twin, owner)]
+
+    before = both()
+    index = twin.scoring_index()
+    writes = (
+        lambda: twin.add_object(obj),
+        lambda: twin.add_edge(edge),
+        lambda: twin.mark_turn_ingested(twin.next_turn + 5),
+        lambda: index.extend([obj]),
+        lambda: index.append_vector(axis(0), frozenset({"cache"}), frozenset({"cache"}), 9),
+        lambda: index.extend_edges([edge]),
+    )
+    for write in writes:
+        with pytest.raises(ReadOnlyGraphError):
+            write()
+        assert both() == before
+
+
 def test_snapshot_shares_every_stored_object():
     engine = CanvasEngine(MockExtractor(), MockEmbedder())
     for turn in seeded_turns(3, 40):
@@ -63,21 +97,44 @@ def test_snapshot_shares_every_stored_object():
 
 @pytest.mark.parametrize("writer", ["parent", "twin"])
 def test_appends_on_one_side_do_not_reach_the_other(writer):
+    """The parent's appends never reach its snapshot; the snapshot's raise."""
     graph, a, b = _pair_graph()
     twin = graph.snapshot()
-    written, untouched = (graph, twin) if writer == "parent" else (twin, graph)
-    before = _state(untouched)
     c = make_obj(content="the cache ttl is 90 seconds", turn=2, embedding=axis(0))
-    written.add_object(c)
-    written.add_edge(_edge(a, c))
-    written.add_edge(_edge(c, b))
-    link_object(written, c)
-    assert c.id in written.objects and c.id in written.neighbors(a.id)
-    assert _state(untouched) == before
-    assert c.id not in untouched.objects
-    assert untouched.neighbors(a.id) == [b.id]
-    assert untouched.neighbors(c.id) == []
-    assert untouched.scoring_index().cosines(axis(0)).tolist() == [1.0, 0.0]
+    if writer == "twin":
+        assert_every_write_raises(twin, graph, c, _edge(a, b))
+        with pytest.raises(ReadOnlyGraphError):
+            link_object(twin, c)
+        assert c.id not in graph.objects and c.id not in twin.objects
+        return
+    before = _state(twin)
+    graph.add_object(c)
+    graph.add_edge(_edge(a, c))
+    graph.add_edge(_edge(c, b))
+    link_object(graph, c)
+    assert c.id in graph.objects and c.id in graph.neighbors(a.id)
+    assert _state(twin) == before
+    assert c.id not in twin.objects and twin.scoring_index().row_of(c.id) is None
+    assert twin.neighbors(a.id) == [b.id]
+    assert twin.neighbors(c.id) == []
+    assert twin.scoring_index().cosines(axis(0)).tolist() == [1.0, 0.0]
+
+
+def test_every_write_to_an_engine_snapshot_raises_and_changes_nothing():
+    engine = CanvasEngine(MockExtractor(), MockEmbedder())
+    turns = seeded_turns(5, 40)
+    for turn in turns[:20]:
+        engine.ingest_turn(turn)
+    twin = engine.snapshot()
+    rows = engine.graph.rows
+    obj = make_obj(content="a fact no turn stated", turn=30, embedding=engine.embedder.embed("fact"))
+    assert_every_write_raises(twin, engine.graph, obj, _edge(rows[0], rows[-1]))
+    # A snapshot of the snapshot is read-only too, and the owner still ingests.
+    assert_every_write_raises(twin.snapshot(), twin, obj, _edge(rows[0], rows[-1]))
+    before = _state(twin)
+    for turn in turns[20:]:
+        engine.ingest_turn(turn)
+    assert len(engine.graph) > len(twin) and _state(twin) == before
 
 
 @pytest.mark.parametrize("seed", [3, 17])
@@ -105,26 +162,30 @@ def _edge_state(graph):
 
 @pytest.mark.parametrize("first", ["parent", "twin"])
 def test_edge_columns_stay_isolated_both_ways_after_snapshot(first):
-    """Both sides append different edges past the shared columns, one side
-    after the other and each read in between; neither sees the other's."""
+    """The parent appends edges past the columns it shares with a snapshot,
+    each read in between, before or after the snapshot's edge writes raise;
+    neither side sees the other's."""
     graph, a, b = _pair_graph()
     c = make_obj(content="the cache ttl is 90 seconds", turn=2, embedding=axis(0))
     d = make_obj(content="node 2 has 64 gigabytes", turn=3, embedding=axis(1))
     twin = graph.snapshot()
     assert _edge_state(twin) == _edge_state(graph)
-    for side in (graph, twin):
-        side.add_object(c)
-        side.add_object(d)
-    writes = {"parent": (graph, [(b, a), (a, c)]), "twin": (twin, [(c, b), (d, b)])}
-    order = [first, "twin" if first == "parent" else "parent"]
-    for name in order:
-        side, pairs = writes[name]
-        other = twin if side is graph else graph
-        before = _edge_state(other)
-        for src, dst in pairs:
-            side.add_edge(_edge(src, dst))
-            side.scoring_index()
-        assert _edge_state(other) == before
+    graph.add_object(c)
+    graph.add_object(d)
+
+    def parent_writes():
+        before = _edge_state(twin)
+        for src, dst in [(b, a), (a, c)]:
+            graph.add_edge(_edge(src, dst))
+            graph.scoring_index()
+        assert _edge_state(twin) == before
+
+    def twin_writes():
+        assert_every_write_raises(twin, graph, c, _edge(b, a))
+
+    order = (parent_writes, twin_writes)
+    for write in order if first == "parent" else order[::-1]:
+        write()
     for side in (graph, twin):
         src_rows, dst_rows, _ = _edge_state(side)
         ids = [obj.id for obj in side.rows]
@@ -133,29 +194,75 @@ def test_edge_columns_stay_isolated_both_ways_after_snapshot(first):
     assert graph.neighbors(a.id) == [b.id, b.id, c.id]
     assert graph.neighbors(d.id) == []
     assert twin.neighbors(a.id) == [b.id]
-    assert twin.neighbors(b.id) == [a.id, c.id, d.id]
+    assert twin.neighbors(b.id) == [a.id]
 
 
 def test_duplicate_edges_are_rejected_on_both_sides_after_snapshot():
-    """A snapshot copies no edge keys; each side still rejects a repeated
-    (src, dst, kind) triple, its own and those it held before the fork."""
+    """After a snapshot the owner still rejects a repeated (src, dst, kind)
+    triple, its own and those it held before; a snapshot rejects every edge,
+    repeated or new, as a write."""
     graph, a, b = _pair_graph()
     c = make_obj(content="the cache ttl is 90 seconds", turn=2, embedding=axis(2))
     twin = graph.snapshot()
-    for side in (graph, twin):
-        side.add_object(c)
-        assert side.add_edge(_edge(a, b)) is False
-        assert side.add_edge(_edge(b, c)) is True
-        assert side.add_edge(_edge(b, c)) is False
-        # Another kind on the same pair is a different triple.
-        assert side.add_edge(CanvasEdge(src=b.id, dst=c.id, kind=EdgeKind.CAUSAL, weight=0.5,
-                                        origin=EdgeOrigin.SIMILARITY)) is True
-    # A fork of a fork, written after its parent wrote.
-    grandchild = twin.snapshot()
-    assert twin.add_edge(_edge(a, c)) is True
-    assert grandchild.add_edge(_edge(b, c)) is False
-    assert grandchild.add_edge(_edge(a, c)) is True
+    graph.add_object(c)
+    assert graph.add_edge(_edge(a, b)) is False
+    assert graph.add_edge(_edge(b, c)) is True
+    assert graph.add_edge(_edge(b, c)) is False
+    # Another kind on the same pair is a different triple.
+    causal = CanvasEdge(src=b.id, dst=c.id, kind=EdgeKind.CAUSAL, weight=0.5,
+                        origin=EdgeOrigin.SIMILARITY)
+    assert graph.add_edge(causal) is True
+    grandchild, later = twin.snapshot(), graph.snapshot()
+    for side in (twin, grandchild, later):
+        for edge in (_edge(a, b), _edge(a, c), causal):
+            with pytest.raises(ReadOnlyGraphError):
+                side.add_edge(edge)
     assert [(e.src, e.dst, e.kind) for e in graph.edges] == [
         (a.id, b.id, EdgeKind.REFERENCE), (b.id, c.id, EdgeKind.REFERENCE),
         (b.id, c.id, EdgeKind.CAUSAL)]
-    assert twin.edges == grandchild.edges
+    assert twin.edges == grandchild.edges == [_edge(a, b)]
+    assert later.edges == graph.edges
+
+
+def test_concurrent_readers_see_consistent_snapshots():
+    """Readers snapshot and retrieve while the engine ingests, so the owner
+    appends in place past the rows, edges and token ids of the index
+    columns each snapshot reads. Every block equals the block of an
+    independent copy of its snapshot."""
+    engine = CanvasEngine(MockExtractor(), MockEmbedder())
+    config = RetrievalConfig(coarse_k=6, hops=2)
+    done = threading.Event()
+    sizes: list[int] = []
+    errors: list[BaseException] = []
+
+    def read_repeatedly(reader):
+        try:
+            for i in range(reader, 10**9, 3):
+                if done.is_set():
+                    return
+                twin = engine.snapshot()
+                question = QUESTIONS[i % len(QUESTIONS)]
+                block = retrieve(twin, question, engine.embedder, config)
+                copy = deserialize_graph(serialize_graph(twin))
+                assert block == retrieve(copy, question, engine.embedder, config)
+                sizes.append(len(twin))
+        except BaseException as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    readers = [threading.Thread(target=read_repeatedly, args=(i,)) for i in range(3)]
+    try:
+        for thread in readers:
+            thread.start()
+        for turn in seeded_turns(13, 120):
+            engine.ingest_turn(turn)
+    finally:
+        done.set()
+        for thread in readers:
+            thread.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in readers)
+    assert not errors, errors
+    # Some reads of a nonempty snapshot ran while the graph grew past it.
+    assert any(0 < size < len(engine.graph) for size in sizes)
