@@ -13,6 +13,7 @@ offline with no network access.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import os
@@ -20,7 +21,9 @@ import re
 import time
 from dataclasses import asdict, dataclass, field
 from importlib import resources
-from typing import Any, Callable, Optional, Protocol, Sequence, runtime_checkable
+from typing import (
+    Any, Callable, NamedTuple, Optional, Protocol, Sequence, Union, runtime_checkable,
+)
 
 import requests
 
@@ -233,6 +236,7 @@ def remote_rerank(
     return [s for s in scores if s is not None]
 
 
+@functools.cache
 def _prompt_asset(name: str) -> str:
     return resources.files("canvasmem").joinpath(f"assets/prompts/{name}").read_text(encoding="utf-8")
 
@@ -253,27 +257,29 @@ class SummarizerBackend(Protocol):
         ...
 
 
-class RemoteEmbedder:
-    """EmbedderBackend backed by the remote embeddings endpoint."""
+class RemoteClient:
+    """What every remote role client holds: its settings, transport and call accounting."""
 
     def __init__(self, config: BackendConfig, transport: Transport | None = None,
                  stats: TransportStats | None = None):
         self.config = config
         self.transport = transport
         self.stats = stats
+
+    def _chat(self, prompt: str, role: str, temperature: float) -> str:
+        return remote_chat(self.config, prompt, role=role, temperature=temperature,
+                           transport=self.transport, stats=self.stats)
+
+
+class RemoteEmbedder(RemoteClient):
+    """EmbedderBackend backed by the remote embeddings endpoint."""
 
     def embed(self, text: str) -> list[float]:
         return remote_embed(self.config, [text], transport=self.transport, stats=self.stats)[0]
 
 
-class RemoteReranker:
+class RemoteReranker(RemoteClient):
     """RerankerBackend backed by the remote rerank endpoint."""
-
-    def __init__(self, config: BackendConfig, transport: Transport | None = None,
-                 stats: TransportStats | None = None):
-        self.config = config
-        self.transport = transport
-        self.stats = stats
 
     def rerank(self, query_text: str, candidates: Sequence[tuple[str, str]]) -> list[tuple[str, float]]:
         documents = [text for _, text in candidates]
@@ -282,73 +288,46 @@ class RemoteReranker:
         return [(cid, score) for (cid, _), score in zip(candidates, scores)]
 
 
-class RemoteAnswerer:
+class RemoteAnswerer(RemoteClient):
     """AnswerBackend that fills the answer prompt and calls chat."""
 
-    def __init__(self, config: BackendConfig, transport: Transport | None = None,
-                 stats: TransportStats | None = None):
-        self.config = config
-        self.transport = transport
-        self.stats = stats
-        self._template = _prompt_asset("answer.txt")
-
     def answer(self, question: str, context: str) -> str:
-        prompt = self._template.format(context=context, question=question)
-        return remote_chat(self.config, prompt, role="answerer",
-                           temperature=self.config.temperature_generation,
-                           transport=self.transport, stats=self.stats)
+        prompt = _prompt_asset("answer.txt").format(context=context, question=question)
+        return self._chat(prompt, "answerer", self.config.temperature_generation)
 
 
-class RemoteSummarizer:
+class RemoteSummarizer(RemoteClient):
     """SummarizerBackend that fills the summarize prompt and calls chat."""
 
     SUMMARIZE_TEMPERATURE = 0.1
 
-    def __init__(self, config: BackendConfig, transport: Transport | None = None,
-                 stats: TransportStats | None = None):
-        self.config = config
-        self.transport = transport
-        self.stats = stats
-        self._template = _prompt_asset("summarize.txt")
-
     def summarize(self, text: str) -> str:
-        prompt = self._template.format(text=text)
-        return remote_chat(self.config, prompt, role="summarizer",
-                           temperature=self.SUMMARIZE_TEMPERATURE,
-                           transport=self.transport, stats=self.stats)
+        prompt = _prompt_asset("summarize.txt").format(text=text)
+        return self._chat(prompt, "summarizer", self.SUMMARIZE_TEMPERATURE)
 
 
 _FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)
 
 
-class RemoteExtractor:
+class RemoteExtractor(RemoteClient):
     """ExtractorBackend that prompts a chat model and parses its JSON reply.
 
     Individually malformed records are dropped with a log line; only an
     unparseable response as a whole raises MalformedResponseError.
     """
 
-    def __init__(self, config: BackendConfig, transport: Transport | None = None,
-                 stats: TransportStats | None = None):
-        self.config = config
-        self.transport = transport
-        self.stats = stats
-        self._first = _prompt_asset("extraction_first.txt")
-        self._glean = _prompt_asset("extraction_glean.txt")
-
     def extract(self, turn: ConversationTurn, prior_digest: Sequence[str],
                 pass_: ExtractionPass) -> list[CanvasObject]:
         digest = "\n".join(prior_digest) if prior_digest else "(none)"
         if pass_ is ExtractionPass.FIRST:
-            prompt = self._first.format(digest=digest, index=turn.index,
-                                        user=turn.user_text, assistant=turn.assistant_text)
+            prompt = _prompt_asset("extraction_first.txt").format(
+                digest=digest, index=turn.index, user=turn.user_text,
+                assistant=turn.assistant_text)
         else:
-            prompt = self._glean.format(digest=digest, first_pass="(see canvas)",
-                                        index=turn.index, user=turn.user_text,
-                                        assistant=turn.assistant_text)
-        reply = remote_chat(self.config, prompt, role="extractor",
-                            temperature=self.config.temperature_extraction,
-                            transport=self.transport, stats=self.stats)
+            prompt = _prompt_asset("extraction_glean.txt").format(
+                digest=digest, first_pass="(see canvas)", index=turn.index,
+                user=turn.user_text, assistant=turn.assistant_text)
+        reply = self._chat(prompt, "extractor", self.config.temperature_extraction)
         return _parse_extraction_reply(reply, turn)
 
 
@@ -441,6 +420,42 @@ class FirstSentenceSummarizer:
         return "\n".join(kept)
 
 
+class Role(NamedTuple):
+    """How one backend role is served: its offline tag, what that tag builds, and
+    the client a remote mapping builds."""
+
+    offline_tag: str
+    offline: Optional[Callable[[], Any]]  # None: passthrough, the role stays empty
+    remote: type[RemoteClient]
+
+
+# The one declaration of the backend roles. The config defaults, build_bundle
+# and mock_bundle all read it.
+ROLES: dict[str, Role] = {
+    "extractor": Role("mock", MockExtractor, RemoteExtractor),
+    "embedder": Role("mock", MockEmbedder, RemoteEmbedder),
+    "reranker": Role("passthrough", None, RemoteReranker),
+    "answerer": Role("mock", EchoAnswerer, RemoteAnswerer),
+    "summarizer": Role("mock", FirstSentenceSummarizer, RemoteSummarizer),
+}
+
+RoleSetting = Union[str, BackendConfig]
+
+
+def build_role(name: str, setting: RoleSetting) -> Any:
+    """The backend serving role name: the remote client for a mapping, else the
+    offline backend its tag names (None for passthrough)."""
+    role = ROLES[name]
+    if isinstance(setting, BackendConfig):
+        return role.remote(setting)
+    if setting != role.offline_tag:
+        raise ValueError(
+            f"unsupported {name} backend setting {setting!r}; "
+            f"use {role.offline_tag!r} or an endpoint mapping"
+        )
+    return None if role.offline is None else role.offline()
+
+
 @dataclass
 class BackendBundle:
     """Every pluggable role in one place, for the benchmark and the CLI."""
@@ -454,10 +469,4 @@ class BackendBundle:
 
 def mock_bundle() -> BackendBundle:
     """The all-offline bundle; no role touches the network."""
-    return BackendBundle(
-        extractor=MockExtractor(),
-        embedder=MockEmbedder(),
-        reranker=None,
-        answerer=EchoAnswerer(),
-        summarizer=FirstSentenceSummarizer(),
-    )
+    return BackendBundle(**{name: build_role(name, role.offline_tag) for name, role in ROLES.items()})

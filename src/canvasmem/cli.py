@@ -48,7 +48,7 @@ from .core import deserialize_graph, serialize_graph
 from .engine import CanvasEngine
 from .errors import CanvasError
 from .extraction import ConversationTurn
-from .retrieval import retrieve
+from .retrieval import RETRIEVAL_PRESETS, retrieve
 
 log = logging.getLogger(__name__)
 
@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_query.add_argument("question")
     p_query.add_argument("--graph", required=True, help="graph JSON path")
     p_query.add_argument("--answer", action="store_true", help="run the answer backend too")
-    p_query.add_argument("--preset", choices=["standard", "locomo"], default=None)
+    p_query.add_argument("--preset", choices=list(RETRIEVAL_PRESETS), default=None)
     _add_config_flags(p_query)
     p_query.set_defaults(func=cmd_query)
 

@@ -2,37 +2,30 @@
 
 Config files are YAML with the same shape that EngineConfig.to_dict emits,
 so a result file's embedded config can be fed straight back in to reproduce
-a run. Secrets never appear here: backends carry the name of an API key
+a run. A key that to_dict does not write, or a value of another type than
+the one it writes there, is a ValueError naming the section and the key.
+
+Each backend role takes its offline tag or a mapping of remote settings.
+The tags, what each builds and the remote client a mapping builds are
+declared once, in backends.ROLES, which the defaults here, build_bundle and
+mock_bundle all read: changing a role's offline backend is one edit to its
+entry in that table. Secrets never appear here: backends carry the name of an API key
 environment variable, not the key.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import asdict, dataclass, field, fields
-from typing import Optional, Union
+from dataclasses import asdict, dataclass, field
+from typing import Any, Optional
 
 import yaml
 
-from .backends import (
-    BackendBundle,
-    BackendConfig,
-    EchoAnswerer,
-    FirstSentenceSummarizer,
-    RemoteAnswerer,
-    RemoteEmbedder,
-    RemoteExtractor,
-    RemoteReranker,
-    RemoteSummarizer,
-)
+from .backends import ROLES, BackendBundle, BackendConfig, RoleSetting, build_role
 from .core import ObjectKind
-from .extraction import MockExtractor
 from .graph_build import LinkThresholds
 from .retrieval import QueryClass, RetrievalConfig
-from .scoring import HybridWeights, MockEmbedder
-
-MOCK = "mock"
-PASSTHROUGH = "passthrough"
+from .scoring import HybridWeights
 
 _K_KEYS = {
     "k_simple": QueryClass.SIMPLE,
@@ -40,25 +33,43 @@ _K_KEYS = {
     "k_multi_hop": QueryClass.MULTI_HOP,
 }
 
-RoleSetting = Union[str, BackendConfig]
-_BACKEND_KEYS = frozenset(f.name for f in fields(BackendConfig))
-_THRESHOLD_KEYS = frozenset(f.name for f in fields(LinkThresholds))
-_RETRIEVAL_KEYS = frozenset({
-    "alpha", "coarse_k", "hops", "budget_tokens", "causal_indicators", "temporal_indicators",
-}) | frozenset(_K_KEYS)
+_BACKEND_DEFAULTS = BackendConfig().to_dict()
+_TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
+               dict: "a mapping"}
 
 
-def _section(data: dict, name: str, known: frozenset[str]) -> dict:
-    """The mapping under data[name] (empty if absent); unknown keys are an error."""
-    section = data.get(name, {})
-    if not isinstance(section, dict):
-        raise ValueError(f"config section {name!r} must be a mapping")
-    unknown = [key for key in section if key not in known]
+def _fits(value: Any, default: Any) -> bool:
+    """Whether value has the type of default: a bool exactly, an int but not a bool,
+    any number for a float, and a list whose items each fit the default's first."""
+    if isinstance(default, list):
+        return isinstance(value, list) and all(_fits(item, default[0]) for item in value)
+    if isinstance(default, bool) or isinstance(value, bool):
+        return isinstance(default, bool) and isinstance(value, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
+def _type_name(default: Any) -> str:
+    if isinstance(default, list):
+        return "a list of " + ("string pairs" if isinstance(default[0], list) else "strings")
+    return _TYPE_NAMES[type(default)]
+
+
+def _checked(where: str, values: Any, defaults: dict, typed: bool = True) -> dict:
+    """values, which must be a mapping with only keys of defaults and, when typed,
+    values of their defaults' types; otherwise a ValueError naming where and the key."""
+    if not isinstance(values, dict):
+        raise ValueError(f"{where} must be a mapping")
+    unknown = [key for key in values if key not in defaults]
     if unknown:
-        raise ValueError(
-            f"config section {name!r} has unknown keys: {', '.join(map(repr, unknown))}"
-        )
-    return section
+        raise ValueError(f"{where} has unknown keys: {', '.join(map(repr, unknown))}")
+    for key, value in values.items():
+        if typed and not _fits(value, defaults[key]):
+            raise ValueError(
+                f"{where} key {key!r} must be {_type_name(defaults[key])}, got {value!r}"
+            )
+    return values
 
 
 @dataclass
@@ -83,21 +94,15 @@ class BenchOptions:
             raise ValueError("recent_turns, native_token_limit, and cases must be positive")
 
 
-_BENCH_KEYS = frozenset(f.name for f in fields(BenchOptions))
-
-
 @dataclass
 class BackendSelection:
-    """Which implementation serves each role: a mock tag or remote settings."""
+    """Which implementation serves each role: its offline tag or remote settings."""
 
-    extractor: RoleSetting = MOCK
-    embedder: RoleSetting = MOCK
-    reranker: RoleSetting = PASSTHROUGH
-    answerer: RoleSetting = MOCK
-    summarizer: RoleSetting = MOCK
-
-
-_ROLE_KEYS = frozenset(f.name for f in fields(BackendSelection))
+    extractor: RoleSetting = ROLES["extractor"].offline_tag
+    embedder: RoleSetting = ROLES["embedder"].offline_tag
+    reranker: RoleSetting = ROLES["reranker"].offline_tag
+    answerer: RoleSetting = ROLES["answerer"].offline_tag
+    summarizer: RoleSetting = ROLES["summarizer"].offline_tag
 
 
 @dataclass
@@ -132,31 +137,33 @@ class EngineConfig:
                 "causal_indicators": list(self.retrieval.causal_indicators),
                 "temporal_indicators": list(self.retrieval.temporal_indicators),
             },
-            "backends": {
-                role: (setting if isinstance(setting, str) else setting.to_dict())
-                for role, setting in (
-                    ("extractor", self.backends.extractor),
-                    ("embedder", self.backends.embedder),
-                    ("reranker", self.backends.reranker),
-                    ("answerer", self.backends.answerer),
-                    ("summarizer", self.backends.summarizer),
-                )
-            },
+            "backends": asdict(self.backends),
             "bench": asdict(self.bench),
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "EngineConfig":
-        """The config that data describes; an unknown key at any level is a ValueError."""
-        unknown = [key for key in data if key not in _TOP_LEVEL_KEYS]
-        if unknown:
-            raise ValueError(f"config has unknown keys: {', '.join(map(repr, unknown))}")
-        thresholds_d = dict(_section(data, "thresholds", _THRESHOLD_KEYS))
+        """The config that data describes. Every key must be one that to_dict
+        writes (or "preset"), with a value of the type to_dict writes there;
+        anything else is a ValueError naming the section and the key."""
+        defaults = cls().to_dict()
+        # "preset" names a RetrievalConfig.preset; "standard" stands for its type.
+        _checked("config", data, {**defaults, "preset": "standard"})
+
+        def section(name: str, typed: bool = True) -> dict:
+            return _checked(f"config section {name!r}", data.get(name, {}), defaults[name], typed)
+
+        thresholds_d = dict(section("thresholds"))
         pairs = thresholds_d.pop("causal_pairs", None)
         if pairs is not None:
-            thresholds_d["causal_pairs"] = tuple((ObjectKind(a), ObjectKind(b)) for a, b in pairs)
+            try:
+                thresholds_d["causal_pairs"] = tuple(
+                    (ObjectKind(a), ObjectKind(b)) for a, b in pairs
+                )
+            except ValueError as exc:
+                raise ValueError(f"config section 'thresholds' key 'causal_pairs': {exc}") from exc
         thresholds = LinkThresholds(**thresholds_d)
-        retrieval_d = _section(data, "retrieval", _RETRIEVAL_KEYS)
+        retrieval_d = section("retrieval")
         base_retrieval = (
             RetrievalConfig.preset(data["preset"]) if "preset" in data else RetrievalConfig()
         )
@@ -177,40 +184,25 @@ class EngineConfig:
                 retrieval_d.get("temporal_indicators", base_retrieval.temporal_indicators)
             ),
         )
-        backends_d = _section(data, "backends", _ROLE_KEYS)
 
-        def role(name: str, default: str) -> RoleSetting:
-            raw = backends_d.get(name, default)
+        def role(name: str, raw: Any) -> RoleSetting:
             if isinstance(raw, str):
                 return raw
-            if isinstance(raw, dict):
-                unknown = [key for key in raw if key not in _BACKEND_KEYS]
-                if unknown:
-                    raise ValueError(
-                        f"backend role {name!r} has unknown keys: {', '.join(map(repr, unknown))}"
-                    )
-                return BackendConfig(**raw)
-            raise ValueError(f"backend role {name!r} must be a tag or a mapping")
+            where = f"config section 'backends' role {name!r}"
+            if not isinstance(raw, dict):
+                raise ValueError(f"{where} must be a tag or a mapping")
+            return BackendConfig(**_checked(where, raw, _BACKEND_DEFAULTS))
 
-        backends = BackendSelection(
-            extractor=role("extractor", MOCK),
-            embedder=role("embedder", MOCK),
-            reranker=role("reranker", PASSTHROUGH),
-            answerer=role("answerer", MOCK),
-            summarizer=role("summarizer", MOCK),
-        )
-        bench = BenchOptions(**_section(data, "bench", _BENCH_KEYS))
+        backends = BackendSelection(**{
+            name: role(name, raw) for name, raw in section("backends", typed=False).items()
+        })
         return cls(
             gleaning=data.get("gleaning", True),
             thresholds=thresholds,
             retrieval=retrieval,
             backends=backends,
-            bench=bench,
+            bench=BenchOptions(**section("bench")),
         )
-
-
-# What to_dict emits, plus the retrieval preset a config file or flag may name.
-_TOP_LEVEL_KEYS = frozenset(f.name for f in fields(EngineConfig)) | {"preset"}
 
 
 def deep_merge(base: dict, override: dict) -> dict:
@@ -242,45 +234,4 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
 
 def build_bundle(config: EngineConfig) -> BackendBundle:
     """Instantiate the backend for every role according to the selection."""
-    sel = config.backends
-
-    def bad(role: str, value: RoleSetting):
-        return ValueError(f"unsupported {role} backend setting {value!r}")
-
-    if sel.extractor == MOCK:
-        extractor = MockExtractor()
-    elif isinstance(sel.extractor, BackendConfig):
-        extractor = RemoteExtractor(sel.extractor)
-    else:
-        raise bad("extractor", sel.extractor)
-    if sel.embedder == MOCK:
-        embedder = MockEmbedder()
-    elif isinstance(sel.embedder, BackendConfig):
-        embedder = RemoteEmbedder(sel.embedder)
-    else:
-        raise bad("embedder", sel.embedder)
-    if sel.reranker == PASSTHROUGH:
-        reranker = None
-    elif isinstance(sel.reranker, BackendConfig):
-        reranker = RemoteReranker(sel.reranker)
-    else:
-        raise bad("reranker", sel.reranker)
-    if sel.answerer == MOCK:
-        answerer = EchoAnswerer()
-    elif isinstance(sel.answerer, BackendConfig):
-        answerer = RemoteAnswerer(sel.answerer)
-    else:
-        raise bad("answerer", sel.answerer)
-    if sel.summarizer == MOCK:
-        summarizer = FirstSentenceSummarizer()
-    elif isinstance(sel.summarizer, BackendConfig):
-        summarizer = RemoteSummarizer(sel.summarizer)
-    else:
-        raise bad("summarizer", sel.summarizer)
-    return BackendBundle(
-        extractor=extractor,
-        embedder=embedder,
-        reranker=reranker,
-        answerer=answerer,
-        summarizer=summarizer,
-    )
+    return BackendBundle(**{role: build_role(role, getattr(config.backends, role)) for role in ROLES})

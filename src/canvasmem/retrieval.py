@@ -150,12 +150,19 @@ class RetrievalConfig:
 
     @classmethod
     def preset(cls, name: str) -> "RetrievalConfig":
-        """Named parameter bundles: "standard" (1 hop) and "locomo" (4 hops)."""
-        if name == "standard":
-            return cls()
-        if name == "locomo":
-            return cls(hops=4)
-        raise ValueError(f"unknown retrieval preset {name!r}")
+        """The defaults with the settings RETRIEVAL_PRESETS names under name."""
+        if not isinstance(name, str) or name not in RETRIEVAL_PRESETS:
+            raise ValueError(
+                f"unknown retrieval preset {name!r}; choose from {', '.join(RETRIEVAL_PRESETS)}"
+            )
+        return cls(**RETRIEVAL_PRESETS[name])
+
+
+# Named parameter bundles over the RetrievalConfig defaults.
+RETRIEVAL_PRESETS: dict[str, dict] = {
+    "standard": {},
+    "locomo": {"hops": 4},
+}
 
 
 @dataclass

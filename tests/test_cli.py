@@ -301,6 +301,17 @@ def test_unknown_override_path_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override, named", [
+    ("retrieval.hops=two", "'retrieval'.*'hops'"),
+    ("bench.cases=lots", "'bench'.*'cases'"),
+    ("gleaning=nope", "'gleaning'"),
+])
+def test_a_wrong_typed_override_exits_2_naming_its_key(override, named, capsys):
+    assert main(["bench", "run", "--cases", "1", "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and re.search(named, err)
+
+
 def test_missing_graph_file_exits_2(tmp_path, capsys):
     code = main(["query", "anything", "--graph", str(tmp_path / "absent.json")])
     assert code == 2

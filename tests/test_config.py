@@ -6,6 +6,8 @@ import json
 import pytest
 
 from canvasmem.backends import (
+    ROLES,
+    BackendBundle,
     BackendConfig,
     EchoAnswerer,
     FirstSentenceSummarizer,
@@ -14,9 +16,11 @@ from canvasmem.backends import (
     RemoteExtractor,
     RemoteReranker,
     RemoteSummarizer,
+    mock_bundle,
 )
 from canvasmem.cli import main
 from canvasmem.config import (
+    BackendSelection,
     BenchOptions,
     EngineConfig,
     build_bundle,
@@ -60,6 +64,7 @@ def test_from_dict_partial_override_keeps_other_defaults():
     ("keyword_edge_min", 0.3, 0.3),
     ("temporal_window", 5, 5),
     ("causal_pairs", [["KEY_FACT", "DECISION"]], ((ObjectKind.KEY_FACT, ObjectKind.DECISION),)),
+    ("keyword_edge_min", 1, 1),  # an int is a number
 ])
 def test_a_partial_thresholds_section_keeps_every_other_default(key, value, loaded):
     config = EngineConfig.from_dict({"thresholds": {key: value}})
@@ -159,10 +164,25 @@ def test_build_bundle_remote_roles():
 
 
 def test_build_bundle_rejects_unknown_tag():
-    config = EngineConfig()
-    config.backends.embedder = "telepathy"
-    with pytest.raises(ValueError):
-        build_bundle(config)
+    for name, role in ROLES.items():
+        config = EngineConfig()
+        setattr(config.backends, name, "telepathy")
+        with pytest.raises(ValueError, match=f"{name}.*'telepathy'.*'{role.offline_tag}'"):
+            build_bundle(config)
+
+
+def test_the_role_table_names_every_selection_and_bundle_field_in_order():
+    assert list(ROLES) == [f.name for f in dataclasses.fields(BackendSelection)]
+    assert list(ROLES) == [f.name for f in dataclasses.fields(BackendBundle)]
+    assert EngineConfig().to_dict()["backends"] == {
+        name: role.offline_tag for name, role in ROLES.items()
+    }
+
+
+def test_mock_bundle_and_the_default_config_build_the_same_backends():
+    mock, built = mock_bundle(), build_bundle(EngineConfig())
+    for name in ROLES:
+        assert type(getattr(mock, name)) is type(getattr(built, name)), name
 
 
 def test_backend_config_into_selection_roundtrip():
@@ -205,6 +225,20 @@ def test_unknown_backend_key_is_a_value_error_naming_it(key):
     ({"thresholds": {"theta_reff": 0.3}}, "thresholds", "theta_reff"),
     ({"retrieval": {"hop": 2, "hops": 2}}, "retrieval", "hop"),
     ({"backends": {"embeder": "mock"}}, "backends", "embeder"),
+    # A value of another type than the one to_dict writes under its key.
+    ({"retrieval": {"hops": "two"}}, "retrieval", "hops"),
+    ({"bench": {"cases": "lots"}}, "bench", "cases"),
+    ({"bench": {"rag_preset": 3}}, "bench", "rag_preset"),
+    ({"thresholds": {"temporal_window": True}}, "thresholds", "temporal_window"),
+    ({"thresholds": {"theta_ref": "high"}}, "thresholds", "theta_ref"),
+    ({"thresholds": {"causal_pairs": [["KEY_FACT"]]}}, "thresholds", "causal_pairs"),
+    ({"thresholds": {"causal_pairs": [["KEY_FACT", "NOTE"]]}}, "thresholds", "causal_pairs"),
+    ({"retrieval": {"causal_indicators": "why"}}, "retrieval", "causal_indicators"),
+    ({"retrieval": {"temporal_indicators": ["when", 3]}}, "retrieval", "temporal_indicators"),
+    ({"retrieval": {"k_simple": 0.5}}, "retrieval", "k_simple"),
+    ({"retrieval": {"alpha": False}}, "retrieval", "alpha"),
+    ({"backends": {"embedder": {"timeout_s": "slow"}}}, "backends", "timeout_s"),
+    ({"backends": {"embedder": {"max_retries": 2.5}}}, "backends", "max_retries"),
 ])
 def test_unknown_section_key_is_a_value_error_naming_section_and_key(data, section, key):
     with pytest.raises(ValueError, match=f"'{section}'.*'{key}'"):
@@ -233,6 +267,9 @@ def test_every_key_the_config_writes_loads_back():
     ({"threshold": {"theta_ref": 0.9}}, "threshold"),
     ({"gleening": False}, "gleening"),
     ({"presets": "locomo"}, "presets"),
+    ({"gleaning": "false"}, "gleaning"),
+    ({"gleaning": 1}, "gleaning"),
+    ({"preset": ["locomo"]}, "preset"),
 ])
 def test_unknown_top_level_key_is_a_value_error_naming_it(data, key):
     with pytest.raises(ValueError, match=f"'{key}'"):

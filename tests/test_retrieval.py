@@ -149,8 +149,10 @@ def test_retrieval_config_presets():
     assert locomo.hops == 4
     assert standard.coarse_k == locomo.coarse_k == DEFAULT_COARSE_K
     assert standard.budget_tokens == DEFAULT_BUDGET_TOKENS
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="'turbo'.*standard, locomo"):
         RetrievalConfig.preset("turbo")
+    with pytest.raises(ValueError):
+        RetrievalConfig.preset(["locomo"])
 
 
 def test_retrieval_config_validation():
