@@ -8,7 +8,8 @@ a bounded number of times; the calls are idempotent reads, so a retry never
 duplicates a side effect.
 
 The default wiring is mock everything: the whole engine and benchmark run
-offline with no network access.
+offline with no network access. The HTTP client, requests, is imported only
+when a remote client sends a request, so an offline process never loads it.
 """
 
 from __future__ import annotations
@@ -24,8 +25,6 @@ from importlib import resources
 from typing import (
     Any, Callable, NamedTuple, Optional, Protocol, Sequence, Union, runtime_checkable,
 )
-
-import requests
 
 from .core import CanvasObject, ObjectKind, Source
 from .errors import (
@@ -79,6 +78,8 @@ class TransportStats:
 
 def http_transport(url: str, payload: dict, headers: dict, timeout_s: float) -> tuple[int, Any]:
     """Default transport: a blocking JSON POST via requests."""
+    import requests
+
     response = requests.post(url, json=payload, headers=headers, timeout=timeout_s)
     try:
         body = response.json()
@@ -105,6 +106,8 @@ def _request(
     stats: TransportStats | None = None,
 ) -> Any:
     """POST with auth, bounded retries on transient failures, typed errors."""
+    import requests
+
     key = _resolve_key(config, role)
     send = transport if transport is not None else http_transport
     url = config.endpoint.rstrip("/") + path

@@ -24,8 +24,6 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
-import yaml
-
 from .backends import BackendBundle
 from .benchmark import (
     CONDITIONS,
@@ -60,6 +58,8 @@ def _parse_overrides(pairs: Optional[Sequence[str]]) -> dict:
         if "=" not in pair:
             raise ValueError(f"--set expects key=value, got {pair!r}")
         dotted, raw = pair.split("=", 1)
+        import yaml  # here, so that a command without --set never loads PyYAML
+
         value = yaml.safe_load(raw)
         node: dict = {}
         leaf = node

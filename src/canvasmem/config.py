@@ -2,8 +2,11 @@
 
 Config files are YAML with the same shape that EngineConfig.to_dict emits,
 so a result file's embedded config can be fed straight back in to reproduce
-a run. A key that to_dict does not write, or a value of another type than
-the one it writes there, is a ValueError naming the section and the key.
+a run. A key that to_dict does not write, a value of another type than
+the one it writes there, or a value out of its range, is a ValueError naming
+the section and the key. PyYAML is imported only where YAML is parsed: a
+config file here, a --set value in the CLI. EngineConfig.from_dict and a run
+with neither never load it.
 
 Each backend role takes its offline tag or a mapping of remote settings.
 The tags, what each builds and the remote client a mapping builds are
@@ -16,10 +19,9 @@ environment variable, not the key.
 from __future__ import annotations
 
 import copy
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from typing import Any, Optional
-
-import yaml
 
 from .backends import ROLES, BackendBundle, BackendConfig, RoleSetting, build_role
 from .core import ObjectKind
@@ -70,6 +72,16 @@ def _checked(where: str, values: Any, defaults: dict, typed: bool = True) -> dic
                 f"{where} key {key!r} must be {_type_name(defaults[key])}, got {value!r}"
             )
     return values
+
+
+@contextmanager
+def _section(name: str):
+    """Prefix a ValueError raised inside with config section name; the
+    settings' own range checks name the key."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"config section {name!r}: {exc}") from exc
 
 
 @dataclass
@@ -162,28 +174,32 @@ class EngineConfig:
                 )
             except ValueError as exc:
                 raise ValueError(f"config section 'thresholds' key 'causal_pairs': {exc}") from exc
-        thresholds = LinkThresholds(**thresholds_d)
+        with _section("thresholds"):
+            thresholds = LinkThresholds(**thresholds_d)
         retrieval_d = section("retrieval")
         base_retrieval = (
             RetrievalConfig.preset(data["preset"]) if "preset" in data else RetrievalConfig()
         )
         k_map = dict(base_retrieval.k_map)
-        for key, klass in _K_KEYS.items():
-            if key in retrieval_d:
-                k_map[klass] = retrieval_d[key]
-        retrieval = RetrievalConfig(
-            weights=HybridWeights(alpha=retrieval_d.get("alpha", base_retrieval.weights.alpha)),
-            k_map=k_map,
-            coarse_k=retrieval_d.get("coarse_k", base_retrieval.coarse_k),
-            hops=retrieval_d.get("hops", base_retrieval.hops),
-            budget_tokens=retrieval_d.get("budget_tokens", base_retrieval.budget_tokens),
-            causal_indicators=tuple(
-                retrieval_d.get("causal_indicators", base_retrieval.causal_indicators)
-            ),
-            temporal_indicators=tuple(
-                retrieval_d.get("temporal_indicators", base_retrieval.temporal_indicators)
-            ),
-        )
+        with _section("retrieval"):
+            for key, klass in _K_KEYS.items():
+                if key in retrieval_d:
+                    k_map[klass] = retrieval_d[key]
+                    if k_map[klass] < 1:
+                        raise ValueError(f"{key} must be at least 1, got {k_map[klass]!r}")
+            retrieval = RetrievalConfig(
+                weights=HybridWeights(alpha=retrieval_d.get("alpha", base_retrieval.weights.alpha)),
+                k_map=k_map,
+                coarse_k=retrieval_d.get("coarse_k", base_retrieval.coarse_k),
+                hops=retrieval_d.get("hops", base_retrieval.hops),
+                budget_tokens=retrieval_d.get("budget_tokens", base_retrieval.budget_tokens),
+                causal_indicators=tuple(
+                    retrieval_d.get("causal_indicators", base_retrieval.causal_indicators)
+                ),
+                temporal_indicators=tuple(
+                    retrieval_d.get("temporal_indicators", base_retrieval.temporal_indicators)
+                ),
+            )
 
         def role(name: str, raw: Any) -> RoleSetting:
             if isinstance(raw, str):
@@ -196,12 +212,15 @@ class EngineConfig:
         backends = BackendSelection(**{
             name: role(name, raw) for name, raw in section("backends", typed=False).items()
         })
+        bench_d = section("bench")
+        with _section("bench"):
+            bench = BenchOptions(**bench_d)
         return cls(
             gleaning=data.get("gleaning", True),
             thresholds=thresholds,
             retrieval=retrieval,
             backends=backends,
-            bench=BenchOptions(**section("bench")),
+            bench=bench,
         )
 
 
@@ -220,6 +239,8 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
     """Layered load: built-in defaults, then the file, then explicit overrides."""
     data: dict = {}
     if path is not None:
+        import yaml
+
         with open(path, "r", encoding="utf-8") as handle:
             loaded = yaml.safe_load(handle)
         if loaded is None:

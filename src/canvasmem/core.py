@@ -253,15 +253,7 @@ class CanvasGraph:
         taken under the graph's lock while a writer may run, as
         engine.snapshot() does.
         """
-        twin = _Snapshot()
-        twin.objects = dict(self.objects)
-        twin.rows = list(self.rows)
-        twin.turn_ordered = self.turn_ordered
-        twin._index = self.scoring_index().fork()
-        twin.edges = list(self.edges)
-        twin.next_turn = self.next_turn
-        twin._encoded = self._encoded
-        return twin
+        return _Snapshot(self)
 
     def counts_by_kind(self) -> dict[str, int]:
         counts = {kind.value: 0 for kind in ObjectKind}
@@ -278,6 +270,18 @@ class CanvasGraph:
 
 class _Snapshot(CanvasGraph):
     """What CanvasGraph.snapshot() returns: every write raises and changes nothing."""
+
+    def __init__(self, graph: CanvasGraph):
+        # Not CanvasGraph.__init__: its empty scoring index and edge-key set
+        # would be thrown away or never read here.
+        self.objects = dict(graph.objects)
+        self.rows = list(graph.rows)
+        self.turn_ordered = graph.turn_ordered
+        self.edges = list(graph.edges)
+        self.next_turn = graph.next_turn
+        self.lock = threading.Lock()
+        self._index = graph.scoring_index().fork()
+        self._encoded = graph._encoded
 
     def _store(self, *_) -> NoReturn:
         raise ReadOnlyGraphError("a snapshot is read-only; write to the graph it was taken from")
@@ -399,8 +403,14 @@ def deserialize_graph(data: bytes) -> CanvasGraph:
             )
         except (KeyError, ValueError, TypeError, InvalidObjectError) as exc:
             raise MalformedInputError(f"invalid object record: {exc}") from exc
-        _require(raw.get("id") == obj.id, f"object id {raw.get('id')!r} does not match its content hash")
-        _require(graph._store(obj) is AddResult.ADDED, f"duplicate object id {obj.id}")
+        # The messages below are built only when a check fails: a load runs
+        # these checks once per record.
+        if raw.get("id") != obj.id:
+            raise MalformedInputError(
+                f"object id {raw.get('id')!r} does not match its content hash"
+            )
+        if graph._store(obj) is not AddResult.ADDED:
+            raise MalformedInputError(f"duplicate object id {obj.id}")
     for raw in doc["edges"]:
         _require(isinstance(raw, dict), "each edge must be a JSON object")
         try:
@@ -414,6 +424,7 @@ def deserialize_graph(data: bytes) -> CanvasGraph:
             added = graph.add_edge(edge)
         except (KeyError, ValueError, TypeError) as exc:
             raise MalformedInputError(f"invalid edge record: {exc}") from exc
-        _require(added, f"duplicate edge {raw.get('src')!r} -> {raw.get('dst')!r}")
+        if not added:
+            raise MalformedInputError(f"duplicate edge {raw.get('src')!r} -> {raw.get('dst')!r}")
     graph.next_turn = max(graph.next_turn, doc["next_turn"])
     return graph

@@ -65,13 +65,15 @@ class LinkThresholds:
     def __post_init__(self):
         if not 0.0 < self.theta_causal <= self.theta_ref < 1.0:
             raise ValueError(
-                "thresholds must satisfy 0 < theta_causal <= theta_ref < 1, "
+                "theta_ref and theta_causal must satisfy 0 < theta_causal <= theta_ref < 1, "
                 f"got theta_ref={self.theta_ref!r} theta_causal={self.theta_causal!r}"
             )
         if not 0.0 <= self.keyword_edge_min <= 1.0:
-            raise ValueError("keyword_edge_min must lie in [0, 1]")
+            raise ValueError(f"keyword_edge_min must lie in [0, 1], got {self.keyword_edge_min!r}")
         if not isinstance(self.temporal_window, int) or self.temporal_window < 1:
-            raise ValueError("temporal_window must be a positive integer")
+            raise ValueError(
+                f"temporal_window must be a positive integer, got {self.temporal_window!r}"
+            )
 
 
 def _clamp01(value: float) -> float:

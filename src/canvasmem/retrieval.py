@@ -139,14 +139,16 @@ class RetrievalConfig:
 
     def __post_init__(self):
         if self.coarse_k < 1:
-            raise ValueError("coarse_k must be at least 1")
+            raise ValueError(f"coarse_k must be at least 1, got {self.coarse_k!r}")
         if self.hops < 0:
-            raise ValueError("hops must be non-negative")
+            raise ValueError(f"hops must be non-negative, got {self.hops!r}")
         if self.budget_tokens < 0:
-            raise ValueError("budget_tokens must be non-negative")
+            raise ValueError(f"budget_tokens must be non-negative, got {self.budget_tokens!r}")
         for klass in QueryClass:
-            if self.k_map.get(klass, 0) < 1:
-                raise ValueError(f"k_map must give every query class a positive k, missing {klass}")
+            if klass not in self.k_map:
+                raise ValueError(f"k_map gives no k for {klass.name}")
+            if self.k_map[klass] < 1:
+                raise ValueError(f"k_map[{klass.name}] must be at least 1, got {self.k_map[klass]!r}")
 
     @classmethod
     def preset(cls, name: str) -> "RetrievalConfig":

@@ -312,6 +312,17 @@ def test_a_wrong_typed_override_exits_2_naming_its_key(override, named, capsys):
     assert err.startswith("error:") and re.search(named, err)
 
 
+@pytest.mark.parametrize("override, named", [
+    ("retrieval.k_simple=0", "'retrieval'.*k_simple must be at least 1, got 0"),
+    ("retrieval.alpha=2", "'retrieval'.*alpha must lie in"),
+    ("thresholds.theta_ref=0.3", "'thresholds'.*theta_ref and theta_causal"),
+])
+def test_an_out_of_range_override_exits_2_naming_its_key(override, named, capsys):
+    assert main(["bench", "run", "--cases", "1", "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and re.search(named, err) and "Traceback" not in err
+
+
 def test_missing_graph_file_exits_2(tmp_path, capsys):
     code = main(["query", "anything", "--graph", str(tmp_path / "absent.json")])
     assert code == 2

@@ -30,7 +30,7 @@ from canvasmem.config import (
 from canvasmem.core import ObjectKind
 from canvasmem.extraction import MockExtractor
 from canvasmem.graph_build import LinkThresholds
-from canvasmem.retrieval import QueryClass
+from canvasmem.retrieval import QueryClass, RetrievalConfig
 from canvasmem.scoring import MockEmbedder
 
 
@@ -243,6 +243,37 @@ def test_unknown_backend_key_is_a_value_error_naming_it(key):
 def test_unknown_section_key_is_a_value_error_naming_section_and_key(data, section, key):
     with pytest.raises(ValueError, match=f"'{section}'.*'{key}'"):
         EngineConfig.from_dict(data)
+
+
+@pytest.mark.parametrize("data, section, key", [
+    ({"retrieval": {"k_simple": 0}}, "retrieval", "k_simple"),
+    ({"retrieval": {"k_temporal": -1}}, "retrieval", "k_temporal"),
+    ({"retrieval": {"k_multi_hop": 0}}, "retrieval", "k_multi_hop"),
+    ({"retrieval": {"alpha": 2}}, "retrieval", "alpha"),
+    ({"retrieval": {"alpha": -0.5}}, "retrieval", "alpha"),
+    ({"retrieval": {"coarse_k": 0}}, "retrieval", "coarse_k"),
+    ({"retrieval": {"hops": -1}}, "retrieval", "hops"),
+    ({"retrieval": {"budget_tokens": -1}}, "retrieval", "budget_tokens"),
+    ({"thresholds": {"theta_ref": 0.3}}, "thresholds", "theta_ref"),
+    ({"thresholds": {"theta_causal": 0.6}}, "thresholds", "theta_causal"),
+    ({"thresholds": {"theta_ref": 1.0}}, "thresholds", "theta_ref"),
+    ({"thresholds": {"keyword_edge_min": 1.5}}, "thresholds", "keyword_edge_min"),
+    ({"thresholds": {"temporal_window": 0}}, "thresholds", "temporal_window"),
+    ({"bench": {"cases": 0}}, "bench", "cases"),
+    ({"bench": {"n_turns": 10, "compression_turn": 11}}, "bench", "compression_turn"),
+])
+def test_an_out_of_range_value_is_a_value_error_naming_section_and_key(data, section, key):
+    with pytest.raises(ValueError, match=rf"^config section '{section}': .*\b{key}\b") as caught:
+        EngineConfig.from_dict(data)
+    assert "missing" not in str(caught.value)
+
+
+def test_retrieval_config_tells_a_missing_k_from_a_non_positive_one():
+    with pytest.raises(ValueError, match=r"^k_map gives no k for SIMPLE$"):
+        RetrievalConfig(k_map={QueryClass.TEMPORAL: 12, QueryClass.MULTI_HOP: 15})
+    with pytest.raises(ValueError, match=r"^k_map\[TEMPORAL\] must be at least 1, got 0$"):
+        RetrievalConfig(k_map={QueryClass.SIMPLE: 10, QueryClass.TEMPORAL: 0,
+                               QueryClass.MULTI_HOP: 15})
 
 
 @pytest.mark.parametrize("section", ["thresholds", "retrieval", "backends", "bench"])

@@ -214,6 +214,18 @@ def test_snapshot_is_isolated_from_later_writes():
     assert frozen == frozen.snapshot()
 
 
+def test_a_snapshot_keeps_every_attribute_but_the_write_only_edge_keys():
+    graph = _sample_graph()
+    frozen = graph.snapshot()
+    # Only add_edge reads the edge-key set, and a snapshot refuses add_edge.
+    assert set(vars(frozen)) == set(vars(graph)) - {"_edge_keys"}
+    with frozen.lock:
+        assert not graph.lock.locked()
+    assert frozen == graph and frozen.edges == graph.edges
+    assert [frozen.neighbors(oid) for oid in frozen.objects] == [
+        graph.neighbors(oid) for oid in graph.objects]
+
+
 def _sample_graph() -> CanvasGraph:
     a = make_obj(kind=ObjectKind.KEY_FACT, content="the api times out", turn=1,
                  embedding=[1.0, 0.0], quote="the API times out")
@@ -265,6 +277,23 @@ def test_deserialize_rejects_duplicate_objects():
     doc["objects"].append(dict(doc["objects"][0]))
     with pytest.raises(MalformedInputError):
         deserialize_graph(json.dumps(doc).encode())
+
+
+def test_the_loaders_record_errors_keep_their_messages():
+    doc = json.loads(serialize_graph(_sample_graph()))
+    first = doc["objects"][0]
+    edge = doc["edges"][0]
+    cases = [
+        (dict(doc, objects=[dict(first, id="f" * 16)]),
+         f"object id {'f' * 16!r} does not match its content hash"),
+        (dict(doc, objects=[first, dict(first)]), f"duplicate object id {first['id']}"),
+        (dict(doc, edges=[edge, dict(edge, weight=0.5)]),
+         f"duplicate edge {edge['src']!r} -> {edge['dst']!r}"),
+    ]
+    for tampered, message in cases:
+        with pytest.raises(MalformedInputError) as caught:
+            deserialize_graph(json.dumps(tampered).encode())
+        assert str(caught.value) == message
 
 
 def test_deserialize_rejects_edge_to_unknown_object():

@@ -1,0 +1,54 @@
+"""An offline process never loads the HTTP client or the YAML parser.
+
+requests (with urllib3, ssl and http.client) is needed only when a remote
+backend sends a request, and PyYAML only when a config file or a --set value
+is parsed. The check runs in a fresh interpreter: this test process has
+already imported requests through the backend tests.
+"""
+
+from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import canvasmem
+
+SRC = str(Path(canvasmem.__file__).resolve().parent.parent)
+
+OFFLINE_ROUND = textwrap.dedent("""
+    import sys
+
+    import canvasmem
+    from canvasmem import (CanvasEngine, EngineConfig, deserialize_graph, mock_bundle,
+                           serialize_graph)
+    from canvasmem.extraction import ConversationTurn
+    from canvasmem.retrieval import retrieve_detailed
+
+    bundle = mock_bundle()
+    engine = CanvasEngine(bundle.extractor, bundle.embedder)
+    engine.ingest([
+        ConversationTurn(0, "KEY_FACT: the api gateway times out after 30 seconds"),
+        ConversationTurn(1, "DECISION: we will cache responses in redis"),
+    ])
+    graph = deserialize_graph(serialize_graph(engine.snapshot()))
+    result = retrieve_detailed(graph, "why do we cache in redis?", bundle.embedder)
+    assert "redis" in result.injection, result.injection
+    EngineConfig.from_dict({"retrieval": {"hops": 2}, "thresholds": {"theta_ref": 0.6}})
+
+    import canvasmem.cli
+
+    loaded = sorted(m for m in ("requests", "urllib3", "yaml") if m in sys.modules)
+    print(" ".join(loaded))
+""")
+
+
+def test_an_offline_round_loads_neither_requests_nor_yaml():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", OFFLINE_ROUND], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == ""

@@ -56,7 +56,7 @@ from canvasmem.scoring import (
     token_set,
 )
 
-from conftest import QUESTIONS, axis, make_obj, seeded_turns, vec_at_cosine
+from conftest import QUESTIONS, axis, graph_of, make_obj, seeded_turns, vec_at_cosine
 
 
 # ---------------------------------------------------------------------------
@@ -397,6 +397,49 @@ def test_faulty_query_vector_raises_the_same_error(query, error):
     oracle.add_object(newcomer)
     assert _error_of(link_object, screened, newcomer) is error
     assert _error_of(oracle_link_object, oracle, newcomer) is error
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+def test_a_link_that_raises_on_a_stored_fault_adds_no_edge_first(fault):
+    embedding, error = FAULTS[fault]
+    objects = [make_obj(content=f"fine {i}", turn=i, embedding=axis(i)) for i in range(3)]
+    broken = make_obj(content="broken", turn=3, embedding=embedding)
+    # Equal to "fine 0" in vector and words: without the fault it links.
+    newcomer = make_obj(content="fine 0 again", turn=4, embedding=axis(0))
+    healthy, graph = graph_of(*objects, newcomer), graph_of(*objects, broken, newcomer)
+    assert link_object(healthy, newcomer)
+    graph.add_edge(CanvasEdge(src=objects[0].id, dst=objects[1].id, kind=EdgeKind.REFERENCE,
+                              weight=1.0, origin=EdgeOrigin.SIMILARITY))
+    index = graph.scoring_index()
+    edges, indexed = list(graph.edges), index.edge_count
+    assert _error_of(link_object, graph, newcomer) is error
+    assert graph.edges == edges and index.edge_count == indexed
+    assert graph.scoring_index().edge_count == indexed == 1
+
+
+# Each stored fault with each query fault of another error.
+_BOTH_FAULTY = [
+    (fault, query, query_error)
+    for fault in sorted(FAULTS)
+    for query, query_error in (([0.0] * 8, ZeroVectorError), ([1.0] * 3, DimensionMismatchError))
+    if FAULTS[fault][1] is not query_error
+]
+
+
+@pytest.mark.parametrize("fault, query, query_error", _BOTH_FAULTY)
+def test_a_stored_fault_outranks_a_faulty_query(fault, query, query_error):
+    embedding, error = FAULTS[fault]
+    objects = [make_obj(content=f"fine {i}", turn=i, embedding=axis(i)) for i in range(3)]
+    objects.append(make_obj(content="broken", turn=3, embedding=embedding))
+    newcomer = make_obj(content="newcomer", turn=4, embedding=query)
+    graph = graph_of(*objects, newcomer)
+    index = graph.scoring_index()
+    # Without the stored fault, the query raises an error of its own.
+    assert _error_of(graph_of(*objects[:3]).scoring_index().prepare, query) is query_error
+    assert _error_of(index.prepare, query, "fine") is error
+    assert _error_of(link_object, graph, newcomer) is error
+    for coarse_k in (2, 20):
+        assert _error_of(coarse_retrieve, graph, plan_for(query, "fine", coarse_k)) is error
 
 
 def test_lone_faulty_object_links_to_nothing_like_the_oracle():
