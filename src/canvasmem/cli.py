@@ -92,16 +92,23 @@ def _read_conversation(path: str) -> list[ConversationTurn]:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{line_no}: not valid JSON: {exc}") from exc
+            if not isinstance(record, dict):
+                raise ValueError(
+                    f"{path}:{line_no}: a turn must be a JSON object, got {type(record).__name__}"
+                )
             if "index" not in record:
                 raise ValueError(f"{path}:{line_no}: missing 'index' field")
-            turns.append(
-                ConversationTurn(
-                    index=record["index"],
-                    user_text=record.get("user", ""),
-                    assistant_text=record.get("assistant", ""),
-                    timestamp=record.get("timestamp"),
+            try:
+                turns.append(
+                    ConversationTurn(
+                        index=record["index"],
+                        user_text=record.get("user", ""),
+                        assistant_text=record.get("assistant", ""),
+                        timestamp=record.get("timestamp"),
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from exc
     return turns
 
 

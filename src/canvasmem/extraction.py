@@ -14,7 +14,7 @@ import logging
 import re
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Optional, Protocol, Sequence, runtime_checkable
 
 from .core import CanvasGraph, CanvasObject, ObjectKind, Source, normalize_text
 from .errors import BackendFailureError, SequenceError
@@ -22,6 +22,9 @@ from .errors import BackendFailureError, SequenceError
 logger = logging.getLogger(__name__)
 
 DIGEST_CAP = 50
+
+# "KIND: ", the start of each digest line, for every kind.
+_DIGEST_PREFIXES = {kind: f"{kind.value}: " for kind in ObjectKind}
 
 MARKER_RE = re.compile(r"\b(DECISION|TODO|KEY_FACT|REMINDER|INSIGHT|GLEAN):")
 GLEAN_MARKER = "GLEAN"
@@ -89,7 +92,13 @@ def prior_digest(graph: CanvasGraph, cap: int = DIGEST_CAP) -> list[str]:
     are in turn order that order is the rows', and nothing is sorted.
     """
     ordered = graph.rows if graph.turn_ordered else sorted(graph.rows, key=lambda o: o.turn)
-    return [f"{obj.kind.value}: {obj.content}" for obj in ordered[-cap:]]
+    return _digest_lines(ordered[-cap:])
+
+
+def _digest_lines(objects: Iterable[CanvasObject]) -> list[str]:
+    """A "KIND: content" line for each object."""
+    prefixes = _DIGEST_PREFIXES
+    return [prefixes[obj.kind] + obj.content for obj in objects]
 
 
 def _run_pass(
@@ -144,7 +153,7 @@ def extract_turn(
         merged.setdefault(obj.id, obj)
     if gleaning_enabled:
         glean_digest = list(digest)
-        glean_digest += [f"{o.kind.value}: {o.content}" for o in merged.values()]
+        glean_digest += _digest_lines(merged.values())
         for obj in _run_pass(backend, turn, glean_digest, ExtractionPass.GLEAN, diagnostics):
             merged.setdefault(obj.id, obj)
     return list(merged.values())

@@ -15,12 +15,15 @@ Edges are deduplicated per (src, dst, kind): similarity beats keyword for
 references, and the heavier weight wins for causal edges.
 
 Linking is screen-then-verify, and it visits only the stored objects that
-can gain an edge. The graph's scoring index gives, in one call of
-cosines_from, every stored object whose cosine may reach theta_causal (the
-lower threshold) with its exact cosine, bit-identical to the scalar
-cosine, so every edge weight is the exact scalar value; one pass of its token kernel
-gives the exact Jaccard overlap of every stored content; and for a DECISION
-its turn column gives the objects in the temporal window. The visit set is
+can gain an edge. A link reads the new object from its own row of the
+graph's scoring index: the float64 vector and norm, the float32 unit
+vector, and the interned content token ids, so it converts and tokenizes
+nothing. The index gives, in one call of cosines_from, every stored object
+whose cosine may reach theta_causal (the lower threshold) with its exact
+cosine, bit-identical to the scalar cosine, so every edge weight is the
+exact scalar value; one pass of its token kernel over the row's ids gives
+the exact Jaccard overlap of every stored content; and for a DECISION its
+turn column gives the objects in the temporal window. The visit set is
 the union of those three kinds of row, in row order, so edges are added in
 the order a scan of every object would add them. Every other row is below
 both thresholds, below keyword_edge_min and outside the window, and gains
@@ -99,13 +102,16 @@ def link_object(
     own_row = index.row_of(new_obj.id)
     if len(index) == (own_row is not None):
         return []  # nothing else is stored
-    # The stored row holds the float64 vector and norm prepare() would make
-    # of new_obj.embedding.
-    query = index.prepare(new_obj.embedding) if own_row is None else index.prepare_row(own_row)
+    # The stored row holds the vectors and norm prepare() would make of
+    # new_obj.embedding, and the ids of token_set(new_obj.content).
+    if own_row is None:
+        query = index.prepare(new_obj.embedding)
+        overlaps = index.jaccards(token_set(new_obj.content))
+    else:
+        query, overlaps = index.prepare_row(own_row), index.row_jaccards(own_row)
     # A row without a verified cosine is below theta_causal, so below both
     # thresholds; new_obj never links to itself.
     sims = index.cosines_from(query, thresholds.theta_causal, own_row)
-    overlaps = index.jaccards(token_set(new_obj.content))
     visit = overlaps >= thresholds.keyword_edge_min
     visit[list(sims)] = True
     temporal_target = new_obj.kind is ObjectKind.DECISION

@@ -8,21 +8,24 @@ also appear in the object's content or quote. Stopwords come from a fixed
 Scoring a graph is screen-then-verify, and the ScoringIndex owns both
 halves: linking, coarse retrieval and the RAG baseline score through it
 alone. The index holds every stored embedding in one float64 matrix with
-its row norms, each row's turn, and each row's tokens interned to integer
-ids in CSR arrays (per-row offsets into one flat id array). One
-matrix-vector product gives an approximate cosine of each object against a
-query prepared once (its float64 vector, norm, token set and token ids).
-cosines_from and top_hybrids keep the rows whose approximate score could
-pass a floor, or reach the top k, within SCREEN_MARGIN, and verify those
-with exact_cosines and exact_hybrids. These run the operations of
-cosine_sim and hybrid_score, in the same order, on the same float64 values
-(one dot product per row, then the division, the clamp and the blend as
-float64 array operations), so every stored edge weight and every ranked
-score is bit-identical to the scalar value. A vector whose norm is too
-large or too small for the screen to bound its cosines is screened as +inf,
-so it is always verified. A vector cosine_sim cannot score is a fault:
-preparing a query against an index that holds one, or preparing such a
-query, raises cosine_sim's typed error. There is no other scoring path.
+its row norms, the same rows as float32 unit vectors, each row's turn, and
+each row's tokens interned to integer ids in CSR arrays (per-row offsets
+into one flat id array). The screen is one float32 matrix-vector product
+of the unit rows against the query's float32 unit vector, prepared once
+with its float64 vector, norm, token set and token ids. It sits within a
+margin of cosine_sim that the index derives from its dimension (see
+_screen_margin). cosines_from and top_hybrids keep the rows whose screened
+score could pass a floor, or reach the top k, within that margin, and
+verify those with exact_cosines and exact_hybrids. These run the
+operations of cosine_sim and hybrid_score, in the same order, on the same
+float64 values (one dot product per row, then the division, the clamp and
+the blend as float64 array operations), so every stored edge weight and
+every ranked score is bit-identical to the scalar value. A vector whose
+norm is too large or too small for the screen to bound its cosines is
+screened as +inf, so it is always verified. A vector cosine_sim cannot
+score is a fault: preparing a query against an index that holds one, or
+preparing such a query, raises cosine_sim's typed error. There is no
+other scoring path.
 
 The token half needs no screen. The token-overlap kernel marks a query's
 ids in a mask over the vocabulary and counts, for every row at once, how
@@ -55,12 +58,10 @@ if TYPE_CHECKING:
 DEFAULT_ALPHA = 0.7
 MOCK_EMBEDDING_DIM = 256
 
-# How far a screened score may sit below a cut and still be verified. The
-# matrix-vector cosine differs from cosine_sim by rounding only, about
-# d * 1e-16 for d-dimensional embeddings, so this leaves a wide berth.
-SCREEN_MARGIN = 1e-9
 # The screen bounds the cosines of vectors with a norm in this range: within
-# it no product overflows and underflow cannot move a cosine by SCREEN_MARGIN.
+# it the float64 norm is accurate to a few ulps, and no product in
+# cosine_sim overflows or underflows by enough to move a cosine past the
+# margin.
 _SCREENABLE_NORMS = (1e-150, 1e150)
 _INITIAL_ROWS = 64
 # The turn column is int64; larger turns are stored as this (see turn_window).
@@ -186,18 +187,49 @@ def _boundable(norms):
     return (low <= norms) & (norms <= high)
 
 
+def _unit(vec: np.ndarray, norm: float) -> Optional[np.ndarray]:
+    """fl32(vec / norm), the vector as the screen reads it; None where the
+    screen cannot bound its cosines."""
+    return (vec / norm).astype(np.float32) if _boundable(norm) else None
+
+
+def _screen_margin(dim: int) -> float:
+    """How far the float32 screen of dim-dimensional rows may sit from cosine_sim.
+
+    With u = 2**-24, float32's unit roundoff, and a, b the exact unit
+    vectors of a row and a query:
+    - each cast fl32(v / |v|) moves a component by at most u relative (the
+      float64 norm and division add a few 2**-53), so the exact dot product
+      of the two float32 vectors sits within 2u + u**2 of sum(a_i * b_i),
+      as sum(|a_i * b_i|) <= 1 (Cauchy-Schwarz);
+    - float32 products and sums, in any order, move each of the dim terms
+      by at most (1 + u)**dim - 1 <= dim*u + (dim*u)**2 / 2 relative (for
+      dim*u <= 1/64), and the terms' magnitudes sum to at most (1 + u)**2;
+    - a component that underflows in float32 moves a cosine by at most
+      2**-149 per component, and cosine_sim's own float64 rounding is about
+      (2*dim + 4) * 2**-53: both are far below u.
+    That sums to less than (dim + 2) * u + (dim*u)**2 plus a fraction of u,
+    so (dim + 4) * u + (dim*u)**2 bounds it with u to spare.
+    """
+    u = 2.0**-24
+    return (dim + 4) * u + (dim * u) ** 2
+
+
 @dataclass(frozen=True)
 class PreparedQuery:
-    """A query as the index scores it: float64 vector and norm, token set and ids.
+    """A query as the index scores it: float64 vector and norm, token set and
+    ids, and the float32 unit vector the screen reads.
 
     token_ids are the ids of the tokens the index has seen; a query token it
-    has not seen counts in len(tokens) and matches no row.
+    has not seen counts in len(tokens) and matches no row. unit is None when
+    the norm lies outside _SCREENABLE_NORMS.
     """
 
     vector: np.ndarray
     norm: float
     tokens: frozenset[str]
     token_ids: frozenset[int]
+    unit: Optional[np.ndarray]
 
 
 def _room(buf: np.ndarray, used: int, needed: int) -> np.ndarray:
@@ -224,27 +256,30 @@ class ScoringIndex:
     """Append-only columnar copy of what scoring reads from each object.
 
     Row i describes the i-th object stored in a graph: its embedding in a
-    contiguous float64 (n, d) matrix that grows by half, the row norm, its
-    turn, and two columns of token rows: the content tokens (for Jaccard
-    links) and the content-plus-quote tokens (for keyword coverage). Tokens
-    are interned to integer ids, and a column keeps every row's ids in one
-    flat array with per-row offsets (CSR).
+    contiguous float64 (n, d) matrix that grows by half, the row norm, the
+    embedding as a float32 unit vector fl32(vec / norm) in a second (n, d)
+    matrix, its turn, and two columns of token rows: the content tokens
+    (for Jaccard links) and the content-plus-quote tokens (for keyword
+    coverage). Tokens are interned to integer ids, and a column keeps every
+    row's ids in one flat array with per-row offsets (CSR).
 
     cosines_from() and top_hybrids() are what callers score with: each
     screens every row at once and verifies only the rows that can pass.
-    cosines() and hybrids() are the screen, within SCREEN_MARGIN, and +inf
-    at a row whose cosine it cannot bound (the row's or the query's norm
-    outside _SCREENABLE_NORMS); exact_cosines() and exact_hybrids() verify
-    the rows listed, in one call, bit-identical to cosine_sim and
-    hybrid_score. The token kernel is exact: a query marks its ids in a
+    cosines() and hybrids() are the screen: one float32 product of the unit
+    rows with the query's unit vector, within `margin` (derived from d by
+    _screen_margin) of cosine_sim, and +inf at a row whose cosine it cannot
+    bound (the row's or the query's norm outside _SCREENABLE_NORMS);
+    exact_cosines() and exact_hybrids() verify the rows listed, in one
+    call, bit-identical to cosine_sim and hybrid_score from the float64
+    matrix and norms. The token kernel is exact: a query marks its ids in a
     mask over the vocabulary, and the marked entries of a column's flat id
     array, counted per row, give every row's overlap with the query at
-    once. jaccards() and coverage() divide those integer counts by integer
-    sizes, as token_jaccard and token_coverage do, so they are the same
-    float64 to the last bit. A row cosine_sim could not score (no
-    embedding, not a 1-D vector of the index's dimension, a zero norm) is
-    a fault: storing it never raises, but once the index holds one,
-    prepare() and prepare_row() raise the first fault's typed error.
+    once. jaccards(), row_jaccards() and coverage() divide those integer
+    counts by integer sizes, as token_jaccard and token_coverage do, so
+    they are the same float64 to the last bit. A row cosine_sim could not
+    score (no embedding, not a 1-D vector of the index's dimension, a zero
+    norm) is a fault: storing it never raises, but once the index holds
+    one, prepare() and prepare_row() raise the first fault's typed error.
 
     The index also holds the graph's shape: each row's id in an id -> row
     map and as a uint64 key (the 16-hex id read as a number, so the keys'
@@ -265,6 +300,7 @@ class ScoringIndex:
         self._unbounded = 0
         self._matrix: Optional[np.ndarray] = None
         self._norms = np.empty(0)
+        self._units = np.empty((0, 0), dtype=np.float32)
         self._turns = np.empty(0, dtype=np.int64)
         self._content = _no_token_rows()
         self._document = _no_token_rows()
@@ -287,11 +323,17 @@ class ScoringIndex:
         self.extend([obj])
 
     def extend(self, objects: Sequence[CanvasObject]) -> None:
-        """Add a row for each object, writing each column once."""
+        """Add a row for each object, writing each column once.
+
+        Tokenizing stops at every non-word character, so the tokens of
+        document_text(obj) are those of the content and of the quote: each
+        object's content is tokenized once.
+        """
+        contents = [token_set(obj.content) for obj in objects]
         self._append_rows(
             [obj.embedding for obj in objects],
-            [token_set(obj.content) for obj in objects],
-            [token_set(document_text(obj)) for obj in objects],
+            contents,
+            [tokens | token_set(obj.quote) for tokens, obj in zip(contents, objects)],
             [obj.turn for obj in objects],
             [obj.id for obj in objects],
         )
@@ -348,11 +390,16 @@ class ScoringIndex:
             if self._matrix is None:
                 # Every earlier row is a fault, which is never read.
                 self._matrix, kept = np.empty((0, dim)), 0
+                self._units = np.empty((0, dim), dtype=np.float32)
             self._matrix = _room(self._matrix, kept, end)
             self._norms = _room(self._norms, kept, end)
+            self._units = _room(self._units, kept, end)
             for row, vec, norm in vectors:
                 self._matrix[row] = vec
                 self._norms[row] = norm
+                unit = _unit(vec, norm)
+                if unit is not None:  # cosines() never reads an unbounded row
+                    self._units[row] = unit
         self._turns = _room(self._turns, start, end)
         self._turns[start:end] = [min(turn, _TURN_CAP) for turn in turns]
         self._content = self._append_token_rows(self._content, contents)
@@ -404,6 +451,12 @@ class ScoringIndex:
     def _dim(self) -> Optional[int]:
         return None if self._matrix is None else self._matrix.shape[1]
 
+    @property
+    def margin(self) -> float:
+        """How far cosines() may sit from cosine_sim (see _screen_margin)."""
+        dim = self._dim()
+        return 0.0 if dim is None else _screen_margin(dim)
+
     def _raise_fault(self) -> None:
         """Raise the typed error of the first stored row cosine_sim could not score."""
         if self._fault is not None:
@@ -419,27 +472,31 @@ class ScoringIndex:
         self._raise_fault()
         vec, norm = _vector(embedding, self._dim())
         tokens = token_set(text)
-        return PreparedQuery(vec, norm, tokens, frozenset(self._known_ids(tokens)))
+        return PreparedQuery(vec, norm, tokens, frozenset(self._known_ids(tokens)),
+                             _unit(vec, norm))
 
     def prepare_row(self, row: int) -> PreparedQuery:
-        """Row's own vector and norm as a query without tokens: the values
-        prepare() reads from the row's embedding, without converting it
+        """Row's own vectors and norm as a query without tokens: the values
+        prepare() makes of the row's embedding, without converting it
         again. Raises the first stored fault's error, as prepare() does."""
         self._raise_fault()
-        return PreparedQuery(self._matrix[row], float(self._norms[row]), frozenset(), frozenset())
+        norm = float(self._norms[row])
+        unit = self._units[row] if _boundable(norm) else None
+        return PreparedQuery(self._matrix[row], norm, frozenset(), frozenset(), unit)
 
     def _known_ids(self, tokens: frozenset[str]) -> list[int]:
         size = self._vocab_size
         return [i for i in map(self._vocab.get, tokens) if i is not None and i < size]
 
     def _shared_counts(self, column: _TokenRows, token_ids) -> np.ndarray:
-        """How many of token_ids each row of column holds."""
+        """How many of token_ids (distinct ids, a list or an array) each row
+        of column holds."""
         n = self._rows
         offsets, ids = column
-        if not token_ids:
+        if not len(token_ids):
             return np.zeros(n, dtype=np.int64)
         mask = np.zeros(self._vocab_size, dtype=bool)
-        mask[list(token_ids)] = True
+        mask[token_ids] = True
         starts = offsets[:n + 1]
         hits = mask[ids[:starts[n]]].nonzero()[0]
         # Entry j belongs to the last row starting at or before it; side="right"
@@ -449,14 +506,25 @@ class ScoringIndex:
 
     def jaccards(self, tokens: frozenset[str]) -> np.ndarray:
         """token_jaccard of every row's content tokens and tokens, to the last bit."""
+        return self._jaccards(self._known_ids(tokens), len(tokens))
+
+    def row_jaccards(self, row: int) -> np.ndarray:
+        """jaccards() of row's own content tokens, read from its interned ids."""
+        offsets, ids = self._content
+        start, end = int(offsets[row]), int(offsets[row + 1])
+        return self._jaccards(ids[start:end], end - start)
+
+    def _jaccards(self, token_ids, size: int) -> np.ndarray:
+        """Jaccard of every row's content tokens and a set of size tokens,
+        token_ids being the ids of those the index has seen."""
         n = self._rows
-        if not tokens:
+        if not size:
             return np.zeros(n)
-        shared = self._shared_counts(self._content, self._known_ids(tokens))
+        shared = self._shared_counts(self._content, token_ids)
         offsets = self._content[0]
         sizes = offsets[1:n + 1] - offsets[:n]
         # Integers below 2**53 divide to the float64 that Python's int / int gives.
-        return shared / (sizes + len(tokens) - shared)
+        return shared / (sizes + size - shared)
 
     def turn_window(self, turn: int, window: int) -> np.ndarray:
         """Mask of the rows whose turn lies at most `window` turns before `turn`.
@@ -469,24 +537,25 @@ class ScoringIndex:
         return (turns <= turn) & (turns >= turn - window)
 
     def cosines(self, query: Sequence[float] | PreparedQuery) -> np.ndarray:
-        """Approximate cosine of every row against query, within SCREEN_MARGIN,
-        or +inf where either norm lies outside _SCREENABLE_NORMS."""
+        """Screened cosine of every row against query, within `margin` of
+        cosine_sim, or +inf where either norm lies outside _SCREENABLE_NORMS:
+        one float32 product of the unit rows with the query's unit vector."""
         if not isinstance(query, PreparedQuery):
             query = self.prepare(query)
         n = self._rows
-        if not n or not _boundable(query.norm):
+        if not n or query.unit is None:
             return np.full(n, np.inf)
-        matrix, norms = self._matrix[:n], self._norms[:n]
+        units = self._units[:n]
         if not self._unbounded:
-            return (matrix @ query.vector) / (norms * query.norm)
-        bounded = _boundable(norms)
+            return units @ query.unit
+        bounded = _boundable(self._norms[:n])
         approx = np.full(n, np.inf)
-        approx[bounded] = (matrix[bounded] @ query.vector) / (norms[bounded] * query.norm)
+        approx[bounded] = units[bounded] @ query.unit
         return approx
 
     def _bounds_every_row(self, query: PreparedQuery) -> bool:
         """Whether cosines(query) holds no +inf."""
-        return not self._unbounded and _boundable(query.norm)
+        return not self._unbounded and query.unit is not None
 
     def cosines_from(
         self, query: PreparedQuery, floor: float, skip: Optional[int]
@@ -494,7 +563,9 @@ class ScoringIndex:
         """Each row whose cosine may reach floor, row skip aside, with its
         exact cosine (cosine_sim to the last bit). Every other row's cosine
         is below floor."""
-        passed = self.cosines(query) >= floor - SCREEN_MARGIN
+        # A float32 screen compares with floor - margin rounded to float32;
+        # rounding is monotone, so every row at or above the float64 cut passes.
+        passed = self.cosines(query) >= floor - self.margin
         if skip is not None:
             passed[skip] = False
         rows = passed.nonzero()[0]
@@ -507,15 +578,18 @@ class ScoringIndex:
         quote, to the last bit: integer counts over an integer size."""
         if not query.tokens:
             return np.zeros(self._rows)
-        return self._shared_counts(self._document, query.token_ids) / len(query.tokens)
+        return self._shared_counts(self._document, list(query.token_ids)) / len(query.tokens)
 
     def hybrids(
         self, query: PreparedQuery, weights: HybridWeights, coverage: np.ndarray
     ) -> np.ndarray:
-        """Approximate hybrid_score of every row, +inf where the cosine is;
-        coverage (from coverage()) is the exact keyword half."""
+        """Screened hybrid_score of every row, within `margin` of the exact
+        one, +inf where the cosine is; coverage (from coverage()) is the
+        exact keyword half. The blend runs in float64, so it adds no float32
+        rounding to the screened cosine's."""
         cosines = self.cosines(query)
-        approx = weights.alpha * np.clip(cosines, 0.0, 1.0) + (1.0 - weights.alpha) * coverage
+        semantic = np.clip(cosines, 0.0, 1.0).astype(np.float64)
+        approx = weights.alpha * semantic + (1.0 - weights.alpha) * coverage
         if not self._bounds_every_row(query):
             approx[cosines == np.inf] = np.inf
         return approx
@@ -526,8 +600,8 @@ class ScoringIndex:
         """The rows that may hold the k best hybrid scores, in row order, and
         their exact hybrid_score, to the last bit.
 
-        Screened scores sit within SCREEN_MARGIN of the exact ones, so every
-        exact top-k row lies within 2 * SCREEN_MARGIN of the k-th best
+        Screened scores sit within `margin` of the exact ones, so every
+        exact top-k row lies within 2 * margin of the k-th best
         screened score among the rows the screen bounds; the band is those
         rows and every row it cannot bound (every row, when k or fewer are
         bounded). The keyword coverage is computed once, for both passes.
@@ -537,7 +611,7 @@ class ScoringIndex:
         bounded = approx if self._bounds_every_row(query) else approx[approx < np.inf]
         cut = len(bounded) - k
         kth = np.partition(bounded, cut)[cut] if cut > 0 else -np.inf
-        band = np.flatnonzero(approx >= kth - 2 * SCREEN_MARGIN)
+        band = np.flatnonzero(approx >= kth - 2 * self.margin)
         return band, self.exact_hybrids(query, band, weights, coverage)
 
     def exact_cosines(self, query: PreparedQuery, rows: np.ndarray) -> np.ndarray:

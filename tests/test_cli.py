@@ -337,3 +337,18 @@ def test_bad_conversation_line_reports_line_number(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert ":2:" in err and "not valid JSON" in err
+
+
+@pytest.mark.parametrize("line, named", [
+    ('"index"', "must be a JSON object"),
+    ("[1]", "must be a JSON object"),
+    ('{"index": 0, "user": 5}', "turn texts must be strings"),
+    ('{"index": -1, "user": "hi"}', "non-negative integer"),
+])
+def test_a_malformed_conversation_line_exits_2_naming_it(line, named, tmp_path, capsys):
+    path = tmp_path / "broken.jsonl"
+    path.write_text('{"index": 0, "user": "hi"}\n' + line + "\n", encoding="utf-8")
+    code = main(["ingest", "--input", str(path), "--graph", str(tmp_path / "g.json")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}:2: ") and named in err and "Traceback" not in err

@@ -256,13 +256,16 @@ def test_a_graph_holding_fewer_records_than_its_cache_encodes_from_scratch():
     parent.add_object(b)
     parent.add_edge(_edge(a, b))
     assert_saves_like_oracle(parent)
-    shrunk = parent.snapshot()
-    shrunk.objects = {a.id: a}
-    shrunk.rows = [a]
-    assert_saves_like_oracle(shrunk)
-    no_edges = parent.snapshot()
-    no_edges.edges = []
-    assert_saves_like_oracle(no_edges)
+    # Fresh graphs holding fewer objects, or fewer edges, than the parent's
+    # cache claims: each is handed that cache and must not reuse it.
+    shrunk = CanvasGraph()
+    shrunk.add_object(a)
+    no_edges = CanvasGraph()
+    no_edges.add_object(a)
+    no_edges.add_object(b)
+    for graph in (shrunk, no_edges):
+        graph._encoded = parent._encoded
+        assert_saves_like_oracle(graph)
 
 
 def test_racing_savers_all_write_the_oracle_bytes():

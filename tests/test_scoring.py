@@ -59,6 +59,26 @@ def test_content_tokens_strips_stopwords_in_order():
     assert content_tokens("the of and") == []
 
 
+# Characters whose lowercase depends on context or leaves ASCII: the dotted
+# capital I lowers to "i" plus a combining dot, the Kelvin sign to "k", and a
+# capital sigma to a final or a medial sigma depending on what follows it.
+_TRICKY_TEXT = st.lists(
+    st.one_of(
+        st.sampled_from(["\u0130", "\u212a", "\u03a3", "\u0391\u03a3", "the", "and", "of",
+                         "42", "v2", "Redis", " ", "-", "'", "\u0307"]),
+        st.text(max_size=4),
+    ),
+    max_size=8,
+).map("".join)
+
+
+@given(content=_TRICKY_TEXT, quote=_TRICKY_TEXT)
+def test_a_documents_tokens_are_its_contents_and_its_quotes(content, quote):
+    """document_text joins content and quote with a space; the scoring index
+    tokenizes the two apart and unites the sets."""
+    assert token_set(content + " " + quote) == token_set(content) | token_set(quote)
+
+
 def test_cosine_sim_frozen_value():
     assert cosine_sim([1.0, 1.0], [1.0, 0.0]) == pytest.approx(COS_45_DEG, abs=1e-12)
     assert cosine_sim([2.0, 0.0], [7.5, 0.0]) == pytest.approx(1.0, abs=1e-12)

@@ -45,7 +45,6 @@ from canvasmem.retrieval import (
 )
 from canvasmem.scoring import (
     _SCREENABLE_NORMS,
-    SCREEN_MARGIN,
     HybridWeights,
     MockEmbedder,
     ScoringIndex,
@@ -308,14 +307,14 @@ def test_screen_verifies_only_pairs_that_could_link(monkeypatch):
 
 @pytest.mark.parametrize("pattern", ["low", "alternating", "reversed"])
 def test_a_screen_off_by_most_of_the_margin_changes_nothing(pattern, monkeypatch):
-    """Callers must leave SCREEN_MARGIN of room for the screen's rounding."""
-    exact_cosines = ScoringIndex.cosines
+    """Callers must leave the index's margin of room for the screen's rounding."""
+    screen = ScoringIndex.cosines
     sign = {"low": lambda row: -1, "alternating": lambda row: (-1) ** row,
             "reversed": lambda row: -(-1) ** row}[pattern]
 
     def off_by_most_of_the_margin(self, query):
-        approx = exact_cosines(self, query)
-        return approx + [0.9 * SCREEN_MARGIN * sign(row) for row in range(len(approx))]
+        approx = screen(self, query).astype(np.float64)
+        return approx + [0.9 * self.margin * sign(row) for row in range(len(approx))]
 
     monkeypatch.setattr(ScoringIndex, "cosines", off_by_most_of_the_margin)
     # Cosines exactly at theta_causal and theta_ref, and an exact tie at the cut.
@@ -335,15 +334,30 @@ def test_a_screen_off_by_most_of_the_margin_changes_nothing(pattern, monkeypatch
 
 
 def test_index_cosines_sit_within_the_margin_of_cosine_sim():
-    rng = random.Random(5)
-    rows = [[rng.uniform(-1e3, 1e3) for _ in range(64)] for _ in range(40)]
-    index = ScoringIndex()
-    for turn, row in enumerate(rows):
-        index.append(make_obj(content=f"row {turn}", turn=turn, embedding=row))
-    query = [rng.gauss(0.0, 1e-3) for _ in range(64)]
-    approx = index.cosines(query)
-    exact = [cosine_sim(row, query) for row in rows]
-    assert max(abs(a - e) for a, e in zip(approx.tolist(), exact)) < SCREEN_MARGIN / 1000
+    """What the verify rests on: the float32 screen is within the index's
+    margin of cosine_sim. Its rounding is about 2**-24 however small d is,
+    while the margin grows as d * 2**-24, so the margin's headroom over the
+    error grows with d: at least 100x from d = 256."""
+    for dim in (1, 4, 64, 256, 3072):
+        rng = random.Random(dim)
+
+        def vector():
+            # Components of either sign with magnitudes from 1e-30 to 1e3.
+            return [rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-30.0, 3.0)
+                    for _ in range(dim)]
+
+        rows = [vector() for _ in range(40)]
+        index = ScoringIndex()
+        for turn, row in enumerate(rows):
+            index.append(make_obj(content=f"row {turn}", turn=turn, embedding=row))
+        worst = 0.0
+        for _ in range(5):
+            query = vector()
+            approx = index.cosines(query).tolist()
+            worst = max(worst, *(abs(a - cosine_sim(row, query)) for a, row in zip(approx, rows)))
+        assert worst <= index.margin, dim
+        if dim >= 256:
+            assert worst <= index.margin / 100, dim
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +580,7 @@ def oracle_verified_coarse_retrieve(graph, plan, weights=None):
     approx = index.hybrids(query, weights, index.coverage(query))
     cut = max(len(approx) - plan.coarse_k, 0)
     kth = np.partition(approx, cut)[cut]
-    band = np.flatnonzero(approx >= kth - 2 * SCREEN_MARGIN).tolist()
+    band = np.flatnonzero(approx >= kth - 2 * index.margin).tolist()
     scored = [(oracle_exact_hybrid(index, query, row, weights), graph.rows[row]) for row in band]
     scored.sort(key=lambda pair: (-pair[0], -pair[1].confidence, pair[1].turn, pair[1].id))
     return [ScoredObject(object_id=obj.id, hybrid=score) for score, obj in scored[: plan.coarse_k]]
@@ -629,14 +643,19 @@ def test_exact_scorers_are_bit_identical_to_the_scalar_functions(
     weights = HybridWeights(alpha)
     rows = _all_rows(index)
     cosines = index.exact_cosines(query, rows).tolist()
-    hybrids = index.exact_hybrids(query, rows, weights, index.coverage(query)).tolist()
-    for row, obj in enumerate(objects):
+    coverage = index.coverage(query)
+    hybrids = index.exact_hybrids(query, rows, weights, coverage).tolist()
+    # Every norm here is one the screen bounds: it sits within the margin.
+    screened = zip(index.cosines(query).tolist(), index.hybrids(query, weights, coverage).tolist())
+    for row, (obj, (screen, hybrid_screen)) in enumerate(zip(objects, screened)):
         # Linking passes the stored vector first, retrieval the query first.
         assert _bits(cosines[row]) == _bits(cosine_sim(query_vec, obj.embedding))
         assert _bits(cosines[row]) == _bits(cosine_sim(obj.embedding, query_vec))
         assert _bits(cosines[row]) == _bits(oracle_exact_cosine(index, query, row))
         assert _bits(hybrids[row]) == _bits(hybrid_score(query_vec, query_text, obj, weights))
         assert _bits(hybrids[row]) == _bits(oracle_exact_hybrid(index, query, row, weights))
+        assert abs(screen - cosines[row]) <= index.margin
+        assert abs(hybrid_screen - hybrids[row]) <= index.margin
 
 
 def test_a_fork_verifies_its_rows_after_the_owner_appended_past_it():
@@ -962,3 +981,27 @@ def test_one_link_screens_the_new_embedding_once(monkeypatch):
     assert edges == oracle_link_object(oracle, newest) and edges
     assert [e.weight.hex() for e in edges] == [
         e.weight.hex() for e in oracle.edges]
+
+
+def test_a_link_tokenizes_nothing_and_an_append_tokenizes_each_text_once(monkeypatch):
+    calls = []
+    tokens = canvasmem.scoring.content_tokens
+    monkeypatch.setattr(canvasmem.scoring, "content_tokens",
+                        lambda text: calls.append(text) or tokens(text))
+    graph, oracle = CanvasGraph(), CanvasGraph()
+    objects = [make_obj(content=f"the redis cache fact {i}", quote=f"cache fact {i} in redis",
+                        turn=i, embedding=embedding)
+               for i, embedding in enumerate((axis(0), axis(1), axis(0), vec_at_cosine(0.9)))]
+    for obj in objects:
+        for g in (graph, oracle):
+            g.add_object(obj)
+    graph.scoring_index()
+    assert sorted(calls) == sorted(text for obj in objects for text in (obj.content, obj.quote))
+    calls.clear()
+    for obj in objects:
+        link_object(graph, obj)
+    assert calls == []
+    for obj in objects:
+        oracle_link_object(oracle, obj)
+    assert graph.edges == oracle.edges
+    assert {e.origin for e in graph.edges} == {EdgeOrigin.SIMILARITY, EdgeOrigin.KEYWORD}
