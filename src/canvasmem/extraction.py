@@ -14,6 +14,7 @@ import logging
 import re
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Optional, Protocol, Sequence, runtime_checkable
 
 from .core import CanvasGraph, CanvasObject, ObjectKind, Source, normalize_text
@@ -82,7 +83,15 @@ def quote_matches(quote: str, text: str) -> bool:
     """True when the quote is a contiguous substring of the text after
     lowercasing and whitespace normalization on both sides."""
     needle = normalize_text(quote)
-    return bool(needle) and needle in normalize_text(text)
+    return bool(needle) and needle in _normalized_source(text)
+
+
+@lru_cache(maxsize=4)
+def _normalized_source(text: str) -> str:
+    """normalize_text of a source message. Every candidate of both passes is
+    checked against its turn's user or assistant text, so each side is
+    normalized once per turn."""
+    return normalize_text(text)
 
 
 def prior_digest(graph: CanvasGraph, cap: int = DIGEST_CAP) -> list[str]:

@@ -7,20 +7,24 @@ Stages, in order:
    alternation of whole phrases, cached per list.
 2. coarse_retrieve keeps the top coarse_k objects by hybrid score, in one
    call of the graph's scoring index: top_hybrids screens every stored
-   object at once (one matrix-vector product for the cosine half, and the
-   index's token-overlap kernel for the keyword coverage, which is exact
-   and computed once per query), then verifies only the band that could
-   reach the top coarse_k with exact_hybrids, which reuses that coverage
-   and is bit-identical to the scalar hybrid score, so ranks and scores
-   are exact. A stored or query vector that the scalar cosine cannot score
-   makes the index raise the scalar cosine's typed error.
+   object at once (one float32 matrix-vector product for the cosine half,
+   and the keyword coverage from the index's posting lists of the query's
+   tokens, which is exact and computed once per query), then verifies only
+   the band that could reach the top coarse_k with exact_hybrids: one
+   batched call of numpy's vector dot kernel for the band's cosines, and
+   the same coverage, bit-identical to the scalar hybrid score, so ranks
+   and scores are exact. A stored or query vector that the scalar cosine
+   cannot score makes the index raise the scalar cosine's typed error.
 3. expand_graph walks edges breadth-first from those hits, both directions
    and both edge kinds, with a 0.8 score decay per hop. It walks the edge
    columns of the scoring index one hop at a time with array operations
    (edge masks, np.maximum.at, np.lexsort on score and id key). Without a
    reranker backend it is given k and builds candidates only for the
    expansions inside the stable top k of seeds then hops, which are all
-   that the cut in stage 4 can keep.
+   that the cut in stage 4 can keep. It walks only what can enter that
+   top k: it stops before a hop whose best inherited score cannot beat
+   the k-th best so far, and on the last hop that can change the top k it
+   walks only the frontier objects whose decayed score beats it.
 4. rerank_candidates orders candidates by a reranker backend, or by the
    hybrid score itself when no backend is configured, then cuts to k. A
    backend sees every candidate of a full expansion.
@@ -293,17 +297,25 @@ def expand_graph(
     by 0.8 per hop; each hop's objects come in (-score, id) order. Seeds come
     back unchanged, expansions are appended.
 
-    The walk runs on the arrays of the graph's scoring index. Each hop masks
-    the edges leaving the frontier forward and backward, takes the best
-    frontier score per reached row with np.maximum.at (exact, since
-    max(a) * 0.8 == max(a * 0.8)), orders the rows with np.lexsort on the
-    rows' uint64 id keys, and marks every reached row seen.
+    The walk runs on the arrays of the graph's scoring index. Each hop
+    (_reach) masks the edges leaving the frontier forward and backward and
+    takes the best frontier score per reached row with np.maximum.at
+    (exact, since max(a) * 0.8 == max(a * 0.8)); the rows are ordered with
+    np.lexsort on the rows' uint64 id keys and marked seen.
 
     With k, only the expansions inside the top k of the stable sort of
-    seeds-then-hops by descending score are returned (every one is still
-    walked and marked seen), so that sort's first k, which is what
-    rerank_candidates keeps without a backend, is the same as for the full
-    list. The walk stops once no later hop can enter that top k.
+    seeds-then-hops by descending score are returned, so that sort's first
+    k, which is what rerank_candidates keeps without a backend, is the same
+    as for the full list. In that sort a later candidate enters the top k
+    only with a score above the k-th best so far (kth), and every later hop
+    inherits at most 0.8 of the best frontier score (top), or stays below
+    zero when top is negative. So before each hop the walk stops when
+    0.8 * top cannot beat kth. When 0.64 * top cannot, or no hop is asked
+    for after this one, this is the last hop that can change the top k: it
+    walks only the frontier rows whose 0.8 * score beats kth (a row reached
+    only from the others would score at most kth) and then stops, as no
+    later hop would read what it marked seen. Without k (a reranker ranks
+    the candidates) every hop is walked whole.
     """
     result = list(seeds)
     if hops <= 0 or not seeds:
@@ -317,34 +329,37 @@ def expand_graph(
         row = index.row_of(seed.object_id)
         if row is not None:
             seed_scores[row] = seed.hybrid
+    if not seed_scores:
+        return result
     frontier = np.fromiter(seed_scores, dtype=np.intp, count=len(seed_scores))
     score = np.zeros(n)  # best score of each seen row
     score[frontier] = list(seed_scores.values())
     seen = np.zeros(n, dtype=bool)
     seen[frontier] = True
-    in_frontier = np.zeros(n, dtype=bool)
+    top = max(seed_scores.values())
     scores = [np.array([seed.hybrid for seed in seeds], dtype=np.float64)]
     reached_rows: list[np.ndarray] = []
     for hop in range(1, hops + 1):
-        in_frontier[:] = False
-        in_frontier[frontier] = True
-        forward, backward = in_frontier[src], in_frontier[dst]
-        reached = np.concatenate((dst[forward], src[backward]))
-        parents = np.concatenate((src[forward], dst[backward]))
-        fresh = ~seen[reached]
-        best = np.full(n, -np.inf)
-        np.maximum.at(best, reached[fresh], score[parents[fresh]])
-        rows = np.flatnonzero(best > -np.inf)
+        last = hop == hops
+        if k is not None:
+            kth = _kth_best(scores, k)
+            if kth >= max(top * EXPANSION_DECAY, 0.0):
+                break
+            last = last or kth >= max(top * EXPANSION_DECAY * EXPANSION_DECAY, 0.0)
+            if last:
+                frontier = frontier[score[frontier] * EXPANSION_DECAY > kth]
+        rows, best = _reach(src, dst, frontier, seen, score)
         if not rows.size:
             break
-        inherited = best[rows] * EXPANSION_DECAY
+        inherited = best * EXPANSION_DECAY
         order = np.lexsort((id_keys[rows], -inherited))
         frontier, inherited = rows[order], inherited[order]
         seen[frontier] = True
         score[frontier] = inherited
         reached_rows.append(frontier)
         scores.append(inherited)
-        if k is not None and _top_k_closed(scores, k, inherited[0] * EXPANSION_DECAY):
+        top = inherited[0]
+        if last:
             break
     if not reached_rows:
         return result
@@ -353,8 +368,8 @@ def expand_graph(
     inherited = np.concatenate(scores[1:])
     if k is not None:
         # Positions past the seeds that the stable sort puts in its first k.
-        top = np.argsort(-np.concatenate(scores), kind="stable")[:k] - len(seeds)
-        kept = np.sort(top[top >= 0])
+        top_k = np.argsort(-np.concatenate(scores), kind="stable")[:k] - len(seeds)
+        kept = np.sort(top_k[top_k >= 0])
         rows, hop_of, inherited = rows[kept], hop_of[kept], inherited[kept]
     result.extend(
         ScoredObject(
@@ -368,20 +383,32 @@ def expand_graph(
     return result
 
 
-def _top_k_closed(scores: list[np.ndarray], k: int, next_best: float) -> bool:
-    """True when no later hop can enter the stable top k of scores.
+def _reach(
+    src: np.ndarray, dst: np.ndarray, frontier: np.ndarray, seen: np.ndarray, score: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The rows not yet seen that an edge joins to a frontier row, in row
+    order, and the best score among each one's frontier neighbours."""
+    in_frontier = np.zeros(len(seen), dtype=bool)
+    in_frontier[frontier] = True
+    forward, backward = in_frontier[src], in_frontier[dst]
+    reached = np.concatenate((dst[forward], src[backward]))
+    parents = np.concatenate((src[forward], dst[backward]))
+    fresh = ~seen[reached]
+    best = np.full(len(seen), -np.inf)
+    np.maximum.at(best, reached[fresh], score[parents[fresh]])
+    rows = np.flatnonzero(best > -np.inf)
+    return rows, best[rows]
 
-    A later candidate sorts after every earlier one of equal score, so it
-    enters only with a score above the k-th best so far. Later hops inherit
-    at most next_best, or stay below zero when that is negative.
-    """
+
+def _kth_best(scores: list[np.ndarray], k: int) -> float:
+    """The k-th best of all scores so far: -inf when there are fewer than k,
+    +inf when k < 1 (nothing enters an empty top k)."""
     if k < 1:
-        return True
+        return math.inf
     pooled = np.concatenate(scores)
     if pooled.size < k:
-        return False
-    kth = np.partition(pooled, pooled.size - k)[pooled.size - k]
-    return bool(kth >= max(next_best, 0.0))
+        return -math.inf
+    return float(np.partition(pooled, pooled.size - k)[pooled.size - k])
 
 
 def rerank_candidates(

@@ -8,31 +8,34 @@ also appear in the object's content or quote. Stopwords come from a fixed
 Scoring a graph is screen-then-verify, and the ScoringIndex owns both
 halves: linking, coarse retrieval and the RAG baseline score through it
 alone. The index holds every stored embedding in one float64 matrix with
-its row norms, the same rows as float32 unit vectors, each row's turn, and
-each row's tokens interned to integer ids in CSR arrays (per-row offsets
-into one flat id array). The screen is one float32 matrix-vector product
-of the unit rows against the query's float32 unit vector, prepared once
-with its float64 vector, norm, token set and token ids. It sits within a
-margin of cosine_sim that the index derives from its dimension (see
-_screen_margin). cosines_from and top_hybrids keep the rows whose screened
-score could pass a floor, or reach the top k, within that margin, and
-verify those with exact_cosines and exact_hybrids. These run the
-operations of cosine_sim and hybrid_score, in the same order, on the same
-float64 values (one dot product per row, then the division, the clamp and
-the blend as float64 array operations), so every stored edge weight and
-every ranked score is bit-identical to the scalar value. A vector whose
-norm is too large or too small for the screen to bound its cosines is
-screened as +inf, so it is always verified. A vector cosine_sim cannot
-score is a fault: preparing a query against an index that holds one, or
-preparing such a query, raises cosine_sim's typed error. There is no
-other scoring path.
+its row norms, the same rows as float32 unit vectors, each row's turn,
+each row's content tokens interned to integer ids in CSR arrays (per-row
+offsets into one flat id array), and for each token id the rows whose
+content or quote holds it (a posting list). The screen is one float32
+matrix-vector product of the unit rows against the query's float32 unit
+vector, prepared once with its float64 vector, norm, token set and token
+ids. It sits within a margin of cosine_sim that the index derives from its
+dimension (see _screen_margin). cosines_from and top_hybrids keep the rows
+whose screened score could pass a floor, or reach the top k, within that
+margin, and verify those with exact_cosines and exact_hybrids. These run
+the operations of cosine_sim and hybrid_score, in the same order, on the
+same float64 values (one batched call of numpy's vector dot kernel, a dot
+product per row, then the division, the clamp and the blend as float64
+array operations), so every stored edge weight and every ranked score is
+bit-identical to the scalar value. A vector whose norm is too large or too
+small for the screen to bound its cosines is screened as +inf, so it is
+always verified. A vector cosine_sim cannot score is a fault: preparing a
+query against an index that holds one, or preparing such a query, raises
+cosine_sim's typed error. There is no other scoring path.
 
-The token half needs no screen. The token-overlap kernel marks a query's
-ids in a mask over the vocabulary and counts, for every row at once, how
-many of its ids are marked. Jaccard and coverage divide those integer
-counts by integer sizes, as token_jaccard and token_coverage do, so every
-row's value is the scalar one to the last bit. The scalar functions stay
-the public API and the test oracle.
+The token half needs no screen. For Jaccard, the token-overlap kernel
+marks a set's ids in a mask over the vocabulary and counts, for every row
+at once, how many of its content ids are marked. For coverage, the
+query's posting lists are joined and each row's hits counted, which reads
+only the rows sharing a token with the query. Jaccard and coverage divide
+those integer counts by integer sizes, as token_jaccard and token_coverage
+do, so every row's value is the scalar one to the last bit. The scalar
+functions stay the public API and the test oracle.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ import hashlib
 import math
 import re
 import sys
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -244,24 +248,18 @@ def _room(buf: np.ndarray, used: int, needed: int) -> np.ndarray:
     return grown
 
 
-# A column of token rows in CSR form: row i holds ids[offsets[i]:offsets[i + 1]].
-_TokenRows = tuple[np.ndarray, np.ndarray]
-
-
-def _no_token_rows() -> _TokenRows:
-    return np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)
-
-
 class ScoringIndex:
     """Append-only columnar copy of what scoring reads from each object.
 
     Row i describes the i-th object stored in a graph: its embedding in a
     contiguous float64 (n, d) matrix that grows by half, the row norm, the
     embedding as a float32 unit vector fl32(vec / norm) in a second (n, d)
-    matrix, its turn, and two columns of token rows: the content tokens
-    (for Jaccard links) and the content-plus-quote tokens (for keyword
-    coverage). Tokens are interned to integer ids, and a column keeps every
-    row's ids in one flat array with per-row offsets (CSR).
+    matrix, its turn, and its tokens. Tokens are interned to integer ids.
+    The content tokens (for Jaccard links) are a column of token rows, every
+    row's ids in one flat array with per-row offsets (CSR). The
+    content-plus-quote tokens (for keyword coverage) are posting lists: for
+    each token id, the rows that hold it, in row order, appended to as rows
+    arrive.
 
     cosines_from() and top_hybrids() are what callers score with: each
     screens every row at once and verifies only the rows that can pass.
@@ -271,15 +269,16 @@ class ScoringIndex:
     bound (the row's or the query's norm outside _SCREENABLE_NORMS);
     exact_cosines() and exact_hybrids() verify the rows listed, in one
     call, bit-identical to cosine_sim and hybrid_score from the float64
-    matrix and norms. The token kernel is exact: a query marks its ids in a
-    mask over the vocabulary, and the marked entries of a column's flat id
-    array, counted per row, give every row's overlap with the query at
-    once. jaccards(), row_jaccards() and coverage() divide those integer
-    counts by integer sizes, as token_jaccard and token_coverage do, so
-    they are the same float64 to the last bit. A row cosine_sim could not
-    score (no embedding, not a 1-D vector of the index's dimension, a zero
-    norm) is a fault: storing it never raises, but once the index holds
-    one, prepare() and prepare_row() raise the first fault's typed error.
+    matrix and norms. The token kernels are exact. For jaccards() and
+    row_jaccards() a token set marks its ids in a mask over the vocabulary,
+    and the marked entries of the content column's flat id array, counted
+    per row, give every row's overlap at once; coverage() counts each row's
+    hits in the query's posting lists. They divide those integer counts by
+    integer sizes, as token_jaccard and token_coverage do, so they are the
+    same float64 to the last bit. A row cosine_sim could not score (no
+    embedding, not a 1-D vector of the index's dimension, a zero norm) is
+    a fault: storing it never raises, but once the index holds one,
+    prepare() and prepare_row() raise the first fault's typed error.
 
     The index also holds the graph's shape: each row's id in an id -> row
     map and as a uint64 key (the 16-hex id read as a number, so the keys'
@@ -288,9 +287,10 @@ class ScoringIndex:
     or not the embeddings can be screened.
 
     fork() returns a read-only index (a write raises ReadOnlyGraphError)
-    sharing every column, the token table and the id map: the owner keeps
-    appending in place past them, and the fork reads only up to its own row
-    count, edge count and vocabulary size.
+    sharing every column, the posting lists, the token table and the id
+    map: the owner keeps appending in place past them, and the fork reads
+    only up to its own row count, edge count and vocabulary size (rows the
+    owner later added to a posting list are cut off the fork's counts).
     """
 
     def __init__(self):
@@ -302,8 +302,9 @@ class ScoringIndex:
         self._norms = np.empty(0)
         self._units = np.empty((0, 0), dtype=np.float32)
         self._turns = np.empty(0, dtype=np.int64)
-        self._content = _no_token_rows()
-        self._document = _no_token_rows()
+        # Content token ids in CSR form: row i holds ids[offsets[i]:offsets[i + 1]].
+        self._content = np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)
+        self._postings: defaultdict[int, list[int]] = defaultdict(list)
         self._vocab: dict[str, int] = {}
         self._vocab_size = 0
         self._row_of: dict[str, int] = {}
@@ -402,17 +403,17 @@ class ScoringIndex:
                     self._units[row] = unit
         self._turns = _room(self._turns, start, end)
         self._turns[start:end] = [min(turn, _TURN_CAP) for turn in turns]
-        self._content = self._append_token_rows(self._content, contents)
-        self._document = self._append_token_rows(self._document, documents)
+        self._append_content(contents)
+        self._append_postings(documents)
         self._vocab_size = len(self._vocab)
         self._rows = end
 
-    def _append_token_rows(self, column: _TokenRows, sets: list[frozenset[str]]) -> _TokenRows:
-        """column with a row of interned ids for each token set, new tokens
+    def _append_content(self, sets: list[frozenset[str]]) -> None:
+        """Add a content row of interned ids for each token set, new tokens
         taking the next free ids."""
         vocab = self._vocab
         flat = [vocab.setdefault(tok, len(vocab)) for tokens in sets for tok in tokens]
-        offsets, ids = column
+        offsets, ids = self._content
         start = self._rows
         used = int(offsets[start])
         ends = list(accumulate(map(len, sets), initial=used))
@@ -420,7 +421,15 @@ class ScoringIndex:
         offsets[start + 1:start + len(ends)] = ends[1:]
         ids = _room(ids, used, ends[-1])
         ids[used:ends[-1]] = flat
-        return offsets, ids
+        self._content = offsets, ids
+
+    def _append_postings(self, sets: list[frozenset[str]]) -> None:
+        """Add each row of sets, from row self._rows on, to the posting list
+        of each of its tokens, new tokens taking the next free ids."""
+        vocab, postings = self._vocab, self._postings
+        for row, tokens in enumerate(sets, self._rows):
+            for tok in tokens:
+                postings[vocab.setdefault(tok, len(vocab))].append(row)
 
     def fork(self) -> "ScoringIndex":
         """A read-only index of this one's rows and edges as they stand now."""
@@ -488,11 +497,11 @@ class ScoringIndex:
         size = self._vocab_size
         return [i for i in map(self._vocab.get, tokens) if i is not None and i < size]
 
-    def _shared_counts(self, column: _TokenRows, token_ids) -> np.ndarray:
-        """How many of token_ids (distinct ids, a list or an array) each row
-        of column holds."""
+    def _shared_counts(self, token_ids) -> np.ndarray:
+        """How many of token_ids (distinct ids, a list or an array) each
+        row's content holds."""
         n = self._rows
-        offsets, ids = column
+        offsets, ids = self._content
         if not len(token_ids):
             return np.zeros(n, dtype=np.int64)
         mask = np.zeros(self._vocab_size, dtype=bool)
@@ -520,7 +529,7 @@ class ScoringIndex:
         n = self._rows
         if not size:
             return np.zeros(n)
-        shared = self._shared_counts(self._content, token_ids)
+        shared = self._shared_counts(token_ids)
         offsets = self._content[0]
         sizes = offsets[1:n + 1] - offsets[:n]
         # Integers below 2**53 divide to the float64 that Python's int / int gives.
@@ -575,10 +584,19 @@ class ScoringIndex:
 
     def coverage(self, query: PreparedQuery) -> np.ndarray:
         """token_coverage of the query's tokens in every row's content and
-        quote, to the last bit: integer counts over an integer size."""
+        quote, to the last bit: integer counts over an integer size.
+
+        A row's count is how many of the query's posting lists hold it. The
+        owner may have appended rows past this index's own to those lists;
+        the [:n] cut drops them."""
+        n = self._rows
         if not query.tokens:
-            return np.zeros(self._rows)
-        return self._shared_counts(self._document, list(query.token_ids)) / len(query.tokens)
+            return np.zeros(n)
+        hits: list[int] = []
+        for token_id in query.token_ids:
+            hits += self._postings.get(token_id, ())
+        counts = np.bincount(np.array(hits, dtype=np.intp), minlength=n)[:n]
+        return counts / len(query.tokens)
 
     def hybrids(
         self, query: PreparedQuery, weights: HybridWeights, coverage: np.ndarray
@@ -618,12 +636,15 @@ class ScoringIndex:
         """cosine_sim of the query and each listed row's embedding, to the last bit.
 
         The same float64 values and the same operations as cosine_sim: one
-        dot product per row (a matrix-vector product may sum in another
-        order), each divided by the product of the two norms.
+        dot product per row, each divided by the product of the two norms.
+        The products are one matmul of the rows, stacked as 1 x d matrices,
+        with the query as a d x 1 column: numpy computes each 1 x 1 result
+        with the vector dot kernel np.dot runs on two 1-D vectors, where a
+        plain matrix-vector product may sum in another order.
         """
-        dot, matrix = query.vector.dot, self._matrix
-        dots = np.array([dot(matrix[row]) for row in rows.tolist()])
-        return dots / (query.norm * self._norms[rows])
+        stacked = self._matrix.take(rows, axis=0)[:, None, :]
+        dots = np.matmul(stacked, query.vector[:, None])[:, 0, 0]
+        return dots / (query.norm * self._norms.take(rows))
 
     def exact_hybrids(
         self,

@@ -13,6 +13,7 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import canvasmem.retrieval
 from canvasmem.core import CanvasEdge, CanvasGraph, EdgeKind, EdgeOrigin
 from canvasmem.engine import CanvasEngine
 from canvasmem.extraction import MockExtractor
@@ -195,6 +196,91 @@ def test_unknown_seed_ids_come_back_and_expand_nothing():
     assert [c.object_id for c in full] == [stranger.object_id, a.id, b.id]
     for k in (1, 2, 3):
         assert exact(expand_graph(graph, seeds, 2, k)) == exact(oracle_pruned(full, seeds, k))
+
+
+# ---------------------------------------------------------------------------
+# Pruning with k: crafted graphs, with the hops the walk took recorded
+# ---------------------------------------------------------------------------
+
+def _crafted(names, links):
+    """A graph of one object per name, with a REFERENCE edge for each pair
+    in links; returns the graph and each name's object id."""
+    objects = {name: make_obj(content=f"crafted object {name}", turn=i, embedding=axis(i % 8))
+               for i, name in enumerate(names)}
+    graph = CanvasGraph()
+    for obj in objects.values():
+        graph.add_object(obj)
+    for a, b in links:
+        graph.add_edge(CanvasEdge(src=objects[a].id, dst=objects[b].id, kind=EdgeKind.REFERENCE,
+                                  weight=0.5, origin=EdgeOrigin.SIMILARITY))
+    return graph, {name: obj.id for name, obj in objects.items()}
+
+
+def _record_hops(monkeypatch) -> list[list[int]]:
+    """The rows each hop of the walk reached, in row order, one list per hop walked."""
+    hops: list[list[int]] = []
+    reach = canvasmem.retrieval._reach
+
+    def recorded(src, dst, frontier, seen, score):
+        rows, best = reach(src, dst, frontier, seen, score)
+        hops.append(rows.tolist())
+        return rows, best
+
+    monkeypatch.setattr(canvasmem.retrieval, "_reach", recorded)
+    return hops
+
+
+def _seeds(ids, scores):
+    return [ScoredObject(object_id=ids[name], hybrid=value) for name, value in scores.items()]
+
+
+def test_the_last_hop_walks_only_seeds_that_can_beat_the_kth_score(monkeypatch):
+    # k = 3: the k-th best seed scores 0.75. 0.8 * 1.0 beats it and 0.64 * 1.0
+    # does not, so hop 1 is the last that can change the top 3. T's decayed
+    # score ties it exactly (0.8 * 0.9375 == 0.75) and K's falls below it:
+    # neither is walked, so only A's neighbour is built.
+    assert 0.9375 * EXPANSION_DECAY == 0.75
+    graph, ids = _crafted("ATKXYZ", [("A", "X"), ("T", "Y"), ("K", "Z"), ("X", "Y")])
+    seeds = _seeds(ids, {"A": 1.0, "T": 0.9375, "K": 0.75})
+    hops = _record_hops(monkeypatch)
+    pruned = expand_graph(graph, seeds, 3, 3)
+    full = oracle_expand_graph(graph, seeds, 3)
+    assert exact(pruned) == exact(oracle_pruned(full, seeds, 3))
+    assert [c.object_id for c in pruned] == [ids[name] for name in "ATKX"]
+    assert hops == [[graph.scoring_index().row_of(ids["X"])]]
+
+
+def test_pruning_a_hop_that_is_not_the_last_would_change_the_answer(monkeypatch):
+    # k = 3: before hop 1 the k-th best seed scores 0.5, and a hop-2
+    # candidate can still reach 0.64, so hop 1 must walk W too. W marks N
+    # seen at 0.4; had W been skipped, S would reach N at hop 2 with 0.64,
+    # above B's 0.6, and N would wrongly enter the top 3.
+    graph, ids = _crafted("ABWSN", [("A", "S"), ("S", "N"), ("W", "N")])
+    seeds = _seeds(ids, {"A": 1.0, "B": 0.6, "W": 0.5})
+    hops = _record_hops(monkeypatch)
+    pruned = expand_graph(graph, seeds, 2, 3)
+    full = oracle_expand_graph(graph, seeds, 2)
+    assert [(c.object_id, c.hybrid) for c in full[3:]] == [(ids["S"], 0.8), (ids["N"], 0.4)]
+    assert exact(pruned) == exact(oracle_pruned(full, seeds, 3))
+    assert [c.object_id for c in pruned] == [ids[name] for name in "ABWS"]
+    index = graph.scoring_index()
+    assert hops[0] == sorted(index.row_of(ids[name]) for name in "SN")
+
+
+def test_a_walk_no_row_of_which_can_enter_the_top_k_does_no_edge_work(monkeypatch):
+    # The k-th best seed scores 0.9, and 0.8 * 1.0 cannot beat it.
+    graph, ids = _crafted("ABCXY", [("A", "X"), ("B", "Y"), ("C", "X")])
+    seeds = _seeds(ids, {"A": 1.0, "B": 0.9, "C": 0.85})
+    hops = _record_hops(monkeypatch)
+    for hop_count in (1, 4):
+        assert exact(expand_graph(graph, seeds, hop_count, 2)) == exact(seeds)
+        full = oracle_expand_graph(graph, seeds, hop_count)
+        assert exact(oracle_pruned(full, seeds, 2)) == exact(seeds)
+    assert hops == []
+    # Without k (a reranker backend ranks the candidates) the hop is walked.
+    assert len(expand_graph(graph, seeds, 1)) == 5
+    index = graph.scoring_index()
+    assert hops == [[index.row_of(ids["X"]), index.row_of(ids["Y"])]]
 
 
 # ---------------------------------------------------------------------------

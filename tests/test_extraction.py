@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import canvasmem.extraction
 from canvasmem.core import CanvasGraph, ObjectKind, Source
 from canvasmem.errors import BackendFailureError, SequenceError
 from canvasmem.extraction import (
@@ -143,6 +144,41 @@ def test_extract_turn_drops_ungrounded_quotes():
     objects = extract_turn(_UngroundedExtractor(), turn, CanvasGraph(), diagnostics=diagnostics)
     assert [o.content for o in objects] == ["grounded fact"]
     assert diagnostics.dropped_quotes == 1
+
+
+class _EchoExtractor:
+    """On every pass, two grounded candidates and one fabricated one per side."""
+
+    def extract(self, turn, prior_digest, pass_):
+        found = []
+        for source in (Source.USER, Source.ASSISTANT):
+            for word in turn.text_for(source).split()[:2] + ["fabricated words"]:
+                found.append(make_obj(content=f"{pass_.value} {source.value} {word}", quote=word,
+                                      source=source, turn=turn.index))
+        return found
+
+
+def test_each_side_of_a_turn_is_normalized_once_per_turn(monkeypatch):
+    calls = []
+    normalize = canvasmem.extraction.normalize_text
+    monkeypatch.setattr(canvasmem.extraction, "normalize_text",
+                        lambda text: calls.append(text) or normalize(text))
+    checks = []
+    matches = canvasmem.extraction.quote_matches
+    monkeypatch.setattr(canvasmem.extraction, "quote_matches",
+                        lambda quote, text: checks.append(quote) or matches(quote, text))
+    diagnostics = ExtractionDiagnostics()
+    for index in range(3):
+        turn = ConversationTurn(index=index, user_text=f"Echo  USER said {index}\tapples",
+                                assistant_text=f"echo Assistant replied {index} pears")
+        calls.clear()
+        checks.clear()
+        objects = extract_turn(_EchoExtractor(), turn, CanvasGraph(), diagnostics=diagnostics)
+        sides = [text for text in calls if text in (turn.user_text, turn.assistant_text)]
+        assert sorted(sides) == sorted([turn.user_text, turn.assistant_text])
+        # Every candidate of both passes is still checked, one call each.
+        assert len(checks) == 12 and len(objects) == 8
+    assert diagnostics.dropped_quotes == 12
 
 
 class _ExplodingExtractor:

@@ -49,6 +49,7 @@ from canvasmem.scoring import (
     MockEmbedder,
     ScoringIndex,
     cosine_sim,
+    document_text,
     hybrid_score,
     token_coverage,
     token_jaccard,
@@ -559,14 +560,13 @@ def oracle_exact_cosine(index, query, row):
     return float(np.dot(query.vector, index._matrix[row]) / (query.norm * index._norms[row]))
 
 
-def oracle_exact_hybrid(index, query, row, weights):
-    """The per-row verify: one row's hybrid score, as hybrid_score computes it."""
+def oracle_exact_hybrid(index, query, row, obj, weights):
+    """The per-row verify: one row's hybrid score, as hybrid_score computes
+    it, its keyword half read from obj, the object stored at that row."""
     semantic = min(1.0, max(0.0, oracle_exact_cosine(index, query, row)))
     lexical = 0.0
     if query.tokens:
-        offsets, ids = index._document
-        row_ids = ids[offsets[row]:offsets[row + 1]].tolist()
-        lexical = len(query.token_ids.intersection(row_ids)) / len(query.tokens)
+        lexical = len(query.tokens & token_set(document_text(obj))) / len(query.tokens)
     return weights.alpha * semantic + (1.0 - weights.alpha) * lexical
 
 
@@ -581,7 +581,7 @@ def oracle_verified_coarse_retrieve(graph, plan, weights=None):
     cut = max(len(approx) - plan.coarse_k, 0)
     kth = np.partition(approx, cut)[cut]
     band = np.flatnonzero(approx >= kth - 2 * index.margin).tolist()
-    scored = [(oracle_exact_hybrid(index, query, row, weights), graph.rows[row]) for row in band]
+    scored = [(oracle_exact_hybrid(index, query, row, graph.rows[row], weights), graph.rows[row]) for row in band]
     scored.sort(key=lambda pair: (-pair[0], -pair[1].confidence, pair[1].turn, pair[1].id))
     return [ScoredObject(object_id=obj.id, hybrid=score) for score, obj in scored[: plan.coarse_k]]
 
@@ -653,7 +653,7 @@ def test_exact_scorers_are_bit_identical_to_the_scalar_functions(
         assert _bits(cosines[row]) == _bits(cosine_sim(obj.embedding, query_vec))
         assert _bits(cosines[row]) == _bits(oracle_exact_cosine(index, query, row))
         assert _bits(hybrids[row]) == _bits(hybrid_score(query_vec, query_text, obj, weights))
-        assert _bits(hybrids[row]) == _bits(oracle_exact_hybrid(index, query, row, weights))
+        assert _bits(hybrids[row]) == _bits(oracle_exact_hybrid(index, query, row, obj, weights))
         assert abs(screen - cosines[row]) <= index.margin
         assert abs(hybrid_screen - hybrids[row]) <= index.margin
 
@@ -715,21 +715,22 @@ def test_array_verify_equals_the_per_row_verify(vectors, words, query, query_wor
     for row, cos, hybrid in zip(rows.tolist(), cosines.tolist(), hybrids.tolist()):
         assert _bits(cos) == _bits(oracle_exact_cosine(index, prepared, row))
         assert _bits(cos) == _bits(cosine_sim(query, objects[row].embedding))
-        assert _bits(hybrid) == _bits(oracle_exact_hybrid(index, prepared, row, weights))
+        assert _bits(hybrid) == _bits(oracle_exact_hybrid(index, prepared, row, objects[row], weights))
         assert _bits(hybrid) == _bits(hybrid_score(query, " ".join(query_words), objects[row], weights))
 
 
 def test_cosines_past_one_and_below_zero_reach_the_verify():
+    objects = [make_obj(content="same", turn=0, embedding=[1.0, 1.0, 1.0]),
+               make_obj(content="opposite", turn=1, embedding=[-1.0, -1.0, -1.0])]
     index = ScoringIndex()
-    index.extend([make_obj(content="same", turn=0, embedding=[1.0, 1.0, 1.0]),
-                  make_obj(content="opposite", turn=1, embedding=[-1.0, -1.0, -1.0])])
+    index.extend(objects)
     query = index.prepare([1.0, 1.0, 1.0], "same")
     rows = _all_rows(index)
     assert index.exact_cosines(query, rows).tolist() == [1.0000000000000002, -1.0000000000000002]
     for alpha in (0.0, 0.7, 1.0):
         weights = HybridWeights(alpha)
         assert [_bits(h) for h in index.exact_hybrids(query, rows, weights, index.coverage(query))] == [
-            _bits(oracle_exact_hybrid(index, query, row, weights)) for row in rows.tolist()]
+            _bits(oracle_exact_hybrid(index, query, row, objects[row], weights)) for row in rows.tolist()]
 
 
 _cosine = st.one_of(
@@ -919,6 +920,45 @@ def test_forks_and_their_owner_never_see_each_others_rows_or_token_ids():
     assert fork.jaccards(frozenset({"alpha", "gamma"})).tolist() == [0.0]
     assert fork.jaccards(frozenset({"redis"})).tolist() == [1.0]
     assert fork.turn_window(2, 1).tolist() == [False]
+
+
+def test_a_forks_coverage_counts_neither_the_owners_later_rows_nor_its_later_tokens():
+    owner = ScoringIndex()
+    owner.append_vector(axis(0), frozenset({"redis"}), frozenset({"redis", "cache"}), 0)
+    owner.append_vector(axis(1), frozenset(), frozenset({"cache"}), 1)
+    fork = owner.fork()
+    # After the fork the owner appends rows holding the query's tokens, one
+    # of them ("beta") seen for the first time, and a row without tokens.
+    owner.append_vector(axis(2), frozenset({"redis"}), frozenset({"redis", "cache", "beta"}), 2)
+    owner.append_vector(axis(3))
+    owner.append_vector(axis(4), frozenset(), frozenset({"beta", "cache"}), 3)
+    fork_docs = [{"redis", "cache"}, {"cache"}]
+    owner_docs = fork_docs + [{"redis", "cache", "beta"}, set(), {"beta", "cache"}]
+    text = "redis cache beta"
+    query = fork.prepare(axis(0), text)
+    # The fork never saw "beta": it counts in the size and matches no row.
+    assert query.token_ids == owner.prepare(axis(0), "redis cache").token_ids
+    for index, documents, prepared in ((fork, fork_docs, query),
+                                       (owner, owner_docs, owner.prepare(axis(0), text))):
+        assert [_bits(c) for c in index.coverage(prepared).tolist()] == [
+            _bits(token_coverage(token_set(text), frozenset(doc))) for doc in documents]
+    assert fork.coverage(query).tolist() == [2 / 3, 1 / 3]
+    assert fork._postings is owner._postings
+
+
+def test_rows_without_tokens_cover_nothing():
+    index = ScoringIndex()
+    for i in range(3):
+        index.append_vector(axis(i))
+    query = index.prepare(axis(0), "redis cache")
+    assert query.token_ids == frozenset()
+    assert index.coverage(query).tolist() == [0.0, 0.0, 0.0]
+    index.append_vector(axis(3), frozenset({"redis"}), frozenset({"redis"}), 1)
+    index.append_vector(axis(4))
+    query = index.prepare(axis(0), "redis cache")
+    assert index.coverage(query).tolist() == [0.0, 0.0, 0.0, 0.5, 0.0]
+    assert index.coverage(index.prepare(axis(0), "")).tolist() == [0.0] * 5
+    assert ScoringIndex().coverage(query).shape == (0,)
 
 
 _turn_objects = st.builds(
