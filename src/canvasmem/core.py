@@ -139,8 +139,13 @@ class CanvasEdge:
             raise ValueError(f"kind must be an EdgeKind, got {self.kind!r}")
         if not isinstance(self.origin, EdgeOrigin):
             raise ValueError(f"origin must be an EdgeOrigin, got {self.origin!r}")
-        if not 0.0 <= float(self.weight) <= 1.0:
-            raise ValueError(f"edge weight must lie in [0, 1], got {self.weight!r}")
+        # A string such as "0.5" or a bool passes a float() range check, and
+        # the edge would then store and save it as it came.
+        weight = self.weight
+        if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+            raise ValueError(f"edge weight must be a number, got {weight!r}")
+        if not 0.0 <= weight <= 1.0:
+            raise ValueError(f"edge weight must lie in [0, 1], got {weight!r}")
 
 
 class CanvasGraph:
@@ -384,7 +389,8 @@ def deserialize_graph(data: bytes) -> CanvasGraph:
         raise VersionMismatchError(f"unsupported graph version {version!r}")
     _require(isinstance(doc.get("objects"), list), "objects must be a list")
     _require(isinstance(doc.get("edges"), list), "edges must be a list")
-    _require(isinstance(doc.get("next_turn"), int) and doc["next_turn"] >= 0,
+    next_turn = doc.get("next_turn")
+    _require(isinstance(next_turn, int) and not isinstance(next_turn, bool) and next_turn >= 0,
              "next_turn must be a non-negative integer")
 
     graph = CanvasGraph()

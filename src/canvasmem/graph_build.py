@@ -21,14 +21,15 @@ vector, and the interned content token ids, so it converts and tokenizes
 nothing. The index gives, in one call of cosines_from, every stored object
 whose cosine may reach theta_causal (the lower threshold) with its exact
 cosine, bit-identical to the scalar cosine, so every edge weight is the
-exact scalar value; one pass of its token kernel over the row's ids gives
-the exact Jaccard overlap of every stored content; and for a DECISION its
-turn column gives the objects in the temporal window. The visit set is
-the union of those three kinds of row, in row order, so edges are added in
-the order a scan of every object would add them. Every other row is below
-both thresholds, below keyword_edge_min and outside the window, and gains
-nothing. A stored or new vector that the scalar cosine cannot score makes
-the index raise the scalar cosine's typed error before any edge is added.
+exact scalar value; one join of the content posting lists of the row's
+token ids gives the exact Jaccard overlap of every stored content; and for
+a DECISION its turn column gives the objects in the temporal window. The
+visit set is the union of those three kinds of row, in row order, so edges
+are added in the order a scan of every object would add them. Every other
+row is below both thresholds, below keyword_edge_min and outside the
+window, and gains nothing. A stored or new vector that the scalar cosine
+cannot score makes the index raise the scalar cosine's typed error before
+any edge is added.
 """
 
 from __future__ import annotations
@@ -113,7 +114,8 @@ def link_object(
     # thresholds; new_obj never links to itself.
     sims = index.cosines_from(query, thresholds.theta_causal, own_row)
     visit = overlaps >= thresholds.keyword_edge_min
-    visit[list(sims)] = True
+    if sims:  # most links pass no row of the screen
+        visit[list(sims)] = True
     temporal_target = new_obj.kind is ObjectKind.DECISION
     if temporal_target:
         visit |= index.turn_window(new_obj.turn, thresholds.temporal_window)

@@ -10,32 +10,35 @@ halves: linking, coarse retrieval and the RAG baseline score through it
 alone. The index holds every stored embedding in one float64 matrix with
 its row norms, the same rows as float32 unit vectors, each row's turn,
 each row's content tokens interned to integer ids in CSR arrays (per-row
-offsets into one flat id array), and for each token id the rows whose
-content or quote holds it (a posting list). The screen is one float32
-matrix-vector product of the unit rows against the query's float32 unit
-vector, prepared once with its float64 vector, norm, token set and token
-ids. It sits within a margin of cosine_sim that the index derives from its
-dimension (see _screen_margin). cosines_from and top_hybrids keep the rows
-whose screened score could pass a floor, or reach the top k, within that
-margin, and verify those with exact_cosines and exact_hybrids. These run
-the operations of cosine_sim and hybrid_score, in the same order, on the
-same float64 values (one batched call of numpy's vector dot kernel, a dot
-product per row, then the division, the clamp and the blend as float64
-array operations), so every stored edge weight and every ranked score is
-bit-identical to the scalar value. A vector whose norm is too large or too
-small for the screen to bound its cosines is screened as +inf, so it is
-always verified. A vector cosine_sim cannot score is a fault: preparing a
-query against an index that holds one, or preparing such a query, raises
-cosine_sim's typed error. There is no other scoring path.
+offsets into one flat id array), and for each token id two posting lists:
+the rows whose content holds it and the rows whose content or quote holds
+it. A new row is written in one pass, a scalar store per column and each
+token interned once, so an ingest pays per object, not per column. The
+screen is one float32 matrix-vector product of the unit rows against the
+query's float32 unit vector, prepared once with its float64 vector, norm,
+token set and token ids. It sits within a margin of cosine_sim that the
+index derives from its dimension (see _screen_margin). cosines_from and
+top_hybrids keep the rows whose screened score could pass a floor, or
+reach the top k, within that margin, and verify those with exact_cosines
+and exact_hybrids. These run the operations of cosine_sim and
+hybrid_score, in the same order, on the same float64 values (one batched
+call of numpy's vector dot kernel, a dot product per row, then the
+division, the clamp and the blend as float64 array operations), so every
+stored edge weight and every ranked score is bit-identical to the scalar
+value. A vector whose norm is too large or too small for the screen to
+bound its cosines is screened as +inf, so it is always verified. A vector
+cosine_sim cannot score is a fault: preparing a query against an index
+that holds one, or preparing such a query, raises cosine_sim's typed
+error. There is no other scoring path.
 
-The token half needs no screen. For Jaccard, the token-overlap kernel
-marks a set's ids in a mask over the vocabulary and counts, for every row
-at once, how many of its content ids are marked. For coverage, the
-query's posting lists are joined and each row's hits counted, which reads
-only the rows sharing a token with the query. Jaccard and coverage divide
-those integer counts by integer sizes, as token_jaccard and token_coverage
-do, so every row's value is the scalar one to the last bit. The scalar
-functions stay the public API and the test oracle.
+The token half needs no screen. Both token kernels join posting lists
+and count each row's hits with one np.bincount (ScanCount): Jaccard joins
+the content posting lists of a token set's ids, coverage the
+content-or-quote posting lists of the query's ids, so each reads only the
+rows sharing a token with the set, not every stored id. Jaccard and
+coverage divide those integer counts by integer sizes, as token_jaccard
+and token_coverage do, so every row's value is the scalar one to the last
+bit. The scalar functions stay the public API and the test oracle.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from itertools import accumulate
 from typing import TYPE_CHECKING, Optional, Protocol, Sequence, runtime_checkable
 
 import numpy as np
@@ -179,7 +181,9 @@ def _vector(embedding, dim: Optional[int]) -> tuple[np.ndarray, float]:
     vec = np.asarray(embedding, dtype=np.float64)
     if vec.ndim != 1 or (dim is not None and vec.shape[0] != dim):
         raise DimensionMismatchError(f"vector shapes differ: {vec.shape} vs ({dim},)")
-    norm = float(np.linalg.norm(vec))
+    # What np.linalg.norm computes for a 1-D float64 vector, without its
+    # dispatch: sqrt of the vector's dot product with itself.
+    norm = math.sqrt(float(vec.dot(vec)))
     if norm == 0.0:
         raise ZeroVectorError("cosine similarity is undefined for zero vectors")
     return vec, norm
@@ -236,16 +240,26 @@ class PreparedQuery:
     unit: Optional[np.ndarray]
 
 
+def _capacity(have: int, needed: int) -> int:
+    """have, grown by half from at least _INITIAL_ROWS until it holds `needed`."""
+    capacity = max(have, _INITIAL_ROWS)
+    while capacity < needed:
+        capacity += capacity // 2
+    return capacity
+
+
+def _grown(buf: np.ndarray, used: int, capacity: int) -> np.ndarray:
+    """buf's first `used` entries in a new buffer of `capacity` entries."""
+    grown = np.empty((capacity,) + buf.shape[1:], dtype=buf.dtype)
+    grown[:used] = buf[:used]
+    return grown
+
+
 def _room(buf: np.ndarray, used: int, needed: int) -> np.ndarray:
     """buf if it holds `needed` entries, else its first `used` in a buffer grown by half."""
     if needed <= len(buf):
         return buf
-    capacity = max(len(buf), _INITIAL_ROWS)
-    while capacity < needed:
-        capacity += capacity // 2
-    grown = np.empty((capacity,) + buf.shape[1:], dtype=buf.dtype)
-    grown[:used] = buf[:used]
-    return grown
+    return _grown(buf, used, _capacity(len(buf), needed))
 
 
 class ScoringIndex:
@@ -256,10 +270,16 @@ class ScoringIndex:
     embedding as a float32 unit vector fl32(vec / norm) in a second (n, d)
     matrix, its turn, and its tokens. Tokens are interned to integer ids.
     The content tokens (for Jaccard links) are a column of token rows, every
-    row's ids in one flat array with per-row offsets (CSR). The
-    content-plus-quote tokens (for keyword coverage) are posting lists: for
-    each token id, the rows that hold it, in row order, appended to as rows
-    arrive.
+    row's ids in one flat array with per-row offsets (CSR). Both token sets
+    also have posting lists, appended to as rows arrive: for each token id,
+    the rows whose content holds it (for Jaccard) and the rows whose content
+    or quote holds it (for keyword coverage), in row order.
+
+    A row is written in one pass: one capacity check grows every
+    row-aligned column together (the id keys, turns, CSR offsets and, once
+    the first vector fixes d, the matrices and norms), then each column gets
+    a scalar store and each token is interned once, into the CSR ids and
+    the posting lists. A batch of rows is the same rows appended one by one.
 
     cosines_from() and top_hybrids() are what callers score with: each
     screens every row at once and verifies only the rows that can pass.
@@ -269,13 +289,13 @@ class ScoringIndex:
     bound (the row's or the query's norm outside _SCREENABLE_NORMS);
     exact_cosines() and exact_hybrids() verify the rows listed, in one
     call, bit-identical to cosine_sim and hybrid_score from the float64
-    matrix and norms. The token kernels are exact. For jaccards() and
-    row_jaccards() a token set marks its ids in a mask over the vocabulary,
-    and the marked entries of the content column's flat id array, counted
-    per row, give every row's overlap at once; coverage() counts each row's
-    hits in the query's posting lists. They divide those integer counts by
-    integer sizes, as token_jaccard and token_coverage do, so they are the
-    same float64 to the last bit. A row cosine_sim could not score (no
+    matrix and norms. The token kernels are exact, and both join posting
+    lists (ScanCount): jaccards() and row_jaccards() count each row's hits
+    in the content posting lists of a token set's ids, coverage() in the
+    content-plus-quote posting lists of the query's ids, so they read only
+    the rows sharing a token with the set. They divide those integer counts
+    by integer sizes, as token_jaccard and token_coverage do, so they are
+    the same float64 to the last bit. A row cosine_sim could not score (no
     embedding, not a 1-D vector of the index's dimension, a zero norm) is
     a fault: storing it never raises, but once the index holds one,
     prepare() and prepare_row() raise the first fault's typed error.
@@ -287,10 +307,11 @@ class ScoringIndex:
     or not the embeddings can be screened.
 
     fork() returns a read-only index (a write raises ReadOnlyGraphError)
-    sharing every column, the posting lists, the token table and the id
-    map: the owner keeps appending in place past them, and the fork reads
-    only up to its own row count, edge count and vocabulary size (rows the
-    owner later added to a posting list are cut off the fork's counts).
+    sharing every column, both kinds of posting list, the token table and
+    the id map: the owner keeps appending in place past them, and the fork
+    reads only up to its own row count, edge count and vocabulary size
+    (rows the owner later added to a posting list are cut off the fork's
+    counts).
     """
 
     def __init__(self):
@@ -301,9 +322,15 @@ class ScoringIndex:
         self._matrix: Optional[np.ndarray] = None
         self._norms = np.empty(0)
         self._units = np.empty((0, 0), dtype=np.float32)
+        # How far cosines() may sit from cosine_sim: _screen_margin(d), set
+        # with the matrix.
+        self.margin = 0.0
         self._turns = np.empty(0, dtype=np.int64)
-        # Content token ids in CSR form: row i holds ids[offsets[i]:offsets[i + 1]].
-        self._content = np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.int64)
+        # Content token ids in CSR form: row i holds
+        # content_ids[offsets[i]:offsets[i + 1]].
+        self._offsets = np.zeros(1, dtype=np.int64)
+        self._content_ids = np.empty(0, dtype=np.int64)
+        self._content_postings: defaultdict[int, list[int]] = defaultdict(list)
         self._postings: defaultdict[int, list[int]] = defaultdict(list)
         self._vocab: dict[str, int] = {}
         self._vocab_size = 0
@@ -324,20 +351,19 @@ class ScoringIndex:
         self.extend([obj])
 
     def extend(self, objects: Sequence[CanvasObject]) -> None:
-        """Add a row for each object, writing each column once.
+        """Add a row for each object.
 
         Tokenizing stops at every non-word character, so the tokens of
         document_text(obj) are those of the content and of the quote: each
-        object's content is tokenized once.
+        object's content is tokenized once, and its quote only when it
+        differs from the content.
         """
-        contents = [token_set(obj.content) for obj in objects]
-        self._append_rows(
-            [obj.embedding for obj in objects],
-            contents,
-            [tokens | token_set(obj.quote) for tokens, obj in zip(contents, objects)],
-            [obj.turn for obj in objects],
-            [obj.id for obj in objects],
-        )
+        self._reserve(self._rows + len(objects))
+        for obj in objects:
+            content = token_set(obj.content)
+            document = content if obj.quote == obj.content else content | token_set(obj.quote)
+            self._append_row(obj.embedding, content, document, obj.turn, obj.id)
+        self._vocab_size = len(self._vocab)
 
     def extend_edges(self, edges: Sequence[CanvasEdge]) -> None:
         """Add the src and dst row of each edge; both ends must be rows already."""
@@ -345,11 +371,13 @@ class ScoringIndex:
             raise ReadOnlyGraphError("a forked scoring index is read-only")
         start = self._edges
         end = start + len(edges)
-        row_of = self._row_of
-        self._src = _room(self._src, start, end)
-        self._dst = _room(self._dst, start, end)
-        self._src[start:end] = [row_of[edge.src] for edge in edges]
-        self._dst[start:end] = [row_of[edge.dst] for edge in edges]
+        if end > len(self._src):
+            self._src = _room(self._src, start, end)
+            self._dst = _room(self._dst, start, end)
+        src, dst, row_of = self._src, self._dst, self._row_of
+        for i, edge in enumerate(edges, start):
+            src[i] = row_of[edge.src]
+            dst[i] = row_of[edge.dst]
         self._edges = end
 
     def append_vector(
@@ -361,75 +389,67 @@ class ScoringIndex:
     ) -> None:
         """Add a row without an id: the embedding, the Jaccard tokens, the
         coverage tokens, the turn."""
-        self._append_rows([embedding], [content_tokens], [document_tokens], [turn], [None])
+        self._reserve(self._rows + 1)
+        self._append_row(embedding, content_tokens, document_tokens, turn, None)
+        self._vocab_size = len(self._vocab)
 
-    def _append_rows(self, embeddings, contents, documents, turns, ids) -> None:
+    def _reserve(self, needed: int) -> None:
+        """Grow every row-aligned column together until it holds `needed` rows."""
         if self._read_only:
             raise ReadOnlyGraphError("a forked scoring index is read-only")
-        start = self._rows
-        end = start + len(embeddings)
-        self._row_of.update((oid, row) for row, oid in enumerate(ids, start) if oid is not None)
-        self._id_keys = _room(self._id_keys, start, end)
-        hex_ids = "".join(oid or "0" * 16 for oid in ids)
-        self._id_keys[start:end] = np.frombuffer(bytes.fromhex(hex_ids), dtype=">u8")
-        vectors = []
-        dim = self._dim()
-        for row, (embedding, oid) in enumerate(zip(embeddings, ids), start):
-            try:
-                if embedding is None:
-                    raise MissingEmbeddingError(f"stored object {oid or row} has no embedding")
-                vec, norm = _vector(embedding, dim)
-            except (CanvasError, TypeError, ValueError) as fault:
-                if self._fault is None:
-                    self._fault = fault
-                continue
-            vectors.append((row, vec, norm))
-            dim = vec.shape[0]
-            self._unbounded += not _boundable(norm)
-        if dim is not None:
-            kept = start
+        have = len(self._turns)
+        if needed <= have:
+            return
+        capacity, used = _capacity(have, needed), self._rows
+        self._turns = _grown(self._turns, used, capacity)
+        self._id_keys = _grown(self._id_keys, used, capacity)
+        self._offsets = _grown(self._offsets, used + 1, capacity + 1)
+        if self._matrix is not None:
+            self._matrix = _grown(self._matrix, used, capacity)
+            self._norms = _grown(self._norms, used, capacity)
+            self._units = _grown(self._units, used, capacity)
+
+    def _append_row(self, embedding, content, document, turn: int, oid: Optional[str]) -> None:
+        """Write row self._rows, which _reserve() has made room for: content
+        holds the Jaccard tokens, document the coverage tokens."""
+        row = self._rows
+        self._id_keys[row] = 0 if oid is None else int(oid, 16)
+        self._turns[row] = min(turn, _TURN_CAP)
+        try:
+            if embedding is None:
+                raise MissingEmbeddingError(f"stored object {oid or row} has no embedding")
+            vec, norm = _vector(embedding, self._dim())
+        except (CanvasError, TypeError, ValueError) as fault:
+            if self._fault is None:
+                self._fault = fault
+        else:
             if self._matrix is None:
                 # Every earlier row is a fault, which is never read.
-                self._matrix, kept = np.empty((0, dim)), 0
-                self._units = np.empty((0, dim), dtype=np.float32)
-            self._matrix = _room(self._matrix, kept, end)
-            self._norms = _room(self._norms, kept, end)
-            self._units = _room(self._units, kept, end)
-            for row, vec, norm in vectors:
-                self._matrix[row] = vec
-                self._norms[row] = norm
-                unit = _unit(vec, norm)
-                if unit is not None:  # cosines() never reads an unbounded row
-                    self._units[row] = unit
-        self._turns = _room(self._turns, start, end)
-        self._turns[start:end] = [min(turn, _TURN_CAP) for turn in turns]
-        self._append_content(contents)
-        self._append_postings(documents)
-        self._vocab_size = len(self._vocab)
-        self._rows = end
-
-    def _append_content(self, sets: list[frozenset[str]]) -> None:
-        """Add a content row of interned ids for each token set, new tokens
-        taking the next free ids."""
-        vocab = self._vocab
-        flat = [vocab.setdefault(tok, len(vocab)) for tokens in sets for tok in tokens]
-        offsets, ids = self._content
-        start = self._rows
-        used = int(offsets[start])
-        ends = list(accumulate(map(len, sets), initial=used))
-        offsets = _room(offsets, start + 1, start + len(ends))
-        offsets[start + 1:start + len(ends)] = ends[1:]
-        ids = _room(ids, used, ends[-1])
-        ids[used:ends[-1]] = flat
-        self._content = offsets, ids
-
-    def _append_postings(self, sets: list[frozenset[str]]) -> None:
-        """Add each row of sets, from row self._rows on, to the posting list
-        of each of its tokens, new tokens taking the next free ids."""
-        vocab, postings = self._vocab, self._postings
-        for row, tokens in enumerate(sets, self._rows):
-            for tok in tokens:
-                postings[vocab.setdefault(tok, len(vocab))].append(row)
+                dim, capacity = vec.shape[0], len(self._turns)
+                self._matrix = np.empty((capacity, dim))
+                self._norms = np.empty(capacity)
+                self._units = np.empty((capacity, dim), dtype=np.float32)
+                self.margin = _screen_margin(dim)
+            self._matrix[row] = vec
+            self._norms[row] = norm
+            if _boundable(norm):
+                self._units[row] = vec / norm  # the float32 cast rounds as astype does
+            else:
+                self._unbounded += 1  # cosines() never reads its unit row
+        vocab, postings, content_postings = self._vocab, self._postings, self._content_postings
+        start = int(self._offsets[row])
+        end = start + len(content)
+        token_ids = [vocab.setdefault(tok, len(vocab)) for tok in content]
+        self._content_ids = _room(self._content_ids, start, end)
+        self._content_ids[start:end] = token_ids
+        for token_id in token_ids:
+            content_postings[token_id].append(row)
+        for tok in document:
+            postings[vocab.setdefault(tok, len(vocab))].append(row)
+        self._offsets[row + 1] = end
+        if oid is not None:
+            self._row_of[oid] = row
+        self._rows = row + 1
 
     def fork(self) -> "ScoringIndex":
         """A read-only index of this one's rows and edges as they stand now."""
@@ -459,12 +479,6 @@ class ScoringIndex:
 
     def _dim(self) -> Optional[int]:
         return None if self._matrix is None else self._matrix.shape[1]
-
-    @property
-    def margin(self) -> float:
-        """How far cosines() may sit from cosine_sim (see _screen_margin)."""
-        dim = self._dim()
-        return 0.0 if dim is None else _screen_margin(dim)
 
     def _raise_fault(self) -> None:
         """Raise the typed error of the first stored row cosine_sim could not score."""
@@ -497,21 +511,14 @@ class ScoringIndex:
         size = self._vocab_size
         return [i for i in map(self._vocab.get, tokens) if i is not None and i < size]
 
-    def _shared_counts(self, token_ids) -> np.ndarray:
-        """How many of token_ids (distinct ids, a list or an array) each
-        row's content holds."""
-        n = self._rows
-        offsets, ids = self._content
-        if not len(token_ids):
-            return np.zeros(n, dtype=np.int64)
-        mask = np.zeros(self._vocab_size, dtype=bool)
-        mask[token_ids] = True
-        starts = offsets[:n + 1]
-        hits = mask[ids[:starts[n]]].nonzero()[0]
-        # Entry j belongs to the last row starting at or before it; side="right"
-        # steps past the empty rows that start at j too.
-        rows = starts.searchsorted(hits, side="right") - 1
-        return np.bincount(rows, minlength=n)
+    def _joined_counts(self, postings: dict[int, list[int]], token_ids) -> np.ndarray:
+        """How many of the posting lists of token_ids (distinct ids) hold
+        each row. The owner may have appended rows past this index's own to
+        those lists; the [:n] cut drops them."""
+        hits: list[int] = []
+        for token_id in token_ids:
+            hits += postings.get(token_id, ())
+        return np.bincount(np.array(hits, dtype=np.intp), minlength=self._rows)[:self._rows]
 
     def jaccards(self, tokens: frozenset[str]) -> np.ndarray:
         """token_jaccard of every row's content tokens and tokens, to the last bit."""
@@ -519,18 +526,17 @@ class ScoringIndex:
 
     def row_jaccards(self, row: int) -> np.ndarray:
         """jaccards() of row's own content tokens, read from its interned ids."""
-        offsets, ids = self._content
-        start, end = int(offsets[row]), int(offsets[row + 1])
-        return self._jaccards(ids[start:end], end - start)
+        start, end = self._offsets[row:row + 2].tolist()
+        return self._jaccards(self._content_ids[start:end].tolist(), end - start)
 
-    def _jaccards(self, token_ids, size: int) -> np.ndarray:
+    def _jaccards(self, token_ids: list[int], size: int) -> np.ndarray:
         """Jaccard of every row's content tokens and a set of size tokens,
         token_ids being the ids of those the index has seen."""
         n = self._rows
         if not size:
             return np.zeros(n)
-        shared = self._shared_counts(token_ids)
-        offsets = self._content[0]
+        shared = self._joined_counts(self._content_postings, token_ids)
+        offsets = self._offsets
         sizes = offsets[1:n + 1] - offsets[:n]
         # Integers below 2**53 divide to the float64 that Python's int / int gives.
         return shared / (sizes + size - shared)
@@ -586,17 +592,10 @@ class ScoringIndex:
         """token_coverage of the query's tokens in every row's content and
         quote, to the last bit: integer counts over an integer size.
 
-        A row's count is how many of the query's posting lists hold it. The
-        owner may have appended rows past this index's own to those lists;
-        the [:n] cut drops them."""
-        n = self._rows
+        A row's count is how many of the query's posting lists hold it."""
         if not query.tokens:
-            return np.zeros(n)
-        hits: list[int] = []
-        for token_id in query.token_ids:
-            hits += self._postings.get(token_id, ())
-        counts = np.bincount(np.array(hits, dtype=np.intp), minlength=n)[:n]
-        return counts / len(query.tokens)
+            return np.zeros(self._rows)
+        return self._joined_counts(self._postings, query.token_ids) / len(query.tokens)
 
     def hybrids(
         self, query: PreparedQuery, weights: HybridWeights, coverage: np.ndarray

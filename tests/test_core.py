@@ -96,6 +96,18 @@ def test_edge_rejects_self_loop_and_bad_weight():
                    origin=EdgeOrigin.SIMILARITY)
 
 
+@pytest.mark.parametrize("weight", ["0.5", True, False, None, [0.5]])
+def test_edge_rejects_a_weight_that_is_not_a_number(weight):
+    with pytest.raises(ValueError, match="edge weight must be a number"):
+        CanvasEdge(src="a", dst="b", kind=EdgeKind.REFERENCE, weight=weight,
+                   origin=EdgeOrigin.SIMILARITY)
+
+
+def test_edge_accepts_an_integer_weight():
+    assert CanvasEdge(src="a", dst="b", kind=EdgeKind.REFERENCE, weight=1,
+                      origin=EdgeOrigin.SIMILARITY).weight == 1
+
+
 def test_add_object_deduplicates_on_identity():
     graph = CanvasGraph()
     first = make_obj(content="use redis", turn=2)
@@ -325,6 +337,8 @@ def test_deserialize_rejects_unknown_or_unhashable_enum_values(section, field, v
     ("objects", "confidence", 1.5),
     ("objects", "embedding", []),
     ("edges", "weight", 1.5),
+    ("edges", "weight", "0.5"),
+    ("edges", "weight", True),
     ("edges", "src", ["unhashable"]),
     ("edges", "dst", {"unhashable": 1}),
     ("edges", "src", 7),

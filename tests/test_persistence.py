@@ -28,7 +28,7 @@ from canvasmem.core import (
     serialize_graph,
 )
 from canvasmem.engine import CanvasEngine
-from canvasmem.errors import ReadOnlyGraphError
+from canvasmem.errors import MalformedInputError, ReadOnlyGraphError
 from canvasmem.extraction import MockExtractor
 from canvasmem.scoring import MockEmbedder
 
@@ -212,6 +212,27 @@ def test_empty_graph_saves_like_the_oracle():
     graph.mark_turn_ingested(4)
     assert_saves_like_oracle(graph)
     assert deserialize_graph(serialize_graph(graph)).next_turn == 5
+
+
+@pytest.mark.parametrize("field, value", [
+    ("weight", "0.5"), ("weight", True), ("weight", False), ("next_turn", True),
+])
+def test_a_load_rejects_a_string_or_boolean_number(field, value):
+    graph = CanvasGraph()
+    a = make_obj(content="a fact", turn=0, embedding=axis(0))
+    b = make_obj(content="another fact", turn=1, embedding=axis(1))
+    graph.add_object(a)
+    graph.add_object(b)
+    graph.add_edge(_edge(a, b))
+    doc = json.loads(serialize_graph(graph))
+    if field == "next_turn":
+        doc["next_turn"] = value
+    else:
+        doc["edges"][0][field] = value
+    with pytest.raises(MalformedInputError):
+        deserialize_graph(json.dumps(doc).encode())
+    # The untampered document loads and saves back to the same bytes.
+    assert serialize_graph(deserialize_graph(serialize_graph(graph))) == serialize_graph(graph)
 
 
 def test_non_ascii_content_is_written_as_utf8_not_escaped():

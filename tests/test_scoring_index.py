@@ -946,6 +946,37 @@ def test_a_forks_coverage_counts_neither_the_owners_later_rows_nor_its_later_tok
     assert fork._postings is owner._postings
 
 
+def test_a_forks_jaccard_counts_neither_the_owners_later_rows_nor_its_later_tokens():
+    owner = ScoringIndex()
+    owner.append_vector(axis(0), frozenset({"redis", "cache"}), frozenset({"redis", "cache"}), 0)
+    owner.append_vector(axis(1), frozenset({"cache"}), frozenset({"cache", "gateway"}), 1)
+    fork = owner.fork()
+    # After the fork the owner appends rows whose content holds the fork's
+    # tokens, one of them ("beta") seen for the first time, and a row
+    # without tokens; then enough rows to outgrow every shared column.
+    owner.append_vector(axis(2), frozenset({"redis", "beta"}), frozenset({"redis", "beta"}), 2)
+    owner.append_vector(axis(3))
+    owner.append_vector(axis(4), frozenset({"cache", "beta"}), frozenset({"cache"}), 3)
+    for turn in range(4, 80):
+        owner.append_vector(axis(turn % 8), frozenset({"redis"}), frozenset({"redis"}), turn)
+    fork_contents = [{"redis", "cache"}, {"cache"}]
+    owner_contents = (fork_contents + [{"redis", "beta"}, set(), {"cache", "beta"}]
+                      + [{"redis"}] * 76)
+    tokens = frozenset({"redis", "cache", "beta"})
+    for index, contents in ((fork, fork_contents), (owner, owner_contents)):
+        assert [_bits(j) for j in index.jaccards(tokens).tolist()] == [
+            _bits(token_jaccard(frozenset(c), tokens)) for c in contents]
+        for row in (0, 1, 2, 3, len(contents) - 1):
+            if row < len(contents):
+                assert [_bits(j) for j in index.row_jaccards(row).tolist()] == [
+                    _bits(token_jaccard(frozenset(c), frozenset(contents[row])))
+                    for c in contents]
+    # The fork never saw "beta": it counts in the size and matches no row.
+    assert fork.jaccards(tokens).tolist() == [2 / 3, 1 / 3]
+    assert fork.row_jaccards(0).tolist() == [1.0, 0.5]
+    assert fork._content_postings is owner._content_postings
+
+
 def test_rows_without_tokens_cover_nothing():
     index = ScoringIndex()
     for i in range(3):
@@ -1045,3 +1076,95 @@ def test_a_link_tokenizes_nothing_and_an_append_tokenizes_each_text_once(monkeyp
         oracle_link_object(oracle, obj)
     assert graph.edges == oracle.edges
     assert {e.origin for e in graph.edges} == {EdgeOrigin.SIMILARITY, EdgeOrigin.KEYWORD}
+
+
+def _columns(index, good):
+    """Every column of index up to its own rows, edges and vocabulary, as
+    plain values; good[row] says whether row holds a vector."""
+    n, size = len(index), index._vocab_size
+    good = [row for row in range(n) if good[row]]
+    low, high = _SCREENABLE_NORMS
+    bounded = [row for row in good if low <= index._norms[row] <= high]
+
+    def postings(lists):
+        cut = {token_id: [row for row in rows if row < n] for token_id, rows in lists.items()
+               if token_id < size}
+        return {token_id: rows for token_id, rows in cut.items() if rows}
+
+    return {
+        "rows": n,
+        "id_keys": index.id_keys().tolist(),
+        "row_of": {oid: row for oid, row in index._row_of.items() if row < n},
+        "turns": index._turns[:n].tolist(),
+        "matrix": [_bits(x) for x in index._matrix[good].ravel().tolist()] if good else [],
+        "norms": [_bits(x) for x in index._norms[good].tolist()] if good else [],
+        "units": index._units[bounded].tolist() if bounded else [],
+        "offsets": index._offsets[:n + 1].tolist(),
+        "content_ids": index._content_ids[:index._offsets[n]].tolist(),
+        "content_postings": postings(index._content_postings),
+        "postings": postings(index._postings),
+        "vocab": {tok: i for tok, i in index._vocab.items() if i < size},
+        "fault": None if index._fault is None else (type(index._fault), index._fault.args),
+        "unbounded": index._unbounded,
+        "margin": index.margin,
+    }
+
+
+def test_appending_one_row_at_a_time_equals_a_batch_column_by_column():
+    rng = random.Random(17)
+    words = ("redis", "cache", "deploy", "friday", "schema", "billing", "gateway")
+    scales = (1e-140, 1e-3, 1.0, 1e3, 1e140)
+    embeddings = [None, [0.0] * 8, [[1.0, 2.0]]]  # faults before the first vector
+    for i in range(160):
+        embeddings.append([rng.uniform(-1.0, 1.0) * rng.choice(scales) for _ in range(8)])
+    embeddings[40] = [1e152] + [0.0] * 7  # finite norm the screen cannot bound
+    for at, fault in ((10, None), (70, axis(0, 4)), (100, [0.0] * 8), (150, None)):
+        embeddings[at] = fault  # faults after it, across the capacity steps
+    objects = []
+    for turn, embedding in enumerate(embeddings):
+        content = f"fact {turn} on " + " ".join(rng.sample(words, rng.randint(0, 3)))
+        quote = content if turn % 3 else content + " " + rng.choice(words) + " shipped"
+        objects.append(make_obj(content=content, quote=quote, turn=turn, embedding=embedding))
+    good = [isinstance(e, list) and len(e) == 8 and any(e) for e in embeddings]
+
+    batch = ScoringIndex()
+    batch.extend(objects)
+    single, forks, capacities = ScoringIndex(), [], set()
+    for obj in objects:
+        single.append(obj)
+        forks.append(single.fork())
+        capacities.add(len(single._turns))
+    assert capacities == {64, 96, 144, 216} and len(batch._turns) == 216
+    assert batch._unbounded == 1 and isinstance(batch._fault, MissingEmbeddingError)
+    assert _columns(single, good) == _columns(batch, good)
+    for fork in forks:
+        n = len(fork)
+        prefix = ScoringIndex()
+        prefix.extend(objects[:n])
+        assert _columns(fork, good) == _columns(prefix, good), n
+    contents = [token_set(obj.content) for obj in objects]
+    for fork in forks[::7]:
+        n = len(fork)
+        assert [_bits(j) for j in fork.row_jaccards(n - 1).tolist()] == [
+            _bits(token_jaccard(c, contents[n - 1])) for c in contents[:n]]
+    for row, obj in enumerate(objects):
+        if good[row]:
+            norm = float(np.linalg.norm(np.asarray(obj.embedding, dtype=np.float64)))
+            assert _bits(single._norms[row]) == _bits(norm), row
+
+
+def test_an_object_whose_quote_is_its_content_is_tokenized_once(monkeypatch):
+    calls = []
+    tokens = canvasmem.scoring.content_tokens
+    monkeypatch.setattr(canvasmem.scoring, "content_tokens",
+                        lambda text: calls.append(text) or tokens(text))
+    same = make_obj(content="the redis cache", quote="the redis cache", turn=0,
+                    embedding=axis(0))
+    other = make_obj(content="the redis cache", quote="redis cache on friday", turn=1,
+                     embedding=axis(1))
+    index = ScoringIndex()
+    index.extend([same, other])
+    assert calls == [same.content, other.content, other.quote]
+    query = index.prepare(axis(0), "redis friday")
+    assert index.coverage(query).tolist() == [0.5, 1.0]
+    assert index.jaccards(frozenset({"redis", "cache"})).tolist() == [1.0, 1.0]
