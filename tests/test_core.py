@@ -337,11 +337,11 @@ def test_deserialize_rejects_unknown_or_unhashable_enum_values(section, field, v
     ("objects", "confidence", 1.5),
     ("objects", "embedding", []),
     ("edges", "weight", 1.5),
-    ("edges", "weight", "0.5"),
-    ("edges", "weight", True),
     ("edges", "src", ["unhashable"]),
     ("edges", "dst", {"unhashable": 1}),
     ("edges", "src", 7),
+    ("edges", "weight", "0.5"),
+    ("edges", "weight", True),
 ])
 def test_deserialize_rejects_invalid_field_values(section, field, value):
     with pytest.raises(MalformedInputError):
