@@ -267,63 +267,6 @@ class BenchmarkCase:
                     f"fact planted at turn {fact.plant_turn} would postdate compression"
                 )
 
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "variant": self.variant.value,
-            "tagged": self.tagged,
-            "compression_turn": self.compression_turn,
-            "turns": [
-                {
-                    "index": t.index,
-                    "user": t.user_text,
-                    "assistant": t.assistant_text,
-                    "timestamp": t.timestamp,
-                }
-                for t in self.turns
-            ],
-            "planted": [
-                {
-                    "category": f.category.value,
-                    "text": f.text,
-                    "plant_turn": f.plant_turn,
-                    "question": f.question,
-                    "answer_key": f.answer_key,
-                    "keywords": list(f.keywords),
-                }
-                for f in self.planted
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "BenchmarkCase":
-        return cls(
-            seed=data["seed"],
-            variant=Variant(data["variant"]),
-            tagged=data["tagged"],
-            compression_turn=data["compression_turn"],
-            turns=[
-                ConversationTurn(
-                    index=t["index"],
-                    user_text=t["user"],
-                    assistant_text=t["assistant"],
-                    timestamp=t.get("timestamp"),
-                )
-                for t in data["turns"]
-            ],
-            planted=[
-                PlantedFact(
-                    category=ObjectKind(f["category"]),
-                    text=f["text"],
-                    plant_turn=f["plant_turn"],
-                    question=f["question"],
-                    answer_key=f["answer_key"],
-                    keywords=tuple(f["keywords"]),
-                )
-                for f in data["planted"]
-            ],
-        )
-
 
 def render_fact(fact: FactSpec | PlantedFact, tagged: bool) -> str:
     """Tagged marker form for mock runs, natural phrasing otherwise."""

@@ -10,12 +10,15 @@ Subcommands:
   bench recall      retrieval-only keyword recall per hop budget
 
 Benchmark outputs embed the resolved configuration and seed and contain no
-timestamps, so a rerun with the same arguments is byte-identical.
+timestamps, so a rerun with the same arguments is byte-identical. Every file
+a command writes (the graph, the export TSV, the bench JSONL) replaces its
+path in one step, so a failed write leaves any old file as it was.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
@@ -60,7 +63,10 @@ def _parse_overrides(pairs: Optional[Sequence[str]]) -> dict:
         dotted, raw = pair.split("=", 1)
         import yaml  # here, so that a command without --set never loads PyYAML
 
-        value = yaml.safe_load(raw)
+        try:
+            value = yaml.safe_load(raw)
+        except yaml.YAMLError as exc:
+            raise ValueError(f"--set {pair!r} is not valid YAML: {exc}") from exc
         node: dict = {}
         leaf = node
         keys = [k for k in dotted.split(".") if k]
@@ -110,12 +116,6 @@ def _read_conversation(path: str) -> list[ConversationTurn]:
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from exc
     return turns
-
-
-def _write_jsonl(path: str, rows: Sequence[dict]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for row in rows:
-            handle.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 def _write_atomic(path: str, data: bytes) -> None:
@@ -209,8 +209,7 @@ def cmd_export(args) -> int:
               for e in sorted(graph.edges, key=lambda e: (e.src, e.dst, e.kind.value))]
     text = "\n".join(lines) + ("\n" if lines else "")
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write_atomic(args.output, text.encode("utf-8"))
     else:
         print(text, end="")
     return 0
@@ -243,11 +242,15 @@ def _bench_prelude(
     """What every bench command starts from: the config, its backends, the
     cases the bench options describe, and the header line of the output."""
     config = _load_engine_config(args)
+    if args.cases is not None:
+        try:
+            config.bench = dataclasses.replace(config.bench, cases=args.cases)
+        except ValueError as exc:
+            raise ValueError(f"--cases {args.cases}: {exc}") from exc
     bundle = build_bundle(config)
     variant = Variant(args.variant)
-    count = args.cases if args.cases is not None else config.bench.cases
     cases = generate_cases(
-        count,
+        config.bench.cases,
         variant,
         base_seed=args.seed,
         tagged=not args.untagged,
@@ -259,7 +262,7 @@ def _bench_prelude(
     header = {
         "kind": kind,
         "base_seed": args.seed,
-        "cases": count,
+        "cases": config.bench.cases,
         "variant": variant.value,
         "config": config.to_dict(),
         "tagged": not args.untagged,
@@ -272,7 +275,8 @@ def _report(args, table: Sequence[dict], columns: Sequence[str],
     """Print the table; with --output, write the header and the rows as JSONL."""
     _print_table(table, columns)
     if args.output:
-        _write_jsonl(args.output, [header, *rows])
+        lines = [json.dumps(row, sort_keys=True) + "\n" for row in (header, *rows)]
+        _write_atomic(args.output, "".join(lines).encode("utf-8"))
         print(f"wrote {args.output}")
     return 0
 

@@ -242,7 +242,10 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
         import yaml
 
         with open(path, "r", encoding="utf-8") as handle:
-            loaded = yaml.safe_load(handle)
+            try:
+                loaded = yaml.safe_load(handle)
+            except yaml.YAMLError as exc:
+                raise ValueError(f"config file {path} is not valid YAML: {exc}") from exc
         if loaded is None:
             loaded = {}
         if not isinstance(loaded, dict):

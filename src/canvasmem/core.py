@@ -13,8 +13,9 @@ file's worth of bytes, and a save encodes only the records added since the
 last save. The output is byte-identical to encoding the whole document at
 once only because records are appended, never changed or removed.
 
-The graph keeps no adjacency lists: the neighborhood walk reads the src and
-dst row of every edge from append-only columns in its scoring index.
+The graph keeps no adjacency lists: neighbors() scans the edge list, and the
+retrieval walk reads the src and dst row of every edge from append-only
+columns in the scoring index.
 """
 
 from __future__ import annotations
@@ -159,14 +160,14 @@ class CanvasGraph:
 
     `rows` lists the stored objects in insertion order; row i of the scoring
     index describes rows[i]. `turn_ordered` is True while the rows' turns
-    never decrease. The graph keeps no adjacency lists: the index's edge
-    columns (the src and dst row of each edge) answer neighbors() and the
-    retrieval walk. The index catches up with the rows and edges the first
-    time something scores against, walks or snapshots the graph, not in
-    add_object or add_edge, so an object stored without a usable embedding
-    raises only once it is scored. Once scored, a stored object's
-    embedding, content and quote must not change: the index keeps what it
-    read.
+    never decrease. The graph keeps no adjacency lists: neighbors() scans
+    the edge list, and the retrieval walk reads the index's edge columns
+    (the src and dst row of each edge). The index catches up with the rows
+    and edges the first time something scores against, walks or snapshots
+    the graph, not in add_object, add_edge or neighbors(), so an object
+    stored without a usable embedding raises only once it is scored. Once
+    scored, a stored object's embedding, content and quote must not
+    change: the index keeps what it read.
     """
 
     def __init__(self):
@@ -226,11 +227,8 @@ class CanvasGraph:
     def neighbors(self, oid: str) -> list[str]:
         """Ids adjacent to oid across both edge kinds and both directions,
         in edge insertion order (an id twice when two edges join the pair)."""
-        index = self.scoring_index()
-        row = index.row_of(oid)
-        if row is None:
-            return []
-        return [self.rows[other].id for other in index.neighbor_rows(row)]
+        return [edge.dst if edge.src == oid else edge.src
+                for edge in self.edges if oid in (edge.src, edge.dst)]
 
     def mark_turn_ingested(self, index: int) -> None:
         """Advance the sequential ingestion cursor past a processed turn."""
@@ -259,12 +257,6 @@ class CanvasGraph:
         engine.snapshot() does.
         """
         return _Snapshot(self)
-
-    def counts_by_kind(self) -> dict[str, int]:
-        counts = {kind.value: 0 for kind in ObjectKind}
-        for obj in self.objects.values():
-            counts[obj.kind.value] += 1
-        return counts
 
     def edge_counts_by_origin(self) -> dict[str, int]:
         counts = {origin.value: 0 for origin in EdgeOrigin}

@@ -9,12 +9,12 @@ Scoring a graph is screen-then-verify, and the ScoringIndex owns both
 halves: linking, coarse retrieval and the RAG baseline score through it
 alone. The index holds every stored embedding in one float64 matrix with
 its row norms, the same rows as float32 unit vectors, each row's turn,
-each row's content tokens interned to integer ids in CSR arrays (per-row
-offsets into one flat id array), and for each token id two posting lists:
-the rows whose content holds it and the rows whose content or quote holds
-it. A new row is written in one pass, a scalar store per column and each
-token interned once, so an ingest pays per object, not per column. The
-screen is one float32 matrix-vector product of the unit rows against the
+each row's content tokens interned to integer ids (a list of ids per row,
+next to a float64 column of their counts), and for each token id two
+posting lists: the rows whose content holds it and the rows whose content
+or quote holds it. A new row is written in one pass, a scalar store per
+column and each token interned once, so an ingest pays per object, not
+per column. The screen is one float32 matrix-vector product of the unit rows against the
 query's float32 unit vector, prepared once with its float64 vector, norm,
 token set and token ids. It sits within a margin of cosine_sim that the
 index derives from its dimension (see _screen_margin). cosines_from and
@@ -36,9 +36,12 @@ and count each row's hits with one np.bincount (ScanCount): Jaccard joins
 the content posting lists of a token set's ids, coverage the
 content-or-quote posting lists of the query's ids, so each reads only the
 rows sharing a token with the set, not every stored id. Jaccard and
-coverage divide those integer counts by integer sizes, as token_jaccard
-and token_coverage do, so every row's value is the scalar one to the last
+coverage divide those integer counts by exact integer sizes, as
+token_jaccard and token_coverage do, so every row's value is the scalar one to the last
 bit. The scalar functions stay the public API and the test oracle.
+
+The index also holds the edges' src and dst rows, which the retrieval walk
+reads; CanvasGraph.neighbors() reads the graph's edge list instead.
 """
 
 from __future__ import annotations
@@ -269,17 +272,18 @@ class ScoringIndex:
     contiguous float64 (n, d) matrix that grows by half, the row norm, the
     embedding as a float32 unit vector fl32(vec / norm) in a second (n, d)
     matrix, its turn, and its tokens. Tokens are interned to integer ids.
-    The content tokens (for Jaccard links) are a column of token rows, every
-    row's ids in one flat array with per-row offsets (CSR). Both token sets
-    also have posting lists, appended to as rows arrive: for each token id,
-    the rows whose content holds it (for Jaccard) and the rows whose content
-    or quote holds it (for keyword coverage), in row order.
+    The content tokens (for Jaccard links) are a list of ids per row, and
+    their counts a float64 size column. Both token sets also have posting
+    lists, appended to as rows arrive: for each token id, the rows whose
+    content holds it (for Jaccard) and the rows whose content or quote
+    holds it (for keyword coverage), in row order.
 
     A row is written in one pass: one capacity check grows every
-    row-aligned column together (the id keys, turns, CSR offsets and, once
-    the first vector fixes d, the matrices and norms), then each column gets
-    a scalar store and each token is interned once, into the CSR ids and
-    the posting lists. A batch of rows is the same rows appended one by one.
+    row-aligned column together (the id keys, turns, content sizes and,
+    once the first vector fixes d, the matrices and norms), then each column
+    gets a scalar store and each token is interned once, into the row's
+    content ids and the posting lists. A batch of rows is the same rows
+    appended one by one.
 
     cosines_from() and top_hybrids() are what callers score with: each
     screens every row at once and verifies only the rows that can pass.
@@ -294,24 +298,25 @@ class ScoringIndex:
     in the content posting lists of a token set's ids, coverage() in the
     content-plus-quote posting lists of the query's ids, so they read only
     the rows sharing a token with the set. They divide those integer counts
-    by integer sizes, as token_jaccard and token_coverage do, so they are
-    the same float64 to the last bit. A row cosine_sim could not score (no
-    embedding, not a 1-D vector of the index's dimension, a zero norm) is
-    a fault: storing it never raises, but once the index holds one,
+    by sizes that are exact integers, as token_jaccard and token_coverage
+    do, so they are the same float64 to the last bit. A row cosine_sim
+    could not score (no embedding, not a 1-D vector of the index's
+    dimension, a zero norm) is a fault: storing it never raises, but once the index holds one,
     prepare() and prepare_row() raise the first fault's typed error.
 
     The index also holds the graph's shape: each row's id in an id -> row
     map and as a uint64 key (the 16-hex id read as a number, so the keys'
     order is the ids' string order), and append-only edge columns holding
-    the src and dst row of each edge in insertion order. These work whether
-    or not the embeddings can be screened.
+    the src and dst row of each edge in insertion order, which the
+    retrieval walk reads. These work whether or not the embeddings can be
+    screened.
 
     fork() returns a read-only index (a write raises ReadOnlyGraphError)
-    sharing every column, both kinds of posting list, the token table and
-    the id map: the owner keeps appending in place past them, and the fork
-    reads only up to its own row count, edge count and vocabulary size
-    (rows the owner later added to a posting list are cut off the fork's
-    counts).
+    sharing every column, the content id rows, both kinds of posting list,
+    the token table and the id map: the owner keeps appending in place past
+    them, and the fork reads only up to its own row count, edge count and
+    vocabulary size (rows the owner later added to a posting list are cut
+    off the fork's counts).
     """
 
     def __init__(self):
@@ -326,10 +331,10 @@ class ScoringIndex:
         # with the matrix.
         self.margin = 0.0
         self._turns = np.empty(0, dtype=np.int64)
-        # Content token ids in CSR form: row i holds
-        # content_ids[offsets[i]:offsets[i + 1]].
-        self._offsets = np.zeros(1, dtype=np.int64)
-        self._content_ids = np.empty(0, dtype=np.int64)
+        # Row i's content token ids, and their count as a float64 (exact
+        # below 2**53), so that _jaccards() divides without converting.
+        self._content_rows: list[list[int]] = []
+        self._sizes = np.empty(0)
         self._content_postings: defaultdict[int, list[int]] = defaultdict(list)
         self._postings: defaultdict[int, list[int]] = defaultdict(list)
         self._vocab: dict[str, int] = {}
@@ -346,9 +351,6 @@ class ScoringIndex:
     @property
     def edge_count(self) -> int:
         return self._edges
-
-    def append(self, obj: CanvasObject) -> None:
-        self.extend([obj])
 
     def extend(self, objects: Sequence[CanvasObject]) -> None:
         """Add a row for each object.
@@ -403,7 +405,7 @@ class ScoringIndex:
         capacity, used = _capacity(have, needed), self._rows
         self._turns = _grown(self._turns, used, capacity)
         self._id_keys = _grown(self._id_keys, used, capacity)
-        self._offsets = _grown(self._offsets, used + 1, capacity + 1)
+        self._sizes = _grown(self._sizes, used, capacity)
         if self._matrix is not None:
             self._matrix = _grown(self._matrix, used, capacity)
             self._norms = _grown(self._norms, used, capacity)
@@ -437,16 +439,13 @@ class ScoringIndex:
             else:
                 self._unbounded += 1  # cosines() never reads its unit row
         vocab, postings, content_postings = self._vocab, self._postings, self._content_postings
-        start = int(self._offsets[row])
-        end = start + len(content)
         token_ids = [vocab.setdefault(tok, len(vocab)) for tok in content]
-        self._content_ids = _room(self._content_ids, start, end)
-        self._content_ids[start:end] = token_ids
+        self._content_rows.append(token_ids)
+        self._sizes[row] = len(token_ids)
         for token_id in token_ids:
             content_postings[token_id].append(row)
         for tok in document:
             postings[vocab.setdefault(tok, len(vocab))].append(row)
-        self._offsets[row + 1] = end
         if oid is not None:
             self._row_of[oid] = row
         self._rows = row + 1
@@ -470,12 +469,6 @@ class ScoringIndex:
     def edge_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """The src rows and the dst rows of every edge, in insertion order."""
         return self._src[:self._edges], self._dst[:self._edges]
-
-    def neighbor_rows(self, row: int) -> list[int]:
-        """The rows joined to row by an edge, either way, in edge insertion order."""
-        src, dst = self.edge_rows()
-        hits = ((src == row) | (dst == row)).nonzero()[0]
-        return np.where(src[hits] == row, dst[hits], src[hits]).tolist()
 
     def _dim(self) -> Optional[int]:
         return None if self._matrix is None else self._matrix.shape[1]
@@ -526,8 +519,8 @@ class ScoringIndex:
 
     def row_jaccards(self, row: int) -> np.ndarray:
         """jaccards() of row's own content tokens, read from its interned ids."""
-        start, end = self._offsets[row:row + 2].tolist()
-        return self._jaccards(self._content_ids[start:end].tolist(), end - start)
+        token_ids = self._content_rows[row]
+        return self._jaccards(token_ids, len(token_ids))
 
     def _jaccards(self, token_ids: list[int], size: int) -> np.ndarray:
         """Jaccard of every row's content tokens and a set of size tokens,
@@ -536,10 +529,9 @@ class ScoringIndex:
         if not size:
             return np.zeros(n)
         shared = self._joined_counts(self._content_postings, token_ids)
-        offsets = self._offsets
-        sizes = offsets[1:n + 1] - offsets[:n]
-        # Integers below 2**53 divide to the float64 that Python's int / int gives.
-        return shared / (sizes + size - shared)
+        # Integers below 2**53 add exactly in float64 and divide to the
+        # float64 that Python's int / int gives.
+        return shared / (self._sizes[:n] + (size - shared))
 
     def turn_window(self, turn: int, window: int) -> np.ndarray:
         """Mask of the rows whose turn lies at most `window` turns before `turn`.
@@ -551,12 +543,10 @@ class ScoringIndex:
         turns = self._turns[:self._rows]
         return (turns <= turn) & (turns >= turn - window)
 
-    def cosines(self, query: Sequence[float] | PreparedQuery) -> np.ndarray:
+    def cosines(self, query: PreparedQuery) -> np.ndarray:
         """Screened cosine of every row against query, within `margin` of
         cosine_sim, or +inf where either norm lies outside _SCREENABLE_NORMS:
         one float32 product of the unit rows with the query's unit vector."""
-        if not isinstance(query, PreparedQuery):
-            query = self.prepare(query)
         n = self._rows
         if not n or query.unit is None:
             return np.full(n, np.inf)

@@ -19,7 +19,6 @@ from canvasmem.benchmark import (
     STORIES,
     THRESHOLD_PRESETS,
     Aggregates,
-    BenchmarkCase,
     QuestionRecord,
     Variant,
     aggregate_records,
@@ -154,9 +153,9 @@ def test_keyword_coverage_rejects_empty_inputs():
 def test_generate_case_is_deterministic():
     a = generate_case(7, Variant.STANDARD)
     b = generate_case(7, Variant.STANDARD)
-    assert a.to_dict() == b.to_dict()
+    assert a == b
     c = generate_case(8, Variant.STANDARD)
-    assert a.to_dict() != c.to_dict()
+    assert a != c
 
 
 def test_generate_case_shape_and_plant_window():
@@ -197,12 +196,6 @@ def test_multi_hop_case_plants_story_pairs():
     assert len(case.planted) == 8
     labels = sorted(question_label(p.question) for p in case.planted)
     assert labels == ["causal"] * 4 + ["impact"] * 4
-
-
-def test_case_roundtrips_through_dict():
-    case = generate_case(9, Variant.MULTI_HOP, tagged=False)
-    clone = BenchmarkCase.from_dict(case.to_dict())
-    assert clone == case
 
 
 def test_generate_case_validation():

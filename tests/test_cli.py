@@ -62,6 +62,28 @@ def test_failed_ingest_leaves_an_existing_graph_file_intact(conversation, tmp_pa
     assert sorted(p.name for p in tmp_path.iterdir()) == ["conversation.jsonl", "graph.json"]
 
 
+@pytest.mark.parametrize("command", [
+    ["export", "--output", "{out}", "--graph", "{graph}"],
+    ["bench", "run", "--cases", "1", "--conditions", "canvas", "--output", "{out}"],
+])
+def test_a_failed_replace_leaves_an_existing_output_file_intact(command, conversation, tmp_path,
+                                                               monkeypatch):
+    graph_path, out = tmp_path / "graph.json", tmp_path / "out"
+    assert main(["ingest", "--input", str(conversation), "--graph", str(graph_path)]) == 0
+    argv = [arg.format(out=out, graph=graph_path) for arg in command]
+    assert main(argv) == 0
+    older = b"an older output\n" + out.read_bytes()
+    out.write_bytes(older)
+
+    def broken_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(canvasmem.cli.os, "replace", broken_replace)
+    assert main(argv) == 2
+    assert out.read_bytes() == older
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["conversation.jsonl", "graph.json", "out"]
+
+
 def test_query_prints_injection_block(conversation, tmp_path, capsys):
     graph_path = tmp_path / "graph.json"
     main(["ingest", "--input", str(conversation), "--graph", str(graph_path)])
@@ -231,6 +253,25 @@ def test_bench_run_jobs_matches_serial(tmp_path):
     assert serial.read_bytes() == pooled.read_bytes()
 
 
+def test_cases_flag_overrides_the_config_and_is_recorded_in_the_header(tmp_path):
+    out = tmp_path / "run.jsonl"
+    assert main(["bench", "run", "--cases", "2", "--conditions", "canvas",
+                 "--set", "bench.cases=5", "--output", str(out)]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines()
+    header = json.loads(lines[0])
+    assert header["cases"] == header["config"]["bench"]["cases"] == 2
+    assert len(lines) == 1 + 2
+
+
+@pytest.mark.parametrize("cases", ["0", "-1"])
+def test_a_non_positive_cases_flag_exits_2(cases, tmp_path, capsys):
+    out = tmp_path / "run.jsonl"
+    assert main(["bench", "run", "--cases", cases, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --cases {cases}:") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_bench_run_set_override_changes_header(tmp_path):
     out = tmp_path / "run.jsonl"
     assert main(["bench", "run", "--cases", "1", "--conditions", "canvas",
@@ -319,6 +360,22 @@ def test_a_wrong_typed_override_exits_2_naming_its_key(override, named, capsys):
 ])
 def test_an_out_of_range_override_exits_2_naming_its_key(override, named, capsys):
     assert main(["bench", "run", "--cases", "1", "--set", override]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and re.search(named, err) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("source, named", [
+    ("file", "config file .*bad.yaml is not valid YAML"),
+    ("set", "--set 'retrieval.hops=\\[1' is not valid YAML"),
+])
+def test_malformed_yaml_exits_2_naming_its_source(source, named, tmp_path, capsys):
+    if source == "file":
+        bad = tmp_path / "bad.yaml"
+        bad.write_text("retrieval: [unclosed\n", encoding="utf-8")
+        flags = ["--config", str(bad)]
+    else:
+        flags = ["--set", "retrieval.hops=[1"]
+    assert main(["bench", "run", "--cases", "1", *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and re.search(named, err) and "Traceback" not in err
 

@@ -202,18 +202,20 @@ def test_neighbors_list_parallel_edges_in_insertion_order():
     assert graph.neighbors(a.id) == [b.id, c.id, b.id, b.id]
 
 
-def test_counts_by_kind_and_origin():
-    graph = graph_of(
-        make_obj(kind=ObjectKind.DECISION, content="decide a", turn=0),
-        make_obj(kind=ObjectKind.DECISION, content="decide b", turn=1),
-        make_obj(kind=ObjectKind.TODO, content="do a thing", turn=2),
-    )
-    counts = graph.counts_by_kind()
-    assert counts["DECISION"] == 2
-    assert counts["TODO"] == 1
-    assert counts["INSIGHT"] == 0
+def test_edge_counts_by_origin():
+    a = make_obj(kind=ObjectKind.DECISION, content="decide a", turn=0)
+    b = make_obj(kind=ObjectKind.DECISION, content="decide b", turn=1)
+    c = make_obj(kind=ObjectKind.TODO, content="do a thing", turn=2)
+    graph = graph_of(a, b, c)
     assert graph.edge_counts_by_origin() == {
         "SIMILARITY": 0, "KEYWORD": 0, "TEMPORAL_HEURISTIC": 0,
+    }
+    for src, dst, origin in ((a, b, EdgeOrigin.KEYWORD), (a, c, EdgeOrigin.KEYWORD),
+                             (b, c, EdgeOrigin.TEMPORAL_HEURISTIC)):
+        graph.add_edge(CanvasEdge(src=src.id, dst=dst.id, kind=EdgeKind.REFERENCE,
+                                  weight=0.5, origin=origin))
+    assert graph.edge_counts_by_origin() == {
+        "SIMILARITY": 0, "KEYWORD": 2, "TEMPORAL_HEURISTIC": 1,
     }
 
 

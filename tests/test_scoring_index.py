@@ -350,11 +350,11 @@ def test_index_cosines_sit_within_the_margin_of_cosine_sim():
         rows = [vector() for _ in range(40)]
         index = ScoringIndex()
         for turn, row in enumerate(rows):
-            index.append(make_obj(content=f"row {turn}", turn=turn, embedding=row))
+            index.extend([make_obj(content=f"row {turn}", turn=turn, embedding=row)])
         worst = 0.0
         for _ in range(5):
             query = vector()
-            approx = index.cosines(query).tolist()
+            approx = index.cosines(index.prepare(query)).tolist()
             worst = max(worst, *(abs(a - cosine_sim(row, query)) for a, row in zip(approx, rows)))
         assert worst <= index.margin, dim
         if dim >= 256:
@@ -484,7 +484,8 @@ def test_extreme_norms_link_and_rank_bit_identical_to_the_oracle(query_norm):
     query = [x * query_norm for x in vec_at_cosine(0.9)]
     # The screen bounds a cosine only when both norms lie in its range.
     bounded = [query_norm == 1.0 and i % 3 == 0 for i in range(len(objects))]
-    assert np.isinf(screened.scoring_index().cosines(query)).tolist() == [not b for b in bounded]
+    index = screened.scoring_index()
+    assert np.isinf(index.cosines(index.prepare(query))).tolist() == [not b for b in bounded]
     for coarse_k in (1, 2, len(objects) + 3):
         plan = plan_for(query, "redis note", coarse_k)
         got = [(h.object_id, _bits(h.hybrid)) for h in coarse_retrieve(screened, plan)]
@@ -539,7 +540,8 @@ def test_writes_to_a_snapshot_do_not_corrupt_the_parent_index():
     _fill(parent, range(20, 26), axis_of=lambda t: 1)
     for graph in (parent, twin):
         for query in (axis(0), axis(1), [1.0] * 8):
-            approx = graph.scoring_index().cosines(query).tolist()
+            index = graph.scoring_index()
+            approx = index.cosines(index.prepare(query)).tolist()
             assert approx == pytest.approx([cosine_sim(o.embedding, query) for o in graph.rows])
             plan = plan_for(query, "note redis", 4)
             assert _hits(graph, plan) == [(h.object_id, h.hybrid)
@@ -637,7 +639,7 @@ def test_exact_scorers_are_bit_identical_to_the_scalar_functions(
     ]
     index = ScoringIndex()
     for obj in objects:
-        index.append(obj)
+        index.extend([obj])
     query = index.prepare(query_vec, query_text)
     assert query is not None
     weights = HybridWeights(alpha)
@@ -664,11 +666,11 @@ def test_a_fork_verifies_its_rows_after_the_owner_appended_past_it():
                for i in range(200)]
     owner = ScoringIndex()
     for obj in objects[:40]:
-        owner.append(obj)
+        owner.extend([obj])
     fork = owner.fork()
     # The owner writes in place past the fork's rows, then outgrows the shared matrix.
     for obj in objects[40:]:
-        owner.append(obj)
+        owner.extend([obj])
     query_vec = rng.standard_normal(33).tolist()
     for index, seen in ((fork, objects[:40]), (owner, objects)):
         query = index.prepare(query_vec, "redis row")
@@ -1099,8 +1101,8 @@ def _columns(index, good):
         "matrix": [_bits(x) for x in index._matrix[good].ravel().tolist()] if good else [],
         "norms": [_bits(x) for x in index._norms[good].tolist()] if good else [],
         "units": index._units[bounded].tolist() if bounded else [],
-        "offsets": index._offsets[:n + 1].tolist(),
-        "content_ids": index._content_ids[:index._offsets[n]].tolist(),
+        "content_rows": index._content_rows[:n],
+        "sizes": index._sizes[:n].tolist(),
         "content_postings": postings(index._content_postings),
         "postings": postings(index._postings),
         "vocab": {tok: i for tok, i in index._vocab.items() if i < size},
@@ -1131,7 +1133,7 @@ def test_appending_one_row_at_a_time_equals_a_batch_column_by_column():
     batch.extend(objects)
     single, forks, capacities = ScoringIndex(), [], set()
     for obj in objects:
-        single.append(obj)
+        single.extend([obj])
         forks.append(single.fork())
         capacities.add(len(single._turns))
     assert capacities == {64, 96, 144, 216} and len(batch._turns) == 216

@@ -117,7 +117,8 @@ def test_appends_on_one_side_do_not_reach_the_other(writer):
     assert c.id not in twin.objects and twin.scoring_index().row_of(c.id) is None
     assert twin.neighbors(a.id) == [b.id]
     assert twin.neighbors(c.id) == []
-    assert twin.scoring_index().cosines(axis(0)).tolist() == [1.0, 0.0]
+    index = twin.scoring_index()
+    assert index.cosines(index.prepare(axis(0))).tolist() == [1.0, 0.0]
 
 
 def test_every_write_to_an_engine_snapshot_raises_and_changes_nothing():
