@@ -76,7 +76,7 @@ from .retrieval import (
     retrieve,
     retrieve_detailed,
 )
-from .scoring import HybridWeights, MockEmbedder, cosine_sim, hybrid_score
+from .scoring import MockEmbedder, cosine_sim, hybrid_score
 
 __version__ = "0.1.0"
 
@@ -99,7 +99,6 @@ __all__ = [
     "EmptyKeywordsError",
     "EngineConfig",
     "FirstSentenceSummarizer",
-    "HybridWeights",
     "IngestReport",
     "InvalidObjectError",
     "LinkThresholds",

@@ -17,6 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import logging
+import math
 import os
 import re
 import time
@@ -196,6 +197,8 @@ def remote_embed(
             vector = [float(v) for v in item["embedding"]]
         except (TypeError, KeyError, ValueError) as exc:
             raise MalformedResponseError(f"bad embedding record: {exc}", role=role) from exc
+        if not all(map(math.isfinite, vector)):
+            raise MalformedResponseError("embedding has a non-finite component", role=role)
         if not isinstance(index, int) or not 0 <= index < len(texts) or vectors[index] is not None:
             raise MalformedResponseError(f"bad embedding index {index!r}", role=role)
         if not vector or (dim is not None and len(vector) != dim):
@@ -231,6 +234,8 @@ def remote_rerank(
             score = float(item["relevance_score"])
         except (TypeError, KeyError, ValueError) as exc:
             raise MalformedResponseError(f"bad rerank record: {exc}", role=role) from exc
+        if not math.isfinite(score):
+            raise MalformedResponseError(f"rerank score {score!r} is not finite", role=role)
         if not isinstance(index, int) or not 0 <= index < len(documents) or scores[index] is not None:
             raise MalformedResponseError(f"bad rerank index {index!r}", role=role)
         scores[index] = score

@@ -30,7 +30,7 @@ gleaning); settings that change only retrieval reuse that graph.
 from __future__ import annotations
 
 import random
-from dataclasses import astuple, dataclass, replace
+from dataclasses import asdict, astuple, dataclass, replace
 from enum import Enum
 from statistics import fmean
 from typing import Callable, Optional, Sequence
@@ -44,7 +44,7 @@ from .engine import CanvasEngine
 from .errors import CanvasError, EmptyKeywordsError
 from .extraction import ConversationTurn
 from .retrieval import default_token_counter, retrieve
-from .scoring import HybridWeights, ScoringIndex, tokenize
+from .scoring import ScoringIndex, tokenize
 
 FUZZY_RECALL_THRESHOLD = 80.0
 KEYWORD_PASS_THRESHOLD = 0.8
@@ -597,17 +597,6 @@ class Aggregates:
     causal_coverage: Optional[float]
     impact_coverage: Optional[float]
 
-    def to_dict(self) -> dict:
-        return {
-            "questions": self.questions,
-            "recall_rate": self.recall_rate,
-            "exact_rate": self.exact_rate,
-            "keyword_coverage": self.keyword_coverage,
-            "pass_rate": self.pass_rate,
-            "causal_coverage": self.causal_coverage,
-            "impact_coverage": self.impact_coverage,
-        }
-
 
 def aggregate_records(records: Sequence[QuestionRecord]) -> Aggregates:
     if not records:
@@ -737,7 +726,7 @@ def pooled_row(results: Sequence[ConditionResult]) -> dict:
     pooled: list[QuestionRecord] = []
     for result in results:
         pooled.extend(result.records)
-    return aggregate_records(pooled).to_dict()
+    return asdict(aggregate_records(pooled))
 
 
 def run_sweep(
@@ -809,7 +798,7 @@ def alpha_settings(config: EngineConfig) -> list[Setting]:
     return [
         (
             {"config": f"alpha-{alpha:g}", "alpha": alpha},
-            replace(config, retrieval=replace(config.retrieval, weights=HybridWeights(alpha))),
+            replace(config, retrieval=replace(config.retrieval, alpha=alpha)),
         )
         for alpha in ALPHA_GRID
     ]

@@ -22,6 +22,7 @@ import dataclasses
 import json
 import logging
 import os
+import stat
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
@@ -119,11 +120,21 @@ def _read_conversation(path: str) -> list[ConversationTurn]:
 
 
 def _write_atomic(path: str, data: bytes) -> None:
-    """Replace path with data in one step: a failure leaves any old file as it was."""
+    """Replace path with data in one step: a failure leaves any old file as it was.
+
+    The new file gets the mode of the file it replaces, or the mode open()
+    would give a new one (0o666 less the umask), not mkstemp's 0o600."""
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)  # reading the umask means setting it, so set it back
+        os.umask(umask)
+        mode = 0o666 & ~umask
     fd, temp = tempfile.mkstemp(prefix=".canvasmem-", suffix=".tmp",
                                 dir=os.path.dirname(os.path.abspath(path)))
     try:
         with os.fdopen(fd, "wb") as handle:
+            os.fchmod(handle.fileno(), mode)
             handle.write(data)
             # On disk before the rename, or a crash can leave path naming a partial file.
             handle.flush()
@@ -221,7 +232,7 @@ def _result_row(result: ConditionResult) -> dict:
         "condition": result.condition,
         "variant": result.variant.value,
         "seed": result.seed,
-        "aggregates": result.aggregates.to_dict(),
+        "aggregates": dataclasses.asdict(result.aggregates),
         "records": [
             {
                 "question": r.question,
@@ -282,6 +293,8 @@ def _report(args, table: Sequence[dict], columns: Sequence[str],
 
 
 def cmd_bench_run(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     config, bundle, cases, header = _bench_prelude(args, "bench-run")
     conditions = args.conditions.split(",") if args.conditions else list(CONDITIONS)
     for condition in conditions:

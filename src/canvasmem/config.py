@@ -2,11 +2,16 @@
 
 Config files are YAML with the same shape that EngineConfig.to_dict emits,
 so a result file's embedded config can be fed straight back in to reproduce
-a run. A key that to_dict does not write, a value of another type than
-the one it writes there, or a value out of its range, is a ValueError naming
-the section and the key. PyYAML is imported only where YAML is parsed: a
-config file here, a --set value in the CLI. EngineConfig.from_dict and a run
-with neither never load it.
+a run. Each section of the file is one dataclass (LinkThresholds,
+RetrievalConfig, BackendSelection, BenchOptions), and its keys are that
+dataclass's fields: to_dict writes each section with dataclasses.asdict (a
+tuple as a list, an enum as its value), and from_dict hands the checked
+keys straight to the dataclass, whose __post_init__ checks the ranges. A
+new setting is one field. A key that to_dict does not write, a value of
+another type than the one it writes there, or a value out of its range, is
+a ValueError naming the section and the key. PyYAML is imported only where
+YAML is parsed: a config file here, a --set value in the CLI.
+EngineConfig.from_dict and a run with neither never load it.
 
 Each backend role takes its offline tag or a mapping of remote settings.
 The tags, what each builds and the remote client a mapping builds are
@@ -20,24 +25,31 @@ from __future__ import annotations
 
 import copy
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
+from enum import Enum
 from typing import Any, Optional
 
 from .backends import ROLES, BackendBundle, BackendConfig, RoleSetting, build_role
 from .core import ObjectKind
 from .graph_build import LinkThresholds
-from .retrieval import QueryClass, RetrievalConfig
-from .scoring import HybridWeights
+from .retrieval import RetrievalConfig
 
-_K_KEYS = {
-    "k_simple": QueryClass.SIMPLE,
-    "k_temporal": QueryClass.TEMPORAL,
-    "k_multi_hop": QueryClass.MULTI_HOP,
-}
-
+# The sections of a config file, each the fields of one EngineConfig dataclass.
+_SECTIONS = ("thresholds", "retrieval", "backends", "bench")
 _BACKEND_DEFAULTS = BackendConfig().to_dict()
 _TYPE_NAMES = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
                dict: "a mapping"}
+
+
+def _plain(value: Any) -> Any:
+    """value as a config file holds it: each tuple a list, each enum its value."""
+    if isinstance(value, tuple):
+        return [_plain(item) for item in value]
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    return value
 
 
 def _fits(value: Any, default: Any) -> bool:
@@ -128,29 +140,12 @@ class EngineConfig:
     bench: BenchOptions = field(default_factory=BenchOptions)
 
     def to_dict(self) -> dict:
-        """Full resolved configuration, suitable for embedding in result files."""
+        """Full resolved configuration, suitable for embedding in result files:
+        each section is its dataclass's fields, tuples written as lists and
+        enums as their values."""
         return {
             "gleaning": self.gleaning,
-            "thresholds": {
-                "theta_ref": self.thresholds.theta_ref,
-                "theta_causal": self.thresholds.theta_causal,
-                "keyword_edge_min": self.thresholds.keyword_edge_min,
-                "temporal_window": self.thresholds.temporal_window,
-                "causal_pairs": [[a.value, b.value] for a, b in self.thresholds.causal_pairs],
-            },
-            "retrieval": {
-                "alpha": self.retrieval.weights.alpha,
-                "coarse_k": self.retrieval.coarse_k,
-                "hops": self.retrieval.hops,
-                "budget_tokens": self.retrieval.budget_tokens,
-                "k_simple": self.retrieval.k_map[QueryClass.SIMPLE],
-                "k_temporal": self.retrieval.k_map[QueryClass.TEMPORAL],
-                "k_multi_hop": self.retrieval.k_map[QueryClass.MULTI_HOP],
-                "causal_indicators": list(self.retrieval.causal_indicators),
-                "temporal_indicators": list(self.retrieval.temporal_indicators),
-            },
-            "backends": asdict(self.backends),
-            "bench": asdict(self.bench),
+            **{name: _plain(asdict(getattr(self, name))) for name in _SECTIONS},
         }
 
     @classmethod
@@ -163,43 +158,24 @@ class EngineConfig:
         _checked("config", data, {**defaults, "preset": "standard"})
 
         def section(name: str, typed: bool = True) -> dict:
-            return _checked(f"config section {name!r}", data.get(name, {}), defaults[name], typed)
+            values = _checked(f"config section {name!r}", data.get(name, {}), defaults[name], typed)
+            return {key: tuple(v) if isinstance(v, list) else v for key, v in values.items()}
 
-        thresholds_d = dict(section("thresholds"))
-        pairs = thresholds_d.pop("causal_pairs", None)
-        if pairs is not None:
+        thresholds_d = section("thresholds")
+        if "causal_pairs" in thresholds_d:
             try:
                 thresholds_d["causal_pairs"] = tuple(
-                    (ObjectKind(a), ObjectKind(b)) for a, b in pairs
+                    (ObjectKind(a), ObjectKind(b)) for a, b in thresholds_d["causal_pairs"]
                 )
             except ValueError as exc:
                 raise ValueError(f"config section 'thresholds' key 'causal_pairs': {exc}") from exc
         with _section("thresholds"):
             thresholds = LinkThresholds(**thresholds_d)
-        retrieval_d = section("retrieval")
         base_retrieval = (
             RetrievalConfig.preset(data["preset"]) if "preset" in data else RetrievalConfig()
         )
-        k_map = dict(base_retrieval.k_map)
         with _section("retrieval"):
-            for key, klass in _K_KEYS.items():
-                if key in retrieval_d:
-                    k_map[klass] = retrieval_d[key]
-                    if k_map[klass] < 1:
-                        raise ValueError(f"{key} must be at least 1, got {k_map[klass]!r}")
-            retrieval = RetrievalConfig(
-                weights=HybridWeights(alpha=retrieval_d.get("alpha", base_retrieval.weights.alpha)),
-                k_map=k_map,
-                coarse_k=retrieval_d.get("coarse_k", base_retrieval.coarse_k),
-                hops=retrieval_d.get("hops", base_retrieval.hops),
-                budget_tokens=retrieval_d.get("budget_tokens", base_retrieval.budget_tokens),
-                causal_indicators=tuple(
-                    retrieval_d.get("causal_indicators", base_retrieval.causal_indicators)
-                ),
-                temporal_indicators=tuple(
-                    retrieval_d.get("temporal_indicators", base_retrieval.temporal_indicators)
-                ),
-            )
+            retrieval = replace(base_retrieval, **section("retrieval"))
 
         def role(name: str, raw: Any) -> RoleSetting:
             if isinstance(raw, str):
@@ -212,16 +188,9 @@ class EngineConfig:
         backends = BackendSelection(**{
             name: role(name, raw) for name, raw in section("backends", typed=False).items()
         })
-        bench_d = section("bench")
         with _section("bench"):
-            bench = BenchOptions(**bench_d)
-        return cls(
-            gleaning=data.get("gleaning", True),
-            thresholds=thresholds,
-            retrieval=retrieval,
-            backends=backends,
-            bench=bench,
-        )
+            bench = BenchOptions(**section("bench"))
+        return cls(data.get("gleaning", True), thresholds, retrieval, backends, bench)
 
 
 def deep_merge(base: dict, override: dict) -> dict:

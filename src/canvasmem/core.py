@@ -309,8 +309,13 @@ def _edge_record(edge: CanvasEdge) -> dict:
     }
 
 
+# NaN and the infinities are not JSON: a record holding one fails to encode
+# (ValueError) rather than write a file strict parsers refuse.
+_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), allow_nan=False)
+
+
 def _json(value) -> str:
-    return json.dumps(value, ensure_ascii=False, separators=(",", ":"))
+    return _ENCODER.encode(value)
 
 
 def _append_chunk(chunks: tuple[bytes, ...], records: list[dict]) -> tuple[bytes, ...]:
@@ -332,7 +337,8 @@ def serialize_graph(graph: CanvasGraph) -> bytes:
     encoded; the rest comes from the graph's cache of encoded records. The
     cache is replaced in one assignment once every new record has encoded,
     so a record that cannot encode (a lone surrogate raises
-    UnicodeEncodeError) leaves it as it was and fails every later save too.
+    UnicodeEncodeError, a NaN or infinite float ValueError) leaves it as it
+    was and fails every later save too.
     """
     objects, object_chunks, edges, edge_chunks = graph._encoded
     if len(graph.rows) < objects or len(graph.edges) < edges:
@@ -359,6 +365,14 @@ _EDGE_KINDS = {kind.value: kind for kind in EdgeKind}
 _EDGE_ORIGINS = {origin.value: origin for origin in EdgeOrigin}
 
 
+def _reject_constant(name: str) -> NoReturn:
+    raise MalformedInputError(f"graph data holds {name}, which is not JSON")
+
+
+# Python's parser reads NaN, Infinity and -Infinity, which JSON does not allow.
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise MalformedInputError(message)
@@ -371,7 +385,7 @@ def deserialize_graph(data: bytes) -> CanvasGraph:
     VersionMismatchError on an unsupported version number.
     """
     try:
-        doc = json.loads(data.decode("utf-8"))
+        doc = _DECODER.decode(data.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise MalformedInputError(f"graph data is not valid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "graph document must be a JSON object")

@@ -3,10 +3,12 @@
 Stages, in order:
 
 1. classify_query picks a query class and an adaptive top-k (multi-hop 15,
-   temporal 12, simple 10). Each indicator list is matched by one compiled
-   alternation of whole phrases, cached per list.
-2. coarse_retrieve keeps the top coarse_k objects by hybrid score, in one
-   call of the graph's scoring index: top_hybrids screens every stored
+   temporal 12, simple 10: RetrievalConfig's k_multi_hop, k_temporal and
+   k_simple, read through its k_map). Each indicator list is matched by
+   one compiled alternation of whole phrases, cached per list.
+2. coarse_retrieve keeps the top coarse_k objects by hybrid score (alpha
+   weights the cosine, 1 - alpha the keyword coverage), in one call of
+   the graph's scoring index: top_hybrids screens every stored
    object at once (one float32 matrix-vector product for the cosine half,
    and the keyword coverage from the index's posting lists of the query's
    tokens, which is exact and computed once per query), then verifies only
@@ -27,11 +29,15 @@ Stages, in order:
    walks only the frontier objects whose decayed score beats it.
 4. rerank_candidates orders candidates by a reranker backend, or by the
    hybrid score itself when no backend is configured, then cuts to k. A
-   backend sees every candidate of a full expansion.
+   backend sees every candidate of a full expansion; a candidate it gives
+   no score, or a NaN, ranks last.
 5. greedy_select packs rendered lines into the token budget, skipping lines
    that do not fit and continuing down the list.
 6. build_injection renders the block: a header, one line per object grouped
    by kind, and a class-specific instruction paragraph when needed.
+
+RetrievalConfig holds the settings of every stage, one field per key of
+the config file's retrieval section; its __post_init__ checks each range.
 
 The token budget governs the object lines (the payload); the constant
 header and instruction text sit outside it, which keeps a zero budget and
@@ -53,7 +59,7 @@ import numpy as np
 
 from .core import CanvasGraph, CanvasObject, ObjectKind
 from .errors import BackendFailureError
-from .scoring import EmbedderBackend, HybridWeights
+from .scoring import DEFAULT_ALPHA, EmbedderBackend
 
 logger = logging.getLogger(__name__)
 
@@ -131,28 +137,37 @@ def default_token_counter(text: str) -> int:
 
 @dataclass
 class RetrievalConfig:
-    """Knobs for the retrieval pipeline; presets bundle common settings."""
+    """Knobs for the retrieval pipeline, one field per key of the config
+    file's retrieval section; presets bundle common settings."""
 
-    weights: HybridWeights = field(default_factory=HybridWeights)
-    k_map: dict[QueryClass, int] = field(default_factory=lambda: dict(DEFAULT_K_MAP))
+    alpha: float = DEFAULT_ALPHA
     coarse_k: int = DEFAULT_COARSE_K
     hops: int = DEFAULT_HOPS
     budget_tokens: int = DEFAULT_BUDGET_TOKENS
+    k_simple: int = DEFAULT_K_MAP[QueryClass.SIMPLE]
+    k_temporal: int = DEFAULT_K_MAP[QueryClass.TEMPORAL]
+    k_multi_hop: int = DEFAULT_K_MAP[QueryClass.MULTI_HOP]
     causal_indicators: tuple[str, ...] = field(default_factory=default_causal_indicators)
     temporal_indicators: tuple[str, ...] = field(default_factory=default_temporal_indicators)
 
     def __post_init__(self):
+        if not 0.0 <= self.alpha <= 1.0:
+            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
         if self.coarse_k < 1:
             raise ValueError(f"coarse_k must be at least 1, got {self.coarse_k!r}")
         if self.hops < 0:
             raise ValueError(f"hops must be non-negative, got {self.hops!r}")
         if self.budget_tokens < 0:
             raise ValueError(f"budget_tokens must be non-negative, got {self.budget_tokens!r}")
-        for klass in QueryClass:
-            if klass not in self.k_map:
-                raise ValueError(f"k_map gives no k for {klass.name}")
-            if self.k_map[klass] < 1:
-                raise ValueError(f"k_map[{klass.name}] must be at least 1, got {self.k_map[klass]!r}")
+        for name in ("k_simple", "k_temporal", "k_multi_hop"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
+
+    @property
+    def k_map(self) -> dict[QueryClass, int]:
+        """The adaptive top-k of each query class."""
+        return {QueryClass.MULTI_HOP: self.k_multi_hop, QueryClass.TEMPORAL: self.k_temporal,
+                QueryClass.SIMPLE: self.k_simple}
 
     @classmethod
     def preset(cls, name: str) -> "RetrievalConfig":
@@ -261,20 +276,18 @@ def plan_query(
 def coarse_retrieve(
     graph: CanvasGraph,
     plan: QueryPlan,
-    weights: HybridWeights | None = None,
+    alpha: float = DEFAULT_ALPHA,
 ) -> list[ScoredObject]:
     """Hybrid-score every object and keep the top coarse_k.
 
     Ties break on higher confidence, then lower turn, then id order, so the
     result is deterministic for any insertion order.
     """
-    if weights is None:
-        weights = HybridWeights()
     if not graph.rows:
         return []
     index = graph.scoring_index()
     query = index.prepare(plan.query_embedding, plan.query_text)
-    band, exact = index.top_hybrids(query, weights, plan.coarse_k)
+    band, exact = index.top_hybrids(query, alpha, plan.coarse_k)
     rows = graph.rows
     scored = [(score, rows[row]) for score, row in zip(exact.tolist(), band.tolist())]
     scored.sort(key=lambda pair: (-pair[0], -pair[1].confidence, pair[1].turn, pair[1].id))
@@ -422,7 +435,8 @@ def rerank_candidates(
 
     Without a backend the hybrid score itself is the rerank score, so the
     stage degrades to a pure hybrid ordering. A backend failure logs a
-    warning and falls back the same way. Ties keep the hybrid order.
+    warning and falls back the same way. A candidate the backend gives no
+    score, or a NaN, ranks last. Ties keep the hybrid order.
     """
     if not candidates:
         raise ValueError("rerank_candidates requires at least one candidate")
@@ -439,7 +453,10 @@ def rerank_candidates(
         logger.warning("reranker backend failed, falling back to hybrid order: %s", exc)
         return _hybrid_ranked(base, k)
     known = {c.object_id for c in base}
-    scores = {cid: float(score) for cid, score in raw if cid in known}
+    # A NaN score counts as missing: it compares false with every other
+    # score, so a single one would scramble the whole sort.
+    scores = {cid: value for cid, score in raw
+              if cid in known and not math.isnan(value := float(score))}
     missing = float("-inf")
     rescored = [
         ScoredObject(object_id=c.object_id, hybrid=c.hybrid, rerank=scores.get(c.object_id, missing),
@@ -534,7 +551,7 @@ def retrieve_detailed(
     if config is None:
         config = RetrievalConfig()
     plan = plan_query(query_text, embedder, config)
-    coarse = coarse_retrieve(graph, plan, config.weights)
+    coarse = coarse_retrieve(graph, plan, config.alpha)
     # Without a backend the rerank keeps the hybrid top k, so the walk
     # builds only the expansions that can be in it.
     expanded = expand_graph(graph, coarse, plan.hops, plan.k if reranker is None else None)

@@ -108,17 +108,6 @@ def content_tokens(text: str) -> list[str]:
     return [tok for tok in tokenize(text) if tok not in stop]
 
 
-@dataclass
-class HybridWeights:
-    """Blend weight for the hybrid score; alpha weights the semantic half."""
-
-    alpha: float = DEFAULT_ALPHA
-
-    def __post_init__(self):
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha!r}")
-
-
 def cosine_sim(a: Sequence[float], b: Sequence[float]) -> float:
     """Cosine similarity of two equal-length vectors.
 
@@ -165,17 +154,16 @@ def hybrid_score(
     query_embedding: Sequence[float],
     query_text: str,
     obj: CanvasObject,
-    weights: HybridWeights | None = None,
+    alpha: float = DEFAULT_ALPHA,
 ) -> float:
-    """Blend of clamped cosine similarity and keyword coverage, in [0, 1]."""
-    if weights is None:
-        weights = HybridWeights()
+    """Blend of clamped cosine similarity and keyword coverage, in [0, 1];
+    alpha in [0, 1] weights the cosine."""
     if obj.embedding is None:
         raise MissingEmbeddingError(f"object {obj.id} has no embedding")
     semantic = cosine_sim(query_embedding, obj.embedding)
     semantic = min(1.0, max(0.0, semantic))
     lexical = token_coverage(token_set(query_text), token_set(document_text(obj)))
-    return weights.alpha * semantic + (1.0 - weights.alpha) * lexical
+    return alpha * semantic + (1.0 - alpha) * lexical
 
 
 def _vector(embedding, dim: Optional[int]) -> tuple[np.ndarray, float]:
@@ -588,7 +576,7 @@ class ScoringIndex:
         return self._joined_counts(self._postings, query.token_ids) / len(query.tokens)
 
     def hybrids(
-        self, query: PreparedQuery, weights: HybridWeights, coverage: np.ndarray
+        self, query: PreparedQuery, alpha: float, coverage: np.ndarray
     ) -> np.ndarray:
         """Screened hybrid_score of every row, within `margin` of the exact
         one, +inf where the cosine is; coverage (from coverage()) is the
@@ -596,13 +584,13 @@ class ScoringIndex:
         rounding to the screened cosine's."""
         cosines = self.cosines(query)
         semantic = np.clip(cosines, 0.0, 1.0).astype(np.float64)
-        approx = weights.alpha * semantic + (1.0 - weights.alpha) * coverage
+        approx = alpha * semantic + (1.0 - alpha) * coverage
         if not self._bounds_every_row(query):
             approx[cosines == np.inf] = np.inf
         return approx
 
     def top_hybrids(
-        self, query: PreparedQuery, weights: HybridWeights, k: int
+        self, query: PreparedQuery, alpha: float, k: int
     ) -> tuple[np.ndarray, np.ndarray]:
         """The rows that may hold the k best hybrid scores, in row order, and
         their exact hybrid_score, to the last bit.
@@ -614,12 +602,12 @@ class ScoringIndex:
         bounded). The keyword coverage is computed once, for both passes.
         """
         coverage = self.coverage(query)
-        approx = self.hybrids(query, weights, coverage)
+        approx = self.hybrids(query, alpha, coverage)
         bounded = approx if self._bounds_every_row(query) else approx[approx < np.inf]
         cut = len(bounded) - k
         kth = np.partition(bounded, cut)[cut] if cut > 0 else -np.inf
         band = np.flatnonzero(approx >= kth - 2 * self.margin)
-        return band, self.exact_hybrids(query, band, weights, coverage)
+        return band, self.exact_hybrids(query, band, alpha, coverage)
 
     def exact_cosines(self, query: PreparedQuery, rows: np.ndarray) -> np.ndarray:
         """cosine_sim of the query and each listed row's embedding, to the last bit.
@@ -639,7 +627,7 @@ class ScoringIndex:
         self,
         query: PreparedQuery,
         rows: np.ndarray,
-        weights: HybridWeights,
+        alpha: float,
         coverage: np.ndarray,
     ) -> np.ndarray:
         """hybrid_score of the query and each listed row's object, to the last bit.
@@ -650,7 +638,7 @@ class ScoringIndex:
         """
         cos = self.exact_cosines(query, rows)
         semantic = np.where(cos > 0.0, np.where(cos < 1.0, cos, 1.0), 0.0)
-        return weights.alpha * semantic + (1.0 - weights.alpha) * coverage[rows]
+        return alpha * semantic + (1.0 - alpha) * coverage[rows]
 
 
 class MockEmbedder:

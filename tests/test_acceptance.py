@@ -349,7 +349,7 @@ def _greedy_reference_mask(costs, budget):
 def test_criterion_06_budget_safety_and_greedy_equivalence():
     rng = random.Random(2026)
     embedder = MockEmbedder()
-    wide_k = {QueryClass.SIMPLE: 30, QueryClass.TEMPORAL: 30, QueryClass.MULTI_HOP: 30}
+    wide_k = {"k_simple": 30, "k_temporal": 30, "k_multi_hop": 30}
     over_budget = 0
     greedy_mismatches = 0
     brute_checked = 0
@@ -374,7 +374,7 @@ def test_criterion_06_budget_safety_and_greedy_equivalence():
         config = replace(
             RetrievalConfig(),
             budget_tokens=budget,
-            k_map=dict(RetrievalConfig().k_map) if trial % 2 == 0 else wide_k,
+            **({} if trial % 2 == 0 else wide_k),
         )
         result = retrieve_detailed(graph, query, embedder, config)
         costs = [
@@ -496,7 +496,7 @@ def test_criterion_08_ablation_arm_equivalence():
     ordering_identity = True
     for fact in case.planted:
         plan = plan_query(fact.question, bundle.embedder, config.retrieval)
-        coarse = coarse_retrieve(graph, plan, config.retrieval.weights)
+        coarse = coarse_retrieve(graph, plan, config.retrieval.alpha)
         expanded = expand_graph(graph, coarse, plan.hops)
         no_rerank_order = [
             c.object_id for c in sorted(expanded, key=lambda c: -c.hybrid)
@@ -510,7 +510,7 @@ def test_criterion_08_ablation_arm_equivalence():
 
     # hops=0 is the no-expansion arm: the expansion stage is the identity.
     plan = plan_query(case.planted[0].question, bundle.embedder, config.retrieval)
-    coarse = coarse_retrieve(graph, plan, config.retrieval.weights)
+    coarse = coarse_retrieve(graph, plan, config.retrieval.alpha)
     no_expansion_identity = expand_graph(graph, coarse, 0) == coarse
 
     # gleaning off is the no-gleaning arm: second-pass objects disappear and

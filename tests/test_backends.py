@@ -172,6 +172,14 @@ def test_remote_embed_empty_batch_skips_network(config):
             {"index": 1, "embedding": [0.0, 1.0, 0.5]},
         ]},  # inconsistent dimension
         {"wrong": []},
+        {"data": [
+            {"index": 0, "embedding": [1.0, float("nan")]},
+            {"index": 1, "embedding": [0.0, 1.0]},
+        ]},  # a NaN component
+        {"data": [
+            {"index": 0, "embedding": [1.0, 0.0]},
+            {"index": 1, "embedding": ["-Infinity", 1.0]},
+        ]},  # an infinite component
     ],
 )
 def test_remote_embed_malformed_bodies(config, body):
@@ -194,6 +202,16 @@ def test_remote_rerank_missing_document_is_malformed(config):
         {"index": 0, "relevance_score": 0.5},
     ]}))
     with pytest.raises(MalformedResponseError):
+        remote_rerank(config, "q", ["doc a", "doc b"], transport=transport)
+
+
+@pytest.mark.parametrize("score", ["NaN", float("nan"), "Infinity"])
+def test_remote_rerank_rejects_a_score_that_is_not_finite(config, score):
+    transport = ScriptedTransport((200, {"results": [
+        {"index": 0, "relevance_score": 0.5},
+        {"index": 1, "relevance_score": score},
+    ]}))
+    with pytest.raises(MalformedResponseError, match="not finite"):
         remote_rerank(config, "q", ["doc a", "doc b"], transport=transport)
 
 

@@ -48,7 +48,7 @@ from canvasmem.config import EngineConfig
 from canvasmem.errors import BackendFailureError, EmptyKeywordsError, ZeroVectorError
 from canvasmem.extraction import ConversationTurn
 from canvasmem.retrieval import retrieve
-from canvasmem.scoring import MOCK_EMBEDDING_DIM, HybridWeights, MockEmbedder, cosine_sim
+from canvasmem.scoring import MOCK_EMBEDDING_DIM, MockEmbedder, cosine_sim
 
 from conftest import CountingEmbedder
 
@@ -465,7 +465,7 @@ def test_unknown_rag_preset_is_a_value_error_naming_the_known_ones():
 # ---------------------------------------------------------------------------
 
 def _pooled(results) -> dict:
-    return aggregate_records([r for result in results for r in result.records]).to_dict()
+    return dataclasses.asdict(aggregate_records([r for result in results for r in result.records]))
 
 
 def oracle_threshold_sweep(cases, bundle, config, grid):
@@ -495,7 +495,7 @@ def oracle_rag_sweep(cases, bundle, config):
 def oracle_alpha_sweep(cases, bundle, config):
     rows = []
     for alpha in (0.0, 0.3, 0.5, 0.7, 1.0):
-        swept = replace(config, retrieval=replace(config.retrieval, weights=HybridWeights(alpha)))
+        swept = replace(config, retrieval=replace(config.retrieval, alpha=alpha))
         results = [run_condition(case, "canvas", bundle, swept) for case in cases]
         rows.append({"config": f"alpha-{alpha:g}", "alpha": alpha, **_pooled(results)})
     return rows

@@ -222,6 +222,23 @@ def test_atomic_write_syncs_the_temp_file_before_the_rename(tmp_path, monkeypatc
     assert path.read_bytes() == b"payload"
 
 
+@pytest.mark.parametrize("existing, mode", [(None, 0o644), (0o640, 0o640)],
+                         ids=["new", "replaced"])
+def test_atomic_write_gives_a_new_file_the_umask_mode_and_a_replaced_one_its_old_mode(
+        existing, mode, tmp_path):
+    path = tmp_path / "out.jsonl"
+    if existing is not None:
+        path.write_bytes(b"older")
+        path.chmod(existing)
+    old_umask = os.umask(0o022)
+    try:
+        canvasmem.cli._write_atomic(str(path), b"payload")
+    finally:
+        os.umask(old_umask)
+    assert path.read_bytes() == b"payload"
+    assert path.stat().st_mode & 0o777 == mode
+
+
 def test_export_to_file(conversation, tmp_path):
     graph_path = tmp_path / "graph.json"
     out_path = tmp_path / "dump.tsv"
@@ -269,6 +286,15 @@ def test_a_non_positive_cases_flag_exits_2(cases, tmp_path, capsys):
     assert main(["bench", "run", "--cases", cases, "--output", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: --cases {cases}:") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_a_non_positive_jobs_flag_exits_2(jobs, tmp_path, capsys):
+    out = tmp_path / "run.jsonl"
+    assert main(["bench", "run", "--cases", "1", "--jobs", jobs, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: --jobs must be at least 1, got {jobs}") and "Traceback" not in err
     assert not out.exists()
 
 

@@ -53,7 +53,7 @@ def test_from_dict_partial_override_keeps_other_defaults():
     assert config.thresholds.theta_ref == 0.7
     assert config.thresholds.temporal_window == 3
     assert config.retrieval.hops == 3
-    assert config.retrieval.k_map[QueryClass.MULTI_HOP] == 25
+    assert config.retrieval.k_multi_hop == 25
     assert config.retrieval.k_map[QueryClass.SIMPLE] == 10
     assert config.bench.cases == 20
 
@@ -268,12 +268,50 @@ def test_an_out_of_range_value_is_a_value_error_naming_section_and_key(data, sec
     assert "missing" not in str(caught.value)
 
 
-def test_retrieval_config_tells_a_missing_k_from_a_non_positive_one():
-    with pytest.raises(ValueError, match=r"^k_map gives no k for SIMPLE$"):
-        RetrievalConfig(k_map={QueryClass.TEMPORAL: 12, QueryClass.MULTI_HOP: 15})
-    with pytest.raises(ValueError, match=r"^k_map\[TEMPORAL\] must be at least 1, got 0$"):
-        RetrievalConfig(k_map={QueryClass.SIMPLE: 10, QueryClass.TEMPORAL: 0,
-                               QueryClass.MULTI_HOP: 15})
+@pytest.mark.parametrize("key", ["k_simple", "k_temporal", "k_multi_hop"])
+def test_retrieval_config_names_a_non_positive_k(key):
+    with pytest.raises(ValueError, match=rf"^{key} must be at least 1, got 0$"):
+        RetrievalConfig(**{key: 0})
+
+
+# A non-default value of every field of every section, as to_dict writes it.
+_NON_DEFAULT = {
+    "thresholds": {
+        "theta_ref": 0.6, "theta_causal": 0.4, "keyword_edge_min": 0.25, "temporal_window": 5,
+        "causal_pairs": [["KEY_FACT", "TODO"]],
+    },
+    "retrieval": {
+        "alpha": 0.4, "coarse_k": 7, "hops": 3, "budget_tokens": 500, "k_simple": 4,
+        "k_temporal": 5, "k_multi_hop": 6, "causal_indicators": ["hence"],
+        "temporal_indicators": ["whenever"],
+    },
+    "backends": {
+        name: BackendConfig(model=f"{name}-1", api_key_env="KEY_ENV").to_dict() for name in ROLES
+    },
+    "bench": {
+        "n_turns": 60, "compression_turn": 25, "facts_per_case": 3, "stories_per_case": 2,
+        "recent_turns": 4, "native_token_limit": 400, "rag_preset": "rag-small", "cases": 3,
+    },
+}
+_SECTION_TYPES = {"thresholds": LinkThresholds, "retrieval": RetrievalConfig,
+                  "backends": BackendSelection, "bench": BenchOptions}
+
+
+@pytest.mark.parametrize("section", list(_SECTION_TYPES))
+def test_a_sections_keys_are_its_dataclasss_fields(section):
+    names = [f.name for f in dataclasses.fields(_SECTION_TYPES[section])]
+    assert list(EngineConfig().to_dict()[section]) == names
+
+
+@pytest.mark.parametrize("section, key", [
+    (section, f.name) for section, kind in _SECTION_TYPES.items() for f in dataclasses.fields(kind)
+])
+def test_every_field_loads_a_non_default_value_and_writes_it_back(section, key):
+    value = _NON_DEFAULT[section][key]
+    assert value != EngineConfig().to_dict()[section][key]
+    config = EngineConfig.from_dict({section: {key: value}})
+    assert config.to_dict()[section][key] == value
+    assert getattr(getattr(config, section), key) != getattr(getattr(EngineConfig(), section), key)
 
 
 @pytest.mark.parametrize("section", ["thresholds", "retrieval", "backends", "bench"])
@@ -323,4 +361,4 @@ def test_a_result_files_embedded_config_loads_back(tmp_path):
     embedded = json.loads(out.read_text(encoding="utf-8").splitlines()[0])["config"]
     config = EngineConfig.from_dict(embedded)
     assert config.to_dict() == embedded
-    assert config.retrieval.hops == 4 and config.retrieval.weights.alpha == 0.6
+    assert config.retrieval.hops == 4 and config.retrieval.alpha == 0.6

@@ -20,7 +20,6 @@ from canvasmem.extraction import MockExtractor
 from canvasmem.retrieval import (
     EXPANSION_DECAY,
     Provenance,
-    QueryClass,
     RetrievalConfig,
     ScoredObject,
     build_injection,
@@ -296,7 +295,7 @@ def _ingested(seed: int, turns: int) -> CanvasGraph:
 
 def _full_pipeline(graph, question, embedder, config):
     plan = plan_query(question, embedder, config)
-    coarse = coarse_retrieve(graph, plan, config.weights)
+    coarse = coarse_retrieve(graph, plan, config.alpha)
     expanded = oracle_expand_graph(graph, coarse, plan.hops)
     ranked = rerank_candidates(graph, None, plan.query_text, expanded, plan.k) if expanded else []
     selected = greedy_select(graph, ranked, plan.budget_tokens)
@@ -313,7 +312,7 @@ def test_retrieve_detailed_at_every_k_equals_a_full_expand_then_rerank():
             assert count > 6
             for k in range(1, count + 3):
                 config = RetrievalConfig(coarse_k=6, hops=hops,
-                                         k_map={klass: k for klass in QueryClass})
+                                         k_simple=k, k_temporal=k, k_multi_hop=k)
                 _, ranked, selected, injection = _full_pipeline(graph, question, embedder, config)
                 got = retrieve_detailed(graph, question, embedder, config)
                 assert exact(got.ranked) == exact(ranked)
@@ -333,7 +332,7 @@ class _RecordingReranker:
 def test_a_reranker_backend_still_gets_every_candidate():
     embedder = MockEmbedder()
     graph = _ingested(9, 60)
-    config = RetrievalConfig(coarse_k=6, hops=4, k_map={klass: 2 for klass in QueryClass})
+    config = RetrievalConfig(coarse_k=6, hops=4, k_simple=2, k_temporal=2, k_multi_hop=2)
     for question in QUESTIONS:
         reranker = _RecordingReranker()
         retrieve_detailed(graph, question, embedder, config, reranker)

@@ -10,6 +10,7 @@ byte.
 from __future__ import annotations
 
 import json
+import math
 import sys
 import threading
 
@@ -267,6 +268,30 @@ def test_a_record_that_cannot_encode_fails_every_later_save():
         graph.add_edge(_edge(good, later))
         with pytest.raises(UnicodeEncodeError):
             serialize_graph(graph.snapshot())
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_embedding_fails_the_save_and_leaves_the_cache_as_it_was(value):
+    graph = CanvasGraph()
+    graph.add_object(make_obj(content="the cache lives in redis", turn=0, embedding=axis(0)))
+    assert_saves_like_oracle(graph)
+    encoded = graph._encoded
+    vector = axis(1)
+    vector[2] = value
+    graph.add_object(make_obj(content="a vector that is not json", turn=1, embedding=vector))
+    with pytest.raises(ValueError):
+        serialize_graph(graph)
+    assert graph._encoded is encoded
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_a_graph_file_holding_a_number_json_does_not_allow_is_malformed(token):
+    graph = CanvasGraph()
+    graph.add_object(make_obj(content="the cache lives in redis", turn=0, embedding=[0.5, 0.25]))
+    data = serialize_graph(graph)
+    assert data.count(b"0.25") == 1
+    with pytest.raises(MalformedInputError, match=f"holds {token}"):
+        deserialize_graph(data.replace(b"0.25", token.encode()))
 
 
 def test_a_graph_holding_fewer_records_than_its_cache_encodes_from_scratch():

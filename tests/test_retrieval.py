@@ -163,7 +163,7 @@ def test_retrieval_config_validation():
     with pytest.raises(ValueError):
         RetrievalConfig(budget_tokens=-5)
     with pytest.raises(ValueError):
-        RetrievalConfig(k_map={QueryClass.SIMPLE: 10})
+        RetrievalConfig(k_simple=0)
 
 
 def _plan(query="the probe query", klass=QueryClass.SIMPLE, **kwargs):
@@ -283,6 +283,16 @@ class _ForgetfulReranker:
         return [(candidates[0][0], 5.0)]
 
 
+class _ScriptedReranker:
+    """Gives the candidates, in the order it sees them, the listed scores."""
+
+    def __init__(self, scores):
+        self.scores = scores
+
+    def rerank(self, query_text, candidates):
+        return [(cid, score) for (cid, _), score in zip(candidates, self.scores)]
+
+
 def _candidates(graph, scores):
     out = []
     for idx, score in enumerate(scores):
@@ -331,6 +341,16 @@ def test_rerank_missing_scores_sink_to_bottom():
     # Only the top hybrid candidate got a score; the rest keep hybrid order.
     assert ranked[0].rerank == 5.0
     assert [r.hybrid for r in ranked] == [0.9, 0.5, 0.2]
+
+
+def test_a_nan_rerank_score_ranks_as_missing():
+    graph = CanvasGraph()
+    cands = _candidates(graph, [0.6, 0.5, 0.4, 0.3, 0.2, 0.1])
+    reranker = _ScriptedReranker([0.1, math.nan, 0.9, 0.3, 0.8, 0.2])
+    ranked = rerank_candidates(graph, reranker, "q", cands, k=6)
+    assert [r.rerank for r in ranked] == [0.9, 0.8, 0.3, 0.2, 0.1, -math.inf]
+    top = rerank_candidates(graph, reranker, "q", cands, k=3)
+    assert [r.hybrid for r in top] == [0.4, 0.2, 0.3]
 
 
 def test_rerank_requires_candidates():

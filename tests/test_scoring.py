@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from canvasmem.core import ObjectKind
 from canvasmem.errors import DimensionMismatchError, MissingEmbeddingError, ZeroVectorError
+from canvasmem.retrieval import RetrievalConfig
 from canvasmem.scoring import (
     DEFAULT_ALPHA,
     MOCK_EMBEDDING_DIM,
-    HybridWeights,
     MockEmbedder,
     content_tokens,
     cosine_sim,
@@ -151,11 +151,11 @@ def test_keyword_jaccard_frozen_values():
 
 
 def test_hybrid_weights_validate_alpha():
-    assert HybridWeights().alpha == DEFAULT_ALPHA
+    assert RetrievalConfig().alpha == DEFAULT_ALPHA
+    with pytest.raises(ValueError, match=r"^alpha must lie in \[0, 1\], got 1.5$"):
+        RetrievalConfig(alpha=1.5)
     with pytest.raises(ValueError):
-        HybridWeights(alpha=1.5)
-    with pytest.raises(ValueError):
-        HybridWeights(alpha=-0.1)
+        RetrievalConfig(alpha=-0.1)
 
 
 def test_hybrid_score_frozen_blend():
@@ -177,9 +177,9 @@ def test_hybrid_score_clamps_negative_cosine():
 
 def test_hybrid_score_alpha_endpoints():
     obj = make_obj(content="use type hints everywhere", turn=0, embedding=[1.0, 0.0])
-    lexical_only = hybrid_score([0.0, 1.0], "type hints", obj, HybridWeights(alpha=0.0))
+    lexical_only = hybrid_score([0.0, 1.0], "type hints", obj, alpha=0.0)
     assert lexical_only == pytest.approx(1.0)
-    semantic_only = hybrid_score([1.0, 0.0], "unrelated words", obj, HybridWeights(alpha=1.0))
+    semantic_only = hybrid_score([1.0, 0.0], "unrelated words", obj, alpha=1.0)
     assert semantic_only == pytest.approx(1.0)
 
 

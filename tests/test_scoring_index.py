@@ -45,7 +45,7 @@ from canvasmem.retrieval import (
 )
 from canvasmem.scoring import (
     _SCREENABLE_NORMS,
-    HybridWeights,
+    DEFAULT_ALPHA,
     MockEmbedder,
     ScoringIndex,
     cosine_sim,
@@ -113,11 +113,9 @@ def oracle_link_object(graph, new_obj, thresholds=None):
     return added
 
 
-def oracle_coarse_retrieve(graph, plan, weights=None):
-    if weights is None:
-        weights = HybridWeights()
+def oracle_coarse_retrieve(graph, plan, alpha=DEFAULT_ALPHA):
     scored = [
-        (hybrid_score(plan.query_embedding, plan.query_text, obj, weights), obj)
+        (hybrid_score(plan.query_embedding, plan.query_text, obj, alpha), obj)
         for obj in graph.objects.values()
     ]
     scored.sort(key=lambda pair: (-pair[0], -pair[1].confidence, pair[1].turn, pair[1].id))
@@ -139,9 +137,9 @@ def plan_for(embedding, text="the probe query", coarse_k=3):
                      k=10, coarse_k=coarse_k)
 
 
-def assert_same_coarse(graph, oracle_graph, plan, weights=None):
-    got = coarse_retrieve(graph, plan, weights)
-    want = oracle_coarse_retrieve(oracle_graph, plan, weights)
+def assert_same_coarse(graph, oracle_graph, plan, alpha=DEFAULT_ALPHA):
+    got = coarse_retrieve(graph, plan, alpha)
+    want = oracle_coarse_retrieve(oracle_graph, plan, alpha)
     assert [(h.object_id, h.hybrid) for h in got] == [(h.object_id, h.hybrid) for h in want]
 
 
@@ -188,7 +186,7 @@ def test_random_graphs_match_the_oracle(objects, thresholds, query, query_words,
     assert screened.edges == oracle.edges
     assert serialize_graph(screened) == serialize_graph(oracle)
     plan = plan_for(query, " ".join(query_words), coarse_k)
-    assert_same_coarse(screened, oracle, plan, HybridWeights(alpha))
+    assert_same_coarse(screened, oracle, plan, alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -562,28 +560,26 @@ def oracle_exact_cosine(index, query, row):
     return float(np.dot(query.vector, index._matrix[row]) / (query.norm * index._norms[row]))
 
 
-def oracle_exact_hybrid(index, query, row, obj, weights):
+def oracle_exact_hybrid(index, query, row, obj, alpha):
     """The per-row verify: one row's hybrid score, as hybrid_score computes
     it, its keyword half read from obj, the object stored at that row."""
     semantic = min(1.0, max(0.0, oracle_exact_cosine(index, query, row)))
     lexical = 0.0
     if query.tokens:
         lexical = len(query.tokens & token_set(document_text(obj))) / len(query.tokens)
-    return weights.alpha * semantic + (1.0 - weights.alpha) * lexical
+    return alpha * semantic + (1.0 - alpha) * lexical
 
 
-def oracle_verified_coarse_retrieve(graph, plan, weights=None):
+def oracle_verified_coarse_retrieve(graph, plan, alpha=DEFAULT_ALPHA):
     """coarse_retrieve with the per-row verify: the same screen and band, each
     row of the band scored by its own call."""
-    if weights is None:
-        weights = HybridWeights()
     index = graph.scoring_index()
     query = index.prepare(plan.query_embedding, plan.query_text)
-    approx = index.hybrids(query, weights, index.coverage(query))
+    approx = index.hybrids(query, alpha, index.coverage(query))
     cut = max(len(approx) - plan.coarse_k, 0)
     kth = np.partition(approx, cut)[cut]
     band = np.flatnonzero(approx >= kth - 2 * index.margin).tolist()
-    scored = [(oracle_exact_hybrid(index, query, row, graph.rows[row], weights), graph.rows[row]) for row in band]
+    scored = [(oracle_exact_hybrid(index, query, row, graph.rows[row], alpha), graph.rows[row]) for row in band]
     scored.sort(key=lambda pair: (-pair[0], -pair[1].confidence, pair[1].turn, pair[1].id))
     return [ScoredObject(object_id=obj.id, hybrid=score) for score, obj in scored[: plan.coarse_k]]
 
@@ -642,20 +638,19 @@ def test_exact_scorers_are_bit_identical_to_the_scalar_functions(
         index.extend([obj])
     query = index.prepare(query_vec, query_text)
     assert query is not None
-    weights = HybridWeights(alpha)
     rows = _all_rows(index)
     cosines = index.exact_cosines(query, rows).tolist()
     coverage = index.coverage(query)
-    hybrids = index.exact_hybrids(query, rows, weights, coverage).tolist()
+    hybrids = index.exact_hybrids(query, rows, alpha, coverage).tolist()
     # Every norm here is one the screen bounds: it sits within the margin.
-    screened = zip(index.cosines(query).tolist(), index.hybrids(query, weights, coverage).tolist())
+    screened = zip(index.cosines(query).tolist(), index.hybrids(query, alpha, coverage).tolist())
     for row, (obj, (screen, hybrid_screen)) in enumerate(zip(objects, screened)):
         # Linking passes the stored vector first, retrieval the query first.
         assert _bits(cosines[row]) == _bits(cosine_sim(query_vec, obj.embedding))
         assert _bits(cosines[row]) == _bits(cosine_sim(obj.embedding, query_vec))
         assert _bits(cosines[row]) == _bits(oracle_exact_cosine(index, query, row))
-        assert _bits(hybrids[row]) == _bits(hybrid_score(query_vec, query_text, obj, weights))
-        assert _bits(hybrids[row]) == _bits(oracle_exact_hybrid(index, query, row, obj, weights))
+        assert _bits(hybrids[row]) == _bits(hybrid_score(query_vec, query_text, obj, alpha))
+        assert _bits(hybrids[row]) == _bits(oracle_exact_hybrid(index, query, row, obj, alpha))
         assert abs(screen - cosines[row]) <= index.margin
         assert abs(hybrid_screen - hybrids[row]) <= index.margin
 
@@ -679,7 +674,7 @@ def test_a_fork_verifies_its_rows_after_the_owner_appended_past_it():
             _bits(token_jaccard(token_set(obj.content), token_set("row 7 redis"))) for obj in seen]
         rows = _all_rows(index)
         cosines = index.exact_cosines(query, rows).tolist()
-        hybrids = index.exact_hybrids(query, rows, HybridWeights(), index.coverage(query)).tolist()
+        hybrids = index.exact_hybrids(query, rows, DEFAULT_ALPHA, index.coverage(query)).tolist()
         for row, obj in enumerate(seen):
             assert _bits(cosines[row]) == _bits(cosine_sim(query_vec, obj.embedding))
             assert _bits(hybrids[row]) == _bits(hybrid_score(query_vec, "redis row", obj))
@@ -707,18 +702,17 @@ def test_array_verify_equals_the_per_row_verify(vectors, words, query, query_wor
     index = ScoringIndex()
     index.extend(objects)
     prepared = index.prepare(query, " ".join(query_words))
-    weights = HybridWeights(alpha)
     coverage = index.coverage(prepared)
     # Any rows in any order, repeats and none at all included.
     rows = np.array([pick % len(objects) for pick in picks], dtype=np.intp)
     cosines = index.exact_cosines(prepared, rows)
-    hybrids = index.exact_hybrids(prepared, rows, weights, coverage)
+    hybrids = index.exact_hybrids(prepared, rows, alpha, coverage)
     assert cosines.shape == hybrids.shape == rows.shape
     for row, cos, hybrid in zip(rows.tolist(), cosines.tolist(), hybrids.tolist()):
         assert _bits(cos) == _bits(oracle_exact_cosine(index, prepared, row))
         assert _bits(cos) == _bits(cosine_sim(query, objects[row].embedding))
-        assert _bits(hybrid) == _bits(oracle_exact_hybrid(index, prepared, row, objects[row], weights))
-        assert _bits(hybrid) == _bits(hybrid_score(query, " ".join(query_words), objects[row], weights))
+        assert _bits(hybrid) == _bits(oracle_exact_hybrid(index, prepared, row, objects[row], alpha))
+        assert _bits(hybrid) == _bits(hybrid_score(query, " ".join(query_words), objects[row], alpha))
 
 
 def test_cosines_past_one_and_below_zero_reach_the_verify():
@@ -730,9 +724,8 @@ def test_cosines_past_one_and_below_zero_reach_the_verify():
     rows = _all_rows(index)
     assert index.exact_cosines(query, rows).tolist() == [1.0000000000000002, -1.0000000000000002]
     for alpha in (0.0, 0.7, 1.0):
-        weights = HybridWeights(alpha)
-        assert [_bits(h) for h in index.exact_hybrids(query, rows, weights, index.coverage(query))] == [
-            _bits(oracle_exact_hybrid(index, query, row, objects[row], weights)) for row in rows.tolist()]
+        assert [_bits(h) for h in index.exact_hybrids(query, rows, alpha, index.coverage(query))] == [
+            _bits(oracle_exact_hybrid(index, query, row, objects[row], alpha)) for row in rows.tolist()]
 
 
 _cosine = st.one_of(
@@ -753,8 +746,7 @@ def test_clamp_and_blend_follow_the_scalar_rule(cosines, alpha, covered):
     rows = np.arange(len(cosines), dtype=np.intp)
     index.exact_cosines = lambda query, picked: np.array(cosines, dtype=np.float64)[picked]
     coverage = np.array(covered) / 3
-    weights = HybridWeights(alpha)
-    got = index.exact_hybrids(index.prepare(axis(0)), rows, weights, coverage)
+    got = index.exact_hybrids(index.prepare(axis(0)), rows, alpha, coverage)
     assert [_bits(h) for h in got.tolist()] == [
         _bits(alpha * min(1.0, max(0.0, cos)) + (1.0 - alpha) * (covered[row] / 3))
         for row, cos in enumerate(cosines)]
@@ -766,7 +758,7 @@ def test_empty_rows_verify_to_empty_arrays():
     query = index.prepare(axis(0), "redis")
     none = np.empty(0, dtype=np.intp)
     assert index.exact_cosines(query, none).shape == (0,)
-    assert index.exact_hybrids(query, none, HybridWeights(), index.coverage(query)).shape == (0,)
+    assert index.exact_hybrids(query, none, DEFAULT_ALPHA, index.coverage(query)).shape == (0,)
 
 
 class _FixedEmbedder:
@@ -799,7 +791,7 @@ def test_retrieve_detailed_equals_the_per_row_verify(objects, query, question, c
     graph, _ = build_pair(objects)
     embedder = _FixedEmbedder(query)
     for hops in (0, 1, 4):
-        config = RetrievalConfig(weights=HybridWeights(alpha), coarse_k=coarse_k, hops=hops)
+        config = RetrievalConfig(alpha=alpha, coarse_k=coarse_k, hops=hops)
         got = retrieve_detailed(graph, question, embedder, config)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(canvasmem.retrieval, "coarse_retrieve", oracle_verified_coarse_retrieve)
@@ -899,9 +891,9 @@ def test_token_kernel_is_bit_identical_to_the_scalar_functions(rows, query):
     coverage = [_bits(token_coverage(token_set(text), document)) for _, document in stored]
     covered = index.coverage(prepared)
     assert [_bits(c) for c in covered.tolist()] == coverage
-    assert [_bits(c) for c in index.hybrids(prepared, HybridWeights(0.0), covered).tolist()] == coverage
+    assert [_bits(c) for c in index.hybrids(prepared, 0.0, covered).tolist()] == coverage
     assert [_bits(c) for c in index.exact_hybrids(
-        prepared, _all_rows(index), HybridWeights(0.0), covered).tolist()] == coverage
+        prepared, _all_rows(index), 0.0, covered).tolist()] == coverage
 
 
 def test_forks_and_their_owner_never_see_each_others_rows_or_token_ids():
