@@ -76,7 +76,7 @@ from .retrieval import (
     retrieve,
     retrieve_detailed,
 )
-from .scoring import MockEmbedder, cosine_sim, hybrid_score
+from .scoring import MockEmbedder
 
 __version__ = "0.1.0"
 
@@ -128,14 +128,12 @@ __all__ = [
     "ZeroVectorError",
     "build_bundle",
     "classify_query",
-    "cosine_sim",
     "deserialize_graph",
     "exact_match",
     "extract_turn",
     "fuzzy_match_score",
     "generate_case",
     "generate_cases",
-    "hybrid_score",
     "keyword_coverage",
     "link_object",
     "load_config",

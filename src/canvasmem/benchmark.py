@@ -544,9 +544,10 @@ def rag_retriever(
     by every later one, so each chunk is embedded once per transcript, not
     once per question. A failed embedding caches nothing, and the next call
     tries again. Chunks are ranked by one call of the index's exact_cosines
-    over every chunk, which is bit-identical to the scalar cosine; a chunk
-    or question vector that the scalar cosine cannot score (zero, or of
-    another dimension) makes the index raise the scalar cosine's typed error.
+    over every chunk, bit-identical to rag_context in tests/reference.py,
+    which embeds and scores every chunk per question with the scalar
+    cosine_sim; a chunk or question vector that cosine_sim cannot score
+    (zero, or of another dimension) makes the index raise its typed error.
     """
     chunks = chunk_text(render_transcript(turns), preset.chunk_size, preset.overlap)
     vectors: list[list[float]] = []

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
@@ -337,15 +338,22 @@ def serialize_graph(graph: CanvasGraph) -> bytes:
     encoded; the rest comes from the graph's cache of encoded records. The
     cache is replaced in one assignment once every new record has encoded,
     so a record that cannot encode (a lone surrogate raises
-    UnicodeEncodeError, a NaN or infinite float ValueError) leaves it as it
-    was and fails every later save too.
+    UnicodeEncodeError, a NaN or infinite embedding a ValueError naming the
+    object) leaves it as it was and fails every later save too.
     """
     objects, object_chunks, edges, edge_chunks = graph._encoded
     if len(graph.rows) < objects or len(graph.edges) < edges:
         objects, object_chunks, edges, edge_chunks = _NOTHING_ENCODED
     new_objects = graph.rows[objects:]
     new_edges = graph.edges[edges:]
-    object_chunks = _append_chunk(object_chunks, [_object_record(o) for o in new_objects])
+    try:
+        object_chunks = _append_chunk(object_chunks, [_object_record(o) for o in new_objects])
+    except ValueError as exc:
+        for obj in new_objects:
+            if any(isinstance(x, float) and not math.isfinite(x) for x in obj.embedding or ()):
+                raise ValueError(f"object {obj.id} cannot be saved: its embedding "
+                                 "holds a NaN or an infinity, which JSON cannot hold") from exc
+        raise
     edge_chunks = _append_chunk(edge_chunks, [_edge_record(e) for e in new_edges])
     header = _json({"format": GRAPH_FORMAT, "version": GRAPH_VERSION, "next_turn": graph.next_turn})
     graph._encoded = (

@@ -20,16 +20,16 @@ graph's scoring index: the float64 vector and norm, the float32 unit
 vector, and the interned content token ids, so it converts and tokenizes
 nothing. The index gives, in one call of cosines_from, every stored object
 whose cosine may reach theta_causal (the lower threshold) with its exact
-cosine, bit-identical to the scalar cosine, so every edge weight is the
-exact scalar value; one join of the content posting lists of the row's
-token ids gives the exact Jaccard overlap of every stored content; and for
-a DECISION its turn column gives the objects in the temporal window. The
-visit set is the union of those three kinds of row, in row order, so edges
+cosine, bit-identical to the scalar cosine_sim of tests/reference.py, so
+every edge weight is the exact scalar value; one join of the content
+posting lists of the row's token ids gives the exact Jaccard overlap of
+every stored content; and for a DECISION its turn column gives the objects
+in the temporal window. The visit set is the union of those three kinds of row, in row order, so edges
 are added in the order a scan of every object would add them. Every other
 row is below both thresholds, below keyword_edge_min and outside the
-window, and gains nothing. A stored or new vector that the scalar cosine
-cannot score makes the index raise the scalar cosine's typed error before
-any edge is added.
+window, and gains nothing. A stored or new vector that cosine_sim cannot
+score makes the index raise cosine_sim's typed error before any edge is
+added. The reference's link_object, a scan of every stored object, is the spec.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ import math
 from dataclasses import dataclass
 
 from .core import CanvasEdge, CanvasGraph, CanvasObject, EdgeKind, EdgeOrigin, ObjectKind
-from .errors import MissingEmbeddingError
-from .scoring import token_set
+from .errors import MissingEmbeddingError, ReadOnlyGraphError
 
 DEFAULT_THETA_REF = 0.5
 DEFAULT_THETA_CAUSAL = 0.45
@@ -92,8 +91,10 @@ def link_object(
     """Apply R1, R2, and R3 between new_obj and every stored object.
 
     The new object must already be in the graph with an embedding, as must
-    everything else that gets compared. Returns the edges actually added,
-    in deterministic insertion order.
+    everything else that gets compared: an object that is not stored is a
+    ValueError (ReadOnlyGraphError on a snapshot, which refuses every
+    write). Returns the edges actually added, in deterministic
+    insertion order.
     """
     if thresholds is None:
         thresholds = LinkThresholds()
@@ -101,15 +102,14 @@ def link_object(
         raise MissingEmbeddingError(f"object {new_obj.id} has no embedding")
     index = graph.scoring_index()
     own_row = index.row_of(new_obj.id)
-    if len(index) == (own_row is not None):
-        return []  # nothing else is stored
-    # The stored row holds the vectors and norm prepare() would make of
-    # new_obj.embedding, and the ids of token_set(new_obj.content).
     if own_row is None:
-        query = index.prepare(new_obj.embedding)
-        overlaps = index.jaccards(token_set(new_obj.content))
-    else:
-        query, overlaps = index.prepare_row(own_row), index.row_jaccards(own_row)
+        if index.read_only:  # a snapshot refuses every write first
+            raise ReadOnlyGraphError("a snapshot is read-only; link in the graph it was taken from")
+        raise ValueError(f"object {new_obj.id} is not stored in the graph")
+    if len(index) == 1:
+        return []  # nothing else is stored
+    # The stored row holds new_obj's vectors, norm and content token ids.
+    query, overlaps = index.prepare_row(own_row), index.row_jaccards(own_row)
     # A row without a verified cosine is below theta_causal, so below both
     # thresholds; new_obj never links to itself.
     sims = index.cosines_from(query, thresholds.theta_causal, own_row)

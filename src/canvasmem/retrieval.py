@@ -14,9 +14,10 @@ Stages, in order:
    tokens, which is exact and computed once per query), then verifies only
    the band that could reach the top coarse_k with exact_hybrids: one
    batched call of numpy's vector dot kernel for the band's cosines, and
-   the same coverage, bit-identical to the scalar hybrid score, so ranks
-   and scores are exact. A stored or query vector that the scalar cosine
-   cannot score makes the index raise the scalar cosine's typed error.
+   the same coverage, bit-identical to the scalar hybrid_score of
+   tests/reference.py, so ranks and scores are exact. A stored or query
+   vector that the scalar cosine_sim cannot score makes the index raise
+   cosine_sim's typed error.
 3. expand_graph walks edges breadth-first from those hits, both directions
    and both edge kinds, with a 0.8 score decay per hop. It walks the edge
    columns of the scoring index one hop at a time with array operations
@@ -30,7 +31,7 @@ Stages, in order:
 4. rerank_candidates orders candidates by a reranker backend, or by the
    hybrid score itself when no backend is configured, then cuts to k. A
    backend sees every candidate of a full expansion; a candidate it gives
-   no score, or a NaN, ranks last.
+   no score, a NaN, or a score float() rejects (None, a word) ranks last.
 5. greedy_select packs rendered lines into the token budget, skipping lines
    that do not fit and continuing down the list.
 6. build_injection renders the block: a header, one line per object grouped
@@ -436,7 +437,8 @@ def rerank_candidates(
     Without a backend the hybrid score itself is the rerank score, so the
     stage degrades to a pure hybrid ordering. A backend failure logs a
     warning and falls back the same way. A candidate the backend gives no
-    score, or a NaN, ranks last. Ties keep the hybrid order.
+    score, a NaN, or a score float() rejects ranks last. Ties keep the
+    hybrid order.
     """
     if not candidates:
         raise ValueError("rerank_candidates requires at least one candidate")
@@ -453,10 +455,16 @@ def rerank_candidates(
         logger.warning("reranker backend failed, falling back to hybrid order: %s", exc)
         return _hybrid_ranked(base, k)
     known = {c.object_id for c in base}
-    # A NaN score counts as missing: it compares false with every other
-    # score, so a single one would scramble the whole sort.
-    scores = {cid: value for cid, score in raw
-              if cid in known and not math.isnan(value := float(score))}
+    # A score float() rejects is missing, and so is a NaN: it compares false
+    # with every other score, so a single one would scramble the whole sort.
+    scores = {}
+    for cid, score in raw:
+        try:
+            value = float(score)
+        except (TypeError, ValueError, OverflowError):
+            continue
+        if cid in known and not math.isnan(value):
+            scores[cid] = value
     missing = float("-inf")
     rescored = [
         ScoredObject(object_id=c.object_id, hybrid=c.hybrid, rerank=scores.get(c.object_id, missing),

@@ -33,12 +33,13 @@ error. There is no other scoring path.
 
 The token half needs no screen. Both token kernels join posting lists
 and count each row's hits with one np.bincount (ScanCount): Jaccard joins
-the content posting lists of a token set's ids, coverage the
+the content posting lists of a row's token ids, coverage the
 content-or-quote posting lists of the query's ids, so each reads only the
 rows sharing a token with the set, not every stored id. Jaccard and
 coverage divide those integer counts by exact integer sizes, as
 token_jaccard and token_coverage do, so every row's value is the scalar one to the last
-bit. The scalar functions stay the public API and the test oracle.
+bit. Those scalar functions, cosine_sim and hybrid_score are the spec, kept
+in the test suite's naive reference engine (tests/reference.py).
 
 The index also holds the edges' src and dst rows, which the retrieval walk
 reads; CanvasGraph.neighbors() reads the graph's edge list instead.
@@ -108,62 +109,9 @@ def content_tokens(text: str) -> list[str]:
     return [tok for tok in tokenize(text) if tok not in stop]
 
 
-def cosine_sim(a: Sequence[float], b: Sequence[float]) -> float:
-    """Cosine similarity of two equal-length vectors.
-
-    Raises DimensionMismatchError on length disagreement and ZeroVectorError
-    when either vector has zero magnitude.
-    """
-    va = np.asarray(a, dtype=np.float64)
-    vb = np.asarray(b, dtype=np.float64)
-    if va.shape != vb.shape or va.ndim != 1:
-        raise DimensionMismatchError(f"vector shapes differ: {va.shape} vs {vb.shape}")
-    na = float(np.linalg.norm(va))
-    nb = float(np.linalg.norm(vb))
-    if na == 0.0 or nb == 0.0:
-        raise ZeroVectorError("cosine similarity is undefined for zero vectors")
-    return float(np.dot(va, vb) / (na * nb))
-
-
 def token_set(text: str) -> frozenset[str]:
     """The distinct content tokens of a text, interned (an index holds many)."""
     return frozenset(map(sys.intern, content_tokens(text)))
-
-
-def document_text(obj: CanvasObject) -> str:
-    """What keyword coverage reads of an object: its content and its quote."""
-    return obj.content + " " + obj.quote
-
-
-def token_coverage(query: frozenset[str], target: frozenset[str]) -> float:
-    """Fraction of the query tokens found in target; 0.0 for an empty query."""
-    if not query:
-        return 0.0
-    return len(query & target) / len(query)
-
-
-def token_jaccard(a: frozenset[str], b: frozenset[str]) -> float:
-    """Jaccard overlap of two token sets; 0.0 when either is empty."""
-    if not a or not b:
-        return 0.0
-    shared = len(a & b)
-    return shared / (len(a) + len(b) - shared)
-
-
-def hybrid_score(
-    query_embedding: Sequence[float],
-    query_text: str,
-    obj: CanvasObject,
-    alpha: float = DEFAULT_ALPHA,
-) -> float:
-    """Blend of clamped cosine similarity and keyword coverage, in [0, 1];
-    alpha in [0, 1] weights the cosine."""
-    if obj.embedding is None:
-        raise MissingEmbeddingError(f"object {obj.id} has no embedding")
-    semantic = cosine_sim(query_embedding, obj.embedding)
-    semantic = min(1.0, max(0.0, semantic))
-    lexical = token_coverage(token_set(query_text), token_set(document_text(obj)))
-    return alpha * semantic + (1.0 - alpha) * lexical
 
 
 def _vector(embedding, dim: Optional[int]) -> tuple[np.ndarray, float]:
@@ -282,8 +230,8 @@ class ScoringIndex:
     exact_cosines() and exact_hybrids() verify the rows listed, in one
     call, bit-identical to cosine_sim and hybrid_score from the float64
     matrix and norms. The token kernels are exact, and both join posting
-    lists (ScanCount): jaccards() and row_jaccards() count each row's hits
-    in the content posting lists of a token set's ids, coverage() in the
+    lists (ScanCount): row_jaccards() counts each row's hits in the content
+    posting lists of a row's ids, coverage() in the
     content-plus-quote posting lists of the query's ids, so they read only
     the rows sharing a token with the set. They divide those integer counts
     by sizes that are exact integers, as token_jaccard and token_coverage
@@ -299,8 +247,9 @@ class ScoringIndex:
     retrieval walk reads. These work whether or not the embeddings can be
     screened.
 
-    fork() returns a read-only index (a write raises ReadOnlyGraphError)
-    sharing every column, the content id rows, both kinds of posting list,
+    fork() returns a read-only index (read_only is True; a write raises
+    ReadOnlyGraphError) sharing every column, the content id rows, both
+    kinds of posting list,
     the token table and the id map: the owner keeps appending in place past
     them, and the fork reads only up to its own row count, edge count and
     vocabulary size (rows the owner later added to a posting list are cut
@@ -309,7 +258,7 @@ class ScoringIndex:
 
     def __init__(self):
         self._rows = 0
-        self._read_only = False
+        self.read_only = False
         self._fault: Optional[Exception] = None
         self._unbounded = 0
         self._matrix: Optional[np.ndarray] = None
@@ -320,7 +269,7 @@ class ScoringIndex:
         self.margin = 0.0
         self._turns = np.empty(0, dtype=np.int64)
         # Row i's content token ids, and their count as a float64 (exact
-        # below 2**53), so that _jaccards() divides without converting.
+        # below 2**53), so that row_jaccards() divides without converting.
         self._content_rows: list[list[int]] = []
         self._sizes = np.empty(0)
         self._content_postings: defaultdict[int, list[int]] = defaultdict(list)
@@ -357,7 +306,7 @@ class ScoringIndex:
 
     def extend_edges(self, edges: Sequence[CanvasEdge]) -> None:
         """Add the src and dst row of each edge; both ends must be rows already."""
-        if self._read_only:
+        if self.read_only:
             raise ReadOnlyGraphError("a forked scoring index is read-only")
         start = self._edges
         end = start + len(edges)
@@ -385,7 +334,7 @@ class ScoringIndex:
 
     def _reserve(self, needed: int) -> None:
         """Grow every row-aligned column together until it holds `needed` rows."""
-        if self._read_only:
+        if self.read_only:
             raise ReadOnlyGraphError("a forked scoring index is read-only")
         have = len(self._turns)
         if needed <= have:
@@ -442,7 +391,7 @@ class ScoringIndex:
         """A read-only index of this one's rows and edges as they stand now."""
         twin = ScoringIndex.__new__(ScoringIndex)
         twin.__dict__.update(self.__dict__)
-        twin._read_only = True
+        twin.read_only = True
         return twin
 
     def row_of(self, oid: str) -> Optional[int]:
@@ -501,25 +450,18 @@ class ScoringIndex:
             hits += postings.get(token_id, ())
         return np.bincount(np.array(hits, dtype=np.intp), minlength=self._rows)[:self._rows]
 
-    def jaccards(self, tokens: frozenset[str]) -> np.ndarray:
-        """token_jaccard of every row's content tokens and tokens, to the last bit."""
-        return self._jaccards(self._known_ids(tokens), len(tokens))
-
     def row_jaccards(self, row: int) -> np.ndarray:
-        """jaccards() of row's own content tokens, read from its interned ids."""
+        """Jaccard of every row's content tokens and row's own, to the last
+        bit: integer counts from the content posting lists of row's interned
+        ids, over integer sizes."""
         token_ids = self._content_rows[row]
-        return self._jaccards(token_ids, len(token_ids))
-
-    def _jaccards(self, token_ids: list[int], size: int) -> np.ndarray:
-        """Jaccard of every row's content tokens and a set of size tokens,
-        token_ids being the ids of those the index has seen."""
         n = self._rows
-        if not size:
+        if not token_ids:
             return np.zeros(n)
         shared = self._joined_counts(self._content_postings, token_ids)
         # Integers below 2**53 add exactly in float64 and divide to the
         # float64 that Python's int / int gives.
-        return shared / (self._sizes[:n] + (size - shared))
+        return shared / (self._sizes[:n] + (len(token_ids) - shared))
 
     def turn_window(self, turn: int, window: int) -> np.ndarray:
         """Mask of the rows whose turn lies at most `window` turns before `turn`.
@@ -550,17 +492,14 @@ class ScoringIndex:
         """Whether cosines(query) holds no +inf."""
         return not self._unbounded and query.unit is not None
 
-    def cosines_from(
-        self, query: PreparedQuery, floor: float, skip: Optional[int]
-    ) -> dict[int, float]:
+    def cosines_from(self, query: PreparedQuery, floor: float, skip: int) -> dict[int, float]:
         """Each row whose cosine may reach floor, row skip aside, with its
         exact cosine (cosine_sim to the last bit). Every other row's cosine
         is below floor."""
         # A float32 screen compares with floor - margin rounded to float32;
         # rounding is monotone, so every row at or above the float64 cut passes.
         passed = self.cosines(query) >= floor - self.margin
-        if skip is not None:
-            passed[skip] = False
+        passed[skip] = False
         rows = passed.nonzero()[0]
         if not rows.size:
             return {}  # most links pass nothing: skip the verify

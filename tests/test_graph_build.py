@@ -202,6 +202,15 @@ def test_link_requires_embeddings():
         link_object(graph2, probe)
 
 
+def test_link_refuses_an_object_the_graph_does_not_store():
+    # Orthogonal vectors, no shared tokens, turns far apart: nothing would link.
+    graph = graph_of(make_obj(content="service deployment plan", turn=0, embedding=axis(0)))
+    stranger = make_obj(content="holiday menu ideas", turn=9, embedding=axis(1))
+    with pytest.raises(ValueError, match=f"object {stranger.id} is not stored"):
+        link_object(graph, stranger)
+    assert graph.edges == [] and stranger.id not in graph.objects
+
+
 def _similarity_reference_count(theta_ref: float) -> int:
     thresholds = LinkThresholds(theta_ref=theta_ref, theta_causal=min(0.2, theta_ref / 2))
     graph = CanvasGraph()

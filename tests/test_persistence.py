@@ -278,8 +278,9 @@ def test_a_non_finite_embedding_fails_the_save_and_leaves_the_cache_as_it_was(va
     encoded = graph._encoded
     vector = axis(1)
     vector[2] = value
-    graph.add_object(make_obj(content="a vector that is not json", turn=1, embedding=vector))
-    with pytest.raises(ValueError):
+    broken = make_obj(content="a vector that is not json", turn=1, embedding=vector)
+    graph.add_object(broken)
+    with pytest.raises(ValueError, match=f"object {broken.id} .*embedding"):
         serialize_graph(graph)
     assert graph._encoded is encoded
 

@@ -346,11 +346,13 @@ def test_rerank_missing_scores_sink_to_bottom():
 def test_a_nan_rerank_score_ranks_as_missing():
     graph = CanvasGraph()
     cands = _candidates(graph, [0.6, 0.5, 0.4, 0.3, 0.2, 0.1])
-    reranker = _ScriptedReranker([0.1, math.nan, 0.9, 0.3, 0.8, 0.2])
-    ranked = rerank_candidates(graph, reranker, "q", cands, k=6)
-    assert [r.rerank for r in ranked] == [0.9, 0.8, 0.3, 0.2, 0.1, -math.inf]
-    top = rerank_candidates(graph, reranker, "q", cands, k=3)
-    assert [r.hybrid for r in top] == [0.4, 0.2, 0.3]
+    # A NaN, and a score float() rejects with TypeError or ValueError.
+    for missing in (math.nan, None, "high"):
+        reranker = _ScriptedReranker([0.1, missing, 0.9, 0.3, 0.8, 0.2])
+        ranked = rerank_candidates(graph, reranker, "q", cands, k=6)
+        assert [r.rerank for r in ranked] == [0.9, 0.8, 0.3, 0.2, 0.1, -math.inf]
+        top = rerank_candidates(graph, reranker, "q", cands, k=3)
+        assert [r.hybrid for r in top] == [0.4, 0.2, 0.3]
 
 
 def test_rerank_requires_candidates():

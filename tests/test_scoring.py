@@ -1,3 +1,11 @@
+"""Tokenizing, the mock embedder, and the scalar kernels' frozen values.
+
+The scalar kernels (cosine_sim, hybrid_score and the keyword overlaps) are
+the reference engine's (tests/reference.py); the values frozen here pin
+that spec, and tests/test_scoring_index.py holds the scoring index to it
+bit for bit.
+"""
+
 from __future__ import annotations
 
 import math
@@ -6,7 +14,6 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from canvasmem.core import ObjectKind
 from canvasmem.errors import DimensionMismatchError, MissingEmbeddingError, ZeroVectorError
 from canvasmem.retrieval import RetrievalConfig
 from canvasmem.scoring import (
@@ -14,27 +21,13 @@ from canvasmem.scoring import (
     MOCK_EMBEDDING_DIM,
     MockEmbedder,
     content_tokens,
-    cosine_sim,
-    document_text,
-    hybrid_score,
     stopwords,
-    token_coverage,
-    token_jaccard,
     token_set,
     tokenize,
 )
 
 from conftest import make_obj
-
-
-def keyword_score(query_text, obj):
-    """The keyword half of hybrid_score: query coverage of content and quote."""
-    return token_coverage(token_set(query_text), token_set(document_text(obj)))
-
-
-def keyword_jaccard(text_a, text_b):
-    """What a KEYWORD edge weighs: Jaccard of the two contents' token sets."""
-    return token_jaccard(token_set(text_a), token_set(text_b))
+from reference import cosine_sim, hybrid_score, keyword_jaccard, keyword_score
 
 
 # Frozen expected value: cos((1,1),(1,0)) = 1/sqrt(2), computed independently.

@@ -1,10 +1,11 @@
-"""Screen-then-verify scoring against the scalar per-pair oracle.
+"""Screen-then-verify scoring against the reference's per-pair loops.
 
-The oracle below is the per-pair linking loop and the score-everything
-coarse retrieval that the scoring index replaced. Every edge the screened
-link_object adds, and every coarse hit, must equal the oracle's exactly:
-same order, same float values. The index's array verify is also held to the
-per-row verify it replaced (one row's cosine and hybrid score per call).
+The reference (tests/reference.py) links by scanning every stored object
+and ranks by hybrid-scoring every object, one pair at a time. Every edge
+the screened link_object adds, and every coarse hit, must equal the
+reference's exactly: same order, same float values. The index's array
+verify is also held to the per-row verify it replaced (one row's cosine
+and hybrid score per call).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from canvasmem.engine import CanvasEngine
 from canvasmem.errors import (DimensionMismatchError, MissingEmbeddingError, ReadOnlyGraphError,
                              ZeroVectorError)
 from canvasmem.extraction import MockExtractor
-from canvasmem.graph_build import TEMPORAL_SOURCE_KINDS, LinkThresholds, link_object
+from canvasmem.graph_build import LinkThresholds, link_object
 from canvasmem.retrieval import (
     QueryClass,
     QueryPlan,
@@ -48,85 +49,23 @@ from canvasmem.scoring import (
     DEFAULT_ALPHA,
     MockEmbedder,
     ScoringIndex,
-    cosine_sim,
-    document_text,
-    hybrid_score,
-    token_coverage,
-    token_jaccard,
     token_set,
 )
 
+import reference
 from conftest import QUESTIONS, axis, graph_of, make_obj, seeded_turns, vec_at_cosine
+from reference import cosine_sim, document_text, hybrid_score, token_coverage, token_jaccard
 
 
 # ---------------------------------------------------------------------------
-# The oracle: the scalar loops, one call per object pair
+# Pairs: the same objects linked by the index and by the reference
 # ---------------------------------------------------------------------------
-
-def _clamp01(value: float) -> float:
-    return min(1.0, max(0.0, value))
-
-
-def oracle_link_object(graph, new_obj, thresholds=None):
-    if thresholds is None:
-        thresholds = LinkThresholds()
-    if new_obj.embedding is None:
-        raise MissingEmbeddingError(f"object {new_obj.id} has no embedding")
-    added = []
-    for other in list(graph.objects.values()):
-        if other.id == new_obj.id:
-            continue
-        if other.embedding is None:
-            raise MissingEmbeddingError(f"stored object {other.id} has no embedding")
-        sim = cosine_sim(other.embedding, new_obj.embedding)
-
-        reference = None
-        if sim >= thresholds.theta_ref:
-            reference = CanvasEdge(other.id, new_obj.id, EdgeKind.REFERENCE,
-                                   _clamp01(sim), EdgeOrigin.SIMILARITY)
-        else:
-            overlap = token_jaccard(token_set(other.content), token_set(new_obj.content))
-            if overlap >= thresholds.keyword_edge_min:
-                reference = CanvasEdge(other.id, new_obj.id, EdgeKind.REFERENCE,
-                                       _clamp01(overlap), EdgeOrigin.KEYWORD)
-
-        causal = None
-        if (
-            (other.kind, new_obj.kind) in thresholds.causal_pairs
-            and sim >= thresholds.theta_causal
-            and other.turn <= new_obj.turn
-        ):
-            causal = CanvasEdge(other.id, new_obj.id, EdgeKind.CAUSAL,
-                                _clamp01(sim), EdgeOrigin.SIMILARITY)
-        if (
-            other.kind in TEMPORAL_SOURCE_KINDS
-            and new_obj.kind is ObjectKind.DECISION
-            and 0 <= new_obj.turn - other.turn <= thresholds.temporal_window
-        ):
-            if causal is None or causal.weight < 1.0:
-                causal = CanvasEdge(other.id, new_obj.id, EdgeKind.CAUSAL,
-                                    1.0, EdgeOrigin.TEMPORAL_HEURISTIC)
-
-        for edge in (reference, causal):
-            if edge is not None and graph.add_edge(edge):
-                added.append(edge)
-    return added
-
-
-def oracle_coarse_retrieve(graph, plan, alpha=DEFAULT_ALPHA):
-    scored = [
-        (hybrid_score(plan.query_embedding, plan.query_text, obj, alpha), obj)
-        for obj in graph.objects.values()
-    ]
-    scored.sort(key=lambda pair: (-pair[0], -pair[1].confidence, pair[1].turn, pair[1].id))
-    return [ScoredObject(object_id=obj.id, hybrid=score) for score, obj in scored[: plan.coarse_k]]
-
 
 def build_pair(objects, thresholds=None):
-    """The same objects stored and linked twice: screened, and by the oracle."""
+    """The same objects stored and linked twice: screened, and by the reference."""
     screened, oracle = CanvasGraph(), CanvasGraph()
     for obj in objects:
-        for graph, link in ((screened, link_object), (oracle, oracle_link_object)):
+        for graph, link in ((screened, link_object), (oracle, reference.link_object)):
             if graph.add_object(obj) is AddResult.ADDED:
                 link(graph, obj, thresholds)
     return screened, oracle
@@ -139,7 +78,7 @@ def plan_for(embedding, text="the probe query", coarse_k=3):
 
 def assert_same_coarse(graph, oracle_graph, plan, alpha=DEFAULT_ALPHA):
     got = coarse_retrieve(graph, plan, alpha)
-    want = oracle_coarse_retrieve(oracle_graph, plan, alpha)
+    want = reference.coarse_retrieve(oracle_graph, plan, alpha)
     assert [(h.object_id, h.hybrid) for h in got] == [(h.object_id, h.hybrid) for h in want]
 
 
@@ -274,8 +213,8 @@ def engine_run(seed: int):
 @pytest.mark.parametrize("seed", [3, 17])
 def test_seeded_engine_run_is_byte_identical_to_the_oracle(seed, monkeypatch):
     graph_bytes, blocks = engine_run(seed)
-    monkeypatch.setattr(canvasmem.engine, "link_object", oracle_link_object)
-    monkeypatch.setattr(canvasmem.retrieval, "coarse_retrieve", oracle_coarse_retrieve)
+    monkeypatch.setattr(canvasmem.engine, "link_object", reference.link_object)
+    monkeypatch.setattr(canvasmem.retrieval, "coarse_retrieve", reference.coarse_retrieve)
     oracle_bytes, oracle_blocks = engine_run(seed)
     assert graph_bytes == oracle_bytes
     assert blocks == oracle_blocks
@@ -389,11 +328,11 @@ def test_stored_fault_raises_the_same_error(fault, position):
         oracle.add_object(obj)
     newest = objects[-1]
     assert _error_of(link_object, screened, newest) is error
-    assert _error_of(oracle_link_object, oracle, newest) is error
+    assert _error_of(reference.link_object, oracle, newest) is error
     for coarse_k in (2, 20):
         plan = plan_for(axis(0), "fine", coarse_k)
         assert _error_of(coarse_retrieve, screened, plan) is error
-        assert _error_of(oracle_coarse_retrieve, oracle, plan) is error
+        assert _error_of(reference.coarse_retrieve, oracle, plan) is error
 
 
 @pytest.mark.parametrize("query, error", [
@@ -404,12 +343,12 @@ def test_faulty_query_vector_raises_the_same_error(query, error):
     screened, oracle = build_pair(objects)
     plan = plan_for(query, "fine", 2)
     assert _error_of(coarse_retrieve, screened, plan) is error
-    assert _error_of(oracle_coarse_retrieve, oracle, plan) is error
+    assert _error_of(reference.coarse_retrieve, oracle, plan) is error
     newcomer = make_obj(content="newcomer", turn=9, embedding=query)
     screened.add_object(newcomer)
     oracle.add_object(newcomer)
     assert _error_of(link_object, screened, newcomer) is error
-    assert _error_of(oracle_link_object, oracle, newcomer) is error
+    assert _error_of(reference.link_object, oracle, newcomer) is error
 
 
 @pytest.mark.parametrize("fault", sorted(FAULTS))
@@ -487,7 +426,7 @@ def test_extreme_norms_link_and_rank_bit_identical_to_the_oracle(query_norm):
     for coarse_k in (1, 2, len(objects) + 3):
         plan = plan_for(query, "redis note", coarse_k)
         got = [(h.object_id, _bits(h.hybrid)) for h in coarse_retrieve(screened, plan)]
-        want = [(h.object_id, _bits(h.hybrid)) for h in oracle_coarse_retrieve(oracle, plan)]
+        want = [(h.object_id, _bits(h.hybrid)) for h in reference.coarse_retrieve(oracle, plan)]
         assert got == want
 
 
@@ -519,7 +458,7 @@ def test_parent_writes_after_snapshot_leave_its_coarse_hits_alone():
     assert len(engine.graph) > len(frozen)
     assert _hits(frozen, plan) == before
     assert _hits(frozen, plan) == [(h.object_id, h.hybrid)
-                                   for h in oracle_coarse_retrieve(frozen, plan)]
+                                   for h in reference.coarse_retrieve(frozen, plan)]
 
 
 def test_writes_to_a_snapshot_do_not_corrupt_the_parent_index():
@@ -543,7 +482,7 @@ def test_writes_to_a_snapshot_do_not_corrupt_the_parent_index():
             assert approx == pytest.approx([cosine_sim(o.embedding, query) for o in graph.rows])
             plan = plan_for(query, "note redis", 4)
             assert _hits(graph, plan) == [(h.object_id, h.hybrid)
-                                          for h in oracle_coarse_retrieve(graph, plan)]
+                                          for h in reference.coarse_retrieve(graph, plan)]
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +609,7 @@ def test_a_fork_verifies_its_rows_after_the_owner_appended_past_it():
     for index, seen in ((fork, objects[:40]), (owner, objects)):
         query = index.prepare(query_vec, "redis row")
         assert len(index) == len(index.cosines(query)) == len(seen)
-        assert [_bits(j) for j in index.jaccards(token_set("row 7 redis")).tolist()] == [
+        assert [_bits(j) for j in index.row_jaccards(7).tolist()] == [
             _bits(token_jaccard(token_set(obj.content), token_set("row 7 redis"))) for obj in seen]
         rows = _all_rows(index)
         cosines = index.exact_cosines(query, rows).tolist()
@@ -800,19 +739,11 @@ def test_retrieve_detailed_equals_the_per_row_verify(objects, query, question, c
 
 
 @pytest.mark.parametrize("size", [1, 2, 5, 6])
-def test_coarse_retrieve_at_or_below_coarse_k_is_the_oracle_without_the_scalar_score(
-    size, monkeypatch
-):
+def test_coarse_retrieve_at_or_below_coarse_k_is_the_oracle_without_the_scalar_score(size):
     objects = [make_obj(content=f"orange {i}", turn=i, embedding=axis(i % 3)) for i in range(size)]
     screened, oracle = build_pair(objects)
     plans = [plan_for([1.0, 2.0, 0.5] + [0.0] * 5, "orange", coarse_k) for coarse_k in (size, 6)]
-    want = [oracle_coarse_retrieve(oracle, plan) for plan in plans]
-
-    def scalar_score(*args):
-        raise AssertionError("coarse retrieval ranks with the index, never the scalar scores")
-
-    monkeypatch.setattr(canvasmem.scoring, "hybrid_score", scalar_score)
-    monkeypatch.setattr(canvasmem.scoring, "cosine_sim", scalar_score)
+    want = [reference.coarse_retrieve(oracle, plan) for plan in plans]
     for plan, hits in zip(plans, want):
         assert [(h.object_id, _bits(h.hybrid)) for h in coarse_retrieve(screened, plan)] == [
             (h.object_id, _bits(h.hybrid)) for h in hits]
@@ -836,11 +767,11 @@ def test_an_index_with_a_fault_raises_before_it_verifies(fault, monkeypatch):
     assert _error_of(index.prepare, axis(0), "fine") is error
     assert _error_of(index.prepare_row, 0) is error
     assert _error_of(link_object, graph, objects[-1]) is error
-    assert _error_of(oracle_link_object, graph, objects[-1]) is error
+    assert _error_of(reference.link_object, graph, objects[-1]) is error
     for coarse_k in (2, 20):
         plan = plan_for(axis(0), "fine", coarse_k)
         assert _error_of(coarse_retrieve, graph, plan) is error
-        assert _error_of(oracle_coarse_retrieve, graph, plan) is error
+        assert _error_of(reference.coarse_retrieve, graph, plan) is error
 
 
 # ---------------------------------------------------------------------------
@@ -883,8 +814,9 @@ def _kernel_index(rows):
 def test_token_kernel_is_bit_identical_to_the_scalar_functions(rows, query):
     index, stored = _kernel_index(rows)
     assert len(index) == len(stored)
-    assert [_bits(j) for j in index.jaccards(query).tolist()] == [
-        _bits(token_jaccard(content, query)) for content, _ in stored]
+    for row, (own, _) in enumerate(stored):
+        assert [_bits(j) for j in index.row_jaccards(row).tolist()] == [
+            _bits(token_jaccard(content, own)) for content, _ in stored]
     # With alpha 0 a hybrid score is its keyword coverage, exactly.
     text = " ".join(sorted(query))
     prepared = index.prepare(axis(0), text)
@@ -907,12 +839,11 @@ def test_forks_and_their_owner_never_see_each_others_rows_or_token_ids():
     owner.append_vector(axis(3), frozenset({"gamma"}), frozenset({"gamma"}), 2)
     assert len(owner) == 3 and len(fork) == 1
     assert owner.prepare(axis(0), "beta").token_ids == frozenset()
-    assert owner.jaccards(frozenset({"alpha", "gamma"})).tolist() == [0.0, 0.5, 0.5]
-    assert owner.jaccards(frozenset({"redis"})).tolist() == [1.0, 0.0, 0.0]
+    assert owner.row_jaccards(1).tolist() == [0.0, 1.0, 0.0]
+    assert owner.row_jaccards(0).tolist() == [1.0, 0.0, 0.0]
     assert owner.turn_window(2, 1).tolist() == [False, True, True]
     assert fork.prepare(axis(0), "alpha gamma beta").token_ids == frozenset()
-    assert fork.jaccards(frozenset({"alpha", "gamma"})).tolist() == [0.0]
-    assert fork.jaccards(frozenset({"redis"})).tolist() == [1.0]
+    assert fork.row_jaccards(0).tolist() == [1.0]
     assert fork.turn_window(2, 1).tolist() == [False]
 
 
@@ -956,17 +887,12 @@ def test_a_forks_jaccard_counts_neither_the_owners_later_rows_nor_its_later_toke
     fork_contents = [{"redis", "cache"}, {"cache"}]
     owner_contents = (fork_contents + [{"redis", "beta"}, set(), {"cache", "beta"}]
                       + [{"redis"}] * 76)
-    tokens = frozenset({"redis", "cache", "beta"})
     for index, contents in ((fork, fork_contents), (owner, owner_contents)):
-        assert [_bits(j) for j in index.jaccards(tokens).tolist()] == [
-            _bits(token_jaccard(frozenset(c), tokens)) for c in contents]
         for row in (0, 1, 2, 3, len(contents) - 1):
             if row < len(contents):
                 assert [_bits(j) for j in index.row_jaccards(row).tolist()] == [
                     _bits(token_jaccard(frozenset(c), frozenset(contents[row])))
                     for c in contents]
-    # The fork never saw "beta": it counts in the size and matches no row.
-    assert fork.jaccards(tokens).tolist() == [2 / 3, 1 / 3]
     assert fork.row_jaccards(0).tolist() == [1.0, 0.5]
     assert fork._content_postings is owner._content_postings
 
@@ -1043,7 +969,7 @@ def test_one_link_screens_the_new_embedding_once(monkeypatch):
                         lambda embedding, dim: calls.append(embedding) or screen(embedding, dim))
     edges = link_object(graph, newest)
     assert calls == [newest.embedding]
-    assert edges == oracle_link_object(oracle, newest) and edges
+    assert edges == reference.link_object(oracle, newest) and edges
     assert [e.weight.hex() for e in edges] == [
         e.weight.hex() for e in oracle.edges]
 
@@ -1067,7 +993,7 @@ def test_a_link_tokenizes_nothing_and_an_append_tokenizes_each_text_once(monkeyp
         link_object(graph, obj)
     assert calls == []
     for obj in objects:
-        oracle_link_object(oracle, obj)
+        reference.link_object(oracle, obj)
     assert graph.edges == oracle.edges
     assert {e.origin for e in graph.edges} == {EdgeOrigin.SIMILARITY, EdgeOrigin.KEYWORD}
 
@@ -1161,4 +1087,4 @@ def test_an_object_whose_quote_is_its_content_is_tokenized_once(monkeypatch):
     assert calls == [same.content, other.content, other.quote]
     query = index.prepare(axis(0), "redis friday")
     assert index.coverage(query).tolist() == [0.5, 1.0]
-    assert index.jaccards(frozenset({"redis", "cache"})).tolist() == [1.0, 1.0]
+    assert index.row_jaccards(0).tolist() == [1.0, 1.0]
