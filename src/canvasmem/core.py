@@ -13,9 +13,9 @@ file's worth of bytes, and a save encodes only the records added since the
 last save. The output is byte-identical to encoding the whole document at
 once only because records are appended, never changed or removed.
 
-The graph keeps no adjacency lists: neighbors() scans the edge list, and the
-retrieval walk reads the src and dst row of every edge from append-only
-columns in the scoring index.
+The graph's adjacency lives in its scoring index: for each row, the rows
+an edge joins to it, in edge order. neighbors() and the retrieval walk both
+read those lists, so they cost a row's degree, not the graph's edge count.
 """
 
 from __future__ import annotations
@@ -161,14 +161,14 @@ class CanvasGraph:
 
     `rows` lists the stored objects in insertion order; row i of the scoring
     index describes rows[i]. `turn_ordered` is True while the rows' turns
-    never decrease. The graph keeps no adjacency lists: neighbors() scans
-    the edge list, and the retrieval walk reads the index's edge columns
-    (the src and dst row of each edge). The index catches up with the rows
-    and edges the first time something scores against, walks or snapshots
-    the graph, not in add_object, add_edge or neighbors(), so an object
-    stored without a usable embedding raises only once it is scored. Once
-    scored, a stored object's embedding, content and quote must not
-    change: the index keeps what it read.
+    never decrease. The index also keeps the adjacency: each row's
+    neighbour rows, one per edge, in edge order, which neighbors() and the
+    retrieval walk read. The index catches up with the rows and edges the
+    first time something scores against, walks, snapshots or asks for the
+    neighbors of the graph, not in add_object or add_edge; an object stored
+    without a usable embedding raises only once it is scored. Once scored,
+    a stored object's embedding, content and quote must not change: the
+    index keeps what it read.
     """
 
     def __init__(self):
@@ -227,9 +227,14 @@ class CanvasGraph:
 
     def neighbors(self, oid: str) -> list[str]:
         """Ids adjacent to oid across both edge kinds and both directions,
-        in edge insertion order (an id twice when two edges join the pair)."""
-        return [edge.dst if edge.src == oid else edge.src
-                for edge in self.edges if oid in (edge.src, edge.dst)]
+        in edge insertion order (an id twice when two edges join the pair);
+        [] for an id the graph does not hold."""
+        index = self.scoring_index()
+        row = index.row_of(oid)
+        if row is None:
+            return []
+        rows = self.rows
+        return [rows[neighbour].id for neighbour in index.adjacent(row)]
 
     def mark_turn_ingested(self, index: int) -> None:
         """Advance the sequential ingestion cursor past a processed turn."""

@@ -15,14 +15,16 @@ Stages, in order:
    the band that could reach the top coarse_k with exact_hybrids: one
    batched call of numpy's vector dot kernel for the band's cosines, and
    the same coverage, bit-identical to the scalar hybrid_score of
-   tests/reference.py, so ranks and scores are exact. A stored or query
-   vector that the scalar cosine_sim cannot score makes the index raise
-   cosine_sim's typed error.
+   tests/reference.py, so ranks and scores are exact. The band is ordered
+   with one np.lexsort over the index's confidence, turn and id key
+   columns. A stored or query vector that the scalar cosine_sim cannot
+   score makes the index raise cosine_sim's typed error.
 3. expand_graph walks edges breadth-first from those hits, both directions
-   and both edge kinds, with a 0.8 score decay per hop. It walks the edge
-   columns of the scoring index one hop at a time with array operations
-   (edge masks, np.maximum.at, np.lexsort on score and id key). Without a
-   reranker backend it is given k and builds candidates only for the
+   and both edge kinds, with a 0.8 score decay per hop. Each hop reads the
+   scoring index's adjacency list of each frontier row, so it costs the
+   frontier's degree, not the graph's edge count; the walk keeps the seen
+   rows' scores in a dict and the k best scores so far in a heap. Without
+   a reranker backend it is given k and builds candidates only for the
    expansions inside the stable top k of seeds then hops, which are all
    that the cut in stage 4 can keep. It walks only what can enter that
    top k: it stops before a hop whose best inherited score cannot beat
@@ -31,7 +33,9 @@ Stages, in order:
 4. rerank_candidates orders candidates by a reranker backend, or by the
    hybrid score itself when no backend is configured, then cuts to k. A
    backend sees every candidate of a full expansion; a candidate it gives
-   no score, a NaN, or a score float() rejects (None, a word) ranks last.
+   no score, a NaN, or a score float() rejects (None, a word) ranks last,
+   and so does one whose reply entry is not an (id, score) pair. A reply
+   that is not iterable is a backend failure.
 5. greedy_select packs rendered lines into the token budget, skipping lines
    that do not fit and continuing down the list.
 6. build_injection renders the block: a header, one line per object grouped
@@ -47,6 +51,7 @@ the mandatory header-only empty block consistent with each other.
 
 from __future__ import annotations
 
+import heapq
 import logging
 import math
 import re
@@ -56,11 +61,9 @@ from functools import lru_cache
 from importlib import resources
 from typing import Callable, Optional, Protocol, Sequence, runtime_checkable
 
-import numpy as np
-
 from .core import CanvasGraph, CanvasObject, ObjectKind
 from .errors import BackendFailureError
-from .scoring import DEFAULT_ALPHA, EmbedderBackend
+from .scoring import DEFAULT_ALPHA, EmbedderBackend, ScoringIndex
 
 logger = logging.getLogger(__name__)
 
@@ -290,11 +293,16 @@ def coarse_retrieve(
     query = index.prepare(plan.query_embedding, plan.query_text)
     band, exact = index.top_hybrids(query, alpha, plan.coarse_k)
     rows = graph.rows
-    scored = [(score, rows[row]) for score, row in zip(exact.tolist(), band.tolist())]
-    scored.sort(key=lambda pair: (-pair[0], -pair[1].confidence, pair[1].turn, pair[1].id))
+    order = index.coarse_order(band, exact)
+    if order is None:
+        # A turn too large for the index's turn column: read the objects'.
+        objects = [rows[row] for row in band.tolist()]
+        order = sorted(range(len(objects)), key=lambda i: (
+            -exact[i], -objects[i].confidence, objects[i].turn, objects[i].id))
+    top = order[: plan.coarse_k]
     return [
-        ScoredObject(object_id=obj.id, hybrid=score)
-        for score, obj in scored[: plan.coarse_k]
+        ScoredObject(object_id=rows[row].id, hybrid=score)
+        for row, score in zip(band[top].tolist(), exact[top].tolist())
     ]
 
 
@@ -311,118 +319,111 @@ def expand_graph(
     by 0.8 per hop; each hop's objects come in (-score, id) order. Seeds come
     back unchanged, expansions are appended.
 
-    The walk runs on the arrays of the graph's scoring index. Each hop
-    (_reach) masks the edges leaving the frontier forward and backward and
-    takes the best frontier score per reached row with np.maximum.at
-    (exact, since max(a) * 0.8 == max(a * 0.8)); the rows are ordered with
-    np.lexsort on the rows' uint64 id keys and marked seen.
+    The walk reads the scoring index's adjacency lists. Each hop (_walk_hop)
+    reads the lists of the frontier rows alone and keeps, for each row not
+    yet seen, the best score among its frontier neighbours; the row inherits
+    that score times 0.8 (exact, since max(a) * 0.8 == max(a * 0.8)). The
+    seen rows' scores are one dict, so a query allocates nothing the size
+    of the graph, and a hop costs its frontier's degree.
 
     With k, only the expansions inside the top k of the stable sort of
     seeds-then-hops by descending score are returned, so that sort's first
     k, which is what rerank_candidates keeps without a backend, is the same
     as for the full list. In that sort a later candidate enters the top k
-    only with a score above the k-th best so far (kth), and every later hop
-    inherits at most 0.8 of the best frontier score (top), or stays below
-    zero when top is negative. So before each hop the walk stops when
-    0.8 * top cannot beat kth. When 0.64 * top cannot, or no hop is asked
-    for after this one, this is the last hop that can change the top k: it
-    walks only the frontier rows whose 0.8 * score beats kth (a row reached
-    only from the others would score at most kth) and then stops, as no
-    later hop would read what it marked seen. Without k (a reranker ranks
-    the candidates) every hop is walked whole.
+    only with a score above the k-th best so far (kth, the least of a heap
+    of the k best), and every later hop inherits at most 0.8 of the best
+    frontier score (top), or stays below zero when top is negative. So
+    before each hop the walk stops when 0.8 * top cannot beat kth. When
+    0.64 * top cannot, or no hop is asked for after this one, this is the
+    last hop that can change the top k: it walks only the frontier rows
+    whose 0.8 * score beats kth (a row reached only from the others would
+    score at most kth) and then stops, as no later hop would read what it
+    marked seen. Every hop marks each row it reaches seen, but builds a
+    candidate only for the rows whose inherited score beats kth: kth only
+    rises, so no other row can enter the top k. Without k (a reranker ranks
+    the candidates) every hop is walked whole and every row it reaches is a
+    candidate.
     """
     result = list(seeds)
     if hops <= 0 or not seeds:
         return result
     index = graph.scoring_index()
-    src, dst = index.edge_rows()
-    id_keys = index.id_keys()
-    n = len(index)
-    seed_scores: dict[int, float] = {}
+    row_of = index.row_of
+    score: dict[int, float] = {}  # the best score of each seen row
     for seed in seeds:
-        row = index.row_of(seed.object_id)
+        row = row_of(seed.object_id)
         if row is not None:
-            seed_scores[row] = seed.hybrid
-    if not seed_scores:
+            score[row] = seed.hybrid
+    if not score:
         return result
-    frontier = np.fromiter(seed_scores, dtype=np.intp, count=len(seed_scores))
-    score = np.zeros(n)  # best score of each seen row
-    score[frontier] = list(seed_scores.values())
-    seen = np.zeros(n, dtype=bool)
-    seen[frontier] = True
-    top = max(seed_scores.values())
-    scores = [np.array([seed.hybrid for seed in seeds], dtype=np.float64)]
-    reached_rows: list[np.ndarray] = []
+    frontier = list(score)
+    top = max(score.values())
+    pooled = [seed.hybrid for seed in seeds]  # every candidate's score, seeds then hops
+    expanded: list[tuple[str, int]] = []  # (id, hop) of each score in pooled past the seeds
+    # The k best scores so far, least first (a sorted list is a heap).
+    best = sorted(pooled)[-k:] if k is not None and k >= 1 else []
+    rows = graph.rows
     for hop in range(1, hops + 1):
         last = hop == hops
         if k is not None:
-            kth = _kth_best(scores, k)
+            kth = math.inf if k < 1 else best[0] if len(best) == k else -math.inf
             if kth >= max(top * EXPANSION_DECAY, 0.0):
                 break
             last = last or kth >= max(top * EXPANSION_DECAY * EXPANSION_DECAY, 0.0)
             if last:
-                frontier = frontier[score[frontier] * EXPANSION_DECAY > kth]
-        rows, best = _reach(src, dst, frontier, seen, score)
-        if not rows.size:
+                frontier = [row for row in frontier if score[row] * EXPANSION_DECAY > kth]
+        parents = _walk_hop(index, frontier, score)
+        if not parents:
             break
-        inherited = best * EXPANSION_DECAY
-        order = np.lexsort((id_keys[rows], -inherited))
-        frontier, inherited = rows[order], inherited[order]
-        seen[frontier] = True
-        score[frontier] = inherited
-        reached_rows.append(frontier)
-        scores.append(inherited)
-        top = inherited[0]
+        frontier = list(parents)
+        for row, value in parents.items():
+            score[row] = value * EXPANSION_DECAY
+        top = max(parents.values()) * EXPANSION_DECAY
+        if k is not None:
+            # A row scoring no more than kth now never enters the top k:
+            # kth only rises, and k earlier candidates score at least kth.
+            parents = {row: value for row, value in parents.items()
+                       if value * EXPANSION_DECAY > kth}
+        ordered = sorted([(-score[row], rows[row].id) for row in parents])
+        for negated, oid in ordered:
+            pooled.append(-negated)
+            expanded.append((oid, hop))
+        if k is not None:  # k >= 1 here, or the walk stopped before hop 1
+            for negated, _ in ordered:
+                if len(best) < k:
+                    heapq.heappush(best, -negated)
+                elif -negated > best[0]:
+                    heapq.heapreplace(best, -negated)
+                else:
+                    break  # the rest of the hop scores no higher
         if last:
             break
-    if not reached_rows:
-        return result
-    rows = np.concatenate(reached_rows)
-    hop_of = np.repeat(np.arange(1, len(reached_rows) + 1), [r.size for r in reached_rows])
-    inherited = np.concatenate(scores[1:])
-    if k is not None:
-        # Positions past the seeds that the stable sort puts in its first k.
-        top_k = np.argsort(-np.concatenate(scores), kind="stable")[:k] - len(seeds)
-        kept = np.sort(top_k[top_k >= 0])
-        rows, hop_of, inherited = rows[kept], hop_of[kept], inherited[kept]
-    result.extend(
-        ScoredObject(
-            object_id=graph.rows[row].id,
-            hybrid=value,
-            provenance=Provenance.EXPANDED,
-            hop=hop,
-        )
-        for row, value, hop in zip(rows.tolist(), inherited.tolist(), hop_of.tolist())
-    )
+    positions = range(len(seeds), len(pooled))
+    if k is not None and expanded:
+        # The positions past the seeds that the stable sort by descending
+        # score puts in its first k (reverse=True keeps ties in order).
+        first_k = sorted(range(len(pooled)), key=pooled.__getitem__, reverse=True)[:k]
+        positions = sorted(i for i in first_k if i >= len(seeds))
+    for i in positions:
+        oid, hop = expanded[i - len(seeds)]
+        result.append(ScoredObject(object_id=oid, hybrid=pooled[i],
+                                   provenance=Provenance.EXPANDED, hop=hop))
     return result
 
 
-def _reach(
-    src: np.ndarray, dst: np.ndarray, frontier: np.ndarray, seen: np.ndarray, score: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """The rows not yet seen that an edge joins to a frontier row, in row
-    order, and the best score among each one's frontier neighbours."""
-    in_frontier = np.zeros(len(seen), dtype=bool)
-    in_frontier[frontier] = True
-    forward, backward = in_frontier[src], in_frontier[dst]
-    reached = np.concatenate((dst[forward], src[backward]))
-    parents = np.concatenate((src[forward], dst[backward]))
-    fresh = ~seen[reached]
-    best = np.full(len(seen), -np.inf)
-    np.maximum.at(best, reached[fresh], score[parents[fresh]])
-    rows = np.flatnonzero(best > -np.inf)
-    return rows, best[rows]
-
-
-def _kth_best(scores: list[np.ndarray], k: int) -> float:
-    """The k-th best of all scores so far: -inf when there are fewer than k,
-    +inf when k < 1 (nothing enters an empty top k)."""
-    if k < 1:
-        return math.inf
-    pooled = np.concatenate(scores)
-    if pooled.size < k:
-        return -math.inf
-    return float(np.partition(pooled, pooled.size - k)[pooled.size - k])
+def _walk_hop(
+    index: ScoringIndex, frontier: list[int], score: dict[int, float]
+) -> dict[int, float]:
+    """The rows not yet seen (not in score) that an edge joins to a frontier
+    row, each with the best score among its frontier neighbours."""
+    parents: dict[int, float] = {}
+    unseen = -math.inf
+    for row in frontier:
+        value = score[row]
+        for neighbour in index.adjacent(row):
+            if neighbour not in score and value > parents.get(neighbour, unseen):
+                parents[neighbour] = value
+    return parents
 
 
 def rerank_candidates(
@@ -435,10 +436,11 @@ def rerank_candidates(
     """Order candidates by rerank score and truncate to k.
 
     Without a backend the hybrid score itself is the rerank score, so the
-    stage degrades to a pure hybrid ordering. A backend failure logs a
-    warning and falls back the same way. A candidate the backend gives no
-    score, a NaN, or a score float() rejects ranks last. Ties keep the
-    hybrid order.
+    stage degrades to a pure hybrid ordering. A backend failure, a raise or
+    a reply that is not iterable, logs a warning and falls back the same
+    way. A candidate the backend gives no score, a NaN, or a score float()
+    rejects ranks last, and so does one whose reply entry does not unpack
+    to an (id, score) pair. Ties keep the hybrid order.
     """
     if not candidates:
         raise ValueError("rerank_candidates requires at least one candidate")
@@ -450,20 +452,23 @@ def rerank_candidates(
         for c in base
     ]
     try:
-        raw = backend.rerank(query_text, pairs)
+        replies = list(backend.rerank(query_text, pairs))
     except Exception as exc:
         logger.warning("reranker backend failed, falling back to hybrid order: %s", exc)
         return _hybrid_ranked(base, k)
     known = {c.object_id for c in base}
-    # A score float() rejects is missing, and so is a NaN: it compares false
-    # with every other score, so a single one would scramble the whole sort.
+    # An entry that is not an (id, score) pair is missing, so is a score
+    # float() rejects, and so is a NaN: it compares false with every other
+    # score, so a single one would scramble the whole sort.
     scores = {}
-    for cid, score in raw:
+    for reply in replies:
         try:
+            cid, score = reply
             value = float(score)
+            ours = cid in known  # TypeError for an unhashable id
         except (TypeError, ValueError, OverflowError):
             continue
-        if cid in known and not math.isnan(value):
+        if ours and not math.isnan(value):
             scores[cid] = value
     missing = float("-inf")
     rescored = [

@@ -1,12 +1,13 @@
-"""The array walk of expand_graph against the reference's dict walk.
+"""The walk of expand_graph against the reference's dict walk.
 
 The reference (tests/reference.py) walks breadth-first over per-object
-adjacency lists built from graph.edges in insertion order, exactly as the
-graph used to keep them. The array walk must give the same candidates in
-the same order with the same float scores; with k it must return the seeds
-plus exactly the expansions inside the stable top k of the full list, so
-that the rerank without a backend ranks the shorter list as it ranks the
-full one.
+adjacency lists built from graph.edges in insertion order. The library
+walks the scoring index's per-row adjacency lists, which a snapshot shares
+with the graph that keeps appending to them. It must give the same
+candidates in the same order with the same float scores; with k it must
+return the seeds plus exactly the expansions inside the stable top k of
+the full list, so that the rerank without a backend ranks the shorter list
+as it ranks the full one.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 import canvasmem.retrieval
 import reference
+from canvasmem.scoring import ScoringIndex
 from canvasmem.core import CanvasEdge, CanvasGraph, EdgeKind, EdgeOrigin
 from canvasmem.engine import CanvasEngine
 from canvasmem.extraction import MockExtractor
@@ -57,11 +59,11 @@ SCORE = st.one_of(st.sampled_from((0.0, 0.25, 0.5, 0.8, 1.0)), st.floats(0.0, 1.
 
 
 @st.composite
-def scenarios(draw):
+def scenarios(draw, max_objects=10, max_edges=30):
     """Two graphs that share a prefix: an owner and a read-only snapshot of
     it, the owner appended to after the snapshot, with reads in between that
     catch its index up."""
-    n = draw(st.integers(1, 10))
+    n = draw(st.integers(1, max_objects))
     turns = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
     embedded = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     objects = [
@@ -73,7 +75,7 @@ def scenarios(draw):
     if n > 1:
         pairs = draw(st.lists(
             st.tuples(st.integers(0, n - 1), st.integers(1, n - 1), st.sampled_from(EdgeKind)),
-            max_size=30,
+            max_size=max_edges,
         ))
         for a, shift, kind in pairs:
             b = (a + shift) % n
@@ -131,6 +133,24 @@ def test_array_walk_equals_the_dict_walk(scenario, data):
                     rerank_candidates(graph, None, "q", full, k))
 
 
+@settings(max_examples=150, deadline=None)
+@given(scenarios(max_objects=30, max_edges=120), st.data())
+def test_the_pruned_walk_on_a_mid_build_snapshot_equals_the_reference(scenario, data):
+    """The owner's index catches up after the snapshot, so it has appended
+    in place, past the snapshot's edge count, to the adjacency lists of rows
+    the snapshot holds; the snapshot's walk must not see those edges."""
+    owner, twin = build(scenario)
+    owner.scoring_index()
+    rows = twin.rows
+    chosen = data.draw(st.lists(st.integers(0, max(len(rows) - 1, 0)), unique=True,
+                                max_size=min(len(rows), 8)))
+    seeds = [ScoredObject(object_id=rows[i].id, hybrid=data.draw(SCORE)) for i in chosen]
+    hops = data.draw(st.integers(1, 5))
+    k = data.draw(st.integers(1, 20))
+    full = reference.expand_graph(twin, seeds, hops)
+    assert exact(expand_graph(twin, seeds, hops, k)) == exact(oracle_pruned(full, seeds, k))
+
+
 @settings(max_examples=200, deadline=None)
 @given(scenarios())
 def test_neighbors_equal_the_adjacency_lists(scenario):
@@ -176,18 +196,26 @@ def _crafted(names, links):
     return graph, {name: obj.id for name, obj in objects.items()}
 
 
-def _record_hops(monkeypatch) -> list[list[int]]:
-    """The rows each hop of the walk reached, in row order, one list per hop walked."""
-    hops: list[list[int]] = []
-    reach = canvasmem.retrieval._reach
+def _record_hops(monkeypatch) -> tuple[list[list[int]], list[list[int]]]:
+    """For each hop the walk took, the rows whose adjacency list it read, in
+    the order read, and the rows it reached, in row order."""
+    reads: list[list[int]] = []
+    reached: list[list[int]] = []
+    walk_hop, adjacent = canvasmem.retrieval._walk_hop, ScoringIndex.adjacent
 
-    def recorded(src, dst, frontier, seen, score):
-        rows, best = reach(src, dst, frontier, seen, score)
-        hops.append(rows.tolist())
-        return rows, best
+    def recorded_hop(index, frontier, score):
+        reads.append([])
+        parents = walk_hop(index, frontier, score)
+        reached.append(sorted(parents))
+        return parents
 
-    monkeypatch.setattr(canvasmem.retrieval, "_reach", recorded)
-    return hops
+    def recorded_read(index, row):
+        reads[-1].append(row)
+        return adjacent(index, row)
+
+    monkeypatch.setattr(canvasmem.retrieval, "_walk_hop", recorded_hop)
+    monkeypatch.setattr(ScoringIndex, "adjacent", recorded_read)
+    return reads, reached
 
 
 def _seeds(ids, scores):
@@ -202,12 +230,14 @@ def test_the_last_hop_walks_only_seeds_that_can_beat_the_kth_score(monkeypatch):
     assert 0.9375 * EXPANSION_DECAY == 0.75
     graph, ids = _crafted("ATKXYZ", [("A", "X"), ("T", "Y"), ("K", "Z"), ("X", "Y")])
     seeds = _seeds(ids, {"A": 1.0, "T": 0.9375, "K": 0.75})
-    hops = _record_hops(monkeypatch)
+    reads, reached = _record_hops(monkeypatch)
     pruned = expand_graph(graph, seeds, 3, 3)
     full = reference.expand_graph(graph, seeds, 3)
     assert exact(pruned) == exact(oracle_pruned(full, seeds, 3))
     assert [c.object_id for c in pruned] == [ids[name] for name in "ATKX"]
-    assert hops == [[graph.scoring_index().row_of(ids["X"])]]
+    row_of = graph.scoring_index().row_of
+    assert reads == [[row_of(ids["A"])]]
+    assert reached == [[row_of(ids["X"])]]
 
 
 def test_pruning_a_hop_that_is_not_the_last_would_change_the_answer(monkeypatch):
@@ -217,30 +247,32 @@ def test_pruning_a_hop_that_is_not_the_last_would_change_the_answer(monkeypatch)
     # above B's 0.6, and N would wrongly enter the top 3.
     graph, ids = _crafted("ABWSN", [("A", "S"), ("S", "N"), ("W", "N")])
     seeds = _seeds(ids, {"A": 1.0, "B": 0.6, "W": 0.5})
-    hops = _record_hops(monkeypatch)
+    reads, reached = _record_hops(monkeypatch)
     pruned = expand_graph(graph, seeds, 2, 3)
     full = reference.expand_graph(graph, seeds, 2)
     assert [(c.object_id, c.hybrid) for c in full[3:]] == [(ids["S"], 0.8), (ids["N"], 0.4)]
     assert exact(pruned) == exact(oracle_pruned(full, seeds, 3))
     assert [c.object_id for c in pruned] == [ids[name] for name in "ABWS"]
-    index = graph.scoring_index()
-    assert hops[0] == sorted(index.row_of(ids[name]) for name in "SN")
+    row_of = graph.scoring_index().row_of
+    assert reads[0] == [row_of(ids[name]) for name in "ABW"]
+    assert reached[0] == sorted(row_of(ids[name]) for name in "SN")
 
 
 def test_a_walk_no_row_of_which_can_enter_the_top_k_does_no_edge_work(monkeypatch):
     # The k-th best seed scores 0.9, and 0.8 * 1.0 cannot beat it.
     graph, ids = _crafted("ABCXY", [("A", "X"), ("B", "Y"), ("C", "X")])
     seeds = _seeds(ids, {"A": 1.0, "B": 0.9, "C": 0.85})
-    hops = _record_hops(monkeypatch)
+    reads, reached = _record_hops(monkeypatch)
     for hop_count in (1, 4):
         assert exact(expand_graph(graph, seeds, hop_count, 2)) == exact(seeds)
         full = reference.expand_graph(graph, seeds, hop_count)
         assert exact(oracle_pruned(full, seeds, 2)) == exact(seeds)
-    assert hops == []
+    assert reads == reached == []
     # Without k (a reranker backend ranks the candidates) the hop is walked.
     assert len(expand_graph(graph, seeds, 1)) == 5
-    index = graph.scoring_index()
-    assert hops == [[index.row_of(ids["X"]), index.row_of(ids["Y"])]]
+    row_of = graph.scoring_index().row_of
+    assert reads == [[row_of(ids[name]) for name in "ABC"]]
+    assert reached == [[row_of(ids["X"]), row_of(ids["Y"])]]
 
 
 # ---------------------------------------------------------------------------

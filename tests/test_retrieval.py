@@ -36,6 +36,7 @@ from canvasmem.retrieval import (
 )
 from canvasmem.scoring import MockEmbedder
 
+import reference
 from conftest import axis, graph_of, make_obj
 
 
@@ -353,6 +354,58 @@ def test_a_nan_rerank_score_ranks_as_missing():
         assert [r.rerank for r in ranked] == [0.9, 0.8, 0.3, 0.2, 0.1, -math.inf]
         top = rerank_candidates(graph, reranker, "q", cands, k=3)
         assert [r.hybrid for r in top] == [0.4, 0.2, 0.3]
+
+
+# Each reply is made from the candidates the backend sees, top hybrid first.
+MALFORMED_REPLIES = {
+    "none": lambda seen: None,
+    "number": lambda seen: 5,
+    "one-tuple": lambda seen: [(seen[0][0],)] + [(cid, 1.0) for cid, _ in seen[1:]],
+    "bare-id": lambda seen: [seen[0][0]] + [(cid, 1.0) for cid, _ in seen[1:]],
+}
+
+
+class _ReplyingReranker:
+    def __init__(self, reply):
+        self.reply = reply
+
+    def rerank(self, query_text, candidates):
+        return self.reply(candidates)
+
+
+@pytest.mark.parametrize("reply", MALFORMED_REPLIES)
+def test_a_malformed_rerank_reply_does_not_crash_the_query(reply, caplog):
+    """A reply that is not iterable falls back to the hybrid order with a
+    warning; an entry that is not an (id, score) pair ranks last."""
+    graph = CanvasGraph()
+    cands = _candidates(graph, [0.9, 0.5, 0.2])
+    reranker = _ReplyingReranker(MALFORMED_REPLIES[reply])
+    with caplog.at_level("WARNING", logger="canvasmem.retrieval"):
+        ranked = rerank_candidates(graph, reranker, "q", cands, k=3)
+    if reply in ("none", "number"):
+        assert [r.rerank for r in ranked] == [0.9, 0.5, 0.2]
+        assert "falling back to hybrid order" in caplog.text
+    else:
+        assert [r.hybrid for r in ranked] == [0.5, 0.2, 0.9]
+        assert [r.rerank for r in ranked] == [1.0, 1.0, -math.inf]
+        assert caplog.text == ""
+
+
+def test_coarse_retrieve_orders_turns_past_the_index_cap_as_the_objects_do():
+    # Scores and confidences tie, so turn decides; 2**62 and up are stored
+    # as 2**62 in the index's turn column, so the column alone would tie them
+    # and fall back on the ids.
+    turns = (2**63, 2**62 + 1, 7, 2**62, 2**64)
+    objects = [make_obj(content=f"equal item {i}", turn=turn, embedding=axis(0))
+               for i, turn in enumerate(turns)]
+    graph = graph_of(*objects)
+    hits = coarse_retrieve(graph, _plan(coarse_k=4))
+    want = sorted(objects, key=lambda obj: obj.turn)[:4]
+    assert [h.object_id for h in hits] == [obj.id for obj in want]
+    assert len({h.hybrid for h in hits}) == 1
+    plan = _plan(coarse_k=4)
+    assert [(h.object_id, h.hybrid.hex()) for h in hits] == [
+        (h.object_id, h.hybrid.hex()) for h in reference.coarse_retrieve(graph, plan)]
 
 
 def test_rerank_requires_candidates():

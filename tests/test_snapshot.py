@@ -28,9 +28,10 @@ from canvasmem.engine import CanvasEngine
 from canvasmem.errors import ReadOnlyGraphError
 from canvasmem.extraction import MockExtractor
 from canvasmem.graph_build import link_object
-from canvasmem.retrieval import RetrievalConfig, retrieve
+from canvasmem.retrieval import RetrievalConfig, ScoredObject, expand_graph, retrieve
 from canvasmem.scoring import MockEmbedder
 
+import reference
 from conftest import QUESTIONS, axis, make_obj, seeded_turns
 
 
@@ -56,10 +57,13 @@ def _state(graph):
             {oid: graph.neighbors(oid) for oid in graph.objects}, graph.next_turn)
 
 
+def _adjacency(index):
+    return [index.adjacent(row) for row in range(len(index))]
+
+
 def _index_state(graph):
     index = graph.scoring_index()
-    src, dst = index.edge_rows()
-    return len(index), index.id_keys().tolist(), src.tolist(), dst.tolist()
+    return len(index), index._id_keys[:len(index)].tolist(), _adjacency(index)
 
 
 def assert_every_write_raises(twin, owner, obj, edge):
@@ -157,15 +161,15 @@ def test_snapshot_reads_equal_reads_of_an_independent_copy(seed):
 
 
 def _edge_state(graph):
-    src, dst = graph.scoring_index().edge_rows()
-    return src.tolist(), dst.tolist(), {oid: graph.neighbors(oid) for oid in graph.objects}
+    adjacency = _adjacency(graph.scoring_index())
+    return adjacency, {oid: graph.neighbors(oid) for oid in graph.objects}
 
 
 @pytest.mark.parametrize("first", ["parent", "twin"])
 def test_edge_columns_stay_isolated_both_ways_after_snapshot(first):
-    """The parent appends edges past the columns it shares with a snapshot,
-    each read in between, before or after the snapshot's edge writes raise;
-    neither side sees the other's."""
+    """The parent appends edges to the adjacency lists it shares with a
+    snapshot, each read in between, before or after the snapshot's edge
+    writes raise; neither side sees the other's."""
     graph, a, b = _pair_graph()
     c = make_obj(content="the cache ttl is 90 seconds", turn=2, embedding=axis(0))
     d = make_obj(content="node 2 has 64 gigabytes", turn=3, embedding=axis(1))
@@ -188,14 +192,40 @@ def test_edge_columns_stay_isolated_both_ways_after_snapshot(first):
     for write in order if first == "parent" else order[::-1]:
         write()
     for side in (graph, twin):
-        src_rows, dst_rows, _ = _edge_state(side)
+        adjacency, _ = _edge_state(side)
         ids = [obj.id for obj in side.rows]
-        assert [(ids[s], ids[t]) for s, t in zip(src_rows, dst_rows)] == [
-            (edge.src, edge.dst) for edge in side.edges]
+        assert {ids[row]: [ids[n] for n in adjacent]
+                for row, adjacent in enumerate(adjacency) if adjacent} == reference.adjacency(side)
     assert graph.neighbors(a.id) == [b.id, b.id, c.id]
     assert graph.neighbors(d.id) == []
     assert twin.neighbors(a.id) == [b.id]
     assert twin.neighbors(b.id) == [a.id]
+
+
+def test_a_snapshot_never_sees_an_edge_added_later_between_rows_it_holds():
+    """The owner appends the later edges in place to adjacency lists the
+    snapshot shares; neither the snapshot's walk nor its neighbors() reads
+    them, while the owner's do."""
+    graph, a, b = _pair_graph()
+    c = make_obj(content="the cache ttl is 90 seconds", turn=2, embedding=axis(2))
+    graph.add_object(c)
+    twin = graph.snapshot()
+    graph.add_edge(_edge(a, c))
+    graph.add_edge(_edge(c, b))
+    grandchild = twin.snapshot()
+    graph.scoring_index()
+    assert graph.neighbors(a.id) == [b.id, c.id]
+    assert graph.neighbors(c.id) == [a.id, b.id]
+    seeds = [ScoredObject(object_id=a.id, hybrid=1.0)]
+    assert sorted(x.object_id for x in expand_graph(graph, seeds, 3)) == sorted([a.id, b.id, c.id])
+    for side in (twin, grandchild):
+        assert side.neighbors(a.id) == [b.id]
+        assert side.neighbors(b.id) == [a.id]
+        assert side.neighbors(c.id) == []
+        for k in (None, 1, 2, 3):
+            assert [x.object_id for x in expand_graph(side, seeds, 3, k)] == [a.id, b.id][:k]
+        assert expand_graph(side, [ScoredObject(object_id=c.id, hybrid=1.0)], 3) == [
+            ScoredObject(object_id=c.id, hybrid=1.0)]
 
 
 def test_duplicate_edges_are_rejected_on_both_sides_after_snapshot():
