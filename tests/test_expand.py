@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 
 import canvasmem.retrieval
 import reference
-from canvasmem.scoring import ScoringIndex
 from canvasmem.core import CanvasEdge, CanvasGraph, EdgeKind, EdgeOrigin
 from canvasmem.engine import CanvasEngine
 from canvasmem.extraction import MockExtractor
@@ -30,7 +29,7 @@ from canvasmem.retrieval import (
     rerank_candidates,
     retrieve_detailed,
 )
-from canvasmem.scoring import MockEmbedder
+from canvasmem.scoring import MockEmbedder, ScoringIndex
 
 from conftest import QUESTIONS, axis, make_obj, seeded_turns
 

@@ -399,11 +399,11 @@ def test_coarse_retrieve_orders_turns_past_the_index_cap_as_the_objects_do():
     objects = [make_obj(content=f"equal item {i}", turn=turn, embedding=axis(0))
                for i, turn in enumerate(turns)]
     graph = graph_of(*objects)
-    hits = coarse_retrieve(graph, _plan(coarse_k=4))
+    plan = _plan(coarse_k=4)
+    hits = coarse_retrieve(graph, plan)
     want = sorted(objects, key=lambda obj: obj.turn)[:4]
     assert [h.object_id for h in hits] == [obj.id for obj in want]
     assert len({h.hybrid for h in hits}) == 1
-    plan = _plan(coarse_k=4)
     assert [(h.object_id, h.hybrid.hex()) for h in hits] == [
         (h.object_id, h.hybrid.hex()) for h in reference.coarse_retrieve(graph, plan)]
 
