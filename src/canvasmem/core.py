@@ -228,7 +228,11 @@ class CanvasGraph:
     def neighbors(self, oid: str) -> list[str]:
         """Ids adjacent to oid across both edge kinds and both directions,
         in edge insertion order (an id twice when two edges join the pair);
-        [] for an id the graph does not hold."""
+        [] for an id the graph does not hold.
+
+        This reads the scoring index, which it first brings up to date, so
+        it writes to the index as scoring does: on a graph that a writer may
+        be adding to, call it under the graph's lock or on a snapshot()."""
         index = self.scoring_index()
         row = index.row_of(oid)
         if row is None:

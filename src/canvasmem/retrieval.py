@@ -15,10 +15,9 @@ Stages, in order:
    the band that could reach the top coarse_k with exact_hybrids: one
    batched call of numpy's vector dot kernel for the band's cosines, and
    the same coverage, bit-identical to the scalar hybrid_score of
-   tests/reference.py, so ranks and scores are exact. The band is ordered
-   with one np.lexsort over the index's confidence, turn and id key
-   columns. A stored or query vector that the scalar cosine_sim cannot
-   score makes the index raise cosine_sim's typed error.
+   tests/reference.py, so ranks and scores are exact. A stored or query
+   vector that the scalar cosine_sim cannot score makes the index raise
+   cosine_sim's typed error.
 3. expand_graph walks edges breadth-first from those hits, both directions
    and both edge kinds, with a 0.8 score decay per hop. Each hop reads the
    scoring index's adjacency list of each frontier row, so it costs the
@@ -293,17 +292,12 @@ def coarse_retrieve(
     query = index.prepare(plan.query_embedding, plan.query_text)
     band, exact = index.top_hybrids(query, alpha, plan.coarse_k)
     rows = graph.rows
-    order = index.coarse_order(band, exact)
-    if order is None:
-        # A turn too large for the index's turn column: read the objects'.
-        objects = [rows[row] for row in band.tolist()]
-        order = sorted(range(len(objects)), key=lambda i: (
-            -exact[i], -objects[i].confidence, objects[i].turn, objects[i].id))
-    top = order[: plan.coarse_k]
-    return [
-        ScoredObject(object_id=rows[row].id, hybrid=score)
-        for row, score in zip(band[top].tolist(), exact[top].tolist())
-    ]
+    # Ids are unique, so the sort never compares past the id.
+    keyed = sorted(
+        (-score, -obj.confidence, obj.turn, obj.id, score)
+        for score, obj in zip(exact.tolist(), [rows[row] for row in band.tolist()])
+    )
+    return [ScoredObject(object_id=key[3], hybrid=key[4]) for key in keyed[: plan.coarse_k]]
 
 
 def expand_graph(

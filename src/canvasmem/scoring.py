@@ -8,28 +8,28 @@ also appear in the object's content or quote. Stopwords come from a fixed
 Scoring a graph is screen-then-verify, and the ScoringIndex owns both
 halves: linking, coarse retrieval and the RAG baseline score through it
 alone. The index holds every stored embedding in one float64 matrix with
-its row norms, the same rows as float32 unit vectors, each row's turn and
-confidence, each row's content tokens interned to integer ids (a list of
-ids per row, next to a float64 column of their counts), and for each token
-id two posting lists: the rows whose content holds it and the rows whose
-content or quote holds it. A new row is written in one pass, a scalar store
-per column and each token interned once, so an ingest pays per object, not
-per column. The screen is one float32 matrix-vector product of the unit
-rows against the query's float32 unit vector, prepared once with its
-float64 vector, norm, token set and token ids. It sits within a margin of
-cosine_sim that the index derives from its dimension (see _screen_margin).
-cosines_from and top_hybrids keep the rows whose screened score could pass
-a floor, or reach the top k, within that margin, and verify those with
-exact_cosines and exact_hybrids. These run the operations of cosine_sim and
+its row norms, the same rows as float32 unit vectors, each row's turn,
+each row's content tokens interned to integer ids (a list of ids per row,
+next to a float64 column of their counts), and for each token id two
+posting lists: the rows whose content holds it and the rows whose content
+or quote holds it. A new row is written in one pass, a scalar store per
+column and each token interned once, so an ingest pays per object, not
+per column. The screen is one float32 matrix-vector product of the unit rows against the
+query's float32 unit vector, prepared once with its float64 vector, norm,
+token set and token ids. It sits within a margin of cosine_sim that the
+index derives from its dimension (see _screen_margin). cosines_from and
+top_hybrids keep the rows whose screened score could pass a floor, or
+reach the top k, within that margin, and verify those with exact_cosines
+and exact_hybrids. These run the operations of cosine_sim and
 hybrid_score, in the same order, on the same float64 values (one batched
 call of numpy's vector dot kernel, a dot product per row, then the
 division, the clamp and the blend as float64 array operations), so every
 stored edge weight and every ranked score is bit-identical to the scalar
 value. A vector whose norm is too large or too small for the screen to
 bound its cosines is screened as +inf, so it is always verified. A vector
-cosine_sim cannot score is a fault: preparing a query against an index that
-holds one, or preparing such a query, raises cosine_sim's typed error.
-There is no other scoring path.
+cosine_sim cannot score is a fault: preparing a query against an index
+that holds one, or preparing such a query, raises cosine_sim's typed
+error. There is no other scoring path.
 
 The token half needs no screen. Both token kernels join posting lists
 and count each row's hits with one np.bincount (ScanCount): Jaccard joins
@@ -202,19 +202,19 @@ class ScoringIndex:
     Row i describes the i-th object stored in a graph: its embedding in a
     contiguous float64 (n, d) matrix that grows by half, the row norm, the
     embedding as a float32 unit vector fl32(vec / norm) in a second (n, d)
-    matrix, its turn, its confidence, and its tokens. Tokens are interned to
-    integer ids. The content tokens (for Jaccard links) are a list of ids
-    per row, and their counts a float64 size column. Both token sets also
-    have posting lists, appended to as rows arrive: for each token id, the
-    rows whose content holds it (for Jaccard) and the rows whose content or
-    quote holds it (for keyword coverage), in row order.
+    matrix, its turn, and its tokens. Tokens are interned to integer ids.
+    The content tokens (for Jaccard links) are a list of ids per row, and
+    their counts a float64 size column. Both token sets also have posting
+    lists, appended to as rows arrive: for each token id, the rows whose
+    content holds it (for Jaccard) and the rows whose content or quote
+    holds it (for keyword coverage), in row order.
 
     A row is written in one pass: one capacity check grows every
-    row-aligned column together (the id keys, turns, confidences, content
-    sizes and, once the first vector fixes d, the matrices and norms), then
-    each column gets a scalar store and each token is interned once, into
-    the row's content ids and the posting lists. A batch of rows is the
-    same rows appended one by one.
+    row-aligned column together (the turns, content sizes and, once the
+    first vector fixes d, the matrices and norms), then each column gets a
+    scalar store and each token is interned once, into the row's content
+    ids and the posting lists. A batch of rows is the same rows appended
+    one by one.
 
     cosines_from() and top_hybrids() are what callers score with: each
     screens every row at once and verifies only the rows that can pass.
@@ -236,13 +236,11 @@ class ScoringIndex:
     prepare() and prepare_row() raise the first fault's typed error.
 
     The index also holds the graph's shape: each row's id in an id -> row
-    map and as a uint64 key (the 16-hex id read as a number, so the keys'
-    order is the ids' string order), and each row's adjacency: the rows an
-    edge joins to it, one per edge and in edge order, beside the numbers of
-    those edges. adjacent() reads one row's list, so the retrieval walk and
-    CanvasGraph.neighbors() read only the edges of the rows they visit.
-    coarse_order() sorts a band of rows by the confidence, turn and id key
-    columns. These work whether or not the embeddings can be screened.
+    map, and each row's adjacency: the rows an edge joins to it, one per
+    edge and in edge order, beside the numbers of those edges. adjacent()
+    reads one row's list, so the retrieval walk and CanvasGraph.neighbors()
+    read only the edges of the rows they visit. These work whether or not
+    the embeddings can be screened.
 
     fork() returns a read-only index (read_only is True; a write raises
     ReadOnlyGraphError) sharing every column, the content id rows, both
@@ -266,7 +264,6 @@ class ScoringIndex:
         # with the matrix.
         self.margin = 0.0
         self._turns = np.empty(0, dtype=np.int64)
-        self._confidences = np.empty(0)
         # Row i's content token ids, and their count as a float64 (exact
         # below 2**53), so that row_jaccards() divides without converting.
         self._content_rows: list[list[int]] = []
@@ -276,7 +273,6 @@ class ScoringIndex:
         self._vocab: dict[str, int] = {}
         self._vocab_size = 0
         self._row_of: dict[str, int] = {}
-        self._id_keys = np.empty(0, dtype=np.uint64)
         self._edges = 0
         # Row i's neighbour rows, one per edge joining it, and the numbers
         # of those edges, both in edge order.
@@ -302,7 +298,7 @@ class ScoringIndex:
         for obj in objects:
             content = token_set(obj.content)
             document = content if obj.quote == obj.content else content | token_set(obj.quote)
-            self._append_row(obj.embedding, content, document, obj.turn, obj.id, obj.confidence)
+            self._append_row(obj.embedding, content, document, obj.turn, obj.id)
         self._vocab_size = len(self._vocab)
 
     def extend_edges(self, edges: Sequence[CanvasEdge]) -> None:
@@ -334,7 +330,7 @@ class ScoringIndex:
         """Add a row without an id: the embedding, the Jaccard tokens, the
         coverage tokens, the turn."""
         self._reserve(self._rows + 1)
-        self._append_row(embedding, content_tokens, document_tokens, turn, None, 1.0)
+        self._append_row(embedding, content_tokens, document_tokens, turn, None)
         self._vocab_size = len(self._vocab)
 
     def _reserve(self, needed: int) -> None:
@@ -346,23 +342,17 @@ class ScoringIndex:
             return
         capacity, used = _capacity(have, needed), self._rows
         self._turns = _grown(self._turns, used, capacity)
-        self._confidences = _grown(self._confidences, used, capacity)
-        self._id_keys = _grown(self._id_keys, used, capacity)
         self._sizes = _grown(self._sizes, used, capacity)
         if self._matrix is not None:
             self._matrix = _grown(self._matrix, used, capacity)
             self._norms = _grown(self._norms, used, capacity)
             self._units = _grown(self._units, used, capacity)
 
-    def _append_row(
-        self, embedding, content, document, turn: int, oid: Optional[str], confidence: float
-    ) -> None:
+    def _append_row(self, embedding, content, document, turn: int, oid: Optional[str]) -> None:
         """Write row self._rows, which _reserve() has made room for: content
         holds the Jaccard tokens, document the coverage tokens."""
         row = self._rows
-        self._id_keys[row] = 0 if oid is None else int(oid, 16)
         self._turns[row] = min(turn, _TURN_CAP)
-        self._confidences[row] = confidence
         try:
             if embedding is None:
                 raise MissingEmbeddingError(f"stored object {oid or row} has no embedding")
@@ -424,16 +414,6 @@ class ScoringIndex:
         if count and numbers[count - 1] >= self._edges:
             count = bisect_left(numbers, self._edges, 0, count)
         return self._adjacent[row][:count]
-
-    def coarse_order(self, rows: np.ndarray, scores: np.ndarray) -> Optional[np.ndarray]:
-        """The positions of rows by descending score, then descending
-        confidence, ascending turn and ascending id, in one np.lexsort; None
-        when a listed row's turn is stored capped (at or past _TURN_CAP),
-        where the turn column cannot tell the turns apart."""
-        turns = self._turns[rows]
-        if turns.size and turns.max() >= _TURN_CAP:
-            return None
-        return np.lexsort((self._id_keys[rows], turns, -self._confidences[rows], -scores))
 
     def _dim(self) -> Optional[int]:
         return None if self._matrix is None else self._matrix.shape[1]

@@ -391,10 +391,9 @@ def test_a_malformed_rerank_reply_does_not_crash_the_query(reply, caplog):
         assert caplog.text == ""
 
 
-def test_coarse_retrieve_orders_turns_past_the_index_cap_as_the_objects_do():
-    # Scores and confidences tie, so turn decides; 2**62 and up are stored
-    # as 2**62 in the index's turn column, so the column alone would tie them
-    # and fall back on the ids.
+def test_coarse_retrieve_breaks_ties_on_turns_past_2_62():
+    # Scores and confidences tie, so turn decides, also for turns the index
+    # stores capped at 2**62 in its turn column.
     turns = (2**63, 2**62 + 1, 7, 2**62, 2**64)
     objects = [make_obj(content=f"equal item {i}", turn=turn, embedding=axis(0))
                for i, turn in enumerate(turns)]

@@ -1013,10 +1013,8 @@ def _columns(index, good):
 
     return {
         "rows": n,
-        "id_keys": index._id_keys[:n].tolist(),
         "row_of": {oid: row for oid, row in index._row_of.items() if row < n},
         "turns": index._turns[:n].tolist(),
-        "confidences": index._confidences[:n].tolist(),
         "matrix": [_bits(x) for x in index._matrix[good].ravel().tolist()] if good else [],
         "norms": [_bits(x) for x in index._norms[good].tolist()] if good else [],
         "units": index._units[bounded].tolist() if bounded else [],
@@ -1045,8 +1043,7 @@ def test_appending_one_row_at_a_time_equals_a_batch_column_by_column():
     for turn, embedding in enumerate(embeddings):
         content = f"fact {turn} on " + " ".join(rng.sample(words, rng.randint(0, 3)))
         quote = content if turn % 3 else content + " " + rng.choice(words) + " shipped"
-        objects.append(make_obj(content=content, quote=quote, turn=turn, embedding=embedding,
-                                confidence=(turn % 5) / 4))
+        objects.append(make_obj(content=content, quote=quote, turn=turn, embedding=embedding))
     good = [isinstance(e, list) and len(e) == 8 and any(e) for e in embeddings]
 
     batch = ScoringIndex()

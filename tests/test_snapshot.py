@@ -63,7 +63,9 @@ def _adjacency(index):
 
 def _index_state(graph):
     index = graph.scoring_index()
-    return len(index), index._id_keys[:len(index)].tolist(), _adjacency(index)
+    n = len(index)
+    row_of = {oid: row for oid, row in index._row_of.items() if row < n}
+    return n, row_of, _adjacency(index)
 
 
 def assert_every_write_raises(twin, owner, obj, edge):
