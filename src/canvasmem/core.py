@@ -395,6 +395,22 @@ def _require(condition: bool, message: str) -> None:
         raise MalformedInputError(message)
 
 
+def _finite(embedding: list) -> bool:
+    """Whether no component of a loaded embedding is infinite, as a JSON
+    number too large for a double (1e400) parses to.
+
+    The sum of a finite vector is almost always finite, so the components
+    are read one by one only when it is not, or when the sum raises: a
+    component that is not a number is left for the scoring index to report.
+    """
+    try:
+        if math.isfinite(sum(embedding)):
+            return True
+    except (TypeError, OverflowError):
+        pass
+    return not any(isinstance(value, float) and math.isinf(value) for value in embedding)
+
+
 def deserialize_graph(data: bytes) -> CanvasGraph:
     """Rebuild a graph from serialize_graph output.
 
@@ -437,6 +453,10 @@ def deserialize_graph(data: bytes) -> CanvasGraph:
         if raw.get("id") != obj.id:
             raise MalformedInputError(
                 f"object id {raw.get('id')!r} does not match its content hash"
+            )
+        if obj.embedding is not None and not _finite(obj.embedding):
+            raise MalformedInputError(
+                f"object {obj.id} has an embedding component too large for a double"
             )
         if graph._store(obj) is not AddResult.ADDED:
             raise MalformedInputError(f"duplicate object id {obj.id}")

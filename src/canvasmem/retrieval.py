@@ -30,15 +30,24 @@ Stages, in order:
    the k-th best so far, and on the last hop that can change the top k it
    walks only the frontier objects whose decayed score beats it.
 4. rerank_candidates orders candidates by a reranker backend, or by the
-   hybrid score itself when no backend is configured, then cuts to k. A
+   hybrid score itself when no backend is configured (one stable sort,
+   descending, ties in seeds-then-hops order), then cuts to k. A
    backend sees every candidate of a full expansion; a candidate it gives
    no score, a NaN, or a score float() rejects (None, a word) ranks last,
    and so does one whose reply entry is not an (id, score) pair. A reply
    that is not iterable is a backend failure.
 5. greedy_select packs rendered lines into the token budget, skipping lines
-   that do not fit and continuing down the list.
+   that do not fit and continuing down the list. A line's "- [KIND] (turn "
+   prefix comes from a table built once per kind.
 6. build_injection renders the block: a header, one line per object grouped
-   by kind, and a class-specific instruction paragraph when needed.
+   by kind in KIND_ORDER (one pass over the selection, which keeps the
+   selection order inside a kind), and a class-specific instruction
+   paragraph when needed.
+
+At a live session's graph sizes a query's fixed cost is Python records
+more than numpy work, so the candidates (ScoredObject) have slots and are
+built with positional fields, and stages 4-6 sort with attrgetter keys,
+take each kind's tag from a table and group the block in one pass.
 
 RetrievalConfig holds the settings of every stage, one field per key of
 the config file's retrieval section; its __post_init__ checks each range.
@@ -58,6 +67,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
+from itertools import chain
+from operator import attrgetter
 from typing import Callable, Optional, Protocol, Sequence, runtime_checkable
 
 from .core import CanvasGraph, CanvasObject, ObjectKind
@@ -202,7 +213,7 @@ class QueryPlan:
     budget_tokens: int = DEFAULT_BUDGET_TOKENS
 
 
-@dataclass
+@dataclass(slots=True)
 class ScoredObject:
     """A candidate with its scores and where it came from."""
 
@@ -297,7 +308,7 @@ def coarse_retrieve(
         (-score, -obj.confidence, obj.turn, obj.id, score)
         for score, obj in zip(exact.tolist(), [rows[row] for row in band.tolist()])
     )
-    return [ScoredObject(object_id=key[3], hybrid=key[4]) for key in keyed[: plan.coarse_k]]
+    return [ScoredObject(key[3], key[4]) for key in keyed[: plan.coarse_k]]
 
 
 def expand_graph(
@@ -342,10 +353,8 @@ def expand_graph(
     if hops <= 0 or not seeds:
         return result
     index = graph.scoring_index()
-    row_of = index.row_of
     score: dict[int, float] = {}  # the best score of each seen row
-    for seed in seeds:
-        row = row_of(seed.object_id)
+    for seed, row in zip(seeds, index.rows_of([seed.object_id for seed in seeds])):
         if row is not None:
             score[row] = seed.hybrid
     if not score:
@@ -400,8 +409,7 @@ def expand_graph(
         positions = sorted(i for i in first_k if i >= len(seeds))
     for i in positions:
         oid, hop = expanded[i - len(seeds)]
-        result.append(ScoredObject(object_id=oid, hybrid=pooled[i],
-                                   provenance=Provenance.EXPANDED, hop=hop))
+        result.append(ScoredObject(oid, pooled[i], None, Provenance.EXPANDED, hop))
     return result
 
 
@@ -438,7 +446,8 @@ def rerank_candidates(
     """
     if not candidates:
         raise ValueError("rerank_candidates requires at least one candidate")
-    base = sorted(candidates, key=lambda c: -c.hybrid)
+    # reverse=True keeps the sort stable: ties keep their order.
+    base = sorted(candidates, key=attrgetter("hybrid"), reverse=True)
     if backend is None:
         return _hybrid_ranked(base, k)
     pairs = [
@@ -466,26 +475,25 @@ def rerank_candidates(
             scores[cid] = value
     missing = float("-inf")
     rescored = [
-        ScoredObject(object_id=c.object_id, hybrid=c.hybrid, rerank=scores.get(c.object_id, missing),
-                     provenance=c.provenance, hop=c.hop)
+        ScoredObject(c.object_id, c.hybrid, scores.get(c.object_id, missing), c.provenance, c.hop)
         for c in base
     ]
-    rescored.sort(key=lambda c: -c.rerank)
+    rescored.sort(key=attrgetter("rerank"), reverse=True)
     return rescored[:k]
 
 
 def _hybrid_ranked(base: Sequence[ScoredObject], k: int) -> list[ScoredObject]:
     """The first k candidates, each with its hybrid score as its rerank score."""
-    return [
-        ScoredObject(object_id=c.object_id, hybrid=c.hybrid, rerank=c.hybrid,
-                     provenance=c.provenance, hop=c.hop)
-        for c in base[:k]
-    ]
+    return [ScoredObject(c.object_id, c.hybrid, c.hybrid, c.provenance, c.hop) for c in base[:k]]
+
+
+# Each kind's line prefix: reading Enum.value is a property call per line.
+_LINE_PREFIX = {kind: f"- [{kind.value}] (turn " for kind in ObjectKind}
 
 
 def render_object_line(obj: CanvasObject) -> str:
     """One injection line: kind tag, turn, verbatim quote, content."""
-    return f'- [{obj.kind.value}] (turn {obj.turn}) "{obj.quote}" :: {obj.content}\n'
+    return f'{_LINE_PREFIX[obj.kind]}{obj.turn}) "{obj.quote}" :: {obj.content}\n'
 
 
 def greedy_select(
@@ -522,13 +530,14 @@ def build_injection(
     empty selection still renders the header so consumers can tell an empty
     memory apart from a missing one.
     """
-    lines: list[str] = []
-    for kind in KIND_ORDER:
-        for cand in selected:
-            obj = graph.objects[cand.object_id]
-            if obj.kind is kind:
-                lines.append(render_object_line(obj))
-    block = INJECTION_HEADER + "\n" + "".join(lines)
+    groups: dict[ObjectKind, list[str]] = {kind: [] for kind in KIND_ORDER}
+    objects = graph.objects
+    for cand in selected:
+        obj = objects[cand.object_id]
+        group = groups.get(obj.kind)
+        if group is not None:  # a kind outside KIND_ORDER is left out
+            group.append(render_object_line(obj))
+    block = INJECTION_HEADER + "\n" + "".join(chain.from_iterable(groups.values()))
     if plan.klass is QueryClass.MULTI_HOP:
         block += "\n" + REASONING_INSTRUCTION + "\n"
     elif plan.klass is QueryClass.TEMPORAL:

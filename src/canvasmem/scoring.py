@@ -400,6 +400,11 @@ class ScoringIndex:
         row = self._row_of.get(oid)
         return row if row is not None and row < self._rows else None
 
+    def rows_of(self, oids: Sequence[str]) -> list[Optional[int]]:
+        """row_of of each id, in one call."""
+        n, get = self._rows, self._row_of.get
+        return [row if (row := get(oid)) is not None and row < n else None for oid in oids]
+
     def adjacent(self, row: int) -> list[int]:
         """The rows an edge joins to row, one per edge, in edge order.
 
@@ -530,7 +535,8 @@ class ScoringIndex:
         exact keyword half. The blend runs in float64, so it adds no float32
         rounding to the screened cosine's."""
         cosines = self.cosines(query)
-        semantic = np.clip(cosines, 0.0, 1.0).astype(np.float64)
+        # np.clip's Python wrapper costs more than the clamp on small graphs.
+        semantic = np.minimum(np.maximum(cosines, 0.0), 1.0).astype(np.float64)
         approx = alpha * semantic + (1.0 - alpha) * coverage
         if not self._bounds_every_row(query):
             approx[cosines == np.inf] = np.inf
@@ -588,6 +594,15 @@ class ScoringIndex:
         return alpha * semantic + (1.0 - alpha) * coverage[rows]
 
 
+@lru_cache(maxsize=1 << 12)
+def _token_hash(token: str) -> int:
+    """The first four bytes of the token's md5, big-endian. A conversation's
+    texts share most of their tokens, and an md5 costs several times the
+    cache lookup; 4096 tokens (about 0.7 MB) hold a long conversation's
+    vocabulary."""
+    return int.from_bytes(hashlib.md5(token.encode("utf-8")).digest()[:4], "big")
+
+
 class MockEmbedder:
     """Deterministic offline embedder: a hashed bag-of-words vector.
 
@@ -602,14 +617,18 @@ class MockEmbedder:
         self.dimension = dimension
 
     def embed(self, text: str) -> list[float]:
-        vec = [0.0] * self.dimension
+        counts: dict[int, float] = {}
         for token in tokenize(text):
-            digest = hashlib.md5(token.encode("utf-8")).digest()
-            bucket = int.from_bytes(digest[:4], "big") % self.dimension
-            vec[bucket] += 1.0
-        norm = math.sqrt(sum(v * v for v in vec))
-        if norm == 0.0:
+            bucket = _token_hash(token) % self.dimension
+            counts[bucket] = counts.get(bucket, 0.0) + 1.0
+        vec = [0.0] * self.dimension
+        if not counts:
             # Tokenless input still gets a unit vector so cosine stays defined.
             vec[0] = 1.0
             return vec
-        return [v / norm for v in vec]
+        # The sum over the buckets in index order, as over the whole vector:
+        # the empty buckets add 0.0, which changes no sum.
+        norm = math.sqrt(sum([counts[bucket] * counts[bucket] for bucket in sorted(counts)]))
+        for bucket, count in counts.items():
+            vec[bucket] = count / norm  # an empty bucket's 0.0 / norm is 0.0
+        return vec

@@ -13,7 +13,8 @@ pruning, in the order the pipeline is defined:
   hybrid score cut to k, then the library's own greedy_select and
   build_injection;
 - ingest: a CanvasEngine run whose link step is link_object below;
-- rag_context: the RAG baseline, every chunk embedded for each question.
+- rag_context: the RAG baseline, every chunk embedded for each question;
+- mock_embed: MockEmbedder's vector, built and normalised over every bucket.
 
 The library must match these bit for bit: the same objects and edges (each
 weight to the last bit), the same ranks and scores, and byte-equal blocks
@@ -25,6 +26,8 @@ output must stay equal.
 
 from __future__ import annotations
 
+import hashlib
+import math
 from dataclasses import replace
 from typing import Sequence
 from unittest import mock
@@ -49,7 +52,7 @@ from canvasmem.retrieval import (
     greedy_select,
     plan_query,
 )
-from canvasmem.scoring import DEFAULT_ALPHA, EmbedderBackend, token_set
+from canvasmem.scoring import DEFAULT_ALPHA, EmbedderBackend, token_set, tokenize
 
 
 # ---------------------------------------------------------------------------
@@ -287,3 +290,22 @@ def rag_context(
     scored = sorted(((cosine_sim(query_vec, embedder.embed(chunk)), idx)
                      for idx, chunk in enumerate(chunks)), key=lambda p: (-p[0], p[1]))
     return "\n\n".join(chunks[idx] for _, idx in scored[: preset.top_k])
+
+
+# ---------------------------------------------------------------------------
+# Mock embedder
+# ---------------------------------------------------------------------------
+
+def mock_embed(text: str, dimension: int) -> list[float]:
+    """MockEmbedder's vector: each token's md5 picks a bucket, counted; the
+    counts are divided by the norm of the whole vector. A tokenless text is
+    the first axis."""
+    vec = [0.0] * dimension
+    for token in tokenize(text):
+        digest = hashlib.md5(token.encode("utf-8")).digest()
+        vec[int.from_bytes(digest[:4], "big") % dimension] += 1.0
+    norm = math.sqrt(sum(v * v for v in vec))
+    if norm == 0.0:
+        vec[0] = 1.0
+        return vec
+    return [v / norm for v in vec]

@@ -295,6 +295,28 @@ def test_a_graph_file_holding_a_number_json_does_not_allow_is_malformed(token):
         deserialize_graph(data.replace(b"0.25", token.encode()))
 
 
+@pytest.mark.parametrize("number", ["1e400", "-1e400"])
+def test_a_graph_file_holding_a_number_too_large_for_a_double_is_malformed(number):
+    # json reads 1e400 as inf, which no save could write back.
+    graph = CanvasGraph()
+    obj = make_obj(content="the cache lives in redis", turn=0, embedding=[0.5, 0.25])
+    graph.add_object(obj)
+    data = serialize_graph(graph)
+    with pytest.raises(MalformedInputError, match=f"object {obj.id} .*too large for a double"):
+        deserialize_graph(data.replace(b"0.25", number.encode()))
+
+
+@pytest.mark.parametrize("component", [1e308, "a word"])
+def test_an_embedding_whose_sum_is_not_finite_loads_when_no_component_is_infinite(component):
+    # 1e308 + 1e308 overflows, so the load reads the components; a word is
+    # not a number, and the scoring index reports it as it always has.
+    graph = CanvasGraph()
+    graph.add_object(make_obj(content="the cache lives in redis", turn=0,
+                              embedding=[1e308, component]))
+    loaded = deserialize_graph(serialize_graph(graph))
+    assert loaded.rows[0].embedding == [1e308, component]
+
+
 def test_a_graph_holding_fewer_records_than_its_cache_encodes_from_scratch():
     parent = CanvasGraph()
     a = make_obj(content="the cache lives in redis", turn=0, embedding=axis(0))

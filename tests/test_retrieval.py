@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import canvasmem.retrieval
 from canvasmem.core import CanvasEdge, CanvasGraph, EdgeKind, EdgeOrigin, ObjectKind
 from canvasmem.retrieval import (
     DEFAULT_BUDGET_TOKENS,
@@ -14,6 +15,7 @@ from canvasmem.retrieval import (
     DEFAULT_K_MAP,
     EXPANSION_DECAY,
     INJECTION_HEADER,
+    KIND_ORDER,
     REASONING_INSTRUCTION,
     TEMPORAL_INSTRUCTION,
     Provenance,
@@ -419,6 +421,24 @@ def test_render_object_line_format():
     assert line == '- [DECISION] (turn 7) "we will cache in Redis" :: cache in redis\n'
 
 
+@pytest.mark.parametrize("kind,tag", [
+    (ObjectKind.DECISION, "DECISION"),
+    (ObjectKind.TODO, "TODO"),
+    (ObjectKind.KEY_FACT, "KEY_FACT"),
+    (ObjectKind.REMINDER, "REMINDER"),
+    (ObjectKind.INSIGHT, "INSIGHT"),
+])
+def test_render_object_line_tags_every_kind(kind, tag):
+    obj = make_obj(kind=kind, content="cache in redis", quote="we will cache in Redis", turn=12)
+    line = render_object_line(obj)
+    assert line == f'- [{tag}] (turn 12) "we will cache in Redis" :: cache in redis\n'
+
+
+def test_every_kind_has_one_place_in_the_block_order():
+    assert set(KIND_ORDER) == set(ObjectKind)
+    assert len(KIND_ORDER) == len(ObjectKind)
+
+
 def test_greedy_select_skip_and_continue_frozen():
     graph = CanvasGraph()
     costs = {"alpha": 900, "beta": 800, "gamma": 500}
@@ -478,6 +498,33 @@ def test_build_injection_groups_by_kind_and_keeps_header():
     assert TEMPORAL_INSTRUCTION not in block
 
 
+def test_build_injection_keeps_the_selection_order_inside_a_kind():
+    objs = {
+        name: make_obj(kind=kind, content=f"{name} content", turn=turn, embedding=axis(turn))
+        for turn, (name, kind) in enumerate([
+            ("decision one", ObjectKind.DECISION), ("fact one", ObjectKind.KEY_FACT),
+            ("decision two", ObjectKind.DECISION), ("fact two", ObjectKind.KEY_FACT),
+        ])
+    }
+    graph = graph_of(*objs.values())
+    order = ["fact two", "decision two", "fact one", "decision one"]
+    selected = [ScoredObject(object_id=objs[name].id, hybrid=1.0) for name in order]
+    lines = build_injection(graph, selected, _plan()).splitlines()[1:]
+    assert lines == [render_object_line(objs[name]).rstrip("\n") for name in
+                     ["decision two", "decision one", "fact two", "fact one"]]
+
+
+def test_build_injection_leaves_out_a_kind_outside_the_block_order(monkeypatch):
+    todo = make_obj(kind=ObjectKind.TODO, content="write the doc", turn=1, embedding=axis(0))
+    decision = make_obj(kind=ObjectKind.DECISION, content="cache in redis", turn=2,
+                        embedding=axis(1))
+    graph = graph_of(todo, decision)
+    monkeypatch.setattr(canvasmem.retrieval, "KIND_ORDER", (ObjectKind.DECISION,))
+    selected = [ScoredObject(object_id=oid, hybrid=1.0) for oid in (todo.id, decision.id)]
+    block = build_injection(graph, selected, _plan())
+    assert block == INJECTION_HEADER + "\n" + render_object_line(decision)
+
+
 def test_build_injection_class_instructions():
     block_multi = build_injection(CanvasGraph(), [], _plan(klass=QueryClass.MULTI_HOP))
     assert block_multi.startswith(INJECTION_HEADER)
@@ -485,6 +532,38 @@ def test_build_injection_class_instructions():
     block_temporal = build_injection(CanvasGraph(), [], _plan(klass=QueryClass.TEMPORAL))
     assert TEMPORAL_INSTRUCTION in block_temporal
     assert REASONING_INSTRUCTION not in block_temporal
+
+
+STAGES = ("plan_query", "coarse_retrieve", "expand_graph", "rerank_candidates",
+          "greedy_select", "build_injection")
+
+
+def test_retrieve_detailed_calls_each_stage_once_through_the_module(monkeypatch):
+    # Tracing wraps the stages by their module attribute, so a stage called
+    # any other way would run outside its span.
+    embedder = MockEmbedder()
+    graph = CanvasGraph()
+    objs = [make_obj(content=content, turn=turn, embedding=embedder.embed(content))
+            for turn, content in enumerate(("cache responses in redis", "redis runs on port 6379"))]
+    for obj in objs:
+        graph.add_object(obj)
+    graph.add_edge(CanvasEdge(src=objs[1].id, dst=objs[0].id, kind=EdgeKind.REFERENCE,
+                              weight=0.5, origin=EdgeOrigin.KEYWORD))
+    calls = dict.fromkeys(STAGES, 0)
+
+    def counted(name):
+        stage = getattr(canvasmem.retrieval, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return stage(*args, **kwargs)
+        return wrapper
+
+    for name in STAGES:
+        monkeypatch.setattr(canvasmem.retrieval, name, counted(name))
+    result = retrieve_detailed(graph, "where is the cache?", embedder)
+    assert result.selected
+    assert calls == dict.fromkeys(STAGES, 1)
 
 
 def test_retrieve_detailed_end_to_end():

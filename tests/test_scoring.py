@@ -27,7 +27,7 @@ from canvasmem.scoring import (
 )
 
 from conftest import make_obj
-from reference import cosine_sim, hybrid_score, keyword_jaccard, keyword_score
+from reference import cosine_sim, hybrid_score, keyword_jaccard, keyword_score, mock_embed
 
 
 # Frozen expected value: cos((1,1),(1,0)) = 1/sqrt(2), computed independently.
@@ -207,6 +207,16 @@ def test_mock_embedder_similar_texts_score_higher():
     near = embedder.embed("the redis cache settings are documented")
     far = embedder.embed("completely unrelated gardening talk")
     assert cosine_sim(query, near) > cosine_sim(query, far)
+
+
+@given(st.lists(st.sampled_from(["redis", "cache", "the", "ttl", "a1", "outage", "!"]),
+                max_size=40),
+       st.sampled_from([1, 3, 16, MOCK_EMBEDDING_DIM]))
+def test_mock_embedder_equals_the_reference_to_the_last_bit(words, dimension):
+    # Repeated words and small dimensions give buckets counted many times.
+    text = " ".join(words)
+    got = MockEmbedder(dimension).embed(text)
+    assert [v.hex() for v in got] == [v.hex() for v in mock_embed(text, dimension)]
 
 
 def test_mock_embedder_rejects_bad_dimension():

@@ -121,6 +121,7 @@ def test_appends_on_one_side_do_not_reach_the_other(writer):
     assert c.id in graph.objects and c.id in graph.neighbors(a.id)
     assert _state(twin) == before
     assert c.id not in twin.objects and twin.scoring_index().row_of(c.id) is None
+    assert twin.scoring_index().rows_of([b.id, c.id, a.id]) == [1, None, 0]
     assert twin.neighbors(a.id) == [b.id]
     assert twin.neighbors(c.id) == []
     index = twin.scoring_index()
