@@ -169,6 +169,10 @@ class CanvasGraph:
     without a usable embedding raises only once it is scored. Once scored,
     a stored object's embedding, content and quote must not change: the
     index keeps what it read.
+
+    `line_cache` maps an object's id to its context-block line, filled by
+    retrieval the first time it renders the object and shared with every
+    snapshot, as the stored objects are, so each line renders once.
     """
 
     def __init__(self):
@@ -182,6 +186,7 @@ class CanvasGraph:
         self._edge_keys: set[tuple[str, str, EdgeKind]] = set()
         self._index = ScoringIndex()
         self._encoded: _Encoded = _NOTHING_ENCODED
+        self.line_cache: dict[str, str] = {}
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CanvasGraph):
@@ -260,11 +265,11 @@ class CanvasGraph:
 
         It copies the objects dict and the rows and edges lists. It shares
         the CanvasObject instances (stored objects are never mutated), the
-        cache of serialized records and the scoring index's columns, read
-        through a read-only fork only up to the rows and edges it was taken
-        with. The index catches up here first, a write, so a snapshot is
-        taken under the graph's lock while a writer may run, as
-        engine.snapshot() does.
+        caches of serialized records and of block lines, and the scoring
+        index's columns, read through a read-only fork only up to the rows
+        and edges it was taken with. The index catches up here first, a
+        write, so a snapshot is taken under the graph's lock while a writer
+        may run, as engine.snapshot() does.
         """
         return _Snapshot(self)
 
@@ -289,6 +294,7 @@ class _Snapshot(CanvasGraph):
         self.lock = threading.Lock()
         self._index = graph.scoring_index().fork()
         self._encoded = graph._encoded
+        self.line_cache = graph.line_cache
 
     def _store(self, *_) -> NoReturn:
         raise ReadOnlyGraphError("a snapshot is read-only; write to the graph it was taken from")

@@ -23,31 +23,38 @@ Stages, in order:
    scoring index's adjacency list of each frontier row, so it costs the
    frontier's degree, not the graph's edge count; the walk keeps the seen
    rows' scores in a dict and the k best scores so far in a heap. Without
-   a reranker backend it is given k and builds candidates only for the
-   expansions inside the stable top k of seeds then hops, which are all
-   that the cut in stage 4 can keep. It walks only what can enter that
-   top k: it stops before a hop whose best inherited score cannot beat
-   the k-th best so far, and on the last hop that can change the top k it
-   walks only the frontier objects whose decayed score beats it.
-4. rerank_candidates orders candidates by a reranker backend, or by the
-   hybrid score itself when no backend is configured (one stable sort,
-   descending, ties in seeds-then-hops order), then cuts to k. A
-   backend sees every candidate of a full expansion; a candidate it gives
-   no score, a NaN, or a score float() rejects (None, a word) ranks last,
-   and so does one whose reply entry is not an (id, score) pair. A reply
-   that is not iterable is a backend failure.
+   a reranker backend it is given k and returns the read's ranking: the
+   first k of the stable sort of seeds then hops by descending hybrid
+   score (ties in seeds-then-hops order), each with its hybrid score as its
+   rerank score. It walks only what can enter that top k: it stops before
+   a hop whose best inherited score cannot beat the k-th best so far, and
+   on the last hop that can change the top k it walks only the frontier
+   objects whose decayed score beats it. With a backend it is given no k
+   and returns the seeds, then every expansion.
+4. rerank_candidates runs only with a reranker backend. It orders the full
+   expansion by the backend's scores, ties in hybrid order, then cuts to
+   k. A candidate the backend gives no score, a NaN, or a score float()
+   rejects (None, a word) ranks last, and so does one whose reply entry is
+   not an (id, score) pair. A reply that is not iterable, or a backend
+   that raises, falls back to the hybrid order with a warning.
 5. greedy_select packs rendered lines into the token budget, skipping lines
-   that do not fit and continuing down the list. A line's "- [KIND] (turn "
-   prefix comes from a table built once per kind.
+   that do not fit and continuing down the list.
 6. build_injection renders the block: a header, one line per object grouped
    by kind in KIND_ORDER (one pass over the selection, which keeps the
    selection order inside a kind), and a class-specific instruction
    paragraph when needed.
 
+Stages 5 and 6 read each object's line from the graph's line_cache, which
+render_object_line fills the first time an object is rendered; snapshots
+share the cache, so across a session's reads each line renders once. A
+line's "- [KIND] (turn " prefix comes from a table built once per kind.
+
 At a live session's graph sizes a query's fixed cost is Python records
-more than numpy work, so the candidates (ScoredObject) have slots and are
-built with positional fields, and stages 4-6 sort with attrgetter keys,
-take each kind's tag from a table and group the block in one pass.
+more than numpy work. So the candidates (ScoredObject) have slots and are
+built with positional fields, the read ranks once (the walk's top-k cut),
+the block takes each line from the cache and groups it in one pass, and
+the coarse band's exact scores take the weighted keyword half the screen
+computed.
 
 RetrievalConfig holds the settings of every stage, one field per key of
 the config file's retrieval section; its __post_init__ checks each range.
@@ -321,8 +328,14 @@ def expand_graph(
 
     Both edge kinds count and edges are walked in both directions. An object
     first reached at hop distance d inherits the best adjacent score decayed
-    by 0.8 per hop; each hop's objects come in (-score, id) order. Seeds come
-    back unchanged, expansions are appended.
+    by 0.8 per hop; each hop's objects come in (-score, id) order. Without
+    k, seeds come back unchanged and expansions are appended: that is what
+    a reranker backend sees.
+
+    With k, the result is the read's ranking without a reranker: the first
+    k of the stable sort of seeds-then-hops by descending score, each with
+    its hybrid score as its rerank score, which is what rerank_candidates
+    makes of the full list without a backend.
 
     The walk reads the scoring index's adjacency lists. Each hop (_walk_hop)
     reads the lists of the frontier rows alone and keeps, for each row not
@@ -331,67 +344,92 @@ def expand_graph(
     seen rows' scores are one dict, so a query allocates nothing the size
     of the graph, and a hop costs its frontier's degree.
 
-    With k, only the expansions inside the top k of the stable sort of
-    seeds-then-hops by descending score are returned, so that sort's first
-    k, which is what rerank_candidates keeps without a backend, is the same
-    as for the full list. In that sort a later candidate enters the top k
-    only with a score above the k-th best so far (kth, the least of a heap
-    of the k best), and every later hop inherits at most 0.8 of the best
-    frontier score (top), or stays below zero when top is negative. So
-    before each hop the walk stops when 0.8 * top cannot beat kth. When
-    0.64 * top cannot, or no hop is asked for after this one, this is the
-    last hop that can change the top k: it walks only the frontier rows
-    whose 0.8 * score beats kth (a row reached only from the others would
-    score at most kth) and then stops, as no later hop would read what it
-    marked seen. Every hop marks each row it reaches seen, but builds a
-    candidate only for the rows whose inherited score beats kth: kth only
-    rises, so no other row can enter the top k. Without k (a reranker ranks
-    the candidates) every hop is walked whole and every row it reaches is a
-    candidate.
+    With k the walk visits only what can enter the top k. In the stable
+    sort a later candidate enters the top k only with a score above the
+    k-th best so far (kth, the least of a heap of the k best), and every
+    later hop inherits at most 0.8 of the best frontier score (top), or
+    stays below zero when top is negative. So before each hop the walk
+    stops when 0.8 * top cannot beat kth. When 0.64 * top cannot, or no hop
+    is asked for after this one, this is the last hop that can change the
+    top k: it walks only the frontier rows whose 0.8 * score beats kth (a
+    row reached only from the others would score at most kth) and then
+    stops. Each hop pools only the rows whose inherited score beats kth:
+    kth only rises, so no other row can enter the top k. Every hop but the
+    last marks each row it reaches seen; nothing reads that after the last.
     """
-    result = list(seeds)
-    if hops <= 0 or not seeds:
-        return result
+    pooled = [seed.hybrid for seed in seeds]  # every candidate's score, seeds then hops
+    expanded: list[tuple[str, int]] = []  # (id, hop) of each score in pooled past the seeds
+    if hops > 0 and seeds and (k is None or k >= 1):
+        _walk(graph, seeds, hops, k, pooled, expanded)
+    n = len(seeds)
+    if k is None:
+        return [*seeds, *(ScoredObject(oid, pooled[i], None, Provenance.EXPANDED, hop)
+                          for i, (oid, hop) in enumerate(expanded, n))]
+    ranked = []
+    # reverse=True keeps the sort stable: ties keep seeds-then-hops order.
+    for i in sorted(range(len(pooled)), key=pooled.__getitem__, reverse=True)[:k]:
+        if i < n:
+            seed = seeds[i]
+            ranked.append(ScoredObject(seed.object_id, seed.hybrid, seed.hybrid,
+                                       seed.provenance, seed.hop))
+        else:
+            oid, hop = expanded[i - n]
+            ranked.append(ScoredObject(oid, pooled[i], pooled[i], Provenance.EXPANDED, hop))
+    return ranked
+
+
+def _walk(
+    graph: CanvasGraph,
+    seeds: Sequence[ScoredObject],
+    hops: int,
+    k: Optional[int],
+    pooled: list[float],
+    expanded: list[tuple[str, int]],
+) -> None:
+    """expand_graph's walk: appends each pooled expansion's score to pooled
+    and its (id, hop) to expanded, each hop in (-score, id) order."""
     index = graph.scoring_index()
     score: dict[int, float] = {}  # the best score of each seen row
     for seed, row in zip(seeds, index.rows_of([seed.object_id for seed in seeds])):
         if row is not None:
             score[row] = seed.hybrid
     if not score:
-        return result
+        return
     frontier = list(score)
     top = max(score.values())
-    pooled = [seed.hybrid for seed in seeds]  # every candidate's score, seeds then hops
-    expanded: list[tuple[str, int]] = []  # (id, hop) of each score in pooled past the seeds
     # The k best scores so far, least first (a sorted list is a heap).
-    best = sorted(pooled)[-k:] if k is not None and k >= 1 else []
+    best = sorted(pooled)[-k:] if k is not None else []
     rows = graph.rows
     for hop in range(1, hops + 1):
         last = hop == hops
         if k is not None:
-            kth = math.inf if k < 1 else best[0] if len(best) == k else -math.inf
+            kth = best[0] if len(best) == k else -math.inf
             if kth >= max(top * EXPANSION_DECAY, 0.0):
-                break
+                return
             last = last or kth >= max(top * EXPANSION_DECAY * EXPANSION_DECAY, 0.0)
             if last:
                 frontier = [row for row in frontier if score[row] * EXPANSION_DECAY > kth]
         parents = _walk_hop(index, frontier, score)
         if not parents:
-            break
+            return
+        if k is None:
+            ordered = sorted([(-(value * EXPANSION_DECAY), rows[row].id)
+                              for row, value in parents.items()])
+        else:
+            # A row scoring no more than kth now never enters the top k:
+            # kth only rises, and k earlier candidates score at least kth.
+            ordered = sorted([(-decayed, rows[row].id) for row, value in parents.items()
+                              if (decayed := value * EXPANSION_DECAY) > kth])
+        for negated, oid in ordered:
+            pooled.append(-negated)
+            expanded.append((oid, hop))
+        if last:
+            return  # nothing reads the scores, the frontier or the heap again
         frontier = list(parents)
         for row, value in parents.items():
             score[row] = value * EXPANSION_DECAY
         top = max(parents.values()) * EXPANSION_DECAY
         if k is not None:
-            # A row scoring no more than kth now never enters the top k:
-            # kth only rises, and k earlier candidates score at least kth.
-            parents = {row: value for row, value in parents.items()
-                       if value * EXPANSION_DECAY > kth}
-        ordered = sorted([(-score[row], rows[row].id) for row in parents])
-        for negated, oid in ordered:
-            pooled.append(-negated)
-            expanded.append((oid, hop))
-        if k is not None:  # k >= 1 here, or the walk stopped before hop 1
             for negated, _ in ordered:
                 if len(best) < k:
                     heapq.heappush(best, -negated)
@@ -399,18 +437,6 @@ def expand_graph(
                     heapq.heapreplace(best, -negated)
                 else:
                     break  # the rest of the hop scores no higher
-        if last:
-            break
-    positions = range(len(seeds), len(pooled))
-    if k is not None and expanded:
-        # The positions past the seeds that the stable sort by descending
-        # score puts in its first k (reverse=True keeps ties in order).
-        first_k = sorted(range(len(pooled)), key=pooled.__getitem__, reverse=True)[:k]
-        positions = sorted(i for i in first_k if i >= len(seeds))
-    for i in positions:
-        oid, hop = expanded[i - len(seeds)]
-        result.append(ScoredObject(oid, pooled[i], None, Provenance.EXPANDED, hop))
-    return result
 
 
 def _walk_hop(
@@ -496,6 +522,21 @@ def render_object_line(obj: CanvasObject) -> str:
     return f'{_LINE_PREFIX[obj.kind]}{obj.turn}) "{obj.quote}" :: {obj.content}\n'
 
 
+def _block_lines(graph: CanvasGraph, candidates: Sequence[ScoredObject]) -> list[str]:
+    """Each candidate's render_object_line, rendered once per object into
+    the graph's line_cache (which its snapshots share)."""
+    cache = graph.line_cache
+    objects = graph.objects
+    lines = []
+    for cand in candidates:
+        oid = cand.object_id
+        line = cache.get(oid)
+        if line is None:
+            line = cache[oid] = render_object_line(objects[oid])
+        lines.append(line)
+    return lines
+
+
 def greedy_select(
     graph: CanvasGraph,
     candidates: Sequence[ScoredObject],
@@ -509,8 +550,8 @@ def greedy_select(
     """
     remaining = budget_tokens
     selected: list[ScoredObject] = []
-    for cand in candidates:
-        cost = token_counter(render_object_line(graph.objects[cand.object_id]))
+    for cand, line in zip(candidates, _block_lines(graph, candidates)):
+        cost = token_counter(line)
         if cost <= remaining:
             selected.append(cand)
             remaining -= cost
@@ -532,11 +573,10 @@ def build_injection(
     """
     groups: dict[ObjectKind, list[str]] = {kind: [] for kind in KIND_ORDER}
     objects = graph.objects
-    for cand in selected:
-        obj = objects[cand.object_id]
-        group = groups.get(obj.kind)
+    for cand, line in zip(selected, _block_lines(graph, selected)):
+        group = groups.get(objects[cand.object_id].kind)
         if group is not None:  # a kind outside KIND_ORDER is left out
-            group.append(render_object_line(obj))
+            group.append(line)
     block = INJECTION_HEADER + "\n" + "".join(chain.from_iterable(groups.values()))
     if plan.klass is QueryClass.MULTI_HOP:
         block += "\n" + REASONING_INSTRUCTION + "\n"
@@ -568,10 +608,11 @@ def retrieve_detailed(
         config = RetrievalConfig()
     plan = plan_query(query_text, embedder, config)
     coarse = coarse_retrieve(graph, plan, config.alpha)
-    # Without a backend the rerank keeps the hybrid top k, so the walk
-    # builds only the expansions that can be in it.
-    expanded = expand_graph(graph, coarse, plan.hops, plan.k if reranker is None else None)
-    if expanded:
+    if reranker is None:
+        # Without a backend the hybrid score ranks, and the walk's top-k cut
+        # is that ranking.
+        ranked = expand_graph(graph, coarse, plan.hops, plan.k)
+    elif expanded := expand_graph(graph, coarse, plan.hops):
         ranked = rerank_candidates(graph, reranker, plan.query_text, expanded, plan.k)
     else:
         ranked = []

@@ -528,16 +528,16 @@ class ScoringIndex:
         return self._joined_counts(self._postings, query.token_ids) / len(query.tokens)
 
     def hybrids(
-        self, query: PreparedQuery, alpha: float, coverage: np.ndarray
+        self, query: PreparedQuery, alpha: float, keyword: np.ndarray
     ) -> np.ndarray:
         """Screened hybrid_score of every row, within `margin` of the exact
-        one, +inf where the cosine is; coverage (from coverage()) is the
-        exact keyword half. The blend runs in float64, so it adds no float32
-        rounding to the screened cosine's."""
+        one, +inf where the cosine is; keyword is the exact weighted keyword
+        half, (1 - alpha) * coverage() of every row. The blend runs in
+        float64, so it adds no float32 rounding to the screened cosine's."""
         cosines = self.cosines(query)
         # np.clip's Python wrapper costs more than the clamp on small graphs.
         semantic = np.minimum(np.maximum(cosines, 0.0), 1.0).astype(np.float64)
-        approx = alpha * semantic + (1.0 - alpha) * coverage
+        approx = alpha * semantic + keyword
         if not self._bounds_every_row(query):
             approx[cosines == np.inf] = np.inf
         return approx
@@ -552,15 +552,15 @@ class ScoringIndex:
         exact top-k row lies within 2 * margin of the k-th best
         screened score among the rows the screen bounds; the band is those
         rows and every row it cannot bound (every row, when k or fewer are
-        bounded). The keyword coverage is computed once, for both passes.
+        bounded). The weighted keyword half is computed once, for both passes.
         """
-        coverage = self.coverage(query)
-        approx = self.hybrids(query, alpha, coverage)
+        keyword = (1.0 - alpha) * self.coverage(query)
+        approx = self.hybrids(query, alpha, keyword)
         bounded = approx if self._bounds_every_row(query) else approx[approx < np.inf]
         cut = len(bounded) - k
         kth = np.partition(bounded, cut)[cut] if cut > 0 else -np.inf
         band = np.flatnonzero(approx >= kth - 2 * self.margin)
-        return band, self.exact_hybrids(query, band, alpha, coverage)
+        return band, self.exact_hybrids(query, band, alpha, keyword)
 
     def exact_cosines(self, query: PreparedQuery, rows: np.ndarray) -> np.ndarray:
         """cosine_sim of the query and each listed row's embedding, to the last bit.
@@ -581,17 +581,20 @@ class ScoringIndex:
         query: PreparedQuery,
         rows: np.ndarray,
         alpha: float,
-        coverage: np.ndarray,
+        keyword: np.ndarray,
     ) -> np.ndarray:
         """hybrid_score of the query and each listed row's object, to the last bit.
 
         The cosine is clamped as min(1.0, max(0.0, cosine)) is, and blended
         as hybrid_score blends it, one float64 array operation at a time;
-        the keyword half is coverage (from coverage()) at those rows.
+        the keyword half is keyword, (1 - alpha) * coverage() of every row,
+        at those rows.
         """
         cos = self.exact_cosines(query, rows)
-        semantic = np.where(cos > 0.0, np.where(cos < 1.0, cos, 1.0), 0.0)
-        return alpha * semantic + (1.0 - alpha) * coverage[rows]
+        # fmax turns a NaN cosine (an overflowed dot product over an infinite
+        # norm product) into 0.0, as max(0.0, nan) does; np.maximum keeps it.
+        semantic = np.fmin(np.fmax(cos, 0.0), 1.0)
+        return alpha * semantic + keyword[rows]
 
 
 @lru_cache(maxsize=1 << 12)

@@ -9,9 +9,11 @@ pruning, in the order the pipeline is defined:
 - coarse_retrieve: hybrid_score every object, then sort;
 - expand_graph: a breadth-first walk over adjacency lists built from
   graph.edges;
-- retrieve: coarse, then the full expansion, then pack: a stable sort by
-  hybrid score cut to k, then the library's own greedy_select and
-  build_injection;
+- retrieve: coarse, then the full expansion, then rank (a stable sort by
+  hybrid score cut to k, each with its hybrid score as its rerank score)
+  and pack: render_line for every candidate, a budget that skips a line
+  that does not fit and goes on, and the block grouped in KIND_ORDER with
+  the class instruction;
 - ingest: a CanvasEngine run whose link step is link_object below;
 - rag_context: the RAG baseline, every chunk embedded for each question;
 - mock_embed: MockEmbedder's vector, built and normalised over every bucket.
@@ -43,13 +45,16 @@ from canvasmem.extraction import ConversationTurn, MockExtractor
 from canvasmem.graph_build import TEMPORAL_SOURCE_KINDS, LinkThresholds
 from canvasmem.retrieval import (
     EXPANSION_DECAY,
+    INJECTION_HEADER,
+    KIND_ORDER,
+    REASONING_INSTRUCTION,
+    TEMPORAL_INSTRUCTION,
     Provenance,
+    QueryClass,
     QueryPlan,
     RetrievalConfig,
     RetrievalResult,
     ScoredObject,
-    build_injection,
-    greedy_select,
     plan_query,
 )
 from canvasmem.scoring import DEFAULT_ALPHA, EmbedderBackend, token_set, tokenize
@@ -260,7 +265,7 @@ def retrieve(
     config: RetrievalConfig | None = None,
 ) -> RetrievalResult:
     """The pipeline without a reranker backend: coarse, the full expansion,
-    then pack."""
+    then rank and pack."""
     if config is None:
         config = RetrievalConfig()
     plan = plan_query(query_text, embedder, config)
@@ -268,15 +273,37 @@ def retrieve(
                                           plan.hops))
 
 
+def rank(expanded: Sequence[ScoredObject], k: int) -> list[ScoredObject]:
+    """Without a reranker the hybrid score is the rerank score: the
+    candidates stably sorted by it, descending, and cut to k."""
+    return [replace(c, rerank=c.hybrid) for c in sorted(expanded, key=lambda c: -c.hybrid)[:k]]
+
+
+def render_line(obj: CanvasObject) -> str:
+    """One block line: kind tag, turn, verbatim quote, content."""
+    return f'- [{obj.kind.value}] (turn {obj.turn}) "{obj.quote}" :: {obj.content}\n'
+
+
 def pack(graph: CanvasGraph, plan: QueryPlan, expanded: Sequence[ScoredObject]) -> RetrievalResult:
-    """Without a reranker the hybrid score is the rerank score: the expanded
-    candidates stably sorted by it and cut to plan.k, then the library's
-    greedy_select and build_injection."""
-    ranked = [replace(c, rerank=c.hybrid)
-              for c in sorted(expanded, key=lambda c: -c.hybrid)[: plan.k]]
-    selected = greedy_select(graph, ranked, plan.budget_tokens)
-    return RetrievalResult(plan=plan, ranked=ranked, selected=selected,
-                           injection=build_injection(graph, selected, plan))
+    """rank, then take each ranked candidate whose line's tokens (one per
+    four characters, rounded up) fit what is left of the budget, and render
+    the taken lines grouped by kind in KIND_ORDER under the header, with
+    the class's instruction after them."""
+    ranked = rank(expanded, plan.k)
+    selected, remaining = [], plan.budget_tokens
+    for cand in ranked:
+        cost = math.ceil(len(render_line(graph.objects[cand.object_id])) / 4)
+        if cost <= remaining:
+            selected.append(cand)
+            remaining -= cost
+    lines = [render_line(graph.objects[c.object_id]) for kind in KIND_ORDER
+             for c in selected if graph.objects[c.object_id].kind is kind]
+    block = INJECTION_HEADER + "\n" + "".join(lines)
+    if plan.klass is QueryClass.MULTI_HOP:
+        block += "\n" + REASONING_INSTRUCTION + "\n"
+    elif plan.klass is QueryClass.TEMPORAL:
+        block += "\n" + TEMPORAL_INSTRUCTION + "\n"
+    return RetrievalResult(plan=plan, ranked=ranked, selected=selected, injection=block)
 
 
 def rag_context(

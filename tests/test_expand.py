@@ -3,11 +3,12 @@
 The reference (tests/reference.py) walks breadth-first over per-object
 adjacency lists built from graph.edges in insertion order. The library
 walks the scoring index's per-row adjacency lists, which a snapshot shares
-with the graph that keeps appending to them. It must give the same
-candidates in the same order with the same float scores; with k it must
-return the seeds plus exactly the expansions inside the stable top k of
-the full list, so that the rerank without a backend ranks the shorter list
-as it ranks the full one.
+with the graph that keeps appending to them. Without k it must give the
+same candidates in the same order with the same float scores; with k it
+must give the read's ranking without a reranker: the first k of the stable
+descending sort of the reference's full expansion, each with its hybrid
+score as its rerank score (reference.rank), which is also what
+rerank_candidates makes of the full list without a backend.
 """
 
 from __future__ import annotations
@@ -37,12 +38,6 @@ from conftest import QUESTIONS, axis, make_obj, seeded_turns
 # ---------------------------------------------------------------------------
 # Pruning with k, against the reference's full walk
 # ---------------------------------------------------------------------------
-
-def oracle_pruned(full, seeds, k):
-    """The seeds, then the expansions of full inside its stable top k, in order."""
-    top = set(sorted(range(len(full)), key=lambda i: -full[i].hybrid)[:k])
-    return list(seeds) + [c for i, c in enumerate(full) if i >= len(seeds) and i in top]
-
 
 def exact(candidates):
     """Candidates with their floats spelled bit for bit."""
@@ -125,11 +120,10 @@ def test_array_walk_equals_the_dict_walk(scenario, data):
         full = reference.expand_graph(graph, seeds, hops)
         assert exact(expand_graph(graph, seeds, hops)) == exact(full)
         for k in range(1, len(full) + 3):
-            pruned = expand_graph(graph, seeds, hops, k)
-            assert exact(pruned) == exact(oracle_pruned(full, seeds, k))
+            ranked = expand_graph(graph, seeds, hops, k)
+            assert exact(ranked) == exact(reference.rank(full, k))
             if full:
-                assert exact(rerank_candidates(graph, None, "q", pruned, k)) == exact(
-                    rerank_candidates(graph, None, "q", full, k))
+                assert exact(ranked) == exact(rerank_candidates(graph, None, "q", full, k))
 
 
 @settings(max_examples=150, deadline=None)
@@ -147,7 +141,7 @@ def test_the_pruned_walk_on_a_mid_build_snapshot_equals_the_reference(scenario, 
     hops = data.draw(st.integers(1, 5))
     k = data.draw(st.integers(1, 20))
     full = reference.expand_graph(twin, seeds, hops)
-    assert exact(expand_graph(twin, seeds, hops, k)) == exact(oracle_pruned(full, seeds, k))
+    assert exact(expand_graph(twin, seeds, hops, k)) == exact(reference.rank(full, k))
 
 
 @settings(max_examples=200, deadline=None)
@@ -174,7 +168,7 @@ def test_unknown_seed_ids_come_back_and_expand_nothing():
     assert exact(expand_graph(graph, seeds, 2)) == exact(full)
     assert [c.object_id for c in full] == [stranger.object_id, a.id, b.id]
     for k in (1, 2, 3):
-        assert exact(expand_graph(graph, seeds, 2, k)) == exact(oracle_pruned(full, seeds, k))
+        assert exact(expand_graph(graph, seeds, 2, k)) == exact(reference.rank(full, k))
 
 
 # ---------------------------------------------------------------------------
@@ -225,15 +219,16 @@ def test_the_last_hop_walks_only_seeds_that_can_beat_the_kth_score(monkeypatch):
     # k = 3: the k-th best seed scores 0.75. 0.8 * 1.0 beats it and 0.64 * 1.0
     # does not, so hop 1 is the last that can change the top 3. T's decayed
     # score ties it exactly (0.8 * 0.9375 == 0.75) and K's falls below it:
-    # neither is walked, so only A's neighbour is built.
+    # neither is walked, so only A's neighbour is built, and it ranks
+    # third, ahead of K.
     assert 0.9375 * EXPANSION_DECAY == 0.75
     graph, ids = _crafted("ATKXYZ", [("A", "X"), ("T", "Y"), ("K", "Z"), ("X", "Y")])
     seeds = _seeds(ids, {"A": 1.0, "T": 0.9375, "K": 0.75})
     reads, reached = _record_hops(monkeypatch)
-    pruned = expand_graph(graph, seeds, 3, 3)
+    ranked = expand_graph(graph, seeds, 3, 3)
     full = reference.expand_graph(graph, seeds, 3)
-    assert exact(pruned) == exact(oracle_pruned(full, seeds, 3))
-    assert [c.object_id for c in pruned] == [ids[name] for name in "ATKX"]
+    assert exact(ranked) == exact(reference.rank(full, 3))
+    assert [c.object_id for c in ranked] == [ids[name] for name in "ATX"]
     row_of = graph.scoring_index().row_of
     assert reads == [[row_of(ids["A"])]]
     assert reached == [[row_of(ids["X"])]]
@@ -247,11 +242,11 @@ def test_pruning_a_hop_that_is_not_the_last_would_change_the_answer(monkeypatch)
     graph, ids = _crafted("ABWSN", [("A", "S"), ("S", "N"), ("W", "N")])
     seeds = _seeds(ids, {"A": 1.0, "B": 0.6, "W": 0.5})
     reads, reached = _record_hops(monkeypatch)
-    pruned = expand_graph(graph, seeds, 2, 3)
+    ranked = expand_graph(graph, seeds, 2, 3)
     full = reference.expand_graph(graph, seeds, 2)
     assert [(c.object_id, c.hybrid) for c in full[3:]] == [(ids["S"], 0.8), (ids["N"], 0.4)]
-    assert exact(pruned) == exact(oracle_pruned(full, seeds, 3))
-    assert [c.object_id for c in pruned] == [ids[name] for name in "ABWS"]
+    assert exact(ranked) == exact(reference.rank(full, 3))
+    assert [c.object_id for c in ranked] == [ids[name] for name in "ASB"]
     row_of = graph.scoring_index().row_of
     assert reads[0] == [row_of(ids[name]) for name in "ABW"]
     assert reached[0] == sorted(row_of(ids[name]) for name in "SN")
@@ -263,9 +258,9 @@ def test_a_walk_no_row_of_which_can_enter_the_top_k_does_no_edge_work(monkeypatc
     seeds = _seeds(ids, {"A": 1.0, "B": 0.9, "C": 0.85})
     reads, reached = _record_hops(monkeypatch)
     for hop_count in (1, 4):
-        assert exact(expand_graph(graph, seeds, hop_count, 2)) == exact(seeds)
         full = reference.expand_graph(graph, seeds, hop_count)
-        assert exact(oracle_pruned(full, seeds, 2)) == exact(seeds)
+        assert exact(expand_graph(graph, seeds, hop_count, 2)) == exact(reference.rank(full, 2))
+        assert exact(reference.rank(full, 2)) == exact(reference.rank(seeds, 2))
     assert reads == reached == []
     # Without k (a reranker backend ranks the candidates) the hop is walked.
     assert len(expand_graph(graph, seeds, 1)) == 5

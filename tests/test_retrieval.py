@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 import canvasmem.retrieval
 from canvasmem.core import CanvasEdge, CanvasGraph, EdgeKind, EdgeOrigin, ObjectKind
+from canvasmem.engine import CanvasEngine
+from canvasmem.extraction import MockExtractor
 from canvasmem.retrieval import (
     DEFAULT_BUDGET_TOKENS,
     DEFAULT_COARSE_K,
@@ -31,6 +33,7 @@ from canvasmem.retrieval import (
     default_token_counter,
     expand_graph,
     greedy_select,
+    plan_query,
     render_object_line,
     rerank_candidates,
     retrieve,
@@ -39,7 +42,7 @@ from canvasmem.retrieval import (
 from canvasmem.scoring import MockEmbedder
 
 import reference
-from conftest import axis, graph_of, make_obj
+from conftest import QUESTIONS, axis, graph_of, make_obj, seeded_turns
 
 
 def test_default_token_counter_rounds_up():
@@ -540,7 +543,8 @@ STAGES = ("plan_query", "coarse_retrieve", "expand_graph", "rerank_candidates",
 
 def test_retrieve_detailed_calls_each_stage_once_through_the_module(monkeypatch):
     # Tracing wraps the stages by their module attribute, so a stage called
-    # any other way would run outside its span.
+    # any other way would run outside its span. Without a reranker backend
+    # the walk's top-k cut is the ranking, so no rerank stage runs.
     embedder = MockEmbedder()
     graph = CanvasGraph()
     objs = [make_obj(content=content, turn=turn, embedding=embedder.embed(content))
@@ -561,9 +565,91 @@ def test_retrieve_detailed_calls_each_stage_once_through_the_module(monkeypatch)
 
     for name in STAGES:
         monkeypatch.setattr(canvasmem.retrieval, name, counted(name))
-    result = retrieve_detailed(graph, "where is the cache?", embedder)
-    assert result.selected
+    question = "where is the cache?"
+    assert retrieve_detailed(graph, question, embedder, reranker=_ReversingReranker()).selected
     assert calls == dict.fromkeys(STAGES, 1)
+    calls.update(dict.fromkeys(STAGES, 0))
+    assert retrieve_detailed(graph, question, embedder).selected
+    assert calls == {**dict.fromkeys(STAGES, 1), "rerank_candidates": 0}
+
+
+def _seeded_graph(seed, turns):
+    engine = CanvasEngine(MockExtractor(), MockEmbedder())
+    engine.ingest(seeded_turns(seed, turns))
+    return engine.graph
+
+
+PRESETS = [RetrievalConfig.preset(name) for name in ("standard", "locomo")]
+
+
+def _answer(result):
+    return ([(c.object_id, c.hybrid.hex(), c.rerank.hex(), c.provenance, c.hop)
+             for c in result.ranked], result.injection)
+
+
+def test_a_read_without_a_reranker_never_enters_rerank_candidates(monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("rerank_candidates ran without a reranker backend")
+
+    monkeypatch.setattr(canvasmem.retrieval, "rerank_candidates", refused)
+    embedder = MockEmbedder()
+    graph = _seeded_graph(6, 60)
+    for config in PRESETS:
+        for question in QUESTIONS:
+            got = retrieve_detailed(graph, question, embedder, config)
+            assert _answer(got) == _answer(reference.retrieve(graph, question, embedder, config))
+
+
+def test_reads_of_a_graph_and_its_snapshots_render_each_line_once(monkeypatch):
+    rendered = []
+
+    def recorded(obj):
+        rendered.append(obj.id)
+        return render_object_line(obj)
+
+    monkeypatch.setattr(canvasmem.retrieval, "render_object_line", recorded)
+    embedder = MockEmbedder()
+    turns = seeded_turns(7, 80)
+    engine = CanvasEngine(MockExtractor(), embedder)
+    engine.ingest(turns[:40])
+    twin = engine.snapshot()
+    engine.ingest(turns[40:])
+    graphs = [engine.graph, twin, twin.snapshot(), engine.snapshot()]
+    selected = set()
+    for _ in range(2):
+        for graph in graphs:
+            for config in PRESETS:
+                for question in QUESTIONS:
+                    got = retrieve_detailed(graph, question, embedder, config)
+                    assert got.injection == reference.retrieve(
+                        graph, question, embedder, config).injection
+                    selected.update(c.object_id for c in got.selected)
+    assert len(rendered) == len(set(rendered))
+    assert selected and selected <= set(rendered)
+
+
+def test_a_reranker_backend_receives_the_full_expansion_in_walk_order(monkeypatch):
+    """The pool a backend ranks is the k=None walk: the coarse hits, then
+    every expansion, hop by hop, as the reference walks them."""
+    pools = []
+    rerank = canvasmem.retrieval.rerank_candidates
+
+    def recorded(graph, backend, query_text, candidates, k):
+        pools.append([(c.object_id, c.hybrid.hex(), c.provenance, c.hop) for c in candidates])
+        return rerank(graph, backend, query_text, candidates, k)
+
+    monkeypatch.setattr(canvasmem.retrieval, "rerank_candidates", recorded)
+    embedder = MockEmbedder()
+    graph = _seeded_graph(9, 60)
+    for config in PRESETS:
+        for question in QUESTIONS:
+            retrieve_detailed(graph, question, embedder, config, _ReversingReranker())
+            plan = plan_query(question, embedder, config)
+            full = reference.expand_graph(
+                graph, reference.coarse_retrieve(graph, plan, config.alpha), plan.hops)
+            assert pools.pop() == [(c.object_id, c.hybrid.hex(), c.provenance, c.hop)
+                                   for c in full]
+            assert len(full) > plan.k
 
 
 def test_retrieve_detailed_end_to_end():

@@ -514,7 +514,7 @@ def oracle_verified_coarse_retrieve(graph, plan, alpha=DEFAULT_ALPHA):
     row of the band scored by its own call."""
     index = graph.scoring_index()
     query = index.prepare(plan.query_embedding, plan.query_text)
-    approx = index.hybrids(query, alpha, index.coverage(query))
+    approx = index.hybrids(query, alpha, (1.0 - alpha) * index.coverage(query))
     cut = max(len(approx) - plan.coarse_k, 0)
     kth = np.partition(approx, cut)[cut]
     band = np.flatnonzero(approx >= kth - 2 * index.margin).tolist()
@@ -579,10 +579,10 @@ def test_exact_scorers_are_bit_identical_to_the_scalar_functions(
     assert query is not None
     rows = _all_rows(index)
     cosines = index.exact_cosines(query, rows).tolist()
-    coverage = index.coverage(query)
-    hybrids = index.exact_hybrids(query, rows, alpha, coverage).tolist()
+    keyword = (1.0 - alpha) * index.coverage(query)
+    hybrids = index.exact_hybrids(query, rows, alpha, keyword).tolist()
     # Every norm here is one the screen bounds: it sits within the margin.
-    screened = zip(index.cosines(query).tolist(), index.hybrids(query, alpha, coverage).tolist())
+    screened = zip(index.cosines(query).tolist(), index.hybrids(query, alpha, keyword).tolist())
     for row, (obj, (screen, hybrid_screen)) in enumerate(zip(objects, screened)):
         # Linking passes the stored vector first, retrieval the query first.
         assert _bits(cosines[row]) == _bits(cosine_sim(query_vec, obj.embedding))
@@ -613,7 +613,8 @@ def test_a_fork_verifies_its_rows_after_the_owner_appended_past_it():
             _bits(token_jaccard(token_set(obj.content), token_set("row 7 redis"))) for obj in seen]
         rows = _all_rows(index)
         cosines = index.exact_cosines(query, rows).tolist()
-        hybrids = index.exact_hybrids(query, rows, DEFAULT_ALPHA, index.coverage(query)).tolist()
+        keyword = (1.0 - DEFAULT_ALPHA) * index.coverage(query)
+        hybrids = index.exact_hybrids(query, rows, DEFAULT_ALPHA, keyword).tolist()
         for row, obj in enumerate(seen):
             assert _bits(cosines[row]) == _bits(cosine_sim(query_vec, obj.embedding))
             assert _bits(hybrids[row]) == _bits(hybrid_score(query_vec, "redis row", obj))
@@ -641,11 +642,11 @@ def test_array_verify_equals_the_per_row_verify(vectors, words, query, query_wor
     index = ScoringIndex()
     index.extend(objects)
     prepared = index.prepare(query, " ".join(query_words))
-    coverage = index.coverage(prepared)
+    keyword = (1.0 - alpha) * index.coverage(prepared)
     # Any rows in any order, repeats and none at all included.
     rows = np.array([pick % len(objects) for pick in picks], dtype=np.intp)
     cosines = index.exact_cosines(prepared, rows)
-    hybrids = index.exact_hybrids(prepared, rows, alpha, coverage)
+    hybrids = index.exact_hybrids(prepared, rows, alpha, keyword)
     assert cosines.shape == hybrids.shape == rows.shape
     for row, cos, hybrid in zip(rows.tolist(), cosines.tolist(), hybrids.tolist()):
         assert _bits(cos) == _bits(oracle_exact_cosine(index, prepared, row))
@@ -663,7 +664,8 @@ def test_cosines_past_one_and_below_zero_reach_the_verify():
     rows = _all_rows(index)
     assert index.exact_cosines(query, rows).tolist() == [1.0000000000000002, -1.0000000000000002]
     for alpha in (0.0, 0.7, 1.0):
-        assert [_bits(h) for h in index.exact_hybrids(query, rows, alpha, index.coverage(query))] == [
+        keyword = (1.0 - alpha) * index.coverage(query)
+        assert [_bits(h) for h in index.exact_hybrids(query, rows, alpha, keyword)] == [
             _bits(oracle_exact_hybrid(index, query, row, objects[row], alpha)) for row in rows.tolist()]
 
 
@@ -684,8 +686,8 @@ def test_clamp_and_blend_follow_the_scalar_rule(cosines, alpha, covered):
     index.extend([make_obj(content=f"row {i}", turn=i, embedding=axis(i)) for i in range(6)])
     rows = np.arange(len(cosines), dtype=np.intp)
     index.exact_cosines = lambda query, picked: np.array(cosines, dtype=np.float64)[picked]
-    coverage = np.array(covered) / 3
-    got = index.exact_hybrids(index.prepare(axis(0)), rows, alpha, coverage)
+    keyword = (1.0 - alpha) * (np.array(covered) / 3)
+    got = index.exact_hybrids(index.prepare(axis(0)), rows, alpha, keyword)
     assert [_bits(h) for h in got.tolist()] == [
         _bits(alpha * min(1.0, max(0.0, cos)) + (1.0 - alpha) * (covered[row] / 3))
         for row, cos in enumerate(cosines)]
@@ -697,7 +699,35 @@ def test_empty_rows_verify_to_empty_arrays():
     query = index.prepare(axis(0), "redis")
     none = np.empty(0, dtype=np.intp)
     assert index.exact_cosines(query, none).shape == (0,)
-    assert index.exact_hybrids(query, none, DEFAULT_ALPHA, index.coverage(query)).shape == (0,)
+    keyword = (1.0 - DEFAULT_ALPHA) * index.coverage(query)
+    assert index.exact_hybrids(query, none, DEFAULT_ALPHA, keyword).shape == (0,)
+
+
+# Both sides overflow on purpose; numpy warns each time.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_a_nan_cosine_clamps_to_zero_as_the_scalar_max_does():
+    """Components near 1e200 overflow both the dot product and the norm
+    product to inf, so the exact cosine is inf / inf, a NaN. hybrid_score's
+    max(0.0, nan) is 0.0, so each band score is its keyword half alone;
+    np.maximum would keep the NaN."""
+    objects = [make_obj(content=f"redis note {i}", turn=i,
+                        embedding=[1e200 * (i + 1), 2e200, 0.0, 1e200]) for i in range(4)]
+    graph = graph_of(*objects)
+    index = graph.scoring_index()
+    query_vec = [3e200, 1e200, 1e200, 2e200]
+    query = index.prepare(query_vec, "redis note")
+    assert all(math.isnan(c) for c in index.exact_cosines(query, _all_rows(index)).tolist())
+    assert all(math.isnan(cosine_sim(query_vec, obj.embedding)) for obj in objects)
+    # No norm is one the screen bounds, so every row is in the band.
+    band, exact = index.top_hybrids(query, DEFAULT_ALPHA, 2)
+    assert band.tolist() == _all_rows(index).tolist()
+    want = [hybrid_score(query_vec, "redis note", obj) for obj in objects]
+    assert [_bits(h) for h in exact.tolist()] == [_bits(w) for w in want]
+    assert want == [pytest.approx(1.0 - DEFAULT_ALPHA)] * len(objects)
+    plan = plan_for(query_vec, "redis note", coarse_k=2)
+    assert [(h.object_id, _bits(h.hybrid)) for h in coarse_retrieve(graph, plan)] == [
+        (h.object_id, _bits(h.hybrid)) for h in reference.coarse_retrieve(graph, plan)]
 
 
 class _FixedEmbedder:
