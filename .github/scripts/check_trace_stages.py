@@ -3,8 +3,9 @@ known stale ones found no target, and every retrieval stage that runs
 offline has a nonzero span time.
 
 Usage: python3 .github/scripts/check_trace_stages.py RUN_OUTPUT
-where RUN_OUTPUT is what `python3 perfbench/run.py --workload query-heavy
---seed 1 --trace 1` printed.
+where RUN_OUTPUT is what `python3 perfbench/run.py --workload WORKLOAD
+--seed 1 --trace 1` printed for a workload that reads (query-heavy or
+mixed-session).
 
 perfbench times each stage by wrapping the retrieval function of that name,
 so a stage renamed or no longer called reads 0 here instead of failing.

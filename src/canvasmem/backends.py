@@ -34,7 +34,9 @@ from .errors import (
     MalformedResponseError,
     TransportTimeoutError,
 )
-from .extraction import ConversationTurn, ExtractionPass, ExtractorBackend, MockExtractor
+from .extraction import (
+    ConversationTurn, ExtractionPass, ExtractorBackend, MockExtractor, quote_matches,
+)
 from .retrieval import RerankerBackend
 from .scoring import EmbedderBackend, MockEmbedder
 
@@ -168,6 +170,34 @@ def remote_chat(
     return text
 
 
+def _indexed_records(
+    body: Any, key: str, count: int, read: Callable[[Any], Any], what: str, role: str
+) -> list:
+    """The values of the reply's records under key, each at the position
+    its "index" names; read(record) gives a record's value. Every index must
+    lie in range and be used once, and a missing one is an error."""
+    try:
+        records = body[key]
+    except (TypeError, KeyError) as exc:
+        raise MalformedResponseError(f"{what} response has no {key} list", role=role) from exc
+    if not isinstance(records, list):
+        raise MalformedResponseError(f"{what} {key} is not a list", role=role)
+    values: list = [None] * count
+    for record in records:
+        try:
+            index = record["index"]
+            value = read(record)
+        except (TypeError, KeyError, ValueError, OverflowError) as exc:
+            raise MalformedResponseError(f"bad {what} record: {exc}", role=role) from exc
+        if not isinstance(index, int) or not 0 <= index < count or values[index] is not None:
+            raise MalformedResponseError(f"bad {what} index {index!r}", role=role)
+        values[index] = value
+    if None in values:
+        raise MalformedResponseError(
+            f"{what} response is missing index {values.index(None)}", role=role)
+    return values
+
+
 def remote_embed(
     config: BackendConfig,
     texts: Sequence[str],
@@ -180,32 +210,17 @@ def remote_embed(
         return []
     payload = {"model": config.model, "input": list(texts)}
     body = _request(config, "/embeddings", payload, role, transport, stats)
-    try:
-        items = body["data"]
-    except (TypeError, KeyError) as exc:
-        raise MalformedResponseError("embedding response has no data list", role=role) from exc
-    if not isinstance(items, list) or len(items) != len(texts):
-        raise MalformedResponseError(
-            f"expected {len(texts)} embeddings, got {len(items) if isinstance(items, list) else 'non-list'}",
-            role=role,
-        )
-    vectors: list[Optional[list[float]]] = [None] * len(texts)
-    dim: int | None = None
-    for item in items:
-        try:
-            index = item["index"]
-            vector = [float(v) for v in item["embedding"]]
-        except (TypeError, KeyError, ValueError) as exc:
-            raise MalformedResponseError(f"bad embedding record: {exc}", role=role) from exc
+
+    def read(record: Any) -> list[float]:
+        vector = [float(v) for v in record["embedding"]]
         if not all(map(math.isfinite, vector)):
             raise MalformedResponseError("embedding has a non-finite component", role=role)
-        if not isinstance(index, int) or not 0 <= index < len(texts) or vectors[index] is not None:
-            raise MalformedResponseError(f"bad embedding index {index!r}", role=role)
-        if not vector or (dim is not None and len(vector) != dim):
-            raise MalformedResponseError("embedding dimensions are inconsistent", role=role)
-        dim = len(vector)
-        vectors[index] = vector
-    return [v for v in vectors if v is not None]
+        return vector
+
+    vectors = _indexed_records(body, "data", len(texts), read, "embedding", role)
+    if not vectors[0] or any(len(vector) != len(vectors[0]) for vector in vectors):
+        raise MalformedResponseError("embedding dimensions are inconsistent", role=role)
+    return vectors
 
 
 def remote_rerank(
@@ -221,27 +236,14 @@ def remote_rerank(
         return []
     payload = {"model": config.model, "query": query, "documents": list(documents)}
     body = _request(config, "/rerank", payload, role, transport, stats)
-    try:
-        results = body["results"]
-    except (TypeError, KeyError) as exc:
-        raise MalformedResponseError("rerank response has no results list", role=role) from exc
-    if not isinstance(results, list):
-        raise MalformedResponseError("rerank results is not a list", role=role)
-    scores: list[Optional[float]] = [None] * len(documents)
-    for item in results:
-        try:
-            index = item["index"]
-            score = float(item["relevance_score"])
-        except (TypeError, KeyError, ValueError) as exc:
-            raise MalformedResponseError(f"bad rerank record: {exc}", role=role) from exc
+
+    def read(record: Any) -> float:
+        score = float(record["relevance_score"])
         if not math.isfinite(score):
             raise MalformedResponseError(f"rerank score {score!r} is not finite", role=role)
-        if not isinstance(index, int) or not 0 <= index < len(documents) or scores[index] is not None:
-            raise MalformedResponseError(f"bad rerank index {index!r}", role=role)
-        scores[index] = score
-    if any(s is None for s in scores):
-        raise MalformedResponseError("rerank response is missing documents", role=role)
-    return [s for s in scores if s is not None]
+        return score
+
+    return _indexed_records(body, "results", len(documents), read, "rerank", role)
 
 
 @functools.cache
@@ -374,8 +376,6 @@ def _record_to_object(record: Any, turn: ConversationTurn) -> CanvasObject | Non
         source = Source(raw_source)
     else:
         # Infer the speaker from wherever the quote actually appears.
-        from .extraction import quote_matches
-
         source = Source.USER if quote_matches(quote, turn.user_text) else Source.ASSISTANT
     try:
         confidence = float(record.get("confidence", 1.0))

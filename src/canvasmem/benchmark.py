@@ -470,13 +470,12 @@ def render_transcript(turns: Sequence[ConversationTurn]) -> str:
 def build_native_context(
     turns: Sequence[ConversationTurn],
     token_limit: int,
-    token_counter: Callable[[str], int] = default_token_counter,
 ) -> str:
     """Keep as many recent turns as fit the limit; older turns fall off."""
     kept: list[ConversationTurn] = []
     used = 0
     for turn in reversed(turns):
-        cost = token_counter(render_turn(turn) + "\n")
+        cost = default_token_counter(render_turn(turn) + "\n")
         if used + cost > token_limit:
             break
         kept.append(turn)

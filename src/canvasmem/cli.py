@@ -111,7 +111,6 @@ def _read_conversation(path: str) -> list[ConversationTurn]:
                         index=record["index"],
                         user_text=record.get("user", ""),
                         assistant_text=record.get("assistant", ""),
-                        timestamp=record.get("timestamp"),
                     )
                 )
             except ValueError as exc:

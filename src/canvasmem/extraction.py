@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Optional, Protocol, Sequence, runtime_checkable
+from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 from .core import CanvasGraph, CanvasObject, ObjectKind, Source, normalize_text
 from .errors import BackendFailureError, SequenceError
@@ -43,7 +43,6 @@ class ConversationTurn:
     index: int
     user_text: str = ""
     assistant_text: str = ""
-    timestamp: Optional[str] = None
 
     def __post_init__(self):
         if not isinstance(self.index, int) or isinstance(self.index, bool) or self.index < 0:

@@ -22,21 +22,21 @@ Stages, in order:
    and both edge kinds, with a 0.8 score decay per hop. Each hop reads the
    scoring index's adjacency list of each frontier row, so it costs the
    frontier's degree, not the graph's edge count; the walk keeps the seen
-   rows' scores in a dict and the k best scores so far in a heap. Without
-   a reranker backend it is given k and returns the read's ranking: the
-   first k of the stable sort of seeds then hops by descending hybrid
-   score (ties in seeds-then-hops order), each with its hybrid score as its
-   rerank score. It walks only what can enter that top k: it stops before
-   a hop whose best inherited score cannot beat the k-th best so far, and
-   on the last hop that can change the top k it walks only the frontier
-   objects whose decayed score beats it. With a backend it is given no k
-   and returns the seeds, then every expansion.
-4. rerank_candidates runs only with a reranker backend. It orders the full
-   expansion by the backend's scores, ties in hybrid order, then cuts to
-   k. A candidate the backend gives no score, a NaN, or a score float()
+   rows' scores in a dict and the k best scores so far in a heap. It
+   returns the read's hybrid ranking: the stable sort of seeds then hops by
+   descending hybrid score (ties in seeds-then-hops order), each with its
+   hybrid score as its rerank score. Without a reranker backend it is given
+   k, cuts the ranking to k, and walks only what can enter that top k: it
+   stops before a hop whose best inherited score cannot beat the k-th best
+   so far, and on the last hop that can change the top k it walks only the
+   frontier objects whose decayed score beats it. With a backend it is
+   given no k and ranks the whole unpruned pool.
+4. rerank_candidates runs only with a reranker backend. It reorders that
+   ranking by the backend's scores, ties in hybrid order, then cuts to k.
+   A candidate the backend gives no score, a NaN, or a score float()
    rejects (None, a word) ranks last, and so does one whose reply entry is
-   not an (id, score) pair. A reply that is not iterable, or a backend
-   that raises, falls back to the hybrid order with a warning.
+   not an (id, score) pair. A reply that is not iterable, or a backend that
+   raises, leaves the hybrid ranking, cut to k, with a warning.
 5. greedy_select packs rendered lines into the token budget, skipping lines
    that do not fit and continuing down the list.
 6. build_injection renders the block: a header, one line per object grouped
@@ -51,7 +51,7 @@ line's "- [KIND] (turn " prefix comes from a table built once per kind.
 
 At a live session's graph sizes a query's fixed cost is Python records
 more than numpy work. So the candidates (ScoredObject) have slots and are
-built with positional fields, the read ranks once (the walk's top-k cut),
+built with positional fields, the read ranks once (in expand_graph),
 the block takes each line from the cache and groups it in one pass, and
 the coarse band's exact scores take the weighted keyword half the screen
 computed.
@@ -76,10 +76,9 @@ from functools import lru_cache
 from importlib import resources
 from itertools import chain
 from operator import attrgetter
-from typing import Callable, Optional, Protocol, Sequence, runtime_checkable
+from typing import Optional, Protocol, Sequence, runtime_checkable
 
 from .core import CanvasGraph, CanvasObject, ObjectKind
-from .errors import BackendFailureError
 from .scoring import DEFAULT_ALPHA, EmbedderBackend, ScoringIndex
 
 logger = logging.getLogger(__name__)
@@ -299,7 +298,8 @@ def coarse_retrieve(
     plan: QueryPlan,
     alpha: float = DEFAULT_ALPHA,
 ) -> list[ScoredObject]:
-    """Hybrid-score every object and keep the top coarse_k.
+    """Hybrid-score every object and keep the top coarse_k, each with its
+    hybrid score as its rerank score.
 
     Ties break on higher confidence, then lower turn, then id order, so the
     result is deterministic for any insertion order.
@@ -315,7 +315,7 @@ def coarse_retrieve(
         (-score, -obj.confidence, obj.turn, obj.id, score)
         for score, obj in zip(exact.tolist(), [rows[row] for row in band.tolist()])
     )
-    return [ScoredObject(key[3], key[4]) for key in keyed[: plan.coarse_k]]
+    return [ScoredObject(key[3], key[4], key[4]) for key in keyed[: plan.coarse_k]]
 
 
 def expand_graph(
@@ -324,18 +324,15 @@ def expand_graph(
     hops: int,
     k: Optional[int] = None,
 ) -> list[ScoredObject]:
-    """Breadth-first neighborhood expansion from the coarse hits.
+    """Breadth-first neighborhood expansion from the coarse hits, returned
+    as the read's hybrid ranking.
 
     Both edge kinds count and edges are walked in both directions. An object
     first reached at hop distance d inherits the best adjacent score decayed
-    by 0.8 per hop; each hop's objects come in (-score, id) order. Without
-    k, seeds come back unchanged and expansions are appended: that is what
-    a reranker backend sees.
-
-    With k, the result is the read's ranking without a reranker: the first
-    k of the stable sort of seeds-then-hops by descending score, each with
-    its hybrid score as its rerank score, which is what rerank_candidates
-    makes of the full list without a backend.
+    by 0.8 per hop; each hop's objects come in (-score, id) order, and each
+    has its hybrid score as its rerank score. The result is the stable sort
+    of seeds then hops by descending score (ties keep that order), cut to k
+    when k is given. The seeds come back as the objects given.
 
     The walk reads the scoring index's adjacency lists. Each hop (_walk_hop)
     reads the lists of the frontier rows alone and keeps, for each row not
@@ -346,32 +343,28 @@ def expand_graph(
 
     With k the walk visits only what can enter the top k. In the stable
     sort a later candidate enters the top k only with a score above the
-    k-th best so far (kth, the least of a heap of the k best), and every
-    later hop inherits at most 0.8 of the best frontier score (top), or
-    stays below zero when top is negative. So before each hop the walk
-    stops when 0.8 * top cannot beat kth. When 0.64 * top cannot, or no hop
-    is asked for after this one, this is the last hop that can change the
-    top k: it walks only the frontier rows whose 0.8 * score beats kth (a
-    row reached only from the others would score at most kth) and then
-    stops. Each hop pools only the rows whose inherited score beats kth:
-    kth only rises, so no other row can enter the top k. Every hop but the
-    last marks each row it reaches seen; nothing reads that after the last.
+    k-th best so far (kth, the least of a heap of the k best; -inf without
+    k), and every later hop inherits at most 0.8 of the best frontier score
+    (top), or stays below zero when top is negative. So before each hop the
+    walk stops when 0.8 * top cannot beat kth. When 0.64 * top cannot, or
+    no hop is asked for after this one, this is the last hop that can
+    change the top k: it walks only the frontier rows whose 0.8 * score
+    beats kth (a row reached only from the others would score at most kth)
+    and then stops. Each hop pools only the rows whose inherited score beats
+    kth: kth only rises, so no other row can enter the top k. Every hop but
+    the last marks each row it reaches seen; nothing reads that after the
+    last.
     """
     pooled = [seed.hybrid for seed in seeds]  # every candidate's score, seeds then hops
     expanded: list[tuple[str, int]] = []  # (id, hop) of each score in pooled past the seeds
     if hops > 0 and seeds and (k is None or k >= 1):
         _walk(graph, seeds, hops, k, pooled, expanded)
     n = len(seeds)
-    if k is None:
-        return [*seeds, *(ScoredObject(oid, pooled[i], None, Provenance.EXPANDED, hop)
-                          for i, (oid, hop) in enumerate(expanded, n))]
     ranked = []
     # reverse=True keeps the sort stable: ties keep seeds-then-hops order.
     for i in sorted(range(len(pooled)), key=pooled.__getitem__, reverse=True)[:k]:
         if i < n:
-            seed = seeds[i]
-            ranked.append(ScoredObject(seed.object_id, seed.hybrid, seed.hybrid,
-                                       seed.provenance, seed.hop))
+            ranked.append(seeds[i])
         else:
             oid, hop = expanded[i - n]
             ranked.append(ScoredObject(oid, pooled[i], pooled[i], Provenance.EXPANDED, hop))
@@ -399,6 +392,7 @@ def _walk(
     top = max(score.values())
     # The k best scores so far, least first (a sorted list is a heap).
     best = sorted(pooled)[-k:] if k is not None else []
+    kth = -math.inf
     rows = graph.rows
     for hop in range(1, hops + 1):
         last = hop == hops
@@ -412,14 +406,10 @@ def _walk(
         parents = _walk_hop(index, frontier, score)
         if not parents:
             return
-        if k is None:
-            ordered = sorted([(-(value * EXPANSION_DECAY), rows[row].id)
-                              for row, value in parents.items()])
-        else:
-            # A row scoring no more than kth now never enters the top k:
-            # kth only rises, and k earlier candidates score at least kth.
-            ordered = sorted([(-decayed, rows[row].id) for row, value in parents.items()
-                              if (decayed := value * EXPANSION_DECAY) > kth])
+        # A row scoring no more than kth now never enters the top k: kth
+        # only rises, and k earlier candidates score at least kth.
+        ordered = sorted([(-decayed, rows[row].id) for row, value in parents.items()
+                          if (decayed := value * EXPANSION_DECAY) > kth])
         for negated, oid in ordered:
             pooled.append(-negated)
             expanded.append((oid, hop))
@@ -456,36 +446,31 @@ def _walk_hop(
 
 def rerank_candidates(
     graph: CanvasGraph,
-    backend: RerankerBackend | None,
+    backend: RerankerBackend,
     query_text: str,
     candidates: Sequence[ScoredObject],
     k: int,
 ) -> list[ScoredObject]:
-    """Order candidates by rerank score and truncate to k.
+    """Reorder candidates, the read's hybrid ranking, by the backend's
+    scores and truncate to k.
 
-    Without a backend the hybrid score itself is the rerank score, so the
-    stage degrades to a pure hybrid ordering. A backend failure, a raise or
-    a reply that is not iterable, logs a warning and falls back the same
-    way. A candidate the backend gives no score, a NaN, or a score float()
+    The backend sees the candidates in the order given, and ties keep that
+    order. A candidate the backend gives no score, a NaN, or a score float()
     rejects ranks last, and so does one whose reply entry does not unpack
-    to an (id, score) pair. Ties keep the hybrid order.
+    to an (id, score) pair. A backend failure, a raise or a reply that is
+    not iterable, logs a warning and leaves the ranking, cut to k.
     """
     if not candidates:
         raise ValueError("rerank_candidates requires at least one candidate")
-    # reverse=True keeps the sort stable: ties keep their order.
-    base = sorted(candidates, key=attrgetter("hybrid"), reverse=True)
-    if backend is None:
-        return _hybrid_ranked(base, k)
-    pairs = [
-        (c.object_id, f"{graph.objects[c.object_id].content}\n{graph.objects[c.object_id].quote}")
-        for c in base
-    ]
+    objects = graph.objects
+    pairs = [(c.object_id, f"{objects[c.object_id].content}\n{objects[c.object_id].quote}")
+             for c in candidates]
     try:
         replies = list(backend.rerank(query_text, pairs))
     except Exception as exc:
         logger.warning("reranker backend failed, falling back to hybrid order: %s", exc)
-        return _hybrid_ranked(base, k)
-    known = {c.object_id for c in base}
+        return list(candidates[:k])
+    known = {c.object_id for c in candidates}
     # An entry that is not an (id, score) pair is missing, so is a score
     # float() rejects, and so is a NaN: it compares false with every other
     # score, so a single one would scramble the whole sort.
@@ -502,15 +487,11 @@ def rerank_candidates(
     missing = float("-inf")
     rescored = [
         ScoredObject(c.object_id, c.hybrid, scores.get(c.object_id, missing), c.provenance, c.hop)
-        for c in base
+        for c in candidates
     ]
+    # reverse=True keeps the sort stable: ties keep the hybrid order.
     rescored.sort(key=attrgetter("rerank"), reverse=True)
     return rescored[:k]
-
-
-def _hybrid_ranked(base: Sequence[ScoredObject], k: int) -> list[ScoredObject]:
-    """The first k candidates, each with its hybrid score as its rerank score."""
-    return [ScoredObject(c.object_id, c.hybrid, c.hybrid, c.provenance, c.hop) for c in base[:k]]
 
 
 # Each kind's line prefix: reading Enum.value is a property call per line.
@@ -541,17 +522,16 @@ def greedy_select(
     graph: CanvasGraph,
     candidates: Sequence[ScoredObject],
     budget_tokens: int,
-    token_counter: Callable[[str], int] = default_token_counter,
 ) -> list[ScoredObject]:
     """Pack candidates into the budget in order, skipping lines that do not fit.
 
-    The cost of a candidate is the token count of its rendered line. A skip
-    is not a stop: later, cheaper candidates still get their chance.
+    The cost of a candidate is default_token_counter of its rendered line.
+    A skip is not a stop: later, cheaper candidates still get their chance.
     """
     remaining = budget_tokens
     selected: list[ScoredObject] = []
     for cand, line in zip(candidates, _block_lines(graph, candidates)):
-        cost = token_counter(line)
+        cost = default_token_counter(line)
         if cost <= remaining:
             selected.append(cand)
             remaining -= cost
@@ -601,22 +581,18 @@ def retrieve_detailed(
     embedder: EmbedderBackend,
     config: RetrievalConfig | None = None,
     reranker: RerankerBackend | None = None,
-    token_counter: Callable[[str], int] = default_token_counter,
 ) -> RetrievalResult:
     """Run the full pipeline and keep the intermediate stages for inspection."""
     if config is None:
         config = RetrievalConfig()
     plan = plan_query(query_text, embedder, config)
     coarse = coarse_retrieve(graph, plan, config.alpha)
-    if reranker is None:
-        # Without a backend the hybrid score ranks, and the walk's top-k cut
-        # is that ranking.
-        ranked = expand_graph(graph, coarse, plan.hops, plan.k)
-    elif expanded := expand_graph(graph, coarse, plan.hops):
-        ranked = rerank_candidates(graph, reranker, plan.query_text, expanded, plan.k)
-    else:
-        ranked = []
-    selected = greedy_select(graph, ranked, plan.budget_tokens, token_counter)
+    # Without a backend the walk's top-k cut is the read's ranking; a
+    # backend reorders the whole hybrid ranking.
+    ranked = expand_graph(graph, coarse, plan.hops, None if reranker is not None else plan.k)
+    if reranker is not None and ranked:
+        ranked = rerank_candidates(graph, reranker, plan.query_text, ranked, plan.k)
+    selected = greedy_select(graph, ranked, plan.budget_tokens)
     injection = build_injection(graph, selected, plan)
     return RetrievalResult(plan=plan, ranked=ranked, selected=selected, injection=injection)
 
@@ -627,7 +603,6 @@ def retrieve(
     embedder: EmbedderBackend,
     config: RetrievalConfig | None = None,
     reranker: RerankerBackend | None = None,
-    token_counter: Callable[[str], int] = default_token_counter,
 ) -> str:
     """Full pipeline; returns just the injection block."""
-    return retrieve_detailed(graph, query_text, embedder, config, reranker, token_counter).injection
+    return retrieve_detailed(graph, query_text, embedder, config, reranker).injection

@@ -169,8 +169,10 @@ class PreparedQuery:
     """A query as the index scores it: float64 vector and norm, token set and
     ids, and the float32 unit vector the screen reads.
 
-    token_ids are the ids of the tokens the index has seen; a query token it
-    has not seen counts in len(tokens) and matches no row. unit is None when
+    token_ids are the ids of the tokens in the index's vocabulary, which a
+    fork shares with its owner; a query token outside it counts in
+    len(tokens) and matches no row, and so does one the owner interned
+    after the fork, whose postings lie past the fork's rows. unit is None when
     the norm lies outside _SCREENABLE_NORMS.
     """
 
@@ -271,7 +273,6 @@ class ScoringIndex:
         self._content_postings: defaultdict[int, list[int]] = defaultdict(list)
         self._postings: defaultdict[int, list[int]] = defaultdict(list)
         self._vocab: dict[str, int] = {}
-        self._vocab_size = 0
         self._row_of: dict[str, int] = {}
         self._edges = 0
         # Row i's neighbour rows, one per edge joining it, and the numbers
@@ -299,7 +300,6 @@ class ScoringIndex:
             content = token_set(obj.content)
             document = content if obj.quote == obj.content else content | token_set(obj.quote)
             self._append_row(obj.embedding, content, document, obj.turn, obj.id)
-        self._vocab_size = len(self._vocab)
 
     def extend_edges(self, edges: Sequence[CanvasEdge]) -> None:
         """Join the src and dst row of each edge in both rows' adjacency;
@@ -331,7 +331,6 @@ class ScoringIndex:
         coverage tokens, the turn."""
         self._reserve(self._rows + 1)
         self._append_row(embedding, content_tokens, document_tokens, turn, None)
-        self._vocab_size = len(self._vocab)
 
     def _reserve(self, needed: int) -> None:
         """Grow every row-aligned column together until it holds `needed` rows."""
@@ -451,13 +450,13 @@ class ScoringIndex:
         return PreparedQuery(self._matrix[row], norm, frozenset(), frozenset(), unit)
 
     def _known_ids(self, tokens: frozenset[str]) -> list[int]:
-        size = self._vocab_size
-        return [i for i in map(self._vocab.get, tokens) if i is not None and i < size]
+        return [i for i in map(self._vocab.get, tokens) if i is not None]
 
     def _joined_counts(self, postings: dict[int, list[int]], token_ids) -> np.ndarray:
         """How many of the posting lists of token_ids (distinct ids) hold
         each row. The owner may have appended rows past this index's own to
-        those lists; the [:n] cut drops them."""
+        those lists; the [:n] cut drops them. That covers a token the owner
+        interned after a fork, too: its lists hold only rows past the fork's."""
         hits: list[int] = []
         for token_id in token_ids:
             hits += postings.get(token_id, ())

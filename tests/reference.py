@@ -6,11 +6,12 @@ pruning, in the order the pipeline is defined:
 - the scalar kernels cosine_sim, token_jaccard, token_coverage,
   document_text and hybrid_score, and the keyword helpers built on them;
 - link_object: the three edge rules against every stored object in turn;
-- coarse_retrieve: hybrid_score every object, then sort;
+- coarse_retrieve: hybrid_score every object, then sort; each hit has its
+  hybrid score as its rerank score;
 - expand_graph: a breadth-first walk over adjacency lists built from
-  graph.edges;
+  graph.edges, in walk order;
 - retrieve: coarse, then the full expansion, then rank (a stable sort by
-  hybrid score cut to k, each with its hybrid score as its rerank score)
+  hybrid score, cut to k, each with its hybrid score as its rerank score)
   and pack: render_line for every candidate, a budget that skips a line
   that does not fit and goes on, and the block grouped in KIND_ORDER with
   the class instruction;
@@ -205,13 +206,15 @@ def coarse_retrieve(
     graph: CanvasGraph, plan: QueryPlan, alpha: float = DEFAULT_ALPHA
 ) -> list[ScoredObject]:
     """hybrid_score every object; the top coarse_k by score, then higher
-    confidence, then lower turn, then id."""
+    confidence, then lower turn, then id, each with its score as its rerank
+    score."""
     scored = [
         (hybrid_score(plan.query_embedding, plan.query_text, obj, alpha), obj)
         for obj in graph.objects.values()
     ]
     scored.sort(key=lambda pair: (-pair[0], -pair[1].confidence, pair[1].turn, pair[1].id))
-    return [ScoredObject(object_id=obj.id, hybrid=score) for score, obj in scored[: plan.coarse_k]]
+    return [ScoredObject(object_id=obj.id, hybrid=score, rerank=score)
+            for score, obj in scored[: plan.coarse_k]]
 
 
 def adjacency(graph: CanvasGraph) -> dict[str, list[str]]:
@@ -273,9 +276,10 @@ def retrieve(
                                           plan.hops))
 
 
-def rank(expanded: Sequence[ScoredObject], k: int) -> list[ScoredObject]:
-    """Without a reranker the hybrid score is the rerank score: the
-    candidates stably sorted by it, descending, and cut to k."""
+def rank(expanded: Sequence[ScoredObject], k: int | None) -> list[ScoredObject]:
+    """The hybrid ranking: the candidates stably sorted by hybrid score,
+    descending, each with it as its rerank score, and cut to k (uncut for
+    None)."""
     return [replace(c, rerank=c.hybrid) for c in sorted(expanded, key=lambda c: -c.hybrid)[:k]]
 
 

@@ -215,6 +215,18 @@ def test_remote_rerank_rejects_a_score_that_is_not_finite(config, score):
         remote_rerank(config, "q", ["doc a", "doc b"], transport=transport)
 
 
+def test_a_json_number_too_large_for_a_double_is_malformed(config):
+    # json.loads reads 1e400 as inf, but an integer literal stays an int
+    # that float() cannot convert.
+    huge = 10 ** 400
+    embed = ScriptedTransport((200, {"data": [{"index": 0, "embedding": [huge, 1.0]}]}))
+    with pytest.raises(MalformedResponseError, match="bad embedding record"):
+        remote_embed(config, ["first"], transport=embed)
+    rerank = ScriptedTransport((200, {"results": [{"index": 0, "relevance_score": huge}]}))
+    with pytest.raises(MalformedResponseError, match="bad rerank record"):
+        remote_rerank(config, "q", ["doc a"], transport=rerank)
+
+
 def test_remote_embedder_and_reranker_adapters(config):
     embed_transport = ScriptedTransport((200, {"data": [{"index": 0, "embedding": [0.6, 0.8]}]}))
     assert RemoteEmbedder(config, embed_transport).embed("hi") == [0.6, 0.8]

@@ -435,3 +435,16 @@ def test_a_malformed_conversation_line_exits_2_naming_it(line, named, tmp_path, 
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}:2: ") and named in err and "Traceback" not in err
+
+
+def test_a_timestamp_key_is_ignored_like_any_other_extra_key(conversation, tmp_path):
+    rows = [json.loads(line) for line in conversation.read_text(encoding="utf-8").splitlines()]
+    stamped = tmp_path / "stamped.jsonl"
+    stamped.write_text("".join(json.dumps({**row, "timestamp": "2023-05-07T10:00:00Z",
+                                           "speaker": "ana"}) + "\n" for row in rows),
+                       encoding="utf-8")
+    plain_path, stamped_path = tmp_path / "plain.json", tmp_path / "stamped.json"
+    assert main(["ingest", "--input", str(conversation), "--graph", str(plain_path)]) == 0
+    assert main(["ingest", "--input", str(stamped), "--graph", str(stamped_path)]) == 0
+    assert len(deserialize_graph(stamped_path.read_bytes()).objects) == 3
+    assert stamped_path.read_bytes() == plain_path.read_bytes()

@@ -3,12 +3,12 @@
 The reference (tests/reference.py) walks breadth-first over per-object
 adjacency lists built from graph.edges in insertion order. The library
 walks the scoring index's per-row adjacency lists, which a snapshot shares
-with the graph that keeps appending to them. Without k it must give the
-same candidates in the same order with the same float scores; with k it
-must give the read's ranking without a reranker: the first k of the stable
-descending sort of the reference's full expansion, each with its hybrid
-score as its rerank score (reference.rank), which is also what
-rerank_candidates makes of the full list without a backend.
+with the graph that keeps appending to them. Its result is the read's
+hybrid ranking: the stable descending sort of the reference's full
+expansion, each candidate with its hybrid score as its rerank score
+(reference.rank), cut to k when k is given, with the same float scores.
+The seeds, like coarse_retrieve's hits, carry their hybrid score as their
+rerank score.
 """
 
 from __future__ import annotations
@@ -42,6 +42,22 @@ from conftest import QUESTIONS, axis, make_obj, seeded_turns
 def exact(candidates):
     """Candidates with their floats spelled bit for bit."""
     return [(c.object_id, c.hybrid.hex(), c.rerank, c.provenance, c.hop) for c in candidates]
+
+
+def seed(object_id, score):
+    """A coarse hit as coarse_retrieve makes one: its hybrid score is its
+    rerank score."""
+    return ScoredObject(object_id=object_id, hybrid=score, rerank=score)
+
+
+class _HybridReranker:
+    """Scores each candidate by its hybrid score in the given ranking."""
+
+    def __init__(self, ranking):
+        self.scores = {c.object_id: c.hybrid for c in ranking}
+
+    def rerank(self, query_text, candidates):
+        return [(cid, self.scores[cid]) for cid, _ in candidates]
 
 
 # ---------------------------------------------------------------------------
@@ -114,16 +130,19 @@ def test_array_walk_equals_the_dict_walk(scenario, data):
         # A snapshot taken before the first object holds no rows.
         chosen = data.draw(st.lists(st.integers(0, max(len(rows) - 1, 0)), unique=True,
                                     max_size=len(rows)))
-        seeds = [ScoredObject(object_id=rows[i].id, hybrid=data.draw(SCORE))
-                 for i in chosen]
+        seeds = [seed(rows[i].id, data.draw(SCORE)) for i in chosen]
         hops = data.draw(st.integers(0, 5))
         full = reference.expand_graph(graph, seeds, hops)
-        assert exact(expand_graph(graph, seeds, hops)) == exact(full)
+        whole = expand_graph(graph, seeds, hops)
+        assert exact(whole) == exact(reference.rank(full, None))
         for k in range(1, len(full) + 3):
             ranked = expand_graph(graph, seeds, hops, k)
             assert exact(ranked) == exact(reference.rank(full, k))
             if full:
-                assert exact(ranked) == exact(rerank_candidates(graph, None, "q", full, k))
+                # A backend that scores each candidate by its hybrid score
+                # leaves the ranking as it is.
+                echo = _HybridReranker(whole)
+                assert exact(rerank_candidates(graph, echo, "q", whole, k)) == exact(ranked)
 
 
 @settings(max_examples=150, deadline=None)
@@ -137,7 +156,7 @@ def test_the_pruned_walk_on_a_mid_build_snapshot_equals_the_reference(scenario, 
     rows = twin.rows
     chosen = data.draw(st.lists(st.integers(0, max(len(rows) - 1, 0)), unique=True,
                                 max_size=min(len(rows), 8)))
-    seeds = [ScoredObject(object_id=rows[i].id, hybrid=data.draw(SCORE)) for i in chosen]
+    seeds = [seed(rows[i].id, data.draw(SCORE)) for i in chosen]
     hops = data.draw(st.integers(1, 5))
     k = data.draw(st.integers(1, 20))
     full = reference.expand_graph(twin, seeds, hops)
@@ -162,10 +181,10 @@ def test_unknown_seed_ids_come_back_and_expand_nothing():
     graph.add_object(b)
     graph.add_edge(CanvasEdge(src=a.id, dst=b.id, kind=EdgeKind.REFERENCE, weight=0.5,
                               origin=EdgeOrigin.SIMILARITY))
-    stranger = ScoredObject(object_id="f" * 16, hybrid=1.0)
-    seeds = [stranger, ScoredObject(object_id=a.id, hybrid=0.5)]
+    stranger = seed("f" * 16, 1.0)
+    seeds = [stranger, seed(a.id, 0.5)]
     full = reference.expand_graph(graph, seeds, 2)
-    assert exact(expand_graph(graph, seeds, 2)) == exact(full)
+    assert exact(expand_graph(graph, seeds, 2)) == exact(reference.rank(full, None))
     assert [c.object_id for c in full] == [stranger.object_id, a.id, b.id]
     for k in (1, 2, 3):
         assert exact(expand_graph(graph, seeds, 2, k)) == exact(reference.rank(full, k))
@@ -212,7 +231,7 @@ def _record_hops(monkeypatch) -> tuple[list[list[int]], list[list[int]]]:
 
 
 def _seeds(ids, scores):
-    return [ScoredObject(object_id=ids[name], hybrid=value) for name, value in scores.items()]
+    return [seed(ids[name], value) for name, value in scores.items()]
 
 
 def test_the_last_hop_walks_only_seeds_that_can_beat_the_kth_score(monkeypatch):

@@ -245,8 +245,10 @@ def test_expand_graph_inherits_best_parent_score():
         ScoredObject(object_id=b.id, hybrid=0.5),
     ]
     out = expand_graph(graph, seeds, hops=1)
-    assert out[-1].object_id == shared.id
-    assert out[-1].hybrid == pytest.approx(1.0 * EXPANSION_DECAY)
+    # The shared neighbour inherits the strong seed's score, which ranks it
+    # above the weak seed.
+    assert [o.object_id for o in out] == [a.id, shared.id, b.id]
+    assert out[1].hybrid == pytest.approx(1.0 * EXPANSION_DECAY)
 
 
 def test_expand_graph_walks_reverse_and_causal_edges():
@@ -308,24 +310,37 @@ def _candidates(graph, scores):
     return out
 
 
+def _ranking(graph, scores):
+    """Candidates with these hybrid scores as expand_graph ranks them: in
+    stable descending hybrid order, each with its hybrid as its rerank."""
+    return reference.rank(_candidates(graph, scores), None)
+
+
 def test_rerank_without_backend_uses_hybrid_as_rerank():
-    graph = CanvasGraph()
-    cands = _candidates(graph, [0.2, 0.9, 0.5])
-    ranked = rerank_candidates(graph, None, "q", cands, k=3)
-    assert [r.hybrid for r in ranked] == [0.9, 0.5, 0.2]
-    assert [r.rerank for r in ranked] == [0.9, 0.5, 0.2]
+    # Without a backend no rerank stage runs: the read's ranking is the
+    # walk's, in descending hybrid order with the hybrid as its rerank score.
+    embedder = MockEmbedder()
+    graph = _seeded_graph(6, 60)
+    provenances = set()
+    for question in QUESTIONS:
+        ranked = retrieve_detailed(graph, question, embedder, PRESETS[1]).ranked
+        assert all(c.rerank == c.hybrid for c in ranked)
+        assert [c.hybrid for c in ranked] == sorted((c.hybrid for c in ranked), reverse=True)
+        provenances.update(c.provenance for c in ranked)
+    assert provenances == set(Provenance)
 
 
 def test_rerank_truncates_to_k():
     graph = CanvasGraph()
-    cands = _candidates(graph, [0.2, 0.9, 0.5, 0.7])
-    ranked = rerank_candidates(graph, None, "q", cands, k=2)
-    assert [r.hybrid for r in ranked] == [0.9, 0.7]
+    cands = _ranking(graph, [0.2, 0.9, 0.5, 0.7])
+    ranked = rerank_candidates(graph, _ScriptedReranker([0.1, 0.4, 0.3, 0.2]), "q", cands, k=2)
+    assert [r.hybrid for r in ranked] == [0.7, 0.5]
+    assert [r.rerank for r in ranked] == [0.4, 0.3]
 
 
 def test_rerank_backend_reorders():
     graph = CanvasGraph()
-    cands = _candidates(graph, [0.9, 0.5, 0.2])
+    cands = _ranking(graph, [0.9, 0.5, 0.2])
     ranked = rerank_candidates(graph, _ReversingReranker(), "q", cands, k=3)
     # The stub scores candidates by their position, so the order flips.
     assert [r.hybrid for r in ranked] == [0.2, 0.5, 0.9]
@@ -334,15 +349,16 @@ def test_rerank_backend_reorders():
 
 def test_rerank_backend_failure_falls_back_to_hybrid():
     graph = CanvasGraph()
-    cands = _candidates(graph, [0.2, 0.9])
+    cands = _ranking(graph, [0.2, 0.9])
     ranked = rerank_candidates(graph, _ExplodingReranker(), "q", cands, k=2)
     assert [r.hybrid for r in ranked] == [0.9, 0.2]
     assert [r.rerank for r in ranked] == [0.9, 0.2]
+    assert rerank_candidates(graph, _ExplodingReranker(), "q", cands, k=1) == ranked[:1]
 
 
 def test_rerank_missing_scores_sink_to_bottom():
     graph = CanvasGraph()
-    cands = _candidates(graph, [0.9, 0.5, 0.2])
+    cands = _ranking(graph, [0.9, 0.5, 0.2])
     ranked = rerank_candidates(graph, _ForgetfulReranker(), "q", cands, k=3)
     # Only the top hybrid candidate got a score; the rest keep hybrid order.
     assert ranked[0].rerank == 5.0
@@ -351,7 +367,7 @@ def test_rerank_missing_scores_sink_to_bottom():
 
 def test_a_nan_rerank_score_ranks_as_missing():
     graph = CanvasGraph()
-    cands = _candidates(graph, [0.6, 0.5, 0.4, 0.3, 0.2, 0.1])
+    cands = _ranking(graph, [0.6, 0.5, 0.4, 0.3, 0.2, 0.1])
     # A NaN, and a score float() rejects with TypeError or ValueError.
     for missing in (math.nan, None, "high"):
         reranker = _ScriptedReranker([0.1, missing, 0.9, 0.3, 0.8, 0.2])
@@ -383,7 +399,7 @@ def test_a_malformed_rerank_reply_does_not_crash_the_query(reply, caplog):
     """A reply that is not iterable falls back to the hybrid order with a
     warning; an entry that is not an (id, score) pair ranks last."""
     graph = CanvasGraph()
-    cands = _candidates(graph, [0.9, 0.5, 0.2])
+    cands = _ranking(graph, [0.9, 0.5, 0.2])
     reranker = _ReplyingReranker(MALFORMED_REPLIES[reply])
     with caplog.at_level("WARNING", logger="canvasmem.retrieval"):
         ranked = rerank_candidates(graph, reranker, "q", cands, k=3)
@@ -414,7 +430,7 @@ def test_coarse_retrieve_breaks_ties_on_turns_past_2_62():
 
 def test_rerank_requires_candidates():
     with pytest.raises(ValueError):
-        rerank_candidates(CanvasGraph(), None, "q", [], k=5)
+        rerank_candidates(CanvasGraph(), _ReversingReranker(), "q", [], k=5)
 
 
 def test_render_object_line_format():
@@ -444,22 +460,16 @@ def test_every_kind_has_one_place_in_the_block_order():
 
 def test_greedy_select_skip_and_continue_frozen():
     graph = CanvasGraph()
-    costs = {"alpha": 900, "beta": 800, "gamma": 500}
-
-    def counter(text: str) -> int:
-        for name, cost in costs.items():
-            if name in text:
-                return cost
-        raise AssertionError(f"unexpected line {text!r}")
-
-    cands = []
-    for name in ("alpha", "beta", "gamma"):
-        obj = make_obj(content=name, turn=0, embedding=axis(0))
+    cands, costs = [], []
+    for name, length in (("alpha", 360), ("beta", 320), ("gamma", 200)):
+        obj = make_obj(content=name + "x" * length, quote=name, turn=0, embedding=axis(0))
         graph.add_object(obj)
         cands.append(ScoredObject(object_id=obj.id, hybrid=1.0))
-    picked = greedy_select(graph, cands, budget_tokens=1500, token_counter=counter)
-    # 900 fits, 800 does not (600 left), 500 does: skip is not a stop.
-    assert [graph.objects[c.object_id].content for c in picked] == ["alpha", "gamma"]
+        costs.append(default_token_counter(render_object_line(obj)))
+    assert costs == [100, 90, 60]
+    picked = greedy_select(graph, cands, budget_tokens=160)
+    # 100 fits, 90 does not (60 left), 60 does: skip is not a stop.
+    assert [graph.objects[c.object_id].quote for c in picked] == ["alpha", "gamma"]
 
 
 def test_greedy_select_zero_budget_selects_nothing():
@@ -628,28 +638,54 @@ def test_reads_of_a_graph_and_its_snapshots_render_each_line_once(monkeypatch):
     assert selected and selected <= set(rendered)
 
 
-def test_a_reranker_backend_receives_the_full_expansion_in_walk_order(monkeypatch):
-    """The pool a backend ranks is the k=None walk: the coarse hits, then
-    every expansion, hop by hop, as the reference walks them."""
+def test_a_reranker_backend_receives_the_full_expansion_in_hybrid_order():
+    """The pool a backend ranks is the whole unpruned expansion: the
+    reference's full walk in stable descending hybrid order, each sent as
+    its (id, content and quote) pair; the read then ranks by the backend's
+    scores and cuts to k."""
+    class Recording(_ReversingReranker):
+        def rerank(self, query_text, candidates):
+            pools.append(list(candidates))
+            return super().rerank(query_text, candidates)
+
     pools = []
-    rerank = canvasmem.retrieval.rerank_candidates
-
-    def recorded(graph, backend, query_text, candidates, k):
-        pools.append([(c.object_id, c.hybrid.hex(), c.provenance, c.hop) for c in candidates])
-        return rerank(graph, backend, query_text, candidates, k)
-
-    monkeypatch.setattr(canvasmem.retrieval, "rerank_candidates", recorded)
     embedder = MockEmbedder()
     graph = _seeded_graph(9, 60)
     for config in PRESETS:
         for question in QUESTIONS:
-            retrieve_detailed(graph, question, embedder, config, _ReversingReranker())
+            got = retrieve_detailed(graph, question, embedder, config, Recording())
             plan = plan_query(question, embedder, config)
             full = reference.expand_graph(
                 graph, reference.coarse_retrieve(graph, plan, config.alpha), plan.hops)
-            assert pools.pop() == [(c.object_id, c.hybrid.hex(), c.provenance, c.hop)
-                                   for c in full]
+            pool = reference.rank(full, None)
+            objects = [graph.objects[c.object_id] for c in pool]
+            assert pools.pop() == [(obj.id, f"{obj.content}\n{obj.quote}") for obj in objects]
+            # The stub scores by position, so the read's ranking is the
+            # pool reversed, cut to k.
+            want = [(c.object_id, c.hybrid.hex(), float(i), c.provenance, c.hop)
+                    for i, c in reversed(list(enumerate(pool)))][: plan.k]
+            assert [(c.object_id, c.hybrid.hex(), c.rerank, c.provenance, c.hop)
+                    for c in got.ranked] == want
             assert len(full) > plan.k
+
+
+def test_a_read_without_a_backend_ranks_the_coarse_hits_themselves(monkeypatch):
+    hits = []
+    coarse = canvasmem.retrieval.coarse_retrieve
+
+    def recorded(*args):
+        hits.append(coarse(*args))
+        return hits[-1]
+
+    monkeypatch.setattr(canvasmem.retrieval, "coarse_retrieve", recorded)
+    embedder = MockEmbedder()
+    graph = _seeded_graph(6, 60)
+    for config in PRESETS:
+        for question in QUESTIONS:
+            ranked = retrieve_detailed(graph, question, embedder, config).ranked
+            seeds = [c for c in ranked if c.provenance is Provenance.COARSE]
+            assert seeds and all(any(c is hit for hit in hits[-1]) for c in seeds)
+            assert all(c.rerank == c.hybrid for c in hits[-1])
 
 
 def test_retrieve_detailed_end_to_end():

@@ -520,7 +520,8 @@ def oracle_verified_coarse_retrieve(graph, plan, alpha=DEFAULT_ALPHA):
     band = np.flatnonzero(approx >= kth - 2 * index.margin).tolist()
     scored = [(oracle_exact_hybrid(index, query, row, graph.rows[row], alpha), graph.rows[row]) for row in band]
     scored.sort(key=lambda pair: (-pair[0], -pair[1].confidence, pair[1].turn, pair[1].id))
-    return [ScoredObject(object_id=obj.id, hybrid=score) for score, obj in scored[: plan.coarse_k]]
+    return [ScoredObject(object_id=obj.id, hybrid=score, rerank=score)
+            for score, obj in scored[: plan.coarse_k]]
 
 
 def _all_rows(index) -> np.ndarray:
@@ -872,7 +873,9 @@ def test_forks_and_their_owner_never_see_each_others_rows_or_token_ids():
     assert owner.row_jaccards(1).tolist() == [0.0, 1.0, 0.0]
     assert owner.row_jaccards(0).tolist() == [1.0, 0.0, 0.0]
     assert owner.turn_window(2, 1).tolist() == [False, True, True]
-    assert fork.prepare(axis(0), "alpha gamma beta").token_ids == frozenset()
+    # The fork shares the owner's vocabulary, so it knows the later tokens'
+    # ids, but their postings lie past its rows: they match nothing.
+    assert fork.coverage(fork.prepare(axis(0), "alpha gamma beta")).tolist() == [0.0]
     assert fork.row_jaccards(0).tolist() == [1.0]
     assert fork.turn_window(2, 1).tolist() == [False]
 
@@ -891,8 +894,9 @@ def test_a_forks_coverage_counts_neither_the_owners_later_rows_nor_its_later_tok
     owner_docs = fork_docs + [{"redis", "cache", "beta"}, set(), {"beta", "cache"}]
     text = "redis cache beta"
     query = fork.prepare(axis(0), text)
-    # The fork never saw "beta": it counts in the size and matches no row.
-    assert query.token_ids == owner.prepare(axis(0), "redis cache").token_ids
+    # "beta" first came after the fork: it counts in the size, and its
+    # postings lie past the fork's rows, so it matches no row of the fork.
+    assert fork.coverage(fork.prepare(axis(0), "beta")).tolist() == [0.0, 0.0]
     for index, documents, prepared in ((fork, fork_docs, query),
                                        (owner, owner_docs, owner.prepare(axis(0), text))):
         assert [_bits(c) for c in index.coverage(prepared).tolist()] == [
@@ -1030,16 +1034,21 @@ def test_a_link_tokenizes_nothing_and_an_append_tokenizes_each_text_once(monkeyp
 
 def _columns(index, good):
     """Every column of index up to its own rows, edges and vocabulary, as
-    plain values; good[row] says whether row holds a vector."""
-    n, size = len(index), index._vocab_size
+    plain values; good[row] says whether row holds a vector. Its vocabulary
+    is the tokens with a posting on one of its rows: a token first interned
+    after a fork has postings only on rows past the fork's."""
+    n = len(index)
     good = [row for row in range(n) if good[row]]
     low, high = _SCREENABLE_NORMS
     bounded = [row for row in good if low <= index._norms[row] <= high]
 
     def postings(lists):
-        cut = {token_id: [row for row in rows if row < n] for token_id, rows in lists.items()
-               if token_id < size}
+        cut = {token_id: [row for row in rows if row < n] for token_id, rows in lists.items()}
         return {token_id: rows for token_id, rows in cut.items() if rows}
+
+    content_postings, document_postings = (postings(index._content_postings),
+                                           postings(index._postings))
+    known = content_postings.keys() | document_postings.keys()
 
     return {
         "rows": n,
@@ -1050,9 +1059,9 @@ def _columns(index, good):
         "units": index._units[bounded].tolist() if bounded else [],
         "content_rows": index._content_rows[:n],
         "sizes": index._sizes[:n].tolist(),
-        "content_postings": postings(index._content_postings),
-        "postings": postings(index._postings),
-        "vocab": {tok: i for tok, i in index._vocab.items() if i < size},
+        "content_postings": content_postings,
+        "postings": document_postings,
+        "vocab": {tok: i for tok, i in index._vocab.items() if i in known},
         "fault": None if index._fault is None else (type(index._fault), index._fault.args),
         "unbounded": index._unbounded,
         "margin": index.margin,
