@@ -20,15 +20,18 @@ read those lists, so they cost a row's degree, not the graph's edge count.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
+import re
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NoReturn, Optional
 
 from .errors import (
+    CanvasError,
     InvalidObjectError,
     MalformedInputError,
     ReadOnlyGraphError,
@@ -401,45 +404,37 @@ def _require(condition: bool, message: str) -> None:
         raise MalformedInputError(message)
 
 
-def _finite(embedding: list) -> bool:
-    """Whether no component of a loaded embedding is infinite, as a JSON
-    number too large for a double (1e400) parses to.
+# Below this norm no embedding component is infinite, as a JSON number too
+# large for a double (1e400) parses to, and every integer component lies
+# within 64 bits, where orjson parses an integer literal as an int, as json
+# does; past 64 bits orjson hands back a float. An embedding not below it
+# sends the fast load to the stdlib one, which then reads its components.
+_EMBEDDING_NORM_BOUND = float(2**63)
 
-    The sum of a finite vector is almost always finite, so the components
-    are read one by one only when it is not, or when the sum raises: a
-    component that is not a number is left for the scoring index to report.
-    """
+
+def _small(embedding: list) -> bool:
+    """Whether a loaded embedding's norm is below _EMBEDDING_NORM_BOUND; False
+    when a component is not a number, or an integer too large for a float."""
     try:
-        if math.isfinite(sum(embedding)):
-            return True
+        return math.hypot(*embedding) < _EMBEDDING_NORM_BOUND
     except (TypeError, OverflowError):
-        pass
-    return not any(isinstance(value, float) and math.isinf(value) for value in embedding)
+        return False
 
 
-def deserialize_graph(data: bytes) -> CanvasGraph:
-    """Rebuild a graph from serialize_graph output.
+def _reject_infinite(obj: CanvasObject) -> None:
+    """The stdlib load's check of an embedding that is not _small: a component
+    that is not a number is left for the scoring index to report."""
+    if any(isinstance(value, float) and math.isinf(value) for value in obj.embedding):
+        raise MalformedInputError(
+            f"object {obj.id} has an embedding component too large for a double"
+        )
 
-    Raises MalformedInputError on truncation or schema violations and
-    VersionMismatchError on an unsupported version number.
-    """
-    try:
-        doc = _DECODER.decode(data.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise MalformedInputError(f"graph data is not valid JSON: {exc}") from exc
-    _require(isinstance(doc, dict), "graph document must be a JSON object")
-    _require(doc.get("format") == GRAPH_FORMAT, "unrecognized graph format tag")
-    version = doc.get("version")
-    if version != GRAPH_VERSION:
-        raise VersionMismatchError(f"unsupported graph version {version!r}")
-    _require(isinstance(doc.get("objects"), list), "objects must be a list")
-    _require(isinstance(doc.get("edges"), list), "edges must be a list")
-    next_turn = doc.get("next_turn")
-    _require(isinstance(next_turn, int) and not isinstance(next_turn, bool) and next_turn >= 0,
-             "next_turn must be a non-negative integer")
 
+def _build(next_turn: int, object_records, edge_records, large_embedding) -> CanvasGraph:
+    """A graph of the records, which each path has parsed; large_embedding(obj)
+    is called for each object whose embedding is not _small."""
     graph = CanvasGraph()
-    for raw in doc["objects"]:
+    for raw in object_records:
         _require(isinstance(raw, dict), "each object must be a JSON object")
         try:
             # CanvasObject validates the record; _store does not validate again.
@@ -460,13 +455,11 @@ def deserialize_graph(data: bytes) -> CanvasGraph:
             raise MalformedInputError(
                 f"object id {raw.get('id')!r} does not match its content hash"
             )
-        if obj.embedding is not None and not _finite(obj.embedding):
-            raise MalformedInputError(
-                f"object {obj.id} has an embedding component too large for a double"
-            )
+        if obj.embedding is not None and not _small(obj.embedding):
+            large_embedding(obj)
         if graph._store(obj) is not AddResult.ADDED:
             raise MalformedInputError(f"duplicate object id {obj.id}")
-    for raw in doc["edges"]:
+    for raw in edge_records:
         _require(isinstance(raw, dict), "each edge must be a JSON object")
         try:
             edge = CanvasEdge(
@@ -481,5 +474,134 @@ def deserialize_graph(data: bytes) -> CanvasGraph:
             raise MalformedInputError(f"invalid edge record: {exc}") from exc
         if not added:
             raise MalformedInputError(f"duplicate edge {raw.get('src')!r} -> {raw.get('dst')!r}")
-    graph.next_turn = max(graph.next_turn, doc["next_turn"])
+    graph.next_turn = max(graph.next_turn, next_turn)
     return graph
+
+
+def _stdlib_load(data: bytes) -> CanvasGraph:
+    """deserialize_graph through the standard library's json parser alone."""
+    try:
+        doc = _DECODER.decode(data.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise MalformedInputError(f"graph data is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise MalformedInputError("graph data is nested too deeply to parse") from exc
+    _require(isinstance(doc, dict), "graph document must be a JSON object")
+    _require(doc.get("format") == GRAPH_FORMAT, "unrecognized graph format tag")
+    version = doc.get("version")
+    if version != GRAPH_VERSION:
+        raise VersionMismatchError(f"unsupported graph version {version!r}")
+    _require(isinstance(doc.get("objects"), list), "objects must be a list")
+    _require(isinstance(doc.get("edges"), list), "edges must be a list")
+    next_turn = doc.get("next_turn")
+    _require(isinstance(next_turn, int) and not isinstance(next_turn, bool) and next_turn >= 0,
+             "next_turn must be a non-negative integer")
+    return _build(next_turn, doc["objects"], doc["edges"], _reject_infinite)
+
+
+@functools.cache
+def _orjson():
+    """The orjson module, or None when it is not installed; imported on the
+    first load, not with canvasmem."""
+    try:
+        import orjson
+    except ImportError:
+        return None
+    return orjson
+
+
+class _NotCanonical(Exception):
+    """The fast load cannot vouch for its result; the stdlib load runs instead."""
+
+
+# What serialize_graph writes before the first object record.
+_CANONICAL_HEADER = re.compile(
+    rb'\{"format":"canvas-graph","version":1,"next_turn":(0|[1-9][0-9]*),"objects":\['
+)
+_EDGES_KEY = b'],"edges":['
+# The bytes between two records of each array, where a chunk is cut after
+# the first byte. Neither can lie inside a JSON string, where a quote is
+# escaped; one between values nested in a record is caught when parsed.
+_OBJECT_CUT = b'},{"id":"'
+_EDGE_CUT = b'},{"src":"'
+# The key counts of saved records: an extra key or a missing one leaves
+# the record to the stdlib load.
+_OBJECT_KEYS = 8
+_EDGE_KEYS = 5
+# orjson parses an array a chunk of about this many bytes at a time, and
+# a chunk's records are dropped once built, so a load holds little more
+# than the graph it builds; a whole-document parse would hold every
+# record's dict and list beside it.
+_CHUNK_BYTES = 1 << 16
+
+
+def _fast_records(orjson, data: bytes, start: int, end: int, cut: bytes, keys: int):
+    """The records of the JSON array body data[start:end], parsed by orjson
+    a chunk at a time.
+
+    Each chunk ends at a cut. A cut inside a nested value leaves the chunk's
+    brackets unbalanced, which orjson rejects, so the chunks parse only when
+    each is a run of whole records, and then their records are the array's.
+    """
+    view = memoryview(data)
+    while start < end:
+        stop = data.find(cut, start + _CHUNK_BYTES, end)
+        stop = end if stop < 0 else stop + 1
+        for record in orjson.loads(b"".join((b"[", view[start:stop], b"]"))):
+            if type(record) is not dict or len(record) != keys:
+                raise _NotCanonical
+            yield record
+        start = stop + 1
+
+
+def _not_canonical(_obj: CanvasObject) -> NoReturn:
+    raise _NotCanonical
+
+
+def _fast_load(orjson, data: bytes) -> CanvasGraph:
+    """deserialize_graph through orjson, for a file laid out as
+    serialize_graph writes it; _NotCanonical, or any error the parse or the
+    build raises, leaves the file to the stdlib load."""
+    header = _CANONICAL_HEADER.match(data)
+    if header is None or not data.endswith(b"]}"):
+        raise _NotCanonical
+    split = data.rfind(_EDGES_KEY)
+    if split < header.end():
+        raise _NotCanonical
+    objects = _fast_records(orjson, data, header.end(), split, _OBJECT_CUT, _OBJECT_KEYS)
+    edges = _fast_records(orjson, data, split + len(_EDGES_KEY), len(data) - 2, _EDGE_CUT,
+                          _EDGE_KEYS)
+    return _build(int(header[1]), objects, edges, _not_canonical)
+
+
+def deserialize_graph(data: bytes) -> CanvasGraph:
+    """Rebuild a graph from serialize_graph output.
+
+    Raises MalformedInputError on truncation, schema violations or nesting
+    too deep to parse, and VersionMismatchError on an unsupported version
+    number.
+
+    When orjson is installed (it is optional: `pip install canvasmem[fast]`),
+    a file laid out as serialize_graph writes it loads through orjson first:
+    one match of the fixed header, then each array parsed in chunks of about
+    64 KB cut at record boundaries, each chunk's records built and dropped
+    before the next is parsed. That path gives up, and the stdlib json path
+    loads the whole file instead, whose result or exception is final, on any
+    orjson error, a record whose key count is not a saved record's, an
+    embedding whose norm is not below 2**63 (where the two parsers could read
+    a number differently), or any error while building the graph. The two
+    paths give equal graphs, except that a valid file nested deeper than the
+    stdlib parser's recursion limit allows, in a value the loader ignores (a
+    duplicated key's earlier value, or an extra key of an object record that
+    has no embedding), loads only through orjson.
+    """
+    orjson = _orjson()
+    if orjson is not None and isinstance(data, bytes):
+        try:
+            return _fast_load(orjson, data)
+        except (_NotCanonical, CanvasError, ValueError, RecursionError):
+            # orjson's JSONDecodeError is a ValueError. orjson parses values
+            # nested deeper than Python's recursion limit, which a record's
+            # error message may then fail to repr.
+            pass
+    return _stdlib_load(data)

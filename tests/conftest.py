@@ -5,6 +5,9 @@ from __future__ import annotations
 import math
 import random
 
+import pytest
+
+from canvasmem import core
 from canvasmem.core import CanvasGraph, CanvasObject, ObjectKind, Source
 from canvasmem.errors import BackendFailureError
 from canvasmem.extraction import ConversationTurn
@@ -48,6 +51,41 @@ def graph_of(*objects: CanvasObject) -> CanvasGraph:
     for obj in objects:
         graph.add_object(obj)
     return graph
+
+
+def _load(data: bytes):
+    """(what deserialize_graph made of data, the graph or the exception):
+    the loaded records, type for type, or the exception's type and message."""
+    try:
+        graph = core.deserialize_graph(data)
+    except Exception as exc:
+        return ("raises", type(exc), str(exc)), exc
+    return ("loads", repr([vars(o) for o in graph.rows]), repr(graph.edges),
+            graph.next_turn), graph
+
+
+def load_both_ways(data: bytes) -> CanvasGraph:
+    """deserialize_graph(data) with the orjson path on, checked against the
+    load with that path forced off: both must load the same records, or
+    raise the same exception type and message. Where orjson is not
+    installed, both loads take the stdlib path."""
+    fast, result = _load(data)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_orjson", lambda: None)
+        stdlib, _ = _load(data)
+    assert fast == stdlib
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+@pytest.fixture(scope="module")
+def both_load_paths(request):
+    """Every deserialize_graph call in the requesting module's tests goes
+    through load_both_ways."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(request.module, "deserialize_graph", load_both_ways)
+        yield
 
 
 class CountingEmbedder:

@@ -2,8 +2,9 @@
 
 requests (with urllib3, ssl and http.client) is needed only when a remote
 backend sends a request, and PyYAML only when a config file or a --set value
-is parsed. The check runs in a fresh interpreter: this test process has
-already imported requests through the backend tests.
+is parsed; orjson, where installed, only when a graph is loaded. The checks
+run in a fresh interpreter: this test process has already imported requests
+through the backend tests.
 """
 
 from __future__ import annotations
@@ -45,10 +46,18 @@ OFFLINE_ROUND = textwrap.dedent("""
 """)
 
 
-def test_an_offline_round_loads_neither_requests_nor_yaml():
+def _run(code: str) -> str:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", OFFLINE_ROUND], env=env,
+    done = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == ""
+    return done.stdout.strip()
+
+
+def test_an_offline_round_loads_neither_requests_nor_yaml():
+    assert _run(OFFLINE_ROUND) == ""
+
+
+def test_importing_canvasmem_does_not_import_orjson():
+    assert _run("import sys, canvasmem; print('orjson' in sys.modules)") == "False"

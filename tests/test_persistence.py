@@ -35,6 +35,9 @@ from canvasmem.scoring import MockEmbedder
 
 from conftest import axis, make_obj, seeded_turns
 
+# Every load in these tests runs with the orjson path on and forced off.
+pytestmark = pytest.mark.usefixtures("both_load_paths")
+
 
 # ---------------------------------------------------------------------------
 # The oracle: one json.dumps over the whole document
