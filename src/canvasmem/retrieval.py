@@ -2,10 +2,11 @@
 
 Stages, in order:
 
-1. classify_query picks a query class and an adaptive top-k (multi-hop 15,
-   temporal 12, simple 10: RetrievalConfig's k_multi_hop, k_temporal and
-   k_simple, read through its k_map). Each indicator list is matched by
-   one compiled alternation of whole phrases, cached per list.
+1. plan_query makes the read's QueryPlan, which carries the config. Its
+   classify_query picks a query class and an adaptive top-k (multi-hop 15,
+   temporal 12, simple 10: the config's k_multi_hop, k_temporal and
+   k_simple). Each indicator list is matched by one compiled alternation
+   of whole phrases, cached per list.
 2. coarse_retrieve keeps the top coarse_k objects by hybrid score (alpha
    weights the cosine, 1 - alpha the keyword coverage), in one call of
    the graph's scoring index: top_hybrids screens every stored
@@ -58,6 +59,7 @@ computed.
 
 RetrievalConfig holds the settings of every stage, one field per key of
 the config file's retrieval section; its __post_init__ checks each range.
+Each stage reads them from the plan's config, so a read setting is one field.
 
 The token budget governs the object lines (the payload); the constant
 header and instruction text sit outside it, which keeps a zero budget and
@@ -113,13 +115,6 @@ class QueryClass(str, Enum):
     MULTI_HOP = "MULTI_HOP"
 
 
-DEFAULT_K_MAP = {
-    QueryClass.MULTI_HOP: 15,
-    QueryClass.TEMPORAL: 12,
-    QueryClass.SIMPLE: 10,
-}
-
-
 class Provenance(str, Enum):
     COARSE = "COARSE"
     EXPANDED = "EXPANDED"
@@ -164,9 +159,9 @@ class RetrievalConfig:
     coarse_k: int = DEFAULT_COARSE_K
     hops: int = DEFAULT_HOPS
     budget_tokens: int = DEFAULT_BUDGET_TOKENS
-    k_simple: int = DEFAULT_K_MAP[QueryClass.SIMPLE]
-    k_temporal: int = DEFAULT_K_MAP[QueryClass.TEMPORAL]
-    k_multi_hop: int = DEFAULT_K_MAP[QueryClass.MULTI_HOP]
+    k_simple: int = 10
+    k_temporal: int = 12
+    k_multi_hop: int = 15
     causal_indicators: tuple[str, ...] = field(default_factory=default_causal_indicators)
     temporal_indicators: tuple[str, ...] = field(default_factory=default_temporal_indicators)
 
@@ -208,26 +203,30 @@ RETRIEVAL_PRESETS: dict[str, dict] = {
 
 @dataclass
 class QueryPlan:
-    """Everything the pipeline needs to know about one query."""
+    """Everything the pipeline needs to know about one query: its class and
+    top-k, and the config the read runs under."""
 
     query_text: str
     query_embedding: list[float]
     klass: QueryClass
     k: int
-    coarse_k: int = DEFAULT_COARSE_K
-    hops: int = DEFAULT_HOPS
-    budget_tokens: int = DEFAULT_BUDGET_TOKENS
+    config: RetrievalConfig
 
 
 @dataclass(slots=True)
 class ScoredObject:
-    """A candidate with its scores and where it came from."""
+    """A candidate with its scores and the hop that reached it (0 for a
+    coarse hit)."""
 
     object_id: str
     hybrid: float
     rerank: Optional[float] = None
-    provenance: Provenance = Provenance.COARSE
     hop: int = 0
+
+    @property
+    def provenance(self) -> Provenance:
+        """COARSE for a coarse hit, EXPANDED for one the walk reached."""
+        return Provenance.EXPANDED if self.hop >= 1 else Provenance.COARSE
 
 
 @lru_cache(maxsize=64)
@@ -250,25 +249,23 @@ def _any_phrase(phrases: Sequence[str], lowered: str) -> bool:
 
 
 def classify_query(
-    query_text: str,
-    causal_indicators: Sequence[str] | None = None,
-    temporal_indicators: Sequence[str] | None = None,
-    k_map: dict[QueryClass, int] | None = None,
+    query_text: str, config: RetrievalConfig | None = None
 ) -> tuple[QueryClass, int]:
-    """Case-insensitive phrase matching; causal indicators take precedence."""
+    """The query's class and its top-k under config (the defaults without
+    one): case-insensitive phrase matching of the config's indicator lists,
+    causal indicators taking precedence."""
     if not query_text.strip():
         raise ValueError("query text must be non-empty")
-    causal = causal_indicators if causal_indicators is not None else default_causal_indicators()
-    temporal = temporal_indicators if temporal_indicators is not None else default_temporal_indicators()
-    kmap = k_map if k_map is not None else DEFAULT_K_MAP
+    if config is None:
+        config = RetrievalConfig()
     lowered = query_text.lower()
-    if _any_phrase(causal, lowered):
+    if _any_phrase(config.causal_indicators, lowered):
         klass = QueryClass.MULTI_HOP
-    elif _any_phrase(temporal, lowered):
+    elif _any_phrase(config.temporal_indicators, lowered):
         klass = QueryClass.TEMPORAL
     else:
         klass = QueryClass.SIMPLE
-    return klass, kmap[klass]
+    return klass, config.k_map[klass]
 
 
 def plan_query(
@@ -276,30 +273,17 @@ def plan_query(
     embedder: EmbedderBackend,
     config: RetrievalConfig | None = None,
 ) -> QueryPlan:
-    """Classify the query and embed it into a full pipeline plan."""
+    """Classify the query and embed it into a plan that carries config (the
+    defaults without one)."""
     if config is None:
         config = RetrievalConfig()
-    klass, k = classify_query(
-        query_text, config.causal_indicators, config.temporal_indicators, config.k_map
-    )
-    return QueryPlan(
-        query_text=query_text,
-        query_embedding=embedder.embed(query_text),
-        klass=klass,
-        k=k,
-        coarse_k=config.coarse_k,
-        hops=config.hops,
-        budget_tokens=config.budget_tokens,
-    )
+    klass, k = classify_query(query_text, config)
+    return QueryPlan(query_text, embedder.embed(query_text), klass, k, config)
 
 
-def coarse_retrieve(
-    graph: CanvasGraph,
-    plan: QueryPlan,
-    alpha: float = DEFAULT_ALPHA,
-) -> list[ScoredObject]:
-    """Hybrid-score every object and keep the top coarse_k, each with its
-    hybrid score as its rerank score.
+def coarse_retrieve(graph: CanvasGraph, plan: QueryPlan) -> list[ScoredObject]:
+    """Hybrid-score every object under the plan's alpha and keep the top
+    coarse_k, each with its hybrid score as its rerank score.
 
     Ties break on higher confidence, then lower turn, then id order, so the
     result is deterministic for any insertion order.
@@ -308,14 +292,15 @@ def coarse_retrieve(
         return []
     index = graph.scoring_index()
     query = index.prepare(plan.query_embedding, plan.query_text)
-    band, exact = index.top_hybrids(query, alpha, plan.coarse_k)
+    coarse_k = plan.config.coarse_k
+    band, exact = index.top_hybrids(query, plan.config.alpha, coarse_k)
     rows = graph.rows
     # Ids are unique, so the sort never compares past the id.
     keyed = sorted(
         (-score, -obj.confidence, obj.turn, obj.id, score)
         for score, obj in zip(exact.tolist(), [rows[row] for row in band.tolist()])
     )
-    return [ScoredObject(key[3], key[4], key[4]) for key in keyed[: plan.coarse_k]]
+    return [ScoredObject(key[3], key[4], key[4]) for key in keyed[:coarse_k]]
 
 
 def expand_graph(
@@ -367,7 +352,7 @@ def expand_graph(
             ranked.append(seeds[i])
         else:
             oid, hop = expanded[i - n]
-            ranked.append(ScoredObject(oid, pooled[i], pooled[i], Provenance.EXPANDED, hop))
+            ranked.append(ScoredObject(oid, pooled[i], pooled[i], hop))
     return ranked
 
 
@@ -486,7 +471,7 @@ def rerank_candidates(
             scores[cid] = value
     missing = float("-inf")
     rescored = [
-        ScoredObject(c.object_id, c.hybrid, scores.get(c.object_id, missing), c.provenance, c.hop)
+        ScoredObject(c.object_id, c.hybrid, scores.get(c.object_id, missing), c.hop)
         for c in candidates
     ]
     # reverse=True keeps the sort stable: ties keep the hybrid order.
@@ -582,17 +567,17 @@ def retrieve_detailed(
     config: RetrievalConfig | None = None,
     reranker: RerankerBackend | None = None,
 ) -> RetrievalResult:
-    """Run the full pipeline and keep the intermediate stages for inspection."""
-    if config is None:
-        config = RetrievalConfig()
+    """Run the full pipeline under config (the defaults without one) and keep
+    the intermediate stages for inspection."""
     plan = plan_query(query_text, embedder, config)
-    coarse = coarse_retrieve(graph, plan, config.alpha)
+    coarse = coarse_retrieve(graph, plan)
     # Without a backend the walk's top-k cut is the read's ranking; a
     # backend reorders the whole hybrid ranking.
-    ranked = expand_graph(graph, coarse, plan.hops, None if reranker is not None else plan.k)
+    ranked = expand_graph(graph, coarse, plan.config.hops,
+                          None if reranker is not None else plan.k)
     if reranker is not None and ranked:
         ranked = rerank_candidates(graph, reranker, plan.query_text, ranked, plan.k)
-    selected = greedy_select(graph, ranked, plan.budget_tokens)
+    selected = greedy_select(graph, ranked, plan.config.budget_tokens)
     injection = build_injection(graph, selected, plan)
     return RetrievalResult(plan=plan, ranked=ranked, selected=selected, injection=injection)
 

@@ -50,7 +50,6 @@ from canvasmem.retrieval import (
     KIND_ORDER,
     REASONING_INSTRUCTION,
     TEMPORAL_INSTRUCTION,
-    Provenance,
     QueryClass,
     QueryPlan,
     RetrievalConfig,
@@ -202,19 +201,17 @@ def ingest(turns: Sequence[ConversationTurn], embedder: EmbedderBackend) -> Canv
 # Query: score everything, walk everything, sort, pack, render
 # ---------------------------------------------------------------------------
 
-def coarse_retrieve(
-    graph: CanvasGraph, plan: QueryPlan, alpha: float = DEFAULT_ALPHA
-) -> list[ScoredObject]:
-    """hybrid_score every object; the top coarse_k by score, then higher
-    confidence, then lower turn, then id, each with its score as its rerank
-    score."""
+def coarse_retrieve(graph: CanvasGraph, plan: QueryPlan) -> list[ScoredObject]:
+    """hybrid_score every object under the plan's alpha; the top coarse_k by
+    score, then higher confidence, then lower turn, then id, each with its
+    score as its rerank score."""
     scored = [
-        (hybrid_score(plan.query_embedding, plan.query_text, obj, alpha), obj)
+        (hybrid_score(plan.query_embedding, plan.query_text, obj, plan.config.alpha), obj)
         for obj in graph.objects.values()
     ]
     scored.sort(key=lambda pair: (-pair[0], -pair[1].confidence, pair[1].turn, pair[1].id))
     return [ScoredObject(object_id=obj.id, hybrid=score, rerank=score)
-            for score, obj in scored[: plan.coarse_k]]
+            for score, obj in scored[: plan.config.coarse_k]]
 
 
 def adjacency(graph: CanvasGraph) -> dict[str, list[str]]:
@@ -255,8 +252,7 @@ def expand_graph(
         for oid, score in ordered:
             seen.add(oid)
             best_score[oid] = score
-            result.append(ScoredObject(object_id=oid, hybrid=score,
-                                       provenance=Provenance.EXPANDED, hop=hop))
+            result.append(ScoredObject(object_id=oid, hybrid=score, hop=hop))
         frontier = [oid for oid, _ in ordered]
     return result
 
@@ -267,13 +263,10 @@ def retrieve(
     embedder: EmbedderBackend,
     config: RetrievalConfig | None = None,
 ) -> RetrievalResult:
-    """The pipeline without a reranker backend: coarse, the full expansion,
-    then rank and pack."""
-    if config is None:
-        config = RetrievalConfig()
+    """The pipeline without a reranker backend under config (the defaults
+    without one): coarse, the full expansion, then rank and pack."""
     plan = plan_query(query_text, embedder, config)
-    return pack(graph, plan, expand_graph(graph, coarse_retrieve(graph, plan, config.alpha),
-                                          plan.hops))
+    return pack(graph, plan, expand_graph(graph, coarse_retrieve(graph, plan), plan.config.hops))
 
 
 def rank(expanded: Sequence[ScoredObject], k: int | None) -> list[ScoredObject]:
@@ -294,7 +287,7 @@ def pack(graph: CanvasGraph, plan: QueryPlan, expanded: Sequence[ScoredObject]) 
     the taken lines grouped by kind in KIND_ORDER under the header, with
     the class's instruction after them."""
     ranked = rank(expanded, plan.k)
-    selected, remaining = [], plan.budget_tokens
+    selected, remaining = [], plan.config.budget_tokens
     for cand in ranked:
         cost = math.ceil(len(render_line(graph.objects[cand.object_id])) / 4)
         if cost <= remaining:

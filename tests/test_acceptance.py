@@ -496,8 +496,8 @@ def test_criterion_08_ablation_arm_equivalence():
     ordering_identity = True
     for fact in case.planted:
         plan = plan_query(fact.question, bundle.embedder, config.retrieval)
-        coarse = coarse_retrieve(graph, plan, config.retrieval.alpha)
-        expanded = expand_graph(graph, coarse, plan.hops)
+        coarse = coarse_retrieve(graph, plan)
+        expanded = expand_graph(graph, coarse, plan.config.hops)
         no_rerank_order = [
             c.object_id for c in sorted(expanded, key=lambda c: -c.hybrid)
         ][: plan.k]
@@ -510,7 +510,7 @@ def test_criterion_08_ablation_arm_equivalence():
 
     # hops=0 is the no-expansion arm: the expansion stage is the identity.
     plan = plan_query(case.planted[0].question, bundle.embedder, config.retrieval)
-    coarse = coarse_retrieve(graph, plan, config.retrieval.alpha)
+    coarse = coarse_retrieve(graph, plan)
     no_expansion_identity = expand_graph(graph, coarse, 0) == coarse
 
     # gleaning off is the no-gleaning arm: second-pass objects disappear and

@@ -301,8 +301,8 @@ def _ingested(seed: int, turns: int) -> CanvasGraph:
 
 def _full_expansion(graph, question, embedder, config):
     plan = plan_query(question, embedder, config)
-    coarse = reference.coarse_retrieve(graph, plan, config.alpha)
-    return reference.expand_graph(graph, coarse, plan.hops)
+    coarse = reference.coarse_retrieve(graph, plan)
+    return reference.expand_graph(graph, coarse, config.hops)
 
 
 def test_retrieve_detailed_at_every_k_equals_a_full_expand_then_rerank():

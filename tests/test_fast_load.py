@@ -71,8 +71,13 @@ CASES = {
     "version 2**64": (BASE.replace(b'"version":1', b'"version":%d' % 2**64, 1),
                       VersionMismatchError),
     "next_turn 2**70": (BASE.replace(b'"next_turn":3', b'"next_turn":%d' % 2**70, 1), "loads"),
+    # Past int's 4300-digit string conversion limit.
+    "next_turn of 5000 digits": (BASE.replace(b'"next_turn":3', b'"next_turn":' + b"9" * 5000, 1),
+                                 MalformedInputError),
     "integer embedding component 10**40": (saved([10**40, 0.5]), "loads"),
     "embedding component 1e20": (saved([1e20, 0.5]), "loads"),
+    "integer embedding component of 5000 digits": (BASE.replace(b"0.25", b"9" * 5000),
+                                                   MalformedInputError),
     "embedding component 1e400": (BASE.replace(b"0.25", b"1e400"), MalformedInputError),
     "lone surrogate escape": (saved([0.5]).replace(b"fact 0 quote", b"fact 0 \\ud800"), "loads"),
     "byte order mark": (b"\xef\xbb\xbf" + BASE, MalformedInputError),

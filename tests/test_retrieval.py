@@ -14,7 +14,6 @@ from canvasmem.extraction import MockExtractor
 from canvasmem.retrieval import (
     DEFAULT_BUDGET_TOKENS,
     DEFAULT_COARSE_K,
-    DEFAULT_K_MAP,
     EXPANSION_DECAY,
     INJECTION_HEADER,
     KIND_ORDER,
@@ -90,13 +89,10 @@ def test_classify_query_rejects_empty():
 
 
 def test_classify_query_accepts_custom_indicators_and_k_map():
-    klass, k = classify_query(
-        "what changed upstream?",
-        causal_indicators=("changed",),
-        temporal_indicators=(),
-        k_map={QueryClass.MULTI_HOP: 3, QueryClass.TEMPORAL: 2, QueryClass.SIMPLE: 1},
-    )
-    assert klass is QueryClass.MULTI_HOP and k == 3
+    config = RetrievalConfig(causal_indicators=("changed",), temporal_indicators=(),
+                             k_simple=1, k_temporal=2, k_multi_hop=3)
+    assert classify_query("what changed upstream?", config) == (QueryClass.MULTI_HOP, 3)
+    assert classify_query("when did it move?", config) == (QueryClass.SIMPLE, 1)
 
 
 def _oracle_classify(query_text, causal, temporal):
@@ -136,7 +132,8 @@ def test_classify_query_matches_the_per_phrase_search(causal, temporal, as_list,
     if not as_list:
         causal, temporal = tuple(causal), tuple(temporal)
     want = _oracle_classify(text, causal, temporal)
-    assert classify_query(text, causal, temporal) == (want, DEFAULT_K_MAP[want])
+    config = RetrievalConfig(causal_indicators=causal, temporal_indicators=temporal)
+    assert classify_query(text, config) == (want, config.k_map[want])
 
 
 def test_classify_query_with_default_lists_matches_the_per_phrase_search():
@@ -172,10 +169,9 @@ def test_retrieval_config_validation():
         RetrievalConfig(k_simple=0)
 
 
-def _plan(query="the probe query", klass=QueryClass.SIMPLE, **kwargs):
-    defaults = dict(query_text=query, query_embedding=axis(0), klass=klass, k=10)
-    defaults.update(kwargs)
-    return QueryPlan(**defaults)
+def _plan(query="the probe query", klass=QueryClass.SIMPLE, **settings):
+    """A plan for query on the first axis, under a config of settings."""
+    return QueryPlan(query, axis(0), klass, 10, RetrievalConfig(**settings))
 
 
 def test_coarse_retrieve_orders_by_hybrid_then_ties():
@@ -327,6 +323,7 @@ def test_rerank_without_backend_uses_hybrid_as_rerank():
         assert all(c.rerank == c.hybrid for c in ranked)
         assert [c.hybrid for c in ranked] == sorted((c.hybrid for c in ranked), reverse=True)
         provenances.update(c.provenance for c in ranked)
+        assert all((c.provenance is Provenance.EXPANDED) == (c.hop >= 1) for c in ranked)
     assert provenances == set(Provenance)
 
 
@@ -656,7 +653,7 @@ def test_a_reranker_backend_receives_the_full_expansion_in_hybrid_order():
             got = retrieve_detailed(graph, question, embedder, config, Recording())
             plan = plan_query(question, embedder, config)
             full = reference.expand_graph(
-                graph, reference.coarse_retrieve(graph, plan, config.alpha), plan.hops)
+                graph, reference.coarse_retrieve(graph, plan), config.hops)
             pool = reference.rank(full, None)
             objects = [graph.objects[c.object_id] for c in pool]
             assert pools.pop() == [(obj.id, f"{obj.content}\n{obj.quote}") for obj in objects]
@@ -706,7 +703,21 @@ def test_retrieve_detailed_end_to_end():
     assert "deploy freeze" in result.injection
     assert TEMPORAL_INSTRUCTION in result.injection
     payload = [render_object_line(graph.objects[c.object_id]) for c in result.selected]
-    assert sum(default_token_counter(line) for line in payload) <= result.plan.budget_tokens
+    assert sum(default_token_counter(line) for line in payload) <= result.plan.config.budget_tokens
+
+
+def test_a_read_takes_every_setting_from_the_config_its_plan_carries():
+    embedder = MockEmbedder()
+    graph = _seeded_graph(6, 60)
+    config = RetrievalConfig(k_simple=3, coarse_k=2, budget_tokens=40)
+    result = retrieve_detailed(graph, "tell me about the redis cache", embedder, config)
+    assert result.plan.config is config
+    assert result.plan.klass is QueryClass.SIMPLE and result.plan.k == 3
+    # The coarse_k seeds and an expansion fill k; the budget takes one line.
+    assert [c.hop for c in result.ranked] == [0, 0, 1]
+    payload = [render_object_line(graph.objects[c.object_id]) for c in result.selected]
+    assert len(payload) == 1
+    assert sum(default_token_counter(line) for line in payload) <= config.budget_tokens
 
 
 def test_retrieve_empty_graph_returns_bare_header():

@@ -71,14 +71,14 @@ def build_pair(objects, thresholds=None):
     return screened, oracle
 
 
-def plan_for(embedding, text="the probe query", coarse_k=3):
-    return QueryPlan(query_text=text, query_embedding=embedding, klass=QueryClass.SIMPLE,
-                     k=10, coarse_k=coarse_k)
+def plan_for(embedding, text="the probe query", coarse_k=3, alpha=DEFAULT_ALPHA):
+    return QueryPlan(text, embedding, QueryClass.SIMPLE, 10,
+                     RetrievalConfig(alpha=alpha, coarse_k=coarse_k))
 
 
-def assert_same_coarse(graph, oracle_graph, plan, alpha=DEFAULT_ALPHA):
-    got = coarse_retrieve(graph, plan, alpha)
-    want = reference.coarse_retrieve(oracle_graph, plan, alpha)
+def assert_same_coarse(graph, oracle_graph, plan):
+    got = coarse_retrieve(graph, plan)
+    want = reference.coarse_retrieve(oracle_graph, plan)
     assert [(h.object_id, h.hybrid) for h in got] == [(h.object_id, h.hybrid) for h in want]
 
 
@@ -124,8 +124,7 @@ def test_random_graphs_match_the_oracle(objects, thresholds, query, query_words,
     screened, oracle = build_pair(objects, thresholds)
     assert screened.edges == oracle.edges
     assert serialize_graph(screened) == serialize_graph(oracle)
-    plan = plan_for(query, " ".join(query_words), coarse_k)
-    assert_same_coarse(screened, oracle, plan, alpha)
+    assert_same_coarse(screened, oracle, plan_for(query, " ".join(query_words), coarse_k, alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -509,19 +508,20 @@ def oracle_exact_hybrid(index, query, row, obj, alpha):
     return alpha * semantic + (1.0 - alpha) * lexical
 
 
-def oracle_verified_coarse_retrieve(graph, plan, alpha=DEFAULT_ALPHA):
+def oracle_verified_coarse_retrieve(graph, plan):
     """coarse_retrieve with the per-row verify: the same screen and band, each
     row of the band scored by its own call."""
+    alpha, coarse_k = plan.config.alpha, plan.config.coarse_k
     index = graph.scoring_index()
     query = index.prepare(plan.query_embedding, plan.query_text)
     approx = index.hybrids(query, alpha, (1.0 - alpha) * index.coverage(query))
-    cut = max(len(approx) - plan.coarse_k, 0)
+    cut = max(len(approx) - coarse_k, 0)
     kth = np.partition(approx, cut)[cut]
     band = np.flatnonzero(approx >= kth - 2 * index.margin).tolist()
     scored = [(oracle_exact_hybrid(index, query, row, graph.rows[row], alpha), graph.rows[row]) for row in band]
     scored.sort(key=lambda pair: (-pair[0], -pair[1].confidence, pair[1].turn, pair[1].id))
     return [ScoredObject(object_id=obj.id, hybrid=score, rerank=score)
-            for score, obj in scored[: plan.coarse_k]]
+            for score, obj in scored[:coarse_k]]
 
 
 def _all_rows(index) -> np.ndarray:
