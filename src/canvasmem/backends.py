@@ -1,11 +1,16 @@
 """Pluggable model backends: remote clients and deterministic offline mocks.
 
-Remote calls speak a small JSON-over-HTTP protocol (see README for the wire
-shapes). All remote failures surface as typed errors carrying the role that
-failed: AuthFailureError, TransportTimeoutError, MalformedResponseError.
-Transient failures (5xx replies, timeouts, dropped connections) are retried
-a bounded number of times; the calls are idempotent reads, so a retry never
-duplicates a side effect.
+Each remote role is one client, a RemoteClient subclass built as
+RemoteClient(config, transport=None). It owns its BackendConfig, its
+transport (http_transport unless one is given), its TransportStats (the
+request attempts it made and the retries among them) and its role name,
+a class attribute. Its calls speak a small JSON-over-HTTP protocol (see
+README for the wire shapes), and every failure surfaces as a typed error
+carrying that role: AuthFailureError, TransportTimeoutError,
+MalformedResponseError. Transient failures (5xx replies, timeouts, dropped
+connections) are retried a bounded number of times; the calls are
+idempotent reads, so a retry never duplicates a side effect. The counters
+are exact for one thread; threads that share a client share its counts.
 
 The default wiring is mock everything: the whole engine and benchmark run
 offline with no network access. The HTTP client, requests, is imported only
@@ -21,7 +26,7 @@ import math
 import os
 import re
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from importlib import resources
 from typing import (
     Any, Callable, NamedTuple, Optional, Protocol, Sequence, Union, runtime_checkable,
@@ -43,7 +48,6 @@ from .scoring import EmbedderBackend, MockEmbedder
 logger = logging.getLogger(__name__)
 
 DEFAULT_CHAT_MODEL = "gpt-4o-mini"
-DEFAULT_EMBED_MODEL = "text-embedding-3-small"
 DEFAULT_API_KEY_ENV = "CANVASMEM_API_KEY"
 
 # transport(url, payload, headers, timeout_s) -> (status_code, parsed_body)
@@ -73,7 +77,8 @@ class BackendConfig:
 
 @dataclass
 class TransportStats:
-    """Call accounting, mostly so tests can watch the retry path."""
+    """A remote client's call accounting: every request attempt, and the
+    retries among them."""
 
     calls: int = 0
     retries: int = 0
@@ -89,161 +94,6 @@ def http_transport(url: str, payload: dict, headers: dict, timeout_s: float) -> 
     except ValueError:
         body = None
     return response.status_code, body
-
-
-def _resolve_key(config: BackendConfig, role: str) -> str:
-    key = os.environ.get(config.api_key_env, "").strip()
-    if not key:
-        raise AuthFailureError(
-            f"environment variable {config.api_key_env} is unset or empty", role=role
-        )
-    return key
-
-
-def _request(
-    config: BackendConfig,
-    path: str,
-    payload: dict,
-    role: str,
-    transport: Transport | None = None,
-    stats: TransportStats | None = None,
-) -> Any:
-    """POST with auth, bounded retries on transient failures, typed errors."""
-    import requests
-
-    key = _resolve_key(config, role)
-    send = transport if transport is not None else http_transport
-    url = config.endpoint.rstrip("/") + path
-    headers = {"Authorization": f"Bearer {key}"}
-    attempts = config.max_retries + 1
-    last_status: int | None = None
-    for attempt in range(attempts):
-        if attempt > 0:
-            if stats is not None:
-                stats.retries += 1
-            if config.retry_backoff_s > 0:
-                time.sleep(config.retry_backoff_s * attempt)
-        if stats is not None:
-            stats.calls += 1
-        try:
-            status, body = send(url, payload, headers, config.timeout_s)
-        except (requests.Timeout, requests.ConnectionError) as exc:
-            last_status = None
-            logger.warning("%s request failed in transit (attempt %d/%d): %s",
-                           role, attempt + 1, attempts, exc)
-            continue
-        if status in (401, 403):
-            raise AuthFailureError(f"server rejected credentials (HTTP {status})", role=role)
-        if status >= 500:
-            last_status = status
-            logger.warning("%s request got HTTP %d (attempt %d/%d)", role, status, attempt + 1, attempts)
-            continue
-        if not 200 <= status < 300:
-            raise MalformedResponseError(f"server rejected request (HTTP {status})", role=role)
-        return body
-    raise TransportTimeoutError(
-        f"gave up after {attempts} attempts (last transient status: {last_status})", role=role
-    )
-
-
-def remote_chat(
-    config: BackendConfig,
-    prompt: str,
-    role: str = "chat",
-    temperature: float | None = None,
-    transport: Transport | None = None,
-    stats: TransportStats | None = None,
-) -> str:
-    """One chat completion; returns the first choice's message text."""
-    payload = {
-        "model": config.model,
-        "messages": [{"role": "user", "content": prompt}],
-        "temperature": config.temperature_generation if temperature is None else temperature,
-    }
-    body = _request(config, "/chat/completions", payload, role, transport, stats)
-    try:
-        text = body["choices"][0]["message"]["content"]
-    except (TypeError, KeyError, IndexError) as exc:
-        raise MalformedResponseError(f"chat response missing message content: {exc}", role=role) from exc
-    if not isinstance(text, str):
-        raise MalformedResponseError("chat message content is not a string", role=role)
-    return text
-
-
-def _indexed_records(
-    body: Any, key: str, count: int, read: Callable[[Any], Any], what: str, role: str
-) -> list:
-    """The values of the reply's records under key, each at the position
-    its "index" names; read(record) gives a record's value. Every index must
-    lie in range and be used once, and a missing one is an error."""
-    try:
-        records = body[key]
-    except (TypeError, KeyError) as exc:
-        raise MalformedResponseError(f"{what} response has no {key} list", role=role) from exc
-    if not isinstance(records, list):
-        raise MalformedResponseError(f"{what} {key} is not a list", role=role)
-    values: list = [None] * count
-    for record in records:
-        try:
-            index = record["index"]
-            value = read(record)
-        except (TypeError, KeyError, ValueError, OverflowError) as exc:
-            raise MalformedResponseError(f"bad {what} record: {exc}", role=role) from exc
-        if not isinstance(index, int) or not 0 <= index < count or values[index] is not None:
-            raise MalformedResponseError(f"bad {what} index {index!r}", role=role)
-        values[index] = value
-    if None in values:
-        raise MalformedResponseError(
-            f"{what} response is missing index {values.index(None)}", role=role)
-    return values
-
-
-def remote_embed(
-    config: BackendConfig,
-    texts: Sequence[str],
-    role: str = "embedder",
-    transport: Transport | None = None,
-    stats: TransportStats | None = None,
-) -> list[list[float]]:
-    """Embed a batch of texts; output order matches input order."""
-    if not texts:
-        return []
-    payload = {"model": config.model, "input": list(texts)}
-    body = _request(config, "/embeddings", payload, role, transport, stats)
-
-    def read(record: Any) -> list[float]:
-        vector = [float(v) for v in record["embedding"]]
-        if not all(map(math.isfinite, vector)):
-            raise MalformedResponseError("embedding has a non-finite component", role=role)
-        return vector
-
-    vectors = _indexed_records(body, "data", len(texts), read, "embedding", role)
-    if not vectors[0] or any(len(vector) != len(vectors[0]) for vector in vectors):
-        raise MalformedResponseError("embedding dimensions are inconsistent", role=role)
-    return vectors
-
-
-def remote_rerank(
-    config: BackendConfig,
-    query: str,
-    documents: Sequence[str],
-    role: str = "reranker",
-    transport: Transport | None = None,
-    stats: TransportStats | None = None,
-) -> list[float]:
-    """Relevance scores for documents against the query, in document order."""
-    if not documents:
-        return []
-    payload = {"model": config.model, "query": query, "documents": list(documents)}
-    body = _request(config, "/rerank", payload, role, transport, stats)
-
-    def read(record: Any) -> float:
-        score = float(record["relevance_score"])
-        if not math.isfinite(score):
-            raise MalformedResponseError(f"rerank score {score!r} is not finite", role=role)
-        return score
-
-    return _indexed_records(body, "results", len(documents), read, "rerank", role)
 
 
 @functools.cache
@@ -268,52 +118,165 @@ class SummarizerBackend(Protocol):
 
 
 class RemoteClient:
-    """What every remote role client holds: its settings, transport and call accounting."""
+    """One remote role's client: its settings, its transport (http_transport
+    unless one is given), its call accounting, and the role name its typed
+    errors carry."""
 
-    def __init__(self, config: BackendConfig, transport: Transport | None = None,
-                 stats: TransportStats | None = None):
+    role: str
+
+    def __init__(self, config: BackendConfig, transport: Transport | None = None):
         self.config = config
-        self.transport = transport
-        self.stats = stats
+        self.transport = http_transport if transport is None else transport
+        self.stats = TransportStats()
 
-    def _chat(self, prompt: str, role: str, temperature: float) -> str:
-        return remote_chat(self.config, prompt, role=role, temperature=temperature,
-                           transport=self.transport, stats=self.stats)
+    def _post(self, path: str, payload: dict) -> Any:
+        """POST with auth, bounded retries on transient failures, typed errors."""
+        import requests
+
+        config, role = self.config, self.role
+        key = os.environ.get(config.api_key_env, "").strip()
+        if not key:
+            raise AuthFailureError(
+                f"environment variable {config.api_key_env} is unset or empty", role=role
+            )
+        url = config.endpoint.rstrip("/") + path
+        headers = {"Authorization": f"Bearer {key}"}
+        attempts = config.max_retries + 1
+        last_status: int | None = None
+        for attempt in range(attempts):
+            if attempt > 0:
+                self.stats.retries += 1
+                if config.retry_backoff_s > 0:
+                    time.sleep(config.retry_backoff_s * attempt)
+            self.stats.calls += 1
+            try:
+                status, body = self.transport(url, payload, headers, config.timeout_s)
+            except (requests.Timeout, requests.ConnectionError) as exc:
+                last_status = None
+                logger.warning("%s request failed in transit (attempt %d/%d): %s",
+                               role, attempt + 1, attempts, exc)
+                continue
+            if status in (401, 403):
+                raise AuthFailureError(f"server rejected credentials (HTTP {status})", role=role)
+            if status >= 500:
+                last_status = status
+                logger.warning("%s request got HTTP %d (attempt %d/%d)",
+                               role, status, attempt + 1, attempts)
+                continue
+            if not 200 <= status < 300:
+                raise MalformedResponseError(f"server rejected request (HTTP {status})", role=role)
+            return body
+        raise TransportTimeoutError(
+            f"gave up after {attempts} attempts (last transient status: {last_status})", role=role
+        )
+
+    def _chat(self, prompt: str, temperature: float) -> str:
+        """One chat completion; returns the first choice's message text."""
+        payload = {
+            "model": self.config.model,
+            "messages": [{"role": "user", "content": prompt}],
+            "temperature": temperature,
+        }
+        body = self._post("/chat/completions", payload)
+        try:
+            text = body["choices"][0]["message"]["content"]
+        except (TypeError, KeyError, IndexError) as exc:
+            raise MalformedResponseError(
+                f"chat response missing message content: {exc}", role=self.role) from exc
+        if not isinstance(text, str):
+            raise MalformedResponseError("chat message content is not a string", role=self.role)
+        return text
+
+    def _records(self, body: Any, key: str, count: int, read: Callable[[Any], Any],
+                 what: str) -> list:
+        """The values of the reply's records under key, each at the position
+        its "index" names; read(record) gives a record's value. Every index
+        must lie in range and be used once, and a missing one is an error."""
+        role = self.role
+        try:
+            records = body[key]
+        except (TypeError, KeyError) as exc:
+            raise MalformedResponseError(f"{what} response has no {key} list", role=role) from exc
+        if not isinstance(records, list):
+            raise MalformedResponseError(f"{what} {key} is not a list", role=role)
+        values: list = [None] * count
+        for record in records:
+            try:
+                index = record["index"]
+                value = read(record)
+            except (TypeError, KeyError, ValueError, OverflowError) as exc:
+                raise MalformedResponseError(f"bad {what} record: {exc}", role=role) from exc
+            if not isinstance(index, int) or not 0 <= index < count or values[index] is not None:
+                raise MalformedResponseError(f"bad {what} index {index!r}", role=role)
+            values[index] = value
+        if None in values:
+            raise MalformedResponseError(
+                f"{what} response is missing index {values.index(None)}", role=role)
+        return values
 
 
 class RemoteEmbedder(RemoteClient):
     """EmbedderBackend backed by the remote embeddings endpoint."""
 
+    role = "embedder"
+
     def embed(self, text: str) -> list[float]:
-        return remote_embed(self.config, [text], transport=self.transport, stats=self.stats)[0]
+        body = self._post("/embeddings", {"model": self.config.model, "input": [text]})
+
+        def read(record: Any) -> list[float]:
+            vector = [float(v) for v in record["embedding"]]
+            if not all(map(math.isfinite, vector)):
+                raise MalformedResponseError("embedding has a non-finite component", role=self.role)
+            return vector
+
+        [vector] = self._records(body, "data", 1, read, "embedding")
+        if not vector:
+            raise MalformedResponseError("embedding dimensions are inconsistent", role=self.role)
+        return vector
 
 
 class RemoteReranker(RemoteClient):
-    """RerankerBackend backed by the remote rerank endpoint."""
+    """RerankerBackend backed by the remote rerank endpoint: relevance scores
+    for the candidates' texts against the query, in candidate order."""
+
+    role = "reranker"
 
     def rerank(self, query_text: str, candidates: Sequence[tuple[str, str]]) -> list[tuple[str, float]]:
+        if not candidates:
+            return []
         documents = [text for _, text in candidates]
-        scores = remote_rerank(self.config, query_text, documents,
-                               transport=self.transport, stats=self.stats)
+        body = self._post("/rerank", {"model": self.config.model, "query": query_text,
+                                      "documents": documents})
+
+        def read(record: Any) -> float:
+            score = float(record["relevance_score"])
+            if not math.isfinite(score):
+                raise MalformedResponseError(f"rerank score {score!r} is not finite", role=self.role)
+            return score
+
+        scores = self._records(body, "results", len(documents), read, "rerank")
         return [(cid, score) for (cid, _), score in zip(candidates, scores)]
 
 
 class RemoteAnswerer(RemoteClient):
     """AnswerBackend that fills the answer prompt and calls chat."""
 
+    role = "answerer"
+
     def answer(self, question: str, context: str) -> str:
         prompt = _prompt_asset("answer.txt").format(context=context, question=question)
-        return self._chat(prompt, "answerer", self.config.temperature_generation)
+        return self._chat(prompt, self.config.temperature_generation)
 
 
 class RemoteSummarizer(RemoteClient):
     """SummarizerBackend that fills the summarize prompt and calls chat."""
 
+    role = "summarizer"
     SUMMARIZE_TEMPERATURE = 0.1
 
     def summarize(self, text: str) -> str:
         prompt = _prompt_asset("summarize.txt").format(text=text)
-        return self._chat(prompt, "summarizer", self.SUMMARIZE_TEMPERATURE)
+        return self._chat(prompt, self.SUMMARIZE_TEMPERATURE)
 
 
 _FENCE_RE = re.compile(r"```(?:json)?\s*(.*?)```", re.DOTALL)
@@ -326,6 +289,8 @@ class RemoteExtractor(RemoteClient):
     unparseable response as a whole raises MalformedResponseError.
     """
 
+    role = "extractor"
+
     def extract(self, turn: ConversationTurn, prior_digest: Sequence[str],
                 pass_: ExtractionPass) -> list[CanvasObject]:
         digest = "\n".join(prior_digest) if prior_digest else "(none)"
@@ -337,7 +302,7 @@ class RemoteExtractor(RemoteClient):
             prompt = _prompt_asset("extraction_glean.txt").format(
                 digest=digest, first_pass="(see canvas)", index=turn.index,
                 user=turn.user_text, assistant=turn.assistant_text)
-        reply = self._chat(prompt, "extractor", self.config.temperature_extraction)
+        reply = self._chat(prompt, self.config.temperature_extraction)
         return _parse_extraction_reply(reply, turn)
 
 
@@ -349,9 +314,9 @@ def _parse_extraction_reply(reply: str, turn: ConversationTurn) -> list[CanvasOb
     try:
         records = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise MalformedResponseError(f"extractor reply is not JSON: {exc}", role="extractor") from exc
+        raise MalformedResponseError(f"extractor reply is not JSON: {exc}", role=RemoteExtractor.role) from exc
     if not isinstance(records, list):
-        raise MalformedResponseError("extractor reply is not a JSON array", role="extractor")
+        raise MalformedResponseError("extractor reply is not a JSON array", role=RemoteExtractor.role)
     objects: list[CanvasObject] = []
     for record in records:
         obj = _record_to_object(record, turn)

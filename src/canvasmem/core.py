@@ -580,11 +580,13 @@ def _fast_load(orjson, data: bytes) -> CanvasGraph:
     return _build(int(header[1]), objects, edges, _not_canonical)
 
 
-def deserialize_graph(data: bytes) -> CanvasGraph:
-    """Rebuild a graph from serialize_graph output.
+def deserialize_graph(data: bytes | bytearray | memoryview) -> CanvasGraph:
+    """Rebuild a graph from serialize_graph output, given as any bytes-like
+    object (a bytes argument is used as it is, not copied).
 
-    Raises MalformedInputError on truncation, schema violations or nesting
-    too deep to parse, and VersionMismatchError on an unsupported version
+    Raises TypeError on anything not bytes-like (a str, say),
+    MalformedInputError on truncation, schema violations or nesting too
+    deep to parse, and VersionMismatchError on an unsupported version
     number.
 
     When orjson is installed (it is optional: `pip install canvasmem[fast]`),
@@ -601,8 +603,14 @@ def deserialize_graph(data: bytes) -> CanvasGraph:
     duplicated key's earlier value, or an extra key of an object record that
     has no embedding), loads only through orjson.
     """
+    if not isinstance(data, bytes):
+        try:
+            data = memoryview(data).tobytes()
+        except TypeError:
+            raise TypeError(
+                f"graph data must be a bytes-like object, not {type(data).__name__}") from None
     orjson = _orjson()
-    if orjson is not None and isinstance(data, bytes):
+    if orjson is not None:
         try:
             return _fast_load(orjson, data)
         except (_NotCanonical, CanvasError, ValueError, RecursionError):

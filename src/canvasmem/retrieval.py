@@ -58,7 +58,8 @@ the coarse band's exact scores take the weighted keyword half the screen
 computed.
 
 RetrievalConfig holds the settings of every stage, one field per key of
-the config file's retrieval section; its __post_init__ checks each range.
+the config file's retrieval section; its __post_init__ checks each range,
+and that each indicator phrase begins and ends with a word character.
 Each stage reads them from the plan's config, so a read setting is one field.
 
 The token budget governs the object lines (the payload); the constant
@@ -150,6 +151,9 @@ def default_token_counter(text: str) -> int:
     return math.ceil(len(text) / 4)
 
 
+_WORD_EDGES = re.compile(r"\w(?:.*\w)?", re.DOTALL)
+
+
 @dataclass
 class RetrievalConfig:
     """Knobs for the retrieval pipeline, one field per key of the config
@@ -177,6 +181,14 @@ class RetrievalConfig:
         for name in ("k_simple", "k_temporal", "k_multi_hop"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
+        # A phrase is matched between word boundaries, so one that does not
+        # begin and end with a word character matches everywhere ("") or
+        # nowhere it should ("why?" at the end of a query).
+        for name in ("causal_indicators", "temporal_indicators"):
+            for phrase in getattr(self, name):
+                if not (isinstance(phrase, str) and _WORD_EDGES.fullmatch(phrase.lower())):
+                    raise ValueError(f"{name} phrase {phrase!r} must be a string that begins "
+                                     "and ends with a word character")
 
     @property
     def k_map(self) -> dict[QueryClass, int]:

@@ -14,11 +14,11 @@ from canvasmem.backends import (
     RemoteExtractor,
     RemoteReranker,
     RemoteSummarizer,
+    ROLES,
     TransportStats,
+    build_role,
+    http_transport,
     mock_bundle,
-    remote_chat,
-    remote_embed,
-    remote_rerank,
 )
 from canvasmem.core import ObjectKind, Source
 from canvasmem.errors import (
@@ -58,12 +58,12 @@ def _chat_body(text):
     return {"choices": [{"message": {"content": text}}]}
 
 
-def test_remote_chat_roundtrip(config):
+def test_chat_roundtrip(config):
     transport = ScriptedTransport((200, _chat_body("hello back")))
-    stats = TransportStats()
-    reply = remote_chat(config, "hello", temperature=0.25, transport=transport, stats=stats)
+    client = RemoteAnswerer(config, transport)
+    reply = client._chat("hello", 0.25)
     assert reply == "hello back"
-    assert stats.calls == 1 and stats.retries == 0
+    assert client.stats.calls == 1 and client.stats.retries == 0
     url, payload, headers = transport.requests[0]
     assert url == "https://example.invalid/v1/chat/completions"
     assert payload["temperature"] == 0.25
@@ -74,16 +74,18 @@ def test_remote_chat_roundtrip(config):
 def test_missing_api_key_fails_before_any_network_call(config, monkeypatch):
     monkeypatch.delenv("CANVASMEM_TEST_KEY")
     transport = ScriptedTransport()
+    client = RemoteAnswerer(config, transport)
     with pytest.raises(AuthFailureError) as excinfo:
-        remote_chat(config, "hello", transport=transport)
+        client.answer("q", "ctx")
     assert transport.requests == []
-    assert excinfo.value.role == "chat"
+    assert client.stats.calls == 0
+    assert excinfo.value.role == "answerer"
 
 
 def test_server_auth_rejection_is_typed(config):
     transport = ScriptedTransport((401, {"error": "nope"}))
     with pytest.raises(AuthFailureError):
-        remote_chat(config, "hello", transport=transport)
+        RemoteAnswerer(config, transport).answer("q", "ctx")
 
 
 def test_transient_5xx_retries_then_succeeds(config):
@@ -91,18 +93,18 @@ def test_transient_5xx_retries_then_succeeds(config):
         (503, None),
         (200, _chat_body("eventually fine")),
     )
-    stats = TransportStats()
-    assert remote_chat(config, "hello", transport=transport, stats=stats) == "eventually fine"
-    assert stats.calls == 2 and stats.retries == 1
+    client = RemoteAnswerer(config, transport)
+    assert client.answer("q", "ctx") == "eventually fine"
+    assert client.stats.calls == 2 and client.stats.retries == 1
 
 
 def test_exhausted_retries_raise_timeout_error(config):
     transport = ScriptedTransport((500, None), (502, None), (503, None))
-    stats = TransportStats()
+    client = RemoteAnswerer(config, transport)
     with pytest.raises(TransportTimeoutError):
-        remote_chat(config, "hello", transport=transport, stats=stats)
+        client.answer("q", "ctx")
     # max_retries=2 means three attempts in total.
-    assert stats.calls == 3 and stats.retries == 2
+    assert client.stats.calls == 3 and client.stats.retries == 2
 
 
 def test_transport_timeouts_are_retried(config):
@@ -110,7 +112,7 @@ def test_transport_timeouts_are_retried(config):
         requests.Timeout("too slow"),
         (200, _chat_body("made it")),
     )
-    assert remote_chat(config, "hello", transport=transport) == "made it"
+    assert RemoteAnswerer(config, transport).answer("q", "ctx") == "made it"
 
 
 def test_connection_errors_are_retried_then_typed(config):
@@ -119,73 +121,96 @@ def test_connection_errors_are_retried_then_typed(config):
         requests.ConnectionError("connection reset"),
         (200, _chat_body("made it")),
     )
-    stats = TransportStats()
-    assert remote_chat(config, "hello", transport=transport, stats=stats) == "made it"
-    assert stats.calls == 3 and stats.retries == 2
+    client = RemoteAnswerer(config, transport)
+    assert client.answer("q", "ctx") == "made it"
+    assert client.stats.calls == 3 and client.stats.retries == 2
 
     transport = ScriptedTransport(*[requests.ConnectionError("connection refused")] * 3)
-    stats = TransportStats()
+    client = RemoteEmbedder(config, transport)
     with pytest.raises(TransportTimeoutError) as caught:
-        remote_embed(config, ["hello"], transport=transport, stats=stats)
+        client.embed("hello")
     assert caught.value.role == "embedder"
-    assert stats.calls == 3 and stats.retries == 2
+    assert client.stats.calls == 3 and client.stats.retries == 2
     assert transport.queue == []
 
 
 def test_non_retryable_4xx_is_malformed_response(config):
     transport = ScriptedTransport((422, {"error": "bad request"}))
     with pytest.raises(MalformedResponseError):
-        remote_chat(config, "hello", transport=transport)
+        RemoteAnswerer(config, transport).answer("q", "ctx")
 
 
 def test_chat_missing_content_is_malformed(config):
     transport = ScriptedTransport((200, {"choices": []}))
     with pytest.raises(MalformedResponseError):
-        remote_chat(config, "hello", transport=transport)
+        RemoteAnswerer(config, transport).answer("q", "ctx")
 
 
-def test_remote_embed_reorders_by_index(config):
-    transport = ScriptedTransport((200, {"data": [
-        {"index": 1, "embedding": [0.0, 1.0]},
-        {"index": 0, "embedding": [1.0, 0.0]},
-    ]}))
-    vectors = remote_embed(config, ["first", "second"], transport=transport)
-    assert vectors == [[1.0, 0.0], [0.0, 1.0]]
+def test_a_client_owns_fresh_stats_and_defaults_to_the_http_transport(config):
+    first, second = RemoteAnswerer(config), RemoteAnswerer(config)
+    assert first.transport is http_transport
+    assert first.stats == TransportStats() and first.stats is not second.stats
 
 
-def test_remote_embed_empty_batch_skips_network(config):
-    transport = ScriptedTransport()
-    assert remote_embed(config, [], transport=transport) == []
-    assert transport.requests == []
+def _call_role(name, client):
+    turn = ConversationTurn(index=0, user_text="hello there")
+    calls = {
+        "extractor": lambda: client.extract(turn, [], ExtractionPass.FIRST),
+        "embedder": lambda: client.embed("hello"),
+        "reranker": lambda: client.rerank("q", [("id-a", "text a")]),
+        "answerer": lambda: client.answer("q", "ctx"),
+        "summarizer": lambda: client.summarize("a long transcript"),
+    }
+    return calls[name]()
+
+
+@pytest.mark.parametrize("name", sorted(ROLES))
+def test_each_remote_client_names_its_role_and_its_errors_carry_it(config, name):
+    client_type = ROLES[name].remote
+    assert client_type.role == name
+    built = build_role(name, config)
+    assert type(built) is client_type and built.config is config
+
+    transport = ScriptedTransport((401, {"error": "nope"}), (200, {"unexpected": True}))
+    client = client_type(config, transport)
+    with pytest.raises(AuthFailureError) as rejected:
+        _call_role(name, client)
+    assert rejected.value.role == name
+    with pytest.raises(MalformedResponseError) as malformed:
+        _call_role(name, client)
+    assert malformed.value.role == name
+    assert client.stats.calls == 2 and client.stats.retries == 0
+
+
+def test_remote_embed_posts_one_text(config):
+    transport = ScriptedTransport((200, {"data": [{"index": 0, "embedding": [0.6, 0.8]}]}))
+    client = RemoteEmbedder(config, transport)
+    assert client.embed("hi") == [0.6, 0.8]
+    url, payload, _ = transport.requests[0]
+    assert url == "https://example.invalid/v1/embeddings"
+    assert payload == {"model": config.model, "input": ["hi"]}
+    assert client.stats.calls == 1
 
 
 @pytest.mark.parametrize(
     "body",
     [
-        {"data": [{"index": 0, "embedding": [1.0]}]},  # count mismatch
+        {"data": []},  # missing index
+        {"data": [{"index": 1, "embedding": [1.0]}]},  # index out of range
         {"data": [
             {"index": 0, "embedding": [1.0, 0.0]},
             {"index": 0, "embedding": [0.0, 1.0]},
         ]},  # duplicate index
-        {"data": [
-            {"index": 0, "embedding": [1.0, 0.0]},
-            {"index": 1, "embedding": [0.0, 1.0, 0.5]},
-        ]},  # inconsistent dimension
+        {"data": [{"index": 0, "embedding": []}]},  # no components
         {"wrong": []},
-        {"data": [
-            {"index": 0, "embedding": [1.0, float("nan")]},
-            {"index": 1, "embedding": [0.0, 1.0]},
-        ]},  # a NaN component
-        {"data": [
-            {"index": 0, "embedding": [1.0, 0.0]},
-            {"index": 1, "embedding": ["-Infinity", 1.0]},
-        ]},  # an infinite component
+        {"data": [{"index": 0, "embedding": [1.0, float("nan")]}]},  # a NaN component
+        {"data": [{"index": 0, "embedding": ["-Infinity", 1.0]}]},  # an infinite component
     ],
 )
 def test_remote_embed_malformed_bodies(config, body):
     transport = ScriptedTransport((200, body))
     with pytest.raises(MalformedResponseError):
-        remote_embed(config, ["first", "second"], transport=transport)
+        RemoteEmbedder(config, transport).embed("first")
 
 
 def test_remote_rerank_orders_scores_by_document(config):
@@ -193,8 +218,17 @@ def test_remote_rerank_orders_scores_by_document(config):
         {"index": 1, "relevance_score": 0.9},
         {"index": 0, "relevance_score": 0.1},
     ]}))
-    scores = remote_rerank(config, "q", ["doc a", "doc b"], transport=transport)
-    assert scores == [0.1, 0.9]
+    ranked = RemoteReranker(config, transport).rerank("q", [("id-a", "doc a"), ("id-b", "doc b")])
+    assert ranked == [("id-a", 0.1), ("id-b", 0.9)]
+    _, payload, _ = transport.requests[0]
+    assert payload == {"model": config.model, "query": "q", "documents": ["doc a", "doc b"]}
+
+
+def test_remote_rerank_of_no_candidates_skips_network(config):
+    transport = ScriptedTransport()
+    client = RemoteReranker(config, transport)
+    assert client.rerank("q", []) == []
+    assert transport.requests == [] and client.stats.calls == 0
 
 
 def test_remote_rerank_missing_document_is_malformed(config):
@@ -202,7 +236,7 @@ def test_remote_rerank_missing_document_is_malformed(config):
         {"index": 0, "relevance_score": 0.5},
     ]}))
     with pytest.raises(MalformedResponseError):
-        remote_rerank(config, "q", ["doc a", "doc b"], transport=transport)
+        RemoteReranker(config, transport).rerank("q", [("id-a", "doc a"), ("id-b", "doc b")])
 
 
 @pytest.mark.parametrize("score", ["NaN", float("nan"), "Infinity"])
@@ -212,7 +246,7 @@ def test_remote_rerank_rejects_a_score_that_is_not_finite(config, score):
         {"index": 1, "relevance_score": score},
     ]}))
     with pytest.raises(MalformedResponseError, match="not finite"):
-        remote_rerank(config, "q", ["doc a", "doc b"], transport=transport)
+        RemoteReranker(config, transport).rerank("q", [("id-a", "doc a"), ("id-b", "doc b")])
 
 
 def test_a_json_number_too_large_for_a_double_is_malformed(config):
@@ -221,24 +255,10 @@ def test_a_json_number_too_large_for_a_double_is_malformed(config):
     huge = 10 ** 400
     embed = ScriptedTransport((200, {"data": [{"index": 0, "embedding": [huge, 1.0]}]}))
     with pytest.raises(MalformedResponseError, match="bad embedding record"):
-        remote_embed(config, ["first"], transport=embed)
+        RemoteEmbedder(config, embed).embed("first")
     rerank = ScriptedTransport((200, {"results": [{"index": 0, "relevance_score": huge}]}))
     with pytest.raises(MalformedResponseError, match="bad rerank record"):
-        remote_rerank(config, "q", ["doc a"], transport=rerank)
-
-
-def test_remote_embedder_and_reranker_adapters(config):
-    embed_transport = ScriptedTransport((200, {"data": [{"index": 0, "embedding": [0.6, 0.8]}]}))
-    assert RemoteEmbedder(config, embed_transport).embed("hi") == [0.6, 0.8]
-
-    rerank_transport = ScriptedTransport((200, {"results": [
-        {"index": 0, "relevance_score": 0.2},
-        {"index": 1, "relevance_score": 0.7},
-    ]}))
-    ranked = RemoteReranker(config, rerank_transport).rerank(
-        "q", [("id-a", "text a"), ("id-b", "text b")]
-    )
-    assert ranked == [("id-a", 0.2), ("id-b", 0.7)]
+        RemoteReranker(config, rerank).rerank("q", [("id-a", "doc a")])
 
 
 def test_remote_answerer_fills_prompt(config):

@@ -261,6 +261,8 @@ def test_unknown_section_key_is_a_value_error_naming_section_and_key(data, secti
     ({"thresholds": {"temporal_window": 0}}, "thresholds", "temporal_window"),
     ({"bench": {"cases": 0}}, "bench", "cases"),
     ({"bench": {"n_turns": 10, "compression_turn": 11}}, "bench", "compression_turn"),
+    ({"retrieval": {"causal_indicators": [""]}}, "retrieval", "causal_indicators"),
+    ({"retrieval": {"temporal_indicators": ["when", "why?"]}}, "retrieval", "temporal_indicators"),
 ])
 def test_an_out_of_range_value_is_a_value_error_naming_section_and_key(data, section, key):
     with pytest.raises(ValueError, match=rf"^config section '{section}': .*\b{key}\b") as caught:

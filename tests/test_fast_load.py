@@ -130,6 +130,29 @@ def test_both_paths_load_the_same_records_or_raise_the_same_error(monkeypatch, n
             load_both_ways(data)
 
 
+@pytest.mark.parametrize("wrap", [bytearray, memoryview], ids=["bytearray", "memoryview"])
+def test_any_bytes_like_object_loads_the_same_graph_both_ways(wrap):
+    assert load_both_ways(wrap(BASE)) == load_both_ways(BASE)
+
+
+def test_a_bytes_argument_reaches_both_load_paths_uncopied(monkeypatch):
+    seen = []
+    monkeypatch.setattr(core, "_fast_load", lambda _orjson, data: seen.append(data))
+    monkeypatch.setattr(core, "_stdlib_load", seen.append)
+    deserialize_graph(BASE)
+    monkeypatch.setattr(core, "_orjson", lambda: None)
+    deserialize_graph(BASE)
+    assert all(data is BASE for data in seen)
+    assert len(seen) == 2
+
+
+@pytest.mark.parametrize("data", [BASE.decode("utf-8"), None, [BASE]], ids=["str", "None", "list"])
+def test_data_that_is_not_bytes_like_is_a_type_error_naming_its_type(data):
+    with pytest.raises(TypeError, match=rf"^graph data must be a bytes-like object, not "
+                                        rf"{type(data).__name__}$"):
+        load_both_ways(data)
+
+
 @needs_orjson
 @pytest.mark.parametrize("chunk_bytes", [core._CHUNK_BYTES, 100, 1])
 def test_a_saved_graph_loads_through_orjson_alone(monkeypatch, chunk_bytes):

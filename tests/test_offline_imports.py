@@ -1,10 +1,10 @@
 """An offline process never loads the HTTP client or the YAML parser.
 
 requests (with urllib3, ssl and http.client) is needed only when a remote
-backend sends a request, and PyYAML only when a config file or a --set value
-is parsed; orjson, where installed, only when a graph is loaded. The checks
-run in a fresh interpreter: this test process has already imported requests
-through the backend tests.
+backend sends a request, not when one is built, and PyYAML only when a
+config file or a --set value is parsed; orjson, where installed, only when
+a graph is loaded. The checks run in a fresh interpreter: this test process
+has already imported requests through the backend tests.
 """
 
 from __future__ import annotations
@@ -57,6 +57,21 @@ def _run(code: str) -> str:
 
 def test_an_offline_round_loads_neither_requests_nor_yaml():
     assert _run(OFFLINE_ROUND) == ""
+
+
+def test_building_every_remote_client_does_not_import_requests():
+    # A client resolves its default transport when it is built, but the
+    # transport imports requests only when it sends a request.
+    code = textwrap.dedent("""
+        import sys
+
+        from canvasmem.backends import ROLES, BackendConfig, build_role
+
+        clients = [build_role(name, BackendConfig()) for name in ROLES]
+        assert [client.role for client in clients] == list(ROLES)
+        print(" ".join(sorted(m for m in ("requests", "urllib3") if m in sys.modules)))
+    """)
+    assert _run(code) == ""
 
 
 def test_importing_canvasmem_does_not_import_orjson():

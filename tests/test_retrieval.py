@@ -109,11 +109,14 @@ def _oracle_classify(query_text, causal, temporal):
     return QueryClass.SIMPLE
 
 
-# Phrases with regex metacharacters, upper case, spaces, word and non-word
-# edges, the empty phrase, and "after", which the default lists share.
-_PHRASES = ("after", "why did", "When", "how long", "c++", "a.b", "(x)", "[y]", "$5", "^up",
-            "a|b", "end.", ".net", "what?", "x*", "", "led to", "Before", "back\\slash")
+# Phrases with regex metacharacters inside, upper case, spaces, digits and
+# underscores at the edges, and "after", which the default lists share.
+_PHRASES = ("after", "why did", "When", "how long", "c++d", "a.b", "x(y)z", "s[y]t", "5$5",
+            "up^up", "a|b", "end.it", "x*y", "_x_", "led to", "Before", "back\\slash")
 _phrase_lists = st.lists(st.sampled_from(_PHRASES), max_size=5)
+# Phrases that do not begin and end with a word character, which the
+# config refuses; a query may still hold them as words.
+_EDGE_PHRASES = ("", " ", "why?", "c++", "(x)", "[y]", "$5", "^up", "end.", ".net", "x*", " why")
 
 
 @settings(max_examples=400, deadline=None)
@@ -121,8 +124,9 @@ _phrase_lists = st.lists(st.sampled_from(_PHRASES), max_size=5)
     causal=_phrase_lists,
     temporal=_phrase_lists,
     as_list=st.booleans(),
-    words=st.lists(st.sampled_from(_PHRASES[:-1] + ("AFTER", "afterwards", "c+++", "axb", "x", "y",
-                                                 "$", "5", "net", "what", "b", "ab")),
+    words=st.lists(st.sampled_from(_PHRASES + _EDGE_PHRASES[2:] + (
+                       "AFTER", "afterwards", "c+++d", "axb", "x", "y", "$", "5", "net", "what",
+                       "b", "ab", "c++")),
                    min_size=1, max_size=6),
     separator=st.sampled_from([" ", "", ", ", "-", "_"]),
 )
@@ -134,6 +138,13 @@ def test_classify_query_matches_the_per_phrase_search(causal, temporal, as_list,
     want = _oracle_classify(text, causal, temporal)
     config = RetrievalConfig(causal_indicators=causal, temporal_indicators=temporal)
     assert classify_query(text, config) == (want, config.k_map[want])
+
+
+@pytest.mark.parametrize("phrase", _EDGE_PHRASES + ("İ", 3, None))
+@pytest.mark.parametrize("name", ["causal_indicators", "temporal_indicators"])
+def test_retrieval_config_refuses_a_phrase_without_word_edges(name, phrase):
+    with pytest.raises(ValueError, match=rf"^{name} phrase {re.escape(repr(phrase))} must be"):
+        RetrievalConfig(**{name: ("when", phrase)})
 
 
 def test_classify_query_with_default_lists_matches_the_per_phrase_search():
