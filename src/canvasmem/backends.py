@@ -123,6 +123,10 @@ class RemoteClient:
     errors carry."""
 
     role: str
+    # Whether a mapping for this role must name its model: BackendConfig's
+    # default is a chat model, which an embeddings or rerank endpoint
+    # would be sent by mistake.
+    needs_model = False
 
     def __init__(self, config: BackendConfig, transport: Transport | None = None):
         self.config = config
@@ -219,6 +223,7 @@ class RemoteEmbedder(RemoteClient):
     """EmbedderBackend backed by the remote embeddings endpoint."""
 
     role = "embedder"
+    needs_model = True
 
     def embed(self, text: str) -> list[float]:
         body = self._post("/embeddings", {"model": self.config.model, "input": [text]})
@@ -240,6 +245,7 @@ class RemoteReranker(RemoteClient):
     for the candidates' texts against the query, in candidate order."""
 
     role = "reranker"
+    needs_model = True
 
     def rerank(self, query_text: str, candidates: Sequence[tuple[str, str]]) -> list[tuple[str, float]]:
         if not candidates:

@@ -17,8 +17,9 @@ Each backend role takes its offline tag or a mapping of remote settings.
 The tags, what each builds and the remote client a mapping builds are
 declared once, in backends.ROLES, which the defaults here, build_bundle and
 mock_bundle all read: changing a role's offline backend is one edit to its
-entry in that table. Secrets never appear here: backends carry the name of an API key
-environment variable, not the key.
+entry in that table. An embedder or reranker mapping must name its model:
+BackendConfig's default model is a chat model. Secrets never appear here:
+backends carry the name of an API key environment variable, not the key.
 """
 
 from __future__ import annotations
@@ -183,7 +184,11 @@ class EngineConfig:
             where = f"config section 'backends' role {name!r}"
             if not isinstance(raw, dict):
                 raise ValueError(f"{where} must be a tag or a mapping")
-            return BackendConfig(**_checked(where, raw, _BACKEND_DEFAULTS))
+            _checked(where, raw, _BACKEND_DEFAULTS)
+            if ROLES[name].remote.needs_model and "model" not in raw:
+                raise ValueError(f"{where} needs a 'model' key: the default "
+                                 f"{_BACKEND_DEFAULTS['model']!r} is a chat model")
+            return BackendConfig(**raw)
 
         backends = BackendSelection(**{
             name: role(name, raw) for name, raw in section("backends", typed=False).items()

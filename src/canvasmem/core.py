@@ -7,11 +7,15 @@ same turn collides on purpose and deduplicates. The graph is append-only:
 objects and edges are added, never mutated or removed. Stored objects are
 immutable by contract, so snapshots, which are read-only, share them.
 
-Persistence is incremental for the same reason. Each graph keeps the UTF-8
-JSON of the object and edge records it has already serialized, about one
-file's worth of bytes, and a save encodes only the records added since the
-last save. The output is byte-identical to encoding the whole document at
-once only because records are appended, never changed or removed.
+Persistence is incremental for the same reason. Each graph keeps the last
+document serialize_graph returned for it, one file's worth of bytes, and a
+save encodes only the records added since then and joins them to slices of
+that document. The output is byte-identical to encoding the whole document
+at once only because records are appended, never changed or removed. When
+orjson is installed, new records encode through it, and a batch whose
+numbers orjson could write otherwise than the standard library's json
+encoder goes to that encoder instead, so a save writes the same bytes, or
+raises the same error, with orjson or without it.
 
 The graph's adjacency lives in its scoring index: for each row, the rows
 an edge joins to it, in edge order. neighbors() and the retrieval walk both
@@ -28,7 +32,7 @@ import re
 import threading
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NoReturn, Optional
+from typing import NamedTuple, NoReturn, Optional
 
 from .errors import (
     CanvasError,
@@ -43,11 +47,6 @@ GRAPH_FORMAT = "canvas-graph"
 GRAPH_VERSION = 1
 
 ID_HEX_LENGTH = 16
-
-# Records a graph has serialized: (objects covered, object chunks, edges
-# covered, edge chunks), each chunk the UTF-8 JSON of one save's new records.
-_Encoded = tuple[int, tuple[bytes, ...], int, tuple[bytes, ...]]
-_NOTHING_ENCODED: _Encoded = (0, (), 0, ())
 
 
 class ObjectKind(str, Enum):
@@ -337,50 +336,151 @@ def _json(value) -> str:
     return _ENCODER.encode(value)
 
 
-def _append_chunk(chunks: tuple[bytes, ...], records: list[dict]) -> tuple[bytes, ...]:
-    """chunks plus one holding records as they sit inside a JSON array.
+@functools.cache
+def _orjson():
+    """The orjson module, or None when it is not installed; imported on the
+    first save or load, not with canvasmem."""
+    try:
+        import orjson
+    except ImportError:
+        return None
+    return orjson
 
-    Every chunk but the first starts with the comma that separates it from
-    the one before, so the array body is the plain concatenation of chunks.
+
+def _plain(values) -> bool:
+    """Whether orjson writes each of these values as json does: each is a
+    falsy value (0, -0.0, None, False, an empty string, list or dict, which
+    the two write alike) or a real number whose magnitude lies in
+    [1e-4, 1e16), where orjson writes a float as repr does; their
+    magnitudes' sum must lie below 1e16 too.
+
+    Outside that range orjson writes a float in another form (1e16 where
+    json writes 1e+16, 0.00001 where it writes 1e-05), and NaN and the
+    infinities, which the sum catches, as null where json raises. abs()
+    refuses a value that is not a number, such as a string, a list or a
+    plain Enum member, which orjson writes as its value where json raises.
+    Such an error, or a numpy array's truth value, which raises ValueError,
+    only means the values go to json, which then writes them or raises.
     """
-    if not records:
-        return chunks
-    body = _json(records)[1:-1]
-    return chunks + ((("," + body) if chunks else body).encode("utf-8"),)
+    try:
+        magnitudes = [*map(abs, filter(None, values))]
+        return not magnitudes or (min(magnitudes) >= 1e-4 and math.fsum(magnitudes) < 1e16)
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def _plain_numbers(objects: list[CanvasObject], edges: list[CanvasEdge]) -> bool:
+    """Whether orjson writes each number of these records (an object's
+    confidence and embedding, an edge's weight) as json does."""
+    return (all(_plain(obj.embedding) for obj in objects if obj.embedding is not None)
+            and _plain([obj.confidence for obj in objects])
+            and _plain([edge.weight for edge in edges]))
+
+
+def _arrays(objects: list[CanvasObject], edges: list[CanvasEdge]) -> tuple[bytes, bytes]:
+    """The UTF-8 JSON arrays of these objects' records and of these edges'.
+
+    They encode through orjson when it is installed, _plain_numbers vouches
+    for the batch and orjson raises nothing (its TypeError comes on an
+    integer past 64 bits, a float subclass such as numpy.float64 or a lone
+    surrogate); otherwise through json, whose result or error is final.
+    The two write strings alike: json with ensure_ascii=False escapes only
+    the quote, the backslash and the control characters below U+0020, as
+    orjson does, and in the same forms.
+    """
+    object_records = [_object_record(obj) for obj in objects]
+    edge_records = [_edge_record(edge) for edge in edges]
+    orjson = _orjson()
+    if orjson is not None and _plain_numbers(objects, edges):
+        try:
+            return orjson.dumps(object_records), orjson.dumps(edge_records)
+        except TypeError:
+            pass
+    try:
+        object_array = _json(object_records).encode("utf-8")
+    except ValueError as exc:
+        for obj in objects:
+            if any(isinstance(x, float) and not math.isfinite(x) for x in obj.embedding or ()):
+                raise ValueError(f"object {obj.id} cannot be saved: its embedding "
+                                 "holds a NaN or an infinity, which JSON cannot hold") from exc
+        raise
+    return object_array, _json(edge_records).encode("utf-8")
+
+
+class _Encoded(NamedTuple):
+    """The last document serialize_graph returned for a graph: its bytes,
+    the object and edge records and the next_turn it holds, and where the
+    body of its object array starts and ends."""
+
+    document: bytes
+    objects: int
+    edges: int
+    next_turn: int
+    objects_start: int
+    objects_end: int
+
+
+def _header(next_turn: int) -> bytes:
+    """A document's bytes up to its first object record."""
+    header = _json({"format": GRAPH_FORMAT, "version": GRAPH_VERSION, "next_turn": next_turn})
+    return (header[:-1] + ',"objects":[').encode("utf-8")
+
+
+_EMPTY_HEADER = _header(0)
+_NOTHING_ENCODED = _Encoded(_EMPTY_HEADER + b'],"edges":[]}', 0, 0, 0,
+                            len(_EMPTY_HEADER), len(_EMPTY_HEADER))
 
 
 def serialize_graph(graph: CanvasGraph) -> bytes:
     """Serialize to versioned UTF-8 JSON; floats keep full round-trip precision.
 
-    Only the objects and edges added since the graph's last save are
-    encoded; the rest comes from the graph's cache of encoded records. The
-    cache is replaced in one assignment once every new record has encoded,
-    so a record that cannot encode (a lone surrogate raises
+    The graph caches the last document this returned for it. A save with no
+    new record and the same next_turn returns that bytes object itself. Any
+    other save encodes only the objects and edges added since and joins
+    them, in one copy, to slices of that document under a new header. A
+    graph holding fewer records than its cache encodes from scratch.
+
+    New records encode through orjson when it is installed (it is
+    optional: `pip install canvasmem[fast]`), except a batch that orjson
+    could write otherwise than json or that it refuses: a float outside
+    1e-4 <= |x| < 1e16, NaN or an infinity, an embedding component that is
+    neither a number nor falsy, an integer past 64 bits, a float subclass
+    such as numpy.float64, or a lone surrogate. json encodes that batch, and its
+    result or error is final, so the bytes are the same either way.
+
+    The cache is replaced in one assignment once every new record has
+    encoded, so a record that cannot encode (a lone surrogate raises
     UnicodeEncodeError, a NaN or infinite embedding a ValueError naming the
     object) leaves it as it was and fails every later save too.
     """
-    objects, object_chunks, edges, edge_chunks = graph._encoded
-    if len(graph.rows) < objects or len(graph.edges) < edges:
-        objects, object_chunks, edges, edge_chunks = _NOTHING_ENCODED
-    new_objects = graph.rows[objects:]
-    new_edges = graph.edges[edges:]
-    try:
-        object_chunks = _append_chunk(object_chunks, [_object_record(o) for o in new_objects])
-    except ValueError as exc:
-        for obj in new_objects:
-            if any(isinstance(x, float) and not math.isfinite(x) for x in obj.embedding or ()):
-                raise ValueError(f"object {obj.id} cannot be saved: its embedding "
-                                 "holds a NaN or an infinity, which JSON cannot hold") from exc
-        raise
-    edge_chunks = _append_chunk(edge_chunks, [_edge_record(e) for e in new_edges])
-    header = _json({"format": GRAPH_FORMAT, "version": GRAPH_VERSION, "next_turn": graph.next_turn})
-    graph._encoded = (
-        objects + len(new_objects), object_chunks, edges + len(new_edges), edge_chunks,
+    cached = graph._encoded
+    next_turn = graph.next_turn
+    if len(graph.rows) < cached.objects or len(graph.edges) < cached.edges:
+        cached = _NOTHING_ENCODED
+    new_objects = graph.rows[cached.objects:]
+    new_edges = graph.edges[cached.edges:]
+    if new_objects or new_edges:
+        object_array, edge_array = _arrays(new_objects, new_edges)
+    elif next_turn == cached.next_turn:
+        return cached.document
+    else:
+        object_array = edge_array = b"[]"
+    header = _header(next_turn)
+    old = memoryview(cached.document)
+    object_body = (
+        old[cached.objects_start:cached.objects_end],
+        b"," if cached.objects and new_objects else b"",
+        memoryview(object_array)[1:-1],
     )
-    return b"".join((
-        header[:-1].encode("utf-8"), b',"objects":[', *object_chunks,
-        b'],"edges":[', *edge_chunks, b"]}",
+    document = b"".join((
+        header, *object_body, old[cached.objects_end:-2],
+        b"," if cached.edges and new_edges else b"", memoryview(edge_array)[1:-1], b"]}",
     ))
+    graph._encoded = _Encoded(
+        document, cached.objects + len(new_objects), cached.edges + len(new_edges), next_turn,
+        len(header), len(header) + sum(map(len, object_body)),
+    )
+    return document
 
 
 # The loader maps each enum's stored value to its member with a dict lookup:
@@ -499,17 +599,6 @@ def _stdlib_load(data: bytes) -> CanvasGraph:
     _require(isinstance(next_turn, int) and not isinstance(next_turn, bool) and next_turn >= 0,
              "next_turn must be a non-negative integer")
     return _build(next_turn, doc["objects"], doc["edges"], _reject_infinite)
-
-
-@functools.cache
-def _orjson():
-    """The orjson module, or None when it is not installed; imported on the
-    first load, not with canvasmem."""
-    try:
-        import orjson
-    except ImportError:
-        return None
-    return orjson
 
 
 class _NotCanonical(Exception):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 import random
 
@@ -85,6 +86,76 @@ def both_load_paths(request):
     through load_both_ways."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(request.module, "deserialize_graph", load_both_ways)
+        yield
+
+
+def whole_document(graph: CanvasGraph) -> bytes:
+    """The oracle of every save: one json.dumps over the whole document."""
+    doc = {
+        "format": core.GRAPH_FORMAT,
+        "version": core.GRAPH_VERSION,
+        "next_turn": graph.next_turn,
+        "objects": [
+            {
+                "id": obj.id,
+                "kind": obj.kind.value,
+                "content": obj.content,
+                "quote": obj.quote,
+                "source": obj.source.value,
+                "turn": obj.turn,
+                "confidence": obj.confidence,
+                "embedding": obj.embedding,
+            }
+            for obj in graph.objects.values()
+        ],
+        "edges": [
+            {
+                "src": edge.src,
+                "dst": edge.dst,
+                "kind": edge.kind.value,
+                "weight": edge.weight,
+                "origin": edge.origin.value,
+            }
+            for edge in graph.edges
+        ],
+    }
+    return json.dumps(doc, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+
+
+def _save(graph: CanvasGraph):
+    """(what serialize_graph made of graph, the bytes or the exception): the
+    bytes, or the exception's type and message."""
+    try:
+        data = core.serialize_graph(graph)
+    except Exception as exc:
+        return ("raises", type(exc), str(exc)), exc
+    return ("saves", data), data
+
+
+def save_both_ways(graph: CanvasGraph) -> bytes:
+    """serialize_graph(graph) with the orjson path on, checked against the
+    save with that path forced off, each from the encode cache the graph
+    held before: both must give the same bytes, or raise the same exception
+    type and message. The graph keeps the cache of the second save. Where
+    orjson is not installed, both saves take the stdlib path."""
+    cached = graph._encoded
+    fast, _ = _save(graph)
+    graph._encoded = cached
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_orjson", lambda: None)
+        stdlib, result = _save(graph)
+    assert fast == stdlib
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+@pytest.fixture(scope="module")
+def both_save_paths(request):
+    """Every serialize_graph call in the requesting module's tests goes
+    through save_both_ways."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(request.module, "serialize_graph", save_both_ways)
         yield
 
 

@@ -220,6 +220,26 @@ def test_unknown_backend_key_is_a_value_error_naming_it(key):
         EngineConfig.from_dict(data)
 
 
+@pytest.mark.parametrize("name", ["embedder", "reranker"])
+def test_an_embedder_or_reranker_mapping_without_a_model_is_a_value_error(name):
+    # The default model is a chat model, which /embeddings or /rerank would
+    # be sent.
+    remote = {"endpoint": "https://example.invalid/v1", "api_key_env": "X_KEY"}
+    with pytest.raises(ValueError, match=rf"^config section 'backends' role '{name}' needs a "
+                                         rf"'model' key: the default 'gpt-4o-mini' is a chat"):
+        EngineConfig.from_dict({"backends": {name: remote}})
+    config = EngineConfig.from_dict({"backends": {name: dict(remote, model="m-1")}})
+    assert getattr(config.backends, name).model == "m-1"
+
+
+@pytest.mark.parametrize("name", ["extractor", "answerer", "summarizer"])
+def test_a_chat_role_mapping_without_a_model_takes_the_chat_default(name):
+    config = EngineConfig.from_dict({"backends": {name: {"api_key_env": "X_KEY"}}})
+    assert getattr(config.backends, name).model == "gpt-4o-mini"
+    assert [role for role, spec in ROLES.items() if spec.remote.needs_model] == [
+        "embedder", "reranker"]
+
+
 @pytest.mark.parametrize("data, section, key", [
     ({"bench": {"case": 3}}, "bench", "case"),
     ({"thresholds": {"theta_reff": 0.3}}, "thresholds", "theta_reff"),

@@ -24,8 +24,9 @@ from canvasmem.errors import InvalidObjectError, MalformedInputError, VersionMis
 
 from conftest import graph_of, make_obj
 
-# Every load in these tests runs with the orjson path on and forced off.
-pytestmark = pytest.mark.usefixtures("both_load_paths")
+# Every save and every load in these tests runs with the orjson path on
+# and forced off.
+pytestmark = pytest.mark.usefixtures("both_load_paths", "both_save_paths")
 
 
 def test_normalize_text_collapses_whitespace_and_case():

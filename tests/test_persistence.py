@@ -1,10 +1,10 @@
 """Incremental serialize_graph against the whole-document oracle.
 
-The oracle below is the serializer that encoded the whole document on
-every save. serialize_graph now encodes only the records added since the
-graph's last save and reuses the bytes of the rest, so every save, on a
-graph or on any of its read-only snapshots, must equal the oracle byte for
-byte.
+The oracle, conftest.whole_document, is the serializer that encoded the
+whole document on every save. serialize_graph now encodes only the records
+added since the graph's last save and reuses the bytes of the rest, so
+every save, on a graph or on any of its read-only snapshots, must equal the
+oracle byte for byte, with orjson and without it.
 """
 
 from __future__ import annotations
@@ -18,9 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from canvasmem import core
 from canvasmem.core import (
-    GRAPH_FORMAT,
-    GRAPH_VERSION,
     CanvasEdge,
     CanvasGraph,
     EdgeKind,
@@ -33,46 +32,11 @@ from canvasmem.errors import MalformedInputError, ReadOnlyGraphError
 from canvasmem.extraction import MockExtractor
 from canvasmem.scoring import MockEmbedder
 
-from conftest import axis, make_obj, seeded_turns
+from conftest import axis, make_obj, seeded_turns, whole_document
 
-# Every load in these tests runs with the orjson path on and forced off.
-pytestmark = pytest.mark.usefixtures("both_load_paths")
-
-
-# ---------------------------------------------------------------------------
-# The oracle: one json.dumps over the whole document
-# ---------------------------------------------------------------------------
-
-def whole_document(graph: CanvasGraph) -> bytes:
-    doc = {
-        "format": GRAPH_FORMAT,
-        "version": GRAPH_VERSION,
-        "next_turn": graph.next_turn,
-        "objects": [
-            {
-                "id": obj.id,
-                "kind": obj.kind.value,
-                "content": obj.content,
-                "quote": obj.quote,
-                "source": obj.source.value,
-                "turn": obj.turn,
-                "confidence": obj.confidence,
-                "embedding": obj.embedding,
-            }
-            for obj in graph.objects.values()
-        ],
-        "edges": [
-            {
-                "src": edge.src,
-                "dst": edge.dst,
-                "kind": edge.kind.value,
-                "weight": edge.weight,
-                "origin": edge.origin.value,
-            }
-            for edge in graph.edges
-        ],
-    }
-    return json.dumps(doc, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+# Every save and every load in these tests runs with the orjson path on
+# and forced off.
+pytestmark = pytest.mark.usefixtures("both_load_paths", "both_save_paths")
 
 
 def assert_saves_like_oracle(graph: CanvasGraph) -> bytes:
@@ -340,6 +304,57 @@ def test_a_graph_holding_fewer_records_than_its_cache_encodes_from_scratch():
         assert_saves_like_oracle(graph)
 
 
+def _linked_pair() -> CanvasGraph:
+    graph = CanvasGraph()
+    a = make_obj(content="the cache lives in redis", turn=0, embedding=axis(0))
+    b = make_obj(content="redis runs on node 2", turn=1, embedding=axis(1))
+    graph.add_object(a)
+    graph.add_object(b)
+    graph.add_edge(_edge(a, b))
+    return graph
+
+
+def test_a_save_with_nothing_new_returns_the_last_document_itself():
+    graph = _linked_pair()
+    data = assert_saves_like_oracle(graph)
+    assert serialize_graph(graph) is data
+    assert core.serialize_graph(graph) is data
+    # A snapshot starts from its owner's cache.
+    assert core.serialize_graph(graph.snapshot()) is data
+    assert core.serialize_graph(CanvasGraph()) is core.serialize_graph(CanvasGraph())
+
+
+def test_a_save_after_only_next_turn_moved_rewrites_only_the_header(monkeypatch):
+    graph = _linked_pair()
+    data = assert_saves_like_oracle(graph)
+    graph.mark_turn_ingested(40)
+
+    def no_records(*_):
+        raise AssertionError("a save that only moved next_turn encoded records")
+
+    monkeypatch.setattr(core, "_arrays", no_records)
+    moved = assert_saves_like_oracle(graph)
+    assert moved[len(core._header(41)):] == data[len(core._header(2)):]
+    assert core.serialize_graph(graph) is moved
+
+
+def test_a_snapshots_bytes_never_change_after_later_saves_of_its_owner():
+    engine = CanvasEngine(MockExtractor(), MockEmbedder())
+    turns = seeded_turns(9, 40)
+    for turn in turns[:20]:
+        engine.ingest_turn(turn)
+    assert_saves_like_oracle(engine.graph)
+    twin = engine.snapshot()
+    twin_bytes = assert_saves_like_oracle(twin)
+    unsaved = engine.snapshot()
+    for turn in turns[20:]:
+        engine.ingest_turn(turn)
+        assert_saves_like_oracle(engine.graph)
+        assert serialize_graph(twin) is twin_bytes
+    assert len(engine.graph.rows) > len(twin.rows)
+    assert serialize_graph(unsaved) == twin_bytes
+
+
 def test_racing_savers_all_write_the_oracle_bytes():
     graph = CanvasGraph()
     savers, rounds, saves_each = 6, 8, 5
@@ -357,10 +372,12 @@ def test_racing_savers_all_write_the_oracle_bytes():
             outputs: list[bytes] = []
             start = threading.Barrier(savers)
 
+            # core.serialize_graph itself: save_both_ways swaps the cache
+            # and patches core, which racing threads would undo out of order.
             def save_repeatedly():
                 start.wait(timeout=10)
                 for _ in range(saves_each):
-                    outputs.append(serialize_graph(graph))
+                    outputs.append(core.serialize_graph(graph))
 
             threads = [threading.Thread(target=save_repeatedly) for _ in range(savers)]
             for thread in threads:
