@@ -306,8 +306,8 @@ class RemoteExtractor(RemoteClient):
                 assistant=turn.assistant_text)
         else:
             prompt = _prompt_asset("extraction_glean.txt").format(
-                digest=digest, first_pass="(see canvas)", index=turn.index,
-                user=turn.user_text, assistant=turn.assistant_text)
+                digest=digest, index=turn.index, user=turn.user_text,
+                assistant=turn.assistant_text)
         reply = self._chat(prompt, self.config.temperature_extraction)
         return _parse_extraction_reply(reply, turn)
 

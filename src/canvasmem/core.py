@@ -18,8 +18,12 @@ encoder goes to that encoder instead, so a save writes the same bytes, or
 raises the same error, with orjson or without it.
 
 The graph's adjacency lives in its scoring index: for each row, the rows
-an edge joins to it, in edge order. neighbors() and the retrieval walk both
-read those lists, so they cost a row's degree, not the graph's edge count.
+an edge joins to it, in edge order, and the numbers of those edges.
+neighbors() and the retrieval walk both read those lists, so they cost a
+row's degree, not the graph's edge count, and add_edge finds a duplicate
+(src, dst, kind) among the edges of its destination's row, so the graph
+holds each edge in its edge list and its index only. A load checks for
+duplicate edges with a set of its own, dropped when the load returns.
 """
 
 from __future__ import annotations
@@ -166,11 +170,17 @@ class CanvasGraph:
     never decrease. The index also keeps the adjacency: each row's
     neighbour rows, one per edge, in edge order, which neighbors() and the
     retrieval walk read. The index catches up with the rows and edges the
-    first time something scores against, walks, snapshots or asks for the
-    neighbors of the graph, not in add_object or add_edge; an object stored
-    without a usable embedding raises only once it is scored. Once scored,
-    a stored object's embedding, content and quote must not change: the
-    index keeps what it read.
+    first time something scores against, walks, snapshots, adds an edge to
+    or asks for the neighbors of the graph, not in add_object; an object
+    stored without a usable embedding raises only once it is scored. Once
+    indexed, a stored object's embedding, content and quote must not
+    change: the index keeps what it read.
+
+    add_edge refuses a second edge of the same (src, dst, kind) by reading
+    the numbers of the edges the index holds for the destination's row and
+    comparing those edges, so the graph keeps no set of edge keys. It
+    writes to the index as scoring does: on a graph a writer may be adding
+    to, it runs under the graph's lock, as linking does.
 
     `line_cache` maps an object's id to its context-block line, filled by
     retrieval the first time it renders the object and shared with every
@@ -184,8 +194,6 @@ class CanvasGraph:
         self.edges: list[CanvasEdge] = []
         self.next_turn: int = 0
         self.lock = threading.Lock()
-        # (src, dst, kind) of every edge.
-        self._edge_keys: set[tuple[str, str, EdgeKind]] = set()
         self._index = ScoringIndex()
         self._encoded: _Encoded = _NOTHING_ENCODED
         self.line_cache: dict[str, str] = {}
@@ -219,18 +227,28 @@ class CanvasGraph:
         return AddResult.ADDED
 
     def add_edge(self, edge: CanvasEdge) -> bool:
-        """Insert an edge; returns False when the (src, dst, kind) triple exists."""
-        if edge.src not in self.objects or edge.dst not in self.objects:
-            raise ValueError("edge endpoints must reference stored objects")
-        if edge.kind is EdgeKind.CAUSAL:
-            if self.objects[edge.src].turn > self.objects[edge.dst].turn:
-                raise ValueError("causal edges must point forward in time")
-        key = (edge.src, edge.dst, edge.kind)
-        if key in self._edge_keys:
-            return False
-        self._edge_keys.add(key)
-        self.edges.append(edge)
+        """Insert an edge; returns False when the (src, dst, kind) triple exists.
+
+        The index, first brought up to date, lists the edges of edge.dst's
+        row; an edge of the same triple is one of them."""
+        self._check_edge(edge)
+        index = self.scoring_index()
+        edges = self.edges
+        for number in index.incident(index.row_of(edge.dst)):
+            other = edges[number]
+            if other.src == edge.src and other.dst == edge.dst and other.kind is edge.kind:
+                return False
+        edges.append(edge)
         return True
+
+    def _check_edge(self, edge: CanvasEdge) -> None:
+        """Raise ValueError unless both ends of edge are stored and a causal
+        edge points forward in time."""
+        objects = self.objects
+        if edge.src not in objects or edge.dst not in objects:
+            raise ValueError("edge endpoints must reference stored objects")
+        if edge.kind is EdgeKind.CAUSAL and objects[edge.src].turn > objects[edge.dst].turn:
+            raise ValueError("causal edges must point forward in time")
 
     def neighbors(self, oid: str) -> list[str]:
         """Ids adjacent to oid across both edge kinds and both directions,
@@ -286,8 +304,7 @@ class _Snapshot(CanvasGraph):
     """What CanvasGraph.snapshot() returns: every write raises and changes nothing."""
 
     def __init__(self, graph: CanvasGraph):
-        # Not CanvasGraph.__init__: its empty scoring index and edge-key set
-        # would be thrown away or never read here.
+        # Not CanvasGraph.__init__: its empty scoring index would be thrown away.
         self.objects = dict(graph.objects)
         self.rows = list(graph.rows)
         self.turn_ordered = graph.turn_ordered
@@ -532,7 +549,11 @@ def _reject_infinite(obj: CanvasObject) -> None:
 
 def _build(next_turn: int, object_records, edge_records, large_embedding) -> CanvasGraph:
     """A graph of the records, which each path has parsed; large_embedding(obj)
-    is called for each object whose embedding is not _small."""
+    is called for each object whose embedding is not _small.
+
+    Edges are checked as add_edge checks them, but a duplicate is found in a
+    set of (src, dst, kind) that is dropped on return, and the scoring index
+    is left to catch up the first time the graph is read."""
     graph = CanvasGraph()
     for raw in object_records:
         _require(isinstance(raw, dict), "each object must be a JSON object")
@@ -559,6 +580,7 @@ def _build(next_turn: int, object_records, edge_records, large_embedding) -> Can
             large_embedding(obj)
         if graph._store(obj) is not AddResult.ADDED:
             raise MalformedInputError(f"duplicate object id {obj.id}")
+    edges, keys = graph.edges, set()
     for raw in edge_records:
         _require(isinstance(raw, dict), "each edge must be a JSON object")
         try:
@@ -569,11 +591,14 @@ def _build(next_turn: int, object_records, edge_records, large_embedding) -> Can
                 weight=raw["weight"],
                 origin=_EDGE_ORIGINS[raw["origin"]],
             )
-            added = graph.add_edge(edge)
+            graph._check_edge(edge)
         except (KeyError, ValueError, TypeError) as exc:
             raise MalformedInputError(f"invalid edge record: {exc}") from exc
-        if not added:
+        key = (edge.src, edge.dst, edge.kind)
+        if key in keys:
             raise MalformedInputError(f"duplicate edge {raw.get('src')!r} -> {raw.get('dst')!r}")
+        keys.add(key)
+        edges.append(edge)
     graph.next_turn = max(graph.next_turn, next_turn)
     return graph
 

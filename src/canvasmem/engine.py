@@ -3,7 +3,9 @@
 The engine owns the graph and is the single writer. A turn that makes the
 extractor backend fail is logged, counted, and skipped; ingestion continues
 with the next turn. An embedder error propagates before anything of the turn
-is stored, so the same turn can be retried.
+is stored, and so does the scoring index's typed error for an embedding it
+could not score (a vector of another dimension than the stored ones, or a
+zero vector), so the same turn can be retried.
 
 Readers query snapshot() output, a read-only graph: a write to it raises
 ReadOnlyGraphError. It copies the objects dict and the rows and edges lists
@@ -81,6 +83,9 @@ class CanvasEngine:
         for obj in candidates:
             if obj.embedding is None:
                 obj.embedding = self.embedder.embed(obj.content)
+        # A vector the index could not score would make every later ingest
+        # and query raise; refuse it while the turn can still be retried.
+        self.graph.scoring_index().check_vectors([obj.embedding for obj in candidates])
         added: list[CanvasObject] = []
         for obj in candidates:
             if self.graph.add_object(obj) is AddResult.ADDED:

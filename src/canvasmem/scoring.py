@@ -123,8 +123,11 @@ def _vector(embedding, dim: Optional[int]) -> tuple[np.ndarray, float]:
     if vec.ndim != 1 or (dim is not None and vec.shape[0] != dim):
         raise DimensionMismatchError(f"vector shapes differ: {vec.shape} vs ({dim},)")
     # What np.linalg.norm computes for a 1-D float64 vector, without its
-    # dispatch: sqrt of the vector's dot product with itself.
-    norm = math.sqrt(float(vec.dot(vec)))
+    # dispatch: sqrt of the vector's dot product with itself. A dot product
+    # that overflows gives an infinite norm, which the screen cannot bound,
+    # so every cosine against the vector is verified exactly.
+    with np.errstate(over="ignore"):
+        norm = math.sqrt(float(vec.dot(vec)))
     if norm == 0.0:
         raise ZeroVectorError("cosine similarity is undefined for zero vectors")
     return vec, norm
@@ -241,8 +244,10 @@ class ScoringIndex:
     map, and each row's adjacency: the rows an edge joins to it, one per
     edge and in edge order, beside the numbers of those edges. adjacent()
     reads one row's list, so the retrieval walk and CanvasGraph.neighbors()
-    read only the edges of the rows they visit. These work whether or not
-    the embeddings can be screened.
+    read only the edges of the rows they visit; incident() reads the edge
+    numbers, so CanvasGraph.add_edge() finds a duplicate among the edges
+    of its destination's row alone. These work whether or not the
+    embeddings can be screened.
 
     fork() returns a read-only index (read_only is True; a write raises
     ReadOnlyGraphError) sharing every column, the content id rows, both
@@ -410,17 +415,37 @@ class ScoringIndex:
         A fork shares the list with its owner, which may append edges past
         the fork's own while it reads, each edge's number before its
         neighbour. The numbers are read first and the neighbours cut to
-        them, with a bisect when the last number is past this index's edge
-        count, so every neighbour read comes from one of this index's edges.
+        them (see _incident_count), so every neighbour read comes from one
+        of this index's edges.
         """
+        return self._adjacent[row][:self._incident_count(row)]
+
+    def incident(self, row: int) -> list[int]:
+        """The numbers of the edges that join row to another, in edge order:
+        edge n is the graph's n-th edge, whichever end of it row is."""
+        return self._edge_numbers[row][:self._incident_count(row)]
+
+    def _incident_count(self, row: int) -> int:
+        """How many of row's edges are this index's: the length of its list
+        of edge numbers, cut with a bisect when the last number is past
+        this index's edge count (an edge the owner added after a fork)."""
         numbers = self._edge_numbers[row]
         count = len(numbers)
         if count and numbers[count - 1] >= self._edges:
             count = bisect_left(numbers, self._edges, 0, count)
-        return self._adjacent[row][:count]
+        return count
 
     def _dim(self) -> Optional[int]:
         return None if self._matrix is None else self._matrix.shape[1]
+
+    def check_vectors(self, embeddings: Sequence) -> None:
+        """Raise the error a row of each embedding, appended in turn, would
+        hold as a fault (DimensionMismatchError, ZeroVectorError), so that a
+        caller can refuse them before it stores anything. The first one
+        fixes the dimension when the index holds no vector yet."""
+        dim = self._dim()
+        for embedding in embeddings:
+            dim = _vector(embedding, dim)[0].shape[0]
 
     def _raise_fault(self) -> None:
         """Raise the typed error of the first stored row cosine_sim could not score."""

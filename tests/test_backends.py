@@ -26,7 +26,9 @@ from canvasmem.errors import (
     MalformedResponseError,
     TransportTimeoutError,
 )
-from canvasmem.extraction import ConversationTurn, ExtractionPass
+from canvasmem.extraction import ConversationTurn, ExtractionPass, extract_turn
+
+from conftest import graph_of, make_obj
 
 
 @pytest.fixture
@@ -304,6 +306,49 @@ def test_remote_extractor_parses_fenced_json(config):
     assert obj.confidence == 0.8
     _, payload, _ = transport.requests[0]
     assert payload["temperature"] == config.temperature_extraction
+
+
+_GLEAN_PROMPT = """\
+Review the turn below a second time. A first extraction pass already ran;
+what it found is listed below. Find only what it missed, looking
+specifically for:
+
+1. entities that the turn mentions only through pronouns
+2. statements whose subject is left implicit
+3. cause-and-effect relationships that are implied rather than stated
+4. dates, durations, deadlines, and other time expressions
+
+Artifacts already on the canvas from earlier turns, then those the first
+pass extracted from this turn:
+DECISION: cache responses in redis
+KEY_FACT: cache entries expire after five minutes
+
+Turn 1:
+User: cache entries expire after five minutes, so the ttl is short
+Assistant: noted
+
+Return a JSON array of additional artifacts only, same schema:
+  {"kind": "KEY_FACT", "content": "...", "quote": "...", "source": "user", "confidence": 0.9}
+
+"quote" must be copied verbatim from the turn text. Return [] when nothing
+was missed.
+"""
+
+
+def test_the_glean_prompt_lists_the_first_pass_finds_after_the_canvas(config):
+    graph = graph_of(make_obj(kind=ObjectKind.DECISION, content="cache responses in redis"))
+    turn = ConversationTurn(index=1, user_text="cache entries expire after five minutes, "
+                            "so the ttl is short", assistant_text="noted")
+    transport = ScriptedTransport(
+        (200, _extractor_reply([{"kind": "KEY_FACT",
+                                 "content": "cache entries expire after five minutes",
+                                 "quote": "cache entries expire after five minutes"}])),
+        (200, _extractor_reply([])),
+    )
+    objects = extract_turn(RemoteExtractor(config, transport), turn, graph)
+    assert [obj.content for obj in objects] == ["cache entries expire after five minutes"]
+    glean = transport.requests[1][1]["messages"][0]["content"]
+    assert glean == _GLEAN_PROMPT
 
 
 def test_remote_extractor_infers_source_from_quote(config):

@@ -3,7 +3,7 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from canvasmem.core import (
@@ -22,7 +22,7 @@ from canvasmem.core import (
 )
 from canvasmem.errors import InvalidObjectError, MalformedInputError, VersionMismatchError
 
-from conftest import graph_of, make_obj
+from conftest import graph_of, load_both_ways, make_obj
 
 # Every save and every load in these tests runs with the orjson path on
 # and forced off.
@@ -156,6 +156,67 @@ def test_add_edge_rejects_duplicate_triple():
     assert graph.add_edge(causal) is True
 
 
+# Four objects, two of them in one turn, so that a causal edge may point
+# forward, sideways or back in time.
+_MODEL_TURNS = (0, 1, 1, 2)
+_edge_ops = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                               st.sampled_from(list(EdgeKind)), st.sampled_from([0.25, 1.0])),
+                     max_size=30)
+
+
+@seed(31)
+@settings(database=None, max_examples=150, deadline=None)
+@given(_edge_ops, _edge_ops, _edge_ops)
+def test_add_edge_answers_as_a_set_of_triples_does(live, after_snapshot, after_load):
+    objects = [make_obj(content=f"fact number {i}", turn=turn)
+               for i, turn in enumerate(_MODEL_TURNS)]
+    model: set[tuple[str, str, EdgeKind]] = set()
+    kept: list[CanvasEdge] = []
+
+    def add_all(graph, ops):
+        for a, b, kind, weight in ops:
+            if a == b:
+                continue
+            src, dst = objects[a], objects[b]
+            edge = CanvasEdge(src=src.id, dst=dst.id, kind=kind, weight=weight,
+                              origin=EdgeOrigin.SIMILARITY)
+            if kind is EdgeKind.CAUSAL and src.turn > dst.turn:
+                with pytest.raises(ValueError):
+                    graph.add_edge(edge)
+                continue
+            key = (edge.src, edge.dst, edge.kind)
+            assert graph.add_edge(edge) is (key not in model)
+            if key not in model:
+                model.add(key)
+                kept.append(edge)
+        assert graph.edges == kept
+
+    graph = graph_of(*objects)
+    add_all(graph, live)
+    frozen, at_snapshot = graph.snapshot(), list(kept)
+    add_all(graph, after_snapshot)
+    assert frozen.edges == at_snapshot
+    # The snapshot's index stops at its own edges: every later edge is past it.
+    assert sum(map(len, map(frozen.neighbors, frozen.objects))) == 2 * len(frozen.edges)
+    loaded = load_both_ways(serialize_graph(graph))
+    # A duplicate of each loaded edge is refused.
+    for edge in kept:
+        assert loaded.add_edge(edge) is False
+    add_all(loaded, after_load)
+
+
+def test_a_load_checks_its_edges_without_add_edge_or_the_index(monkeypatch):
+    graph = _sample_graph()
+
+    def refuse(*_):
+        raise AssertionError("a load called add_edge")
+
+    monkeypatch.setattr(CanvasGraph, "add_edge", refuse)
+    loaded = deserialize_graph(serialize_graph(graph))
+    assert len(loaded._index) == 0 and loaded._index.edge_count == 0
+    assert loaded.edges == graph.edges
+
+
 def test_add_edge_rejects_backward_causal():
     early = make_obj(content="early fact", turn=1)
     late = make_obj(content="late fact", turn=7)
@@ -232,11 +293,10 @@ def test_snapshot_is_isolated_from_later_writes():
     assert frozen == frozen.snapshot()
 
 
-def test_a_snapshot_keeps_every_attribute_but_the_write_only_edge_keys():
+def test_a_snapshot_keeps_every_attribute():
     graph = _sample_graph()
     frozen = graph.snapshot()
-    # Only add_edge reads the edge-key set, and a snapshot refuses add_edge.
-    assert set(vars(frozen)) == set(vars(graph)) - {"_edge_keys"}
+    assert set(vars(frozen)) == set(vars(graph))
     with frozen.lock:
         assert not graph.lock.locked()
     assert frozen == graph and frozen.edges == graph.edges

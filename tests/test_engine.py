@@ -3,7 +3,8 @@ from __future__ import annotations
 import pytest
 
 from canvasmem.engine import CanvasEngine, IngestReport
-from canvasmem.errors import BackendFailureError, SequenceError
+from canvasmem.errors import (BackendFailureError, DimensionMismatchError, SequenceError,
+                              ZeroVectorError)
 from canvasmem.extraction import ConversationTurn, ExtractionPass, MockExtractor
 from canvasmem.scoring import MockEmbedder
 
@@ -124,3 +125,48 @@ def test_embedder_error_leaves_the_graph_untouched_and_the_turn_retryable():
     assert len(added) == 2
     assert graph == clean.graph
     assert graph.next_turn == 1
+
+
+class _SpoilingEmbedder:
+    """MockEmbedder whose call number `spoil_on` (from 1) returns
+    spoil(vector) instead, while `spoiling` is set."""
+
+    def __init__(self, spoil, spoil_on):
+        self.inner, self.spoil, self.spoil_on = MockEmbedder(), spoil, spoil_on
+        self.calls, self.spoiling = 0, True
+
+    def embed(self, text):
+        self.calls += 1
+        vector = self.inner.embed(text)
+        return self.spoil(vector) if self.spoiling and self.calls == self.spoil_on else vector
+
+
+@pytest.mark.parametrize("spoil, error, earlier_turns", [
+    (lambda vector: vector[:-1], DimensionMismatchError, 1),
+    (lambda vector: [0.0] * len(vector), ZeroVectorError, 1),
+    # With no vector stored yet, the turn's first vector fixes the dimension.
+    (lambda vector: vector + [0.5], DimensionMismatchError, 0),
+], ids=["short", "zero", "first-turn"])
+def test_an_unscorable_embedding_stores_nothing_and_the_turn_is_retryable(
+        spoil, error, earlier_turns):
+    turns = [
+        _turn(0, user="KEY_FACT: the api gateway times out after 30 seconds"),
+        _turn(1, user="KEY_FACT: redis holds the session cache\n"
+                      "DECISION: we will cache responses in redis"),
+    ]
+    embedder = _SpoilingEmbedder(spoil, spoil_on=earlier_turns + 2)
+    engine = CanvasEngine(MockExtractor(), embedder)
+    engine.ingest(turns[1 - earlier_turns:1])
+    graph = engine.graph
+    before = (list(graph.rows), list(graph.edges), graph.next_turn)
+    turn = turns[1] if earlier_turns else _turn(0, user=turns[1].user_text)
+    with pytest.raises(error):
+        engine.ingest_turn(turn)
+    assert (graph.rows, graph.edges, graph.next_turn) == before
+    embedder.spoiling = False
+    assert len(engine.ingest_turn(turn)) == 2
+    clean = _engine()
+    clean.ingest(turns[1 - earlier_turns:1] + [turn])
+    assert graph == clean.graph
+    # The graph still scores: a later query reads every row.
+    assert graph.scoring_index().prepare(MockEmbedder().embed("redis"), "redis")
