@@ -20,7 +20,7 @@ raises the same error, with orjson or without it.
 The graph's adjacency lives in its scoring index: for each row, the rows
 an edge joins to it, in edge order, and the numbers of those edges.
 neighbors() and the retrieval walk both read those lists, so they cost a
-row's degree, not the graph's edge count, and add_edge finds a duplicate
+row's degree, not the graph's edge count, and add_edges finds a duplicate
 (src, dst, kind) among the edges of its destination's row, so the graph
 holds each edge in its edge list and its index only. A load checks for
 duplicate edges with a set of its own, dropped when the load returns.
@@ -119,7 +119,8 @@ class CanvasObject:
             raise InvalidObjectError(f"turn must be a non-negative integer, got {self.turn!r}")
         if not isinstance(self.content, str):
             raise InvalidObjectError("content must be a string")
-        if not isinstance(self.quote, str) or not normalize_text(self.quote):
+        # normalize_text(quote) is empty exactly when quote is all whitespace.
+        if not isinstance(self.quote, str) or not self.quote.strip():
             raise InvalidObjectError("quote must be a non-empty string")
         if not isinstance(self.confidence, (int, float)) or isinstance(self.confidence, bool):
             raise InvalidObjectError("confidence must be a number")
@@ -171,20 +172,29 @@ class CanvasGraph:
     neighbour rows, one per edge, in edge order, which neighbors() and the
     retrieval walk read. The index catches up with the rows and edges the
     first time something scores against, walks, snapshots, adds an edge to
-    or asks for the neighbors of the graph, not in add_object; an object
-    stored without a usable embedding raises only once it is scored. Once
+    or asks for the neighbors of the graph. add_object given the vector and
+    norm ScoringIndex.check_vectors() made of the object's embedding, as
+    the engine gives it, writes the object's row at once from them; plain
+    add_object leaves the row to the next catch-up, so an object stored
+    without a usable embedding raises only once it is scored. Once
     indexed, a stored object's embedding, content and quote must not
     change: the index keeps what it read.
 
-    add_edge refuses a second edge of the same (src, dst, kind) by reading
-    the numbers of the edges the index holds for the destination's row and
-    comparing those edges, so the graph keeps no set of edge keys. It
-    writes to the index as scoring does: on a graph a writer may be adding
-    to, it runs under the graph's lock, as linking does.
+    add_edges is the one edge write, and add_edge is add_edges of one
+    edge. It checks every edge, then refuses each whose (src, dst, kind)
+    the graph holds by reading once the numbers of the edges the index
+    holds for each destination's row and comparing those edges, so the
+    graph keeps no set of edge keys; the edges it adds join the edge list
+    and the index in one step, so a link brings the index up to date
+    once. It writes to the index as scoring does: on a graph a writer may
+    be adding to, it runs under the graph's lock, as linking does.
 
     `line_cache` maps an object's id to its context-block line, filled by
     retrieval the first time it renders the object and shared with every
     snapshot, as the stored objects are, so each line renders once.
+    `digest_cache` holds the extraction digest's lines (see
+    extraction.prior_digest): a tuple that is replaced, never changed, so
+    a snapshot keeps the one it was taken with.
     """
 
     def __init__(self):
@@ -197,6 +207,7 @@ class CanvasGraph:
         self._index = ScoringIndex()
         self._encoded: _Encoded = _NOTHING_ENCODED
         self.line_cache: dict[str, str] = {}
+        self.digest_cache: tuple[int, tuple[str, ...]] = (0, ())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CanvasGraph):
@@ -210,10 +221,20 @@ class CanvasGraph:
     def __len__(self) -> int:
         return len(self.objects)
 
-    def add_object(self, obj: CanvasObject) -> AddResult:
-        """Insert an object; a second insert of the same identity is a DUPLICATE."""
+    def add_object(self, obj: CanvasObject, vector: Optional[tuple] = None) -> AddResult:
+        """Insert an object; a second insert of the same identity is a DUPLICATE.
+
+        vector, when given, is what ScoringIndex.check_vectors() returned for
+        obj's embedding: a stored object's index row is then written at
+        once, from that pair, so its embedding is converted only once."""
         obj.validate()
-        return self._store(obj)
+        if vector is None:
+            return self._store(obj)
+        index = self.scoring_index()
+        result = self._store(obj)
+        if result is AddResult.ADDED:
+            index.extend([obj], [vector])
+        return result
 
     def _store(self, obj: CanvasObject) -> AddResult:
         """add_object for an object already validated."""
@@ -227,19 +248,36 @@ class CanvasGraph:
         return AddResult.ADDED
 
     def add_edge(self, edge: CanvasEdge) -> bool:
-        """Insert an edge; returns False when the (src, dst, kind) triple exists.
+        """Insert an edge; returns False when the (src, dst, kind) triple exists."""
+        return bool(self.add_edges([edge]))
 
-        The index, first brought up to date, lists the edges of edge.dst's
-        row; an edge of the same triple is one of them."""
-        self._check_edge(edge)
+    def add_edges(self, edges: list[CanvasEdge]) -> list[CanvasEdge]:
+        """Insert edges, in order; returns those added, leaving out each
+        whose (src, dst, kind) triple the graph, or an earlier one of edges,
+        already holds. A ValueError from any edge's check adds none.
+
+        The index, first brought up to date, lists the edges of each
+        destination's row, read once; an edge of the same triple is one of
+        them. The added edges join the edge list and the index in one step."""
+        if not edges:
+            return []
+        for edge in edges:
+            self._check_edge(edge)
         index = self.scoring_index()
-        edges = self.edges
-        for number in index.incident(index.row_of(edge.dst)):
-            other = edges[number]
-            if other.src == edge.src and other.dst == edge.dst and other.kind is edge.kind:
-                return False
-        edges.append(edge)
-        return True
+        stored = self.edges
+        held = {(other.src, other.dst, other.kind)
+                for dst in {edge.dst for edge in edges}
+                for other in map(stored.__getitem__, index.incident(index.row_of(dst)))}
+        added: list[CanvasEdge] = []
+        for edge in edges:
+            key = (edge.src, edge.dst, edge.kind)
+            if key not in held:
+                held.add(key)
+                added.append(edge)
+        if added:
+            stored += added
+            index.extend_edges(added)
+        return added
 
     def _check_edge(self, edge: CanvasEdge) -> None:
         """Raise ValueError unless both ends of edge are stored and a causal
@@ -314,11 +352,12 @@ class _Snapshot(CanvasGraph):
         self._index = graph.scoring_index().fork()
         self._encoded = graph._encoded
         self.line_cache = graph.line_cache
+        self.digest_cache = graph.digest_cache
 
     def _store(self, *_) -> NoReturn:
         raise ReadOnlyGraphError("a snapshot is read-only; write to the graph it was taken from")
 
-    add_edge = mark_turn_ingested = _store
+    add_edges = mark_turn_ingested = _store
 
 
 def _object_record(obj: CanvasObject) -> dict:

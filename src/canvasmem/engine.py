@@ -3,9 +3,17 @@
 The engine owns the graph and is the single writer. A turn that makes the
 extractor backend fail is logged, counted, and skipped; ingestion continues
 with the next turn. An embedder error propagates before anything of the turn
-is stored, and so does the scoring index's typed error for an embedding it
-could not score (a vector of another dimension than the stored ones, or a
-zero vector), so the same turn can be retried.
+is stored, and so do add_object's InvalidObjectError for a candidate it
+would refuse (an embedding that is not a list, say) and the scoring index's
+typed error for an embedding it could not score (a vector of another
+dimension than the stored ones, or a zero vector), so the same turn can be
+retried.
+
+Each candidate's embedding is converted to a float64 vector and norm once,
+by check_vectors, and a stored object's index row is written from that
+pair. Objects are stored, indexed and linked one at a time, in the
+extractor's order, so a candidate links only to the rows stored before it.
+A link's edges join the graph and its index in one add_edges call.
 
 Readers query snapshot() output, a read-only graph: a write to it raises
 ReadOnlyGraphError. It copies the objects dict and the rows and edges lists
@@ -77,18 +85,21 @@ class CanvasEngine:
             self.diagnostics.failed_turns += 1
             self.graph.mark_turn_ingested(turn.index)
             return []
-        # Embed every candidate before storing any: an embedder error then
-        # leaves the graph and its turn cursor as they were, so the turn can
-        # be retried, and no object is assigned to once it is stored.
+        # Embed and validate every candidate before storing any: an embedder
+        # error or an object add_object would refuse then leaves the graph
+        # and its turn cursor as they were, so the turn can be retried, and
+        # no object is assigned to once it is stored.
         for obj in candidates:
             if obj.embedding is None:
                 obj.embedding = self.embedder.embed(obj.content)
+            obj.validate()
         # A vector the index could not score would make every later ingest
         # and query raise; refuse it while the turn can still be retried.
-        self.graph.scoring_index().check_vectors([obj.embedding for obj in candidates])
+        # Each stored object's index row takes its checked vector and norm.
+        vectors = self.graph.scoring_index().check_vectors([obj.embedding for obj in candidates])
         added: list[CanvasObject] = []
-        for obj in candidates:
-            if self.graph.add_object(obj) is AddResult.ADDED:
+        for obj, vector in zip(candidates, vectors):
+            if self.graph.add_object(obj, vector) is AddResult.ADDED:
                 link_object(self.graph, obj, self.thresholds)
                 added.append(obj)
             else:

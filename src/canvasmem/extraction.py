@@ -97,9 +97,22 @@ def prior_digest(graph: CanvasGraph, cap: int = DIGEST_CAP) -> list[str]:
     """Kind-and-content lines for the most recent `cap` objects by turn.
 
     Objects of one turn keep their insertion order. While the graph's rows
-    are in turn order that order is the rows', and nothing is sorted.
+    are in turn order that order is the rows', nothing is sorted, and a
+    cap up to DIGEST_CAP reads graph.digest_cache: the number of rows it
+    covers and the last DIGEST_CAP lines of those rows. Only the rows
+    stored since get a line built, and the cache is replaced in one
+    assignment, never changed in place, so a snapshot that shares it never
+    sees it move. Rows out of turn order are sorted, and every line built.
     """
-    ordered = graph.rows if graph.turn_ordered else sorted(graph.rows, key=lambda o: o.turn)
+    rows = graph.rows
+    if graph.turn_ordered and 0 < cap <= DIGEST_CAP:
+        covered, lines = graph.digest_cache
+        if covered != len(rows):
+            fresh = _digest_lines(rows[max(covered, len(rows) - DIGEST_CAP):])
+            lines = (*lines, *fresh)[-DIGEST_CAP:]
+            graph.digest_cache = (len(rows), lines)
+        return list(lines[-cap:])
+    ordered = rows if graph.turn_ordered else sorted(rows, key=lambda o: o.turn)
     return _digest_lines(ordered[-cap:])
 
 
@@ -167,13 +180,31 @@ def extract_turn(
     return list(merged.values())
 
 
+@lru_cache(maxsize=4)
+def _marked_payloads(text: str) -> tuple[tuple[str, str], ...]:
+    """The marker and payload of each non-empty marker payload in text, in
+    order. Every marker bounds the previous payload, even markers a pass
+    does not emit for. Both passes read both sides of a turn, so each side
+    is parsed once per turn."""
+    found = []
+    for line in text.splitlines():
+        matches = list(MARKER_RE.finditer(line))
+        for pos, match in enumerate(matches):
+            end = matches[pos + 1].start() if pos + 1 < len(matches) else len(line)
+            payload = line[match.end():end].strip()
+            if payload:
+                found.append((match.group(1), payload))
+    return tuple(found)
+
+
 class MockExtractor:
     """Deterministic offline extractor that scans for explicit markers.
 
     First pass: a line like "DECISION: use redis for caching" yields a
     DECISION object whose content and quote are both the marker payload.
     Gleaning pass: "GLEAN: ..." yields a KEY_FACT the first pass ignores.
-    Confidence is always 1.0 so mock runs stay reproducible.
+    Confidence is always 1.0 so mock runs stay reproducible. The two passes
+    of a turn read one parse of each side's markers.
     """
 
     def extract(
@@ -182,30 +213,21 @@ class MockExtractor:
         prior_digest: Sequence[str],
         pass_: ExtractionPass,
     ) -> list[CanvasObject]:
+        glean = pass_ is ExtractionPass.GLEAN
         found: list[CanvasObject] = []
         for source in (Source.USER, Source.ASSISTANT):
-            for line in turn.text_for(source).splitlines():
-                matches = list(MARKER_RE.finditer(line))
-                for pos, match in enumerate(matches):
-                    # Every marker bounds the previous payload, even markers
-                    # the current pass does not emit for.
-                    is_glean = match.group(1) == GLEAN_MARKER
-                    wanted = is_glean == (pass_ is ExtractionPass.GLEAN)
-                    if not wanted:
-                        continue
-                    end = matches[pos + 1].start() if pos + 1 < len(matches) else len(line)
-                    payload = line[match.end():end].strip()
-                    if not payload:
-                        continue
-                    kind = ObjectKind.KEY_FACT if is_glean else ObjectKind(match.group(1))
-                    found.append(
-                        CanvasObject(
-                            kind=kind,
-                            content=payload,
-                            quote=payload,
-                            source=source,
-                            turn=turn.index,
-                            confidence=1.0,
-                        )
+            for marker, payload in _marked_payloads(turn.text_for(source)):
+                if (marker == GLEAN_MARKER) != glean:
+                    continue
+                kind = ObjectKind.KEY_FACT if glean else ObjectKind(marker)
+                found.append(
+                    CanvasObject(
+                        kind=kind,
+                        content=payload,
+                        quote=payload,
+                        source=source,
+                        turn=turn.index,
+                        confidence=1.0,
                     )
+                )
         return found

@@ -12,7 +12,10 @@ R3: temporal heuristic. A KEY_FACT or REMINDER within temporal_window turns
     embeddings look; nearby context tends to motivate decisions.
 
 Edges are deduplicated per (src, dst, kind): similarity beats keyword for
-references, and the heavier weight wins for causal edges.
+references, and the heavier weight wins for causal edges. A link gathers
+its edges and adds them with one CanvasGraph.add_edges call, which refuses
+any triple the graph already holds, so linking an object again adds
+nothing, and brings the scoring index's adjacency up to date once.
 
 Linking is screen-then-verify, and it visits only the stored objects that
 can gain an edge. A link reads the new object from its own row of the
@@ -119,7 +122,7 @@ def link_object(
     temporal_target = new_obj.kind is ObjectKind.DECISION
     if temporal_target:
         visit |= index.turn_window(new_obj.turn, thresholds.temporal_window)
-    added: list[CanvasEdge] = []
+    gathered: list[CanvasEdge] = []
     for row in visit.nonzero()[0].tolist():
         other = graph.rows[row]
         if other.id == new_obj.id:
@@ -173,7 +176,8 @@ def link_object(
                     origin=EdgeOrigin.TEMPORAL_HEURISTIC,
                 )
 
-        for edge in (reference, causal):
-            if edge is not None and graph.add_edge(edge):
-                added.append(edge)
-    return added
+        if reference is not None:
+            gathered.append(reference)
+        if causal is not None:
+            gathered.append(causal)
+    return graph.add_edges(gathered)

@@ -245,7 +245,7 @@ class ScoringIndex:
     edge and in edge order, beside the numbers of those edges. adjacent()
     reads one row's list, so the retrieval walk and CanvasGraph.neighbors()
     read only the edges of the rows they visit; incident() reads the edge
-    numbers, so CanvasGraph.add_edge() finds a duplicate among the edges
+    numbers, so CanvasGraph.add_edges() finds a duplicate among the edges
     of its destination's row alone. These work whether or not the
     embeddings can be screened.
 
@@ -292,8 +292,15 @@ class ScoringIndex:
     def edge_count(self) -> int:
         return self._edges
 
-    def extend(self, objects: Sequence[CanvasObject]) -> None:
-        """Add a row for each object.
+    def extend(
+        self,
+        objects: Sequence[CanvasObject],
+        vectors: Optional[Sequence[tuple[np.ndarray, float]]] = None,
+    ) -> None:
+        """Add a row for each object. vectors, when given, holds what
+        check_vectors() returned for the objects' embeddings, and each row
+        takes its (vector, norm) pair from there instead of converting its
+        embedding again.
 
         Tokenizing stops at every non-word character, so the tokens of
         document_text(obj) are those of the content and of the quote: each
@@ -301,10 +308,12 @@ class ScoringIndex:
         differs from the content.
         """
         self._reserve(self._rows + len(objects))
-        for obj in objects:
+        for position, obj in enumerate(objects):
             content = token_set(obj.content)
             document = content if obj.quote == obj.content else content | token_set(obj.quote)
-            self._append_row(obj.embedding, content, document, obj.turn, obj.id)
+            vector = (self._converted(obj.embedding, obj.id) if vectors is None
+                      else vectors[position])
+            self._append_row(vector, content, document, obj.turn, obj.id)
 
     def extend_edges(self, edges: Sequence[CanvasEdge]) -> None:
         """Join the src and dst row of each edge in both rows' adjacency;
@@ -335,7 +344,8 @@ class ScoringIndex:
         """Add a row without an id: the embedding, the Jaccard tokens, the
         coverage tokens, the turn."""
         self._reserve(self._rows + 1)
-        self._append_row(embedding, content_tokens, document_tokens, turn, None)
+        vector = self._converted(embedding, str(self._rows))
+        self._append_row(vector, content_tokens, document_tokens, turn, None)
 
     def _reserve(self, needed: int) -> None:
         """Grow every row-aligned column together until it holds `needed` rows."""
@@ -352,19 +362,28 @@ class ScoringIndex:
             self._norms = _grown(self._norms, used, capacity)
             self._units = _grown(self._units, used, capacity)
 
-    def _append_row(self, embedding, content, document, turn: int, oid: Optional[str]) -> None:
-        """Write row self._rows, which _reserve() has made room for: content
-        holds the Jaccard tokens, document the coverage tokens."""
-        row = self._rows
-        self._turns[row] = min(turn, _TURN_CAP)
+    def _converted(self, embedding, label: str) -> Optional[tuple[np.ndarray, float]]:
+        """_vector of the embedding of the next row (label names it in an
+        error), or None when cosine_sim could not score it: the index then
+        keeps the first such error as its fault."""
         try:
             if embedding is None:
-                raise MissingEmbeddingError(f"stored object {oid or row} has no embedding")
-            vec, norm = _vector(embedding, self._dim())
+                raise MissingEmbeddingError(f"stored object {label} has no embedding")
+            return _vector(embedding, self._dim())
         except (CanvasError, TypeError, ValueError) as fault:
             if self._fault is None:
                 self._fault = fault
-        else:
+            return None
+
+    def _append_row(self, vector, content, document, turn: int, oid: Optional[str]) -> None:
+        """Write row self._rows, which _reserve() has made room for: vector
+        is the row's float64 vector and norm, or None for a fault; content
+        holds the Jaccard tokens, document the coverage tokens (content
+        itself when the quote adds none)."""
+        row = self._rows
+        self._turns[row] = min(turn, _TURN_CAP)
+        if vector is not None:
+            vec, norm = vector
             if self._matrix is None:
                 # Every earlier row is a fault, which is never read.
                 dim, capacity = vec.shape[0], len(self._turns)
@@ -384,8 +403,12 @@ class ScoringIndex:
         self._sizes[row] = len(token_ids)
         for token_id in token_ids:
             content_postings[token_id].append(row)
-        for tok in document:
-            postings[vocab.setdefault(tok, len(vocab))].append(row)
+        if document is content:
+            for token_id in token_ids:
+                postings[token_id].append(row)
+        else:
+            for tok in document:
+                postings[vocab.setdefault(tok, len(vocab))].append(row)
         self._adjacent.append([])
         self._edge_numbers.append([])
         if oid is not None:
@@ -438,14 +461,21 @@ class ScoringIndex:
     def _dim(self) -> Optional[int]:
         return None if self._matrix is None else self._matrix.shape[1]
 
-    def check_vectors(self, embeddings: Sequence) -> None:
-        """Raise the error a row of each embedding, appended in turn, would
-        hold as a fault (DimensionMismatchError, ZeroVectorError), so that a
-        caller can refuse them before it stores anything. The first one
-        fixes the dimension when the index holds no vector yet."""
+    def check_vectors(self, embeddings: Sequence) -> list[tuple[np.ndarray, float]]:
+        """The float64 vector and norm of each embedding, as a row of it,
+        appended in turn, would hold them: the first one fixes the
+        dimension when the index holds no vector yet. Raises the error such
+        a row would hold as a fault (DimensionMismatchError,
+        ZeroVectorError), so that a caller can refuse the embeddings before
+        it stores anything, and can hand each pair to extend() once it has
+        stored the object, so that the row converts nothing again."""
         dim = self._dim()
+        checked = []
         for embedding in embeddings:
-            dim = _vector(embedding, dim)[0].shape[0]
+            vector = _vector(embedding, dim)
+            dim = vector[0].shape[0]
+            checked.append(vector)
+        return checked
 
     def _raise_fault(self) -> None:
         """Raise the typed error of the first stored row cosine_sim could not score."""

@@ -205,13 +205,51 @@ def test_add_edge_answers_as_a_set_of_triples_does(live, after_snapshot, after_l
     add_all(loaded, after_load)
 
 
+@seed(32)
+@settings(database=None, max_examples=100, deadline=None)
+@given(_edge_ops, _edge_ops)
+def test_add_edges_adds_what_add_edge_adds_one_edge_at_a_time(before, batch):
+    objects = [make_obj(content=f"fact number {i}", turn=turn)
+               for i, turn in enumerate(_MODEL_TURNS)]
+
+    def edges_of(ops):
+        return [CanvasEdge(src=objects[a].id, dst=objects[b].id, kind=kind, weight=weight,
+                           origin=EdgeOrigin.SIMILARITY)
+                for a, b, kind, weight in ops
+                if a != b and (kind is EdgeKind.REFERENCE or objects[a].turn <= objects[b].turn)]
+
+    one_by_one, batched = graph_of(*objects), graph_of(*objects)
+    for graph in (one_by_one, batched):
+        for edge in edges_of(before):
+            graph.add_edge(edge)
+    edges = edges_of(batch)
+    assert batched.add_edges(edges) == [edge for edge in edges if one_by_one.add_edge(edge)]
+    assert batched.edges == one_by_one.edges
+    assert [batched.neighbors(obj.id) for obj in objects] == [
+        one_by_one.neighbors(obj.id) for obj in objects]
+
+
+def test_add_edges_checks_every_edge_before_adding_any():
+    early, late = make_obj(content="early fact", turn=0), make_obj(content="late fact", turn=1)
+    graph = graph_of(early, late)
+    forward = CanvasEdge(src=early.id, dst=late.id, kind=EdgeKind.REFERENCE, weight=0.5,
+                         origin=EdgeOrigin.SIMILARITY)
+    backward = CanvasEdge(src=late.id, dst=early.id, kind=EdgeKind.CAUSAL, weight=0.5,
+                          origin=EdgeOrigin.SIMILARITY)
+    with pytest.raises(ValueError, match="forward in time"):
+        graph.add_edges([forward, backward])
+    assert graph.edges == [] and graph.neighbors(early.id) == []
+    assert graph.add_edges([forward, forward]) == [forward]
+
+
 def test_a_load_checks_its_edges_without_add_edge_or_the_index(monkeypatch):
     graph = _sample_graph()
 
     def refuse(*_):
-        raise AssertionError("a load called add_edge")
+        raise AssertionError("a load called add_edge or add_edges")
 
     monkeypatch.setattr(CanvasGraph, "add_edge", refuse)
+    monkeypatch.setattr(CanvasGraph, "add_edges", refuse)
     loaded = deserialize_graph(serialize_graph(graph))
     assert len(loaded._index) == 0 and loaded._index.edge_count == 0
     assert loaded.edges == graph.edges

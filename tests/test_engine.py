@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
+import canvasmem.scoring
 from canvasmem.engine import CanvasEngine, IngestReport
-from canvasmem.errors import (BackendFailureError, DimensionMismatchError, SequenceError,
-                              ZeroVectorError)
+from canvasmem.errors import (BackendFailureError, DimensionMismatchError, InvalidObjectError,
+                              SequenceError, ZeroVectorError)
 from canvasmem.extraction import ConversationTurn, ExtractionPass, MockExtractor
 from canvasmem.scoring import MockEmbedder
 
-from conftest import CountingEmbedder
+from conftest import CountingEmbedder, seeded_turns
 
 
 def _engine(extractor=None, gleaning=True):
@@ -146,7 +148,9 @@ class _SpoilingEmbedder:
     (lambda vector: [0.0] * len(vector), ZeroVectorError, 1),
     # With no vector stored yet, the turn's first vector fixes the dimension.
     (lambda vector: vector + [0.5], DimensionMismatchError, 0),
-], ids=["short", "zero", "first-turn"])
+    # add_object's validate() refuses an embedding that is not a list.
+    (np.asarray, InvalidObjectError, 1),
+], ids=["short", "zero", "first-turn", "numpy"])
 def test_an_unscorable_embedding_stores_nothing_and_the_turn_is_retryable(
         spoil, error, earlier_turns):
     turns = [
@@ -170,3 +174,28 @@ def test_an_unscorable_embedding_stores_nothing_and_the_turn_is_retryable(
     assert graph == clean.graph
     # The graph still scores: a later query reads every row.
     assert graph.scoring_index().prepare(MockEmbedder().embed("redis"), "redis")
+
+
+def test_each_candidate_links_only_to_rows_stored_before_it():
+    engine = _engine()
+    engine.ingest_turn(_turn(0, user="KEY_FACT: redis holds the session cache\n"
+                                      "DECISION: we will keep the session cache in redis"))
+    first, second = engine.graph.rows
+    # Stored, indexed and linked one at a time: the first candidate's link
+    # ran before the second was stored, so every edge points to the second.
+    assert engine.graph.edges
+    assert {(edge.src, edge.dst) for edge in engine.graph.edges} == {(first.id, second.id)}
+
+
+def test_ingest_converts_each_stored_embedding_once(monkeypatch):
+    calls = []
+    vector = canvasmem.scoring._vector
+    monkeypatch.setattr(canvasmem.scoring, "_vector",
+                        lambda embedding, dim: calls.append(embedding) or vector(embedding, dim))
+    engine = _engine()
+    engine.ingest(seeded_turns(5, 40))
+    rows = engine.graph.rows
+    assert len(rows) > 20 and engine.diagnostics.duplicates == 0
+    assert calls == [obj.embedding for obj in rows]
+    assert len(engine.graph.scoring_index()) == len(rows)
+    assert calls == [obj.embedding for obj in rows]

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 import canvasmem.extraction
 from canvasmem.core import CanvasGraph, ObjectKind, Source
+from canvasmem.engine import CanvasEngine
 from canvasmem.errors import BackendFailureError, SequenceError
 from canvasmem.extraction import (
     DIGEST_CAP,
@@ -17,8 +18,9 @@ from canvasmem.extraction import (
     prior_digest,
     quote_matches,
 )
+from canvasmem.scoring import MockEmbedder
 
-from conftest import graph_of, make_obj
+from conftest import graph_of, make_obj, seeded_turns
 
 
 def test_turn_validation():
@@ -79,6 +81,35 @@ def test_mock_extractor_glean_pass_only_sees_glean_markers():
     assert [o.kind for o in first] == [ObjectKind.DECISION]
     assert [o.kind for o in glean] == [ObjectKind.KEY_FACT]
     assert glean[0].content == "the release window is friday morning"
+
+
+class _CountingPattern:
+    """MARKER_RE, counting the lines it scans."""
+
+    def __init__(self, pattern):
+        self.pattern, self.lines = pattern, []
+
+    def finditer(self, line):
+        self.lines.append(line)
+        return self.pattern.finditer(line)
+
+
+def test_mock_extractor_parses_each_side_once_for_both_passes(monkeypatch):
+    pattern = _CountingPattern(canvasmem.extraction.MARKER_RE)
+    monkeypatch.setattr(canvasmem.extraction, "MARKER_RE", pattern)
+    canvasmem.extraction._marked_payloads.cache_clear()
+    turn = ConversationTurn(
+        index=3,
+        user_text="DECISION: ship on friday GLEAN: the release window is friday\nTODO:",
+        assistant_text="noted. KEY_FACT: staging is frozen",
+    )
+    objects = extract_turn(MockExtractor(), turn, CanvasGraph())
+    assert [(o.kind, o.content) for o in objects] == [
+        (ObjectKind.DECISION, "ship on friday"),
+        (ObjectKind.KEY_FACT, "staging is frozen"),
+        (ObjectKind.KEY_FACT, "the release window is friday"),
+    ]
+    assert sorted(pattern.lines) == sorted([*turn.user_text.splitlines(), turn.assistant_text])
 
 
 def test_mock_extractor_ignores_empty_payloads():
@@ -256,6 +287,59 @@ def test_prior_digest_is_the_stable_sort_by_turn(turns, in_order, split, cap):
         stored = [obj.turn for obj in g.rows]
         assert g.turn_ordered == (stored == sorted(stored))
         assert prior_digest(g, cap) == oracle_prior_digest(g, cap)
+
+
+def fresh_digest(graph, cap=DIGEST_CAP):
+    """The digest built from scratch: a line for each of the last cap rows by turn."""
+    ordered = sorted(graph.rows, key=lambda o: o.turn)
+    return canvasmem.extraction._digest_lines(ordered[-cap:])
+
+
+# Below, at and above DIGEST_CAP and the row counts the tests below reach.
+_CAPS = (1, 7, DIGEST_CAP - 1, DIGEST_CAP, DIGEST_CAP + 1, 500)
+
+
+def test_the_digest_equals_a_fresh_build_after_every_turn():
+    engine = CanvasEngine(MockExtractor(), MockEmbedder())
+    graph = engine.graph
+    for turn in seeded_turns(11, 120):
+        engine.ingest_turn(turn)
+        assert prior_digest(graph) == fresh_digest(graph)
+        covered, lines = graph.digest_cache
+        assert covered == len(graph.rows) and len(lines) == min(covered, DIGEST_CAP)
+    assert len(graph.rows) > DIGEST_CAP
+    for cap in _CAPS:
+        assert prior_digest(graph, cap) == fresh_digest(graph, cap)
+
+
+def test_a_snapshot_digest_ignores_later_writes_to_its_owner():
+    engine = CanvasEngine(MockExtractor(), MockEmbedder())
+    turns = seeded_turns(12, 150)
+    engine.ingest(turns[:60])
+    early = engine.snapshot()  # shares the owner's digest cache
+    engine.ingest(turns[60:100])
+    late = engine.snapshot()  # a cache behind its rows
+    cache = late.digest_cache
+    engine.ingest(turns[100:])
+    assert prior_digest(engine.graph) == fresh_digest(engine.graph)
+    assert late.digest_cache is cache
+    for twin in (early, late):
+        for cap in _CAPS:
+            assert prior_digest(twin, cap) == fresh_digest(twin, cap)
+    assert len(early.rows) < len(late.rows) < len(engine.graph.rows)
+
+
+def test_rows_out_of_turn_order_are_sorted_past_a_filled_cache():
+    graph = graph_of(*(make_obj(content=f"fact {turn}", turn=turn) for turn in range(5, 65)))
+    assert prior_digest(graph) == fresh_digest(graph)
+    graph.add_object(make_obj(content="an early fact stored late", turn=40))
+    assert not graph.turn_ordered
+    for cap in _CAPS:
+        assert prior_digest(graph, cap) == fresh_digest(graph, cap)
+    # Turns 16 to 64, the late row after turn 40's: not appended last.
+    digest = prior_digest(graph)
+    assert digest[24:26] == ["KEY_FACT: fact 40", "KEY_FACT: an early fact stored late"]
+    assert digest[-1] == "KEY_FACT: fact 64"
 
 
 def test_an_early_turn_stored_late_goes_to_its_place_in_the_digest():

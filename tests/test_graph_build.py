@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from canvasmem.core import CanvasGraph, EdgeKind, EdgeOrigin, ObjectKind
+from canvasmem.scoring import ScoringIndex
 from canvasmem.errors import MissingEmbeddingError
 from canvasmem.graph_build import (
     DEFAULT_THETA_CAUSAL,
@@ -176,16 +177,48 @@ def test_temporal_heuristic_upgrades_weak_causal_weight():
     assert causal[0].origin is EdgeOrigin.TEMPORAL_HEURISTIC
 
 
-def test_reference_and_causal_can_coexist():
+def _linked_pair():
+    """A fact and a decision one turn later at cosine 0.8: the decision's
+    link adds a reference and a causal edge."""
     graph = CanvasGraph()
     fact = make_obj(kind=ObjectKind.KEY_FACT, content="upstream api deprecates auth",
                     turn=10, embedding=axis(0))
     add_and_link(graph, fact)
     decision = make_obj(kind=ObjectKind.DECISION, content="adopt new auth library",
                         turn=11, embedding=vec_at_cosine(0.8))
-    edges = add_and_link(graph, decision)
-    kinds = sorted(e.kind.value for e in edges)
+    graph.add_object(decision)
+    return graph, decision
+
+
+def test_reference_and_causal_can_coexist():
+    graph, decision = _linked_pair()
+    kinds = sorted(e.kind.value for e in link_object(graph, decision))
     assert kinds == ["CAUSAL", "REFERENCE"]
+
+
+def test_a_link_brings_the_index_up_to_date_in_one_call(monkeypatch):
+    graph, decision = _linked_pair()
+    graph.scoring_index()
+    calls = []
+    extend_edges = ScoringIndex.extend_edges
+    monkeypatch.setattr(ScoringIndex, "extend_edges",
+                        lambda index, edges: calls.append(list(edges)) or extend_edges(index, edges))
+    edges = link_object(graph, decision)
+    assert len(edges) == 2
+    assert calls == [edges] and graph.edges == edges
+    assert graph.neighbors(decision.id) == [edges[0].src, edges[1].src]
+
+
+def test_linking_an_object_again_adds_nothing():
+    graph, decision = _linked_pair()
+    edges = link_object(graph, decision)
+    assert len(edges) == 2
+    assert link_object(graph, decision) == []
+    assert graph.edges == edges
+    for edge in edges:
+        assert graph.add_edge(edge) is False
+    assert graph.edges == edges
+    assert graph.scoring_index().edge_count == 2
 
 
 def test_link_requires_embeddings():

@@ -1111,6 +1111,36 @@ def test_appending_one_row_at_a_time_equals_a_batch_column_by_column():
             assert _bits(single._norms[row]) == _bits(norm), row
 
 
+def test_rows_written_from_checked_vectors_equal_rows_converted_on_catch_up():
+    rng = random.Random(23)
+    scales = (1e-140, 1e-3, 1.0, 1e3, 1e140)
+    embeddings = [[rng.uniform(-1.0, 1.0) * rng.choice(scales) for _ in range(8)]
+                  for _ in range(100)]
+    embeddings[7] = [1e152] + [0.0] * 7  # finite norm the screen cannot bound
+    embeddings[8] = [3, -1, 0, 2, 0, 0, 1, 5]  # integers convert as floats
+    objects = [make_obj(content=f"fact {turn} on redis", turn=turn, embedding=embedding,
+                        quote=f"fact {turn} on redis" if turn % 3 else f"the cache {turn}")
+               for turn, embedding in enumerate(embeddings)]
+    converted = ScoringIndex()
+    converted.extend(objects)
+    # One check of a whole turn's vectors on an empty index, rows the index
+    # converts when it next catches up, then one checked vector at a time.
+    graph = CanvasGraph()
+    vectors = graph.scoring_index().check_vectors([obj.embedding for obj in objects[:30]])
+    for obj, vector in zip(objects[:30], vectors):
+        assert graph.add_object(obj, vector) is AddResult.ADDED
+    for obj in objects[30:50]:
+        graph.add_object(obj)
+    for obj in objects[50:]:
+        vector, = graph.scoring_index().check_vectors([obj.embedding])
+        assert graph.add_object(obj, vector) is AddResult.ADDED
+        assert len(graph._index) == len(graph.rows)
+    assert graph.add_object(objects[-1], vector) is AddResult.DUPLICATE
+    checked = graph.scoring_index()
+    assert len(checked) == len(objects) and checked._unbounded == 1
+    assert _columns(checked, [True] * len(objects)) == _columns(converted, [True] * len(objects))
+
+
 def test_an_object_whose_quote_is_its_content_is_tokenized_once(monkeypatch):
     calls = []
     tokens = canvasmem.scoring.content_tokens

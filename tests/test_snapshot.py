@@ -79,6 +79,8 @@ def assert_every_write_raises(twin, owner, obj, edge):
     writes = (
         lambda: twin.add_object(obj),
         lambda: twin.add_edge(edge),
+        lambda: twin.add_edges([edge]),
+        lambda: twin.add_object(obj, index.check_vectors([obj.embedding])[0]),
         lambda: twin.mark_turn_ingested(twin.next_turn + 5),
         lambda: index.extend([obj]),
         lambda: index.append_vector(axis(0), frozenset({"cache"}), frozenset({"cache"}), 9),
