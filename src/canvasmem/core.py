@@ -24,6 +24,14 @@ row's degree, not the graph's edge count, and add_edges finds a duplicate
 (src, dst, kind) among the edges of its destination's row, so the graph
 holds each edge in its edge list and its index only. A load checks for
 duplicate edges with a set of its own, dropped when the load returns.
+
+An edge is a checked tuple: a dense graph holds ten or more edges per
+object, and a load builds every one, so each path that moves edges does
+so in one pass over tuples. A link builds its edges
+positionally, add_edges and a load check a whole list of them at once
+(_check_edges) and key a duplicate by edge[:3], the index resolves a
+batch's rows before it appends any, and a save builds each record by
+unpacking the tuple.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ import json
 import math
 import re
 import threading
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import NamedTuple, NoReturn, Optional
@@ -131,30 +140,46 @@ class CanvasObject:
                 raise InvalidObjectError("embedding must be a non-empty list of floats or None")
 
 
-@dataclass(frozen=True)
-class CanvasEdge:
-    """A directed edge between two stored objects."""
+class CanvasEdge(namedtuple("CanvasEdge", ("src", "dst", "kind", "weight", "origin"))):
+    """A directed edge between two stored objects: an immutable, checked
+    tuple of (src, dst, kind, weight, origin).
 
-    src: str
-    dst: str
-    kind: EdgeKind
-    weight: float
-    origin: EdgeOrigin
+    Every way to build one checks it: the constructor, positional or by
+    keyword, and _make and _replace, which go through it, and so do pickle
+    and copy. A graph holds thousands of edges and a load builds each of
+    them, so an edge is a tuple with no __dict__, which builds in about
+    half the time a frozen dataclass takes. Being a tuple, an edge equals,
+    and hashes as, a plain tuple of the same fields; edge[:3] is its
+    (src, dst, kind) key.
+    """
 
-    def __post_init__(self):
-        if self.src == self.dst:
+    __slots__ = ()
+
+    def __new__(cls, src: str, dst: str, kind: EdgeKind, weight: float, origin: EdgeOrigin):
+        if src == dst:
             raise ValueError("edge endpoints must differ")
-        if not isinstance(self.kind, EdgeKind):
-            raise ValueError(f"kind must be an EdgeKind, got {self.kind!r}")
-        if not isinstance(self.origin, EdgeOrigin):
-            raise ValueError(f"origin must be an EdgeOrigin, got {self.origin!r}")
+        if not isinstance(kind, EdgeKind):
+            raise ValueError(f"kind must be an EdgeKind, got {kind!r}")
+        if not isinstance(origin, EdgeOrigin):
+            raise ValueError(f"origin must be an EdgeOrigin, got {origin!r}")
         # A string such as "0.5" or a bool passes a float() range check, and
-        # the edge would then store and save it as it came.
-        weight = self.weight
-        if isinstance(weight, bool) or not isinstance(weight, (int, float)):
+        # the edge would then store and save it as it came. A float, the
+        # usual weight, skips both isinstance calls.
+        if weight.__class__ is not float and (
+                isinstance(weight, bool) or not isinstance(weight, (int, float))):
             raise ValueError(f"edge weight must be a number, got {weight!r}")
         if not 0.0 <= weight <= 1.0:
             raise ValueError(f"edge weight must lie in [0, 1], got {weight!r}")
+        return tuple.__new__(cls, (src, dst, kind, weight, origin))
+
+    @classmethod
+    def _make(cls, iterable) -> "CanvasEdge":
+        # namedtuple's _make, which _replace calls too, skips __new__.
+        return cls(*iterable)
+
+    def __reduce__(self):
+        # Without it pickle protocols 0 and 1 rebuild through tuple.__new__.
+        return (self.__class__, tuple(self))
 
 
 class CanvasGraph:
@@ -181,13 +206,14 @@ class CanvasGraph:
     change: the index keeps what it read.
 
     add_edges is the one edge write, and add_edge is add_edges of one
-    edge. It checks every edge, then refuses each whose (src, dst, kind)
-    the graph holds by reading once the numbers of the edges the index
-    holds for each destination's row and comparing those edges, so the
-    graph keeps no set of edge keys; the edges it adds join the edge list
-    and the index in one step, so a link brings the index up to date
-    once. It writes to the index as scoring does: on a graph a writer may
-    be adding to, it runs under the graph's lock, as linking does.
+    edge. It checks the whole list in one _check_edges call, then refuses
+    each edge whose key, edge[:3] = (src, dst, kind), the graph holds: it
+    reads once the numbers of the edges the index holds for each
+    destination's row and compares their keys, so the graph keeps no set
+    of edge keys. The edges it adds join the edge list and the index in
+    one step, so a link brings the index up to date once. It writes to
+    the index as scoring does: on a graph a writer may be adding to, it
+    runs under the graph's lock, as linking does.
 
     `line_cache` maps an object's id to its context-block line, filled by
     retrieval the first time it renders the object and shared with every
@@ -261,16 +287,14 @@ class CanvasGraph:
         them. The added edges join the edge list and the index in one step."""
         if not edges:
             return []
-        for edge in edges:
-            self._check_edge(edge)
+        self._check_edges(edges)
         index = self.scoring_index()
-        stored = self.edges
-        held = {(other.src, other.dst, other.kind)
-                for dst in {edge.dst for edge in edges}
-                for other in map(stored.__getitem__, index.incident(index.row_of(dst)))}
+        stored, incident, row_of = self.edges, index.incident, index.row_of
+        held = {stored[number][:3]
+                for dst in {edge[1] for edge in edges} for number in incident(row_of(dst))}
         added: list[CanvasEdge] = []
         for edge in edges:
-            key = (edge.src, edge.dst, edge.kind)
+            key = edge[:3]
             if key not in held:
                 held.add(key)
                 added.append(edge)
@@ -279,14 +303,16 @@ class CanvasGraph:
             index.extend_edges(added)
         return added
 
-    def _check_edge(self, edge: CanvasEdge) -> None:
-        """Raise ValueError unless both ends of edge are stored and a causal
-        edge points forward in time."""
-        objects = self.objects
-        if edge.src not in objects or edge.dst not in objects:
-            raise ValueError("edge endpoints must reference stored objects")
-        if edge.kind is EdgeKind.CAUSAL and objects[edge.src].turn > objects[edge.dst].turn:
-            raise ValueError("causal edges must point forward in time")
+    def _check_edges(self, edges: list[CanvasEdge]) -> None:
+        """Raise ValueError unless both ends of every edge are stored and
+        each causal edge points forward in time."""
+        objects, causal = self.objects, EdgeKind.CAUSAL
+        for edge in edges:
+            src, dst = edge.src, edge.dst
+            if src not in objects or dst not in objects:
+                raise ValueError("edge endpoints must reference stored objects")
+            if edge.kind is causal and objects[src].turn > objects[dst].turn:
+                raise ValueError("causal edges must point forward in time")
 
     def neighbors(self, oid: str) -> list[str]:
         """Ids adjacent to oid across both edge kinds and both directions,
@@ -373,16 +399,6 @@ def _object_record(obj: CanvasObject) -> dict:
     }
 
 
-def _edge_record(edge: CanvasEdge) -> dict:
-    return {
-        "src": edge.src,
-        "dst": edge.dst,
-        "kind": edge.kind.value,
-        "weight": edge.weight,
-        "origin": edge.origin.value,
-    }
-
-
 # NaN and the infinities are not JSON: a record holding one fails to encode
 # (ValueError) rather than write a file strict parsers refuse.
 _ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"), allow_nan=False)
@@ -430,7 +446,7 @@ def _plain_numbers(objects: list[CanvasObject], edges: list[CanvasEdge]) -> bool
     confidence and embedding, an edge's weight) as json does."""
     return (all(_plain(obj.embedding) for obj in objects if obj.embedding is not None)
             and _plain([obj.confidence for obj in objects])
-            and _plain([edge.weight for edge in edges]))
+            and _plain([weight for _, _, _, weight, _ in edges]))
 
 
 def _arrays(objects: list[CanvasObject], edges: list[CanvasEdge]) -> tuple[bytes, bytes]:
@@ -445,7 +461,11 @@ def _arrays(objects: list[CanvasObject], edges: list[CanvasEdge]) -> tuple[bytes
     orjson does, and in the same forms.
     """
     object_records = [_object_record(obj) for obj in objects]
-    edge_records = [_edge_record(edge) for edge in edges]
+    # An enum member's _value_ is its value without the property lookup.
+    edge_records = [
+        {"src": src, "dst": dst, "kind": kind._value_, "weight": weight, "origin": origin._value_}
+        for src, dst, kind, weight, origin in edges
+    ]
     orjson = _orjson()
     if orjson is not None and _plain_numbers(objects, edges):
         try:
@@ -590,9 +610,10 @@ def _build(next_turn: int, object_records, edge_records, large_embedding) -> Can
     """A graph of the records, which each path has parsed; large_embedding(obj)
     is called for each object whose embedding is not _small.
 
-    Edges are checked as add_edge checks them, but a duplicate is found in a
-    set of (src, dst, kind) that is dropped on return, and the scoring index
-    is left to catch up the first time the graph is read."""
+    One loop builds each edge, refuses a repeated edge[:3] with a set that
+    is dropped on return, and appends it; one _check_edges call, as in
+    add_edges, then checks the ends of them all. The scoring index is left
+    to catch up the first time the graph is read."""
     graph = CanvasGraph()
     for raw in object_records:
         _require(isinstance(raw, dict), "each object must be a JSON object")
@@ -621,23 +642,23 @@ def _build(next_turn: int, object_records, edge_records, large_embedding) -> Can
             raise MalformedInputError(f"duplicate object id {obj.id}")
     edges, keys = graph.edges, set()
     for raw in edge_records:
-        _require(isinstance(raw, dict), "each edge must be a JSON object")
+        if not isinstance(raw, dict):
+            raise MalformedInputError("each edge must be a JSON object")
         try:
-            edge = CanvasEdge(
-                src=raw["src"],
-                dst=raw["dst"],
-                kind=_EDGE_KINDS[raw["kind"]],
-                weight=raw["weight"],
-                origin=_EDGE_ORIGINS[raw["origin"]],
-            )
-            graph._check_edge(edge)
+            edge = CanvasEdge(raw["src"], raw["dst"], _EDGE_KINDS[raw["kind"]], raw["weight"],
+                              _EDGE_ORIGINS[raw["origin"]])
+            key = edge[:3]
+            repeated = key in keys  # TypeError when an endpoint is unhashable
         except (KeyError, ValueError, TypeError) as exc:
             raise MalformedInputError(f"invalid edge record: {exc}") from exc
-        key = (edge.src, edge.dst, edge.kind)
-        if key in keys:
-            raise MalformedInputError(f"duplicate edge {raw.get('src')!r} -> {raw.get('dst')!r}")
+        if repeated:
+            raise MalformedInputError(f"duplicate edge {edge.src!r} -> {edge.dst!r}")
         keys.add(key)
         edges.append(edge)
+    try:
+        graph._check_edges(edges)
+    except ValueError as exc:
+        raise MalformedInputError(f"invalid edge record: {exc}") from exc
     graph.next_turn = max(graph.next_turn, next_turn)
     return graph
 

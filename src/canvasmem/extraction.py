@@ -103,9 +103,14 @@ def prior_digest(graph: CanvasGraph, cap: int = DIGEST_CAP) -> list[str]:
     stored since get a line built, and the cache is replaced in one
     assignment, never changed in place, so a snapshot that shares it never
     sees it move. Rows out of turn order are sorted, and every line built.
+    A cap of 0 gives no line; a negative cap raises ValueError.
     """
+    if cap <= 0:
+        if cap < 0:
+            raise ValueError(f"digest cap must be a non-negative integer, got {cap!r}")
+        return []
     rows = graph.rows
-    if graph.turn_ordered and 0 < cap <= DIGEST_CAP:
+    if graph.turn_ordered and cap <= DIGEST_CAP:
         covered, lines = graph.digest_cache
         if covered != len(rows):
             fresh = _digest_lines(rows[max(covered, len(rows) - DIGEST_CAP):])

@@ -15,7 +15,11 @@ Edges are deduplicated per (src, dst, kind): similarity beats keyword for
 references, and the heavier weight wins for causal edges. A link gathers
 its edges and adds them with one CanvasGraph.add_edges call, which refuses
 any triple the graph already holds, so linking an object again adds
-nothing, and brings the scoring index's adjacency up to date once.
+nothing, and brings the scoring index's adjacency up to date once. A link
+reads its thresholds, edge kinds and origins once, reduces the causal
+pairs to the kinds they allow as the source of an edge into the new
+object, and builds each edge positionally, once: a similarity causal
+edge that the temporal rule outweighs is never built.
 
 Linking is screen-then-verify, and it visits only the stored objects that
 can gain an edge. A link reads the new object from its own row of the
@@ -111,73 +115,50 @@ def link_object(
         raise ValueError(f"object {new_obj.id} is not stored in the graph")
     if len(index) == 1:
         return []  # nothing else is stored
+    theta_ref, theta_causal = thresholds.theta_ref, thresholds.theta_causal
+    keyword_min, window = thresholds.keyword_edge_min, thresholds.temporal_window
     # The stored row holds new_obj's vectors, norm and content token ids.
     query, overlaps = index.prepare_row(own_row), index.row_jaccards(own_row)
     # A row without a verified cosine is below theta_causal, so below both
     # thresholds; new_obj never links to itself.
-    sims = index.cosines_from(query, thresholds.theta_causal, own_row)
-    visit = overlaps >= thresholds.keyword_edge_min
+    sims = index.cosines_from(query, theta_causal, own_row)
+    visit = overlaps >= keyword_min
     if sims:  # most links pass no row of the screen
         visit[list(sims)] = True
+    new_id, new_turn = new_obj.id, new_obj.turn
+    # The kinds a causal pair allows as the source of an edge into new_obj.
+    causal_sources = {src for src, dst in thresholds.causal_pairs if dst == new_obj.kind}
     temporal_target = new_obj.kind is ObjectKind.DECISION
     if temporal_target:
-        visit |= index.turn_window(new_obj.turn, thresholds.temporal_window)
-    gathered: list[CanvasEdge] = []
+        visit |= index.turn_window(new_turn, window)
+    reference_kind, causal_kind = EdgeKind.REFERENCE, EdgeKind.CAUSAL
+    similarity, keyword, temporal = (
+        EdgeOrigin.SIMILARITY, EdgeOrigin.KEYWORD, EdgeOrigin.TEMPORAL_HEURISTIC)
+    rows, gathered = graph.rows, []
     for row in visit.nonzero()[0].tolist():
-        other = graph.rows[row]
-        if other.id == new_obj.id:
+        other = rows[row]
+        other_id = other.id
+        if other_id == new_id:
             continue
         sim = sims.get(row, -math.inf)
-
-        reference: CanvasEdge | None = None
-        if sim >= thresholds.theta_ref:
-            reference = CanvasEdge(
-                src=other.id,
-                dst=new_obj.id,
-                kind=EdgeKind.REFERENCE,
-                weight=_clamp01(sim),
-                origin=EdgeOrigin.SIMILARITY,
-            )
+        if sim >= theta_ref:
+            gathered.append(CanvasEdge(other_id, new_id, reference_kind, _clamp01(sim), similarity))
         else:
             overlap = float(overlaps[row])
-            if overlap >= thresholds.keyword_edge_min:
-                reference = CanvasEdge(
-                    src=other.id,
-                    dst=new_obj.id,
-                    kind=EdgeKind.REFERENCE,
-                    weight=_clamp01(overlap),
-                    origin=EdgeOrigin.KEYWORD,
-                )
-
-        causal: CanvasEdge | None = None
-        if (
-            sim >= thresholds.theta_causal
-            and (other.kind, new_obj.kind) in thresholds.causal_pairs
-            and other.turn <= new_obj.turn
-        ):
-            causal = CanvasEdge(
-                src=other.id,
-                dst=new_obj.id,
-                kind=EdgeKind.CAUSAL,
-                weight=_clamp01(sim),
-                origin=EdgeOrigin.SIMILARITY,
-            )
+            if overlap >= keyword_min:
+                gathered.append(
+                    CanvasEdge(other_id, new_id, reference_kind, _clamp01(overlap), keyword))
+        causal_weight = _clamp01(sim) if (
+            sim >= theta_causal and other.kind in causal_sources and other.turn <= new_turn
+        ) else None
+        # The temporal rule's weight of 1.0 wins over a lighter causal weight.
         if (
             temporal_target
             and other.kind in TEMPORAL_SOURCE_KINDS
-            and 0 <= new_obj.turn - other.turn <= thresholds.temporal_window
+            and 0 <= new_turn - other.turn <= window
+            and (causal_weight is None or causal_weight < 1.0)
         ):
-            if causal is None or causal.weight < 1.0:
-                causal = CanvasEdge(
-                    src=other.id,
-                    dst=new_obj.id,
-                    kind=EdgeKind.CAUSAL,
-                    weight=1.0,
-                    origin=EdgeOrigin.TEMPORAL_HEURISTIC,
-                )
-
-        if reference is not None:
-            gathered.append(reference)
-        if causal is not None:
-            gathered.append(causal)
+            gathered.append(CanvasEdge(other_id, new_id, causal_kind, 1.0, temporal))
+        elif causal_weight is not None:
+            gathered.append(CanvasEdge(other_id, new_id, causal_kind, causal_weight, similarity))
     return graph.add_edges(gathered)

@@ -317,13 +317,19 @@ class ScoringIndex:
 
     def extend_edges(self, edges: Sequence[CanvasEdge]) -> None:
         """Join the src and dst row of each edge in both rows' adjacency;
-        both ends must be rows already."""
+        both ends must be rows already.
+
+        Every edge's rows are looked up before any list grows, so an end
+        that is not a row raises KeyError with nothing added, and the edge
+        count is stored once, after the last edge."""
         if self.read_only:
             raise ReadOnlyGraphError("a forked scoring index is read-only")
-        adjacent, numbers, row_of = self._adjacent, self._edge_numbers, self._row_of
+        row_of = self._row_of
+        srcs = [row_of[edge.src] for edge in edges]
+        dsts = [row_of[edge.dst] for edge in edges]
+        adjacent, numbers = self._adjacent, self._edge_numbers
         number = self._edges
-        for edge in edges:
-            src, dst = row_of[edge.src], row_of[edge.dst]
+        for src, dst in zip(srcs, dsts):
             # Each edge number goes in before its neighbour, so a fork that
             # reads these lists while they grow finds every neighbour it
             # counts (see adjacent()).
@@ -332,7 +338,7 @@ class ScoringIndex:
             numbers[dst].append(number)
             adjacent[dst].append(src)
             number += 1
-            self._edges = number
+        self._edges = number
 
     def append_vector(
         self,

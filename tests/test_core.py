@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 
 import pytest
 from hypothesis import given, seed, settings
@@ -88,28 +90,81 @@ def test_object_validation_rejects_bad_fields(kwargs):
         CanvasObject(**fields)
 
 
-def test_edge_rejects_self_loop_and_bad_weight():
-    with pytest.raises(ValueError):
-        CanvasEdge(src="a", dst="a", kind=EdgeKind.REFERENCE, weight=0.5,
-                   origin=EdgeOrigin.SIMILARITY)
-    with pytest.raises(ValueError):
-        CanvasEdge(src="a", dst="b", kind=EdgeKind.REFERENCE, weight=1.5,
-                   origin=EdgeOrigin.SIMILARITY)
-    with pytest.raises(ValueError):
-        CanvasEdge(src="a", dst="b", kind=EdgeKind.REFERENCE, weight=-0.5,
-                   origin=EdgeOrigin.SIMILARITY)
-
-
-@pytest.mark.parametrize("weight", ["0.5", True, False, None, [0.5]])
-def test_edge_rejects_a_weight_that_is_not_a_number(weight):
-    with pytest.raises(ValueError, match="edge weight must be a number"):
-        CanvasEdge(src="a", dst="b", kind=EdgeKind.REFERENCE, weight=weight,
-                   origin=EdgeOrigin.SIMILARITY)
-
-
 def test_edge_accepts_an_integer_weight():
     assert CanvasEdge(src="a", dst="b", kind=EdgeKind.REFERENCE, weight=1,
                       origin=EdgeOrigin.SIMILARITY).weight == 1
+
+
+def _edge_fields(weight=0.5):
+    return ("a", "b", EdgeKind.REFERENCE, weight, EdgeOrigin.SIMILARITY)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (("a", "a", EdgeKind.REFERENCE, 0.5, EdgeOrigin.SIMILARITY), "edge endpoints must differ"),
+    (("a", "b", "REFERENCE", 0.5, EdgeOrigin.SIMILARITY),
+     "kind must be an EdgeKind, got 'REFERENCE'"),
+    (("a", "b", EdgeOrigin.SIMILARITY, 0.5, EdgeOrigin.SIMILARITY),
+     "kind must be an EdgeKind, got <EdgeOrigin.SIMILARITY: 'SIMILARITY'>"),
+    (("a", "b", EdgeKind.REFERENCE, 0.5, "SIMILARITY"),
+     "origin must be an EdgeOrigin, got 'SIMILARITY'"),
+    (("a", "b", EdgeKind.REFERENCE, 0.5, EdgeKind.REFERENCE),
+     "origin must be an EdgeOrigin, got <EdgeKind.REFERENCE: 'REFERENCE'>"),
+    (_edge_fields(True), "edge weight must be a number, got True"),
+    (_edge_fields(False), "edge weight must be a number, got False"),
+    (_edge_fields("0.5"), "edge weight must be a number, got '0.5'"),
+    (_edge_fields(None), "edge weight must be a number, got None"),
+    (_edge_fields([0.5]), "edge weight must be a number, got [0.5]"),
+    (_edge_fields(1.5), "edge weight must lie in [0, 1], got 1.5"),
+    (_edge_fields(-0.5), "edge weight must lie in [0, 1], got -0.5"),
+    (_edge_fields(float("nan")), "edge weight must lie in [0, 1], got nan"),
+])
+def test_each_edge_refusal_keeps_its_message(fields, message):
+    names = ("src", "dst", "kind", "weight", "origin")
+    for build in (lambda: CanvasEdge(*fields), lambda: CanvasEdge(**dict(zip(names, fields)))):
+        with pytest.raises(ValueError) as caught:
+            build()
+        assert str(caught.value) == message
+
+
+def test_an_edge_is_an_immutable_tuple_of_its_fields():
+    fields = _edge_fields()
+    edge = CanvasEdge(*fields)
+    assert edge == CanvasEdge(src="a", dst="b", kind=EdgeKind.REFERENCE, weight=0.5,
+                              origin=EdgeOrigin.SIMILARITY)
+    assert edge == fields and hash(edge) == hash(fields)
+    assert (edge.src, edge.dst, edge.kind, edge.weight, edge.origin) == fields
+    assert edge[:3] == ("a", "b", EdgeKind.REFERENCE)
+    assert repr(edge) == ("CanvasEdge(src='a', dst='b', kind=<EdgeKind.REFERENCE: 'REFERENCE'>, "
+                          "weight=0.5, origin=<EdgeOrigin.SIMILARITY: 'SIMILARITY'>)")
+    with pytest.raises(AttributeError):
+        edge.weight = 0.9
+    with pytest.raises(AttributeError):
+        edge.note = "extra"
+    assert not hasattr(edge, "__dict__")
+    assert edge == fields
+
+
+def test_every_way_to_build_an_edge_checks_it():
+    edge = CanvasEdge(*_edge_fields())
+    assert edge._replace(weight=0.25) == _edge_fields(0.25)
+    assert CanvasEdge._make(_edge_fields(0.25)) == _edge_fields(0.25)
+    with pytest.raises(ValueError, match=r"must lie in \[0, 1\], got 1.5"):
+        edge._replace(weight=1.5)
+    with pytest.raises(ValueError, match="must be a number, got '0.5'"):
+        CanvasEdge._make(_edge_fields("0.5"))
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        again = pickle.loads(pickle.dumps(edge, protocol))
+        assert again == edge and type(again) is CanvasEdge
+    assert copy.copy(edge) == copy.deepcopy(edge) == edge
+    # Only tuple.__new__ skips the checks; a round trip of what it built
+    # goes through them.
+    loop = tuple.__new__(CanvasEdge, ("a", "a", EdgeKind.REFERENCE, 0.5, EdgeOrigin.SIMILARITY))
+    rebuilds = [copy.copy, copy.deepcopy] + [
+        lambda e, p=protocol: pickle.loads(pickle.dumps(e, p))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for rebuild in rebuilds:
+        with pytest.raises(ValueError, match="edge endpoints must differ"):
+            rebuild(loop)
 
 
 def test_add_object_deduplicates_on_identity():
@@ -465,6 +520,52 @@ def test_deserialize_rejects_backward_causal_and_self_loop_and_duplicate_edges()
     reference = dict(backward, kind="REFERENCE", origin="SIMILARITY")
     loaded = deserialize_graph(json.dumps(dict(doc, edges=[edge, reference])).encode())
     assert [e.kind for e in loaded.edges] == [EdgeKind.CAUSAL, EdgeKind.REFERENCE]
+
+
+def _edge_fault_files():
+    """(name, graph file, message): one file per fault in its second edge
+    record, each with the MalformedInputError message the load gives."""
+    a = make_obj(kind=ObjectKind.KEY_FACT, content="the api times out", turn=1)
+    b = make_obj(kind=ObjectKind.DECISION, content="cache in redis", turn=2)
+    graph = graph_of(a, b)
+    graph.add_edges([
+        CanvasEdge(a.id, b.id, EdgeKind.REFERENCE, 0.5, EdgeOrigin.SIMILARITY),
+        CanvasEdge(a.id, b.id, EdgeKind.CAUSAL, 1.0, EdgeOrigin.TEMPORAL_HEURISTIC),
+    ])
+    doc = json.loads(serialize_graph(graph))
+    first, second = doc["edges"]
+    invalid = "invalid edge record: "
+    faults = [
+        ("unknown kind", dict(second, kind="BOGUS"), invalid + "'BOGUS'"),
+        ("unknown origin", dict(second, origin="BOGUS"), invalid + "'BOGUS'"),
+        ("string weight", dict(second, weight="0.5"),
+         invalid + "edge weight must be a number, got '0.5'"),
+        ("bool weight", dict(second, weight=True), invalid + "edge weight must be a number, got True"),
+        ("weight above 1", dict(second, weight=1.5),
+         invalid + "edge weight must lie in [0, 1], got 1.5"),
+        ("self-loop", dict(second, dst=a.id), invalid + "edge endpoints must differ"),
+        ("missing endpoint", dict(second, dst="f" * 16),
+         invalid + "edge endpoints must reference stored objects"),
+        ("backward causal", dict(second, src=b.id, dst=a.id),
+         invalid + "causal edges must point forward in time"),
+        ("repeated record", dict(first), f"duplicate edge {a.id!r} -> {b.id!r}"),
+    ]
+    return [(name, serialize_doc(dict(doc, edges=[first, fault])), message)
+            for name, fault, message in faults]
+
+
+def serialize_doc(doc) -> bytes:
+    """A document in the layout serialize_graph writes, so the orjson load
+    reads it before the stdlib load does."""
+    return json.dumps(doc, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+
+
+@pytest.mark.parametrize("name, data, message", _edge_fault_files(),
+                         ids=[name for name, _, _ in _edge_fault_files()])
+def test_a_load_refuses_each_edge_fault_with_its_message(name, data, message):
+    with pytest.raises(MalformedInputError) as caught:
+        load_both_ways(data)
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize("next_turn", [-1, "3", None, 2.0])

@@ -261,10 +261,22 @@ def test_prior_digest_caps_at_most_recent_by_turn():
     assert digest[-1] == f"KEY_FACT: fact number {total - 1}"
 
 
+def test_a_digest_cap_of_zero_gives_no_line_and_a_negative_cap_raises():
+    graph = graph_of(*(make_obj(content=f"fact {turn}", turn=turn) for turn in range(3)))
+    assert prior_digest(graph, 0) == []
+    assert len(prior_digest(graph, 3)) == len(prior_digest(graph, 4)) == 3
+    with pytest.raises(ValueError, match="digest cap must be a non-negative integer, got -1"):
+        prior_digest(graph, -1)
+    graph.add_object(make_obj(content="an early fact stored late", turn=0))
+    assert not graph.turn_ordered and prior_digest(graph, 0) == []
+    with pytest.raises(ValueError):
+        prior_digest(graph, -1)
+
+
 def oracle_prior_digest(graph, cap=DIGEST_CAP):
     """The stable sort of every stored object by turn."""
     ordered = sorted(graph.objects.values(), key=lambda o: o.turn)
-    return [f"{obj.kind.value}: {obj.content}" for obj in ordered[-cap:]]
+    return [f"{obj.kind.value}: {obj.content}" for obj in (ordered[-cap:] if cap else [])]
 
 
 @settings(max_examples=200, deadline=None)
@@ -292,11 +304,11 @@ def test_prior_digest_is_the_stable_sort_by_turn(turns, in_order, split, cap):
 def fresh_digest(graph, cap=DIGEST_CAP):
     """The digest built from scratch: a line for each of the last cap rows by turn."""
     ordered = sorted(graph.rows, key=lambda o: o.turn)
-    return canvasmem.extraction._digest_lines(ordered[-cap:])
+    return canvasmem.extraction._digest_lines(ordered[-cap:] if cap else [])
 
 
 # Below, at and above DIGEST_CAP and the row counts the tests below reach.
-_CAPS = (1, 7, DIGEST_CAP - 1, DIGEST_CAP, DIGEST_CAP + 1, 500)
+_CAPS = (0, 1, 7, DIGEST_CAP - 1, DIGEST_CAP, DIGEST_CAP + 1, 500)
 
 
 def test_the_digest_equals_a_fresh_build_after_every_turn():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from canvasmem.config import EngineConfig
 from canvasmem.core import CanvasGraph, EdgeKind, EdgeOrigin, ObjectKind
 from canvasmem.scoring import ScoringIndex
 from canvasmem.errors import MissingEmbeddingError
@@ -12,6 +13,7 @@ from canvasmem.graph_build import (
     link_object,
 )
 
+import reference
 from conftest import axis, graph_of, make_obj, vec_at_cosine
 
 
@@ -269,3 +271,27 @@ def test_default_thresholds_match_documented_values():
     assert thresholds.theta_ref == DEFAULT_THETA_REF == 0.5
     assert thresholds.theta_causal == DEFAULT_THETA_CAUSAL == 0.45
     assert thresholds.temporal_window == 3
+
+
+@pytest.mark.parametrize("pairs", [
+    [],
+    [["KEY_FACT", "DECISION"]],
+    [["TODO", "DECISION"], ["DECISION", "TODO"], ["INSIGHT", "INSIGHT"]],
+    [[a.value, b.value] for a in ObjectKind for b in ObjectKind],
+])
+def test_causal_pairs_from_a_config_file_link_as_the_reference_does(pairs):
+    """Every kind of object, each close to the ones before it, linked under
+    the causal pairs a config file names: the edges are the reference's."""
+    thresholds = EngineConfig.from_dict({"thresholds": {"causal_pairs": pairs}}).thresholds
+    graph, twin = CanvasGraph(), CanvasGraph()
+    kinds = list(ObjectKind)
+    for turn in range(3 * len(kinds)):
+        obj = make_obj(kind=kinds[turn % len(kinds)], content=f"statement {turn}", turn=turn,
+                       embedding=vec_at_cosine(0.46 + 0.01 * (turn % 3)))
+        graph.add_object(obj)
+        twin.add_object(obj)
+        assert link_object(graph, obj, thresholds) == reference.link_object(twin, obj, thresholds)
+    assert graph.edges == twin.edges
+    similar_causal = [edge for edge in graph.edges
+                      if edge.kind is EdgeKind.CAUSAL and edge.origin is EdgeOrigin.SIMILARITY]
+    assert bool(similar_causal) == bool(pairs)

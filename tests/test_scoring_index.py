@@ -1156,3 +1156,19 @@ def test_an_object_whose_quote_is_its_content_is_tokenized_once(monkeypatch):
     query = index.prepare(axis(0), "redis friday")
     assert index.coverage(query).tolist() == [0.5, 1.0]
     assert index.row_jaccards(0).tolist() == [1.0, 1.0]
+
+
+def test_extend_edges_looks_up_every_end_before_it_adds_an_edge():
+    objects = [make_obj(content=f"fact {i}", turn=i, embedding=axis(i)) for i in range(3)]
+    index = ScoringIndex()
+    index.extend(objects)
+    a, b, c = (obj.id for obj in objects)
+    first = CanvasEdge(a, b, EdgeKind.REFERENCE, 0.5, EdgeOrigin.SIMILARITY)
+    unknown = CanvasEdge(b, "f" * 16, EdgeKind.REFERENCE, 0.5, EdgeOrigin.SIMILARITY)
+    with pytest.raises(KeyError):
+        index.extend_edges([first, unknown])
+    assert index.edge_count == 0 and [index.adjacent(row) for row in range(3)] == [[], [], []]
+    index.extend_edges([first, CanvasEdge(c, a, EdgeKind.CAUSAL, 1.0, EdgeOrigin.KEYWORD)])
+    assert index.edge_count == 2
+    assert [index.adjacent(row) for row in range(3)] == [[1, 2], [0], [0]]
+    assert [index.incident(row) for row in range(3)] == [[0, 1], [0], [1]]
