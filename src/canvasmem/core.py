@@ -15,7 +15,13 @@ at once only because records are appended, never changed or removed. When
 orjson is installed, new records encode through it, and a batch whose
 numbers orjson could write otherwise than the standard library's json
 encoder goes to that encoder instead, so a save writes the same bytes, or
-raises the same error, with orjson or without it.
+raises the same error, with orjson or without it. orjson is handed the
+objects and edges themselves, and its default hook builds each record as
+it is written, so a record lives only while orjson writes it. A full save,
+of a graph with nothing cached (its first save, or the first after a
+load), is one such call over the whole document: it holds no list of
+records and no second copy of the document, where a join would hold the
+two arrays and the joined document at once.
 
 The graph's adjacency lives in its scoring index: for each row, the rows
 an edge joins to it, in edge order, and the numbers of those edges.
@@ -441,37 +447,62 @@ def _plain(values) -> bool:
         return False
 
 
-def _plain_numbers(objects: list[CanvasObject], edges: list[CanvasEdge]) -> bool:
-    """Whether orjson writes each number of these records (an object's
-    confidence and embedding, an edge's weight) as json does."""
-    return (all(_plain(obj.embedding) for obj in objects if obj.embedding is not None)
+def _record(value) -> dict:
+    """orjson's default hook: the record of a CanvasObject or a CanvasEdge,
+    built as orjson writes it and dropped once written. Anything else
+    raises, which orjson reports as a TypeError."""
+    if value.__class__ is CanvasEdge:
+        src, dst, kind, weight, origin = value
+        # An enum member's _value_ is its value without the property lookup.
+        return {"src": src, "dst": dst, "kind": kind._value_, "weight": weight,
+                "origin": origin._value_}
+    if value.__class__ is CanvasObject:
+        return _object_record(value)
+    raise TypeError(f"{value.__class__.__name__} is not a record")
+
+
+def _orjson_vouches(objects: list[CanvasObject], edges: list[CanvasEdge]) -> bool:
+    """Whether orjson, given _record as its default hook, writes these
+    records as json does, unless it raises TypeError: every edge is a
+    CanvasEdge (orjson writes a plain tuple as an array and never hands it
+    to the hook), and each number (an object's embedding and confidence,
+    an edge's weight) is _plain."""
+    weights = [edge[3] for edge in edges if edge.__class__ is CanvasEdge]
+    return (len(weights) == len(edges)
+            and all(_plain(obj.embedding) for obj in objects if obj.embedding is not None)
             and _plain([obj.confidence for obj in objects])
-            and _plain([weight for _, _, _, weight, _ in edges]))
+            and _plain(weights))
+
+
+def _dumps(orjson, value) -> bytes:
+    """orjson.dumps of a value holding records, each built by _record as
+    orjson writes it. TypeError on an integer past 64 bits, a float
+    subclass such as numpy.float64, a lone surrogate, or any other value
+    that orjson hands to the hook."""
+    return orjson.dumps(value, default=_record, option=orjson.OPT_PASSTHROUGH_DATACLASS)
 
 
 def _arrays(objects: list[CanvasObject], edges: list[CanvasEdge]) -> tuple[bytes, bytes]:
     """The UTF-8 JSON arrays of these objects' records and of these edges'.
 
-    They encode through orjson when it is installed, _plain_numbers vouches
-    for the batch and orjson raises nothing (its TypeError comes on an
-    integer past 64 bits, a float subclass such as numpy.float64 or a lone
-    surrogate); otherwise through json, whose result or error is final.
-    The two write strings alike: json with ensure_ascii=False escapes only
-    the quote, the backslash and the control characters below U+0020, as
-    orjson does, and in the same forms.
+    They encode through orjson when it is installed, _orjson_vouches for
+    the batch and orjson raises nothing; no list of records is built then.
+    Otherwise json encodes lists of the records, and its result or error is
+    final. The two write strings alike: json with ensure_ascii=False escapes
+    only the quote, the backslash and the control characters below U+0020,
+    as orjson does, and in the same forms.
     """
+    orjson = _orjson()
+    if orjson is not None and _orjson_vouches(objects, edges):
+        try:
+            return _dumps(orjson, objects), _dumps(orjson, edges)
+        except TypeError:
+            pass
     object_records = [_object_record(obj) for obj in objects]
-    # An enum member's _value_ is its value without the property lookup.
     edge_records = [
         {"src": src, "dst": dst, "kind": kind._value_, "weight": weight, "origin": origin._value_}
         for src, dst, kind, weight, origin in edges
     ]
-    orjson = _orjson()
-    if orjson is not None and _plain_numbers(objects, edges):
-        try:
-            return orjson.dumps(object_records), orjson.dumps(edge_records)
-        except TypeError:
-            pass
     try:
         object_array = _json(object_records).encode("utf-8")
     except ValueError as exc:
@@ -503,26 +534,63 @@ def _header(next_turn: int) -> bytes:
 
 
 _EMPTY_HEADER = _header(0)
-_NOTHING_ENCODED = _Encoded(_EMPTY_HEADER + b'],"edges":[]}', 0, 0, 0,
+# What a document holds between its object array's body and its edge array's.
+_EDGES_KEY = b'],"edges":['
+_NOTHING_ENCODED = _Encoded(_EMPTY_HEADER + _EDGES_KEY + b"]}", 0, 0, 0,
                             len(_EMPTY_HEADER), len(_EMPTY_HEADER))
+
+
+def _whole(objects: list[CanvasObject], edges: list[CanvasEdge],
+           next_turn: int) -> Optional[_Encoded]:
+    """The _Encoded of a whole document holding these records, written by
+    one orjson call, or None when orjson is not installed, _orjson_vouches
+    refuses the records or orjson raises TypeError.
+
+    Each record is built by the default hook as orjson writes it, so no
+    list of records and no copy of an array is held beside the document.
+    The header must come out as json writes it (next_turn need not be an
+    int). The object array ends at the one '],"edges":[': no string can
+    hold those bytes, since JSON escapes each quote inside a string. An
+    edge record holds no ']' unless an id does, so the last ']' before the
+    edge array's own, found by a one-byte search, is almost always that
+    key's; only when it is not does a search for the whole key run."""
+    orjson = _orjson()
+    if orjson is None or not _orjson_vouches(objects, edges):
+        return None
+    try:
+        document = _dumps(orjson, {"format": GRAPH_FORMAT, "version": GRAPH_VERSION,
+                                   "next_turn": next_turn, "objects": objects, "edges": edges})
+    except TypeError:
+        return None
+    header = _header(next_turn)
+    if not document.startswith(header):
+        return None
+    objects_end = document.rfind(b"]", 0, -2)
+    if not document.startswith(_EDGES_KEY, objects_end):
+        objects_end = document.rfind(_EDGES_KEY)
+    return _Encoded(document, len(objects), len(edges), next_turn, len(header), objects_end)
 
 
 def serialize_graph(graph: CanvasGraph) -> bytes:
     """Serialize to versioned UTF-8 JSON; floats keep full round-trip precision.
 
     The graph caches the last document this returned for it. A save with no
-    new record and the same next_turn returns that bytes object itself. Any
-    other save encodes only the objects and edges added since and joins
-    them, in one copy, to slices of that document under a new header. A
-    graph holding fewer records than its cache encodes from scratch.
+    new record and the same next_turn returns that bytes object itself. A
+    full save, of a graph whose cache holds no object (the first save of a
+    new or a loaded graph, or of one holding fewer records than its cache),
+    writes the whole document with one orjson call when orjson is installed
+    and vouches for the records. Any other save encodes only the objects
+    and edges added since and joins them, in one copy, to slices of that
+    document under a new header.
 
     New records encode through orjson when it is installed (it is
     optional: `pip install canvasmem[fast]`), except a batch that orjson
     could write otherwise than json or that it refuses: a float outside
     1e-4 <= |x| < 1e16, NaN or an infinity, an embedding component that is
     neither a number nor falsy, an integer past 64 bits, a float subclass
-    such as numpy.float64, or a lone surrogate. json encodes that batch, and its
-    result or error is final, so the bytes are the same either way.
+    such as numpy.float64, a lone surrogate, or an edge that is not a
+    CanvasEdge. json encodes that batch, and its result or error is final,
+    so the bytes are the same either way.
 
     The cache is replaced in one assignment once every new record has
     encoded, so a record that cannot encode (a lone surrogate raises
@@ -535,6 +603,11 @@ def serialize_graph(graph: CanvasGraph) -> bytes:
         cached = _NOTHING_ENCODED
     new_objects = graph.rows[cached.objects:]
     new_edges = graph.edges[cached.edges:]
+    if not cached.objects and new_objects:
+        whole = _whole(new_objects, new_edges, next_turn)
+        if whole is not None:
+            graph._encoded = whole
+            return whole.document
     if new_objects or new_edges:
         object_array, edge_array = _arrays(new_objects, new_edges)
     elif next_turn == cached.next_turn:
@@ -694,7 +767,6 @@ class _NotCanonical(Exception):
 _CANONICAL_HEADER = re.compile(
     rb'\{"format":"canvas-graph","version":1,"next_turn":(0|[1-9][0-9]*),"objects":\['
 )
-_EDGES_KEY = b'],"edges":['
 # The bytes between two records of each array, where a chunk is cut after
 # the first byte. Neither can lie inside a JSON string, where a quote is
 # escaped; one between values nested in a record is caught when parsed.

@@ -109,14 +109,8 @@ def whole_document(graph: CanvasGraph) -> bytes:
             for obj in graph.objects.values()
         ],
         "edges": [
-            {
-                "src": edge.src,
-                "dst": edge.dst,
-                "kind": edge.kind.value,
-                "weight": edge.weight,
-                "origin": edge.origin.value,
-            }
-            for edge in graph.edges
+            {"src": src, "dst": dst, "kind": kind.value, "weight": weight, "origin": origin.value}
+            for src, dst, kind, weight, origin in graph.edges
         ],
     }
     return json.dumps(doc, ensure_ascii=False, separators=(",", ":")).encode("utf-8")

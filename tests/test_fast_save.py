@@ -2,9 +2,10 @@
 
 serialize_graph encodes a save's new records with orjson when it is
 installed, and hands a batch to the standard library's json encoder
-wherever the two could write it differently. Every graph below must save to
-the same bytes, or raise the same exception type and message, both ways;
-save_both_ways checks that on each save.
+wherever the two could write it differently. A full save, of a graph with
+nothing cached, is one orjson call over the whole document. Every graph
+below must save to the same bytes, or raise the same exception type and
+message, both ways; save_both_ways checks that on each save.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,12 +21,19 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from canvasmem import core
-from canvasmem.core import CanvasEdge, CanvasGraph, EdgeKind, EdgeOrigin, serialize_graph
+from canvasmem.core import (
+    CanvasEdge,
+    CanvasGraph,
+    EdgeKind,
+    EdgeOrigin,
+    deserialize_graph,
+    serialize_graph,
+)
 from canvasmem.engine import CanvasEngine
 from canvasmem.extraction import MockExtractor
 from canvasmem.scoring import MockEmbedder
 
-from conftest import make_obj, save_both_ways, seeded_turns, whole_document
+from conftest import axis, make_obj, save_both_ways, seeded_turns, whole_document
 
 orjson = core._orjson()
 needs_orjson = pytest.mark.skipif(orjson is None, reason="orjson is not installed")
@@ -43,6 +52,12 @@ def pair(embedding=(0.5, 0.25), confidence=1.0, weight=0.5, content="the cache l
     graph.add_edge(CanvasEdge(src=first.id, dst=second.id, kind=EdgeKind.CAUSAL, weight=weight,
                               origin=EdgeOrigin.TEMPORAL_HEURISTIC))
     return graph
+
+
+def one_call(graph: CanvasGraph) -> bool:
+    """Whether a full save of graph is one orjson call (it falls back to the
+    join of two arrays otherwise); never where orjson is not installed."""
+    return core._whole(graph.rows[:], graph.edges[:], graph.next_turn) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -65,6 +80,7 @@ def test_a_float_orjson_writes_in_another_form_saves_as_json_writes_it(value, wr
 
 def test_a_turn_past_64_bits_saves_as_json_writes_it():
     graph = pair(turn=2**64)
+    assert not one_call(graph)
     data = save_both_ways(graph)
     assert data == whole_document(graph)
     assert b'"turn":18446744073709551616,' in data
@@ -105,6 +121,7 @@ def test_an_enum_member_in_an_embedding_saves_or_fails_as_json_does():
 def test_a_numpy_float64_saves_as_json_writes_it():
     for graph in (pair(embedding=[0.5, np.float64(0.25)]), pair(confidence=np.float64(0.75)),
                   pair(weight=np.float64(0.125))):
+        assert not one_call(graph)
         data = save_both_ways(graph)
         assert data == whole_document(graph)
 
@@ -118,6 +135,7 @@ def test_a_numpy_array_in_an_embedding_fails_both_saves_alike():
 def test_a_lone_surrogate_fails_both_saves_alike():
     # A lone surrogate in content already fails the id hash; the quote is not hashed.
     graph = pair(quote="lone \ud800 surrogate")
+    assert not one_call(graph)
     with pytest.raises(UnicodeEncodeError):
         save_both_ways(graph)
 
@@ -236,3 +254,150 @@ def test_the_guard_premise_holds_for_4000_ulps_around_both_bounds():
                     plain = 1e-4 <= abs(value) < 1e16
                     assert core._plain([value]) is plain
                     assert _differs(value) is not plain
+
+
+# ---------------------------------------------------------------------------
+# The one-call full save
+# ---------------------------------------------------------------------------
+
+def full_save(graph: CanvasGraph) -> bytes:
+    """A full save of graph both ways, after which graph keeps the encode
+    cache of the default path, the one-call save where orjson is installed
+    (save_both_ways leaves it the stdlib save's)."""
+    data = save_both_ways(graph)
+    graph._encoded = core._NOTHING_ENCODED
+    assert core.serialize_graph(graph) == data
+    return data
+
+
+def seeded_graph(seed: int = 5, turns: int = 250) -> CanvasGraph:
+    """A mock-stack ingest of a seeded conversation: 290 objects and 10856
+    edges for the defaults."""
+    engine = CanvasEngine(MockExtractor(), MockEmbedder())
+    engine.ingest(seeded_turns(seed, turns))
+    return engine.graph
+
+
+def test_a_full_save_is_one_call_with_the_bytes_of_a_save_in_two_halves():
+    graph = seeded_graph(7, 60)
+    assert one_call(graph) is (orjson is not None)
+    data = save_both_ways(graph)
+    assert data == whole_document(graph)
+    # The same records, saved once with the first half of the objects and
+    # the edges among them, then again with the rest.
+    halves = CanvasGraph()
+    for obj in graph.rows[:len(graph.rows) // 2]:
+        halves.add_object(obj)
+    cut = next(n for n, edge in enumerate(graph.edges)
+               if edge.src not in halves.objects or edge.dst not in halves.objects)
+    assert cut > 0
+    halves.add_edges(graph.edges[:cut])
+    save_both_ways(halves)
+    for obj in graph.rows[len(halves.rows):]:
+        halves.add_object(obj)
+    halves.add_edges(graph.edges[cut:])
+    halves.mark_turn_ingested(graph.next_turn - 1)
+    assert save_both_ways(halves) == data
+    # A loaded graph's first save is a full save too.
+    loaded = deserialize_graph(data)
+    assert one_call(loaded) is (orjson is not None)
+    assert save_both_ways(loaded) == data
+
+
+def test_an_incremental_save_after_a_full_save_equals_a_save_from_scratch():
+    # The full save's cache must hold the offsets a join writes at.
+    engine = CanvasEngine(MockExtractor(), MockEmbedder())
+    turns = seeded_turns(11, 80)
+    engine.ingest(turns[:40])
+    graph = deserialize_graph(save_both_ways(engine.graph))
+    full_save(graph)
+    encoded = graph._encoded
+    assert encoded.document[encoded.objects_end:].startswith(b'],"edges":[')
+    for turn in turns[40:]:
+        engine.ingest_turn(turn)
+    for obj in engine.graph.rows[len(graph.rows):]:
+        graph.add_object(obj)
+    graph.add_edges(engine.graph.edges[len(graph.edges):])
+    graph.mark_turn_ingested(engine.graph.next_turn - 1)
+    assert graph == engine.graph
+    data = save_both_ways(graph)
+    fresh = CanvasGraph()
+    for obj in graph.rows:
+        fresh.add_object(obj)
+    fresh.add_edges(graph.edges)
+    fresh.mark_turn_ingested(graph.next_turn - 1)
+    assert data == save_both_ways(fresh) == whole_document(graph)
+
+
+TRICKY = '],"edges":[ "quoted" back\\slash é \x01 \x1f'
+
+
+@pytest.mark.parametrize("content, quote, embedding, linked", [
+    ("content " + TRICKY, "quote " + TRICKY, [0.5, 0.25], True),
+    ("no embedding here", "no embedding here", None, True),
+    ("a graph with no edge " + TRICKY, "quote " + TRICKY, [0.5, 0.25], False),
+], ids=["escaped text", "no embedding", "no edges"])
+def test_a_full_save_writes_text_and_missing_fields_as_json_does(content, quote, embedding,
+                                                                   linked):
+    graph = CanvasGraph()
+    first = make_obj(content=content, quote=quote, turn=0, embedding=embedding)
+    second = make_obj(content="redis runs on node 2", turn=1, embedding=axis(1))
+    graph.add_object(first)
+    graph.add_object(second)
+    if linked:
+        graph.add_edge(CanvasEdge(first.id, second.id, EdgeKind.CAUSAL, 0.5,
+                                  EdgeOrigin.TEMPORAL_HEURISTIC))
+    assert one_call(graph) is (orjson is not None)
+    data = full_save(graph)
+    assert data == whole_document(graph)
+    assert data.count(b'],"edges":[') == 1
+    # The next save joins a new object at the cached offsets.
+    graph.add_object(make_obj(content="a later fact", turn=2, embedding=axis(2)))
+    assert save_both_ways(graph) == whole_document(graph)
+
+
+def test_a_full_save_finds_the_edge_array_past_an_id_holding_a_bracket():
+    # Only an edge appended to the list unchecked can name such an id; the
+    # last ']' before the edge array's own is then not the object array's.
+    graph = pair()
+    first, _ = graph.rows
+    graph.edges.append(CanvasEdge("not ] an id", first.id, EdgeKind.REFERENCE, 0.5,
+                                  EdgeOrigin.KEYWORD))
+    assert one_call(graph) is (orjson is not None)
+    assert full_save(graph) == whole_document(graph)
+    graph.add_object(make_obj(content="a later fact", turn=2, embedding=axis(2)))
+    assert save_both_ways(graph) == whole_document(graph)
+
+
+def test_a_next_turn_orjson_writes_in_another_form_saves_as_json_writes_it():
+    # mark_turn_ingested takes any number: orjson writes this float as
+    # 1.0000000000000002e16, json as 1.0000000000000002e+16.
+    graph = pair()
+    graph.mark_turn_ingested(1e16)
+    assert not one_call(graph)
+    assert save_both_ways(graph) == whole_document(graph)
+
+
+def test_an_edge_list_holding_a_plain_tuple_saves_as_json_writes_it():
+    # orjson would write the tuple as an array; it never reaches the hook.
+    graph = pair()
+    first, second = graph.rows
+    graph.edges.append((second.id, first.id, EdgeKind.REFERENCE, 0.75, EdgeOrigin.KEYWORD))
+    assert not one_call(graph)
+    assert save_both_ways(graph) == whole_document(graph)
+
+
+@needs_orjson
+def test_a_full_save_peaks_below_twice_its_document():
+    # Each record lives only while orjson writes it; a save that built both
+    # record lists and joined their arrays peaked at 2.6 times the document.
+    graph = seeded_graph()
+    assert len(graph.rows) > 250
+    tracemalloc.start()
+    try:
+        data = serialize_graph(graph)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert data == whole_document(graph)
+    assert peak < 2 * len(data)
