@@ -142,6 +142,12 @@ def _write_atomic(path: str, data: bytes) -> None:
     except BaseException:
         os.unlink(temp)
         raise
+    # The rename is on disk only once the directory that holds it is.
+    directory = os.open(os.path.dirname(temp), os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 # What would break a TSV line, written as its backslash escape.

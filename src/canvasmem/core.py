@@ -9,19 +9,20 @@ immutable by contract, so snapshots, which are read-only, share them.
 
 Persistence is incremental for the same reason. Each graph keeps the last
 document serialize_graph returned for it, one file's worth of bytes, and a
-save encodes only the records added since then and joins them to slices of
-that document. The output is byte-identical to encoding the whole document
-at once only because records are appended, never changed or removed. When
-orjson is installed, new records encode through it, and a batch whose
-numbers orjson could write otherwise than the standard library's json
-encoder goes to that encoder instead, so a save writes the same bytes, or
-raises the same error, with orjson or without it. orjson is handed the
-objects and edges themselves, and its default hook builds each record as
-it is written, so a record lives only while orjson writes it. A full save,
-of a graph with nothing cached (its first save, or the first after a
-load), is one such call over the whole document: it holds no list of
-records and no second copy of the document, where a join would hold the
-two arrays and the joined document at once.
+save encodes only the records added since then, as one whole document of
+their own, and joins the bodies of its arrays to slices of the cached one.
+The output is byte-identical to encoding the whole graph at once only
+because records are appended, never changed or removed. One function,
+_document, encodes every save's records. When orjson is installed, it
+writes the document in one call, handed the objects and edges themselves,
+and its default hook builds each record as it is written, so a record
+lives only while orjson writes it. A batch whose numbers orjson could write
+otherwise than the standard library's json encoder goes to that encoder
+instead, so a save writes the same bytes, or raises the same error, with
+orjson or without it. A full save, of a graph with nothing cached (its
+first save, or the first after a load), is that document alone, so it
+holds no second copy of the document, and through orjson no list of
+records either.
 
 The graph's adjacency lives in its scoring index: for each row, the rows
 an edge joins to it, in edge order, and the numbers of those edges.
@@ -448,10 +449,11 @@ def _plain(values) -> bool:
 
 
 def _record(value) -> dict:
-    """orjson's default hook: the record of a CanvasObject or a CanvasEdge,
-    built as orjson writes it and dropped once written. Anything else
-    raises, which orjson reports as a TypeError."""
-    if value.__class__ is CanvasEdge:
+    """The record of a CanvasObject or of an edge tuple: orjson's default
+    hook, which builds each record as orjson writes it, and the json
+    path's builder of edge records. Anything else raises TypeError, which
+    orjson reports as it is."""
+    if isinstance(value, tuple):
         src, dst, kind, weight, origin = value
         # An enum member's _value_ is its value without the property lookup.
         return {"src": src, "dst": dst, "kind": kind._value_, "weight": weight,
@@ -474,50 +476,10 @@ def _orjson_vouches(objects: list[CanvasObject], edges: list[CanvasEdge]) -> boo
             and _plain(weights))
 
 
-def _dumps(orjson, value) -> bytes:
-    """orjson.dumps of a value holding records, each built by _record as
-    orjson writes it. TypeError on an integer past 64 bits, a float
-    subclass such as numpy.float64, a lone surrogate, or any other value
-    that orjson hands to the hook."""
-    return orjson.dumps(value, default=_record, option=orjson.OPT_PASSTHROUGH_DATACLASS)
-
-
-def _arrays(objects: list[CanvasObject], edges: list[CanvasEdge]) -> tuple[bytes, bytes]:
-    """The UTF-8 JSON arrays of these objects' records and of these edges'.
-
-    They encode through orjson when it is installed, _orjson_vouches for
-    the batch and orjson raises nothing; no list of records is built then.
-    Otherwise json encodes lists of the records, and its result or error is
-    final. The two write strings alike: json with ensure_ascii=False escapes
-    only the quote, the backslash and the control characters below U+0020,
-    as orjson does, and in the same forms.
-    """
-    orjson = _orjson()
-    if orjson is not None and _orjson_vouches(objects, edges):
-        try:
-            return _dumps(orjson, objects), _dumps(orjson, edges)
-        except TypeError:
-            pass
-    object_records = [_object_record(obj) for obj in objects]
-    edge_records = [
-        {"src": src, "dst": dst, "kind": kind._value_, "weight": weight, "origin": origin._value_}
-        for src, dst, kind, weight, origin in edges
-    ]
-    try:
-        object_array = _json(object_records).encode("utf-8")
-    except ValueError as exc:
-        for obj in objects:
-            if any(isinstance(x, float) and not math.isfinite(x) for x in obj.embedding or ()):
-                raise ValueError(f"object {obj.id} cannot be saved: its embedding "
-                                 "holds a NaN or an infinity, which JSON cannot hold") from exc
-        raise
-    return object_array, _json(edge_records).encode("utf-8")
-
-
 class _Encoded(NamedTuple):
-    """The last document serialize_graph returned for a graph: its bytes,
-    the object and edge records and the next_turn it holds, and where the
-    body of its object array starts and ends."""
+    """A document holding a graph's records: its bytes, the object and edge
+    records and the next_turn it holds, and where the body of its object
+    array starts and ends."""
 
     document: bytes
     objects: int
@@ -540,31 +502,46 @@ _NOTHING_ENCODED = _Encoded(_EMPTY_HEADER + _EDGES_KEY + b"]}", 0, 0, 0,
                             len(_EMPTY_HEADER), len(_EMPTY_HEADER))
 
 
-def _whole(objects: list[CanvasObject], edges: list[CanvasEdge],
-           next_turn: int) -> Optional[_Encoded]:
-    """The _Encoded of a whole document holding these records, written by
-    one orjson call, or None when orjson is not installed, _orjson_vouches
-    refuses the records or orjson raises TypeError.
+def _document(objects: list[CanvasObject], edges: list[CanvasEdge],
+              next_turn: int) -> _Encoded:
+    """The _Encoded of the whole document holding these records and next_turn.
 
-    Each record is built by the default hook as orjson writes it, so no
-    list of records and no copy of an array is held beside the document.
-    The header must come out as json writes it (next_turn need not be an
-    int). The object array ends at the one '],"edges":[': no string can
-    hold those bytes, since JSON escapes each quote inside a string. An
-    edge record holds no ']' unless an id does, so the last ']' before the
-    edge array's own, found by a one-byte search, is almost always that
-    key's; only when it is not does a search for the whole key run."""
-    orjson = _orjson()
-    if orjson is None or not _orjson_vouches(objects, edges):
-        return None
-    try:
-        document = _dumps(orjson, {"format": GRAPH_FORMAT, "version": GRAPH_VERSION,
-                                   "next_turn": next_turn, "objects": objects, "edges": edges})
-    except TypeError:
-        return None
+    orjson writes it in one call when it is installed, _orjson_vouches for
+    the records, it raises no TypeError (an integer past 64 bits, a float
+    subclass such as numpy.float64, a lone surrogate, or any other value it
+    hands to _record) and the header comes out as json writes it (next_turn
+    need not be an int). Each record is then built by _record as orjson
+    writes it, so no list of records is held beside the document.
+    Otherwise json encodes the document from lists of the records, and its
+    result or error is final. The two write strings alike: json with
+    ensure_ascii=False escapes only the quote, the backslash and the
+    control characters below U+0020, as orjson does, and in the same forms.
+
+    The object array ends at the one '],"edges":[': no string can hold
+    those bytes, since JSON escapes each quote inside a string. An edge
+    record holds no ']' unless an id does, so the last ']' before the edge
+    array's own, found by a one-byte search, is almost always that key's;
+    only when it is not does a search for the whole key run."""
     header = _header(next_turn)
-    if not document.startswith(header):
-        return None
+    fields = {"format": GRAPH_FORMAT, "version": GRAPH_VERSION, "next_turn": next_turn}
+    document = None
+    orjson = _orjson()
+    if orjson is not None and _orjson_vouches(objects, edges):
+        try:
+            document = orjson.dumps({**fields, "objects": objects, "edges": edges},
+                                    default=_record, option=orjson.OPT_PASSTHROUGH_DATACLASS)
+        except TypeError:
+            pass
+    if document is None or not document.startswith(header):
+        try:
+            document = _json({**fields, "objects": [_object_record(obj) for obj in objects],
+                              "edges": [_record(edge) for edge in edges]}).encode("utf-8")
+        except ValueError as exc:
+            for obj in objects:
+                if any(isinstance(x, float) and not math.isfinite(x) for x in obj.embedding or ()):
+                    raise ValueError(f"object {obj.id} cannot be saved: its embedding "
+                                     "holds a NaN or an infinity, which JSON cannot hold") from exc
+            raise
     objects_end = document.rfind(b"]", 0, -2)
     if not document.startswith(_EDGES_KEY, objects_end):
         objects_end = document.rfind(_EDGES_KEY)
@@ -575,17 +552,17 @@ def serialize_graph(graph: CanvasGraph) -> bytes:
     """Serialize to versioned UTF-8 JSON; floats keep full round-trip precision.
 
     The graph caches the last document this returned for it. A save with no
-    new record and the same next_turn returns that bytes object itself. A
-    full save, of a graph whose cache holds no object (the first save of a
-    new or a loaded graph, or of one holding fewer records than its cache),
-    writes the whole document with one orjson call when orjson is installed
-    and vouches for the records. Any other save encodes only the objects
-    and edges added since and joins them, in one copy, to slices of that
-    document under a new header.
+    new record and the same next_turn returns that bytes object itself.
+    Any other save encodes the objects and edges added since, under the
+    graph's next_turn, as one whole document (_document). When the cache
+    holds no record (the first save of a new or a loaded graph, or of one
+    holding fewer records than its cache), that document is the save.
+    Otherwise the save joins, in one copy, its header and the bodies of
+    its arrays to those of the cached document.
 
-    New records encode through orjson when it is installed (it is
-    optional: `pip install canvasmem[fast]`), except a batch that orjson
-    could write otherwise than json or that it refuses: a float outside
+    Records encode through orjson when it is installed (it is optional:
+    `pip install canvasmem[fast]`), except a batch that orjson could write
+    otherwise than json or that it refuses: a float outside
     1e-4 <= |x| < 1e16, NaN or an infinity, an embedding component that is
     neither a number nor falsy, an integer past 64 bits, a float subclass
     such as numpy.float64, a lone surrogate, or an edge that is not a
@@ -603,31 +580,26 @@ def serialize_graph(graph: CanvasGraph) -> bytes:
         cached = _NOTHING_ENCODED
     new_objects = graph.rows[cached.objects:]
     new_edges = graph.edges[cached.edges:]
-    if not cached.objects and new_objects:
-        whole = _whole(new_objects, new_edges, next_turn)
-        if whole is not None:
-            graph._encoded = whole
-            return whole.document
-    if new_objects or new_edges:
-        object_array, edge_array = _arrays(new_objects, new_edges)
-    elif next_turn == cached.next_turn:
+    if not new_objects and not new_edges and next_turn == cached.next_turn:
         return cached.document
-    else:
-        object_array = edge_array = b"[]"
-    header = _header(next_turn)
-    old = memoryview(cached.document)
+    fresh = _document(new_objects, new_edges, next_turn)
+    if not cached.objects and not cached.edges:
+        graph._encoded = fresh
+        return fresh.document
+    old, new = memoryview(cached.document), memoryview(fresh.document)
     object_body = (
         old[cached.objects_start:cached.objects_end],
         b"," if cached.objects and new_objects else b"",
-        memoryview(object_array)[1:-1],
+        new[fresh.objects_start:fresh.objects_end],
     )
     document = b"".join((
-        header, *object_body, old[cached.objects_end:-2],
-        b"," if cached.edges and new_edges else b"", memoryview(edge_array)[1:-1], b"]}",
+        new[:fresh.objects_start], *object_body, old[cached.objects_end:-2],
+        b"," if cached.edges and new_edges else b"",
+        new[fresh.objects_end + len(_EDGES_KEY):-2], b"]}",
     ))
     graph._encoded = _Encoded(
         document, cached.objects + len(new_objects), cached.edges + len(new_edges), next_turn,
-        len(header), len(header) + sum(map(len, object_body)),
+        fresh.objects_start, fresh.objects_start + sum(map(len, object_body)),
     )
     return document
 

@@ -3,6 +3,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import stat
 from pathlib import Path
 
 import pytest
@@ -203,8 +204,10 @@ def test_atomic_write_syncs_the_temp_file_before_the_rename(tmp_path, monkeypatc
         return fd, temp
 
     def fsync(fd):
-        temp = events[0][2]
-        events.append(("fsync", fd, Path(temp).read_bytes()))
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            events.append(("fsync directory", os.path.samestat(os.fstat(fd), tmp_path.stat())))
+        else:
+            events.append(("fsync", fd, Path(events[0][2]).read_bytes()))
         real_fsync(fd)
 
     def replace(src, dst):
@@ -216,9 +219,11 @@ def test_atomic_write_syncs_the_temp_file_before_the_rename(tmp_path, monkeypatc
     monkeypatch.setattr(canvasmem.cli.os, "replace", replace)
     path = tmp_path / "graph.json"
     canvasmem.cli._write_atomic(str(path), b"payload")
-    [(_, fd, temp), synced, replaced] = events
+    [(_, fd, temp), synced, replaced, directory_synced] = events
     assert synced == ("fsync", fd, b"payload")
     assert replaced == ("replace", temp, str(path))
+    # Then the directory, so that the rename itself survives a crash.
+    assert directory_synced == ("fsync directory", True)
     assert path.read_bytes() == b"payload"
 
 

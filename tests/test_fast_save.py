@@ -1,11 +1,12 @@
 """The orjson save path against the stdlib one.
 
-serialize_graph encodes a save's new records with orjson when it is
-installed, and hands a batch to the standard library's json encoder
-wherever the two could write it differently. A full save, of a graph with
-nothing cached, is one orjson call over the whole document. Every graph
-below must save to the same bytes, or raise the same exception type and
-message, both ways; save_both_ways checks that on each save.
+serialize_graph encodes a save's new records as one whole document, in
+one orjson call when orjson is installed, and hands the batch to the
+standard library's json encoder wherever the two could write it
+differently. A full save, of a graph with nothing cached, is that document
+alone. Every graph below must save to the same bytes, or raise the same
+exception type and message, both ways; save_both_ways checks that on each
+save.
 """
 
 from __future__ import annotations
@@ -55,9 +56,27 @@ def pair(embedding=(0.5, 0.25), confidence=1.0, weight=0.5, content="the cache l
 
 
 def one_call(graph: CanvasGraph) -> bool:
-    """Whether a full save of graph is one orjson call (it falls back to the
-    join of two arrays otherwise); never where orjson is not installed."""
-    return core._whole(graph.rows[:], graph.edges[:], graph.next_turn) is not None
+    """Whether a save of graph with nothing cached writes its records through
+    orjson, not through json (which is then handed the document's dict);
+    never where orjson is not installed. The graph keeps its cache, and a
+    save that raises counts as written through json."""
+    json_documents = []
+
+    def spy(value):
+        json_documents.append("objects" in value)
+        return core._ENCODER.encode(value)
+
+    cached = graph._encoded
+    graph._encoded = core._NOTHING_ENCODED
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(core, "_json", spy)
+            serialize_graph(graph)
+    except ValueError:  # a UnicodeEncodeError too
+        pass
+    finally:
+        graph._encoded = cached
+    return not any(json_documents)
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +198,7 @@ def test_a_seeded_ingest_saves_its_records_through_orjson_alone(monkeypatch):
     expected = whole_document(engine.graph)
 
     def header_only(value):
-        assert isinstance(value, dict), "a batch of records was encoded by json"
+        assert "objects" not in value, "a batch of records was encoded by json"
         return core._ENCODER.encode(value)
 
     monkeypatch.setattr(core, "_json", header_only)
@@ -376,6 +395,28 @@ def test_a_next_turn_orjson_writes_in_another_form_saves_as_json_writes_it():
     graph.mark_turn_ingested(1e16)
     assert not one_call(graph)
     assert save_both_ways(graph) == whole_document(graph)
+    # The same turn after a full orjson save: the next batch's header is
+    # orjson's then, so that batch goes to json too.
+    graph = pair()
+    assert one_call(graph) is (orjson is not None)
+    full_save(graph)
+    graph.mark_turn_ingested(1e16)
+    graph.add_object(make_obj(content="a later fact", turn=2, embedding=axis(2)))
+    assert save_both_ways(graph) == whole_document(graph)
+
+
+def test_a_full_save_the_guard_refuses_asks_the_guard_once(monkeypatch):
+    calls = []
+
+    def counted(objects, edges):
+        calls.append(len(objects))
+        return vouches(objects, edges)
+
+    vouches = core._orjson_vouches
+    monkeypatch.setattr(core, "_orjson_vouches", counted)
+    graph = pair(embedding=[1e-05, 0.5])
+    assert serialize_graph(graph) == whole_document(graph)
+    assert calls == ([2] if orjson is not None else [])
 
 
 def test_an_edge_list_holding_a_plain_tuple_saves_as_json_writes_it():

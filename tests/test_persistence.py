@@ -332,7 +332,8 @@ def test_a_save_after_only_next_turn_moved_rewrites_only_the_header(monkeypatch)
     def no_records(*_):
         raise AssertionError("a save that only moved next_turn encoded records")
 
-    monkeypatch.setattr(core, "_arrays", no_records)
+    monkeypatch.setattr(core, "_record", no_records)
+    monkeypatch.setattr(core, "_object_record", no_records)
     moved = assert_saves_like_oracle(graph)
     assert moved[len(core._header(41)):] == data[len(core._header(2)):]
     assert core.serialize_graph(graph) is moved
