@@ -255,7 +255,6 @@ class BenchmarkCase:
 
     seed: int
     variant: Variant
-    tagged: bool
     compression_turn: int
     turns: list[ConversationTurn]
     planted: list[PlantedFact]
@@ -344,7 +343,6 @@ def generate_case(
     return BenchmarkCase(
         seed=seed,
         variant=variant,
-        tagged=tagged,
         compression_turn=compression_turn,
         turns=turns,
         planted=planted,

@@ -3,7 +3,9 @@
 A memory object is a tuple of (kind, content, verbatim quote, source speaker,
 embedding, turn index, confidence). Object identity is a content hash of
 (kind, normalized content, turn), so re-extracting the same statement from the
-same turn collides on purpose and deduplicates. The graph is append-only:
+same turn collides on purpose and deduplicates. An object is checked once,
+when it is built; CanvasGraph.add_object, the one way an object is stored,
+a load's included, does not check it again. The graph is append-only:
 objects and edges are added, never mutated or removed. Stored objects are
 immutable by contract, so snapshots, which are read-only, share them.
 
@@ -207,8 +209,9 @@ class CanvasGraph:
     or asks for the neighbors of the graph. add_object given the vector and
     norm ScoringIndex.check_vectors() made of the object's embedding, as
     the engine gives it, writes the object's row at once from them; plain
-    add_object leaves the row to the next catch-up, so an object stored
-    without a usable embedding raises only once it is scored. Once
+    add_object, as a load calls it, leaves the row to the next catch-up, so
+    an object stored without a usable embedding raises only once it is
+    scored. Once
     indexed, a stored object's embedding, content and quote must not
     change: the index keeps what it read.
 
@@ -255,24 +258,17 @@ class CanvasGraph:
         return len(self.objects)
 
     def add_object(self, obj: CanvasObject, vector: Optional[tuple] = None) -> AddResult:
-        """Insert an object; a second insert of the same identity is a DUPLICATE.
+        """Store an object, unchecked: this is the one object write, and
+        CanvasObject checked it when built. A second insert of the same
+        identity is a DUPLICATE.
 
         vector, when given, is what ScoringIndex.check_vectors() returned for
         obj's embedding: a stored object's index row is then written at
         once, from that pair, so its embedding is converted only once."""
-        obj.validate()
-        if vector is None:
-            return self._store(obj)
-        index = self.scoring_index()
-        result = self._store(obj)
-        if result is AddResult.ADDED:
-            index.extend([obj], [vector])
-        return result
-
-    def _store(self, obj: CanvasObject) -> AddResult:
-        """add_object for an object already validated."""
         if obj.id in self.objects:
             return AddResult.DUPLICATE
+        if vector is not None:
+            self.scoring_index().extend([obj], [vector])
         if self.rows and obj.turn < self.rows[-1].turn:
             self.turn_ordered = False
         self.objects[obj.id] = obj
@@ -337,7 +333,10 @@ class CanvasGraph:
         return [rows[neighbour].id for neighbour in index.adjacent(row)]
 
     def mark_turn_ingested(self, index: int) -> None:
-        """Advance the sequential ingestion cursor past a processed turn."""
+        """Advance the sequential ingestion cursor past a processed turn; an
+        index that is not a non-negative int is a ValueError that names it."""
+        if not isinstance(index, int) or isinstance(index, bool) or index < 0:
+            raise ValueError(f"turn index must be a non-negative integer, got {index!r}")
         self.next_turn = max(self.next_turn, index + 1)
 
     def scoring_index(self) -> ScoringIndex:
@@ -387,10 +386,10 @@ class _Snapshot(CanvasGraph):
         self.line_cache = graph.line_cache
         self.digest_cache = graph.digest_cache
 
-    def _store(self, *_) -> NoReturn:
+    def add_object(self, *_) -> NoReturn:
         raise ReadOnlyGraphError("a snapshot is read-only; write to the graph it was taken from")
 
-    add_edges = mark_turn_ingested = _store
+    add_edges = mark_turn_ingested = add_object
 
 
 def _object_record(obj: CanvasObject) -> dict:
@@ -663,7 +662,7 @@ def _build(next_turn: int, object_records, edge_records, large_embedding) -> Can
     for raw in object_records:
         _require(isinstance(raw, dict), "each object must be a JSON object")
         try:
-            # CanvasObject validates the record; _store does not validate again.
+            # CanvasObject checks the record; add_object does not check it again.
             obj = CanvasObject(
                 kind=_OBJECT_KINDS[raw["kind"]],
                 content=raw["content"],
@@ -683,7 +682,7 @@ def _build(next_turn: int, object_records, edge_records, large_embedding) -> Can
             )
         if obj.embedding is not None and not _small(obj.embedding):
             large_embedding(obj)
-        if graph._store(obj) is not AddResult.ADDED:
+        if graph.add_object(obj) is not AddResult.ADDED:
             raise MalformedInputError(f"duplicate object id {obj.id}")
     edges, keys = graph.edges, set()
     for raw in edge_records:

@@ -3,11 +3,12 @@
 The engine owns the graph and is the single writer. A turn that makes the
 extractor backend fail is logged, counted, and skipped; ingestion continues
 with the next turn. An embedder error propagates before anything of the turn
-is stored, and so do add_object's InvalidObjectError for a candidate it
-would refuse (an embedding that is not a list, say) and the scoring index's
-typed error for an embedding it could not score (a vector of another
-dimension than the stored ones, or a zero vector), so the same turn can be
-retried.
+is stored, and so do the InvalidObjectError of the engine's check of each
+candidate once its embedding is set (an embedding that is not a list, say)
+and the scoring index's typed error for an embedding it could not score (a
+vector of another dimension than the stored ones, or a zero vector), so the
+same turn can be retried. That check and the candidate's constructor are
+the only checks of a stored object: add_object stores it unchecked.
 
 Each candidate's embedding is converted to a float64 vector and norm once,
 by check_vectors, and a stored object's index row is written from that
@@ -85,10 +86,11 @@ class CanvasEngine:
             self.diagnostics.failed_turns += 1
             self.graph.mark_turn_ingested(turn.index)
             return []
-        # Embed and validate every candidate before storing any: an embedder
-        # error or an object add_object would refuse then leaves the graph
-        # and its turn cursor as they were, so the turn can be retried, and
-        # no object is assigned to once it is stored.
+        # Embed and check every candidate before storing any: an embedder
+        # error or a candidate the check refuses then leaves the graph and
+        # its turn cursor as they were, so the turn can be retried, and no
+        # object is assigned to once it is stored. The embedding comes from
+        # outside, so the check runs again once it is set.
         for obj in candidates:
             if obj.embedding is None:
                 obj.embedding = self.embedder.embed(obj.content)

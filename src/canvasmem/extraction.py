@@ -5,7 +5,9 @@ time so implicit material gets a chance to surface. Both passes see a digest
 of existing objects; the gleaning pass additionally sees what the first pass
 produced. Candidates whose quote is not a contiguous substring of the source
 message (case-insensitive, whitespace-normalized) are dropped regardless of
-backend: grounding is enforced here, not trusted.
+backend: grounding is enforced here, not trusted. A candidate whose turn is
+not the turn's index is dropped too: stored, it would move the graph's turn
+cursor past the turns still to come. Both drops count as dropped_quotes.
 """
 
 from __future__ import annotations
@@ -144,13 +146,18 @@ def _run_pass(
         ) from exc
     survivors = []
     for obj in candidates:
-        if quote_matches(obj.quote, turn.text_for(obj.source)):
-            survivors.append(obj)
-        else:
-            diagnostics.dropped_quotes += 1
+        if obj.turn != turn.index:
+            logger.debug(
+                "dropped a candidate for turn %d on turn %d: %r", obj.turn, turn.index, obj.quote
+            )
+        elif not quote_matches(obj.quote, turn.text_for(obj.source)):
             logger.debug(
                 "dropped ungrounded quote on turn %d: %r", turn.index, obj.quote
             )
+        else:
+            survivors.append(obj)
+            continue
+        diagnostics.dropped_quotes += 1
     return survivors
 
 

@@ -3,11 +3,13 @@ from __future__ import annotations
 import copy
 import json
 import pickle
+import re
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from canvasmem import core
 from canvasmem.core import (
     AddResult,
     CanvasEdge,
@@ -186,6 +188,18 @@ def test_add_object_advances_next_turn():
     assert graph.next_turn == 6
 
 
+@pytest.mark.parametrize("index", [2.5, 3.0, True, -1, "3", None])
+def test_mark_turn_ingested_refuses_an_index_that_is_not_a_non_negative_int(index):
+    # A float cursor would save as "next_turn":3.5, which a load refuses.
+    graph = _sample_graph()
+    data = serialize_graph(graph)
+    with pytest.raises(ValueError, match=re.escape(repr(index))):
+        graph.mark_turn_ingested(index)
+    assert graph.next_turn == 3
+    assert serialize_graph(graph) == data
+    assert deserialize_graph(data) == graph
+
+
 def test_add_edge_requires_stored_endpoints():
     graph = graph_of(make_obj(content="a fact", turn=0))
     edge = CanvasEdge(src="0" * 16, dst="1" * 16, kind=EdgeKind.REFERENCE,
@@ -308,6 +322,29 @@ def test_a_load_checks_its_edges_without_add_edge_or_the_index(monkeypatch):
     loaded = deserialize_graph(serialize_graph(graph))
     assert len(loaded._index) == 0 and loaded._index.edge_count == 0
     assert loaded.edges == graph.edges
+
+
+@pytest.mark.parametrize("orjson_path", [True, False], ids=["orjson", "stdlib"])
+def test_a_load_stores_each_object_through_add_object_and_checks_it_once(monkeypatch,
+                                                                          orjson_path):
+    graph = _sample_graph()
+    graph.add_object(make_obj(content="a later fact", turn=5, embedding=[0.0, 1.0]))
+    data = core.serialize_graph(graph)
+    if not orjson_path:
+        monkeypatch.setattr(core, "_orjson", lambda: None)
+    checked, stored = [], []
+    validate, add_object = CanvasObject.validate, CanvasGraph.add_object
+    monkeypatch.setattr(CanvasObject, "validate",
+                        lambda obj: checked.append(obj) or validate(obj))
+    monkeypatch.setattr(CanvasGraph, "add_object",
+                        lambda into, obj, *vector: stored.append(obj) or add_object(into, obj, *vector))
+    loaded = core.deserialize_graph(data)
+    assert loaded == graph and len(loaded.rows) == 3
+    # One add_object call and one check, in CanvasObject's constructor, per
+    # loaded object.
+    for calls in (stored, checked):
+        assert len(calls) == len(loaded.rows)
+        assert all(call is obj for call, obj in zip(calls, loaded.rows))
 
 
 def test_add_edge_rejects_backward_causal():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import canvasmem.scoring
+from canvasmem.core import CanvasObject
 from canvasmem.engine import CanvasEngine, IngestReport
 from canvasmem.errors import (BackendFailureError, DimensionMismatchError, InvalidObjectError,
                               SequenceError, ZeroVectorError)
@@ -148,7 +149,8 @@ class _SpoilingEmbedder:
     (lambda vector: [0.0] * len(vector), ZeroVectorError, 1),
     # With no vector stored yet, the turn's first vector fixes the dimension.
     (lambda vector: vector + [0.5], DimensionMismatchError, 0),
-    # add_object's validate() refuses an embedding that is not a list.
+    # The engine's check of each embedded candidate refuses an embedding
+    # that is not a list; add_object does not check.
     (np.asarray, InvalidObjectError, 1),
 ], ids=["short", "zero", "first-turn", "numpy"])
 def test_an_unscorable_embedding_stores_nothing_and_the_turn_is_retryable(
@@ -199,3 +201,16 @@ def test_ingest_converts_each_stored_embedding_once(monkeypatch):
     assert calls == [obj.embedding for obj in rows]
     assert len(engine.graph.scoring_index()) == len(rows)
     assert calls == [obj.embedding for obj in rows]
+
+
+def test_ingest_checks_each_stored_object_twice(monkeypatch):
+    # Once when the extractor builds it, and once by the engine after the
+    # embedder's output is set; add_object does not check it again.
+    checked = []
+    validate = CanvasObject.validate
+    monkeypatch.setattr(CanvasObject, "validate", lambda obj: checked.append(obj) or validate(obj))
+    engine = _engine()
+    engine.ingest(seeded_turns(5, 40))
+    rows = engine.graph.rows
+    assert len(rows) > 20 and len(checked) == 2 * len(rows)
+    assert [sum(call is obj for call in checked) for obj in rows] == [2] * len(rows)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import logging
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -175,6 +177,35 @@ def test_extract_turn_drops_ungrounded_quotes():
     objects = extract_turn(_UngroundedExtractor(), turn, CanvasGraph(), diagnostics=diagnostics)
     assert [o.content for o in objects] == ["grounded fact"]
     assert diagnostics.dropped_quotes == 1
+
+
+class _WrongTurnExtractor:
+    """MockExtractor, plus on turn 1 a grounded candidate that says it is
+    from turn 1000."""
+
+    def __init__(self):
+        self.inner = MockExtractor()
+
+    def extract(self, turn, prior_digest, pass_):
+        found = self.inner.extract(turn, prior_digest, pass_)
+        if turn.index == 1 and pass_ is ExtractionPass.FIRST:
+            found.append(make_obj(content="a fact from later", quote=turn.user_text, turn=1000))
+        return found
+
+
+def test_a_candidate_for_another_turn_is_dropped_and_the_next_turn_ingests(caplog):
+    # Stored, it would move the turn cursor to 1001, and every later turn
+    # would raise SequenceError.
+    turns = seeded_turns(2, 6)
+    engine = CanvasEngine(_WrongTurnExtractor(), MockEmbedder())
+    with caplog.at_level(logging.DEBUG, logger="canvasmem.extraction"):
+        report = engine.ingest(turns)
+    clean = CanvasEngine(MockExtractor(), MockEmbedder())
+    clean_report = clean.ingest(turns)
+    assert (report.dropped_quotes, clean_report.dropped_quotes) == (1, 0)
+    assert report.turns_ingested == clean_report.turns_ingested == 6
+    assert engine.graph == clean.graph and engine.graph.next_turn == 6
+    assert "dropped a candidate for turn 1000 on turn 1" in caplog.text
 
 
 class _EchoExtractor:
