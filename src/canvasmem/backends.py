@@ -337,8 +337,9 @@ def _record_to_object(record: Any, turn: ConversationTurn) -> CanvasObject | Non
         return None
     try:
         kind = ObjectKind(str(record["kind"]).strip().upper())
-        content = str(record["content"])
-        quote = str(record["quote"])
+        content, quote = record["content"], record["quote"]
+        if not isinstance(content, str) or not isinstance(quote, str):
+            raise ValueError("content and quote must be strings")
     except (KeyError, ValueError) as exc:
         logger.debug("dropping malformed extraction record (%s): %r", exc, record)
         return None

@@ -5,9 +5,10 @@ embedding, turn index, confidence). Object identity is a content hash of
 (kind, normalized content, turn), so re-extracting the same statement from the
 same turn collides on purpose and deduplicates. An object is checked once,
 when it is built; CanvasGraph.add_object, the one way an object is stored,
-a load's included, does not check it again. The graph is append-only:
-objects and edges are added, never mutated or removed. Stored objects are
-immutable by contract, so snapshots, which are read-only, share them.
+a load's included, does not check it again, in any turn order. The graph
+is append-only: objects and edges are added, never mutated or removed.
+Stored objects are immutable by contract, so snapshots, which are
+read-only, share them.
 
 Persistence is incremental for the same reason. Each graph keeps the last
 document serialize_graph returned for it, one file's worth of bytes, and a
@@ -111,6 +112,11 @@ def object_id(kind: ObjectKind, content: str, turn: int) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:ID_HEX_LENGTH]
 
 
+def _is_turn(value) -> bool:
+    """Whether value is a turn number: a non-negative int, not a bool."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 @dataclass
 class CanvasObject:
     """One extracted memory artifact, grounded in a verbatim quote."""
@@ -133,7 +139,7 @@ class CanvasObject:
             raise InvalidObjectError(f"kind must be an ObjectKind, got {self.kind!r}")
         if not isinstance(self.source, Source):
             raise InvalidObjectError(f"source must be a Source, got {self.source!r}")
-        if not isinstance(self.turn, int) or isinstance(self.turn, bool) or self.turn < 0:
+        if not _is_turn(self.turn):
             raise InvalidObjectError(f"turn must be a non-negative integer, got {self.turn!r}")
         if not isinstance(self.content, str):
             raise InvalidObjectError("content must be a string")
@@ -201,8 +207,7 @@ class CanvasGraph:
     the change would show through every snapshot that holds it.
 
     `rows` lists the stored objects in insertion order; row i of the scoring
-    index describes rows[i]. `turn_ordered` is True while the rows' turns
-    never decrease. The index also keeps the adjacency: each row's
+    index describes rows[i]. The index also keeps the adjacency: each row's
     neighbour rows, one per edge, in edge order, which neighbors() and the
     retrieval walk read. The index catches up with the rows and edges the
     first time something scores against, walks, snapshots, adds an edge to
@@ -228,7 +233,7 @@ class CanvasGraph:
     `line_cache` maps an object's id to its context-block line, filled by
     retrieval the first time it renders the object and shared with every
     snapshot, as the stored objects are, so each line renders once.
-    `digest_cache` holds the extraction digest's lines (see
+    `digest_cache` holds the extraction digest's keys and lines (see
     extraction.prior_digest): a tuple that is replaced, never changed, so
     a snapshot keeps the one it was taken with.
     """
@@ -236,14 +241,13 @@ class CanvasGraph:
     def __init__(self):
         self.objects: dict[str, CanvasObject] = {}
         self.rows: list[CanvasObject] = []
-        self.turn_ordered = True
         self.edges: list[CanvasEdge] = []
         self.next_turn: int = 0
         self.lock = threading.Lock()
         self._index = ScoringIndex()
         self._encoded: _Encoded = _NOTHING_ENCODED
         self.line_cache: dict[str, str] = {}
-        self.digest_cache: tuple[int, tuple[str, ...]] = (0, ())
+        self.digest_cache: tuple[int, tuple, tuple[str, ...]] = (0, (), ())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CanvasGraph):
@@ -269,8 +273,6 @@ class CanvasGraph:
             return AddResult.DUPLICATE
         if vector is not None:
             self.scoring_index().extend([obj], [vector])
-        if self.rows and obj.turn < self.rows[-1].turn:
-            self.turn_ordered = False
         self.objects[obj.id] = obj
         self.rows.append(obj)
         self.next_turn = max(self.next_turn, obj.turn + 1)
@@ -335,7 +337,7 @@ class CanvasGraph:
     def mark_turn_ingested(self, index: int) -> None:
         """Advance the sequential ingestion cursor past a processed turn; an
         index that is not a non-negative int is a ValueError that names it."""
-        if not isinstance(index, int) or isinstance(index, bool) or index < 0:
+        if not _is_turn(index):
             raise ValueError(f"turn index must be a non-negative integer, got {index!r}")
         self.next_turn = max(self.next_turn, index + 1)
 
@@ -377,7 +379,6 @@ class _Snapshot(CanvasGraph):
         # Not CanvasGraph.__init__: its empty scoring index would be thrown away.
         self.objects = dict(graph.objects)
         self.rows = list(graph.rows)
-        self.turn_ordered = graph.turn_ordered
         self.edges = list(graph.edges)
         self.next_turn = graph.next_turn
         self.lock = threading.Lock()
@@ -508,8 +509,7 @@ def _document(objects: list[CanvasObject], edges: list[CanvasEdge],
     orjson writes it in one call when it is installed, _orjson_vouches for
     the records, it raises no TypeError (an integer past 64 bits, a float
     subclass such as numpy.float64, a lone surrogate, or any other value it
-    hands to _record) and the header comes out as json writes it (next_turn
-    need not be an int). Each record is then built by _record as orjson
+    hands to _record). Each record is then built by _record as orjson
     writes it, so no list of records is held beside the document.
     Otherwise json encodes the document from lists of the records, and its
     result or error is final. The two write strings alike: json with
@@ -531,7 +531,7 @@ def _document(objects: list[CanvasObject], edges: list[CanvasEdge],
                                     default=_record, option=orjson.OPT_PASSTHROUGH_DATACLASS)
         except TypeError:
             pass
-    if document is None or not document.startswith(header):
+    if document is None:
         try:
             document = _json({**fields, "objects": [_object_record(obj) for obj in objects],
                               "edges": [_record(edge) for edge in edges]}).encode("utf-8")
@@ -568,13 +568,16 @@ def serialize_graph(graph: CanvasGraph) -> bytes:
     CanvasEdge. json encodes that batch, and its result or error is final,
     so the bytes are the same either way.
 
-    The cache is replaced in one assignment once every new record has
-    encoded, so a record that cannot encode (a lone surrogate raises
-    UnicodeEncodeError, a NaN or infinite embedding a ValueError naming the
-    object) leaves it as it was and fails every later save too.
+    A next_turn a load would refuse raises ValueError before the cache is
+    read. The cache is replaced in one assignment once every new record
+    has encoded, so a record that cannot encode (a lone surrogate raises
+    UnicodeEncodeError, a NaN or infinite embedding a ValueError naming
+    the object) leaves it as it was and fails every later save too.
     """
-    cached = graph._encoded
     next_turn = graph.next_turn
+    if not _is_turn(next_turn):
+        raise ValueError(f"next_turn must be a non-negative integer, got {next_turn!r}")
+    cached = graph._encoded
     if len(graph.rows) < cached.objects or len(graph.edges) < cached.edges:
         cached = _NOTHING_ENCODED
     new_objects = graph.rows[cached.objects:]
@@ -725,8 +728,7 @@ def _stdlib_load(data: bytes) -> CanvasGraph:
     _require(isinstance(doc.get("objects"), list), "objects must be a list")
     _require(isinstance(doc.get("edges"), list), "edges must be a list")
     next_turn = doc.get("next_turn")
-    _require(isinstance(next_turn, int) and not isinstance(next_turn, bool) and next_turn >= 0,
-             "next_turn must be a non-negative integer")
+    _require(_is_turn(next_turn), "next_turn must be a non-negative integer")
     return _build(next_turn, doc["objects"], doc["edges"], _reject_infinite)
 
 

@@ -2,22 +2,24 @@
 
 extract_turn runs the backend once, then (when gleaning is enabled) a second
 time so implicit material gets a chance to surface. Both passes see a digest
-of existing objects; the gleaning pass additionally sees what the first pass
-produced. Candidates whose quote is not a contiguous substring of the source
-message (case-insensitive, whitespace-normalized) are dropped regardless of
-backend: grounding is enforced here, not trusted. A candidate whose turn is
-not the turn's index is dropped too: stored, it would move the graph's turn
-cursor past the turns still to come. Both drops count as dropped_quotes.
+of the DIGEST_CAP latest objects by turn (prior_digest); the gleaning pass
+additionally sees what the first pass produced. Candidates whose quote is
+not a contiguous substring of the source message (case-insensitive,
+whitespace-normalized) are dropped regardless of backend: grounding is
+enforced here, not trusted. A candidate whose turn is not the turn's index
+is dropped too: stored, it would move the graph's turn cursor past the
+turns still to come. Both drops count as dropped_quotes.
 """
 
 from __future__ import annotations
 
 import logging
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Iterable, Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence, runtime_checkable
 
 from .core import CanvasGraph, CanvasObject, ObjectKind, Source, normalize_text
 from .errors import BackendFailureError, SequenceError
@@ -95,38 +97,32 @@ def _normalized_source(text: str) -> str:
     return normalize_text(text)
 
 
-def prior_digest(graph: CanvasGraph, cap: int = DIGEST_CAP) -> list[str]:
-    """Kind-and-content lines for the most recent `cap` objects by turn.
+def prior_digest(graph: CanvasGraph) -> list[str]:
+    """Kind-and-content lines for the DIGEST_CAP latest objects by turn,
+    stored in any turn order, objects of one turn in their stored order.
 
-    Objects of one turn keep their insertion order. While the graph's rows
-    are in turn order that order is the rows', nothing is sorted, and a
-    cap up to DIGEST_CAP reads graph.digest_cache: the number of rows it
-    covers and the last DIGEST_CAP lines of those rows. Only the rows
-    stored since get a line built, and the cache is replaced in one
-    assignment, never changed in place, so a snapshot that shares it never
-    sees it move. Rows out of turn order are sorted, and every line built.
-    A cap of 0 gives no line; a negative cap raises ValueError.
+    graph.digest_cache holds the number of rows it covers and, for the
+    DIGEST_CAP latest of those rows by (turn, row), their keys and lines in
+    key order. Each row stored since goes to its place with bisect, latest
+    first, and one that cannot enter a full cache is skipped, so a first
+    digest after a load of rows in turn order is one comparison a row. The
+    cache is replaced in one assignment, never changed in place, so a
+    snapshot that shares it never sees it move.
     """
-    if cap <= 0:
-        if cap < 0:
-            raise ValueError(f"digest cap must be a non-negative integer, got {cap!r}")
-        return []
+    covered, keys, lines = graph.digest_cache
     rows = graph.rows
-    if graph.turn_ordered and cap <= DIGEST_CAP:
-        covered, lines = graph.digest_cache
-        if covered != len(rows):
-            fresh = _digest_lines(rows[max(covered, len(rows) - DIGEST_CAP):])
-            lines = (*lines, *fresh)[-DIGEST_CAP:]
-            graph.digest_cache = (len(rows), lines)
-        return list(lines[-cap:])
-    ordered = rows if graph.turn_ordered else sorted(rows, key=lambda o: o.turn)
-    return _digest_lines(ordered[-cap:])
-
-
-def _digest_lines(objects: Iterable[CanvasObject]) -> list[str]:
-    """A "KIND: content" line for each object."""
-    prefixes = _DIGEST_PREFIXES
-    return [prefixes[obj.kind] + obj.content for obj in objects]
+    if covered != len(rows):
+        keys, lines = list(keys), list(lines)
+        for row in reversed(range(covered, len(rows))):
+            obj = rows[row]
+            key = (obj.turn, row)
+            if len(keys) < DIGEST_CAP or key > keys[0]:
+                at = bisect_right(keys, key)
+                keys.insert(at, key)
+                lines.insert(at, _DIGEST_PREFIXES[obj.kind] + obj.content)
+                del keys[:-DIGEST_CAP], lines[:-DIGEST_CAP]
+        graph.digest_cache = (len(rows), tuple(keys), tuple(lines))
+    return list(lines)
 
 
 def _run_pass(
@@ -185,8 +181,8 @@ def extract_turn(
     for obj in _run_pass(backend, turn, digest, ExtractionPass.FIRST, diagnostics):
         merged.setdefault(obj.id, obj)
     if gleaning_enabled:
-        glean_digest = list(digest)
-        glean_digest += _digest_lines(merged.values())
+        glean_digest = digest + [_DIGEST_PREFIXES[obj.kind] + obj.content
+                                 for obj in merged.values()]
         for obj in _run_pass(backend, turn, glean_digest, ExtractionPass.GLEAN, diagnostics):
             merged.setdefault(obj.id, obj)
     return list(merged.values())

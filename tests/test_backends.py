@@ -370,11 +370,15 @@ def test_remote_extractor_drops_bad_records_keeps_good(config):
     transport = ScriptedTransport((200, _extractor_reply([
         {"kind": "NOT_A_KIND", "content": "x", "quote": "x"},
         "not even an object",
+        {"kind": "KEY_FACT", "content": None, "quote": "build takes nine minutes"},
+        {"kind": "KEY_FACT", "content": "build takes nine minutes", "quote": 9},
+        {"kind": "KEY_FACT", "content": ["build", "takes"], "quote": "build takes nine minutes"},
         {"kind": "KEY_FACT", "content": "build takes nine minutes",
          "quote": "build takes nine minutes"},
     ])))
     objects = RemoteExtractor(config, transport).extract(turn, [], ExtractionPass.FIRST)
-    assert [o.kind for o in objects] == [ObjectKind.KEY_FACT]
+    assert [(o.kind, o.content) for o in objects] == [
+        (ObjectKind.KEY_FACT, "build takes nine minutes")]
 
 
 def test_remote_extractor_rejects_non_array_reply(config):

@@ -25,6 +25,7 @@ from canvasmem.core import (
     serialize_graph,
 )
 from canvasmem.errors import InvalidObjectError, MalformedInputError, VersionMismatchError
+from canvasmem.extraction import prior_digest
 
 from conftest import graph_of, load_both_ways, make_obj
 
@@ -623,8 +624,10 @@ def test_a_loaded_graph_behaves_like_the_graph_it_was_saved_from():
     loaded = deserialize_graph(serialize_graph(graph))
     assert loaded == graph
     assert loaded.rows == graph.rows
-    assert (loaded.turn_ordered, loaded.next_turn) == (graph.turn_ordered, graph.next_turn) == (
-        False, 12)
+    assert loaded.next_turn == graph.next_turn == 12
+    assert prior_digest(loaded) == prior_digest(graph) == [
+        "KEY_FACT: the api times out", "DECISION: cache in redis",
+        "KEY_FACT: early fact", "KEY_FACT: late fact"]
     edge = graph.edges[0]
     # The loaded graph rejects the edge it holds, and takes new ones.
     assert loaded.add_edge(edge) is False

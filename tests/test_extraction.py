@@ -5,9 +5,16 @@ import logging
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    initialize,
+    invariant,
+    precondition,
+    rule,
+)
 
 import canvasmem.extraction
-from canvasmem.core import CanvasGraph, ObjectKind, Source
+from canvasmem.core import CanvasGraph, ObjectKind, Source, serialize_graph
 from canvasmem.engine import CanvasEngine
 from canvasmem.errors import BackendFailureError, SequenceError
 from canvasmem.extraction import (
@@ -22,7 +29,7 @@ from canvasmem.extraction import (
 )
 from canvasmem.scoring import MockEmbedder
 
-from conftest import graph_of, make_obj, seeded_turns
+from conftest import graph_of, load_both_ways, make_obj, seeded_turns
 
 
 def test_turn_validation():
@@ -292,22 +299,12 @@ def test_prior_digest_caps_at_most_recent_by_turn():
     assert digest[-1] == f"KEY_FACT: fact number {total - 1}"
 
 
-def test_a_digest_cap_of_zero_gives_no_line_and_a_negative_cap_raises():
-    graph = graph_of(*(make_obj(content=f"fact {turn}", turn=turn) for turn in range(3)))
-    assert prior_digest(graph, 0) == []
-    assert len(prior_digest(graph, 3)) == len(prior_digest(graph, 4)) == 3
-    with pytest.raises(ValueError, match="digest cap must be a non-negative integer, got -1"):
-        prior_digest(graph, -1)
-    graph.add_object(make_obj(content="an early fact stored late", turn=0))
-    assert not graph.turn_ordered and prior_digest(graph, 0) == []
-    with pytest.raises(ValueError):
-        prior_digest(graph, -1)
-
-
-def oracle_prior_digest(graph, cap=DIGEST_CAP):
-    """The stable sort of every stored object by turn."""
-    ordered = sorted(graph.objects.values(), key=lambda o: o.turn)
-    return [f"{obj.kind.value}: {obj.content}" for obj in (ordered[-cap:] if cap else [])]
+def oracle_prior_digest(rows):
+    """The stable sort of these objects by turn, cut to DIGEST_CAP, read
+    when called, so a test may set it."""
+    ordered = sorted(rows, key=lambda o: o.turn)
+    cap = canvasmem.extraction.DIGEST_CAP
+    return [f"{obj.kind.value}: {obj.content}" for obj in ordered[-cap:]]
 
 
 @settings(max_examples=200, deadline=None)
@@ -315,31 +312,22 @@ def oracle_prior_digest(graph, cap=DIGEST_CAP):
     turns=st.lists(st.integers(0, 6), min_size=0, max_size=12),
     in_order=st.booleans(),
     split=st.integers(0, 12),
-    cap=st.integers(0, 5),
+    cap=st.integers(1, 5),
 )
 def test_prior_digest_is_the_stable_sort_by_turn(turns, in_order, split, cap):
     if in_order:
         turns.sort()
     objects = [make_obj(content=f"fact {i}", turn=turn) for i, turn in enumerate(turns)]
-    graph = graph_of(*objects[:split])
-    snapshots = [graph.snapshot()]
-    for obj in objects[split:]:
-        graph.add_object(obj)
-        snapshots.append(graph.snapshot())
-    for g in (graph, *snapshots):
-        stored = [obj.turn for obj in g.rows]
-        assert g.turn_ordered == (stored == sorted(stored))
-        assert prior_digest(g, cap) == oracle_prior_digest(g, cap)
-
-
-def fresh_digest(graph, cap=DIGEST_CAP):
-    """The digest built from scratch: a line for each of the last cap rows by turn."""
-    ordered = sorted(graph.rows, key=lambda o: o.turn)
-    return canvasmem.extraction._digest_lines(ordered[-cap:] if cap else [])
-
-
-# Below, at and above DIGEST_CAP and the row counts the tests below reach.
-_CAPS = (0, 1, 7, DIGEST_CAP - 1, DIGEST_CAP, DIGEST_CAP + 1, 500)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(canvasmem.extraction, "DIGEST_CAP", cap)
+        graph = graph_of(*objects[:split])
+        snapshots = [graph.snapshot()]
+        for obj in objects[split:]:
+            graph.add_object(obj)
+            snapshots.append(graph.snapshot())
+        loaded = load_both_ways(serialize_graph(graph))
+        for g in (graph, *snapshots, loaded):
+            assert prior_digest(g) == oracle_prior_digest(g.rows)
 
 
 def test_the_digest_equals_a_fresh_build_after_every_turn():
@@ -347,12 +335,11 @@ def test_the_digest_equals_a_fresh_build_after_every_turn():
     graph = engine.graph
     for turn in seeded_turns(11, 120):
         engine.ingest_turn(turn)
-        assert prior_digest(graph) == fresh_digest(graph)
-        covered, lines = graph.digest_cache
-        assert covered == len(graph.rows) and len(lines) == min(covered, DIGEST_CAP)
+        assert prior_digest(graph) == oracle_prior_digest(graph.rows)
+        covered, keys, lines = graph.digest_cache
+        assert covered == len(graph.rows) and len(keys) == len(lines) == min(covered, DIGEST_CAP)
+        assert list(keys) == sorted(keys)
     assert len(graph.rows) > DIGEST_CAP
-    for cap in _CAPS:
-        assert prior_digest(graph, cap) == fresh_digest(graph, cap)
 
 
 def test_a_snapshot_digest_ignores_later_writes_to_its_owner():
@@ -364,21 +351,19 @@ def test_a_snapshot_digest_ignores_later_writes_to_its_owner():
     late = engine.snapshot()  # a cache behind its rows
     cache = late.digest_cache
     engine.ingest(turns[100:])
-    assert prior_digest(engine.graph) == fresh_digest(engine.graph)
+    assert prior_digest(engine.graph) == oracle_prior_digest(engine.graph.rows)
     assert late.digest_cache is cache
     for twin in (early, late):
-        for cap in _CAPS:
-            assert prior_digest(twin, cap) == fresh_digest(twin, cap)
+        assert prior_digest(twin) == oracle_prior_digest(twin.rows)
     assert len(early.rows) < len(late.rows) < len(engine.graph.rows)
 
 
-def test_rows_out_of_turn_order_are_sorted_past_a_filled_cache():
+def test_rows_out_of_turn_order_go_to_their_place_in_a_filled_cache():
     graph = graph_of(*(make_obj(content=f"fact {turn}", turn=turn) for turn in range(5, 65)))
-    assert prior_digest(graph) == fresh_digest(graph)
+    assert prior_digest(graph) == oracle_prior_digest(graph.rows)
     graph.add_object(make_obj(content="an early fact stored late", turn=40))
-    assert not graph.turn_ordered
-    for cap in _CAPS:
-        assert prior_digest(graph, cap) == fresh_digest(graph, cap)
+    graph.add_object(make_obj(content="a fact too early to enter", turn=5))
+    assert prior_digest(graph) == oracle_prior_digest(graph.rows)
     # Turns 16 to 64, the late row after turn 40's: not appended last.
     digest = prior_digest(graph)
     assert digest[24:26] == ["KEY_FACT: fact 40", "KEY_FACT: an early fact stored late"]
@@ -391,5 +376,57 @@ def test_an_early_turn_stored_late_goes_to_its_place_in_the_digest():
     graph.add_object(make_obj(content="later", turn=12))
     assert prior_digest(twin) == ["KEY_FACT: early", "KEY_FACT: late"]
     assert prior_digest(graph) == ["KEY_FACT: early", "KEY_FACT: late", "KEY_FACT: later"]
-    assert not twin.turn_ordered and not graph.turn_ordered
 
+
+class DigestMachine(RuleBasedStateMachine):
+    """Stores at drawn turns, in any order and with duplicates, kept
+    snapshots and save-and-load round trips under a small DIGEST_CAP: every
+    digest is the stable sort by turn, and a kept snapshot's never moves."""
+
+    def __init__(self):
+        super().__init__()
+        self.patch = pytest.MonkeyPatch()
+        self.graph = CanvasGraph()
+        self.kept = []  # (snapshot, the oracle's digest when it was taken)
+
+    @initialize(cap=st.integers(1, 4))
+    def set_cap(self, cap):
+        self.patch.setattr(canvasmem.extraction, "DIGEST_CAP", cap)
+
+    @rule(turn=st.integers(0, 5), content=st.sampled_from(("a", "b", "c")))
+    def store(self, turn, content):
+        self.graph.add_object(make_obj(content=content, turn=turn))
+
+    @rule()
+    def keep_a_snapshot(self):
+        twin = self.graph.snapshot()
+        self.kept.append((twin, oracle_prior_digest(twin.rows)))
+
+    @rule()
+    def save_and_load(self):
+        self.graph = load_both_ways(serialize_graph(self.graph))
+
+    @rule()
+    def read_the_graph(self):
+        assert prior_digest(self.graph) == oracle_prior_digest(self.graph.rows)
+
+    @precondition(lambda self: self.kept)
+    @rule(pick=st.integers(0))
+    def read_a_snapshot(self, pick):
+        twin, digest = self.kept[pick % len(self.kept)]
+        assert prior_digest(twin) == digest
+
+    @invariant()
+    def each_cache_is_the_digest_of_the_rows_it_covers(self):
+        for graph in (self.graph, *(twin for twin, _ in self.kept)):
+            covered, keys, lines = graph.digest_cache
+            assert len(keys) == len(lines)
+            assert list(lines) == oracle_prior_digest(graph.rows[:covered])
+
+    def teardown(self):
+        self.patch.undo()
+
+
+TestDigestMachine = DigestMachine.TestCase
+TestDigestMachine.settings = settings(
+    max_examples=100, stateful_step_count=30, deadline=None, derandomize=True, database=None)

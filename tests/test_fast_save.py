@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -388,21 +389,22 @@ def test_a_full_save_finds_the_edge_array_past_an_id_holding_a_bracket():
     assert save_both_ways(graph) == whole_document(graph)
 
 
-def test_a_next_turn_orjson_writes_in_another_form_saves_as_json_writes_it():
-    # mark_turn_ingested refuses a float, but the attribute can still be set
-    # to one: orjson writes this float as 1e16, json as 1e+16.
-    graph = pair()
-    graph.next_turn = 1e16
-    assert not one_call(graph)
-    assert save_both_ways(graph) == whole_document(graph)
-    # The same turn after a full orjson save: the next batch's header is
-    # orjson's then, so that batch goes to json too.
-    graph = pair()
-    assert one_call(graph) is (orjson is not None)
-    full_save(graph)
-    graph.next_turn = 1e16
-    graph.add_object(make_obj(content="a later fact", turn=2, embedding=axis(2)))
-    assert save_both_ways(graph) == whole_document(graph)
+@pytest.mark.parametrize("next_turn", [1e16, True, -1])
+def test_a_next_turn_a_load_refuses_is_refused_by_a_save(next_turn):
+    # mark_turn_ingested refuses each of these, but the attribute can still
+    # be set to one. A graph with nothing cached, and one whose cache holds
+    # a full save with a record added since.
+    fresh = pair()
+    saved = pair()
+    full_save(saved)
+    saved.add_object(make_obj(content="a later fact", turn=2, embedding=axis(2)))
+    for graph in (fresh, saved):
+        cached = graph._encoded
+        graph.next_turn = next_turn
+        message = f"next_turn must be a non-negative integer, got {next_turn!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            save_both_ways(graph)
+        assert graph._encoded is cached
 
 
 def test_a_full_save_the_guard_refuses_asks_the_guard_once(monkeypatch):
