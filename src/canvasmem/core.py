@@ -27,6 +27,11 @@ first save, or the first after a load), is that document alone, so it
 holds no second copy of the document, and through orjson no list of
 records either.
 
+A load shares strings the way an ingest does. Each edge's ends are the id
+strings its stored objects hold, as link_object builds them, and an object
+whose quote equals its content holds one string for both, as an extractor
+builds it, so a loaded graph holds no parsed second copy of either.
+
 The graph's adjacency lives in its scoring index: for each row, the rows
 an edge joins to it, in edge order, and the numbers of those edges.
 neighbors() and the retrieval walk both read those lists, so they cost a
@@ -108,7 +113,8 @@ def normalize_text(text: str) -> str:
 
 def object_id(kind: ObjectKind, content: str, turn: int) -> str:
     """Content hash identifying an object; pure in (kind, normalized content, turn)."""
-    payload = "\x1f".join((kind.value, normalize_text(content), str(turn)))
+    # An enum member's _value_ is its value without the property lookup.
+    payload = "\x1f".join((kind._value_, normalize_text(content), str(turn)))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:ID_HEX_LENGTH]
 
 
@@ -119,7 +125,14 @@ def _is_turn(value) -> bool:
 
 @dataclass
 class CanvasObject:
-    """One extracted memory artifact, grounded in a verbatim quote."""
+    """One extracted memory artifact, grounded in a verbatim quote.
+
+    Immutable by contract once stored. Nothing in the package writes to an
+    object after building it: the engine stores a new object built from
+    each candidate. Freezing the dataclass waits only on
+    perfbench/tests/test_checks.py, which tampers with stored objects by
+    plain assignment.
+    """
 
     kind: ObjectKind
     content: str
@@ -657,24 +670,26 @@ def _build(next_turn: int, object_records, edge_records, large_embedding) -> Can
     """A graph of the records, which each path has parsed; large_embedding(obj)
     is called for each object whose embedding is not _small.
 
-    One loop builds each edge, refuses a repeated edge[:3] with a set that
-    is dropped on return, and appends it; one _check_edges call, as in
-    add_edges, then checks the ends of them all. The scoring index is left
-    to catch up the first time the graph is read."""
+    An object whose quote equals its content is built with one string for
+    both. One loop builds each edge, its ends the stored objects' own id
+    strings (found with one dict lookup each; an end naming no stored
+    object, or not a str, stays as parsed), refuses a repeated edge[:3]
+    with a set that is dropped on return, and appends it; one _check_edges
+    call, as in add_edges, then checks the ends of them all. The scoring
+    index is left to catch up the first time the graph is read."""
     graph = CanvasGraph()
     for raw in object_records:
         _require(isinstance(raw, dict), "each object must be a JSON object")
         try:
+            kind = _OBJECT_KINDS[raw["kind"]]
+            content, quote = raw["content"], raw["quote"]
+            # A quote equal to its content is that one string, as an
+            # extractor builds it.
+            if quote == content:
+                quote = content
             # CanvasObject checks the record; add_object does not check it again.
-            obj = CanvasObject(
-                kind=_OBJECT_KINDS[raw["kind"]],
-                content=raw["content"],
-                quote=raw["quote"],
-                source=_SOURCES[raw["source"]],
-                turn=raw["turn"],
-                confidence=raw["confidence"],
-                embedding=raw.get("embedding"),
-            )
+            obj = CanvasObject(kind, content, quote, _SOURCES[raw["source"]], raw["turn"],
+                               raw["confidence"], raw.get("embedding"))
         except (KeyError, ValueError, TypeError, InvalidObjectError) as exc:
             raise MalformedInputError(f"invalid object record: {exc}") from exc
         # The messages below are built only when a check fails: a load runs
@@ -688,11 +703,17 @@ def _build(next_turn: int, object_records, edge_records, large_embedding) -> Can
         if graph.add_object(obj) is not AddResult.ADDED:
             raise MalformedInputError(f"duplicate object id {obj.id}")
     edges, keys = graph.edges, set()
+    stored_id = {oid: oid for oid in graph.objects}.get
     for raw in edge_records:
         if not isinstance(raw, dict):
             raise MalformedInputError("each edge must be a JSON object")
         try:
-            edge = CanvasEdge(raw["src"], raw["dst"], _EDGE_KINDS[raw["kind"]], raw["weight"],
+            src, dst = raw["src"], raw["dst"]
+            # Only str ends are looked up: a str is hashable, so no lookup
+            # raises, and a bad record fails the checks below in their order.
+            if src.__class__ is str and dst.__class__ is str:
+                src, dst = stored_id(src, src), stored_id(dst, dst)
+            edge = CanvasEdge(src, dst, _EDGE_KINDS[raw["kind"]], raw["weight"],
                               _EDGE_ORIGINS[raw["origin"]])
             key = edge[:3]
             repeated = key in keys  # TypeError when an endpoint is unhashable

@@ -3,14 +3,18 @@
 The engine owns the graph and is the single writer. A turn that makes the
 extractor backend fail is logged, counted, and skipped; ingestion continues
 with the next turn. An embedder error propagates before anything of the turn
-is stored, and so do the InvalidObjectError of the engine's check of each
-candidate once its embedding is set (an embedding that is not a list, say)
-and the scoring index's typed error for an embedding it could not score (a
-vector of another dimension than the stored ones, or a zero vector), so the
-same turn can be retried. That check and the candidate's constructor are
-the only checks of a stored object: add_object stores it unchecked.
+is stored, and so do the InvalidObjectError of a stored object's constructor
+(an embedding that is not a list, say) and the scoring index's typed error
+for an embedding it could not score (a vector of another dimension than the
+stored ones, or a zero vector), so the same turn can be retried.
 
-Each candidate's embedding is converted to a float64 vector and norm once,
+The engine writes to no object. It stores a new object built from each
+candidate's fields, with the embedder's vector when the candidate has no
+embedding, so a candidate is left as the extractor returned it and a
+stored object is checked once, by its own constructor: add_object stores
+it unchecked.
+
+Each object's embedding is converted to a float64 vector and norm once,
 by check_vectors, and a stored object's index row is written from that
 pair. Objects are stored, indexed and linked one at a time, in the
 extractor's order, so a candidate links only to the rows stored before it.
@@ -25,7 +29,7 @@ through every snapshot), the scoring index's columns and the encode cache.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import AddResult, CanvasGraph, CanvasObject
@@ -86,21 +90,23 @@ class CanvasEngine:
             self.diagnostics.failed_turns += 1
             self.graph.mark_turn_ingested(turn.index)
             return []
-        # Embed and check every candidate before storing any: an embedder
-        # error or a candidate the check refuses then leaves the graph and
-        # its turn cursor as they were, so the turn can be retried, and no
-        # object is assigned to once it is stored. The embedding comes from
-        # outside, so the check runs again once it is set.
-        for obj in candidates:
-            if obj.embedding is None:
-                obj.embedding = self.embedder.embed(obj.content)
-            obj.validate()
+        # Build every object to store before storing any, each from its
+        # candidate with the embedder's vector when it has none, and each
+        # checked by its constructor: an embedder error or an object the
+        # check refuses then leaves the graph, its turn cursor and the
+        # candidates as they were, so the turn can be retried.
+        stored = [
+            CanvasObject(obj.kind, obj.content, obj.quote, obj.source, obj.turn, obj.confidence,
+                         self.embedder.embed(obj.content) if obj.embedding is None
+                         else obj.embedding)
+            for obj in candidates
+        ]
         # A vector the index could not score would make every later ingest
         # and query raise; refuse it while the turn can still be retried.
         # Each stored object's index row takes its checked vector and norm.
-        vectors = self.graph.scoring_index().check_vectors([obj.embedding for obj in candidates])
+        vectors = self.graph.scoring_index().check_vectors([obj.embedding for obj in stored])
         added: list[CanvasObject] = []
-        for obj, vector in zip(candidates, vectors):
+        for obj, vector in zip(stored, vectors):
             if self.graph.add_object(obj, vector) is AddResult.ADDED:
                 link_object(self.graph, obj, self.thresholds)
                 added.append(obj)

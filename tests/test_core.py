@@ -584,6 +584,10 @@ def _edge_fault_files():
         ("self-loop", dict(second, dst=a.id), invalid + "edge endpoints must differ"),
         ("missing endpoint", dict(second, dst="f" * 16),
          invalid + "edge endpoints must reference stored objects"),
+        ("number endpoint", dict(second, src=7),
+         invalid + "edge endpoints must reference stored objects"),
+        ("unhashable src", dict(second, src=[a.id]), invalid + "unhashable type: 'list'"),
+        ("unhashable dst", dict(second, dst={"id": b.id}), invalid + "unhashable type: 'dict'"),
         ("backward causal", dict(second, src=b.id, dst=a.id),
          invalid + "causal edges must point forward in time"),
         ("repeated record", dict(first), f"duplicate edge {a.id!r} -> {b.id!r}"),

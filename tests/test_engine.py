@@ -204,8 +204,9 @@ def test_ingest_converts_each_stored_embedding_once(monkeypatch):
 
 
 def test_ingest_checks_each_stored_object_twice(monkeypatch):
-    # Once when the extractor builds it, and once by the engine after the
-    # embedder's output is set; add_object does not check it again.
+    # Once as the extractor's candidate, and once as the object the engine
+    # builds from it with the embedder's output: each instance is checked
+    # once, by its constructor, and add_object does not check it again.
     checked = []
     validate = CanvasObject.validate
     monkeypatch.setattr(CanvasObject, "validate", lambda obj: checked.append(obj) or validate(obj))
@@ -213,4 +214,41 @@ def test_ingest_checks_each_stored_object_twice(monkeypatch):
     engine.ingest(seeded_turns(5, 40))
     rows = engine.graph.rows
     assert len(rows) > 20 and len(checked) == 2 * len(rows)
-    assert [sum(call is obj for call in checked) for obj in rows] == [2] * len(rows)
+    assert len({id(obj) for obj in checked}) == len(checked)
+    assert [sum(call is obj for call in checked) for obj in rows] == [1] * len(rows)
+
+
+class _ScriptedExtractor:
+    """Returns the same candidate instances on every call."""
+
+    def __init__(self, candidates):
+        self.candidates = candidates
+
+    def extract(self, turn, prior_digest, pass_):
+        return list(self.candidates) if pass_ is ExtractionPass.FIRST else []
+
+
+def test_ingest_writes_to_no_candidate():
+    text = ("KEY_FACT: the api gateway times out after 30 seconds\n"
+            "DECISION: we will cache responses in redis")
+    candidates = MockExtractor().extract(_turn(0, user=text), [], ExtractionPass.FIRST)
+    assert len(candidates) == 2
+    before = [vars(obj).copy() for obj in candidates]
+    # An embedder that fails on the second candidate stores nothing and
+    # leaves the first candidate without the vector it was given.
+    failing = CanvasEngine(_ScriptedExtractor(candidates), CountingEmbedder(fail_on_call=2))
+    with pytest.raises(BackendFailureError):
+        failing.ingest_turn(_turn(0, user=text))
+    assert failing.graph.rows == []
+    assert [obj.embedding is None for obj in candidates] == [True, True]
+    assert [vars(obj) for obj in candidates] == before
+    engine = CanvasEngine(_ScriptedExtractor(candidates), MockEmbedder())
+    added = engine.ingest_turn(_turn(0, user=text))
+    assert [obj.embedding is None for obj in candidates] == [True, True]
+    assert [vars(obj) for obj in candidates] == before
+    # The stored objects are new ones, equal to the candidates but for
+    # the embedding.
+    assert added == engine.graph.rows and len(added) == 2
+    assert not any(obj is candidate for obj in added for candidate in candidates)
+    assert [obj.id for obj in added] == [obj.id for obj in candidates]
+    assert all(obj.embedding == MockEmbedder().embed(obj.content) for obj in added)

@@ -171,6 +171,33 @@ def test_a_saved_graph_loads_through_orjson_alone(monkeypatch, chunk_bytes):
     assert deserialize_graph(data) == expected
 
 
+LOADS = {"orjson": lambda data: core._fast_load(orjson, data), "stdlib": core._stdlib_load}
+
+
+@pytest.mark.parametrize("path", list(LOADS))
+def test_a_load_shares_each_id_and_each_quote_equal_to_its_content(path):
+    if path == "orjson" and orjson is None:
+        pytest.skip("orjson is not installed")
+    engine = CanvasEngine(MockExtractor(), MockEmbedder())
+    engine.ingest(seeded_turns(7, 40))
+    graph = engine.graph
+    graph.add_object(make_obj(content="the cache lives in redis", quote="The cache lives in REDIS",
+                              turn=graph.next_turn, embedding=MockEmbedder().embed("redis")))
+    data = serialize_graph(graph)
+    loaded = LOADS[path](data)
+    assert loaded == load_both_ways(data) == graph
+    assert serialize_graph(loaded) == data
+    # Each end is the id string its object holds, as an ingest builds it.
+    objects = loaded.objects
+    assert len(loaded.edges) > 10
+    assert all(edge.src is objects[edge.src].id and edge.dst is objects[edge.dst].id
+               for edge in loaded.edges)
+    *same, differs = loaded.rows
+    assert all(obj.quote is obj.content for obj in same)
+    assert (differs.content, differs.quote) == ("the cache lives in redis",
+                                                "The cache lives in REDIS")
+
+
 @pytest.mark.parametrize("data", [b"[" * 100000 + b"]" * 100000, CASES[
     "extra object key nested 3000 deep"][0]], ids=["nested list", "nested extra key"])
 def test_nesting_too_deep_to_parse_is_malformed_input(data, tmp_path, capsys):
