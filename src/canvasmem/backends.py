@@ -12,6 +12,11 @@ connections) are retried a bounded number of times; the calls are
 idempotent reads, so a retry never duplicates a side effect. The counters
 are exact for one thread; threads that share a client share its counts.
 
+RemoteExtractor drops, with a debug log line, each reply record that is
+malformed or that CanvasObject refuses (a content or quote holding a lone
+surrogate, which JSON's \\ud800 escape can carry), and keeps the rest, so
+every object it returns can be saved.
+
 The default wiring is mock everything: the whole engine and benchmark run
 offline with no network access. The HTTP client, requests, is imported only
 when a remote client sends a request, so an offline process never loads it.

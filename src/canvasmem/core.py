@@ -5,10 +5,11 @@ embedding, turn index, confidence). Object identity is a content hash of
 (kind, normalized content, turn), so re-extracting the same statement from the
 same turn collides on purpose and deduplicates. An object is checked once,
 when it is built; CanvasGraph.add_object, the one way an object is stored,
-a load's included, does not check it again, in any turn order. The graph
-is append-only: objects and edges are added, never mutated or removed.
-Stored objects are immutable by contract, so snapshots, which are
-read-only, share them.
+a load's included, does not check it again, in any turn order. That check
+is the one gate for what a graph holds: an object the constructor accepts
+can always be saved. The graph is append-only: objects and edges are
+added, never mutated or removed. Stored objects are immutable by contract,
+so snapshots, which are read-only, share them.
 
 Persistence is incremental for the same reason. Each graph keeps the last
 document serialize_graph returned for it, one file's worth of bytes, and a
@@ -21,11 +22,10 @@ writes the document in one call, handed the objects and edges themselves,
 and its default hook builds each record as it is written, so a record
 lives only while orjson writes it. A batch whose numbers orjson could write
 otherwise than the standard library's json encoder goes to that encoder
-instead, so a save writes the same bytes, or raises the same error, with
-orjson or without it. A full save, of a graph with nothing cached (its
-first save, or the first after a load), is that document alone, so it
-holds no second copy of the document, and through orjson no list of
-records either.
+instead, so a save writes the same bytes with orjson or without it. A full
+save, of a graph with nothing cached (its first save, or the first after a
+load), is that document alone, so it holds no second copy of the document,
+and through orjson no list of records either.
 
 A load shares strings the way an ingest does. Each edge's ends are the id
 strings its stored objects hold, as link_object builds them, and an object
@@ -123,9 +123,18 @@ def _is_turn(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
+# A lone surrogate: the one code point a str can hold that UTF-8 cannot encode.
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
+
+
 @dataclass
 class CanvasObject:
     """One extracted memory artifact, grounded in a verbatim quote.
+
+    The constructor's validate() is the one gate for what a graph can
+    hold: an object it accepts can always be saved. It refuses a content or
+    quote holding a lone surrogate and an embedding the save's encoder
+    refuses (NaN, an infinity, numpy float32, a plain Enum member, an array).
 
     Immutable by contract once stored. Nothing in the package writes to an
     object after building it: the engine stores a new object built from
@@ -156,9 +165,13 @@ class CanvasObject:
             raise InvalidObjectError(f"turn must be a non-negative integer, got {self.turn!r}")
         if not isinstance(self.content, str):
             raise InvalidObjectError("content must be a string")
+        if not self.content.isascii() and _SURROGATE.search(self.content):
+            raise InvalidObjectError("content must be UTF-8 text: it holds a lone surrogate")
         # normalize_text(quote) is empty exactly when quote is all whitespace.
         if not isinstance(self.quote, str) or not self.quote.strip():
             raise InvalidObjectError("quote must be a non-empty string")
+        if not self.quote.isascii() and _SURROGATE.search(self.quote):
+            raise InvalidObjectError("quote must be UTF-8 text: it holds a lone surrogate")
         if not isinstance(self.confidence, (int, float)) or isinstance(self.confidence, bool):
             raise InvalidObjectError("confidence must be a number")
         if not 0.0 <= float(self.confidence) <= 1.0:
@@ -166,6 +179,17 @@ class CanvasObject:
         if self.embedding is not None:
             if not isinstance(self.embedding, list) or not self.embedding:
                 raise InvalidObjectError("embedding must be a non-empty list of floats or None")
+            # Finite floats, an embedder's output, sum to a finite float; the
+            # save's encoder judges any other list (numpy's warnings may raise).
+            try:
+                total = sum(self.embedding)
+            except (TypeError, ValueError, ArithmeticError, RuntimeWarning):
+                total = None
+            if total.__class__ is not float or not math.isfinite(total):
+                try:
+                    _json(self.embedding).encode("utf-8")
+                except (TypeError, ValueError, RecursionError) as exc:
+                    raise InvalidObjectError(f"embedding cannot be saved as JSON: {exc}") from exc
 
 
 class CanvasEdge(namedtuple("CanvasEdge", ("src", "dst", "kind", "weight", "origin"))):
@@ -229,9 +253,8 @@ class CanvasGraph:
     the engine gives it, writes the object's row at once from them; plain
     add_object, as a load calls it, leaves the row to the next catch-up, so
     an object stored without a usable embedding raises only once it is
-    scored. Once
-    indexed, a stored object's embedding, content and quote must not
-    change: the index keeps what it read.
+    scored. Once indexed, a stored object's embedding, content and quote
+    must not change: the index keeps what it read.
 
     add_edges is the one edge write, and add_edge is add_edges of one
     edge. It checks the whole list in one _check_edges call, then refuses
@@ -447,12 +470,11 @@ def _plain(values) -> bool:
     magnitudes' sum must lie below 1e16 too.
 
     Outside that range orjson writes a float in another form (1e16 where
-    json writes 1e+16, 0.00001 where it writes 1e-05), and NaN and the
-    infinities, which the sum catches, as null where json raises. abs()
-    refuses a value that is not a number, such as a string, a list or a
-    plain Enum member, which orjson writes as its value where json raises.
-    Such an error, or a numpy array's truth value, which raises ValueError,
-    only means the values go to json, which then writes them or raises.
+    json writes 1e+16, 0.00001 where it writes 1e-05). A value that is not a
+    number (a string or a list) fails abs() and goes to json. An object the
+    constructor accepts can always be saved; NaN, an infinity, a plain Enum
+    member or an array set on one later fails the sum, abs() or the truth
+    test and goes to json too.
     """
     try:
         magnitudes = [*map(abs, filter(None, values))]
@@ -521,13 +543,13 @@ def _document(objects: list[CanvasObject], edges: list[CanvasEdge],
 
     orjson writes it in one call when it is installed, _orjson_vouches for
     the records, it raises no TypeError (an integer past 64 bits, a float
-    subclass such as numpy.float64, a lone surrogate, or any other value it
-    hands to _record). Each record is then built by _record as orjson
-    writes it, so no list of records is held beside the document.
-    Otherwise json encodes the document from lists of the records, and its
-    result or error is final. The two write strings alike: json with
-    ensure_ascii=False escapes only the quote, the backslash and the
-    control characters below U+0020, as orjson does, and in the same forms.
+    subclass such as numpy.float64, or any other value it hands to
+    _record). Each record is then built by _record as orjson writes it, so
+    no list of records is held beside the document. Otherwise json encodes
+    the document from lists of the records. The two write strings alike:
+    json with ensure_ascii=False escapes only the quote, the backslash and
+    the control characters below U+0020, as orjson does, and in the same
+    forms.
 
     The object array ends at the one '],"edges":[': no string can hold
     those bytes, since JSON escapes each quote inside a string. An edge
@@ -545,15 +567,8 @@ def _document(objects: list[CanvasObject], edges: list[CanvasEdge],
         except TypeError:
             pass
     if document is None:
-        try:
-            document = _json({**fields, "objects": [_object_record(obj) for obj in objects],
-                              "edges": [_record(edge) for edge in edges]}).encode("utf-8")
-        except ValueError as exc:
-            for obj in objects:
-                if any(isinstance(x, float) and not math.isfinite(x) for x in obj.embedding or ()):
-                    raise ValueError(f"object {obj.id} cannot be saved: its embedding "
-                                     "holds a NaN or an infinity, which JSON cannot hold") from exc
-            raise
+        document = _json({**fields, "objects": [_object_record(obj) for obj in objects],
+                          "edges": [_record(edge) for edge in edges]}).encode("utf-8")
     objects_end = document.rfind(b"]", 0, -2)
     if not document.startswith(_EDGES_KEY, objects_end):
         objects_end = document.rfind(_EDGES_KEY)
@@ -575,17 +590,14 @@ def serialize_graph(graph: CanvasGraph) -> bytes:
     Records encode through orjson when it is installed (it is optional:
     `pip install canvasmem[fast]`), except a batch that orjson could write
     otherwise than json or that it refuses: a float outside
-    1e-4 <= |x| < 1e16, NaN or an infinity, an embedding component that is
-    neither a number nor falsy, an integer past 64 bits, a float subclass
-    such as numpy.float64, a lone surrogate, or an edge that is not a
-    CanvasEdge. json encodes that batch, and its result or error is final,
-    so the bytes are the same either way.
+    1e-4 <= |x| < 1e16, an embedding component that is neither a number
+    nor falsy, an integer past 64 bits, a float subclass such as
+    numpy.float64, or an edge that is not a CanvasEdge. json encodes that
+    batch, so the bytes are the same either way.
 
-    A next_turn a load would refuse raises ValueError before the cache is
-    read. The cache is replaced in one assignment once every new record
-    has encoded, so a record that cannot encode (a lone surrogate raises
-    UnicodeEncodeError, a NaN or infinite embedding a ValueError naming
-    the object) leaves it as it was and fails every later save too.
+    Every record can be saved: CanvasObject and CanvasEdge refuse, when
+    built, any other. A next_turn a load would refuse raises ValueError
+    before the cache is read, which is replaced in one assignment.
     """
     next_turn = graph.next_turn
     if not _is_turn(next_turn):
@@ -640,35 +652,8 @@ def _require(condition: bool, message: str) -> None:
         raise MalformedInputError(message)
 
 
-# Below this norm no embedding component is infinite, as a JSON number too
-# large for a double (1e400) parses to, and every integer component lies
-# within 64 bits, where orjson parses an integer literal as an int, as json
-# does; past 64 bits orjson hands back a float. An embedding not below it
-# sends the fast load to the stdlib one, which then reads its components.
-_EMBEDDING_NORM_BOUND = float(2**63)
-
-
-def _small(embedding: list) -> bool:
-    """Whether a loaded embedding's norm is below _EMBEDDING_NORM_BOUND; False
-    when a component is not a number, or an integer too large for a float."""
-    try:
-        return math.hypot(*embedding) < _EMBEDDING_NORM_BOUND
-    except (TypeError, OverflowError):
-        return False
-
-
-def _reject_infinite(obj: CanvasObject) -> None:
-    """The stdlib load's check of an embedding that is not _small: a component
-    that is not a number is left for the scoring index to report."""
-    if any(isinstance(value, float) and math.isinf(value) for value in obj.embedding):
-        raise MalformedInputError(
-            f"object {obj.id} has an embedding component too large for a double"
-        )
-
-
-def _build(next_turn: int, object_records, edge_records, large_embedding) -> CanvasGraph:
-    """A graph of the records, which each path has parsed; large_embedding(obj)
-    is called for each object whose embedding is not _small.
+def _build(next_turn: int, object_records, edge_records) -> CanvasGraph:
+    """A graph of the records, which each path has parsed.
 
     An object whose quote equals its content is built with one string for
     both. One loop builds each edge, its ends the stored objects' own id
@@ -698,8 +683,6 @@ def _build(next_turn: int, object_records, edge_records, large_embedding) -> Can
             raise MalformedInputError(
                 f"object id {raw.get('id')!r} does not match its content hash"
             )
-        if obj.embedding is not None and not _small(obj.embedding):
-            large_embedding(obj)
         if graph.add_object(obj) is not AddResult.ADDED:
             raise MalformedInputError(f"duplicate object id {obj.id}")
     edges, keys = graph.edges, set()
@@ -750,7 +733,7 @@ def _stdlib_load(data: bytes) -> CanvasGraph:
     _require(isinstance(doc.get("edges"), list), "edges must be a list")
     next_turn = doc.get("next_turn")
     _require(_is_turn(next_turn), "next_turn must be a non-negative integer")
-    return _build(next_turn, doc["objects"], doc["edges"], _reject_infinite)
+    return _build(next_turn, doc["objects"], doc["edges"])
 
 
 class _NotCanonical(Exception):
@@ -800,7 +783,22 @@ def _fast_records(orjson, data: bytes, start: int, end: int, cut: bytes, keys: i
         start = stop + 1
 
 
-def _not_canonical(_obj: CanvasObject) -> NoReturn:
+# Below this norm no embedding component is infinite, as a JSON number too
+# large for a double (1e400) parses to, and every integer component lies
+# within 64 bits, where orjson parses an integer literal as an int, as json
+# does; past 64 bits orjson hands back a float.
+_EMBEDDING_NORM_BOUND = float(2**63)
+
+
+def _small_embedding(record: dict) -> dict:
+    """record, unless its embedding's norm is not below _EMBEDDING_NORM_BOUND
+    (or it is not a list of numbers): the stdlib load then runs."""
+    embedding = record.get("embedding")
+    try:
+        if embedding is None or math.hypot(*embedding) < _EMBEDDING_NORM_BOUND:
+            return record
+    except (TypeError, OverflowError):
+        pass
     raise _NotCanonical
 
 
@@ -817,7 +815,7 @@ def _fast_load(orjson, data: bytes) -> CanvasGraph:
     objects = _fast_records(orjson, data, header.end(), split, _OBJECT_CUT, _OBJECT_KEYS)
     edges = _fast_records(orjson, data, split + len(_EDGES_KEY), len(data) - 2, _EDGE_CUT,
                           _EDGE_KEYS)
-    return _build(int(header[1]), objects, edges, _not_canonical)
+    return _build(int(header[1]), map(_small_embedding, objects), edges)
 
 
 def deserialize_graph(data: bytes | bytearray | memoryview) -> CanvasGraph:
@@ -825,9 +823,10 @@ def deserialize_graph(data: bytes | bytearray | memoryview) -> CanvasGraph:
     object (a bytes argument is used as it is, not copied).
 
     Raises TypeError on anything not bytes-like (a str, say),
-    MalformedInputError on truncation, schema violations or nesting too
-    deep to parse, and VersionMismatchError on an unsupported version
-    number.
+    MalformedInputError on truncation, schema violations, nesting too deep
+    to parse or a record CanvasObject refuses (a quote holding the escape
+    \\ud800, or 1e400, which parses to infinity), and VersionMismatchError
+    on an unsupported version number. A loaded graph can always be saved.
 
     When orjson is installed (it is optional: `pip install canvasmem[fast]`),
     a file laid out as serialize_graph writes it loads through orjson first:

@@ -4,9 +4,13 @@ The engine owns the graph and is the single writer. A turn that makes the
 extractor backend fail is logged, counted, and skipped; ingestion continues
 with the next turn. An embedder error propagates before anything of the turn
 is stored, and so do the InvalidObjectError of a stored object's constructor
-(an embedding that is not a list, say) and the scoring index's typed error
+(an embedding that is not a list, or that no save could write: a NaN, an
+infinity, numpy float32 components) and the scoring index's typed error
 for an embedding it could not score (a vector of another dimension than the
-stored ones, or a zero vector), so the same turn can be retried.
+stored ones, or a zero vector), so the same turn can be retried. An
+extractor that builds a candidate the constructor refuses (a quote holding
+a lone surrogate) fails its turn as any extractor error does. So every
+object the engine stores can be saved.
 
 The engine writes to no object. It stores a new object built from each
 candidate's fields, with the embedder's vector when the candidate has no
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .core import AddResult, CanvasGraph, CanvasObject
 from .errors import BackendFailureError

@@ -21,7 +21,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import Protocol, Sequence, runtime_checkable
 
-from .core import CanvasGraph, CanvasObject, ObjectKind, Source, normalize_text
+from .core import CanvasGraph, CanvasObject, ObjectKind, Source, _is_turn, normalize_text
 from .errors import BackendFailureError, SequenceError
 
 logger = logging.getLogger(__name__)
@@ -49,7 +49,7 @@ class ConversationTurn:
     assistant_text: str = ""
 
     def __post_init__(self):
-        if not isinstance(self.index, int) or isinstance(self.index, bool) or self.index < 0:
+        if not _is_turn(self.index):
             raise ValueError(f"turn index must be a non-negative integer, got {self.index!r}")
         if not isinstance(self.user_text, str) or not isinstance(self.assistant_text, str):
             raise ValueError("turn texts must be strings")

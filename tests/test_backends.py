@@ -381,6 +381,20 @@ def test_remote_extractor_drops_bad_records_keeps_good(config):
         (ObjectKind.KEY_FACT, "build takes nine minutes")]
 
 
+def test_remote_extractor_drops_a_record_whose_content_holds_a_lone_surrogate(config):
+    # json.dumps writes the surrogate as the escape \ud800, which the
+    # reply's parse reads back as a lone surrogate.
+    turn = ConversationTurn(index=0, user_text="the build takes nine minutes")
+    transport = ScriptedTransport((200, _extractor_reply([
+        {"kind": "KEY_FACT", "content": "build \ud800 takes", "quote": "build takes"},
+        {"kind": "KEY_FACT", "content": "build takes nine minutes",
+         "quote": "build takes nine minutes"},
+    ])))
+    objects = RemoteExtractor(config, transport).extract(turn, [], ExtractionPass.FIRST)
+    assert [(o.kind, o.content) for o in objects] == [
+        (ObjectKind.KEY_FACT, "build takes nine minutes")]
+
+
 def test_remote_extractor_rejects_non_array_reply(config):
     turn = ConversationTurn(index=0, user_text="hello there")
     transport = ScriptedTransport((200, _chat_body('{"kind": "KEY_FACT"}')))

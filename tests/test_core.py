@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import copy
+import enum
 import json
+import math
 import pickle
 import re
 
+import numpy as np
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
@@ -64,6 +67,10 @@ def test_object_computes_its_own_id():
     assert obj.id == object_id(ObjectKind.DECISION, "use redis", 3)
 
 
+class _Plain(enum.Enum):
+    HALF = 0.5
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
@@ -78,6 +85,18 @@ def test_object_computes_its_own_id():
         {"confidence": 1.0001},
         {"embedding": []},
         {"embedding": "not a list"},
+        # What no save can write: a lone surrogate, which UTF-8 cannot
+        # encode, and an embedding json refuses.
+        {"content": "use \udfff redis"},
+        {"quote": "lone \ud800 quote"},
+        {"embedding": [0.5, math.nan]},
+        {"embedding": [0.5, math.inf]},
+        {"embedding": [-math.inf, 0.5]},
+        {"embedding": [0.5, [0.25, math.nan]]},
+        {"embedding": [np.float32(0.5), np.float32(0.25)]},
+        {"embedding": [0.5, _Plain.HALF]},
+        {"embedding": [0.5, np.array([0.25, 0.5])]},
+        {"embedding": [0.5, "lone \ud800"]},
     ],
 )
 def test_object_validation_rejects_bad_fields(kwargs):

@@ -1,17 +1,19 @@
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
 import canvasmem.scoring
-from canvasmem.core import CanvasObject
+from canvasmem.core import CanvasObject, ObjectKind, Source, serialize_graph
 from canvasmem.engine import CanvasEngine, IngestReport
 from canvasmem.errors import (BackendFailureError, DimensionMismatchError, InvalidObjectError,
                               SequenceError, ZeroVectorError)
 from canvasmem.extraction import ConversationTurn, ExtractionPass, MockExtractor
 from canvasmem.scoring import MockEmbedder
 
-from conftest import CountingEmbedder, seeded_turns
+from conftest import CountingEmbedder, seeded_turns, whole_document
 
 
 def _engine(extractor=None, gleaning=True):
@@ -150,9 +152,13 @@ class _SpoilingEmbedder:
     # With no vector stored yet, the turn's first vector fixes the dimension.
     (lambda vector: vector + [0.5], DimensionMismatchError, 0),
     # The engine's check of each embedded candidate refuses an embedding
-    # that is not a list; add_object does not check.
+    # that is not a list, and one no save can write; add_object does not
+    # check.
     (np.asarray, InvalidObjectError, 1),
-], ids=["short", "zero", "first-turn", "numpy"])
+    (lambda vector: vector[:-1] + [math.nan], InvalidObjectError, 1),
+    (lambda vector: [math.inf] + vector[1:], InvalidObjectError, 1),
+    (lambda vector: [np.float32(value) for value in vector], InvalidObjectError, 1),
+], ids=["short", "zero", "first-turn", "numpy", "nan", "inf", "float32"])
 def test_an_unscorable_embedding_stores_nothing_and_the_turn_is_retryable(
         spoil, error, earlier_turns):
     turns = [
@@ -164,18 +170,49 @@ def test_an_unscorable_embedding_stores_nothing_and_the_turn_is_retryable(
     engine = CanvasEngine(MockExtractor(), embedder)
     engine.ingest(turns[1 - earlier_turns:1])
     graph = engine.graph
+    saved = serialize_graph(graph)
     before = (list(graph.rows), list(graph.edges), graph.next_turn)
     turn = turns[1] if earlier_turns else _turn(0, user=turns[1].user_text)
     with pytest.raises(error):
         engine.ingest_turn(turn)
     assert (graph.rows, graph.edges, graph.next_turn) == before
+    assert serialize_graph(graph) == whole_document(graph) == saved
     embedder.spoiling = False
     assert len(engine.ingest_turn(turn)) == 2
     clean = _engine()
     clean.ingest(turns[1 - earlier_turns:1] + [turn])
     assert graph == clean.graph
+    assert serialize_graph(graph) == whole_document(graph)
     # The graph still scores: a later query reads every row.
     assert graph.scoring_index().prepare(MockEmbedder().embed("redis"), "redis")
+
+
+class _SurrogateQuoteExtractor:
+    """Builds, on each first pass, a candidate whose quote holds a lone
+    surrogate, as an extractor decoding a JSON \\ud800 escape might."""
+
+    def extract(self, turn, prior_digest, pass_):
+        if pass_ is not ExtractionPass.FIRST:
+            return []
+        return [CanvasObject(ObjectKind.KEY_FACT, "the cache lives in redis",
+                             "lone \ud800 quote", Source.USER, turn.index)]
+
+
+def test_a_candidate_the_constructor_refuses_fails_its_turn_as_an_extractor_error():
+    engine = _engine()
+    engine.ingest_turn(_turn(0, user="KEY_FACT: the api gateway times out after 30 seconds"))
+    graph = engine.graph
+    before = (list(graph.rows), list(graph.edges))
+    engine.extractor = _SurrogateQuoteExtractor()
+    # The quote is grounded in its turn, so only the constructor refuses it.
+    assert engine.ingest_turn(_turn(1, user="the cache lives in redis: lone \ud800 quote")) == []
+    assert engine.diagnostics.failed_turns == 1
+    assert (graph.rows, graph.edges, graph.next_turn) == (*before, 2)
+    assert serialize_graph(graph) == whole_document(graph)
+    engine.extractor = MockExtractor()
+    later = _turn(2, user="DECISION: we will cache responses in redis")
+    assert len(engine.ingest_turn(later)) == 1
+    assert serialize_graph(graph) == whole_document(graph)
 
 
 def test_each_candidate_links_only_to_rows_stored_before_it():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import logging
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -40,6 +41,13 @@ def test_turn_validation():
     turn = ConversationTurn(index=0, user_text="hello")
     assert turn.text_for(Source.USER) == "hello"
     assert turn.text_for(Source.ASSISTANT) == ""
+
+
+@pytest.mark.parametrize("index", [2.5, 3.0, True, -1, "3", None])
+def test_a_turn_refuses_an_index_that_is_not_a_non_negative_int(index):
+    with pytest.raises(ValueError, match=re.escape(
+            f"turn index must be a non-negative integer, got {index!r}")):
+        ConversationTurn(index=index, user_text="hello")
 
 
 def test_quote_matches_is_normalized_substring():

@@ -79,7 +79,9 @@ CASES = {
     "integer embedding component of 5000 digits": (BASE.replace(b"0.25", b"9" * 5000),
                                                    MalformedInputError),
     "embedding component 1e400": (BASE.replace(b"0.25", b"1e400"), MalformedInputError),
-    "lone surrogate escape": (saved([0.5]).replace(b"fact 0 quote", b"fact 0 \\ud800"), "loads"),
+    # A quote no save could write back.
+    "lone surrogate escape": (saved([0.5]).replace(b"fact 0 quote", b"fact 0 \\ud800"),
+                              MalformedInputError),
     "byte order mark": (b"\xef\xbb\xbf" + BASE, MalformedInputError),
     "trailing space": (BASE + b" ", "loads"),
     "pretty-printed": (pretty(BASE), "loads"),
