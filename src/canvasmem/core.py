@@ -11,6 +11,16 @@ can always be saved. The graph is append-only: objects and edges are
 added, never mutated or removed. Stored objects are immutable by contract,
 so snapshots, which are read-only, share them.
 
+An embedding is a float64 array (array('d')), which the constructor
+converts once, in one struct pack, from the list or array it is given: an
+int or a bool component becomes its float, so 1 saves as 1.0, and a
+component that is no number, or not finite, is refused. Every layer reads
+that buffer. The scoring index views it with np.asarray, without a copy;
+a save vouches for a batch's embeddings in one numpy pass over their
+joined bytes and hands orjson a view of each; a load builds every object
+through the same constructor, so a loaded graph holds no float object per
+component, as an ingested one holds none.
+
 Persistence is incremental for the same reason. Each graph keeps the last
 document serialize_graph returned for it, one file's worth of bytes, and a
 save encodes only the records added since then, as one whole document of
@@ -56,11 +66,15 @@ import hashlib
 import json
 import math
 import re
+import struct
 import threading
+from array import array
 from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple, NoReturn, Optional
+from typing import NamedTuple, NoReturn, Optional, Sequence
+
+import numpy as np
 
 from .errors import (
     CanvasError,
@@ -118,9 +132,30 @@ def object_id(kind: ObjectKind, content: str, turn: int) -> str:
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:ID_HEX_LENGTH]
 
 
-def _is_turn(value) -> bool:
-    """Whether value is a turn number: a non-negative int, not a bool."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+# The last turn number: a turn lies in [0, 2**63) and a graph's next_turn,
+# one past its last turn, in [0, 2**63], so each is a 64-bit integer, which
+# orjson writes and parses as json does and whose digits str() can convert.
+_LAST_TURN = 2**63 - 1
+
+
+def _is_turn(value, last: int = _LAST_TURN) -> bool:
+    """Whether value is a turn number: an int in [0, last], not a bool (a
+    next_turn is checked with last = _LAST_TURN + 1)."""
+    return isinstance(value, int) and not isinstance(value, bool) and 0 <= value <= last
+
+
+def _shown(value) -> str:
+    """repr(value), except for an int past 64 bits, whose repr may hold more
+    digits than str() converts: its size then."""
+    if isinstance(value, int) and value.bit_length() > 64:
+        return f"an integer of {value.bit_length()} bits"
+    return repr(value)
+
+
+@functools.lru_cache(maxsize=16)
+def _packer(dim: int) -> struct.Struct:
+    """The struct that packs dim components as float64s."""
+    return struct.Struct(f"{dim}d")
 
 
 # A lone surrogate: the one code point a str can hold that UTF-8 cannot encode.
@@ -133,8 +168,15 @@ class CanvasObject:
 
     The constructor's validate() is the one gate for what a graph can
     hold: an object it accepts can always be saved. It refuses a content or
-    quote holding a lone surrogate and an embedding the save's encoder
-    refuses (NaN, an infinity, numpy float32, a plain Enum member, an array).
+    quote holding a lone surrogate, a turn outside [0, 2**63) and an
+    embedding that is not a non-empty list or array of finite numbers.
+
+    The gate converts the embedding once, into a float64 array the object
+    owns (array('d'), a copy when it is given an array): one struct pack
+    of the components, so an int or a bool component becomes its float
+    (1 becomes 1.0) and None, a string or a list is refused. The array
+    holds no float object per component, iterates and indexes as floats,
+    pickles, and compares by value as a list does, but never equals a list.
 
     Immutable by contract once stored. Nothing in the package writes to an
     object after building it: the engine stores a new object built from
@@ -149,7 +191,7 @@ class CanvasObject:
     source: Source
     turn: int
     confidence: float = 1.0
-    embedding: Optional[list[float]] = None
+    embedding: Optional[Sequence[float]] = None
     id: str = field(init=False)
 
     def __post_init__(self):
@@ -162,7 +204,8 @@ class CanvasObject:
         if not isinstance(self.source, Source):
             raise InvalidObjectError(f"source must be a Source, got {self.source!r}")
         if not _is_turn(self.turn):
-            raise InvalidObjectError(f"turn must be a non-negative integer, got {self.turn!r}")
+            raise InvalidObjectError(
+                f"turn must be a non-negative integer below 2**63, got {_shown(self.turn)}")
         if not isinstance(self.content, str):
             raise InvalidObjectError("content must be a string")
         if not self.content.isascii() and _SURROGATE.search(self.content):
@@ -174,22 +217,31 @@ class CanvasObject:
             raise InvalidObjectError("quote must be UTF-8 text: it holds a lone surrogate")
         if not isinstance(self.confidence, (int, float)) or isinstance(self.confidence, bool):
             raise InvalidObjectError("confidence must be a number")
-        if not 0.0 <= float(self.confidence) <= 1.0:
-            raise InvalidObjectError(f"confidence must lie in [0, 1], got {self.confidence!r}")
-        if self.embedding is not None:
-            if not isinstance(self.embedding, list) or not self.embedding:
+        if not 0.0 <= self.confidence <= 1.0:
+            raise InvalidObjectError(
+                f"confidence must lie in [0, 1], got {_shown(self.confidence)}")
+        embedding = self.embedding
+        if embedding is not None:
+            if not isinstance(embedding, (list, array)) or not embedding:
                 raise InvalidObjectError("embedding must be a non-empty list of floats or None")
-            # Finite floats, an embedder's output, sum to a finite float; the
-            # save's encoder judges any other list (numpy's warnings may raise).
+            # The pack converts each component that has a float value (a
+            # number: __float__ or __index__); None, a string or a list fails.
             try:
-                total = sum(self.embedding)
+                vector = array("d", _packer(len(embedding)).pack(*embedding))
+            except (struct.error, TypeError, ValueError, OverflowError) as exc:
+                raise InvalidObjectError(
+                    f"embedding components must convert to float64: {exc}") from exc
+            # Finite floats, an embedder's output, sum to a finite float; any
+            # other sum has the converted components tested one by one
+            # (numpy's warnings may raise).
+            try:
+                total = sum(embedding)
             except (TypeError, ValueError, ArithmeticError, RuntimeWarning):
                 total = None
-            if total.__class__ is not float or not math.isfinite(total):
-                try:
-                    _json(self.embedding).encode("utf-8")
-                except (TypeError, ValueError, RecursionError) as exc:
-                    raise InvalidObjectError(f"embedding cannot be saved as JSON: {exc}") from exc
+            if ((total.__class__ is not float or not math.isfinite(total))
+                    and not all(map(math.isfinite, vector))):
+                raise InvalidObjectError("embedding components must be finite")
+            self.embedding = vector
 
 
 class CanvasEdge(namedtuple("CanvasEdge", ("src", "dst", "kind", "weight", "origin"))):
@@ -372,9 +424,11 @@ class CanvasGraph:
 
     def mark_turn_ingested(self, index: int) -> None:
         """Advance the sequential ingestion cursor past a processed turn; an
-        index that is not a non-negative int is a ValueError that names it."""
+        index that is not a turn number, an int in [0, 2**63), is a
+        ValueError that names it."""
         if not _is_turn(index):
-            raise ValueError(f"turn index must be a non-negative integer, got {index!r}")
+            raise ValueError(
+                f"turn index must be a non-negative integer below 2**63, got {_shown(index)}")
         self.next_turn = max(self.next_turn, index + 1)
 
     def scoring_index(self) -> ScoringIndex:
@@ -429,7 +483,10 @@ class _Snapshot(CanvasGraph):
     add_edges = mark_turn_ingested = add_object
 
 
-def _object_record(obj: CanvasObject) -> dict:
+def _object_record(obj: CanvasObject, vector) -> dict:
+    """obj's record, its embedding as vector(obj.embedding) gives it to the
+    encoder: array.tolist for json, np.frombuffer for orjson."""
+    embedding = obj.embedding
     return {
         "id": obj.id,
         "kind": obj.kind.value,
@@ -438,7 +495,7 @@ def _object_record(obj: CanvasObject) -> dict:
         "source": obj.source.value,
         "turn": obj.turn,
         "confidence": obj.confidence,
-        "embedding": obj.embedding,
+        "embedding": None if embedding is None else vector(embedding),
     }
 
 
@@ -463,18 +520,14 @@ def _orjson():
 
 
 def _plain(values) -> bool:
-    """Whether orjson writes each of these values as json does: each is a
-    falsy value (0, -0.0, None, False, an empty string, list or dict, which
-    the two write alike) or a real number whose magnitude lies in
-    [1e-4, 1e16), where orjson writes a float as repr does; their
+    """Whether orjson writes each of these numbers (confidences or edge
+    weights) as json does: each is 0 or a real number whose magnitude lies
+    in [1e-4, 1e16), where orjson writes a float as repr does; their
     magnitudes' sum must lie below 1e16 too.
 
     Outside that range orjson writes a float in another form (1e16 where
-    json writes 1e+16, 0.00001 where it writes 1e-05). A value that is not a
-    number (a string or a list) fails abs() and goes to json. An object the
-    constructor accepts can always be saved; NaN, an infinity, a plain Enum
-    member or an array set on one later fails the sum, abs() or the truth
-    test and goes to json too.
+    json writes 1e+16, 0.00001 where it writes 1e-05). A value that is not
+    a number fails abs() and goes to json.
     """
     try:
         magnitudes = [*map(abs, filter(None, values))]
@@ -485,16 +538,17 @@ def _plain(values) -> bool:
 
 def _record(value) -> dict:
     """The record of a CanvasObject or of an edge tuple: orjson's default
-    hook, which builds each record as orjson writes it, and the json
-    path's builder of edge records. Anything else raises TypeError, which
-    orjson reports as it is."""
+    hook, which builds each record as orjson writes it, its embedding a
+    float64 view of the object's array, and the json path's builder of
+    edge records. Anything else raises TypeError, which orjson reports as
+    it is."""
     if isinstance(value, tuple):
         src, dst, kind, weight, origin = value
         # An enum member's _value_ is its value without the property lookup.
         return {"src": src, "dst": dst, "kind": kind._value_, "weight": weight,
                 "origin": origin._value_}
     if value.__class__ is CanvasObject:
-        return _object_record(value)
+        return _object_record(value, np.frombuffer)
     raise TypeError(f"{value.__class__.__name__} is not a record")
 
 
@@ -502,13 +556,22 @@ def _orjson_vouches(objects: list[CanvasObject], edges: list[CanvasEdge]) -> boo
     """Whether orjson, given _record as its default hook, writes these
     records as json does, unless it raises TypeError: every edge is a
     CanvasEdge (orjson writes a plain tuple as an array and never hands it
-    to the hook), and each number (an object's embedding and confidence,
-    an edge's weight) is _plain."""
+    to the hook), each confidence and edge weight is _plain, and every
+    nonzero embedding component's magnitude lies in [1e-4, 1e16).
+
+    The embeddings are float64 arrays, so one numpy pass over their joined
+    bytes tests every component of the batch; a zero, -0.0 included,
+    orjson writes as json does."""
     weights = [edge[3] for edge in edges if edge.__class__ is CanvasEdge]
-    return (len(weights) == len(edges)
-            and all(_plain(obj.embedding) for obj in objects if obj.embedding is not None)
-            and _plain([obj.confidence for obj in objects])
-            and _plain(weights))
+    if (len(weights) != len(edges) or not _plain([obj.confidence for obj in objects])
+            or not _plain(weights)):
+        return False
+    embeddings = [obj.embedding for obj in objects if obj.embedding is not None]
+    if not embeddings:
+        return True
+    values = np.frombuffer(b"".join(embeddings))
+    magnitudes = np.abs(values[values != 0])
+    return not magnitudes.size or bool(magnitudes.min() >= 1e-4 and magnitudes.max() < 1e16)
 
 
 class _Encoded(NamedTuple):
@@ -542,14 +605,15 @@ def _document(objects: list[CanvasObject], edges: list[CanvasEdge],
     """The _Encoded of the whole document holding these records and next_turn.
 
     orjson writes it in one call when it is installed, _orjson_vouches for
-    the records, it raises no TypeError (an integer past 64 bits, a float
-    subclass such as numpy.float64, or any other value it hands to
-    _record). Each record is then built by _record as orjson writes it, so
-    no list of records is held beside the document. Otherwise json encodes
-    the document from lists of the records. The two write strings alike:
-    json with ensure_ascii=False escapes only the quote, the backslash and
-    the control characters below U+0020, as orjson does, and in the same
-    forms.
+    the records and it raises no TypeError (for a value it cannot write,
+    which it hands to _record). Each record is then built by
+    _record as orjson writes it, each embedding written from a view of its
+    array, so no list of records and no float per component is held beside
+    the document. Otherwise json encodes the document from lists of the
+    records, each embedding as its array's tolist(). The two write strings
+    alike: json with ensure_ascii=False escapes only the quote, the
+    backslash and the control characters below U+0020, as orjson does, and
+    in the same forms.
 
     The object array ends at the one '],"edges":[': no string can hold
     those bytes, since JSON escapes each quote inside a string. An edge
@@ -562,12 +626,14 @@ def _document(objects: list[CanvasObject], edges: list[CanvasEdge],
     orjson = _orjson()
     if orjson is not None and _orjson_vouches(objects, edges):
         try:
-            document = orjson.dumps({**fields, "objects": objects, "edges": edges},
-                                    default=_record, option=orjson.OPT_PASSTHROUGH_DATACLASS)
+            document = orjson.dumps(
+                {**fields, "objects": objects, "edges": edges}, default=_record,
+                option=orjson.OPT_PASSTHROUGH_DATACLASS | orjson.OPT_SERIALIZE_NUMPY)
         except TypeError:
             pass
     if document is None:
-        document = _json({**fields, "objects": [_object_record(obj) for obj in objects],
+        document = _json({**fields, "objects": [_object_record(obj, array.tolist)
+                                                for obj in objects],
                           "edges": [_record(edge) for edge in edges]}).encode("utf-8")
     objects_end = document.rfind(b"]", 0, -2)
     if not document.startswith(_EDGES_KEY, objects_end):
@@ -590,18 +656,22 @@ def serialize_graph(graph: CanvasGraph) -> bytes:
     Records encode through orjson when it is installed (it is optional:
     `pip install canvasmem[fast]`), except a batch that orjson could write
     otherwise than json or that it refuses: a float outside
-    1e-4 <= |x| < 1e16, an embedding component that is neither a number
-    nor falsy, an integer past 64 bits, a float subclass such as
-    numpy.float64, or an edge that is not a CanvasEdge. json encodes that
-    batch, so the bytes are the same either way.
+    1e-4 <= |x| < 1e16, or an edge that is not a CanvasEdge. Every
+    embedding is a float64 array, which orjson writes from a numpy view of
+    it and json from its tolist(), so an int component saves as a float
+    (1.0), and a save vouches for a batch's embeddings in one numpy pass
+    over their joined bytes. json encodes a batch orjson cannot vouch for,
+    so the bytes are the same either way.
 
     Every record can be saved: CanvasObject and CanvasEdge refuse, when
-    built, any other. A next_turn a load would refuse raises ValueError
-    before the cache is read, which is replaced in one assignment.
+    built, any other. A next_turn a load would refuse (one that is not an
+    int in [0, 2**63]) raises ValueError before the cache is read, which is
+    replaced in one assignment.
     """
     next_turn = graph.next_turn
-    if not _is_turn(next_turn):
-        raise ValueError(f"next_turn must be a non-negative integer, got {next_turn!r}")
+    if not _is_turn(next_turn, _LAST_TURN + 1):
+        raise ValueError(
+            f"next_turn must be a non-negative integer not above 2**63, got {_shown(next_turn)}")
     cached = graph._encoded
     if len(graph.rows) < cached.objects or len(graph.edges) < cached.edges:
         cached = _NOTHING_ENCODED
@@ -653,16 +723,20 @@ def _require(condition: bool, message: str) -> None:
 
 
 def _build(next_turn: int, object_records, edge_records) -> CanvasGraph:
-    """A graph of the records, which each path has parsed.
+    """A graph of the records, which each path has parsed, and next_turn.
 
     An object whose quote equals its content is built with one string for
-    both. One loop builds each edge, its ends the stored objects' own id
-    strings (found with one dict lookup each; an end naming no stored
-    object, or not a str, stays as parsed), refuses a repeated edge[:3]
-    with a set that is dropped on return, and appends it; one _check_edges
-    call, as in add_edges, then checks the ends of them all. The scoring
-    index is left to catch up the first time the graph is read."""
-    graph = CanvasGraph()
+    both. Every embedding must have the first stored embedding's length,
+    so that the scoring index can hold them all. One loop builds each edge,
+    its ends the stored objects' own id strings (found with one dict lookup
+    each; an end naming no stored object, or not a str, stays as parsed),
+    refuses a repeated edge[:3] with a set that is dropped on return, and
+    appends it; one _check_edges call, as in add_edges, then checks the
+    ends of them all. The scoring index is left to catch up the first time
+    the graph is read."""
+    _require(_is_turn(next_turn, _LAST_TURN + 1),
+             "next_turn must be a non-negative integer not above 2**63")
+    graph, dim = CanvasGraph(), None
     for raw in object_records:
         _require(isinstance(raw, dict), "each object must be a JSON object")
         try:
@@ -683,6 +757,13 @@ def _build(next_turn: int, object_records, edge_records) -> CanvasGraph:
             raise MalformedInputError(
                 f"object id {raw.get('id')!r} does not match its content hash"
             )
+        embedding = obj.embedding
+        if embedding is not None and len(embedding) != dim:
+            if dim is not None:
+                raise MalformedInputError(
+                    f"invalid object record: object {obj.id} has {len(embedding)} embedding "
+                    f"components, where the first stored embedding has {dim}")
+            dim = len(embedding)
         if graph.add_object(obj) is not AddResult.ADDED:
             raise MalformedInputError(f"duplicate object id {obj.id}")
     edges, keys = graph.edges, set()
@@ -731,9 +812,7 @@ def _stdlib_load(data: bytes) -> CanvasGraph:
         raise VersionMismatchError(f"unsupported graph version {version!r}")
     _require(isinstance(doc.get("objects"), list), "objects must be a list")
     _require(isinstance(doc.get("edges"), list), "edges must be a list")
-    next_turn = doc.get("next_turn")
-    _require(_is_turn(next_turn), "next_turn must be a non-negative integer")
-    return _build(next_turn, doc["objects"], doc["edges"])
+    return _build(doc.get("next_turn"), doc["objects"], doc["edges"])
 
 
 class _NotCanonical(Exception):
@@ -783,25 +862,6 @@ def _fast_records(orjson, data: bytes, start: int, end: int, cut: bytes, keys: i
         start = stop + 1
 
 
-# Below this norm no embedding component is infinite, as a JSON number too
-# large for a double (1e400) parses to, and every integer component lies
-# within 64 bits, where orjson parses an integer literal as an int, as json
-# does; past 64 bits orjson hands back a float.
-_EMBEDDING_NORM_BOUND = float(2**63)
-
-
-def _small_embedding(record: dict) -> dict:
-    """record, unless its embedding's norm is not below _EMBEDDING_NORM_BOUND
-    (or it is not a list of numbers): the stdlib load then runs."""
-    embedding = record.get("embedding")
-    try:
-        if embedding is None or math.hypot(*embedding) < _EMBEDDING_NORM_BOUND:
-            return record
-    except (TypeError, OverflowError):
-        pass
-    raise _NotCanonical
-
-
 def _fast_load(orjson, data: bytes) -> CanvasGraph:
     """deserialize_graph through orjson, for a file laid out as
     serialize_graph writes it; _NotCanonical, or any error the parse or the
@@ -815,7 +875,7 @@ def _fast_load(orjson, data: bytes) -> CanvasGraph:
     objects = _fast_records(orjson, data, header.end(), split, _OBJECT_CUT, _OBJECT_KEYS)
     edges = _fast_records(orjson, data, split + len(_EDGES_KEY), len(data) - 2, _EDGE_CUT,
                           _EDGE_KEYS)
-    return _build(int(header[1]), map(_small_embedding, objects), edges)
+    return _build(int(header[1]), objects, edges)
 
 
 def deserialize_graph(data: bytes | bytearray | memoryview) -> CanvasGraph:
@@ -824,9 +884,15 @@ def deserialize_graph(data: bytes | bytearray | memoryview) -> CanvasGraph:
 
     Raises TypeError on anything not bytes-like (a str, say),
     MalformedInputError on truncation, schema violations, nesting too deep
-    to parse or a record CanvasObject refuses (a quote holding the escape
-    \\ud800, or 1e400, which parses to infinity), and VersionMismatchError
-    on an unsupported version number. A loaded graph can always be saved.
+    to parse, a record CanvasObject refuses (a quote holding the escape
+    \\ud800, an embedding component that is null, a string or 1e400, which
+    parses to infinity) or an embedding whose length differs from the first
+    stored one's, and VersionMismatchError on an unsupported version
+    number. A loaded graph can always be saved.
+
+    Each object's constructor converts its parsed embedding into a float64
+    array, the same gate an ingest passes, so a loaded graph holds no float
+    object per component, and every stored component is a finite float64.
 
     When orjson is installed (it is optional: `pip install canvasmem[fast]`),
     a file laid out as serialize_graph writes it loads through orjson first:
@@ -834,13 +900,14 @@ def deserialize_graph(data: bytes | bytearray | memoryview) -> CanvasGraph:
     64 KB cut at record boundaries, each chunk's records built and dropped
     before the next is parsed. That path gives up, and the stdlib json path
     loads the whole file instead, whose result or exception is final, on any
-    orjson error, a record whose key count is not a saved record's, an
-    embedding whose norm is not below 2**63 (where the two parsers could read
-    a number differently), or any error while building the graph. The two
-    paths give equal graphs, except that a valid file nested deeper than the
-    stdlib parser's recursion limit allows, in a value the loader ignores (a
-    duplicated key's earlier value, or an extra key of an object record that
-    has no embedding), loads only through orjson.
+    orjson error, a record whose key count is not a saved record's, or any
+    error while building the graph. An integer literal past 64 bits, which
+    orjson reads as a float and json as an int, is the same float64 once
+    the constructor converts it, so embeddings need no test of their own.
+    The two paths give equal graphs, except that a valid file nested deeper
+    than the stdlib parser's recursion limit allows, in a value the loader
+    ignores (a duplicated key's earlier value, or an extra key of an object
+    record that has no embedding), loads only through orjson.
     """
     if not isinstance(data, bytes):
         try:

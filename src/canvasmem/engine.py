@@ -4,10 +4,11 @@ The engine owns the graph and is the single writer. A turn that makes the
 extractor backend fail is logged, counted, and skipped; ingestion continues
 with the next turn. An embedder error propagates before anything of the turn
 is stored, and so do the InvalidObjectError of a stored object's constructor
-(an embedding that is not a list, or that no save could write: a NaN, an
-infinity, numpy float32 components) and the scoring index's typed error
-for an embedding it could not score (a vector of another dimension than the
-stored ones, or a zero vector), so the same turn can be retried. An
+(an embedding that is not a list, a component that is no number, such as
+None or a string, or one no save could write: a NaN, an infinity) and the
+scoring index's typed error for an embedding it could not score (a vector
+of another dimension than the stored ones, or a zero vector), so the same
+turn can be retried. An
 extractor that builds a candidate the constructor refuses (a quote holding
 a lone surrogate) fails its turn as any extractor error does. So every
 object the engine stores can be saved.
@@ -18,9 +19,10 @@ embedding, so a candidate is left as the extractor returned it and a
 stored object is checked once, by its own constructor: add_object stores
 it unchecked.
 
-Each object's embedding is converted to a float64 vector and norm once,
-by check_vectors, and a stored object's index row is written from that
-pair. Objects are stored, indexed and linked one at a time, in the
+Each object's embedding is converted to a float64 array once, by its
+constructor; check_vectors views that array, without a copy, as the
+vector whose norm it computes, and a stored object's index row is written
+from that pair. Objects are stored, indexed and linked one at a time, in the
 extractor's order, so a candidate links only to the rows stored before it.
 A link's edges join the graph and its index in one add_edges call.
 

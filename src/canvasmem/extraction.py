@@ -21,7 +21,8 @@ from enum import Enum
 from functools import lru_cache
 from typing import Protocol, Sequence, runtime_checkable
 
-from .core import CanvasGraph, CanvasObject, ObjectKind, Source, _is_turn, normalize_text
+from .core import (CanvasGraph, CanvasObject, ObjectKind, Source, _is_turn, _shown,
+                   normalize_text)
 from .errors import BackendFailureError, SequenceError
 
 logger = logging.getLogger(__name__)
@@ -50,7 +51,8 @@ class ConversationTurn:
 
     def __post_init__(self):
         if not _is_turn(self.index):
-            raise ValueError(f"turn index must be a non-negative integer, got {self.index!r}")
+            raise ValueError("turn index must be a non-negative integer below 2**63, "
+                             f"got {_shown(self.index)}")
         if not isinstance(self.user_text, str) or not isinstance(self.assistant_text, str):
             raise ValueError("turn texts must be strings")
         if not self.user_text.strip() and not self.assistant_text.strip():

@@ -118,7 +118,8 @@ def token_set(text: str) -> frozenset[str]:
 
 def _vector(embedding, dim: Optional[int]) -> tuple[np.ndarray, float]:
     """The float64 vector and its norm. Raises what cosine_sim raises when it
-    scores the vector against one of dimension dim (of its own, if None)."""
+    scores the vector against one of dimension dim (of its own, if None).
+    A stored object's embedding, a float64 array, is viewed, not copied."""
     vec = np.asarray(embedding, dtype=np.float64)
     if vec.ndim != 1 or (dim is not None and vec.shape[0] != dim):
         raise DimensionMismatchError(f"vector shapes differ: {vec.shape} vs ({dim},)")

@@ -104,7 +104,7 @@ def whole_document(graph: CanvasGraph) -> bytes:
                 "source": obj.source.value,
                 "turn": obj.turn,
                 "confidence": obj.confidence,
-                "embedding": obj.embedding,
+                "embedding": None if obj.embedding is None else list(obj.embedding),
             }
             for obj in graph.objects.values()
         ],

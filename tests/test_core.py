@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import copy
 import enum
+import gc
 import json
 import math
 import pickle
 import re
+from array import array
 
 import numpy as np
 import pytest
@@ -27,10 +29,12 @@ from canvasmem.core import (
     object_id,
     serialize_graph,
 )
+from canvasmem.engine import CanvasEngine
 from canvasmem.errors import InvalidObjectError, MalformedInputError, VersionMismatchError
-from canvasmem.extraction import prior_digest
+from canvasmem.extraction import ConversationTurn, MockExtractor, prior_digest
+from canvasmem.scoring import MockEmbedder
 
-from conftest import graph_of, load_both_ways, make_obj
+from conftest import graph_of, load_both_ways, make_obj, seeded_turns
 
 # Every save and every load in these tests runs with the orjson path on
 # and forced off.
@@ -93,10 +97,20 @@ class _Plain(enum.Enum):
         {"embedding": [0.5, math.inf]},
         {"embedding": [-math.inf, 0.5]},
         {"embedding": [0.5, [0.25, math.nan]]},
-        {"embedding": [np.float32(0.5), np.float32(0.25)]},
         {"embedding": [0.5, _Plain.HALF]},
         {"embedding": [0.5, np.array([0.25, 0.5])]},
         {"embedding": [0.5, "lone \ud800"]},
+        # What the scoring index could not score, and what no float64 holds.
+        {"embedding": [0.5, None]},
+        {"embedding": [0.5, [0.25]]},
+        {"embedding": [0.5, 10**400]},
+        {"embedding": array("u", "ab")},
+        {"embedding": array("d")},
+        {"embedding": (0.5, 0.25)},
+        # What no 64-bit integer holds, and a number no float holds.
+        {"turn": 2**63},
+        {"turn": 10**5000},
+        {"confidence": 10**400},
     ],
 )
 def test_object_validation_rejects_bad_fields(kwargs):
@@ -218,6 +232,60 @@ def test_mark_turn_ingested_refuses_an_index_that_is_not_a_non_negative_int(inde
     assert graph.next_turn == 3
     assert serialize_graph(graph) == data
     assert deserialize_graph(data) == graph
+
+
+@pytest.mark.parametrize("turn, shown", [
+    (2**63, "9223372036854775808"), (-2**63, "-9223372036854775808"),
+    (10**5000, "an integer of 16610 bits"),
+], ids=["2**63", "-2**63", "10**5000"])
+def test_a_turn_outside_64_bits_is_refused_alike_by_the_constructor_and_the_turn_cursor(turn,
+                                                                                       shown):
+    # The save and the load refuse the next_turn past it (test_fast_save,
+    # test_fast_load); a repr of 5000 digits would itself raise.
+    with pytest.raises(InvalidObjectError, match=re.escape(
+            f"turn must be a non-negative integer below 2**63, got {shown}")):
+        make_obj(turn=turn)
+    graph = _sample_graph()
+    data = serialize_graph(graph)
+    with pytest.raises(ValueError, match=re.escape(
+            f"turn index must be a non-negative integer below 2**63, got {shown}")):
+        graph.mark_turn_ingested(turn)
+    assert serialize_graph(graph) == data
+    with pytest.raises(ValueError, match=re.escape(
+            f"turn index must be a non-negative integer below 2**63, got {shown}")):
+        ConversationTurn(turn, "hello")
+
+
+def test_the_last_turn_saves_and_loads_both_ways_stored_or_marked():
+    stored = graph_of(make_obj(turn=2**63 - 1))
+    marked = _sample_graph()
+    marked.mark_turn_ingested(2**63 - 1)
+    for graph in (stored, marked):
+        assert graph.next_turn == 2**63
+        assert deserialize_graph(serialize_graph(graph)) == graph
+
+
+def test_the_constructor_keeps_its_own_float64_copy_of_an_embedding():
+    given = array("d", [0.5, 0.25])
+    obj = make_obj(embedding=given)
+    assert obj.embedding == given and obj.embedding is not given
+    given[0] = 0.75
+    assert obj.embedding == array("d", [0.5, 0.25])
+    # An array of another type converts as a list does.
+    assert make_obj(embedding=array("i", [1, 0])).embedding == array("d", [1.0, 0.0])
+
+
+def test_ingested_and_loaded_objects_hold_float64_arrays_that_refer_to_no_float():
+    # No float object per component: the collector, which tracks an array
+    # (a heap type since Python 3.10), finds one reference in it, its type,
+    # where a loaded list held 256.
+    engine = CanvasEngine(MockExtractor(), MockEmbedder())
+    engine.ingest(seeded_turns(5, 30))
+    loaded = deserialize_graph(serialize_graph(engine.graph))
+    assert loaded == engine.graph and len(loaded.rows) > 20
+    for obj in engine.graph.rows + loaded.rows:
+        assert type(obj.embedding) is array and obj.embedding.typecode == "d"
+        assert len(obj.embedding) == 256 and gc.get_referents(obj.embedding) == [array]
 
 
 def test_add_edge_requires_stored_endpoints():

@@ -152,13 +152,14 @@ class _SpoilingEmbedder:
     # With no vector stored yet, the turn's first vector fixes the dimension.
     (lambda vector: vector + [0.5], DimensionMismatchError, 0),
     # The engine's check of each embedded candidate refuses an embedding
-    # that is not a list, and one no save can write; add_object does not
-    # check.
+    # that is not a list, one no save can write, and a component that is no
+    # number; add_object does not check.
     (np.asarray, InvalidObjectError, 1),
     (lambda vector: vector[:-1] + [math.nan], InvalidObjectError, 1),
     (lambda vector: [math.inf] + vector[1:], InvalidObjectError, 1),
-    (lambda vector: [np.float32(value) for value in vector], InvalidObjectError, 1),
-], ids=["short", "zero", "first-turn", "numpy", "nan", "inf", "float32"])
+    (lambda vector: vector[:-1] + [None], InvalidObjectError, 1),
+    (lambda vector: ["a word"] + vector[1:], InvalidObjectError, 1),
+], ids=["short", "zero", "first-turn", "numpy", "nan", "inf", "none", "string"])
 def test_an_unscorable_embedding_stores_nothing_and_the_turn_is_retryable(
         spoil, error, earlier_turns):
     turns = [
@@ -288,4 +289,4 @@ def test_ingest_writes_to_no_candidate():
     assert added == engine.graph.rows and len(added) == 2
     assert not any(obj is candidate for obj in added for candidate in candidates)
     assert [obj.id for obj in added] == [obj.id for obj in candidates]
-    assert all(obj.embedding == MockEmbedder().embed(obj.content) for obj in added)
+    assert all(list(obj.embedding) == MockEmbedder().embed(obj.content) for obj in added)

@@ -46,7 +46,7 @@ def test_turn_validation():
 @pytest.mark.parametrize("index", [2.5, 3.0, True, -1, "3", None])
 def test_a_turn_refuses_an_index_that_is_not_a_non_negative_int(index):
     with pytest.raises(ValueError, match=re.escape(
-            f"turn index must be a non-negative integer, got {index!r}")):
+            f"turn index must be a non-negative integer below 2**63, got {index!r}")):
         ConversationTurn(index=index, user_text="hello")
 
 

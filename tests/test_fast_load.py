@@ -67,18 +67,47 @@ def with_id(data: bytes, value: bytes) -> bytes:
 # (input, what both paths do with it: "loads" or the exception type)
 CASES = {
     "canonical": (BASE, "loads"),
-    "turn 2**64": (saved([0.5, 0.25], turns=[2**64]), "loads"),
+    # A turn lies below 2**63 and next_turn at most at 2**63; past 64 bits
+    # orjson reads an integer as a float, and the constructor refuses both.
+    "turn 2**63 - 1": (saved([0.5, 0.25], turns=[2**63 - 1]), "loads"),
+    "turn 2**63": (saved([0.5, 0.25], turns=[2**63 - 1]).replace(
+        b'"turn":%d,' % (2**63 - 1), b'"turn":%d,' % 2**63), MalformedInputError),
+    "turn 2**64": (BASE.replace(b'"turn":0,', b'"turn":%d,' % 2**64), MalformedInputError),
     "version 2**64": (BASE.replace(b'"version":1', b'"version":%d' % 2**64, 1),
                       VersionMismatchError),
-    "next_turn 2**70": (BASE.replace(b'"next_turn":3', b'"next_turn":%d' % 2**70, 1), "loads"),
+    "next_turn 2**63": (BASE.replace(b'"next_turn":3', b'"next_turn":%d' % 2**63, 1), "loads"),
+    "next_turn 2**63 + 1": (BASE.replace(b'"next_turn":3', b'"next_turn":%d' % (2**63 + 1), 1),
+                            MalformedInputError),
+    "next_turn 2**70": (BASE.replace(b'"next_turn":3', b'"next_turn":%d' % 2**70, 1),
+                        MalformedInputError),
     # Past int's 4300-digit string conversion limit.
     "next_turn of 5000 digits": (BASE.replace(b'"next_turn":3', b'"next_turn":' + b"9" * 5000, 1),
                                  MalformedInputError),
-    "integer embedding component 10**40": (saved([10**40, 0.5]), "loads"),
+    # Past 64 bits orjson reads an integer as a float and json as an int;
+    # the constructor converts either to the same float64, rounded to even
+    # (2**64 + 2**11 lies halfway between two doubles).
+    "integer embedding component 10**40": (BASE.replace(b"0.25", b"%d" % 10**40), "loads"),
+    "integer embedding component 2**64 + 2**11": (
+        BASE.replace(b"0.25", b"%d" % (2**64 + 2**11)), "loads"),
+    "integer embedding component 2**64 + 2**11 + 1": (
+        BASE.replace(b"0.25", b"%d" % (2**64 + 2**11 + 1)), "loads"),
     "embedding component 1e20": (saved([1e20, 0.5]), "loads"),
     "integer embedding component of 5000 digits": (BASE.replace(b"0.25", b"9" * 5000),
                                                    MalformedInputError),
+    "integer embedding component 10**400": (BASE.replace(b"0.25", b"%d" % 10**400),
+                                            MalformedInputError),
     "embedding component 1e400": (BASE.replace(b"0.25", b"1e400"), MalformedInputError),
+    # Components the scoring index could not score, which the constructor
+    # refuses, and an embedding of another length than the first stored
+    # one; an object without an embedding is no such length.
+    "null embedding component": (BASE.replace(b"0.25", b"null"), MalformedInputError),
+    "string embedding component": (BASE.replace(b"0.25", b'"a word"'), MalformedInputError),
+    "nested embedding": (BASE.replace(b"[0.5,0.25]", b"[[0.5],[0.25]]"), MalformedInputError),
+    "first embedding shorter": (BASE.replace(b"[0.5,0.25]", b"[0.5]"), MalformedInputError),
+    "later embedding longer": (BASE.replace(b"[1.0,0.0]", b"[1.0,0.0,0.0]"),
+                               MalformedInputError),
+    "no embedding beside two-component ones": (
+        BASE.replace(b'"embedding":[1.0,0.0]', b'"embedding":null'), "loads"),
     # A quote no save could write back.
     "lone surrogate escape": (saved([0.5]).replace(b"fact 0 quote", b"fact 0 \\ud800"),
                               MalformedInputError),
@@ -107,10 +136,11 @@ CASES = {
         "loads"),
     "edges key inside an edge's extra": (
         BASE.replace(b'"origin":', b'"extra":{"a":[1],"edges":[2]},"origin":'), "loads"),
-    "nested embedding": (saved([[0.5], [0.25]]), "loads"),
     "no objects": (saved(), "loads"),
     "no objects, one edge": (
         saved().replace(b'"edges":[]', BASE[BASE.index(b'"edges":['):-1]), MalformedInputError),
+    "confidence 10**400": (BASE.replace(b'"confidence":1.0', b'"confidence":%d' % 10**400, 1),
+                           MalformedInputError),
     "edge weight 10**30": (BASE.replace(b'"weight":0.5', b'"weight":%d' % 10**30, 1),
                            MalformedInputError),
     "truncated": (BASE[:-3], MalformedInputError),
@@ -228,6 +258,9 @@ decimal_literal = st.from_regex(
 @example("1.7976931348623157e308")
 @example("1.7976931348623158079e308")
 @example("1.7976931348623159e308")
+# 2**64 + 2**11 and one past it: halfway between two doubles, and just above.
+@example("18446744073709553664")
+@example("18446744073709553665")
 def test_orjson_parses_a_number_literal_to_the_value_json_does(literal):
     expected = json.loads(literal)
     if isinstance(expected, float) and math.isinf(expected):
@@ -236,10 +269,11 @@ def test_orjson_parses_a_number_literal_to_the_value_json_does(literal):
         with pytest.raises(orjson.JSONDecodeError):
             orjson.loads(literal)
     elif isinstance(expected, int) and not -2**63 <= expected < 2**64:
-        # Past 64 bits orjson reads an integer as a float (or raises when
-        # it overflows one); the loader's norm bound keeps such a number
-        # off the orjson path.
-        assert not isinstance(orjson.loads(literal), int)
+        # Past 64 bits orjson reads an integer as a float, rounded as
+        # float() rounds json's int, so the constructor stores the same
+        # float64 either way.
+        value = orjson.loads(literal)
+        assert type(value) is float and value.hex() == float(expected).hex()
     else:
         value = orjson.loads(literal)
         assert type(value) is type(expected)

@@ -16,6 +16,9 @@ import json
 import math
 import re
 import tracemalloc
+from array import array
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -100,21 +103,17 @@ def test_a_float_orjson_writes_in_another_form_saves_as_json_writes_it(value, wr
         assert written in data
 
 
-def test_a_turn_past_64_bits_saves_as_json_writes_it():
-    graph = pair(turn=2**64)
-    assert not one_call(graph)
+def test_the_last_turn_saves_in_one_call_and_loads_both_ways():
+    # A turn lies below 2**63 and next_turn at most at 2**63: 64-bit
+    # integers, which orjson writes as json does.
+    graph = pair(turn=2**63 - 2)
+    assert graph.next_turn == 2**63
+    assert one_call(graph) is (orjson is not None)
     data = save_both_ways(graph)
     assert data == whole_document(graph)
-    assert b'"turn":18446744073709551616,' in data
-
-
-@pytest.mark.parametrize("component", [True, False, None, 3, 2**70, "a word", [0.5, [1e-05]],
-                                       [], {}],
-                         ids=["true", "false", "None", "int", "big int", "str", "nested list",
-                              "empty list", "empty dict"])
-def test_a_component_that_is_not_a_float_saves_as_json_writes_it(component):
-    graph = pair(embedding=[0.5, component])
-    assert save_both_ways(graph) == whole_document(graph)
+    assert b'"next_turn":9223372036854775808,' in data
+    assert b'"turn":9223372036854775807,' in data
+    assert load_both_ways(data) == graph
 
 
 class Plain(enum.Enum):
@@ -126,11 +125,28 @@ class Level(enum.IntEnum):
 
 
 def test_a_numpy_float64_saves_as_json_writes_it():
+    # orjson writes a numpy float64 confidence or weight, as it writes an
+    # embedding's float64 view, in the form json writes a float.
     for graph in (pair(embedding=[0.5, np.float64(0.25)]), pair(confidence=np.float64(0.75)),
                   pair(weight=np.float64(0.125))):
-        assert not one_call(graph)
+        assert one_call(graph) is (orjson is not None)
         data = save_both_ways(graph)
         assert data == whole_document(graph)
+
+
+@pytest.mark.parametrize("embeddings", [
+    [[0.5, 1e-05], [0.25, 0.5]], [[0.5, 0.25], [1e16, 0.5]], [[0.5, 0.25], [-5e-324, 0.5]],
+], ids=["1e-05 first", "1e16 last", "subnormal last"])
+def test_a_batch_holding_one_component_outside_the_plain_range_saves_as_json_writes_it(
+        embeddings):
+    # The one numpy pass over the batch's joined embeddings finds the one
+    # component orjson would write in another form, and the whole batch
+    # goes to json.
+    graph = CanvasGraph()
+    for turn, embedding in enumerate(embeddings):
+        graph.add_object(make_obj(content=f"fact {turn}", turn=turn, embedding=embedding))
+    assert not one_call(graph)
+    assert save_both_ways(graph) == whole_document(graph)
 
 
 def test_control_characters_and_line_separators_save_as_json_writes_them():
@@ -204,11 +220,38 @@ COMPONENTS = st.recursive(NUMBERS | st.none() | ANY_TEXT,
 # Lists of numbers alone, as an embedder returns, and lists of anything.
 EMBEDDINGS = (st.none() | st.lists(NUMBERS, min_size=1, max_size=4)
               | st.lists(COMPONENTS, min_size=1, max_size=4))
+# A component of each kind, each an explicit example of the property below:
+# the constructor stores the float of each of the first row, and refuses
+# each of the second.
+STORED = [3, True, False, 2**70, Fraction(1, 3), Decimal("0.1"), np.float32(0.1),
+          np.float64(0.25), Level.TWO, -0.0, 5e-324, 1e-5, 1e16]
+REFUSED = [None, "a word", [0.5], math.nan, math.inf, -math.inf, 10**400, Decimal("1e400"),
+           Plain.HALF]
+
+
+def each_component(test):
+    """test, with one explicit example per component of STORED and REFUSED,
+    each the second component of a plain embedding."""
+    for component in STORED + REFUSED:
+        test = example(content="c", quote="q", embedding=[0.5, component], confidence=1.0,
+                       weight=0.5, incremental=False)(test)
+    return test
+
+
+@pytest.mark.parametrize("component", STORED + REFUSED, ids=repr)
+def test_the_constructor_stores_the_float_of_a_number_and_refuses_the_rest(component):
+    if any(component is refused for refused in REFUSED):
+        with pytest.raises(InvalidObjectError):
+            make_obj(embedding=[0.5, component])
+    else:
+        stored = make_obj(embedding=[0.5, component]).embedding
+        assert stored.typecode == "d" and stored[1].hex() == float(component).hex()
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(content=ANY_TEXT, quote=ANY_TEXT.filter(str.strip), embedding=EMBEDDINGS,
        confidence=st.floats(0.0, 1.0), weight=st.floats(0.0, 1.0), incremental=st.booleans())
+@each_component
 @example(content="c", quote="q", embedding=[1e-4, math.nextafter(1e-4, 0)], confidence=1e-4,
          weight=math.nextafter(1e-4, 0), incremental=False)
 @example(content="c", quote="q", embedding=[1e16, math.nextafter(1e16, 0)], confidence=1.0,
@@ -219,11 +262,14 @@ EMBEDDINGS = (st.none() | st.lists(NUMBERS, min_size=1, max_size=4)
          incremental=True)
 def test_an_object_the_constructor_accepts_saves_and_loads_alike_both_ways(
         content, quote, embedding, confidence, weight, incremental):
-    # Either the constructor refuses the object, or a graph holding it saves
-    # to the oracle's bytes both ways, in one save or after an earlier one,
-    # and loads back equal through both load paths.
+    # Either the constructor refuses the object, or it holds the float64 of
+    # each component, and a graph holding it saves to the oracle's bytes
+    # both ways, in one save or after an earlier one, and loads back equal
+    # through both load paths.
     graph = CanvasGraph()
-    plain = make_obj(content="redis runs on node 2", turn=1, embedding=[1.0, 0.0])
+    dim = 2 if embedding is None else len(embedding)
+    plain = make_obj(content="redis runs on node 2", turn=1,
+                     embedding=[1.0] + [0.0] * (dim - 1))
     graph.add_object(plain)
     if incremental:
         save_both_ways(graph)
@@ -232,6 +278,9 @@ def test_an_object_the_constructor_accepts_saves_and_loads_alike_both_ways(
                        embedding=embedding)
     except InvalidObjectError:
         return
+    if embedding is not None:
+        assert type(obj.embedding) is array and obj.embedding.typecode == "d"
+        assert [x.hex() for x in obj.embedding] == [float(x).hex() for x in embedding]
     graph.add_object(obj)
     graph.add_edge(CanvasEdge(obj.id, plain.id, EdgeKind.CAUSAL, weight,
                               EdgeOrigin.TEMPORAL_HEURISTIC))
@@ -390,8 +439,11 @@ def test_a_full_save_finds_the_edge_array_past_an_id_holding_a_bracket():
     assert save_both_ways(graph) == whole_document(graph)
 
 
-@pytest.mark.parametrize("next_turn", [1e16, True, -1])
-def test_a_next_turn_a_load_refuses_is_refused_by_a_save(next_turn):
+@pytest.mark.parametrize("next_turn, shown", [
+    (1e16, "1e+16"), (True, "True"), (-1, "-1"), (2**63 + 1, "9223372036854775809"),
+    (10**5000, "an integer of 16610 bits"),
+], ids=["1e+16", "True", "-1", "2**63 + 1", "10**5000"])
+def test_a_next_turn_a_load_refuses_is_refused_by_a_save(next_turn, shown):
     # mark_turn_ingested refuses each of these, but the attribute can still
     # be set to one. A graph with nothing cached, and one whose cache holds
     # a full save with a record added since.
@@ -402,7 +454,7 @@ def test_a_next_turn_a_load_refuses_is_refused_by_a_save(next_turn):
     for graph in (fresh, saved):
         cached = graph._encoded
         graph.next_turn = next_turn
-        message = f"next_turn must be a non-negative integer, got {next_turn!r}"
+        message = f"next_turn must be a non-negative integer not above 2**63, got {shown}"
         with pytest.raises(ValueError, match=re.escape(message)):
             save_both_ways(graph)
         assert graph._encoded is cached

@@ -105,7 +105,14 @@ def test_every_save_of_every_graph_and_twin_equals_the_oracle(ops):
         elif op[0] == "save":
             assert_saves_like_oracle(graph)
         elif op[0] == "load":
-            writable.append(deserialize_graph(assert_saves_like_oracle(graph)))
+            data = assert_saves_like_oracle(graph)
+            if len({len(obj.embedding) for obj in graph.rows if obj.embedding is not None}) > 1:
+                # add_object stores embeddings of any length, which no
+                # scoring index can hold together; a load refuses them.
+                with pytest.raises(MalformedInputError, match="embedding components, where"):
+                    deserialize_graph(data)
+                continue
+            writable.append(deserialize_graph(data))
             graphs.append(writable[-1])
         else:
             graphs.append(graph.snapshot())
@@ -231,8 +238,8 @@ def test_a_graph_file_holding_a_number_too_large_for_a_double_is_malformed(numbe
     graph = CanvasGraph()
     graph.add_object(make_obj(content="the cache lives in redis", turn=0, embedding=[0.5, 0.25]))
     data = serialize_graph(graph)
-    with pytest.raises(MalformedInputError, match="^invalid object record: embedding cannot be "
-                                                  "saved as JSON: Out of range float values"):
+    with pytest.raises(MalformedInputError,
+                       match="^invalid object record: embedding components must be finite$"):
         deserialize_graph(data.replace(b"0.25", number.encode()))
 
 
@@ -251,15 +258,15 @@ def test_a_graph_file_whose_text_holds_a_lone_surrogate_escape_is_malformed(fiel
         deserialize_graph(data.replace(key, key + b"\\ud800"))
 
 
-@pytest.mark.parametrize("component", [1e308, "a word"])
+@pytest.mark.parametrize("component", [1e308])
 def test_an_embedding_whose_sum_is_not_finite_loads_when_no_component_is_infinite(component):
-    # 1e308 + 1e308 overflows, so the load reads the components; a word is
-    # not a number, and the scoring index reports it as it always has.
+    # 1e308 + 1e308 overflows, so the load reads the components. A word
+    # is no number, which the constructor refuses (test_fast_load).
     graph = CanvasGraph()
     graph.add_object(make_obj(content="the cache lives in redis", turn=0,
                               embedding=[1e308, component]))
     loaded = deserialize_graph(serialize_graph(graph))
-    assert loaded.rows[0].embedding == [1e308, component]
+    assert list(loaded.rows[0].embedding) == [1e308, component]
 
 
 def test_a_graph_holding_fewer_records_than_its_cache_encodes_from_scratch():

@@ -423,7 +423,7 @@ def test_a_malformed_rerank_reply_does_not_crash_the_query(reply, caplog):
 def test_coarse_retrieve_breaks_ties_on_turns_past_2_62():
     # Scores and confidences tie, so turn decides, also for turns the index
     # stores capped at 2**62 in its turn column.
-    turns = (2**63, 2**62 + 1, 7, 2**62, 2**64)
+    turns = (2**63 - 2, 2**62 + 1, 7, 2**62, 2**63 - 1)
     objects = [make_obj(content=f"equal item {i}", turn=turn, embedding=axis(0))
                for i, turn in enumerate(turns)]
     graph = graph_of(*objects)

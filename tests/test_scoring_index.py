@@ -970,7 +970,7 @@ def test_out_of_turn_order_graphs_link_like_the_oracle(objects, keyword_edge_min
     assert screened.edges == oracle.edges
 
 
-@pytest.mark.parametrize("turn", [5, 2**64])
+@pytest.mark.parametrize("turn", [5, 2**63 - 2])
 @pytest.mark.parametrize("window", [1, 3])
 def test_temporal_window_edges_link_like_the_oracle(turn, window):
     # Orthogonal vectors and no shared tokens: only R3 can link.
@@ -1082,7 +1082,13 @@ def test_appending_one_row_at_a_time_equals_a_batch_column_by_column():
     for turn, embedding in enumerate(embeddings):
         content = f"fact {turn} on " + " ".join(rng.sample(words, rng.randint(0, 3)))
         quote = content if turn % 3 else content + " " + rng.choice(words) + " shipped"
-        objects.append(make_obj(content=content, quote=quote, turn=turn, embedding=embedding))
+        # The constructor refuses a 2-D embedding, which only an object
+        # written to after it is built can hold.
+        obj = make_obj(content=content, quote=quote, turn=turn,
+                       embedding=None if turn == 2 else embedding)
+        if turn == 2:
+            obj.embedding = embedding
+        objects.append(obj)
     good = [isinstance(e, list) and len(e) == 8 and any(e) for e in embeddings]
 
     batch = ScoringIndex()
