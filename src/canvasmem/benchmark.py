@@ -539,23 +539,24 @@ def rag_retriever(
     The context is the top-k chunks by cosine against the question. Chunks
     are embedded on the first call and stacked into a scoring index reused
     by every later one, so each chunk is embedded once per transcript, not
-    once per question. A failed embedding caches nothing, and the next call
-    tries again. Chunks are ranked by one call of the index's exact_cosines
-    over every chunk, bit-identical to rag_context in tests/reference.py,
-    which embeds and scores every chunk per question with the scalar
-    cosine_sim; a chunk or question vector that cosine_sim cannot score
-    (zero, or of another dimension) makes the index raise its typed error.
+    once per question. Chunks are ranked by one call of the index's
+    exact_cosines over every chunk, bit-identical to rag_context in
+    tests/reference.py, which embeds and scores every chunk per question
+    with the scalar cosine_sim. A chunk or question vector that cosine_sim
+    cannot score (zero, or of another dimension) raises its typed error:
+    check_vectors tests every chunk's vector before any is appended, so a
+    failed embedding or check caches nothing, and the next call tries again.
     """
     chunks = chunk_text(render_transcript(turns), preset.chunk_size, preset.overlap)
-    vectors: list[list[float]] = []
     index = ScoringIndex()
 
     def context_for(question: str) -> str:
         if not chunks:
             return ""
         query_vec = embedder.embed(question)
-        if not vectors:
-            vectors.extend([embedder.embed(chunk) for chunk in chunks])
+        if not len(index):
+            vectors = [embedder.embed(chunk) for chunk in chunks]
+            index.check_vectors(vectors)
             for vec in vectors:
                 index.append_vector(vec)
         exact = index.exact_cosines(index.prepare(query_vec), np.arange(len(index)))

@@ -3,22 +3,23 @@
 A memory object is a tuple of (kind, content, verbatim quote, source speaker,
 embedding, turn index, confidence). Object identity is a content hash of
 (kind, normalized content, turn), so re-extracting the same statement from the
-same turn collides on purpose and deduplicates. An object is checked once,
-when it is built; CanvasGraph.add_object, the one way an object is stored,
-a load's included, does not check it again, in any turn order. That check
-is the one gate for what a graph holds: an object the constructor accepts
-can always be saved. The graph is append-only: objects and edges are
-added, never mutated or removed. Stored objects are immutable by contract,
-so snapshots, which are read-only, share them.
+same turn collides on purpose and deduplicates. An object is checked when
+it is built, and CanvasGraph.add_object, the one way an object is stored,
+a load's included, checks only that it has an embedding of the first
+stored one's length: that is the one gate for what a graph holds, so every
+stored object can be saved and scored. The graph is append-only: objects
+and edges are added, never mutated or removed. Stored objects are
+immutable by contract, so snapshots, which are read-only, share them.
 
 An embedding is a float64 array (array('d')), which the constructor
 converts once, in one struct pack, from the list or array it is given: an
-int or a bool component becomes its float, so 1 saves as 1.0, and a
-component that is no number, or not finite, is refused. Every layer reads
-that buffer. The scoring index views it with np.asarray, without a copy;
-a save vouches for a batch's embeddings in one numpy pass over their
-joined bytes and hands orjson a view of each; a load builds every object
-through the same constructor, so a loaded graph holds no float object per
+int or a bool component becomes its float, so 1 saves as 1.0; a component
+that is no number, or not finite, is refused, and so is a vector whose dot
+product with itself is 0, which no cosine can score. Every layer reads
+that buffer. The scoring index views it with np.asarray, without a copy; a
+save vouches for a batch's embeddings in one numpy pass over their joined
+bytes and hands orjson a view of each; a load builds every object through
+the same constructor, so a loaded graph holds no float object per
 component, as an ingested one holds none.
 
 Persistence is incremental for the same reason. Each graph keeps the last
@@ -76,13 +77,8 @@ from typing import NamedTuple, NoReturn, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    CanvasError,
-    InvalidObjectError,
-    MalformedInputError,
-    ReadOnlyGraphError,
-    VersionMismatchError,
-)
+from .errors import (CanvasError, DimensionMismatchError, InvalidObjectError, MalformedInputError,
+                     MissingEmbeddingError, ReadOnlyGraphError, VersionMismatchError)
 from .scoring import ScoringIndex
 
 GRAPH_FORMAT = "canvas-graph"
@@ -167,9 +163,10 @@ class CanvasObject:
     """One extracted memory artifact, grounded in a verbatim quote.
 
     The constructor's validate() is the one gate for what a graph can
-    hold: an object it accepts can always be saved. It refuses a content or
-    quote holding a lone surrogate, a turn outside [0, 2**63) and an
-    embedding that is not a non-empty list or array of finite numbers.
+    hold, beside add_object's test of the embedding's length. It refuses a
+    content or quote holding a lone surrogate, a turn outside [0, 2**63),
+    and an embedding that is not a non-empty list or array of finite
+    numbers, or whose dot product with itself is 0.
 
     The gate converts the embedding once, into a float64 array the object
     owns (array('d'), a copy when it is given an array): one struct pack
@@ -231,16 +228,19 @@ class CanvasObject:
             except (struct.error, TypeError, ValueError, OverflowError) as exc:
                 raise InvalidObjectError(
                     f"embedding components must convert to float64: {exc}") from exc
-            # Finite floats, an embedder's output, sum to a finite float; any
-            # other sum has the converted components tested one by one
-            # (numpy's warnings may raise).
+            # An embedder's floats sum to a finite float of magnitude 1e-150 or
+            # more, so one has a square that is no zero (it is 1e-150 / len
+            # or more). Any other sum has the converted components tested one
+            # by one (numpy's warnings may raise).
             try:
                 total = sum(embedding)
             except (TypeError, ValueError, ArithmeticError, RuntimeWarning):
                 total = None
-            if ((total.__class__ is not float or not math.isfinite(total))
-                    and not all(map(math.isfinite, vector))):
-                raise InvalidObjectError("embedding components must be finite")
+            if total.__class__ is not float or not 1e-150 <= abs(total) < math.inf:
+                if not all(map(math.isfinite, vector)):
+                    raise InvalidObjectError("embedding components must be finite")
+                if not any(x * x for x in vector):
+                    raise InvalidObjectError("embedding must not be a zero vector")
             self.embedding = vector
 
 
@@ -303,10 +303,10 @@ class CanvasGraph:
     or asks for the neighbors of the graph. add_object given the vector and
     norm ScoringIndex.check_vectors() made of the object's embedding, as
     the engine gives it, writes the object's row at once from them; plain
-    add_object, as a load calls it, leaves the row to the next catch-up, so
-    an object stored without a usable embedding raises only once it is
-    scored. Once indexed, a stored object's embedding, content and quote
-    must not change: the index keeps what it read.
+    add_object, as a load calls it, leaves the row to the next catch-up,
+    which can score every row: add_object stores only an embedding of
+    rows[0]'s length. Once indexed, a stored object's embedding, content and
+    quote must not change: the index keeps what it read.
 
     add_edges is the one edge write, and add_edge is add_edges of one
     edge. It checks the whole list in one _check_edges call, then refuses
@@ -350,19 +350,28 @@ class CanvasGraph:
         return len(self.objects)
 
     def add_object(self, obj: CanvasObject, vector: Optional[tuple] = None) -> AddResult:
-        """Store an object, unchecked: this is the one object write, and
-        CanvasObject checked it when built. A second insert of the same
-        identity is a DUPLICATE.
+        """Store an object, which CanvasObject checked when built: this is
+        the one object write, a load's included. A second insert of the same
+        identity is a DUPLICATE. An object without an embedding is a
+        MissingEmbeddingError, and one whose embedding's length differs from
+        rows[0]'s a DimensionMismatchError, with nothing stored.
 
         vector, when given, is what ScoringIndex.check_vectors() returned for
         obj's embedding: a stored object's index row is then written at
         once, from that pair, so its embedding is converted only once."""
+        embedding, rows = obj.embedding, self.rows
+        if embedding is None:
+            raise MissingEmbeddingError(f"object {obj.id} has no embedding")
+        if rows and len(embedding) != len(rows[0].embedding):
+            raise DimensionMismatchError(
+                f"object {obj.id} has {len(embedding)} embedding components, where the "
+                f"first stored embedding has {len(rows[0].embedding)}")
         if obj.id in self.objects:
             return AddResult.DUPLICATE
         if vector is not None:
             self.scoring_index().extend([obj], [vector])
         self.objects[obj.id] = obj
-        self.rows.append(obj)
+        rows.append(obj)
         self.next_turn = max(self.next_turn, obj.turn + 1)
         return AddResult.ADDED
 
@@ -486,7 +495,6 @@ class _Snapshot(CanvasGraph):
 def _object_record(obj: CanvasObject, vector) -> dict:
     """obj's record, its embedding as vector(obj.embedding) gives it to the
     encoder: array.tolist for json, np.frombuffer for orjson."""
-    embedding = obj.embedding
     return {
         "id": obj.id,
         "kind": obj.kind.value,
@@ -495,7 +503,7 @@ def _object_record(obj: CanvasObject, vector) -> dict:
         "source": obj.source.value,
         "turn": obj.turn,
         "confidence": obj.confidence,
-        "embedding": None if embedding is None else vector(embedding),
+        "embedding": vector(obj.embedding),
     }
 
 
@@ -566,10 +574,9 @@ def _orjson_vouches(objects: list[CanvasObject], edges: list[CanvasEdge]) -> boo
     if (len(weights) != len(edges) or not _plain([obj.confidence for obj in objects])
             or not _plain(weights)):
         return False
-    embeddings = [obj.embedding for obj in objects if obj.embedding is not None]
-    if not embeddings:
+    if not objects:
         return True
-    values = np.frombuffer(b"".join(embeddings))
+    values = np.frombuffer(b"".join([obj.embedding for obj in objects]))
     magnitudes = np.abs(values[values != 0])
     return not magnitudes.size or bool(magnitudes.min() >= 1e-4 and magnitudes.max() < 1e16)
 
@@ -726,17 +733,17 @@ def _build(next_turn: int, object_records, edge_records) -> CanvasGraph:
     """A graph of the records, which each path has parsed, and next_turn.
 
     An object whose quote equals its content is built with one string for
-    both. Every embedding must have the first stored embedding's length,
-    so that the scoring index can hold them all. One loop builds each edge,
-    its ends the stored objects' own id strings (found with one dict lookup
-    each; an end naming no stored object, or not a str, stays as parsed),
-    refuses a repeated edge[:3] with a set that is dropped on return, and
-    appends it; one _check_edges call, as in add_edges, then checks the
-    ends of them all. The scoring index is left to catch up the first time
-    the graph is read."""
+    both. An object add_object refuses (no embedding, or one of another
+    length than the first stored one's) is an invalid record. One loop
+    builds each edge, its ends the stored objects' own id strings (found
+    with one dict lookup each; an end naming no stored object, or not a
+    str, stays as parsed), refuses a repeated edge[:3] with a set that is
+    dropped on return, and appends it; one _check_edges call, as in
+    add_edges, then checks the ends of them all. The scoring index is left
+    to catch up the first time the graph is read."""
     _require(_is_turn(next_turn, _LAST_TURN + 1),
              "next_turn must be a non-negative integer not above 2**63")
-    graph, dim = CanvasGraph(), None
+    graph = CanvasGraph()
     for raw in object_records:
         _require(isinstance(raw, dict), "each object must be a JSON object")
         try:
@@ -746,25 +753,20 @@ def _build(next_turn: int, object_records, edge_records) -> CanvasGraph:
             # extractor builds it.
             if quote == content:
                 quote = content
-            # CanvasObject checks the record; add_object does not check it again.
+            # CanvasObject checks the record, add_object its embedding's length.
             obj = CanvasObject(kind, content, quote, _SOURCES[raw["source"]], raw["turn"],
                                raw["confidence"], raw.get("embedding"))
         except (KeyError, ValueError, TypeError, InvalidObjectError) as exc:
             raise MalformedInputError(f"invalid object record: {exc}") from exc
-        # The messages below are built only when a check fails: a load runs
-        # these checks once per record.
         if raw.get("id") != obj.id:
             raise MalformedInputError(
                 f"object id {raw.get('id')!r} does not match its content hash"
             )
-        embedding = obj.embedding
-        if embedding is not None and len(embedding) != dim:
-            if dim is not None:
-                raise MalformedInputError(
-                    f"invalid object record: object {obj.id} has {len(embedding)} embedding "
-                    f"components, where the first stored embedding has {dim}")
-            dim = len(embedding)
-        if graph.add_object(obj) is not AddResult.ADDED:
+        try:
+            added = graph.add_object(obj)
+        except (MissingEmbeddingError, DimensionMismatchError) as exc:
+            raise MalformedInputError(f"invalid object record: {exc}") from exc
+        if added is not AddResult.ADDED:
             raise MalformedInputError(f"duplicate object id {obj.id}")
     edges, keys = graph.edges, set()
     stored_id = {oid: oid for oid in graph.objects}.get
@@ -886,13 +888,11 @@ def deserialize_graph(data: bytes | bytearray | memoryview) -> CanvasGraph:
     MalformedInputError on truncation, schema violations, nesting too deep
     to parse, a record CanvasObject refuses (a quote holding the escape
     \\ud800, an embedding component that is null, a string or 1e400, which
-    parses to infinity) or an embedding whose length differs from the first
-    stored one's, and VersionMismatchError on an unsupported version
-    number. A loaded graph can always be saved.
-
-    Each object's constructor converts its parsed embedding into a float64
-    array, the same gate an ingest passes, so a loaded graph holds no float
-    object per component, and every stored component is a finite float64.
+    parses to infinity, or an all-zero embedding) or add_object refuses (no
+    embedding, or one whose length differs from the first stored one's),
+    and VersionMismatchError on an unsupported version number. A loaded
+    graph can always be saved and scored, and holds no float object per
+    embedding component: each is a float64 of its object's array.
 
     When orjson is installed (it is optional: `pip install canvasmem[fast]`),
     a file laid out as serialize_graph writes it loads through orjson first:
@@ -906,8 +906,7 @@ def deserialize_graph(data: bytes | bytearray | memoryview) -> CanvasGraph:
     the constructor converts it, so embeddings need no test of their own.
     The two paths give equal graphs, except that a valid file nested deeper
     than the stdlib parser's recursion limit allows, in a value the loader
-    ignores (a duplicated key's earlier value, or an extra key of an object
-    record that has no embedding), loads only through orjson.
+    ignores (a duplicated key's earlier value), loads only through orjson.
     """
     if not isinstance(data, bytes):
         try:

@@ -5,19 +5,19 @@ extractor backend fail is logged, counted, and skipped; ingestion continues
 with the next turn. An embedder error propagates before anything of the turn
 is stored, and so do the InvalidObjectError of a stored object's constructor
 (an embedding that is not a list, a component that is no number, such as
-None or a string, or one no save could write: a NaN, an infinity) and the
-scoring index's typed error for an embedding it could not score (a vector
-of another dimension than the stored ones, or a zero vector), so the same
-turn can be retried. An
-extractor that builds a candidate the constructor refuses (a quote holding
-a lone surrogate) fails its turn as any extractor error does. So every
-object the engine stores can be saved.
+None or a string, one no save could write, a NaN or an infinity, or a zero
+vector, which no cosine can score) and the scoring index's
+DimensionMismatchError for a vector of another dimension than the stored
+ones, so the same turn can be retried. An extractor that builds a
+candidate the constructor refuses (a quote holding a lone surrogate) fails
+its turn as any extractor error does. So every object the engine stores
+can be saved and scored.
 
 The engine writes to no object. It stores a new object built from each
 candidate's fields, with the embedder's vector when the candidate has no
 embedding, so a candidate is left as the extractor returned it and a
-stored object is checked once, by its own constructor: add_object stores
-it unchecked.
+stored object is checked once, by its own constructor, and by add_object's
+test of its embedding's length.
 
 Each object's embedding is converted to a float64 array once, by its
 constructor; check_vectors views that array, without a copy, as the
@@ -107,9 +107,10 @@ class CanvasEngine:
                          else obj.embedding)
             for obj in candidates
         ]
-        # A vector the index could not score would make every later ingest
-        # and query raise; refuse it while the turn can still be retried.
-        # Each stored object's index row takes its checked vector and norm.
+        # add_object would refuse a vector of another dimension midway
+        # through the turn; refuse the turn's vectors before storing any, so
+        # that it can be retried. Each stored object's index row takes its
+        # checked vector and norm.
         vectors = self.graph.scoring_index().check_vectors([obj.embedding for obj in stored])
         added: list[CanvasObject] = []
         for obj, vector in zip(stored, vectors):

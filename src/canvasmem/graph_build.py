@@ -31,12 +31,13 @@ cosine, bit-identical to the scalar cosine_sim of tests/reference.py, so
 every edge weight is the exact scalar value; one join of the content
 posting lists of the row's token ids gives the exact Jaccard overlap of
 every stored content; and for a DECISION its turn column gives the objects
-in the temporal window. The visit set is the union of those three kinds of row, in row order, so edges
-are added in the order a scan of every object would add them. Every other
-row is below both thresholds, below keyword_edge_min and outside the
-window, and gains nothing. A stored or new vector that cosine_sim cannot
-score makes the index raise cosine_sim's typed error before any edge is
-added. The reference's link_object, a scan of every stored object, is the spec.
+in the temporal window. The visit set is the union of those three kinds
+of row, in row order, so edges are added in the order a scan of every
+object would add them. Every other row is below both thresholds, below
+keyword_edge_min and outside the window, and gains nothing. Every stored
+object, the new one included, has an embedding cosine_sim can score
+against every other, since the graph stores no other. The reference's
+link_object, a scan of every stored object, is the spec.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import math
 from dataclasses import dataclass
 
 from .core import CanvasEdge, CanvasGraph, CanvasObject, EdgeKind, EdgeOrigin, ObjectKind
-from .errors import MissingEmbeddingError, ReadOnlyGraphError
+from .errors import ReadOnlyGraphError
 
 DEFAULT_THETA_REF = 0.5
 DEFAULT_THETA_CAUSAL = 0.45
@@ -97,16 +98,13 @@ def link_object(
 ) -> list[CanvasEdge]:
     """Apply R1, R2, and R3 between new_obj and every stored object.
 
-    The new object must already be in the graph with an embedding, as must
-    everything else that gets compared: an object that is not stored is a
-    ValueError (ReadOnlyGraphError on a snapshot, which refuses every
-    write). Returns the edges actually added, in deterministic
+    The new object must already be in the graph: an object that is not
+    stored is a ValueError (ReadOnlyGraphError on a snapshot, which refuses
+    every write). Returns the edges actually added, in deterministic
     insertion order.
     """
     if thresholds is None:
         thresholds = LinkThresholds()
-    if new_obj.embedding is None:
-        raise MissingEmbeddingError(f"object {new_obj.id} has no embedding")
     index = graph.scoring_index()
     own_row = index.row_of(new_obj.id)
     if own_row is None:

@@ -16,9 +16,9 @@ Stages, in order:
    the band that could reach the top coarse_k with exact_hybrids: one
    batched call of numpy's vector dot kernel for the band's cosines, and
    the same coverage, bit-identical to the scalar hybrid_score of
-   tests/reference.py, so ranks and scores are exact. A stored or query
-   vector that the scalar cosine_sim cannot score makes the index raise
-   cosine_sim's typed error.
+   tests/reference.py, so ranks and scores are exact. Every stored vector
+   can be scored; a query vector that the scalar cosine_sim cannot score
+   makes the index raise cosine_sim's typed error.
 3. expand_graph walks edges breadth-first from those hits, both directions
    and both edge kinds, with a 0.8 score decay per hop. Each hop reads the
    scoring index's adjacency list of each frontier row, so it costs the

@@ -26,10 +26,11 @@ call of numpy's vector dot kernel, a dot product per row, then the
 division, the clamp and the blend as float64 array operations), so every
 stored edge weight and every ranked score is bit-identical to the scalar
 value. A vector whose norm is too large or too small for the screen to
-bound its cosines is screened as +inf, so it is always verified. A vector
-cosine_sim cannot score is a fault: preparing a query against an index
-that holds one, or preparing such a query, raises cosine_sim's typed
-error. There is no other scoring path.
+bound its cosines is screened as +inf, so it is always verified. Every
+stored row can be scored: the graph stores only an embedding of its first
+row's length, with a nonzero norm. A row or query vector cosine_sim cannot
+score raises its typed error before anything is written or scored. There
+is no other scoring path.
 
 The token half needs no screen. Both token kernels join posting lists
 and count each row's hits with one np.bincount (ScanCount): Jaccard joins
@@ -61,8 +62,7 @@ from typing import TYPE_CHECKING, Optional, Protocol, Sequence, runtime_checkabl
 
 import numpy as np
 
-from .errors import (CanvasError, DimensionMismatchError, MissingEmbeddingError,
-                     ReadOnlyGraphError, ZeroVectorError)
+from .errors import DimensionMismatchError, ReadOnlyGraphError, ZeroVectorError
 
 if TYPE_CHECKING:
     from .core import CanvasEdge, CanvasObject
@@ -236,10 +236,10 @@ class ScoringIndex:
     content-plus-quote posting lists of the query's ids, so they read only
     the rows sharing a token with the set. They divide those integer counts
     by sizes that are exact integers, as token_jaccard and token_coverage
-    do, so they are the same float64 to the last bit. A row cosine_sim
-    could not score (no embedding, not a 1-D vector of the index's
-    dimension, a zero norm) is a fault: storing it never raises, but once the index holds one,
-    prepare() and prepare_row() raise the first fault's typed error.
+    do, so they are the same float64 to the last bit. A vector cosine_sim
+    could not score (not a 1-D vector of the index's dimension, a zero
+    norm) raises its typed error when it is prepared as a query, or
+    before a row of it is written.
 
     The index also holds the graph's shape: each row's id in an id -> row
     map, and each row's adjacency: the rows an edge joins to it, one per
@@ -263,7 +263,6 @@ class ScoringIndex:
     def __init__(self):
         self._rows = 0
         self.read_only = False
-        self._fault: Optional[Exception] = None
         self._unbounded = 0
         self._matrix: Optional[np.ndarray] = None
         self._norms = np.empty(0)
@@ -312,7 +311,7 @@ class ScoringIndex:
         for position, obj in enumerate(objects):
             content = token_set(obj.content)
             document = content if obj.quote == obj.content else content | token_set(obj.quote)
-            vector = (self._converted(obj.embedding, obj.id) if vectors is None
+            vector = (_vector(obj.embedding, self._dim()) if vectors is None
                       else vectors[position])
             self._append_row(vector, content, document, obj.turn, obj.id)
 
@@ -351,7 +350,7 @@ class ScoringIndex:
         """Add a row without an id: the embedding, the Jaccard tokens, the
         coverage tokens, the turn."""
         self._reserve(self._rows + 1)
-        vector = self._converted(embedding, str(self._rows))
+        vector = _vector(embedding, self._dim())
         self._append_row(vector, content_tokens, document_tokens, turn, None)
 
     def _reserve(self, needed: int) -> None:
@@ -369,41 +368,26 @@ class ScoringIndex:
             self._norms = _grown(self._norms, used, capacity)
             self._units = _grown(self._units, used, capacity)
 
-    def _converted(self, embedding, label: str) -> Optional[tuple[np.ndarray, float]]:
-        """_vector of the embedding of the next row (label names it in an
-        error), or None when cosine_sim could not score it: the index then
-        keeps the first such error as its fault."""
-        try:
-            if embedding is None:
-                raise MissingEmbeddingError(f"stored object {label} has no embedding")
-            return _vector(embedding, self._dim())
-        except (CanvasError, TypeError, ValueError) as fault:
-            if self._fault is None:
-                self._fault = fault
-            return None
-
     def _append_row(self, vector, content, document, turn: int, oid: Optional[str]) -> None:
         """Write row self._rows, which _reserve() has made room for: vector
-        is the row's float64 vector and norm, or None for a fault; content
-        holds the Jaccard tokens, document the coverage tokens (content
-        itself when the quote adds none)."""
+        is the row's float64 vector and norm, content holds the Jaccard
+        tokens, document the coverage tokens (content itself when the quote
+        adds none)."""
         row = self._rows
         self._turns[row] = min(turn, _TURN_CAP)
-        if vector is not None:
-            vec, norm = vector
-            if self._matrix is None:
-                # Every earlier row is a fault, which is never read.
-                dim, capacity = vec.shape[0], len(self._turns)
-                self._matrix = np.empty((capacity, dim))
-                self._norms = np.empty(capacity)
-                self._units = np.empty((capacity, dim), dtype=np.float32)
-                self.margin = _screen_margin(dim)
-            self._matrix[row] = vec
-            self._norms[row] = norm
-            if _boundable(norm):
-                self._units[row] = vec / norm  # the float32 cast rounds as astype does
-            else:
-                self._unbounded += 1  # cosines() never reads its unit row
+        vec, norm = vector
+        if self._matrix is None:  # the first row fixes the dimension
+            dim, capacity = vec.shape[0], len(self._turns)
+            self._matrix = np.empty((capacity, dim))
+            self._norms = np.empty(capacity)
+            self._units = np.empty((capacity, dim), dtype=np.float32)
+            self.margin = _screen_margin(dim)
+        self._matrix[row] = vec
+        self._norms[row] = norm
+        if _boundable(norm):
+            self._units[row] = vec / norm  # the float32 cast rounds as astype does
+        else:
+            self._unbounded += 1  # cosines() never reads its unit row
         vocab, postings, content_postings = self._vocab, self._postings, self._content_postings
         token_ids = [vocab.setdefault(tok, len(vocab)) for tok in content]
         self._content_rows.append(token_ids)
@@ -471,11 +455,11 @@ class ScoringIndex:
     def check_vectors(self, embeddings: Sequence) -> list[tuple[np.ndarray, float]]:
         """The float64 vector and norm of each embedding, as a row of it,
         appended in turn, would hold them: the first one fixes the
-        dimension when the index holds no vector yet. Raises the error such
-        a row would hold as a fault (DimensionMismatchError,
+        dimension when the index holds no vector yet. Raises the error that
+        appending such a row would raise (DimensionMismatchError,
         ZeroVectorError), so that a caller can refuse the embeddings before
-        it stores anything, and can hand each pair to extend() once it has
-        stored the object, so that the row converts nothing again."""
+        it stores or appends any, and can hand each pair to extend() once it
+        has stored the object, so that the row converts nothing again."""
         dim = self._dim()
         checked = []
         for embedding in embeddings:
@@ -484,19 +468,12 @@ class ScoringIndex:
             checked.append(vector)
         return checked
 
-    def _raise_fault(self) -> None:
-        """Raise the typed error of the first stored row cosine_sim could not score."""
-        if self._fault is not None:
-            raise type(self._fault)(*self._fault.args)
-
     def prepare(self, embedding: Sequence[float], text: str = "") -> PreparedQuery:
         """The query ready to score against every row.
 
-        Raises the error cosine_sim raises on the first stored fault, else
-        on the query vector: MissingEmbeddingError, DimensionMismatchError
-        or ZeroVectorError.
+        Raises the error cosine_sim raises on the query vector against a
+        stored row: DimensionMismatchError or ZeroVectorError.
         """
-        self._raise_fault()
         vec, norm = _vector(embedding, self._dim())
         tokens = token_set(text)
         return PreparedQuery(vec, norm, tokens, frozenset(self._known_ids(tokens)),
@@ -505,8 +482,7 @@ class ScoringIndex:
     def prepare_row(self, row: int) -> PreparedQuery:
         """Row's own vectors and norm as a query without tokens: the values
         prepare() makes of the row's embedding, without converting it
-        again. Raises the first stored fault's error, as prepare() does."""
-        self._raise_fault()
+        again."""
         norm = float(self._norms[row])
         unit = self._units[row] if _boundable(norm) else None
         return PreparedQuery(self._matrix[row], norm, frozenset(), frozenset(), unit)

@@ -27,11 +27,16 @@ def vec_at_cosine(target: float) -> list[float]:
     return [target, math.sqrt(1.0 - target * target)] + [0.0] * 6
 
 
+# The embedding of a make_obj object given none: every stored object needs
+# one, of the graph's length, and a test that scores nothing needs no other.
+DEFAULT_EMBEDDING = axis(0)
+
+
 def make_obj(
     kind: ObjectKind = ObjectKind.KEY_FACT,
     content: str = "the cache lives in redis",
     turn: int = 0,
-    embedding: list[float] | None = None,
+    embedding: list[float] | None = DEFAULT_EMBEDDING,
     quote: str | None = None,
     source: Source = Source.USER,
     confidence: float = 1.0,
@@ -104,7 +109,7 @@ def whole_document(graph: CanvasGraph) -> bytes:
                 "source": obj.source.value,
                 "turn": obj.turn,
                 "confidence": obj.confidence,
-                "embedding": None if obj.embedding is None else list(obj.embedding),
+                "embedding": list(obj.embedding),
             }
             for obj in graph.objects.values()
         ],

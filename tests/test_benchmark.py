@@ -44,7 +44,8 @@ from canvasmem.benchmark import (
     threshold_sweep,
 )
 from canvasmem.config import EngineConfig
-from canvasmem.errors import BackendFailureError, EmptyKeywordsError, ZeroVectorError
+from canvasmem.errors import (BackendFailureError, DimensionMismatchError, EmptyKeywordsError,
+                              ZeroVectorError)
 from canvasmem.extraction import ConversationTurn
 from canvasmem.retrieval import retrieve
 from canvasmem.scoring import MOCK_EMBEDDING_DIM, MockEmbedder
@@ -433,6 +434,43 @@ def test_rag_zero_chunk_vector_still_raises_the_scalar_error():
     context_for = rag_retriever(_tiny_turns(), ZeroForChunks(), RAG_PRESETS["rag-small"])
     with pytest.raises(ZeroVectorError):
         context_for("question")
+
+
+@pytest.mark.parametrize("spoil, error", [
+    (lambda vector: [0.0] * len(vector), ZeroVectorError),
+    (lambda vector: vector[:-1], DimensionMismatchError),
+], ids=["zero", "short"])
+def test_an_unscorable_chunk_vector_caches_nothing_and_the_next_question_retries(spoil, error):
+    turns = _tiny_turns()
+    preset = dataclasses.replace(RAG_PRESETS["rag-small"], name="t", chunk_size=24, overlap=0)
+    chunks = chunk_text(render_transcript(turns), preset.chunk_size, preset.overlap)
+    assert len(chunks) > 2
+
+    class SpoilsOneChunkOnce:
+        """MockEmbedder, except that the first embedding of the last chunk
+        is spoiled: every other chunk's vector is fine."""
+
+        def __init__(self):
+            self.calls, self.spoiled = 0, False
+
+        def embed(self, text):
+            self.calls += 1
+            vector = MockEmbedder().embed(text)
+            if text == chunks[-1] and not self.spoiled:
+                self.spoiled = True
+                return spoil(vector)
+            return vector
+
+    embedder = SpoilsOneChunkOnce()
+    context_for = rag_retriever(turns, embedder, preset)
+    with pytest.raises(error):
+        context_for("beta fact two")
+    calls = embedder.calls
+    for question in ("beta fact two", "gamma fact three"):
+        assert context_for(question) == reference.rag_context(turns, question, preset,
+                                                              MockEmbedder())
+    # The second question embeds every chunk again, the third none.
+    assert embedder.calls == calls + 2 + len(chunks)
 
 
 def test_unknown_rag_preset_is_a_value_error_naming_the_known_ones():

@@ -104,6 +104,11 @@ class _Plain(enum.Enum):
         {"embedding": [0.5, None]},
         {"embedding": [0.5, [0.25]]},
         {"embedding": [0.5, 10**400]},
+        {"embedding": [0.0, -0.0]},
+        {"embedding": [0, False]},
+        {"embedding": array("d", [-0.0, 0.0])},
+        {"embedding": [1e-170, -1e-170]},  # squares that underflow
+        {"embedding": [1e-170] * 3},
         {"embedding": array("u", "ab")},
         {"embedding": array("d")},
         {"embedding": (0.5, 0.25)},

@@ -9,7 +9,7 @@ import canvasmem.scoring
 from canvasmem.core import CanvasObject, ObjectKind, Source, serialize_graph
 from canvasmem.engine import CanvasEngine, IngestReport
 from canvasmem.errors import (BackendFailureError, DimensionMismatchError, InvalidObjectError,
-                              SequenceError, ZeroVectorError)
+                              SequenceError)
 from canvasmem.extraction import ConversationTurn, ExtractionPass, MockExtractor
 from canvasmem.scoring import MockEmbedder
 
@@ -148,18 +148,18 @@ class _SpoilingEmbedder:
 
 @pytest.mark.parametrize("spoil, error, earlier_turns", [
     (lambda vector: vector[:-1], DimensionMismatchError, 1),
-    (lambda vector: [0.0] * len(vector), ZeroVectorError, 1),
     # With no vector stored yet, the turn's first vector fixes the dimension.
     (lambda vector: vector + [0.5], DimensionMismatchError, 0),
     # The engine's check of each embedded candidate refuses an embedding
-    # that is not a list, one no save can write, and a component that is no
-    # number; add_object does not check.
+    # that is not a list, one no save can write, a zero vector and a
+    # component that is no number.
+    (lambda vector: [0.0] * len(vector), InvalidObjectError, 1),
     (np.asarray, InvalidObjectError, 1),
     (lambda vector: vector[:-1] + [math.nan], InvalidObjectError, 1),
     (lambda vector: [math.inf] + vector[1:], InvalidObjectError, 1),
     (lambda vector: vector[:-1] + [None], InvalidObjectError, 1),
     (lambda vector: ["a word"] + vector[1:], InvalidObjectError, 1),
-], ids=["short", "zero", "first-turn", "numpy", "nan", "inf", "none", "string"])
+], ids=["short", "first-turn", "zero", "numpy", "nan", "inf", "none", "string"])
 def test_an_unscorable_embedding_stores_nothing_and_the_turn_is_retryable(
         spoil, error, earlier_turns):
     turns = [

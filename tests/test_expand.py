@@ -75,12 +75,8 @@ def scenarios(draw, max_objects=10, max_edges=30):
     catch its index up."""
     n = draw(st.integers(1, max_objects))
     turns = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
-    embedded = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    objects = [
-        make_obj(content=f"object number {i}", turn=turns[i],
-                 embedding=axis(i % 8) if embedded[i] else None)
-        for i in range(n)
-    ]
+    objects = [make_obj(content=f"object number {i}", turn=turns[i], embedding=axis(i % 8))
+               for i in range(n)]
     steps: list[tuple] = [("object", i) for i in range(n)]
     if n > 1:
         pairs = draw(st.lists(

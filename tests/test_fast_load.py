@@ -97,17 +97,24 @@ CASES = {
     "integer embedding component 10**400": (BASE.replace(b"0.25", b"%d" % 10**400),
                                             MalformedInputError),
     "embedding component 1e400": (BASE.replace(b"0.25", b"1e400"), MalformedInputError),
-    # Components the scoring index could not score, which the constructor
-    # refuses, and an embedding of another length than the first stored
-    # one; an object without an embedding is no such length.
+    # Embeddings the scoring index could not score: components and zero
+    # vectors the constructor refuses, and an embedding that is missing or
+    # of another length than the first stored one, which add_object refuses.
     "null embedding component": (BASE.replace(b"0.25", b"null"), MalformedInputError),
+    "zero embedding": (BASE.replace(b"[0.5,0.25]", b"[0.0,-0.0]"), MalformedInputError),
+    "embedding whose squares underflow": (BASE.replace(b"[0.5,0.25]", b"[1e-170,1e-170]"),
+                                          MalformedInputError),
+    "embedding whose squares are subnormal": (BASE.replace(b"[0.5,0.25]", b"[1e-160,0.0]"),
+                                              "loads"),
     "string embedding component": (BASE.replace(b"0.25", b'"a word"'), MalformedInputError),
     "nested embedding": (BASE.replace(b"[0.5,0.25]", b"[[0.5],[0.25]]"), MalformedInputError),
     "first embedding shorter": (BASE.replace(b"[0.5,0.25]", b"[0.5]"), MalformedInputError),
     "later embedding longer": (BASE.replace(b"[1.0,0.0]", b"[1.0,0.0,0.0]"),
                                MalformedInputError),
     "no embedding beside two-component ones": (
-        BASE.replace(b'"embedding":[1.0,0.0]', b'"embedding":null'), "loads"),
+        BASE.replace(b'"embedding":[1.0,0.0]', b'"embedding":null'), MalformedInputError),
+    "first embedding null": (BASE.replace(b'"embedding":[0.5,0.25]', b'"embedding":null'),
+                             MalformedInputError),
     # A quote no save could write back.
     "lone surrogate escape": (saved([0.5]).replace(b"fact 0 quote", b"fact 0 \\ud800"),
                               MalformedInputError),

@@ -35,11 +35,12 @@ from canvasmem.core import (
     serialize_graph,
 )
 from canvasmem.engine import CanvasEngine
-from canvasmem.errors import InvalidObjectError
+from canvasmem.errors import InvalidObjectError, MalformedInputError, MissingEmbeddingError
 from canvasmem.extraction import MockExtractor
+from canvasmem.retrieval import retrieve_detailed
 from canvasmem.scoring import MockEmbedder
 
-from conftest import (axis, load_both_ways, make_obj, save_both_ways, seeded_turns,
+from conftest import (load_both_ways, make_obj, save_both_ways, seeded_turns,
                       whole_document)
 
 orjson = core._orjson()
@@ -51,7 +52,7 @@ def pair(embedding=(0.5, 0.25), confidence=1.0, weight=0.5, content="the cache l
     """A graph of one object with these fields and a plain one after it,
     joined by an edge of this weight."""
     first = make_obj(content=content, quote=quote, turn=turn, confidence=confidence,
-                     embedding=None if embedding is None else list(embedding))
+                     embedding=list(embedding))
     second = make_obj(content="redis runs on node 2", turn=turn + 1, embedding=[1.0, 0.0])
     graph = CanvasGraph()
     graph.add_object(first)
@@ -158,11 +159,16 @@ def test_control_characters_and_line_separators_save_as_json_writes_them():
     assert b"\\u001f" in data and b"\\b" in data and b'\\"' in data
 
 
-def test_a_missing_embedding_and_an_empty_graph_save_as_json_writes_them():
-    graph = pair(embedding=None)
-    assert save_both_ways(graph) == whole_document(graph)
-    assert b'"embedding":null}' in save_both_ways(graph)
+def test_an_object_without_an_embedding_is_refused_and_an_empty_graph_saves_as_json_writes_it():
+    graph = pair()
+    saved = save_both_ways(graph)
+    with pytest.raises(MissingEmbeddingError):
+        graph.add_object(make_obj(content="no embedding here", turn=5, embedding=None))
+    assert len(graph.rows) == 2 and graph.next_turn == 2
+    assert save_both_ways(graph) == whole_document(graph) == saved
     empty = CanvasGraph()
+    with pytest.raises(MissingEmbeddingError):
+        empty.add_object(make_obj(embedding=None))
     assert save_both_ways(empty) == whole_document(empty)
     empty.mark_turn_ingested(3)
     assert save_both_ways(empty) == whole_document(empty)
@@ -258,14 +264,18 @@ def test_the_constructor_stores_the_float_of_a_number_and_refuses_the_rest(compo
          weight=1.0, incremental=True)
 @example(content="c", quote="lone \ud800", embedding=None, confidence=1.0, weight=0.5,
          incremental=True)
+@example(content="c", quote="q", embedding=None, confidence=1.0, weight=0.5, incremental=True)
+@example(content="c", quote="q", embedding=[-0.0, 0.0], confidence=1.0, weight=0.5,
+         incremental=False)
 @example(content="c", quote="q", embedding=[0.5, math.nan], confidence=1.0, weight=0.5,
          incremental=True)
 def test_an_object_the_constructor_accepts_saves_and_loads_alike_both_ways(
         content, quote, embedding, confidence, weight, incremental):
-    # Either the constructor refuses the object, or it holds the float64 of
-    # each component, and a graph holding it saves to the oracle's bytes
-    # both ways, in one save or after an earlier one, and loads back equal
-    # through both load paths.
+    # Either the constructor refuses the object, or add_object refuses an
+    # object without an embedding and stores nothing, or the object holds
+    # the float64 of each component, and a graph holding it saves to the
+    # oracle's bytes both ways, in one save or after an earlier one, and
+    # loads back equal through both load paths.
     graph = CanvasGraph()
     dim = 2 if embedding is None else len(embedding)
     plain = make_obj(content="redis runs on node 2", turn=1,
@@ -278,9 +288,13 @@ def test_an_object_the_constructor_accepts_saves_and_loads_alike_both_ways(
                        embedding=embedding)
     except InvalidObjectError:
         return
-    if embedding is not None:
-        assert type(obj.embedding) is array and obj.embedding.typecode == "d"
-        assert [x.hex() for x in obj.embedding] == [float(x).hex() for x in embedding]
+    if embedding is None:
+        with pytest.raises(MissingEmbeddingError):
+            graph.add_object(obj)
+        assert graph.rows == [plain] and save_both_ways(graph) == whole_document(graph)
+        return
+    assert type(obj.embedding) is array and obj.embedding.typecode == "d"
+    assert [x.hex() for x in obj.embedding] == [float(x).hex() for x in embedding]
     graph.add_object(obj)
     graph.add_edge(CanvasEdge(obj.id, plain.id, EdgeKind.CAUSAL, weight,
                               EdgeOrigin.TEMPORAL_HEURISTIC))
@@ -289,6 +303,76 @@ def test_an_object_the_constructor_accepts_saves_and_loads_alike_both_ways(
     loaded = load_both_ways(data)
     assert loaded == graph
     assert save_both_ways(loaded) == data
+
+
+def _three_object_file() -> bytes:
+    """A saved graph of three objects with three-component embeddings, each
+    joined to the next."""
+    graph = CanvasGraph()
+    for turn, embedding in enumerate(([0.5, 0.25, 1.0], [1.0, -0.5, 0.5], [0.125, 1.0, 0.25])):
+        graph.add_object(make_obj(content=f"the redis cache fact {turn}", turn=turn,
+                                  embedding=embedding))
+    for a, b in zip(graph.rows, graph.rows[1:]):
+        graph.add_edge(CanvasEdge(a.id, b.id, EdgeKind.REFERENCE, 0.5, EdgeOrigin.SIMILARITY))
+    return serialize_graph(graph)
+
+
+THREE_OBJECTS = _three_object_file()
+# What a graph file's embedding may be mutated to: one component replaced
+# by null, a string, a bool, an integer past 64 bits or a list; every
+# component set to one value; cut to its first 0-2 components; removed, as
+# a null or with its key.
+EMBEDDING_MUTATIONS = st.one_of(
+    st.tuples(st.just("replace"), st.integers(0, 2),
+              st.none() | st.text(max_size=3) | st.booleans()
+              | st.integers(2**64, 10**400) | st.integers(-10**400, -2**64)
+              | st.lists(st.floats(-1.0, 1.0), max_size=2)),
+    st.tuples(st.just("fill"), st.sampled_from([0.0, -0.0, 1e-170, 1e-160])),
+    st.tuples(st.just("shorten"), st.integers(0, 2)),
+    st.tuples(st.just("remove"), st.booleans()),
+)
+
+
+def _with_embedding_mutated(position: int, mutation: tuple) -> bytes:
+    doc = json.loads(THREE_OBJECTS)
+    record = doc["objects"][position]
+    kind, *args = mutation
+    if kind == "replace":
+        record["embedding"][args[0]] = args[1]
+    elif kind == "fill":
+        record["embedding"] = [args[0]] * 3
+    elif kind == "shorten":
+        record["embedding"] = record["embedding"][:args[0]]
+    elif args[0]:
+        del record["embedding"]
+    else:
+        record["embedding"] = None
+    return json.dumps(doc, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(position=st.integers(0, 2), mutation=EMBEDDING_MUTATIONS)
+@example(position=0, mutation=("replace", 1, True))
+@example(position=2, mutation=("replace", 0, 2**64 + 1))
+@example(position=1, mutation=("replace", 0, 10**400))
+@example(position=0, mutation=("fill", 1e-170))
+@example(position=0, mutation=("fill", 1e-160))
+@example(position=0, mutation=("shorten", 2))
+@example(position=1, mutation=("remove", True))
+def test_a_file_with_a_mutated_embedding_is_refused_or_loads_a_graph_that_scores(
+        position, mutation):
+    # Both load paths raise MalformedInputError with the same message, or
+    # load the same graph, which then answers a query, saves to the
+    # oracle's bytes both ways and loads back equal.
+    data = _with_embedding_mutated(position, mutation)
+    try:
+        loaded = load_both_ways(data)
+    except MalformedInputError:
+        return
+    assert retrieve_detailed(loaded, "the redis cache", MockEmbedder(3)).ranked
+    saved = save_both_ways(loaded)
+    assert saved == whole_document(loaded)
+    assert load_both_ways(saved) == loaded
 
 
 def _differs(value: float) -> bool:
@@ -402,16 +486,14 @@ def test_an_incremental_save_after_a_full_save_equals_a_save_from_scratch():
 TRICKY = '],"edges":[ "quoted" back\\slash é \x01 \x1f'
 
 
-@pytest.mark.parametrize("content, quote, embedding, linked", [
-    ("content " + TRICKY, "quote " + TRICKY, [0.5, 0.25], True),
-    ("no embedding here", "no embedding here", None, True),
-    ("a graph with no edge " + TRICKY, "quote " + TRICKY, [0.5, 0.25], False),
-], ids=["escaped text", "no embedding", "no edges"])
-def test_a_full_save_writes_text_and_missing_fields_as_json_does(content, quote, embedding,
-                                                                   linked):
+@pytest.mark.parametrize("content, quote, linked", [
+    ("content " + TRICKY, "quote " + TRICKY, True),
+    ("a graph with no edge " + TRICKY, "quote " + TRICKY, False),
+], ids=["escaped text", "no edges"])
+def test_a_full_save_writes_text_and_missing_fields_as_json_does(content, quote, linked):
     graph = CanvasGraph()
-    first = make_obj(content=content, quote=quote, turn=0, embedding=embedding)
-    second = make_obj(content="redis runs on node 2", turn=1, embedding=axis(1))
+    first = make_obj(content=content, quote=quote, turn=0, embedding=[0.5, 0.25])
+    second = make_obj(content="redis runs on node 2", turn=1, embedding=[0.0, 1.0])
     graph.add_object(first)
     graph.add_object(second)
     if linked:
@@ -422,7 +504,7 @@ def test_a_full_save_writes_text_and_missing_fields_as_json_does(content, quote,
     assert data == whole_document(graph)
     assert data.count(b'],"edges":[') == 1
     # The next save joins a new object at the cached offsets.
-    graph.add_object(make_obj(content="a later fact", turn=2, embedding=axis(2)))
+    graph.add_object(make_obj(content="a later fact", turn=2, embedding=[1.0, 1.0]))
     assert save_both_ways(graph) == whole_document(graph)
 
 
@@ -435,7 +517,7 @@ def test_a_full_save_finds_the_edge_array_past_an_id_holding_a_bracket():
                                   EdgeOrigin.KEYWORD))
     assert one_call(graph) is (orjson is not None)
     assert full_save(graph) == whole_document(graph)
-    graph.add_object(make_obj(content="a later fact", turn=2, embedding=axis(2)))
+    graph.add_object(make_obj(content="a later fact", turn=2, embedding=[1.0, 1.0]))
     assert save_both_ways(graph) == whole_document(graph)
 
 
@@ -450,7 +532,7 @@ def test_a_next_turn_a_load_refuses_is_refused_by_a_save(next_turn, shown):
     fresh = pair()
     saved = pair()
     full_save(saved)
-    saved.add_object(make_obj(content="a later fact", turn=2, embedding=axis(2)))
+    saved.add_object(make_obj(content="a later fact", turn=2, embedding=[1.0, 1.0]))
     for graph in (fresh, saved):
         cached = graph._encoded
         graph.next_turn = next_turn

@@ -223,18 +223,18 @@ def test_linking_an_object_again_adds_nothing():
     assert graph.scoring_index().edge_count == 2
 
 
-def test_link_requires_embeddings():
+def test_an_object_without_an_embedding_is_never_stored_so_never_linked():
     graph = CanvasGraph()
-    bare = make_obj(content="no embedding", turn=0)
-    graph.add_object(bare)
+    bare = make_obj(content="no embedding", turn=0, embedding=None)
     with pytest.raises(MissingEmbeddingError):
+        graph.add_object(bare)
+    with pytest.raises(ValueError, match="is not stored"):
         link_object(graph, bare)
-    graph2 = CanvasGraph()
-    graph2.add_object(make_obj(content="still bare", turn=0))
     probe = make_obj(content="has embedding", turn=1, embedding=axis(0))
-    graph2.add_object(probe)
+    graph.add_object(probe)
     with pytest.raises(MissingEmbeddingError):
-        link_object(graph2, probe)
+        graph.add_object(bare)
+    assert graph.rows == [probe] and link_object(graph, probe) == []
 
 
 def test_link_refuses_an_object_the_graph_does_not_store():

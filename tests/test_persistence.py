@@ -27,7 +27,8 @@ from canvasmem.core import (
     serialize_graph,
 )
 from canvasmem.engine import CanvasEngine
-from canvasmem.errors import MalformedInputError, ReadOnlyGraphError
+from canvasmem.errors import (DimensionMismatchError, InvalidObjectError, MalformedInputError,
+                              MissingEmbeddingError, ReadOnlyGraphError)
 from canvasmem.extraction import MockExtractor
 from canvasmem.scoring import MockEmbedder
 
@@ -90,7 +91,24 @@ def test_every_save_of_every_graph_and_twin_equals_the_oracle(ops):
         graph = pool[op[1] % len(pool)]
         if op[0] == "object":
             _, _, content, turn, embedding = op
-            graph.add_object(make_obj(content=CONTENTS[content], turn=turn, embedding=embedding))
+            if embedding is not None and not any(x * x for x in embedding):
+                with pytest.raises(InvalidObjectError, match="zero vector"):
+                    make_obj(content=CONTENTS[content], turn=turn, embedding=embedding)
+                continue
+            obj = make_obj(content=CONTENTS[content], turn=turn, embedding=embedding)
+            rows = graph.rows
+            # add_object refuses what no scoring index could hold beside the
+            # stored rows, and stores nothing.
+            refusal = (MissingEmbeddingError if embedding is None
+                       else DimensionMismatchError
+                       if rows and len(embedding) != len(rows[0].embedding) else None)
+            if refusal is None:
+                graph.add_object(obj)
+                continue
+            before = (list(rows), graph.next_turn, len(graph.scoring_index()))
+            with pytest.raises(refusal):
+                graph.add_object(obj)
+            assert (graph.rows, graph.next_turn, len(graph.scoring_index())) == before
         elif op[0] == "edge":
             _, _, a, b, kind, weight = op
             if len(graph.rows) < 2:
@@ -106,12 +124,6 @@ def test_every_save_of_every_graph_and_twin_equals_the_oracle(ops):
             assert_saves_like_oracle(graph)
         elif op[0] == "load":
             data = assert_saves_like_oracle(graph)
-            if len({len(obj.embedding) for obj in graph.rows if obj.embedding is not None}) > 1:
-                # add_object stores embeddings of any length, which no
-                # scoring index can hold together; a load refuses them.
-                with pytest.raises(MalformedInputError, match="embedding components, where"):
-                    deserialize_graph(data)
-                continue
             writable.append(deserialize_graph(data))
             graphs.append(writable[-1])
         else:
@@ -171,7 +183,8 @@ def test_loaded_graph_saves_the_bytes_it_was_loaded_from_and_grows_like_the_orac
     data = assert_saves_like_oracle(engine.graph)
     loaded = deserialize_graph(data)
     assert serialize_graph(loaded) == data
-    extra = make_obj(content="a fact added after loading", turn=loaded.next_turn, embedding=axis(4))
+    text = "a fact added after loading"
+    extra = make_obj(content=text, turn=loaded.next_turn, embedding=MockEmbedder().embed(text))
     loaded.add_object(extra)
     loaded.add_edge(_edge(loaded.rows[0], extra))
     assert_saves_like_oracle(loaded)

@@ -177,7 +177,7 @@ def test_hybrid_score_alpha_endpoints():
 
 
 def test_hybrid_score_requires_embedding():
-    obj = make_obj(content="no embedding here", turn=0)
+    obj = make_obj(content="no embedding here", turn=0, embedding=None)
     with pytest.raises(MissingEmbeddingError):
         hybrid_score([1.0, 0.0], "query", obj)
 

@@ -301,11 +301,15 @@ def test_index_cosines_sit_within_the_margin_of_cosine_sim():
 # Error paths: the same typed errors from link_object and coarse_retrieve
 # ---------------------------------------------------------------------------
 
-FAULTS = {
-    "missing": (None, MissingEmbeddingError),
-    "zero": ([0.0] * 8, ZeroVectorError),
-    "wrong dimension": ([1.0] * 4, DimensionMismatchError),
-}
+# What add_object refuses, and how many objects the graph holds before it:
+# every graph refuses an object without an embedding, and a graph holding
+# a row refuses an embedding of another length.
+REFUSALS = [
+    ("missing", None, MissingEmbeddingError, 0),
+    ("missing", None, MissingEmbeddingError, 3),
+    ("wrong dimension", [1.0] * 4, DimensionMismatchError, 1),
+    ("wrong dimension", [1.0] * 4, DimensionMismatchError, 3),
+]
 
 
 def _error_of(fn, *args):
@@ -314,24 +318,30 @@ def _error_of(fn, *args):
     return type(caught.value)
 
 
-@pytest.mark.parametrize("fault", sorted(FAULTS))
-@pytest.mark.parametrize("position", [0, 2])
-def test_stored_fault_raises_the_same_error(fault, position):
-    embedding, error = FAULTS[fault]
-    objects = [make_obj(content=f"fine {i}", turn=i, embedding=axis(i)) for i in range(4)]
-    objects.insert(position, make_obj(content="broken", turn=position, embedding=embedding))
-    screened, oracle = CanvasGraph(), CanvasGraph()
-    for obj in objects:
-        # Storing never raises; the fault shows once something is scored.
-        screened.add_object(obj)
-        oracle.add_object(obj)
-    newest = objects[-1]
-    assert _error_of(link_object, screened, newest) is error
-    assert _error_of(reference.link_object, oracle, newest) is error
+@pytest.mark.parametrize("fault, embedding, error, stored", REFUSALS,
+                         ids=[f"{fault}-{stored}" for fault, _, _, stored in REFUSALS])
+def test_add_object_refuses_what_the_index_cannot_score_and_keeps_the_graph(
+        fault, embedding, error, stored):
+    objects = [make_obj(content=f"fine {i}", turn=i, embedding=axis(i)) for i in range(stored)]
+    screened, oracle = build_pair(objects)
+    saved, indexed = serialize_graph(screened), len(screened.scoring_index())
+    broken = make_obj(content="broken", turn=9, embedding=embedding)
+    for graph in (screened, oracle):
+        assert _error_of(graph.add_object, broken) is error
+    # Nothing is stored: no object, no row, no turn, no index row.
+    assert broken.id not in screened.objects and screened.rows == objects
+    assert screened.next_turn == stored and len(screened.scoring_index()) == indexed
+    assert serialize_graph(screened) == saved
+    # The graph still scores and links as the oracle does.
+    newcomer = make_obj(content="fine 0 again", turn=4, embedding=axis(0))
+    for graph, link in ((screened, link_object), (oracle, reference.link_object)):
+        assert graph.add_object(newcomer) is AddResult.ADDED
+        link(graph, newcomer)
+    assert screened.edges == oracle.edges
+    assert bool(screened.edges) == bool(stored)
     for coarse_k in (2, 20):
         plan = plan_for(axis(0), "fine", coarse_k)
-        assert _error_of(coarse_retrieve, screened, plan) is error
-        assert _error_of(reference.coarse_retrieve, oracle, plan) is error
+        assert coarse_retrieve(screened, plan) == reference.coarse_retrieve(oracle, plan)
 
 
 @pytest.mark.parametrize("query, error", [
@@ -343,59 +353,23 @@ def test_faulty_query_vector_raises_the_same_error(query, error):
     plan = plan_for(query, "fine", 2)
     assert _error_of(coarse_retrieve, screened, plan) is error
     assert _error_of(reference.coarse_retrieve, oracle, plan) is error
-    newcomer = make_obj(content="newcomer", turn=9, embedding=query)
-    screened.add_object(newcomer)
-    oracle.add_object(newcomer)
-    assert _error_of(link_object, screened, newcomer) is error
-    assert _error_of(reference.link_object, oracle, newcomer) is error
+    assert _error_of(screened.scoring_index().prepare, query, "fine") is error
 
 
-@pytest.mark.parametrize("fault", sorted(FAULTS))
-def test_a_link_that_raises_on_a_stored_fault_adds_no_edge_first(fault):
-    embedding, error = FAULTS[fault]
-    objects = [make_obj(content=f"fine {i}", turn=i, embedding=axis(i)) for i in range(3)]
-    broken = make_obj(content="broken", turn=3, embedding=embedding)
-    # Equal to "fine 0" in vector and words: without the fault it links.
-    newcomer = make_obj(content="fine 0 again", turn=4, embedding=axis(0))
-    healthy, graph = graph_of(*objects, newcomer), graph_of(*objects, broken, newcomer)
-    assert link_object(healthy, newcomer)
-    graph.add_edge(CanvasEdge(src=objects[0].id, dst=objects[1].id, kind=EdgeKind.REFERENCE,
-                              weight=1.0, origin=EdgeOrigin.SIMILARITY))
-    index = graph.scoring_index()
-    edges, indexed = list(graph.edges), index.edge_count
-    assert _error_of(link_object, graph, newcomer) is error
-    assert graph.edges == edges and index.edge_count == indexed
-    assert graph.scoring_index().edge_count == indexed == 1
-
-
-# Each stored fault with each query fault of another error.
-_BOTH_FAULTY = [
-    (fault, query, query_error)
-    for fault in sorted(FAULTS)
-    for query, query_error in (([0.0] * 8, ZeroVectorError), ([1.0] * 3, DimensionMismatchError))
-    if FAULTS[fault][1] is not query_error
-]
-
-
-@pytest.mark.parametrize("fault, query, query_error", _BOTH_FAULTY)
-def test_a_stored_fault_outranks_a_faulty_query(fault, query, query_error):
-    embedding, error = FAULTS[fault]
-    objects = [make_obj(content=f"fine {i}", turn=i, embedding=axis(i)) for i in range(3)]
-    objects.append(make_obj(content="broken", turn=3, embedding=embedding))
-    newcomer = make_obj(content="newcomer", turn=4, embedding=query)
-    graph = graph_of(*objects, newcomer)
-    index = graph.scoring_index()
-    # Without the stored fault, the query raises an error of its own.
-    assert _error_of(graph_of(*objects[:3]).scoring_index().prepare, query) is query_error
-    assert _error_of(index.prepare, query, "fine") is error
-    assert _error_of(link_object, graph, newcomer) is error
+@pytest.mark.parametrize("fault, embedding, error, stored", REFUSALS[1:],
+                         ids=[f"{fault}-{stored}" for fault, _, _, stored in REFUSALS[1:]])
+@pytest.mark.parametrize("query, query_error", [
+    ([0.0] * 8, ZeroVectorError), ([1.0] * 3, DimensionMismatchError),
+])
+def test_after_a_refusal_a_faulty_query_raises_its_own_error(
+        fault, embedding, error, stored, query, query_error):
+    graph = graph_of(*[make_obj(content=f"fine {i}", turn=i, embedding=axis(i))
+                       for i in range(stored)])
+    assert _error_of(graph.add_object, make_obj(content="broken", turn=9,
+                                                 embedding=embedding)) is error
+    assert _error_of(graph.scoring_index().prepare, query, "fine") is query_error
     for coarse_k in (2, 20):
-        assert _error_of(coarse_retrieve, graph, plan_for(query, "fine", coarse_k)) is error
-
-
-def test_lone_faulty_object_links_to_nothing_like_the_oracle():
-    screened, oracle = build_pair([make_obj(content="alone", turn=0, embedding=[0.0] * 8)])
-    assert screened.edges == oracle.edges == []
+        assert _error_of(coarse_retrieve, graph, plan_for(query, "fine", coarse_k)) is query_error
 
 
 # ---------------------------------------------------------------------------
@@ -780,31 +754,6 @@ def test_coarse_retrieve_at_or_below_coarse_k_is_the_oracle_without_the_scalar_s
             (h.object_id, _bits(h.hybrid)) for h in hits]
 
 
-@pytest.mark.parametrize("fault", sorted(FAULTS))
-def test_an_index_with_a_fault_raises_before_it_verifies(fault, monkeypatch):
-    embedding, error = FAULTS[fault]
-
-    def exact(*args):
-        raise AssertionError("an index with a fault must not verify rows itself")
-
-    monkeypatch.setattr(ScoringIndex, "exact_cosines", exact)
-    monkeypatch.setattr(ScoringIndex, "exact_hybrids", exact)
-    graph = CanvasGraph()
-    objects = [make_obj(content=f"fine {i}", turn=i, embedding=axis(i)) for i in range(3)]
-    objects.insert(1, make_obj(content="broken", turn=1, embedding=embedding))
-    for obj in objects:
-        graph.add_object(obj)
-    index = graph.scoring_index()
-    assert _error_of(index.prepare, axis(0), "fine") is error
-    assert _error_of(index.prepare_row, 0) is error
-    assert _error_of(link_object, graph, objects[-1]) is error
-    assert _error_of(reference.link_object, graph, objects[-1]) is error
-    for coarse_k in (2, 20):
-        plan = plan_for(axis(0), "fine", coarse_k)
-        assert _error_of(coarse_retrieve, graph, plan) is error
-        assert _error_of(reference.coarse_retrieve, graph, plan) is error
-
-
 # ---------------------------------------------------------------------------
 # The token-overlap kernel against token_jaccard and token_coverage
 # ---------------------------------------------------------------------------
@@ -1032,15 +981,14 @@ def test_a_link_tokenizes_nothing_and_an_append_tokenizes_each_text_once(monkeyp
     assert {e.origin for e in graph.edges} == {EdgeOrigin.SIMILARITY, EdgeOrigin.KEYWORD}
 
 
-def _columns(index, good):
+def _columns(index):
     """Every column of index up to its own rows, edges and vocabulary, as
-    plain values; good[row] says whether row holds a vector. Its vocabulary
-    is the tokens with a posting on one of its rows: a token first interned
-    after a fork has postings only on rows past the fork's."""
+    plain values. Its vocabulary is the tokens with a posting on one of its
+    rows: a token first interned after a fork has postings only on rows
+    past the fork's."""
     n = len(index)
-    good = [row for row in range(n) if good[row]]
     low, high = _SCREENABLE_NORMS
-    bounded = [row for row in good if low <= index._norms[row] <= high]
+    bounded = [row for row in range(n) if low <= index._norms[row] <= high]
 
     def postings(lists):
         cut = {token_id: [row for row in rows if row < n] for token_id, rows in lists.items()}
@@ -1054,15 +1002,14 @@ def _columns(index, good):
         "rows": n,
         "row_of": {oid: row for oid, row in index._row_of.items() if row < n},
         "turns": index._turns[:n].tolist(),
-        "matrix": [_bits(x) for x in index._matrix[good].ravel().tolist()] if good else [],
-        "norms": [_bits(x) for x in index._norms[good].tolist()] if good else [],
+        "matrix": [_bits(x) for x in index._matrix[:n].ravel().tolist()] if n else [],
+        "norms": [_bits(x) for x in index._norms[:n].tolist()] if n else [],
         "units": index._units[bounded].tolist() if bounded else [],
         "content_rows": index._content_rows[:n],
         "sizes": index._sizes[:n].tolist(),
         "content_postings": content_postings,
         "postings": document_postings,
         "vocab": {tok: i for tok, i in index._vocab.items() if i in known},
-        "fault": None if index._fault is None else (type(index._fault), index._fault.args),
         "unbounded": index._unbounded,
         "margin": index.margin,
     }
@@ -1072,24 +1019,14 @@ def test_appending_one_row_at_a_time_equals_a_batch_column_by_column():
     rng = random.Random(17)
     words = ("redis", "cache", "deploy", "friday", "schema", "billing", "gateway")
     scales = (1e-140, 1e-3, 1.0, 1e3, 1e140)
-    embeddings = [None, [0.0] * 8, [[1.0, 2.0]]]  # faults before the first vector
-    for i in range(160):
-        embeddings.append([rng.uniform(-1.0, 1.0) * rng.choice(scales) for _ in range(8)])
+    embeddings = [[rng.uniform(-1.0, 1.0) * rng.choice(scales) for _ in range(8)]
+                  for _ in range(163)]
     embeddings[40] = [1e152] + [0.0] * 7  # finite norm the screen cannot bound
-    for at, fault in ((10, None), (70, axis(0, 4)), (100, [0.0] * 8), (150, None)):
-        embeddings[at] = fault  # faults after it, across the capacity steps
     objects = []
     for turn, embedding in enumerate(embeddings):
         content = f"fact {turn} on " + " ".join(rng.sample(words, rng.randint(0, 3)))
         quote = content if turn % 3 else content + " " + rng.choice(words) + " shipped"
-        # The constructor refuses a 2-D embedding, which only an object
-        # written to after it is built can hold.
-        obj = make_obj(content=content, quote=quote, turn=turn,
-                       embedding=None if turn == 2 else embedding)
-        if turn == 2:
-            obj.embedding = embedding
-        objects.append(obj)
-    good = [isinstance(e, list) and len(e) == 8 and any(e) for e in embeddings]
+        objects.append(make_obj(content=content, quote=quote, turn=turn, embedding=embedding))
 
     batch = ScoringIndex()
     batch.extend(objects)
@@ -1099,22 +1036,21 @@ def test_appending_one_row_at_a_time_equals_a_batch_column_by_column():
         forks.append(single.fork())
         capacities.add(len(single._turns))
     assert capacities == {64, 96, 144, 216} and len(batch._turns) == 216
-    assert batch._unbounded == 1 and isinstance(batch._fault, MissingEmbeddingError)
-    assert _columns(single, good) == _columns(batch, good)
+    assert batch._unbounded == 1
+    assert _columns(single) == _columns(batch)
     for fork in forks:
         n = len(fork)
         prefix = ScoringIndex()
         prefix.extend(objects[:n])
-        assert _columns(fork, good) == _columns(prefix, good), n
+        assert _columns(fork) == _columns(prefix), n
     contents = [token_set(obj.content) for obj in objects]
     for fork in forks[::7]:
         n = len(fork)
         assert [_bits(j) for j in fork.row_jaccards(n - 1).tolist()] == [
             _bits(token_jaccard(c, contents[n - 1])) for c in contents[:n]]
     for row, obj in enumerate(objects):
-        if good[row]:
-            norm = float(np.linalg.norm(np.asarray(obj.embedding, dtype=np.float64)))
-            assert _bits(single._norms[row]) == _bits(norm), row
+        norm = float(np.linalg.norm(np.asarray(obj.embedding, dtype=np.float64)))
+        assert _bits(single._norms[row]) == _bits(norm), row
 
 
 def test_rows_written_from_checked_vectors_equal_rows_converted_on_catch_up():
@@ -1144,7 +1080,7 @@ def test_rows_written_from_checked_vectors_equal_rows_converted_on_catch_up():
     assert graph.add_object(objects[-1], vector) is AddResult.DUPLICATE
     checked = graph.scoring_index()
     assert len(checked) == len(objects) and checked._unbounded == 1
-    assert _columns(checked, [True] * len(objects)) == _columns(converted, [True] * len(objects))
+    assert _columns(checked) == _columns(converted)
 
 
 def test_an_object_whose_quote_is_its_content_is_tokenized_once(monkeypatch):
