@@ -305,14 +305,10 @@ class RemoteExtractor(RemoteClient):
     def extract(self, turn: ConversationTurn, prior_digest: Sequence[str],
                 pass_: ExtractionPass) -> list[CanvasObject]:
         digest = "\n".join(prior_digest) if prior_digest else "(none)"
-        if pass_ is ExtractionPass.FIRST:
-            prompt = _prompt_asset("extraction_first.txt").format(
-                digest=digest, index=turn.index, user=turn.user_text,
-                assistant=turn.assistant_text)
-        else:
-            prompt = _prompt_asset("extraction_glean.txt").format(
-                digest=digest, index=turn.index, user=turn.user_text,
-                assistant=turn.assistant_text)
+        template = ("extraction_first.txt" if pass_ is ExtractionPass.FIRST
+                    else "extraction_glean.txt")
+        prompt = _prompt_asset(template).format(
+            digest=digest, index=turn.index, user=turn.user_text, assistant=turn.assistant_text)
         reply = self._chat(prompt, self.config.temperature_extraction)
         return _parse_extraction_reply(reply, turn)
 

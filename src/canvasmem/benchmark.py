@@ -544,8 +544,9 @@ def rag_retriever(
     tests/reference.py, which embeds and scores every chunk per question
     with the scalar cosine_sim. A chunk or question vector that cosine_sim
     cannot score (zero, or of another dimension) raises its typed error:
-    check_vectors tests every chunk's vector before any is appended, so a
-    failed embedding or check caches nothing, and the next call tries again.
+    one append_vectors call converts every chunk's vector once, and before
+    it appends any, so a failed embedding or conversion caches nothing, and
+    the next call tries again.
     """
     chunks = chunk_text(render_transcript(turns), preset.chunk_size, preset.overlap)
     index = ScoringIndex()
@@ -555,10 +556,7 @@ def rag_retriever(
             return ""
         query_vec = embedder.embed(question)
         if not len(index):
-            vectors = [embedder.embed(chunk) for chunk in chunks]
-            index.check_vectors(vectors)
-            for vec in vectors:
-                index.append_vector(vec)
+            index.append_vectors([embedder.embed(chunk) for chunk in chunks])
         exact = index.exact_cosines(index.prepare(query_vec), np.arange(len(index)))
         scored = list(zip(exact.tolist(), range(len(index))))
         scored.sort(key=lambda pair: (-pair[0], pair[1]))

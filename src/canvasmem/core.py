@@ -6,10 +6,13 @@ embedding, turn index, confidence). Object identity is a content hash of
 same turn collides on purpose and deduplicates. An object is checked when
 it is built, and CanvasGraph.add_object, the one way an object is stored,
 a load's included, checks only that it has an embedding of the first
-stored one's length: that is the one gate for what a graph holds, so every
-stored object can be saved and scored. The graph is append-only: objects
-and edges are added, never mutated or removed. Stored objects are
-immutable by contract, so snapshots, which are read-only, share them.
+stored one's length (check_embeddings): that is the one gate for what a
+graph holds, so every stored object can be saved and scored. A stored
+object's scoring-index row is written by one path alone, the index's
+catch-up in scoring_index(), which converts its embedding once. The graph
+is append-only: objects and edges are added, never mutated or removed.
+Stored objects are immutable by contract, so snapshots, which are
+read-only, share them.
 
 An embedding is a float64 array (array('d')), which the constructor
 converts once, in one struct pack, from the list or array it is given: an
@@ -300,13 +303,13 @@ class CanvasGraph:
     neighbour rows, one per edge, in edge order, which neighbors() and the
     retrieval walk read. The index catches up with the rows and edges the
     first time something scores against, walks, snapshots, adds an edge to
-    or asks for the neighbors of the graph. add_object given the vector and
-    norm ScoringIndex.check_vectors() made of the object's embedding, as
-    the engine gives it, writes the object's row at once from them; plain
-    add_object, as a load calls it, leaves the row to the next catch-up,
-    which can score every row: add_object stores only an embedding of
-    rows[0]'s length. Once indexed, a stored object's embedding, content and
-    quote must not change: the index keeps what it read.
+    or asks for the neighbors of the graph, link_object included: that
+    catch-up, ScoringIndex.extend, is the only writer of a stored object's
+    row, and converts its embedding once. add_object writes no row, so a
+    load writes none, and the catch-up can score every row: add_object
+    stores only an embedding of rows[0]'s length (check_embeddings). Once
+    indexed, a stored object's embedding, content and quote must not
+    change: the index keeps what it read.
 
     add_edges is the one edge write, and add_edge is add_edges of one
     edge. It checks the whole list in one _check_edges call, then refuses
@@ -349,31 +352,40 @@ class CanvasGraph:
     def __len__(self) -> int:
         return len(self.objects)
 
-    def add_object(self, obj: CanvasObject, vector: Optional[tuple] = None) -> AddResult:
+    def add_object(self, obj: CanvasObject) -> AddResult:
         """Store an object, which CanvasObject checked when built: this is
         the one object write, a load's included. A second insert of the same
-        identity is a DUPLICATE. An object without an embedding is a
-        MissingEmbeddingError, and one whose embedding's length differs from
-        rows[0]'s a DimensionMismatchError, with nothing stored.
-
-        vector, when given, is what ScoringIndex.check_vectors() returned for
-        obj's embedding: a stored object's index row is then written at
-        once, from that pair, so its embedding is converted only once."""
-        embedding, rows = obj.embedding, self.rows
-        if embedding is None:
-            raise MissingEmbeddingError(f"object {obj.id} has no embedding")
-        if rows and len(embedding) != len(rows[0].embedding):
-            raise DimensionMismatchError(
-                f"object {obj.id} has {len(embedding)} embedding components, where the "
-                f"first stored embedding has {len(rows[0].embedding)}")
+        identity is a DUPLICATE. What check_embeddings raises for obj (no
+        embedding, or one whose length differs from rows[0]'s) is raised
+        with nothing stored. The object's index row is left to the next
+        catch-up, which converts its embedding once."""
+        self.check_embeddings((obj,))
         if obj.id in self.objects:
             return AddResult.DUPLICATE
-        if vector is not None:
-            self.scoring_index().extend([obj], [vector])
         self.objects[obj.id] = obj
-        rows.append(obj)
+        self.rows.append(obj)
         self.next_turn = max(self.next_turn, obj.turn + 1)
         return AddResult.ADDED
+
+    def check_embeddings(self, objects: Sequence[CanvasObject]) -> None:
+        """Raise what add_object would raise storing objects in order:
+        MissingEmbeddingError for an object with no embedding, and
+        DimensionMismatchError for one whose embedding's length differs from
+        rows[0]'s or, on an empty graph, from the first object's. This is
+        the graph's one dimension rule; the engine checks a turn's objects
+        with it before it stores any."""
+        rows = self.rows
+        dim = len(rows[0].embedding) if rows else None
+        for obj in objects:
+            embedding = obj.embedding
+            if embedding is None:
+                raise MissingEmbeddingError(f"object {obj.id} has no embedding")
+            if dim is None:
+                dim = len(embedding)
+            elif len(embedding) != dim:
+                raise DimensionMismatchError(
+                    f"object {obj.id} has {len(embedding)} embedding components, where the "
+                    f"first {'stored ' if rows else ''}embedding has {dim}")
 
     def add_edge(self, edge: CanvasEdge) -> bool:
         """Insert an edge; returns False when the (src, dst, kind) triple exists."""
@@ -534,14 +546,10 @@ def _plain(values) -> bool:
     magnitudes' sum must lie below 1e16 too.
 
     Outside that range orjson writes a float in another form (1e16 where
-    json writes 1e+16, 0.00001 where it writes 1e-05). A value that is not
-    a number fails abs() and goes to json.
+    json writes 1e+16, 0.00001 where it writes 1e-05).
     """
-    try:
-        magnitudes = [*map(abs, filter(None, values))]
-        return not magnitudes or (min(magnitudes) >= 1e-4 and math.fsum(magnitudes) < 1e16)
-    except (TypeError, ValueError, OverflowError):
-        return False
+    magnitudes = [*map(abs, filter(None, values))]
+    return not magnitudes or (min(magnitudes) >= 1e-4 and math.fsum(magnitudes) < 1e16)
 
 
 def _record(value) -> dict:

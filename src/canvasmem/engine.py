@@ -6,25 +6,28 @@ with the next turn. An embedder error propagates before anything of the turn
 is stored, and so do the InvalidObjectError of a stored object's constructor
 (an embedding that is not a list, a component that is no number, such as
 None or a string, one no save could write, a NaN or an infinity, or a zero
-vector, which no cosine can score) and the scoring index's
-DimensionMismatchError for a vector of another dimension than the stored
-ones, so the same turn can be retried. An extractor that builds a
-candidate the constructor refuses (a quote holding a lone surrogate) fails
-its turn as any extractor error does. So every object the engine stores
-can be saved and scored.
+vector, which no cosine can score) and the DimensionMismatchError that core
+raises for an embedding of another length than the stored ones (or, on an
+empty graph, than the turn's first), so the same turn can be retried. An
+extractor that builds a candidate the constructor refuses (a quote holding
+a lone surrogate) fails its turn as any extractor error does. So every
+object the engine stores can be saved and scored.
 
 The engine writes to no object. It stores a new object built from each
 candidate's fields, with the embedder's vector when the candidate has no
 embedding, so a candidate is left as the extractor returned it and a
-stored object is checked once, by its own constructor, and by add_object's
-test of its embedding's length.
+stored object is checked once, by its own constructor, and by core's test
+of its embedding's length.
 
 Each object's embedding is converted to a float64 array once, by its
-constructor; check_vectors views that array, without a copy, as the
-vector whose norm it computes, and a stored object's index row is written
-from that pair. Objects are stored, indexed and linked one at a time, in the
-extractor's order, so a candidate links only to the rows stored before it.
-A link's edges join the graph and its index in one add_edges call.
+constructor. Before it stores any of a turn's objects, the engine checks
+them all with CanvasGraph.check_embeddings, which raises what add_object
+would, so a turn is stored whole or not at all. Objects are then stored
+and linked one at a time, in the extractor's order, so a candidate links
+only to the rows stored before it. link_object's catch-up of the scoring
+index writes each object's row, the only path by which a row is written:
+it views that array, without a copy, and computes its norm once. A link's
+edges join the graph and its index in one add_edges call.
 
 Readers query snapshot() output, a read-only graph: a write to it raises
 ReadOnlyGraphError. It copies the objects dict and the rows and edges lists
@@ -107,14 +110,14 @@ class CanvasEngine:
                          else obj.embedding)
             for obj in candidates
         ]
-        # add_object would refuse a vector of another dimension midway
-        # through the turn; refuse the turn's vectors before storing any, so
-        # that it can be retried. Each stored object's index row takes its
-        # checked vector and norm.
-        vectors = self.graph.scoring_index().check_vectors([obj.embedding for obj in stored])
+        # add_object would refuse an embedding of another dimension midway
+        # through the turn; refuse the turn's objects before storing any, so
+        # that it can be retried.
+        self.graph.check_embeddings(stored)
         added: list[CanvasObject] = []
-        for obj, vector in zip(stored, vectors):
-            if self.graph.add_object(obj, vector) is AddResult.ADDED:
+        for obj in stored:
+            if self.graph.add_object(obj) is AddResult.ADDED:
+                # link_object's catch-up writes obj's index row.
                 link_object(self.graph, obj, self.thresholds)
                 added.append(obj)
             else:

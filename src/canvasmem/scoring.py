@@ -292,15 +292,10 @@ class ScoringIndex:
     def edge_count(self) -> int:
         return self._edges
 
-    def extend(
-        self,
-        objects: Sequence[CanvasObject],
-        vectors: Optional[Sequence[tuple[np.ndarray, float]]] = None,
-    ) -> None:
-        """Add a row for each object. vectors, when given, holds what
-        check_vectors() returned for the objects' embeddings, and each row
-        takes its (vector, norm) pair from there instead of converting its
-        embedding again.
+    def extend(self, objects: Sequence[CanvasObject]) -> None:
+        """Add a row for each object, its embedding converted once. This is
+        the one writer of a stored object's row: CanvasGraph.scoring_index()
+        calls it to catch up with the graph's rows.
 
         Tokenizing stops at every non-word character, so the tokens of
         document_text(obj) are those of the content and of the quote: each
@@ -308,12 +303,11 @@ class ScoringIndex:
         differs from the content.
         """
         self._reserve(self._rows + len(objects))
-        for position, obj in enumerate(objects):
+        for obj in objects:
             content = token_set(obj.content)
             document = content if obj.quote == obj.content else content | token_set(obj.quote)
-            vector = (_vector(obj.embedding, self._dim()) if vectors is None
-                      else vectors[position])
-            self._append_row(vector, content, document, obj.turn, obj.id)
+            self._append_row(_vector(obj.embedding, self._dim()), content, document, obj.turn,
+                             obj.id)
 
     def extend_edges(self, edges: Sequence[CanvasEdge]) -> None:
         """Join the src and dst row of each edge in both rows' adjacency;
@@ -340,18 +334,20 @@ class ScoringIndex:
             number += 1
         self._edges = number
 
-    def append_vector(
-        self,
-        embedding,
-        content_tokens: frozenset[str] = frozenset(),
-        document_tokens: frozenset[str] = frozenset(),
-        turn: int = 0,
-    ) -> None:
-        """Add a row without an id: the embedding, the Jaccard tokens, the
-        coverage tokens, the turn."""
-        self._reserve(self._rows + 1)
-        vector = _vector(embedding, self._dim())
-        self._append_row(vector, content_tokens, document_tokens, turn, None)
+    def append_vectors(self, embeddings: Sequence) -> None:
+        """Add a row without an id or tokens, at turn 0, for each embedding,
+        all of them or none: every embedding is converted before any row is
+        written, so one cosine_sim could not score raises its typed error
+        (DimensionMismatchError, ZeroVectorError) with nothing written."""
+        self._reserve(self._rows + len(embeddings))
+        dim, vectors = self._dim(), []
+        for embedding in embeddings:
+            vector = _vector(embedding, dim)
+            dim = vector[0].shape[0]
+            vectors.append(vector)
+        no_tokens = frozenset()
+        for vector in vectors:
+            self._append_row(vector, no_tokens, no_tokens, 0, None)
 
     def _reserve(self, needed: int) -> None:
         """Grow every row-aligned column together until it holds `needed` rows."""
@@ -451,22 +447,6 @@ class ScoringIndex:
 
     def _dim(self) -> Optional[int]:
         return None if self._matrix is None else self._matrix.shape[1]
-
-    def check_vectors(self, embeddings: Sequence) -> list[tuple[np.ndarray, float]]:
-        """The float64 vector and norm of each embedding, as a row of it,
-        appended in turn, would hold them: the first one fixes the
-        dimension when the index holds no vector yet. Raises the error that
-        appending such a row would raise (DimensionMismatchError,
-        ZeroVectorError), so that a caller can refuse the embeddings before
-        it stores or appends any, and can hand each pair to extend() once it
-        has stored the object, so that the row converts nothing again."""
-        dim = self._dim()
-        checked = []
-        for embedding in embeddings:
-            vector = _vector(embedding, dim)
-            dim = vector[0].shape[0]
-            checked.append(vector)
-        return checked
 
     def prepare(self, embedding: Sequence[float], text: str = "") -> PreparedQuery:
         """The query ready to score against every row.

@@ -9,6 +9,7 @@ from statistics import fmean
 import pytest
 
 import canvasmem.benchmark
+import canvasmem.scoring
 from canvasmem.backends import FirstSentenceSummarizer, mock_bundle
 from canvasmem.benchmark import (
     FUZZY_RECALL_THRESHOLD,
@@ -327,6 +328,22 @@ def test_rag_embeds_each_chunk_once_per_case():
     # 6 questions over 12 chunks: 6 + 12 calls, where chunking per question made 6 * 13.
     assert (len(result.records), embedder.calls) == (6, 18)
     assert [r.answer for r in result.records] == expected
+
+
+def test_rag_first_question_converts_each_chunk_vector_once(monkeypatch):
+    turns = generate_case(0).turns[:40]
+    preset = RAG_PRESETS["rag-default"]
+    chunks = chunk_text(render_transcript(turns), preset.chunk_size, preset.overlap)
+    assert len(chunks) == 12
+    question = "why do we use redis?"
+    expected = reference.rag_context(turns, question, preset, MockEmbedder())
+    calls = []
+    vector = canvasmem.scoring._vector
+    monkeypatch.setattr(canvasmem.scoring, "_vector",
+                        lambda embedding, dim: calls.append(embedding) or vector(embedding, dim))
+    assert rag_retriever(turns, MockEmbedder(), preset)(question) == expected
+    # Each chunk's vector once, then the question's.
+    assert len(calls) == 1 + len(chunks)
 
 
 def test_rag_chunk_embedding_failure_loses_one_question_and_is_retried():

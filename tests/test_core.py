@@ -30,11 +30,12 @@ from canvasmem.core import (
     serialize_graph,
 )
 from canvasmem.engine import CanvasEngine
-from canvasmem.errors import InvalidObjectError, MalformedInputError, VersionMismatchError
+from canvasmem.errors import (DimensionMismatchError, InvalidObjectError, MalformedInputError,
+                              MissingEmbeddingError, VersionMismatchError)
 from canvasmem.extraction import ConversationTurn, MockExtractor, prior_digest
 from canvasmem.scoring import MockEmbedder
 
-from conftest import graph_of, load_both_ways, make_obj, seeded_turns
+from conftest import axis, graph_of, load_both_ways, make_obj, seeded_turns
 
 # Every save and every load in these tests runs with the orjson path on
 # and forced off.
@@ -225,6 +226,41 @@ def test_add_object_advances_next_turn():
     assert graph.next_turn == 6
     graph.add_object(make_obj(content="older statement", turn=1))
     assert graph.next_turn == 6
+
+
+# Pairs of embeddings check_embeddings refuses, and how many objects the
+# graph stores first: a stored graph refuses an object without an embedding
+# or one of another length than rows[0]'s, an empty graph one of another
+# length than the pair's first.
+_PAIR_REFUSALS = [
+    ("no-embedding", 2, [axis(1), None], MissingEmbeddingError),
+    ("short", 2, [axis(1), axis(1, dim=4)], DimensionMismatchError),
+    ("empty-graph", 0, [axis(1), axis(1, dim=4)], DimensionMismatchError),
+]
+
+
+@pytest.mark.parametrize("stored, embeddings, error", [case[1:] for case in _PAIR_REFUSALS],
+                         ids=[case[0] for case in _PAIR_REFUSALS])
+def test_check_embeddings_raises_what_add_object_would_with_nothing_stored(
+        stored, embeddings, error):
+    graph = graph_of(*[make_obj(content=f"stored {turn}", turn=turn) for turn in range(stored)])
+    pair = [make_obj(content=f"new {turn}", turn=turn + 5, embedding=embedding)
+            for turn, embedding in enumerate(embeddings)]
+
+    def state():
+        return dict(graph.objects), list(graph.rows), graph.next_turn, len(graph.scoring_index())
+
+    before = state()
+    with pytest.raises(error):
+        graph.check_embeddings(pair)
+    assert state() == before and graph.next_turn == stored
+    # Stored in order, the first object is added and the second refused
+    # with the same error, leaving the graph as the first left it.
+    assert graph.add_object(pair[0]) is AddResult.ADDED
+    after_first = state()
+    with pytest.raises(error):
+        graph.add_object(pair[1])
+    assert state() == after_first
 
 
 @pytest.mark.parametrize("index", [2.5, 3.0, True, -1, "3", None])
@@ -430,7 +466,7 @@ def test_a_load_stores_each_object_through_add_object_and_checks_it_once(monkeyp
     monkeypatch.setattr(CanvasObject, "validate",
                         lambda obj: checked.append(obj) or validate(obj))
     monkeypatch.setattr(CanvasGraph, "add_object",
-                        lambda into, obj, *vector: stored.append(obj) or add_object(into, obj, *vector))
+                        lambda into, obj: stored.append(obj) or add_object(into, obj))
     loaded = core.deserialize_graph(data)
     assert loaded == graph and len(loaded.rows) == 3
     # One add_object call and one check, in CanvasObject's constructor, per

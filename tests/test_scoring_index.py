@@ -442,7 +442,7 @@ def test_writes_to_a_snapshot_do_not_corrupt_the_parent_index():
     extra = make_obj(content="note 10 redis", turn=10, embedding=axis(0))
     for write in (lambda: _fill(twin, [10], axis_of=lambda t: 0),
                   lambda: twin.scoring_index().extend([extra]),
-                  lambda: twin.scoring_index().append_vector(axis(0), frozenset({"note"}))):
+                  lambda: twin.scoring_index().append_vectors([axis(0)])):
         with pytest.raises(ReadOnlyGraphError):
             write()
     assert len(twin) == len(twin.scoring_index()) == len(parent.scoring_index()) == 10
@@ -760,28 +760,29 @@ def test_coarse_retrieve_at_or_below_coarse_k_is_the_oracle_without_the_scalar_s
 
 _tokens = st.frozensets(st.sampled_from(WORDS + ("node", "replica")), max_size=5)
 # A row: its content tokens, its quote-only tokens, and how it is appended.
-_row = st.tuples(_tokens, _tokens, st.sampled_from(["vector", "bare", "object"]))
+_row = st.tuples(_tokens, _tokens, st.sampled_from(["single", "bare", "batch"]))
 
 
 def _kernel_index(rows):
-    """An index of rows appended one by one, bare (no tokens), or in batches."""
+    """An index of object rows appended in batches or one by one (a single
+    row extends the pending batch with itself), and of rows without an id
+    or tokens, as append_vectors writes a RAG chunk's."""
     index, batch, stored = ScoringIndex(), [], []
     for turn, (content, extra, how) in enumerate(rows):
-        if how == "object":
-            obj = make_obj(content=" ".join(sorted(content)) or "of",
-                           quote=" ".join(sorted(content | extra)) or "of",
-                           turn=turn, embedding=axis(turn % 8))
-            batch.append(obj)
-            stored.append((token_set(obj.content), token_set(obj.content + " " + obj.quote)))
-            continue
-        index.extend(batch)
-        batch = []
         if how == "bare":
-            index.append_vector(axis(turn % 8))
+            index.extend(batch)
+            batch = []
+            index.append_vectors([axis(turn % 8)])
             stored.append((frozenset(), frozenset()))
-        else:
-            index.append_vector(axis(turn % 8), content, content | extra, turn)
-            stored.append((content, content | extra))
+            continue
+        obj = make_obj(content=" ".join(sorted(content)) or "of",
+                       quote=" ".join(sorted(content | extra)) or "of",
+                       turn=turn, embedding=axis(turn % 8))
+        batch.append(obj)
+        stored.append((token_set(obj.content), token_set(obj.content + " " + obj.quote)))
+        if how == "single":
+            index.extend(batch)
+            batch = []
     index.extend(batch)
     return index, stored
 
@@ -810,13 +811,13 @@ def test_token_kernel_is_bit_identical_to_the_scalar_functions(rows, query):
 
 def test_forks_and_their_owner_never_see_each_others_rows_or_token_ids():
     owner = ScoringIndex()
-    owner.append_vector(axis(0), frozenset({"redis"}), frozenset({"redis", "cache"}), 0)
+    owner.extend([make_obj(content="redis", quote="the redis cache", turn=0, embedding=axis(0))])
     fork = owner.fork()
     # The owner interns new tokens after the fork; the fork's appends raise.
-    owner.append_vector(axis(1), frozenset({"alpha"}), frozenset({"alpha"}), 1)
+    owner.extend([make_obj(content="alpha", turn=1, embedding=axis(1))])
     with pytest.raises(ReadOnlyGraphError):
-        fork.append_vector(axis(2), frozenset({"beta"}), frozenset({"beta"}), 1)
-    owner.append_vector(axis(3), frozenset({"gamma"}), frozenset({"gamma"}), 2)
+        fork.extend([make_obj(content="beta", turn=1, embedding=axis(2))])
+    owner.extend([make_obj(content="gamma", turn=2, embedding=axis(3))])
     assert len(owner) == 3 and len(fork) == 1
     assert owner.prepare(axis(0), "beta").token_ids == frozenset()
     assert owner.row_jaccards(1).tolist() == [0.0, 1.0, 0.0]
@@ -831,14 +832,15 @@ def test_forks_and_their_owner_never_see_each_others_rows_or_token_ids():
 
 def test_a_forks_coverage_counts_neither_the_owners_later_rows_nor_its_later_tokens():
     owner = ScoringIndex()
-    owner.append_vector(axis(0), frozenset({"redis"}), frozenset({"redis", "cache"}), 0)
-    owner.append_vector(axis(1), frozenset(), frozenset({"cache"}), 1)
+    owner.extend([make_obj(content="redis", quote="the redis cache", turn=0, embedding=axis(0)),
+                  make_obj(content="of", quote="the cache", turn=1, embedding=axis(1))])
     fork = owner.fork()
     # After the fork the owner appends rows holding the query's tokens, one
     # of them ("beta") seen for the first time, and a row without tokens.
-    owner.append_vector(axis(2), frozenset({"redis"}), frozenset({"redis", "cache", "beta"}), 2)
-    owner.append_vector(axis(3))
-    owner.append_vector(axis(4), frozenset(), frozenset({"beta", "cache"}), 3)
+    owner.extend([make_obj(content="redis", quote="redis cache beta", turn=2,
+                           embedding=axis(2))])
+    owner.append_vectors([axis(3)])
+    owner.extend([make_obj(content="of", quote="beta cache", turn=3, embedding=axis(4))])
     fork_docs = [{"redis", "cache"}, {"cache"}]
     owner_docs = fork_docs + [{"redis", "cache", "beta"}, set(), {"beta", "cache"}]
     text = "redis cache beta"
@@ -856,17 +858,17 @@ def test_a_forks_coverage_counts_neither_the_owners_later_rows_nor_its_later_tok
 
 def test_a_forks_jaccard_counts_neither_the_owners_later_rows_nor_its_later_tokens():
     owner = ScoringIndex()
-    owner.append_vector(axis(0), frozenset({"redis", "cache"}), frozenset({"redis", "cache"}), 0)
-    owner.append_vector(axis(1), frozenset({"cache"}), frozenset({"cache", "gateway"}), 1)
+    owner.extend([make_obj(content="redis cache", turn=0, embedding=axis(0)),
+                  make_obj(content="cache", quote="cache gateway", turn=1, embedding=axis(1))])
     fork = owner.fork()
     # After the fork the owner appends rows whose content holds the fork's
     # tokens, one of them ("beta") seen for the first time, and a row
     # without tokens; then enough rows to outgrow every shared column.
-    owner.append_vector(axis(2), frozenset({"redis", "beta"}), frozenset({"redis", "beta"}), 2)
-    owner.append_vector(axis(3))
-    owner.append_vector(axis(4), frozenset({"cache", "beta"}), frozenset({"cache"}), 3)
+    owner.extend([make_obj(content="redis beta", turn=2, embedding=axis(2))])
+    owner.append_vectors([axis(3)])
+    owner.extend([make_obj(content="cache beta", turn=3, embedding=axis(4))])
     for turn in range(4, 80):
-        owner.append_vector(axis(turn % 8), frozenset({"redis"}), frozenset({"redis"}), turn)
+        owner.extend([make_obj(content="redis", turn=turn, embedding=axis(turn % 8))])
     fork_contents = [{"redis", "cache"}, {"cache"}]
     owner_contents = (fork_contents + [{"redis", "beta"}, set(), {"cache", "beta"}]
                       + [{"redis"}] * 76)
@@ -882,17 +884,32 @@ def test_a_forks_jaccard_counts_neither_the_owners_later_rows_nor_its_later_toke
 
 def test_rows_without_tokens_cover_nothing():
     index = ScoringIndex()
-    for i in range(3):
-        index.append_vector(axis(i))
+    index.append_vectors([axis(i) for i in range(3)])
     query = index.prepare(axis(0), "redis cache")
     assert query.token_ids == frozenset()
     assert index.coverage(query).tolist() == [0.0, 0.0, 0.0]
-    index.append_vector(axis(3), frozenset({"redis"}), frozenset({"redis"}), 1)
-    index.append_vector(axis(4))
+    index.extend([make_obj(content="redis", turn=1, embedding=axis(3))])
+    index.append_vectors([axis(4)])
     query = index.prepare(axis(0), "redis cache")
     assert index.coverage(query).tolist() == [0.0, 0.0, 0.0, 0.5, 0.0]
     assert index.coverage(index.prepare(axis(0), "")).tolist() == [0.0] * 5
     assert ScoringIndex().coverage(query).shape == (0,)
+
+
+@pytest.mark.parametrize("stored, embeddings, error", [
+    (1, [axis(1), [0.0] * 8], ZeroVectorError),
+    (1, [axis(1), axis(1, dim=4)], DimensionMismatchError),
+    (0, [axis(1), axis(1, dim=4)], DimensionMismatchError),
+], ids=["zero", "short", "empty-index"])
+def test_append_vectors_writes_every_row_or_none(stored, embeddings, error):
+    index = ScoringIndex()
+    index.append_vectors([axis(0)] * stored)
+    before = _columns(index) if stored else None
+    with pytest.raises(error):
+        index.append_vectors(embeddings)
+    assert len(index) == stored and (not stored or _columns(index) == before)
+    index.append_vectors(embeddings[:1] * 3)
+    assert len(index) == stored + 3
 
 
 _turn_objects = st.builds(
@@ -1053,7 +1070,7 @@ def test_appending_one_row_at_a_time_equals_a_batch_column_by_column():
         assert _bits(single._norms[row]) == _bits(norm), row
 
 
-def test_rows_written_from_checked_vectors_equal_rows_converted_on_catch_up():
+def test_a_graphs_catch_up_rows_equal_a_direct_extend():
     rng = random.Random(23)
     scales = (1e-140, 1e-3, 1.0, 1e3, 1e140)
     embeddings = [[rng.uniform(-1.0, 1.0) * rng.choice(scales) for _ in range(8)]
@@ -1063,24 +1080,23 @@ def test_rows_written_from_checked_vectors_equal_rows_converted_on_catch_up():
     objects = [make_obj(content=f"fact {turn} on redis", turn=turn, embedding=embedding,
                         quote=f"fact {turn} on redis" if turn % 3 else f"the cache {turn}")
                for turn, embedding in enumerate(embeddings)]
-    converted = ScoringIndex()
-    converted.extend(objects)
-    # One check of a whole turn's vectors on an empty index, rows the index
-    # converts when it next catches up, then one checked vector at a time.
+    direct = ScoringIndex()
+    direct.extend(objects)
+    # add_object writes no row: a catch-up writes a whole batch of stored
+    # objects, then one object at a time, as linking does.
     graph = CanvasGraph()
-    vectors = graph.scoring_index().check_vectors([obj.embedding for obj in objects[:30]])
-    for obj, vector in zip(objects[:30], vectors):
-        assert graph.add_object(obj, vector) is AddResult.ADDED
-    for obj in objects[30:50]:
-        graph.add_object(obj)
+    for obj in objects[:50]:
+        assert graph.add_object(obj) is AddResult.ADDED
+    assert len(graph._index) == 0
+    assert len(graph.scoring_index()) == 50
     for obj in objects[50:]:
-        vector, = graph.scoring_index().check_vectors([obj.embedding])
-        assert graph.add_object(obj, vector) is AddResult.ADDED
-        assert len(graph._index) == len(graph.rows)
-    assert graph.add_object(objects[-1], vector) is AddResult.DUPLICATE
-    checked = graph.scoring_index()
-    assert len(checked) == len(objects) and checked._unbounded == 1
-    assert _columns(checked) == _columns(converted)
+        assert graph.add_object(obj) is AddResult.ADDED
+        assert len(graph.scoring_index()) == len(graph.rows)
+    # A duplicate is refused before it reaches the index.
+    assert graph.add_object(objects[-1]) is AddResult.DUPLICATE
+    caught_up = graph.scoring_index()
+    assert len(caught_up) == len(objects) and caught_up._unbounded == 1
+    assert _columns(caught_up) == _columns(direct)
 
 
 def test_an_object_whose_quote_is_its_content_is_tokenized_once(monkeypatch):
