@@ -32,7 +32,6 @@ import os
 import re
 import time
 from dataclasses import asdict, dataclass
-from importlib import resources
 from typing import (
     Any, Callable, NamedTuple, Optional, Protocol, Sequence, Union, runtime_checkable,
 )
@@ -48,7 +47,7 @@ from .extraction import (
     ConversationTurn, ExtractionPass, ExtractorBackend, MockExtractor, quote_matches,
 )
 from .retrieval import RerankerBackend
-from .scoring import EmbedderBackend, MockEmbedder
+from .scoring import EmbedderBackend, MockEmbedder, read_asset
 
 logger = logging.getLogger(__name__)
 
@@ -103,7 +102,7 @@ def http_transport(url: str, payload: dict, headers: dict, timeout_s: float) -> 
 
 @functools.cache
 def _prompt_asset(name: str) -> str:
-    return resources.files("canvasmem").joinpath(f"assets/prompts/{name}").read_text(encoding="utf-8")
+    return read_asset(f"prompts/{name}")
 
 
 @runtime_checkable
@@ -241,7 +240,7 @@ class RemoteEmbedder(RemoteClient):
 
         [vector] = self._records(body, "data", 1, read, "embedding")
         if not vector:
-            raise MalformedResponseError("embedding dimensions are inconsistent", role=self.role)
+            raise MalformedResponseError("embedding has no components", role=self.role)
         return vector
 
 

@@ -542,8 +542,9 @@ def rag_retriever(
     once per question. Chunks are ranked by one call of the index's
     exact_cosines over every chunk, bit-identical to rag_context in
     tests/reference.py, which embeds and scores every chunk per question
-    with the scalar cosine_sim. A chunk or question vector that cosine_sim
-    cannot score (zero, or of another dimension) raises its typed error:
+    with the scalar cosine_sim. A chunk or question vector the index cannot
+    score (a norm outside [1e-150, 1e150], zero included, or another
+    dimension) raises its typed error:
     one append_vectors call converts every chunk's vector once, and before
     it appends any, so a failed embedding or conversion caches nothing, and
     the next call tries again.

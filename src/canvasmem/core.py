@@ -17,13 +17,16 @@ read-only, share them.
 An embedding is a float64 array (array('d')), which the constructor
 converts once, in one struct pack, from the list or array it is given: an
 int or a bool component becomes its float, so 1 saves as 1.0; a component
-that is no number, or not finite, is refused, and so is a vector whose dot
-product with itself is 0, which no cosine can score. Every layer reads
-that buffer. The scoring index views it with np.asarray, without a copy; a
-save vouches for a batch's embeddings in one numpy pass over their joined
-bytes and hands orjson a view of each; a load builds every object through
-the same constructor, so a loaded graph holds no float object per
-component, as an ingested one holds none.
+that is no number, or not finite, is refused, and so is a vector whose
+norm lies outside [1e-150, 1e150] (a zero vector's included), which the
+scoring screen cannot bound. The constructor computes that norm as the
+scoring index does (vector_norm), so every stored row is one the index
+can score. Every layer reads that buffer. The scoring index views it
+with np.asarray, without a copy; a save vouches for a batch's embeddings
+in one numpy pass over their joined bytes and hands orjson a view of
+each; a load builds every object through the same constructor, so a
+loaded graph holds no float object per component, as an ingested one
+holds none.
 
 Persistence is incremental for the same reason. Each graph keeps the last
 document serialize_graph returned for it, one file's worth of bytes, and a
@@ -82,7 +85,7 @@ import numpy as np
 
 from .errors import (CanvasError, DimensionMismatchError, InvalidObjectError, MalformedInputError,
                      MissingEmbeddingError, ReadOnlyGraphError, VersionMismatchError)
-from .scoring import ScoringIndex
+from .scoring import SCREENABLE_NORMS, ScoringIndex, vector_norm
 
 GRAPH_FORMAT = "canvas-graph"
 GRAPH_VERSION = 1
@@ -169,7 +172,10 @@ class CanvasObject:
     hold, beside add_object's test of the embedding's length. It refuses a
     content or quote holding a lone surrogate, a turn outside [0, 2**63),
     and an embedding that is not a non-empty list or array of finite
-    numbers, or whose dot product with itself is 0.
+    numbers, or whose norm lies outside SCREENABLE_NORMS, [1e-150, 1e150]:
+    a zero vector, one whose squares underflow, or one whose dot product
+    with itself overflows. The norm is vector_norm of the stored buffer,
+    the value the scoring index computes for the object's row.
 
     The gate converts the embedding once, into a float64 array the object
     owns (array('d'), a copy when it is given an array): one struct pack
@@ -231,19 +237,18 @@ class CanvasObject:
             except (struct.error, TypeError, ValueError, OverflowError) as exc:
                 raise InvalidObjectError(
                     f"embedding components must convert to float64: {exc}") from exc
-            # An embedder's floats sum to a finite float of magnitude 1e-150 or
-            # more, so one has a square that is no zero (it is 1e-150 / len
-            # or more). Any other sum has the converted components tested one
-            # by one (numpy's warnings may raise).
-            try:
-                total = sum(embedding)
-            except (TypeError, ValueError, ArithmeticError, RuntimeWarning):
-                total = None
-            if total.__class__ is not float or not 1e-150 <= abs(total) < math.inf:
+            # The norm the scoring index computes for the stored row, on the
+            # same buffer, so every stored row is one the screen bounds. The
+            # components are read one by one only to word a refusal.
+            norm = vector_norm(np.frombuffer(vector))
+            low, high = SCREENABLE_NORMS
+            if not low <= norm <= high:
                 if not all(map(math.isfinite, vector)):
                     raise InvalidObjectError("embedding components must be finite")
                 if not any(x * x for x in vector):
                     raise InvalidObjectError("embedding must not be a zero vector")
+                raise InvalidObjectError(f"embedding norm must lie in [{low!r}, {high!r}], "
+                                         f"got {math.hypot(*vector)!r}")
             self.embedding = vector
 
 
@@ -896,7 +901,8 @@ def deserialize_graph(data: bytes | bytearray | memoryview) -> CanvasGraph:
     MalformedInputError on truncation, schema violations, nesting too deep
     to parse, a record CanvasObject refuses (a quote holding the escape
     \\ud800, an embedding component that is null, a string or 1e400, which
-    parses to infinity, or an all-zero embedding) or add_object refuses (no
+    parses to infinity, or an embedding whose norm lies outside [1e-150,
+    1e150], an all-zero one included) or add_object refuses (no
     embedding, or one whose length differs from the first stored one's),
     and VersionMismatchError on an unsupported version number. A loaded
     graph can always be saved and scored, and holds no float object per

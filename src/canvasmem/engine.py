@@ -5,8 +5,9 @@ extractor backend fail is logged, counted, and skipped; ingestion continues
 with the next turn. An embedder error propagates before anything of the turn
 is stored, and so do the InvalidObjectError of a stored object's constructor
 (an embedding that is not a list, a component that is no number, such as
-None or a string, one no save could write, a NaN or an infinity, or a zero
-vector, which no cosine can score) and the DimensionMismatchError that core
+None or a string, one no save could write, a NaN or an infinity, or a norm
+outside [1e-150, 1e150], a zero vector's included, which the scoring
+screen cannot bound) and the DimensionMismatchError that core
 raises for an embedding of another length than the stored ones (or, on an
 empty graph, than the turn's first), so the same turn can be retried. An
 extractor that builds a candidate the constructor refuses (a quote holding

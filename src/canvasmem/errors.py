@@ -26,7 +26,8 @@ class DimensionMismatchError(CanvasError):
 
 
 class ZeroVectorError(CanvasError):
-    """Cosine similarity was requested for a zero-magnitude vector."""
+    """A vector scored by cosine similarity has a norm of zero, or one outside
+    the range [1e-150, 1e150] within which the scoring screen bounds cosines."""
 
 
 class MissingEmbeddingError(CanvasError):

@@ -76,13 +76,12 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from importlib import resources
 from itertools import chain
 from operator import attrgetter
 from typing import Optional, Protocol, Sequence, runtime_checkable
 
 from .core import CanvasGraph, CanvasObject, ObjectKind
-from .scoring import DEFAULT_ALPHA, EmbedderBackend, ScoringIndex
+from .scoring import DEFAULT_ALPHA, EmbedderBackend, ScoringIndex, read_asset
 
 logger = logging.getLogger(__name__)
 
@@ -132,8 +131,7 @@ class RerankerBackend(Protocol):
 
 
 def _read_lines(name: str) -> tuple[str, ...]:
-    text = resources.files("canvasmem").joinpath(f"assets/{name}").read_text(encoding="utf-8")
-    return tuple(line.strip() for line in text.splitlines() if line.strip())
+    return tuple(line.strip() for line in read_asset(name).splitlines() if line.strip())
 
 
 @lru_cache(maxsize=1)

@@ -25,12 +25,14 @@ hybrid_score, in the same order, on the same float64 values (one batched
 call of numpy's vector dot kernel, a dot product per row, then the
 division, the clamp and the blend as float64 array operations), so every
 stored edge weight and every ranked score is bit-identical to the scalar
-value. A vector whose norm is too large or too small for the screen to
-bound its cosines is screened as +inf, so it is always verified. Every
+value. The screen bounds every row and every query: a vector is taken
+only with a norm in SCREENABLE_NORMS, computed by vector_norm, the one
+norm computation that CanvasObject's constructor runs as well. Every
 stored row can be scored: the graph stores only an embedding of its first
-row's length, with a nonzero norm. A row or query vector cosine_sim cannot
-score raises its typed error before anything is written or scored. There
-is no other scoring path.
+row's length, with a norm in that range. A row or query vector the index
+cannot score (another dimension, a norm outside the range) raises its
+typed error before anything is written or scored. There is no other
+scoring path.
 
 The token half needs no screen. Both token kernels join posting lists
 and count each row's hits with one np.bincount (ScanCount): Jaccard joins
@@ -70,14 +72,12 @@ if TYPE_CHECKING:
 DEFAULT_ALPHA = 0.7
 MOCK_EMBEDDING_DIM = 256
 
-# The screen bounds the cosines of vectors with a norm in this range: within
-# it the float64 norm is accurate to a few ulps, and no product in
+# The norms of the vectors a graph holds and the index scores: within this
+# range the float64 norm is accurate to a few ulps, and no product in
 # cosine_sim overflows or underflows by enough to move a cosine past the
-# margin.
-_SCREENABLE_NORMS = (1e-150, 1e150)
+# screen's margin (see _screen_margin).
+SCREENABLE_NORMS = (1e-150, 1e150)
 _INITIAL_ROWS = 64
-# The turn column is int64; larger turns are stored as this (see turn_window).
-_TURN_CAP = 2**62
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -90,14 +90,16 @@ class EmbedderBackend(Protocol):
         ...
 
 
-def _read_asset(name: str) -> str:
+def read_asset(name: str) -> str:
+    """The text of the package asset at assets/name: every asset the
+    package reads (stopwords, query indicators, prompts) is read here."""
     return resources.files("canvasmem").joinpath(f"assets/{name}").read_text(encoding="utf-8")
 
 
 @lru_cache(maxsize=1)
 def stopwords() -> frozenset[str]:
     """The fixed stopword list used for keyword scoring and lexical edges."""
-    return frozenset(w.strip() for w in _read_asset("stopwords.txt").split() if w.strip())
+    return frozenset(w.strip() for w in read_asset("stopwords.txt").split() if w.strip())
 
 
 def tokenize(text: str) -> list[str]:
@@ -116,34 +118,37 @@ def token_set(text: str) -> frozenset[str]:
     return frozenset(map(sys.intern, content_tokens(text)))
 
 
+def vector_norm(vec: np.ndarray) -> float:
+    """The norm of a 1-D float64 vector, as np.linalg.norm computes it but
+    without its dispatch: sqrt of the vector's dot product with itself.
+
+    A dot product that overflows is inf (numpy warns; where a warning filter
+    raises that warning, it reads as inf too), which SCREENABLE_NORMS
+    refuses. The floating-point error state is left as it is: setting it
+    around the dot product would cost more than the product of a 256-d
+    vector.
+    """
+    try:
+        return math.sqrt(float(vec.dot(vec)))
+    except RuntimeWarning:
+        return math.inf
+
+
 def _vector(embedding, dim: Optional[int]) -> tuple[np.ndarray, float]:
-    """The float64 vector and its norm. Raises what cosine_sim raises when it
-    scores the vector against one of dimension dim (of its own, if None).
-    A stored object's embedding, a float64 array, is viewed, not copied."""
+    """The float64 vector and its norm. Raises DimensionMismatchError if it is
+    not 1-D of dimension dim (of its own, if None), and ZeroVectorError if
+    its norm lies outside SCREENABLE_NORMS. A stored object's embedding, a
+    float64 array, is viewed, not copied."""
     vec = np.asarray(embedding, dtype=np.float64)
     if vec.ndim != 1 or (dim is not None and vec.shape[0] != dim):
         raise DimensionMismatchError(f"vector shapes differ: {vec.shape} vs ({dim},)")
-    # What np.linalg.norm computes for a 1-D float64 vector, without its
-    # dispatch: sqrt of the vector's dot product with itself. A dot product
-    # that overflows gives an infinite norm, which the screen cannot bound,
-    # so every cosine against the vector is verified exactly.
-    with np.errstate(over="ignore"):
-        norm = math.sqrt(float(vec.dot(vec)))
-    if norm == 0.0:
-        raise ZeroVectorError("cosine similarity is undefined for zero vectors")
+    norm = vector_norm(vec)
+    low, high = SCREENABLE_NORMS
+    if not low <= norm <= high:
+        raise ZeroVectorError(
+            "cosine similarity is undefined for zero vectors" if norm == 0.0
+            else f"vector norm must lie in [{low!r}, {high!r}], got {norm!r}")
     return vec, norm
-
-
-def _boundable(norms):
-    """Whether the screen bounds cosines at each of norms (a float or an array)."""
-    low, high = _SCREENABLE_NORMS
-    return (low <= norms) & (norms <= high)
-
-
-def _unit(vec: np.ndarray, norm: float) -> Optional[np.ndarray]:
-    """fl32(vec / norm), the vector as the screen reads it; None where the
-    screen cannot bound its cosines."""
-    return (vec / norm).astype(np.float32) if _boundable(norm) else None
 
 
 def _screen_margin(dim: int) -> float:
@@ -176,15 +181,16 @@ class PreparedQuery:
     token_ids are the ids of the tokens in the index's vocabulary, which a
     fork shares with its owner; a query token outside it counts in
     len(tokens) and matches no row, and so does one the owner interned
-    after the fork, whose postings lie past the fork's rows. unit is None when
-    the norm lies outside _SCREENABLE_NORMS.
+    after the fork, whose postings lie past the fork's rows. unit is
+    fl32(vector / norm); the norm lies in SCREENABLE_NORMS, so the screen
+    bounds every cosine it reads.
     """
 
     vector: np.ndarray
     norm: float
     tokens: frozenset[str]
     token_ids: frozenset[int]
-    unit: Optional[np.ndarray]
+    unit: np.ndarray
 
 
 def _capacity(have: int, needed: int) -> int:
@@ -226,8 +232,8 @@ class ScoringIndex:
     screens every row at once and verifies only the rows that can pass.
     cosines() and hybrids() are the screen: one float32 product of the unit
     rows with the query's unit vector, within `margin` (derived from d by
-    _screen_margin) of cosine_sim, and +inf at a row whose cosine it cannot
-    bound (the row's or the query's norm outside _SCREENABLE_NORMS);
+    _screen_margin) of cosine_sim at every row, since every row's and every
+    query's norm lies in SCREENABLE_NORMS;
     exact_cosines() and exact_hybrids() verify the rows listed, in one
     call, bit-identical to cosine_sim and hybrid_score from the float64
     matrix and norms. The token kernels are exact, and both join posting
@@ -236,10 +242,10 @@ class ScoringIndex:
     content-plus-quote posting lists of the query's ids, so they read only
     the rows sharing a token with the set. They divide those integer counts
     by sizes that are exact integers, as token_jaccard and token_coverage
-    do, so they are the same float64 to the last bit. A vector cosine_sim
-    could not score (not a 1-D vector of the index's dimension, a zero
-    norm) raises its typed error when it is prepared as a query, or
-    before a row of it is written.
+    do, so they are the same float64 to the last bit. A vector the index
+    cannot score (not a 1-D vector of the index's dimension, a norm outside
+    SCREENABLE_NORMS) raises its typed error when it is prepared as a
+    query, or before a row of it is written.
 
     The index also holds the graph's shape: each row's id in an id -> row
     map, and each row's adjacency: the rows an edge joins to it, one per
@@ -247,8 +253,7 @@ class ScoringIndex:
     reads one row's list, so the retrieval walk and CanvasGraph.neighbors()
     read only the edges of the rows they visit; incident() reads the edge
     numbers, so CanvasGraph.add_edges() finds a duplicate among the edges
-    of its destination's row alone. These work whether or not the
-    embeddings can be screened.
+    of its destination's row alone.
 
     fork() returns a read-only index (read_only is True; a write raises
     ReadOnlyGraphError) sharing every column, the content id rows, both
@@ -263,7 +268,6 @@ class ScoringIndex:
     def __init__(self):
         self._rows = 0
         self.read_only = False
-        self._unbounded = 0
         self._matrix: Optional[np.ndarray] = None
         self._norms = np.empty(0)
         self._units = np.empty((0, 0), dtype=np.float32)
@@ -337,7 +341,7 @@ class ScoringIndex:
     def append_vectors(self, embeddings: Sequence) -> None:
         """Add a row without an id or tokens, at turn 0, for each embedding,
         all of them or none: every embedding is converted before any row is
-        written, so one cosine_sim could not score raises its typed error
+        written, so one the index cannot score raises its typed error
         (DimensionMismatchError, ZeroVectorError) with nothing written."""
         self._reserve(self._rows + len(embeddings))
         dim, vectors = self._dim(), []
@@ -370,7 +374,7 @@ class ScoringIndex:
         tokens, document the coverage tokens (content itself when the quote
         adds none)."""
         row = self._rows
-        self._turns[row] = min(turn, _TURN_CAP)
+        self._turns[row] = turn
         vec, norm = vector
         if self._matrix is None:  # the first row fixes the dimension
             dim, capacity = vec.shape[0], len(self._turns)
@@ -380,10 +384,7 @@ class ScoringIndex:
             self.margin = _screen_margin(dim)
         self._matrix[row] = vec
         self._norms[row] = norm
-        if _boundable(norm):
-            self._units[row] = vec / norm  # the float32 cast rounds as astype does
-        else:
-            self._unbounded += 1  # cosines() never reads its unit row
+        self._units[row] = vec / norm  # the float32 cast rounds as astype does
         vocab, postings, content_postings = self._vocab, self._postings, self._content_postings
         token_ids = [vocab.setdefault(tok, len(vocab)) for tok in content]
         self._content_rows.append(token_ids)
@@ -451,21 +452,21 @@ class ScoringIndex:
     def prepare(self, embedding: Sequence[float], text: str = "") -> PreparedQuery:
         """The query ready to score against every row.
 
-        Raises the error cosine_sim raises on the query vector against a
-        stored row: DimensionMismatchError or ZeroVectorError.
+        Raises DimensionMismatchError for a query vector of another
+        dimension than the stored rows', and ZeroVectorError for one whose
+        norm lies outside SCREENABLE_NORMS.
         """
         vec, norm = _vector(embedding, self._dim())
         tokens = token_set(text)
         return PreparedQuery(vec, norm, tokens, frozenset(self._known_ids(tokens)),
-                             _unit(vec, norm))
+                             (vec / norm).astype(np.float32))
 
     def prepare_row(self, row: int) -> PreparedQuery:
         """Row's own vectors and norm as a query without tokens: the values
         prepare() makes of the row's embedding, without converting it
         again."""
-        norm = float(self._norms[row])
-        unit = self._units[row] if _boundable(norm) else None
-        return PreparedQuery(self._matrix[row], norm, frozenset(), frozenset(), unit)
+        return PreparedQuery(self._matrix[row], float(self._norms[row]), frozenset(),
+                             frozenset(), self._units[row])
 
     def _known_ids(self, tokens: frozenset[str]) -> list[int]:
         return [i for i in map(self._vocab.get, tokens) if i is not None]
@@ -494,33 +495,16 @@ class ScoringIndex:
         return shared / (self._sizes[:n] + (len(token_ids) - shared))
 
     def turn_window(self, turn: int, window: int) -> np.ndarray:
-        """Mask of the rows whose turn lies at most `window` turns before `turn`.
-
-        Turns past _TURN_CAP are stored as _TURN_CAP, which can only add rows
-        to the mask; the caller checks each row's exact turn.
-        """
-        turn = min(turn, _TURN_CAP)
+        """Mask of the rows whose turn lies at most `window` turns before
+        `turn`. A turn lies below 2**63, so the int64 column holds it as it is."""
         turns = self._turns[:self._rows]
         return (turns <= turn) & (turns >= turn - window)
 
     def cosines(self, query: PreparedQuery) -> np.ndarray:
         """Screened cosine of every row against query, within `margin` of
-        cosine_sim, or +inf where either norm lies outside _SCREENABLE_NORMS:
-        one float32 product of the unit rows with the query's unit vector."""
-        n = self._rows
-        if not n or query.unit is None:
-            return np.full(n, np.inf)
-        units = self._units[:n]
-        if not self._unbounded:
-            return units @ query.unit
-        bounded = _boundable(self._norms[:n])
-        approx = np.full(n, np.inf)
-        approx[bounded] = units[bounded] @ query.unit
-        return approx
-
-    def _bounds_every_row(self, query: PreparedQuery) -> bool:
-        """Whether cosines(query) holds no +inf."""
-        return not self._unbounded and query.unit is not None
+        cosine_sim: one float32 product of the unit rows with the query's
+        unit vector."""
+        return self._units[:self._rows] @ query.unit
 
     def cosines_from(self, query: PreparedQuery, floor: float, skip: int) -> dict[int, float]:
         """Each row whose cosine may reach floor, row skip aside, with its
@@ -548,16 +532,12 @@ class ScoringIndex:
         self, query: PreparedQuery, alpha: float, keyword: np.ndarray
     ) -> np.ndarray:
         """Screened hybrid_score of every row, within `margin` of the exact
-        one, +inf where the cosine is; keyword is the exact weighted keyword
-        half, (1 - alpha) * coverage() of every row. The blend runs in
-        float64, so it adds no float32 rounding to the screened cosine's."""
-        cosines = self.cosines(query)
+        one; keyword is the exact weighted keyword half, (1 - alpha) *
+        coverage() of every row. The blend runs in float64, so it adds no
+        float32 rounding to the screened cosine's."""
         # np.clip's Python wrapper costs more than the clamp on small graphs.
-        semantic = np.minimum(np.maximum(cosines, 0.0), 1.0).astype(np.float64)
-        approx = alpha * semantic + keyword
-        if not self._bounds_every_row(query):
-            approx[cosines == np.inf] = np.inf
-        return approx
+        semantic = np.minimum(np.maximum(self.cosines(query), 0.0), 1.0).astype(np.float64)
+        return alpha * semantic + keyword
 
     def top_hybrids(
         self, query: PreparedQuery, alpha: float, k: int
@@ -566,16 +546,14 @@ class ScoringIndex:
         their exact hybrid_score, to the last bit.
 
         Screened scores sit within `margin` of the exact ones, so every
-        exact top-k row lies within 2 * margin of the k-th best
-        screened score among the rows the screen bounds; the band is those
-        rows and every row it cannot bound (every row, when k or fewer are
-        bounded). The weighted keyword half is computed once, for both passes.
+        exact top-k row lies within 2 * margin of the k-th best screened
+        score; the band is those rows (every row, when there are k or
+        fewer). The weighted keyword half is computed once, for both passes.
         """
         keyword = (1.0 - alpha) * self.coverage(query)
         approx = self.hybrids(query, alpha, keyword)
-        bounded = approx if self._bounds_every_row(query) else approx[approx < np.inf]
-        cut = len(bounded) - k
-        kth = np.partition(bounded, cut)[cut] if cut > 0 else -np.inf
+        cut = len(approx) - k
+        kth = np.partition(approx, cut)[cut] if cut > 0 else -np.inf
         band = np.flatnonzero(approx >= kth - 2 * self.margin)
         return band, self.exact_hybrids(query, band, alpha, keyword)
 
@@ -608,8 +586,8 @@ class ScoringIndex:
         at those rows.
         """
         cos = self.exact_cosines(query, rows)
-        # fmax turns a NaN cosine (an overflowed dot product over an infinite
-        # norm product) into 0.0, as max(0.0, nan) does; np.maximum keeps it.
+        # Every norm lies in SCREENABLE_NORMS, so no dot product overflows to
+        # a NaN cosine; fmax would turn one into 0.0, as max(0.0, nan) does.
         semantic = np.fmin(np.fmax(cos, 0.0), 1.0)
         return alpha * semantic + keyword[rows]
 

@@ -195,23 +195,23 @@ def test_remote_embed_posts_one_text(config):
 
 
 @pytest.mark.parametrize(
-    "body",
+    "body, message",
     [
-        {"data": []},  # missing index
-        {"data": [{"index": 1, "embedding": [1.0]}]},  # index out of range
-        {"data": [
+        ({"data": []}, None),  # missing index
+        ({"data": [{"index": 1, "embedding": [1.0]}]}, None),  # index out of range
+        ({"data": [
             {"index": 0, "embedding": [1.0, 0.0]},
             {"index": 0, "embedding": [0.0, 1.0]},
-        ]},  # duplicate index
-        {"data": [{"index": 0, "embedding": []}]},  # no components
-        {"wrong": []},
-        {"data": [{"index": 0, "embedding": [1.0, float("nan")]}]},  # a NaN component
-        {"data": [{"index": 0, "embedding": ["-Infinity", 1.0]}]},  # an infinite component
+        ]}, None),  # duplicate index
+        ({"data": [{"index": 0, "embedding": []}]}, "^embedding has no components$"),
+        ({"wrong": []}, None),
+        ({"data": [{"index": 0, "embedding": [1.0, float("nan")]}]}, None),  # a NaN component
+        ({"data": [{"index": 0, "embedding": ["-Infinity", 1.0]}]}, None),  # an infinite component
     ],
 )
-def test_remote_embed_malformed_bodies(config, body):
+def test_remote_embed_malformed_bodies(config, body, message):
     transport = ScriptedTransport((200, body))
-    with pytest.raises(MalformedResponseError):
+    with pytest.raises(MalformedResponseError, match=message):
         RemoteEmbedder(config, transport).embed("first")
 
 

@@ -110,6 +110,10 @@ class _Plain(enum.Enum):
         {"embedding": array("d", [-0.0, 0.0])},
         {"embedding": [1e-170, -1e-170]},  # squares that underflow
         {"embedding": [1e-170] * 3},
+        # Norms outside [1e-150, 1e150], which the scoring screen cannot bound.
+        {"embedding": [1e-160, 0.0]},
+        {"embedding": [1e152, -1.0]},
+        {"embedding": [1e308, 1e308]},  # squares that overflow
         {"embedding": array("u", "ab")},
         {"embedding": array("d")},
         {"embedding": (0.5, 0.25)},

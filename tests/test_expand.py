@@ -284,6 +284,16 @@ def test_a_walk_no_row_of_which_can_enter_the_top_k_does_no_edge_work(monkeypatc
     assert reached == [[row_of(ids["X"]), row_of(ids["Y"])]]
 
 
+def test_a_seed_below_zero_is_walked_at_k_1():
+    # k = 1: the one seed's -1.0 is the k-th best score, and its neighbour
+    # inherits 0.8 * -1.0 = -0.8, which beats it and ranks first.
+    graph, ids = _crafted("AB", [("A", "B")])
+    seeds = _seeds(ids, {"A": -1.0})
+    ranked = expand_graph(graph, seeds, 1, 1)
+    assert exact(ranked) == exact(reference.rank(reference.expand_graph(graph, seeds, 1), 1))
+    assert [(c.object_id, c.hybrid, c.hop) for c in ranked] == [(ids["B"], -0.8, 1)]
+
+
 # ---------------------------------------------------------------------------
 # The pipeline: a pruned walk ranks, packs and renders as a full one
 # ---------------------------------------------------------------------------
@@ -317,6 +327,22 @@ def test_retrieve_detailed_at_every_k_equals_a_full_expand_then_rerank():
                 assert exact(got.ranked) == exact(want.ranked)
                 assert exact(got.selected) == exact(want.selected)
                 assert got.injection == want.injection
+
+
+def test_a_locomo_read_stops_walking_once_its_heap_holds_the_k_best(monkeypatch):
+    # The locomo preset walks up to 4 hops. Without a reranker this read's
+    # 20 coarse hits fill the heap of the k best; hop 1's expansions enter
+    # it and raise its least score, kth, past 0.8 * top, so the walk stops
+    # before hop 2 and reads the adjacency of the 20 seeds alone. A heap
+    # grown past k would leave kth at -inf and walk every hop.
+    embedder, config = MockEmbedder(), RetrievalConfig.preset("locomo")
+    graph, question = _ingested(1, 60), QUESTIONS[0]
+    reads, _ = _record_hops(monkeypatch)
+    got = retrieve_detailed(graph, question, embedder, config)
+    full = _full_expansion(graph, question, embedder, config)
+    assert exact(got.ranked) == exact(reference.rank(full, got.plan.k))
+    assert any(c.hop == 1 for c in got.ranked)
+    assert config.hops == 4 and [len(rows) for rows in reads] == [20]
 
 
 class _RecordingReranker:

@@ -104,8 +104,14 @@ CASES = {
     "zero embedding": (BASE.replace(b"[0.5,0.25]", b"[0.0,-0.0]"), MalformedInputError),
     "embedding whose squares underflow": (BASE.replace(b"[0.5,0.25]", b"[1e-170,1e-170]"),
                                           MalformedInputError),
+    # A norm outside [1e-150, 1e150], which the scoring screen cannot bound.
     "embedding whose squares are subnormal": (BASE.replace(b"[0.5,0.25]", b"[1e-160,0.0]"),
-                                              "loads"),
+                                              MalformedInputError),
+    "embedding whose squares overflow": (BASE.replace(b"[0.5,0.25]", b"[1e200,1e200]"),
+                                         MalformedInputError),
+    "embedding of norm 1e152": (BASE.replace(b"[0.5,0.25]", b"[1e152,0.0]"), MalformedInputError),
+    "embedding of norm 1e-150": (BASE.replace(b"[0.5,0.25]", b"[1e-150,0.0]"), "loads"),
+    "embedding of norm 1e150": (BASE.replace(b"[0.5,0.25]", b"[0.0,1e150]"), "loads"),
     "string embedding component": (BASE.replace(b"0.25", b'"a word"'), MalformedInputError),
     "nested embedding": (BASE.replace(b"[0.5,0.25]", b"[[0.5],[0.25]]"), MalformedInputError),
     "first embedding shorter": (BASE.replace(b"[0.5,0.25]", b"[0.5]"), MalformedInputError),

@@ -320,14 +320,16 @@ def _three_object_file() -> bytes:
 THREE_OBJECTS = _three_object_file()
 # What a graph file's embedding may be mutated to: one component replaced
 # by null, a string, a bool, an integer past 64 bits or a list; every
-# component set to one value; cut to its first 0-2 components; removed, as
-# a null or with its key.
+# component set to one value; every component scaled, to a norm outside
+# [1e-150, 1e150] (1e152, 1e-152) or inside it (1e140, 1e-140); cut to its
+# first 0-2 components; removed, as a null or with its key.
 EMBEDDING_MUTATIONS = st.one_of(
     st.tuples(st.just("replace"), st.integers(0, 2),
               st.none() | st.text(max_size=3) | st.booleans()
               | st.integers(2**64, 10**400) | st.integers(-10**400, -2**64)
               | st.lists(st.floats(-1.0, 1.0), max_size=2)),
     st.tuples(st.just("fill"), st.sampled_from([0.0, -0.0, 1e-170, 1e-160])),
+    st.tuples(st.just("scale"), st.sampled_from([1e152, 1e-152, 1e140, 1e-140])),
     st.tuples(st.just("shorten"), st.integers(0, 2)),
     st.tuples(st.just("remove"), st.booleans()),
 )
@@ -341,6 +343,8 @@ def _with_embedding_mutated(position: int, mutation: tuple) -> bytes:
         record["embedding"][args[0]] = args[1]
     elif kind == "fill":
         record["embedding"] = [args[0]] * 3
+    elif kind == "scale":
+        record["embedding"] = [x * args[0] for x in record["embedding"]]
     elif kind == "shorten":
         record["embedding"] = record["embedding"][:args[0]]
     elif args[0]:
@@ -359,20 +363,33 @@ def _with_embedding_mutated(position: int, mutation: tuple) -> bytes:
 @example(position=0, mutation=("fill", 1e-160))
 @example(position=0, mutation=("shorten", 2))
 @example(position=1, mutation=("remove", True))
+@example(position=0, mutation=("scale", 1e152))
+@example(position=1, mutation=("scale", 1e-152))
+@example(position=2, mutation=("scale", 1e140))
+@example(position=0, mutation=("scale", 1e-140))
 def test_a_file_with_a_mutated_embedding_is_refused_or_loads_a_graph_that_scores(
         position, mutation):
     # Both load paths raise MalformedInputError with the same message, or
     # load the same graph, which then answers a query, saves to the
-    # oracle's bytes both ways and loads back equal.
+    # oracle's bytes both ways and loads back equal. A scaling refuses
+    # exactly the norms outside [1e-150, 1e150].
     data = _with_embedding_mutated(position, mutation)
+    if mutation[0] == "scale" and not 1e-150 <= mutation[1] <= 1e150:
+        with pytest.raises(MalformedInputError,
+                           match=r"^invalid object record: embedding norm must lie in "):
+            load_both_ways(data)
+        return
     try:
         loaded = load_both_ways(data)
     except MalformedInputError:
+        assert mutation[0] != "scale"
         return
     assert retrieve_detailed(loaded, "the redis cache", MockEmbedder(3)).ranked
     saved = save_both_ways(loaded)
     assert saved == whole_document(loaded)
     assert load_both_ways(saved) == loaded
+    if mutation[0] == "scale":  # every float is one a save writes as json does
+        assert saved == data
 
 
 def _differs(value: float) -> bool:

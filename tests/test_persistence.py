@@ -65,11 +65,13 @@ CONTENTS = (
 # ---------------------------------------------------------------------------
 
 graph_pick = st.integers(0, 7)
+# A component is 0 or of magnitude 1e-100 or more, so an embedding's norm
+# is 0 or lies in [1e-150, 1e150], the range the constructor takes.
+_component = st.floats(-1e6, 1e6, allow_nan=False).map(lambda x: x if abs(x) >= 1e-100 else 0.0)
 operation = st.one_of(
     st.tuples(st.just("object"), graph_pick, st.integers(0, len(CONTENTS) - 1),
               st.integers(0, 12),
-              st.one_of(st.none(), st.lists(st.floats(-1e6, 1e6, allow_nan=False),
-                                            min_size=1, max_size=3))),
+              st.one_of(st.none(), st.lists(_component, min_size=1, max_size=3))),
     st.tuples(st.just("edge"), graph_pick, st.integers(0, 40), st.integers(0, 40),
               st.sampled_from(EdgeKind), st.floats(0.0, 1.0)),
     st.tuples(st.just("mark"), graph_pick, st.integers(0, 20)),
@@ -271,15 +273,17 @@ def test_a_graph_file_whose_text_holds_a_lone_surrogate_escape_is_malformed(fiel
         deserialize_graph(data.replace(key, key + b"\\ud800"))
 
 
-@pytest.mark.parametrize("component", [1e308])
-def test_an_embedding_whose_sum_is_not_finite_loads_when_no_component_is_infinite(component):
-    # 1e308 + 1e308 overflows, so the load reads the components. A word
-    # is no number, which the constructor refuses (test_fast_load).
+def test_an_embedding_whose_norm_overflows_is_refused_though_no_component_is_infinite():
+    # 1e308 * 1e308 overflows, so the norm is inf: the constructor refuses
+    # it, and so do both load paths, naming the norm.
+    message = r"embedding norm must lie in \[1e-150, 1e\+150\], got 1.4142135623730951e\+308$"
+    with pytest.raises(InvalidObjectError, match="^" + message):
+        make_obj(content="the cache lives in redis", turn=0, embedding=[1e308, 1e308])
     graph = CanvasGraph()
-    graph.add_object(make_obj(content="the cache lives in redis", turn=0,
-                              embedding=[1e308, component]))
-    loaded = deserialize_graph(serialize_graph(graph))
-    assert list(loaded.rows[0].embedding) == [1e308, component]
+    graph.add_object(make_obj(content="the cache lives in redis", turn=0, embedding=[0.5, 0.25]))
+    data = serialize_graph(graph)
+    with pytest.raises(MalformedInputError, match="^invalid object record: " + message):
+        deserialize_graph(data.replace(b"[0.5,0.25]", b"[1e308,1e308]"))
 
 
 def test_a_graph_holding_fewer_records_than_its_cache_encodes_from_scratch():

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -31,8 +32,8 @@ from canvasmem.core import (
     serialize_graph,
 )
 from canvasmem.engine import CanvasEngine
-from canvasmem.errors import (DimensionMismatchError, MissingEmbeddingError, ReadOnlyGraphError,
-                             ZeroVectorError)
+from canvasmem.errors import (DimensionMismatchError, InvalidObjectError, MissingEmbeddingError,
+                             ReadOnlyGraphError, ZeroVectorError)
 from canvasmem.extraction import MockExtractor
 from canvasmem.graph_build import LinkThresholds, link_object
 from canvasmem.retrieval import (
@@ -45,7 +46,7 @@ from canvasmem.retrieval import (
     retrieve_detailed,
 )
 from canvasmem.scoring import (
-    _SCREENABLE_NORMS,
+    SCREENABLE_NORMS,
     DEFAULT_ALPHA,
     MockEmbedder,
     ScoringIndex,
@@ -373,34 +374,70 @@ def test_after_a_refusal_a_faulty_query_raises_its_own_error(
 
 
 # ---------------------------------------------------------------------------
-# Extreme norms: screened as +inf, so always verified
+# Norms: the index holds and scores only vectors the screen bounds
 # ---------------------------------------------------------------------------
 
-EXTREME = (1.0, 1e152, 1e-152)
+LOW_NORM, HIGH_NORM = SCREENABLE_NORMS
+# Norms past each bound, and components whose dot product overflows, so
+# that the float64 norm is inf.
+OUT_OF_RANGE = {
+    "huge": [x * 1e152 for x in vec_at_cosine(0.9)],
+    "tiny": [x * 1e-152 for x in vec_at_cosine(0.9)],
+    "overflowing": [3e200, 1e200, 1e200, 2e200, 0.0, 0.0, 0.0, 0.0],
+}
 
 
-@pytest.mark.parametrize("query_norm", EXTREME)
-def test_extreme_norms_link_and_rank_bit_identical_to_the_oracle(query_norm):
-    kinds = [ObjectKind.KEY_FACT, ObjectKind.REMINDER, ObjectKind.DECISION]
-    objects = [
-        make_obj(kind=kinds[i % 3], content=f"redis note {i}", turn=i,
-                 embedding=[x * EXTREME[i % 3] for x in vec_at_cosine(c)])
-        # Bounded rows (every third) near the query, extreme ones far from it.
-        for i, c in enumerate((0.85, -0.3, 0.1, 0.9, 0.2, 0.46, 0.95, 0.5))
-    ]
+@pytest.mark.parametrize("name", list(OUT_OF_RANGE))
+def test_a_norm_outside_the_screenable_range_is_refused_everywhere(name):
+    embedding = OUT_OF_RANGE[name]
+    with pytest.raises(InvalidObjectError,
+                       match=r"^embedding norm must lie in \[1e-150, 1e\+150\], got "):
+        make_obj(content="redis note", turn=0, embedding=embedding)
+    graph = graph_of(*[make_obj(content=f"redis note {i}", turn=i, embedding=axis(i))
+                       for i in range(3)])
+    index = graph.scoring_index()
+    before = _columns(index)
+    with pytest.raises(ZeroVectorError, match=r"^vector norm must lie in \[1e-150, 1e\+150\]"):
+        index.prepare(embedding, "redis note")
+    # Where numpy's overflow warning is not raised, the norm reads as inf too.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(ZeroVectorError):
+            index.prepare(embedding, "redis note")
+    for coarse_k in (1, 20):
+        with pytest.raises(ZeroVectorError):
+            coarse_retrieve(graph, plan_for(embedding, "redis note", coarse_k))
+    with pytest.raises(ZeroVectorError):
+        index.append_vectors([axis(0), embedding])
+    assert _columns(index) == before
+
+
+@pytest.mark.parametrize("bound", SCREENABLE_NORMS)
+def test_a_norm_at_either_bound_is_held_and_one_float_past_it_is_refused(bound):
+    past = math.nextafter(bound, 0.0 if bound == LOW_NORM else math.inf)
+    for embedding in ([bound], [bound / 16] * 256):
+        make_obj(content="redis note", turn=0, embedding=embedding)
+        ScoringIndex().append_vectors([embedding])
+    with pytest.raises(InvalidObjectError, match="^embedding norm must lie in"):
+        make_obj(content="redis note", turn=0, embedding=[past])
+    with pytest.raises(ZeroVectorError):
+        ScoringIndex().append_vectors([[past]])
+    # Rows at both bounds, in one direction, link to each other, and rank
+    # as the reference ranks them, against queries at both bounds.
+    objects = [make_obj(content=f"redis note {i}", turn=i, embedding=[norm / 16] * 256)
+               for i, norm in enumerate(SCREENABLE_NORMS)]
+    objects.append(make_obj(content="the cache", turn=2, embedding=[bound] + [0.0] * 255))
     screened, oracle = build_pair(objects)
     assert serialize_graph(screened) == serialize_graph(oracle)
-    assert {e.origin for e in screened.edges} >= {EdgeOrigin.SIMILARITY}
-    query = [x * query_norm for x in vec_at_cosine(0.9)]
-    # The screen bounds a cosine only when both norms lie in its range.
-    bounded = [query_norm == 1.0 and i % 3 == 0 for i in range(len(objects))]
-    index = screened.scoring_index()
-    assert np.isinf(index.cosines(index.prepare(query))).tolist() == [not b for b in bounded]
-    for coarse_k in (1, 2, len(objects) + 3):
-        plan = plan_for(query, "redis note", coarse_k)
-        got = [(h.object_id, _bits(h.hybrid)) for h in coarse_retrieve(screened, plan)]
-        want = [(h.object_id, _bits(h.hybrid)) for h in reference.coarse_retrieve(oracle, plan)]
-        assert got == want
+    assert any(e.origin is EdgeOrigin.SIMILARITY and {e.src, e.dst} == {o.id for o in objects[:2]}
+               for e in screened.edges)
+    for query in ([bound / 16] * 256, [0.0] * 255 + [bound]):
+        for coarse_k in (1, 3):
+            plan = plan_for(query, "redis note", coarse_k)
+            got = [(h.object_id, _bits(h.hybrid)) for h in coarse_retrieve(screened, plan)]
+            want = [(h.object_id, _bits(h.hybrid))
+                    for h in reference.coarse_retrieve(oracle, plan)]
+            assert got == want
 
 
 # ---------------------------------------------------------------------------
@@ -500,9 +537,6 @@ def oracle_verified_coarse_retrieve(graph, plan):
 
 def _all_rows(index) -> np.ndarray:
     return np.arange(len(index))
-
-
-LOW_NORM, HIGH_NORM = _SCREENABLE_NORMS
 
 
 def _vector(rng, dim: int, shape: str, norm: float) -> list[float]:
@@ -678,33 +712,6 @@ def test_empty_rows_verify_to_empty_arrays():
     assert index.exact_hybrids(query, none, DEFAULT_ALPHA, keyword).shape == (0,)
 
 
-# Both sides overflow on purpose; numpy warns each time.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
-def test_a_nan_cosine_clamps_to_zero_as_the_scalar_max_does():
-    """Components near 1e200 overflow both the dot product and the norm
-    product to inf, so the exact cosine is inf / inf, a NaN. hybrid_score's
-    max(0.0, nan) is 0.0, so each band score is its keyword half alone;
-    np.maximum would keep the NaN."""
-    objects = [make_obj(content=f"redis note {i}", turn=i,
-                        embedding=[1e200 * (i + 1), 2e200, 0.0, 1e200]) for i in range(4)]
-    graph = graph_of(*objects)
-    index = graph.scoring_index()
-    query_vec = [3e200, 1e200, 1e200, 2e200]
-    query = index.prepare(query_vec, "redis note")
-    assert all(math.isnan(c) for c in index.exact_cosines(query, _all_rows(index)).tolist())
-    assert all(math.isnan(cosine_sim(query_vec, obj.embedding)) for obj in objects)
-    # No norm is one the screen bounds, so every row is in the band.
-    band, exact = index.top_hybrids(query, DEFAULT_ALPHA, 2)
-    assert band.tolist() == _all_rows(index).tolist()
-    want = [hybrid_score(query_vec, "redis note", obj) for obj in objects]
-    assert [_bits(h) for h in exact.tolist()] == [_bits(w) for w in want]
-    assert want == [pytest.approx(1.0 - DEFAULT_ALPHA)] * len(objects)
-    plan = plan_for(query_vec, "redis note", coarse_k=2)
-    assert [(h.object_id, _bits(h.hybrid)) for h in coarse_retrieve(graph, plan)] == [
-        (h.object_id, _bits(h.hybrid)) for h in reference.coarse_retrieve(graph, plan)]
-
-
 class _FixedEmbedder:
     def __init__(self, vector):
         self.vector = vector
@@ -830,6 +837,14 @@ def test_forks_and_their_owner_never_see_each_others_rows_or_token_ids():
     assert fork.turn_window(2, 1).tolist() == [False]
 
 
+def test_the_turn_window_reads_each_turn_below_2_to_the_63_as_it_is():
+    index = ScoringIndex()
+    index.extend([make_obj(content=f"note {row}", turn=turn, embedding=axis(row))
+                  for row, turn in enumerate((2**62, 2**62 + 10))])
+    assert index.turn_window(2**62 + 10, 3).tolist() == [False, True]
+    assert index.turn_window(2**63 - 1, 2**63 - 2**62 - 10).tolist() == [False, True]
+
+
 def test_a_forks_coverage_counts_neither_the_owners_later_rows_nor_its_later_tokens():
     owner = ScoringIndex()
     owner.extend([make_obj(content="redis", quote="the redis cache", turn=0, embedding=axis(0)),
@@ -898,9 +913,10 @@ def test_rows_without_tokens_cover_nothing():
 
 @pytest.mark.parametrize("stored, embeddings, error", [
     (1, [axis(1), [0.0] * 8], ZeroVectorError),
+    (1, [axis(1), [1e152] + [0.0] * 7], ZeroVectorError),
     (1, [axis(1), axis(1, dim=4)], DimensionMismatchError),
     (0, [axis(1), axis(1, dim=4)], DimensionMismatchError),
-], ids=["zero", "short", "empty-index"])
+], ids=["zero", "huge", "short", "empty-index"])
 def test_append_vectors_writes_every_row_or_none(stored, embeddings, error):
     index = ScoringIndex()
     index.append_vectors([axis(0)] * stored)
@@ -1004,8 +1020,6 @@ def _columns(index):
     rows: a token first interned after a fork has postings only on rows
     past the fork's."""
     n = len(index)
-    low, high = _SCREENABLE_NORMS
-    bounded = [row for row in range(n) if low <= index._norms[row] <= high]
 
     def postings(lists):
         cut = {token_id: [row for row in rows if row < n] for token_id, rows in lists.items()}
@@ -1021,13 +1035,12 @@ def _columns(index):
         "turns": index._turns[:n].tolist(),
         "matrix": [_bits(x) for x in index._matrix[:n].ravel().tolist()] if n else [],
         "norms": [_bits(x) for x in index._norms[:n].tolist()] if n else [],
-        "units": index._units[bounded].tolist() if bounded else [],
+        "units": index._units[:n].tolist() if n else [],
         "content_rows": index._content_rows[:n],
         "sizes": index._sizes[:n].tolist(),
         "content_postings": content_postings,
         "postings": document_postings,
         "vocab": {tok: i for tok, i in index._vocab.items() if i in known},
-        "unbounded": index._unbounded,
         "margin": index.margin,
     }
 
@@ -1038,7 +1051,6 @@ def test_appending_one_row_at_a_time_equals_a_batch_column_by_column():
     scales = (1e-140, 1e-3, 1.0, 1e3, 1e140)
     embeddings = [[rng.uniform(-1.0, 1.0) * rng.choice(scales) for _ in range(8)]
                   for _ in range(163)]
-    embeddings[40] = [1e152] + [0.0] * 7  # finite norm the screen cannot bound
     objects = []
     for turn, embedding in enumerate(embeddings):
         content = f"fact {turn} on " + " ".join(rng.sample(words, rng.randint(0, 3)))
@@ -1053,7 +1065,6 @@ def test_appending_one_row_at_a_time_equals_a_batch_column_by_column():
         forks.append(single.fork())
         capacities.add(len(single._turns))
     assert capacities == {64, 96, 144, 216} and len(batch._turns) == 216
-    assert batch._unbounded == 1
     assert _columns(single) == _columns(batch)
     for fork in forks:
         n = len(fork)
@@ -1075,7 +1086,6 @@ def test_a_graphs_catch_up_rows_equal_a_direct_extend():
     scales = (1e-140, 1e-3, 1.0, 1e3, 1e140)
     embeddings = [[rng.uniform(-1.0, 1.0) * rng.choice(scales) for _ in range(8)]
                   for _ in range(100)]
-    embeddings[7] = [1e152] + [0.0] * 7  # finite norm the screen cannot bound
     embeddings[8] = [3, -1, 0, 2, 0, 0, 1, 5]  # integers convert as floats
     objects = [make_obj(content=f"fact {turn} on redis", turn=turn, embedding=embedding,
                         quote=f"fact {turn} on redis" if turn % 3 else f"the cache {turn}")
@@ -1095,7 +1105,7 @@ def test_a_graphs_catch_up_rows_equal_a_direct_extend():
     # A duplicate is refused before it reaches the index.
     assert graph.add_object(objects[-1]) is AddResult.DUPLICATE
     caught_up = graph.scoring_index()
-    assert len(caught_up) == len(objects) and caught_up._unbounded == 1
+    assert len(caught_up) == len(objects)
     assert _columns(caught_up) == _columns(direct)
 
 
