@@ -9,7 +9,7 @@ README for the wire shapes), and every failure surfaces as a typed error
 carrying that role: AuthFailureError, TransportTimeoutError,
 MalformedResponseError. Transient failures (5xx replies, timeouts, dropped
 connections) are retried a bounded number of times; the calls are
-idempotent reads, so a retry never duplicates a side effect. The counters
+idempotent reads, so a retry never repeats a side effect. The counters
 are exact for one thread; threads that share a client share its counts.
 
 RemoteExtractor drops, with a debug log line, each reply record that is

@@ -28,6 +28,8 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .backends import BackendBundle
 from .benchmark import (
     CONDITIONS,
@@ -197,7 +199,6 @@ def cmd_ingest(args) -> int:
         f"({report.turns_skipped} failed), "
         f"{report.objects_added} objects, "
         f"{report.edges_added} edges, "
-        f"{report.duplicates} duplicates, "
         f"{report.dropped_quotes} ungrounded quotes dropped"
     )
     return 0
@@ -443,8 +444,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    # An embedding whose dot product with itself overflows is refused with
+    # one error line; numpy's overflow warning would print two lines more.
     try:
-        return args.func(args)
+        with np.errstate(over="ignore"):
+            return args.func(args)
     except (CanvasError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

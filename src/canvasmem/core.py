@@ -3,7 +3,7 @@
 A memory object is a tuple of (kind, content, verbatim quote, source speaker,
 embedding, turn index, confidence). Object identity is a content hash of
 (kind, normalized content, turn), so re-extracting the same statement from the
-same turn collides on purpose and deduplicates. An object is checked when
+same turn collides on purpose and is stored once. An object is checked when
 it is built, and CanvasGraph.add_object, the one way an object is stored,
 a load's included, checks only that it has an embedding of the first
 stored one's length (check_embeddings): that is the one gate for what a

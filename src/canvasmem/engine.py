@@ -1,15 +1,17 @@
 """Ingestion pipeline: extract, embed, store, and link, one turn at a time.
 
-The engine owns the graph and is the single writer. A turn that makes the
-extractor backend fail is logged, counted, and skipped; ingestion continues
-with the next turn. An embedder error propagates before anything of the turn
-is stored, and so do the InvalidObjectError of a stored object's constructor
-(an embedding that is not a list, a component that is no number, such as
-None or a string, one no save could write, a NaN or an infinity, or a norm
-outside [1e-150, 1e150], a zero vector's included, which the scoring
-screen cannot bound) and the DimensionMismatchError that core
-raises for an embedding of another length than the stored ones (or, on an
-empty graph, than the turn's first), so the same turn can be retried. An
+The engine owns the graph and is the single writer. It counts what each
+turn did into one IngestReport, `report`, where it happens. A turn that
+makes the extractor backend fail is logged, counted as skipped, and
+ingestion continues with the next turn. An embedder error propagates
+before anything of the turn is stored, and so do the InvalidObjectError
+of a stored object's constructor (an embedding that is not a list, a
+component that is no number, such as None or a string, one no save could
+write, a NaN or an infinity, or a norm outside [1e-150, 1e150], a zero
+vector's included, which the scoring screen cannot bound) and the
+DimensionMismatchError that core raises for an embedding of another
+length than the stored ones (or, on an empty graph, than the turn's
+first), so the same turn can be retried. An
 extractor that builds a candidate the constructor refuses (a quote holding
 a lone surrogate) fails its turn as any extractor error does. So every
 object the engine stores can be saved and scored.
@@ -39,17 +41,12 @@ through every snapshot), the scoring index's columns and the encode cache.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Iterable
 
-from .core import AddResult, CanvasGraph, CanvasObject
+from .core import CanvasGraph, CanvasObject
 from .errors import BackendFailureError
-from .extraction import (
-    ConversationTurn,
-    ExtractionDiagnostics,
-    ExtractorBackend,
-    extract_turn,
-)
+from .extraction import ConversationTurn, ExtractorBackend, extract_turn
 from .graph_build import LinkThresholds, link_object
 from .scoring import EmbedderBackend
 
@@ -58,12 +55,13 @@ logger = logging.getLogger(__name__)
 
 @dataclass
 class IngestReport:
-    """What one ingest() call did to the graph."""
+    """What ingest did to a graph: an engine's running totals, or one
+    ingest() call's share of them. dropped_quotes counts the candidates
+    extract_turn dropped (ungrounded, or for another turn)."""
 
     turns_ingested: int = 0
     turns_skipped: int = 0
     objects_added: int = 0
-    duplicates: int = 0
     dropped_quotes: int = 0
     edges_added: int = 0
 
@@ -83,7 +81,7 @@ class CanvasEngine:
         self.thresholds = thresholds if thresholds is not None else LinkThresholds()
         self.gleaning = gleaning
         self.graph = CanvasGraph()
-        self.diagnostics = ExtractionDiagnostics()
+        self.report = IngestReport()
 
     def ingest_turn(self, turn: ConversationTurn) -> list[CanvasObject]:
         """Process one turn; returns the objects that were newly added."""
@@ -91,13 +89,12 @@ class CanvasEngine:
             return self._ingest_turn_locked(turn)
 
     def _ingest_turn_locked(self, turn: ConversationTurn) -> list[CanvasObject]:
+        report = self.report
         try:
-            candidates = extract_turn(
-                self.extractor, turn, self.graph, self.gleaning, self.diagnostics
-            )
+            candidates = extract_turn(self.extractor, turn, self.graph, self.gleaning, report)
         except BackendFailureError as exc:
             logger.warning("skipping turn %d: %s", turn.index, exc)
-            self.diagnostics.failed_turns += 1
+            report.turns_skipped += 1
             self.graph.mark_turn_ingested(turn.index)
             return []
         # Build every object to store before storing any, each from its
@@ -115,34 +112,24 @@ class CanvasEngine:
         # through the turn; refuse the turn's objects before storing any, so
         # that it can be retried.
         self.graph.check_embeddings(stored)
-        added: list[CanvasObject] = []
+        # Every candidate is new: extract_turn merges them by id and keeps
+        # only those of this turn, which no stored object has reached, and an
+        # id hashes its turn.
         for obj in stored:
-            if self.graph.add_object(obj) is AddResult.ADDED:
-                # link_object's catch-up writes obj's index row.
-                link_object(self.graph, obj, self.thresholds)
-                added.append(obj)
-            else:
-                self.diagnostics.duplicates += 1
+            self.graph.add_object(obj)
+            # link_object's catch-up writes obj's index row.
+            report.edges_added += len(link_object(self.graph, obj, self.thresholds))
         self.graph.mark_turn_ingested(turn.index)
-        return added
+        report.turns_ingested += 1
+        report.objects_added += len(stored)
+        return stored
 
     def ingest(self, turns: Iterable[ConversationTurn]) -> IngestReport:
-        """Ingest turns in order and summarize what happened."""
-        report = IngestReport()
-        edges_before = len(self.graph.edges)
-        dropped_before = self.diagnostics.dropped_quotes
-        duplicates_before = self.diagnostics.duplicates
-        failed_before = self.diagnostics.failed_turns
+        """Ingest turns in order; returns what these turns added to `report`."""
+        before = astuple(self.report)
         for turn in turns:
-            added = self.ingest_turn(turn)
-            report.objects_added += len(added)
-            report.turns_ingested += 1
-        report.turns_skipped = self.diagnostics.failed_turns - failed_before
-        report.turns_ingested -= report.turns_skipped
-        report.duplicates = self.diagnostics.duplicates - duplicates_before
-        report.dropped_quotes = self.diagnostics.dropped_quotes - dropped_before
-        report.edges_added = len(self.graph.edges) - edges_before
-        return report
+            self.ingest_turn(turn)
+        return IngestReport(*(now - then for now, then in zip(astuple(self.report), before)))
 
     def snapshot(self) -> CanvasGraph:
         """Consistent read copy of the graph; safe to use while ingesting."""

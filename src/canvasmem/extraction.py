@@ -8,7 +8,8 @@ not a contiguous substring of the source message (case-insensitive,
 whitespace-normalized) are dropped regardless of backend: grounding is
 enforced here, not trusted. A candidate whose turn is not the turn's index
 is dropped too: stored, it would move the graph's turn cursor past the
-turns still to come. Both drops count as dropped_quotes.
+turns still to come. Both drops count as an IngestReport's dropped_quotes,
+when extract_turn is handed the report to count into.
 """
 
 from __future__ import annotations
@@ -19,11 +20,14 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Protocol, Sequence, runtime_checkable
+from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
 from .core import (CanvasGraph, CanvasObject, ObjectKind, Source, _is_turn, _shown,
                    normalize_text)
 from .errors import BackendFailureError, SequenceError
+
+if TYPE_CHECKING:
+    from .engine import IngestReport
 
 logger = logging.getLogger(__name__)
 
@@ -75,15 +79,6 @@ class ExtractorBackend(Protocol):
         ...
 
 
-@dataclass
-class ExtractionDiagnostics:
-    """Counters for things that went wrong but did not stop ingestion."""
-
-    dropped_quotes: int = 0
-    failed_turns: int = 0
-    duplicates: int = 0
-
-
 def quote_matches(quote: str, text: str) -> bool:
     """True when the quote is a contiguous substring of the text after
     lowercasing and whitespace normalization on both sides."""
@@ -132,8 +127,8 @@ def _run_pass(
     turn: ConversationTurn,
     digest: Sequence[str],
     pass_: ExtractionPass,
-    diagnostics: ExtractionDiagnostics,
-) -> list[CanvasObject]:
+) -> tuple[list[CanvasObject], int]:
+    """The pass's grounded candidates of this turn, and how many it dropped."""
     try:
         candidates = backend.extract(turn, digest, pass_)
     except Exception as exc:
@@ -154,9 +149,7 @@ def _run_pass(
             )
         else:
             survivors.append(obj)
-            continue
-        diagnostics.dropped_quotes += 1
-    return survivors
+    return survivors, len(candidates) - len(survivors)
 
 
 def extract_turn(
@@ -164,28 +157,33 @@ def extract_turn(
     turn: ConversationTurn,
     prior: CanvasGraph,
     gleaning_enabled: bool = True,
-    diagnostics: ExtractionDiagnostics | None = None,
+    report: IngestReport | None = None,
 ) -> list[CanvasObject]:
     """Extract grounded objects from one turn, deduplicated across both passes.
 
     Turns must arrive sequentially: after the first ingested turn, turn.index
     has to equal prior.next_turn. A fresh graph accepts any starting index so
-    logs may number turns from 0 or 1.
+    logs may number turns from 0 or 1. The candidates both passes dropped
+    are added to report.dropped_quotes, when a report is given.
     """
     if prior.next_turn != 0 and turn.index != prior.next_turn:
         raise SequenceError(
             f"expected turn {prior.next_turn}, got {turn.index}; turns must be sequential"
         )
-    if diagnostics is None:
-        diagnostics = ExtractionDiagnostics()
     digest = prior_digest(prior)
     merged: dict[str, CanvasObject] = {}
-    for obj in _run_pass(backend, turn, digest, ExtractionPass.FIRST, diagnostics):
-        merged.setdefault(obj.id, obj)
-    if gleaning_enabled:
-        glean_digest = digest + [_DIGEST_PREFIXES[obj.kind] + obj.content
-                                 for obj in merged.values()]
-        for obj in _run_pass(backend, turn, glean_digest, ExtractionPass.GLEAN, diagnostics):
+    passes = [ExtractionPass.FIRST, ExtractionPass.GLEAN] if gleaning_enabled else [
+        ExtractionPass.FIRST]
+    for pass_ in passes:
+        if pass_ is ExtractionPass.GLEAN:
+            digest = digest + [_DIGEST_PREFIXES[obj.kind] + obj.content
+                               for obj in merged.values()]
+        survivors, dropped = _run_pass(backend, turn, digest, pass_)
+        # Counted per pass, so a glean pass that fails still leaves the
+        # first pass's drops counted.
+        if report is not None:
+            report.dropped_quotes += dropped
+        for obj in survivors:
             merged.setdefault(obj.id, obj)
     return list(merged.values())
 

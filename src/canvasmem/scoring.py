@@ -11,8 +11,9 @@ alone. The index holds every stored embedding in one float64 matrix with
 its row norms, the same rows as float32 unit vectors, each row's turn,
 each row's content tokens interned to integer ids (a list of ids per row,
 next to a float64 column of their counts), and for each token id two
-posting lists: the rows whose content holds it and the rows whose content
-or quote holds it. A new row is written in one pass, a scalar store per
+posting lists: the rows whose content holds it and the rows whose quote
+holds it but whose content does not, so each row is posted once per
+token. A new row is written in one pass, a scalar store per
 column and each token interned once, so an ingest pays per object, not
 per column. The screen is one float32 matrix-vector product of the unit rows against the
 query's float32 unit vector, prepared once with its float64 vector, norm,
@@ -36,8 +37,8 @@ scoring path.
 
 The token half needs no screen. Both token kernels join posting lists
 and count each row's hits with one np.bincount (ScanCount): Jaccard joins
-the content posting lists of a row's token ids, coverage the
-content-or-quote posting lists of the query's ids, so each reads only the
+the content posting lists of a row's token ids, coverage both posting
+lists of the query's ids, so each reads only the
 rows sharing a token with the set, not every stored id. Jaccard and
 coverage divide those integer counts by exact integer sizes, as
 token_jaccard and token_coverage do, so every row's value is the scalar one to the last
@@ -216,10 +217,11 @@ class ScoringIndex:
     embedding as a float32 unit vector fl32(vec / norm) in a second (n, d)
     matrix, its turn, and its tokens. Tokens are interned to integer ids.
     The content tokens (for Jaccard links) are a list of ids per row, and
-    their counts a float64 size column. Both token sets also have posting
-    lists, appended to as rows arrive: for each token id, the rows whose
-    content holds it (for Jaccard) and the rows whose content or quote
-    holds it (for keyword coverage), in row order.
+    their counts a float64 size column. Each row is posted once per token,
+    as rows arrive and in row order: for each token id, the rows whose
+    content holds it (for Jaccard and keyword coverage), and the rows whose
+    quote holds it but whose content does not (for keyword coverage alone;
+    empty while every quote is its content).
 
     A row is written in one pass: one capacity check grows every
     row-aligned column together (the turns, content sizes and, once the
@@ -238,8 +240,8 @@ class ScoringIndex:
     call, bit-identical to cosine_sim and hybrid_score from the float64
     matrix and norms. The token kernels are exact, and both join posting
     lists (ScanCount): row_jaccards() counts each row's hits in the content
-    posting lists of a row's ids, coverage() in the
-    content-plus-quote posting lists of the query's ids, so they read only
+    posting lists of a row's ids, coverage() in both posting lists of the
+    query's ids, so they read only
     the rows sharing a token with the set. They divide those integer counts
     by sizes that are exact integers, as token_jaccard and token_coverage
     do, so they are the same float64 to the last bit. A vector the index
@@ -280,7 +282,7 @@ class ScoringIndex:
         self._content_rows: list[list[int]] = []
         self._sizes = np.empty(0)
         self._content_postings: defaultdict[int, list[int]] = defaultdict(list)
-        self._postings: defaultdict[int, list[int]] = defaultdict(list)
+        self._quote_postings: defaultdict[int, list[int]] = defaultdict(list)
         self._vocab: dict[str, int] = {}
         self._row_of: dict[str, int] = {}
         self._edges = 0
@@ -309,8 +311,8 @@ class ScoringIndex:
         self._reserve(self._rows + len(objects))
         for obj in objects:
             content = token_set(obj.content)
-            document = content if obj.quote == obj.content else content | token_set(obj.quote)
-            self._append_row(_vector(obj.embedding, self._dim()), content, document, obj.turn,
+            quote_only = () if obj.quote == obj.content else token_set(obj.quote) - content
+            self._append_row(_vector(obj.embedding, self._dim()), content, quote_only, obj.turn,
                              obj.id)
 
     def extend_edges(self, edges: Sequence[CanvasEdge]) -> None:
@@ -349,9 +351,8 @@ class ScoringIndex:
             vector = _vector(embedding, dim)
             dim = vector[0].shape[0]
             vectors.append(vector)
-        no_tokens = frozenset()
         for vector in vectors:
-            self._append_row(vector, no_tokens, no_tokens, 0, None)
+            self._append_row(vector, (), (), 0, None)
 
     def _reserve(self, needed: int) -> None:
         """Grow every row-aligned column together until it holds `needed` rows."""
@@ -368,11 +369,10 @@ class ScoringIndex:
             self._norms = _grown(self._norms, used, capacity)
             self._units = _grown(self._units, used, capacity)
 
-    def _append_row(self, vector, content, document, turn: int, oid: Optional[str]) -> None:
+    def _append_row(self, vector, content, quote_only, turn: int, oid: Optional[str]) -> None:
         """Write row self._rows, which _reserve() has made room for: vector
-        is the row's float64 vector and norm, content holds the Jaccard
-        tokens, document the coverage tokens (content itself when the quote
-        adds none)."""
+        is the row's float64 vector and norm, content holds the content
+        tokens, quote_only the quote's tokens the content lacks."""
         row = self._rows
         self._turns[row] = turn
         vec, norm = vector
@@ -385,18 +385,14 @@ class ScoringIndex:
         self._matrix[row] = vec
         self._norms[row] = norm
         self._units[row] = vec / norm  # the float32 cast rounds as astype does
-        vocab, postings, content_postings = self._vocab, self._postings, self._content_postings
+        vocab, content_postings = self._vocab, self._content_postings
         token_ids = [vocab.setdefault(tok, len(vocab)) for tok in content]
         self._content_rows.append(token_ids)
         self._sizes[row] = len(token_ids)
         for token_id in token_ids:
             content_postings[token_id].append(row)
-        if document is content:
-            for token_id in token_ids:
-                postings[token_id].append(row)
-        else:
-            for tok in document:
-                postings[vocab.setdefault(tok, len(vocab))].append(row)
+        for tok in quote_only:
+            self._quote_postings[vocab.setdefault(tok, len(vocab))].append(row)
         self._adjacent.append([])
         self._edge_numbers.append([])
         if oid is not None:
@@ -471,14 +467,16 @@ class ScoringIndex:
     def _known_ids(self, tokens: frozenset[str]) -> list[int]:
         return [i for i in map(self._vocab.get, tokens) if i is not None]
 
-    def _joined_counts(self, postings: dict[int, list[int]], token_ids) -> np.ndarray:
-        """How many of the posting lists of token_ids (distinct ids) hold
-        each row. The owner may have appended rows past this index's own to
-        those lists; the [:n] cut drops them. That covers a token the owner
-        interned after a fork, too: its lists hold only rows past the fork's."""
+    def _joined_counts(self, token_ids, *postings: dict[int, list[int]]) -> np.ndarray:
+        """How many of the posting lists of token_ids (distinct ids), in
+        every map of postings, hold each row. The owner may have appended
+        rows past this index's own to those lists; the [:n] cut drops them.
+        That covers a token the owner interned after a fork, too: its lists
+        hold only rows past the fork's."""
         hits: list[int] = []
         for token_id in token_ids:
-            hits += postings.get(token_id, ())
+            for lists in postings:
+                hits += lists.get(token_id, ())
         return np.bincount(np.array(hits, dtype=np.intp), minlength=self._rows)[:self._rows]
 
     def row_jaccards(self, row: int) -> np.ndarray:
@@ -489,7 +487,7 @@ class ScoringIndex:
         n = self._rows
         if not token_ids:
             return np.zeros(n)
-        shared = self._joined_counts(self._content_postings, token_ids)
+        shared = self._joined_counts(token_ids, self._content_postings)
         # Integers below 2**53 add exactly in float64 and divide to the
         # float64 that Python's int / int gives.
         return shared / (self._sizes[:n] + (len(token_ids) - shared))
@@ -523,10 +521,13 @@ class ScoringIndex:
         """token_coverage of the query's tokens in every row's content and
         quote, to the last bit: integer counts over an integer size.
 
-        A row's count is how many of the query's posting lists hold it."""
+        A row's count is how many of the query's content and quote-only
+        posting lists hold it. A row's content tokens and its quote-only
+        tokens are disjoint, so it counts each query token once."""
         if not query.tokens:
             return np.zeros(self._rows)
-        return self._joined_counts(self._postings, query.token_ids) / len(query.tokens)
+        return self._joined_counts(query.token_ids, self._content_postings,
+                                   self._quote_postings) / len(query.tokens)
 
     def hybrids(
         self, query: PreparedQuery, alpha: float, keyword: np.ndarray

@@ -4,6 +4,8 @@ import json
 import os
 import re
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,8 @@ from canvasmem.core import (CanvasEdge, CanvasGraph, EdgeKind, EdgeOrigin, deser
                             serialize_graph)
 
 from conftest import axis, make_obj
+
+SRC = str(Path(canvasmem.cli.__file__).resolve().parent.parent)
 
 
 @pytest.fixture
@@ -415,6 +419,25 @@ def test_missing_graph_file_exits_2(tmp_path, capsys):
     code = main(["query", "anything", "--graph", str(tmp_path / "absent.json")])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_an_overflowing_embedding_norm_exits_2_with_one_line_on_stderr(conversation, tmp_path):
+    graph_path = tmp_path / "graph.json"
+    assert main(["ingest", "--input", str(conversation), "--graph", str(graph_path)]) == 0
+    doc = json.loads(graph_path.read_text(encoding="utf-8"))
+    first = doc["objects"][0]
+    first["embedding"] = [x * 1e200 for x in first["embedding"]]
+    graph_path.write_text(json.dumps(doc), encoding="utf-8")
+    # A fresh interpreter under the default warning filters, which print
+    # numpy's overflow warning where this suite's filter would raise it.
+    env = dict(os.environ, PYTHONWARNINGS="default")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "canvasmem.cli", "query", "why do we use redis?",
+                           "--graph", str(graph_path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert done.stderr.count("\n") == 1, done.stderr
+    assert done.stderr.startswith("error: invalid object record: "), done.stderr
 
 
 def test_bad_conversation_line_reports_line_number(tmp_path, capsys):

@@ -84,10 +84,13 @@ class _Plain(enum.Enum):
         {"turn": -1},
         {"turn": 1.5},
         {"turn": True},
+        {"content": 5},
         {"quote": ""},
         {"quote": "   "},
         {"confidence": -0.1},
         {"confidence": 1.0001},
+        {"confidence": "0.5"},
+        {"confidence": None},
         {"embedding": []},
         {"embedding": "not a list"},
         # What no save can write: a lone surrogate, which UTF-8 cannot

@@ -44,7 +44,6 @@ def test_ingest_builds_objects_edges_and_report():
         turns_ingested=3,
         turns_skipped=0,
         objects_added=2,
-        duplicates=0,
         dropped_quotes=0,
         edges_added=report.edges_added,
     )
@@ -84,9 +83,42 @@ def test_failed_turn_is_skipped_and_ingestion_continues():
     assert report.turns_ingested == 2
     assert report.turns_skipped == 1
     assert report.objects_added == 2
-    assert engine.diagnostics.failed_turns == 1
+    assert engine.report.turns_skipped == 1
     # The failed turn still advances the cursor, so ordering stays intact.
     assert engine.graph.next_turn == 3
+
+
+class _FabricatingExtractor(_FlakyExtractor):
+    """_FlakyExtractor, plus on each first pass one candidate whose quote
+    the turn never said."""
+
+    def extract(self, turn, prior_digest, pass_):
+        found = super().extract(turn, prior_digest, pass_)
+        if pass_ is ExtractionPass.FIRST:
+            found.append(CanvasObject(ObjectKind.KEY_FACT, f"made up {turn.index}",
+                                      "never said", Source.USER, turn.index))
+        return found
+
+
+def test_the_report_counts_every_turn_and_ingest_returns_its_own_share():
+    engine = _engine(extractor=_FabricatingExtractor(fail_on=7))
+    turns = seeded_turns(3, 12)
+    for turn in turns[:4]:
+        engine.ingest_turn(turn)
+    assert engine.report == IngestReport(turns_ingested=4, turns_skipped=0,
+                                         objects_added=len(engine.graph.objects),
+                                         dropped_quotes=4, edges_added=len(engine.graph.edges))
+    objects, edges = len(engine.graph.objects), len(engine.graph.edges)
+    report = engine.ingest(turns[4:])
+    assert report == IngestReport(turns_ingested=7, turns_skipped=1,
+                                  objects_added=len(engine.graph.objects) - objects,
+                                  dropped_quotes=7,
+                                  edges_added=len(engine.graph.edges) - edges)
+    assert report.objects_added > 0 and report.edges_added > 0
+    assert engine.report == IngestReport(turns_ingested=11, turns_skipped=1,
+                                         objects_added=len(engine.graph.objects),
+                                         dropped_quotes=11,
+                                         edges_added=len(engine.graph.edges))
 
 
 def test_out_of_order_turn_raises():
@@ -207,7 +239,7 @@ def test_a_candidate_the_constructor_refuses_fails_its_turn_as_an_extractor_erro
     engine.extractor = _SurrogateQuoteExtractor()
     # The quote is grounded in its turn, so only the constructor refuses it.
     assert engine.ingest_turn(_turn(1, user="the cache lives in redis: lone \ud800 quote")) == []
-    assert engine.diagnostics.failed_turns == 1
+    assert engine.report.turns_skipped == 1
     assert (graph.rows, graph.edges, graph.next_turn) == (*before, 2)
     assert serialize_graph(graph) == whole_document(graph)
     engine.extractor = MockExtractor()
@@ -235,7 +267,7 @@ def test_ingest_converts_each_stored_embedding_once(monkeypatch):
     engine = _engine()
     engine.ingest(seeded_turns(5, 40))
     rows = engine.graph.rows
-    assert len(rows) > 20 and engine.diagnostics.duplicates == 0
+    assert len(rows) > 20 and engine.report.objects_added == len(rows)
     assert calls == [obj.embedding for obj in rows]
     assert len(engine.graph.scoring_index()) == len(rows)
     assert calls == [obj.embedding for obj in rows]

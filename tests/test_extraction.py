@@ -16,12 +16,11 @@ from hypothesis.stateful import (
 
 import canvasmem.extraction
 from canvasmem.core import CanvasGraph, ObjectKind, Source, serialize_graph
-from canvasmem.engine import CanvasEngine
+from canvasmem.engine import CanvasEngine, IngestReport
 from canvasmem.errors import BackendFailureError, SequenceError
 from canvasmem.extraction import (
     DIGEST_CAP,
     ConversationTurn,
-    ExtractionDiagnostics,
     ExtractionPass,
     MockExtractor,
     extract_turn,
@@ -187,11 +186,28 @@ class _UngroundedExtractor:
 
 
 def test_extract_turn_drops_ungrounded_quotes():
-    diagnostics = ExtractionDiagnostics()
+    report = IngestReport()
     turn = ConversationTurn(index=0, user_text="the deploy happens friday")
-    objects = extract_turn(_UngroundedExtractor(), turn, CanvasGraph(), diagnostics=diagnostics)
+    objects = extract_turn(_UngroundedExtractor(), turn, CanvasGraph(), report=report)
     assert [o.content for o in objects] == ["grounded fact"]
-    assert diagnostics.dropped_quotes == 1
+    assert report.dropped_quotes == 1
+
+
+class _FailingGleanExtractor(_UngroundedExtractor):
+    """_UngroundedExtractor's first pass, and a gleaning pass that fails."""
+
+    def extract(self, turn, prior_digest, pass_):
+        if pass_ is ExtractionPass.GLEAN:
+            raise RuntimeError("synthetic outage")
+        return super().extract(turn, prior_digest, pass_)
+
+
+def test_a_failed_gleaning_pass_leaves_the_first_pass_drops_counted():
+    report = IngestReport()
+    turn = ConversationTurn(index=0, user_text="the deploy happens friday")
+    with pytest.raises(BackendFailureError):
+        extract_turn(_FailingGleanExtractor(), turn, CanvasGraph(), report=report)
+    assert report.dropped_quotes == 1
 
 
 class _WrongTurnExtractor:
@@ -244,18 +260,18 @@ def test_each_side_of_a_turn_is_normalized_once_per_turn(monkeypatch):
     matches = canvasmem.extraction.quote_matches
     monkeypatch.setattr(canvasmem.extraction, "quote_matches",
                         lambda quote, text: checks.append(quote) or matches(quote, text))
-    diagnostics = ExtractionDiagnostics()
+    report = IngestReport()
     for index in range(3):
         turn = ConversationTurn(index=index, user_text=f"Echo  USER said {index}\tapples",
                                 assistant_text=f"echo Assistant replied {index} pears")
         calls.clear()
         checks.clear()
-        objects = extract_turn(_EchoExtractor(), turn, CanvasGraph(), diagnostics=diagnostics)
+        objects = extract_turn(_EchoExtractor(), turn, CanvasGraph(), report=report)
         sides = [text for text in calls if text in (turn.user_text, turn.assistant_text)]
         assert sorted(sides) == sorted([turn.user_text, turn.assistant_text])
         # Every candidate of both passes is still checked, one call each.
         assert len(checks) == 12 and len(objects) == 8
-    assert diagnostics.dropped_quotes == 12
+    assert report.dropped_quotes == 12
 
 
 class _ExplodingExtractor:

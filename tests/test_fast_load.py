@@ -156,6 +156,10 @@ CASES = {
                            MalformedInputError),
     "edge weight 10**30": (BASE.replace(b'"weight":0.5', b'"weight":%d' % 10**30, 1),
                            MalformedInputError),
+    "object record not an object": (BASE.replace(b'"objects":[{', b'"objects":["x",{', 1),
+                                    MalformedInputError),
+    "edge record not an object": (BASE.replace(b'"edges":[{', b'"edges":[5,{', 1),
+                                  MalformedInputError),
     "truncated": (BASE[:-3], MalformedInputError),
     "closing brace replaced": (BASE[:-1] + b"]", MalformedInputError),
     "no edges key": (BASE.replace(b'"edges":', b'"links":'), MalformedInputError),

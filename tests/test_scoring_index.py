@@ -868,7 +868,7 @@ def test_a_forks_coverage_counts_neither_the_owners_later_rows_nor_its_later_tok
         assert [_bits(c) for c in index.coverage(prepared).tolist()] == [
             _bits(token_coverage(token_set(text), frozenset(doc))) for doc in documents]
     assert fork.coverage(query).tolist() == [2 / 3, 1 / 3]
-    assert fork._postings is owner._postings
+    assert fork._quote_postings is owner._quote_postings
 
 
 def test_a_forks_jaccard_counts_neither_the_owners_later_rows_nor_its_later_tokens():
@@ -1025,9 +1025,9 @@ def _columns(index):
         cut = {token_id: [row for row in rows if row < n] for token_id, rows in lists.items()}
         return {token_id: rows for token_id, rows in cut.items() if rows}
 
-    content_postings, document_postings = (postings(index._content_postings),
-                                           postings(index._postings))
-    known = content_postings.keys() | document_postings.keys()
+    content_postings, quote_postings = (postings(index._content_postings),
+                                        postings(index._quote_postings))
+    known = content_postings.keys() | quote_postings.keys()
 
     return {
         "rows": n,
@@ -1039,7 +1039,7 @@ def _columns(index):
         "content_rows": index._content_rows[:n],
         "sizes": index._sizes[:n].tolist(),
         "content_postings": content_postings,
-        "postings": document_postings,
+        "quote_postings": quote_postings,
         "vocab": {tok: i for tok, i in index._vocab.items() if i in known},
         "margin": index.margin,
     }
