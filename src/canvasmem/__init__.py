@@ -66,7 +66,7 @@ from .errors import (
     VersionMismatchError,
     ZeroVectorError,
 )
-from .extraction import ConversationTurn, MockExtractor, extract_turn, quote_matches
+from .extraction import Candidate, ConversationTurn, MockExtractor, extract_turn, quote_matches
 from .graph_build import LinkThresholds, link_object
 from .retrieval import (
     QueryClass,
@@ -86,6 +86,7 @@ __all__ = [
     "BackendConfig",
     "BackendFailureError",
     "BenchmarkCase",
+    "Candidate",
     "CanvasEdge",
     "CanvasEngine",
     "CanvasError",

@@ -13,9 +13,9 @@ idempotent reads, so a retry never repeats a side effect. The counters
 are exact for one thread; threads that share a client share its counts.
 
 RemoteExtractor drops, with a debug log line, each reply record that is
-malformed or that CanvasObject refuses (a content or quote holding a lone
-surrogate, which JSON's \\ud800 escape can carry), and keeps the rest, so
-every object it returns can be saved.
+malformed or whose fields a Candidate refuses (a content or quote holding a
+lone surrogate, which JSON's \\ud800 escape can carry), and keeps the rest,
+so every candidate it returns can be stored and saved.
 
 The default wiring is mock everything: the whole engine and benchmark run
 offline with no network access. The HTTP client, requests, is imported only
@@ -36,7 +36,7 @@ from typing import (
     Any, Callable, NamedTuple, Optional, Protocol, Sequence, Union, runtime_checkable,
 )
 
-from .core import CanvasObject, ObjectKind, Source
+from .core import ObjectKind, Source
 from .errors import (
     AuthFailureError,
     InvalidObjectError,
@@ -44,7 +44,7 @@ from .errors import (
     TransportTimeoutError,
 )
 from .extraction import (
-    ConversationTurn, ExtractionPass, ExtractorBackend, MockExtractor, quote_matches,
+    Candidate, ConversationTurn, ExtractionPass, ExtractorBackend, MockExtractor, quote_matches,
 )
 from .retrieval import RerankerBackend
 from .scoring import EmbedderBackend, MockEmbedder, read_asset
@@ -302,7 +302,7 @@ class RemoteExtractor(RemoteClient):
     role = "extractor"
 
     def extract(self, turn: ConversationTurn, prior_digest: Sequence[str],
-                pass_: ExtractionPass) -> list[CanvasObject]:
+                pass_: ExtractionPass) -> list[Candidate]:
         digest = "\n".join(prior_digest) if prior_digest else "(none)"
         template = ("extraction_first.txt" if pass_ is ExtractionPass.FIRST
                     else "extraction_glean.txt")
@@ -312,7 +312,7 @@ class RemoteExtractor(RemoteClient):
         return _parse_extraction_reply(reply, turn)
 
 
-def _parse_extraction_reply(reply: str, turn: ConversationTurn) -> list[CanvasObject]:
+def _parse_extraction_reply(reply: str, turn: ConversationTurn) -> list[Candidate]:
     text = reply.strip()
     fenced = _FENCE_RE.search(text)
     if fenced:
@@ -323,15 +323,15 @@ def _parse_extraction_reply(reply: str, turn: ConversationTurn) -> list[CanvasOb
         raise MalformedResponseError(f"extractor reply is not JSON: {exc}", role=RemoteExtractor.role) from exc
     if not isinstance(records, list):
         raise MalformedResponseError("extractor reply is not a JSON array", role=RemoteExtractor.role)
-    objects: list[CanvasObject] = []
+    candidates: list[Candidate] = []
     for record in records:
-        obj = _record_to_object(record, turn)
-        if obj is not None:
-            objects.append(obj)
-    return objects
+        candidate = _record_to_candidate(record, turn)
+        if candidate is not None:
+            candidates.append(candidate)
+    return candidates
 
 
-def _record_to_object(record: Any, turn: ConversationTurn) -> CanvasObject | None:
+def _record_to_candidate(record: Any, turn: ConversationTurn) -> Candidate | None:
     if not isinstance(record, dict):
         logger.debug("dropping non-object extraction record: %r", record)
         return None
@@ -355,8 +355,8 @@ def _record_to_object(record: Any, turn: ConversationTurn) -> CanvasObject | Non
         confidence = 1.0
     confidence = min(1.0, max(0.0, confidence))
     try:
-        return CanvasObject(kind=kind, content=content, quote=quote,
-                            source=source, turn=turn.index, confidence=confidence)
+        return Candidate(kind=kind, content=content, quote=quote,
+                         source=source, turn=turn.index, confidence=confidence)
     except InvalidObjectError as exc:
         logger.debug("dropping invalid extraction record (%s): %r", exc, record)
         return None

@@ -164,18 +164,47 @@ def _packer(dim: int) -> struct.Struct:
 _SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
+def check_fields(kind, content, quote, source, turn, confidence) -> None:
+    """Raise InvalidObjectError unless the fields an object holds besides
+    its embedding could be saved: a kind and a source of their enums, a
+    turn in [0, 2**63), a content and a non-blank quote that hold no lone
+    surrogate, and a confidence that is a number in [0, 1], not a bool.
+    CanvasObject and extraction's Candidate both check their fields here."""
+    if not isinstance(kind, ObjectKind):
+        raise InvalidObjectError(f"kind must be an ObjectKind, got {kind!r}")
+    if not isinstance(source, Source):
+        raise InvalidObjectError(f"source must be a Source, got {source!r}")
+    if not _is_turn(turn):
+        raise InvalidObjectError(
+            f"turn must be a non-negative integer below 2**63, got {_shown(turn)}")
+    if not isinstance(content, str):
+        raise InvalidObjectError("content must be a string")
+    if not content.isascii() and _SURROGATE.search(content):
+        raise InvalidObjectError("content must be UTF-8 text: it holds a lone surrogate")
+    # normalize_text(quote) is empty exactly when quote is all whitespace.
+    if not isinstance(quote, str) or not quote.strip():
+        raise InvalidObjectError("quote must be a non-empty string")
+    if not quote.isascii() and _SURROGATE.search(quote):
+        raise InvalidObjectError("quote must be UTF-8 text: it holds a lone surrogate")
+    if not isinstance(confidence, (int, float)) or isinstance(confidence, bool):
+        raise InvalidObjectError("confidence must be a number")
+    if not 0.0 <= confidence <= 1.0:
+        raise InvalidObjectError(f"confidence must lie in [0, 1], got {_shown(confidence)}")
+
+
 @dataclass
 class CanvasObject:
     """One extracted memory artifact, grounded in a verbatim quote.
 
     The constructor's validate() is the one gate for what a graph can
-    hold, beside add_object's test of the embedding's length. It refuses a
-    content or quote holding a lone surrogate, a turn outside [0, 2**63),
-    and an embedding that is not a non-empty list or array of finite
-    numbers, or whose norm lies outside SCREENABLE_NORMS, [1e-150, 1e150]:
-    a zero vector, one whose squares underflow, or one whose dot product
-    with itself overflows. The norm is vector_norm of the stored buffer,
-    the value the scoring index computes for the object's row.
+    hold, beside add_object's test of the embedding's length. It refuses
+    what check_fields refuses (a content or quote holding a lone surrogate,
+    a turn outside [0, 2**63), among others), and an embedding that is not
+    a non-empty list or array of finite numbers, or whose norm lies outside
+    SCREENABLE_NORMS, [1e-150, 1e150]: a zero vector, one whose squares
+    underflow, or one whose dot product with itself overflows. The norm is
+    vector_norm of the stored buffer, the value the scoring index computes
+    for the object's row.
 
     The gate converts the embedding once, into a float64 array the object
     owns (array('d'), a copy when it is given an array): one struct pack
@@ -185,8 +214,9 @@ class CanvasObject:
     pickles, and compares by value as a list does, but never equals a list.
 
     Immutable by contract once stored. Nothing in the package writes to an
-    object after building it: the engine stores a new object built from
-    each candidate. Freezing the dataclass waits only on
+    object after building it: an extractor returns Candidate records, and
+    the engine builds each stored object once, from a candidate and the
+    embedder's vector. Freezing the dataclass waits only on
     perfbench/tests/test_checks.py, which tampers with stored objects by
     plain assignment.
     """
@@ -205,27 +235,8 @@ class CanvasObject:
         self.id = object_id(self.kind, self.content, self.turn)
 
     def validate(self) -> None:
-        if not isinstance(self.kind, ObjectKind):
-            raise InvalidObjectError(f"kind must be an ObjectKind, got {self.kind!r}")
-        if not isinstance(self.source, Source):
-            raise InvalidObjectError(f"source must be a Source, got {self.source!r}")
-        if not _is_turn(self.turn):
-            raise InvalidObjectError(
-                f"turn must be a non-negative integer below 2**63, got {_shown(self.turn)}")
-        if not isinstance(self.content, str):
-            raise InvalidObjectError("content must be a string")
-        if not self.content.isascii() and _SURROGATE.search(self.content):
-            raise InvalidObjectError("content must be UTF-8 text: it holds a lone surrogate")
-        # normalize_text(quote) is empty exactly when quote is all whitespace.
-        if not isinstance(self.quote, str) or not self.quote.strip():
-            raise InvalidObjectError("quote must be a non-empty string")
-        if not self.quote.isascii() and _SURROGATE.search(self.quote):
-            raise InvalidObjectError("quote must be UTF-8 text: it holds a lone surrogate")
-        if not isinstance(self.confidence, (int, float)) or isinstance(self.confidence, bool):
-            raise InvalidObjectError("confidence must be a number")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise InvalidObjectError(
-                f"confidence must lie in [0, 1], got {_shown(self.confidence)}")
+        check_fields(self.kind, self.content, self.quote, self.source, self.turn,
+                     self.confidence)
         embedding = self.embedding
         if embedding is not None:
             if not isinstance(embedding, (list, array)) or not embedding:

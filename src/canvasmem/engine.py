@@ -1,26 +1,26 @@
 """Ingestion pipeline: extract, embed, store, and link, one turn at a time.
 
 The engine owns the graph and is the single writer. It counts what each
-turn did into one IngestReport, `report`, where it happens. A turn that
-makes the extractor backend fail is logged, counted as skipped, and
-ingestion continues with the next turn. An embedder error propagates
-before anything of the turn is stored, and so do the InvalidObjectError
-of a stored object's constructor (an embedding that is not a list, a
-component that is no number, such as None or a string, one no save could
-write, a NaN or an infinity, or a norm outside [1e-150, 1e150], a zero
-vector's included, which the scoring screen cannot bound) and the
-DimensionMismatchError that core raises for an embedding of another
-length than the stored ones (or, on an empty graph, than the turn's
-first), so the same turn can be retried. An
-extractor that builds a candidate the constructor refuses (a quote holding
-a lone surrogate) fails its turn as any extractor error does. So every
-object the engine stores can be saved and scored.
+turn did into one IngestReport, `report`. A turn's dropped candidates join
+it only when the turn is stored or skipped, so a turn that raises and is
+retried counts them once. A turn that makes the extractor backend fail is
+logged, counted as skipped, and ingestion continues with the next turn.
+An embedder error propagates before anything of the turn is stored, and
+so do the InvalidObjectError of a stored object's constructor (an
+embedding that is not a list, a component that is no number, such as
+None or a string, one no save could write, a NaN or an infinity, or a
+norm outside [1e-150, 1e150], a zero vector's included, which the
+scoring screen cannot bound) and the DimensionMismatchError that core
+raises for an embedding of another length than the stored ones (or, on
+an empty graph, than the turn's first), so the same turn can be retried. An extractor that builds a
+Candidate its checks refuse (a quote holding a lone surrogate) fails its
+turn as any extractor error does. So every object the engine stores can be
+saved and scored.
 
-The engine writes to no object. It stores a new object built from each
-candidate's fields, with the embedder's vector when the candidate has no
-embedding, so a candidate is left as the extractor returned it and a
-stored object is checked once, by its own constructor, and by core's test
-of its embedding's length.
+The engine builds each stored object once, from a candidate and the
+embedder's vector for its content, so a stored object is checked and its
+id hashed once, by its own constructor, and its embedding's length is
+checked by core.
 
 Each object's embedding is converted to a float64 array once, by its
 constructor. Before it stores any of a turn's objects, the engine checks
@@ -90,31 +90,33 @@ class CanvasEngine:
 
     def _ingest_turn_locked(self, turn: ConversationTurn) -> list[CanvasObject]:
         report = self.report
+        # extract_turn counts the turn's drops here; they join `report` only
+        # when the turn is stored or skipped, never for a try that raises.
+        this_turn = IngestReport()
         try:
-            candidates = extract_turn(self.extractor, turn, self.graph, self.gleaning, report)
+            candidates = extract_turn(self.extractor, turn, self.graph, self.gleaning, this_turn)
         except BackendFailureError as exc:
             logger.warning("skipping turn %d: %s", turn.index, exc)
             report.turns_skipped += 1
+            report.dropped_quotes += this_turn.dropped_quotes
             self.graph.mark_turn_ingested(turn.index)
             return []
-        # Build every object to store before storing any, each from its
-        # candidate with the embedder's vector when it has none, and each
-        # checked by its constructor: an embedder error or an object the
-        # check refuses then leaves the graph, its turn cursor and the
-        # candidates as they were, so the turn can be retried.
+        # Build every object to store before storing any: an embedder error
+        # or an embedding the constructor refuses then leaves the graph and
+        # its turn cursor as they were, so the turn can be retried.
         stored = [
-            CanvasObject(obj.kind, obj.content, obj.quote, obj.source, obj.turn, obj.confidence,
-                         self.embedder.embed(obj.content) if obj.embedding is None
-                         else obj.embedding)
-            for obj in candidates
+            CanvasObject(candidate.kind, candidate.content, candidate.quote, candidate.source,
+                         candidate.turn, candidate.confidence,
+                         self.embedder.embed(candidate.content))
+            for candidate in candidates
         ]
         # add_object would refuse an embedding of another dimension midway
         # through the turn; refuse the turn's objects before storing any, so
         # that it can be retried.
         self.graph.check_embeddings(stored)
-        # Every candidate is new: extract_turn merges them by id and keeps
-        # only those of this turn, which no stored object has reached, and an
-        # id hashes its turn.
+        # Every object is new: extract_turn merges the candidates by (kind,
+        # normalized content) and keeps only those of this turn, which no
+        # stored object has reached, and an id hashes its turn.
         for obj in stored:
             self.graph.add_object(obj)
             # link_object's catch-up writes obj's index row.
@@ -122,6 +124,7 @@ class CanvasEngine:
         self.graph.mark_turn_ingested(turn.index)
         report.turns_ingested += 1
         report.objects_added += len(stored)
+        report.dropped_quotes += this_turn.dropped_quotes
         return stored
 
     def ingest(self, turns: Iterable[ConversationTurn]) -> IngestReport:

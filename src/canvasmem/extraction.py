@@ -10,6 +10,10 @@ enforced here, not trusted. A candidate whose turn is not the turn's index
 is dropped too: stored, it would move the graph's turn cursor past the
 turns still to come. Both drops count as an IngestReport's dropped_quotes,
 when extract_turn is handed the report to count into.
+
+A backend returns Candidate records: checked fields with no id and no
+embedding. The engine builds each stored CanvasObject once, from a
+candidate and the embedder's vector.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from enum import Enum
 from functools import lru_cache
 from typing import TYPE_CHECKING, Protocol, Sequence, runtime_checkable
 
-from .core import (CanvasGraph, CanvasObject, ObjectKind, Source, _is_turn, _shown,
+from .core import (CanvasGraph, ObjectKind, Source, _is_turn, _shown, check_fields,
                    normalize_text)
 from .errors import BackendFailureError, SequenceError
 
@@ -66,16 +70,42 @@ class ConversationTurn:
         return self.user_text if source is Source.USER else self.assistant_text
 
 
+@dataclass(frozen=True, slots=True)
+class Candidate:
+    """One artifact an extractor found in a turn, before it is stored.
+
+    Its fields are checked when it is built, by core.check_fields, the
+    checks CanvasObject runs on the same fields, so a record the object's
+    constructor would refuse never leaves the extractor that built it. It
+    has no id and no embedding: the engine builds the stored CanvasObject
+    from it and the embedder's vector, and that object's id hashes
+    (kind, normalized content, turn).
+    """
+
+    kind: ObjectKind
+    content: str
+    quote: str
+    source: Source
+    turn: int
+    confidence: float = 1.0
+
+    def __post_init__(self):
+        check_fields(self.kind, self.content, self.quote, self.source, self.turn,
+                     self.confidence)
+
+
 @runtime_checkable
 class ExtractorBackend(Protocol):
-    """Produces candidate objects for one turn; embeddings are added later."""
+    """Finds the candidates of one turn's pass. A candidate it cannot
+    build (a Candidate raises InvalidObjectError) fails the turn, as any
+    error the backend raises does."""
 
     def extract(
         self,
         turn: ConversationTurn,
         prior_digest: Sequence[str],
         pass_: ExtractionPass,
-    ) -> list[CanvasObject]:
+    ) -> list[Candidate]:
         ...
 
 
@@ -127,7 +157,7 @@ def _run_pass(
     turn: ConversationTurn,
     digest: Sequence[str],
     pass_: ExtractionPass,
-) -> tuple[list[CanvasObject], int]:
+) -> tuple[list[Candidate], int]:
     """The pass's grounded candidates of this turn, and how many it dropped."""
     try:
         candidates = backend.extract(turn, digest, pass_)
@@ -138,17 +168,14 @@ def _run_pass(
             turn=turn.index,
         ) from exc
     survivors = []
-    for obj in candidates:
-        if obj.turn != turn.index:
-            logger.debug(
-                "dropped a candidate for turn %d on turn %d: %r", obj.turn, turn.index, obj.quote
-            )
-        elif not quote_matches(obj.quote, turn.text_for(obj.source)):
-            logger.debug(
-                "dropped ungrounded quote on turn %d: %r", turn.index, obj.quote
-            )
+    for candidate in candidates:
+        if candidate.turn != turn.index:
+            logger.debug("dropped a candidate for turn %d on turn %d: %r",
+                         candidate.turn, turn.index, candidate.quote)
+        elif not quote_matches(candidate.quote, turn.text_for(candidate.source)):
+            logger.debug("dropped ungrounded quote on turn %d: %r", turn.index, candidate.quote)
         else:
-            survivors.append(obj)
+            survivors.append(candidate)
     return survivors, len(candidates) - len(survivors)
 
 
@@ -158,8 +185,12 @@ def extract_turn(
     prior: CanvasGraph,
     gleaning_enabled: bool = True,
     report: IngestReport | None = None,
-) -> list[CanvasObject]:
-    """Extract grounded objects from one turn, deduplicated across both passes.
+) -> list[Candidate]:
+    """The grounded candidates of one turn, deduplicated across both passes.
+
+    Two candidates are one when they share (kind, normalized content): all
+    survivors are of this turn, so that key decides the id of the object
+    each becomes, and the first one found is kept.
 
     Turns must arrive sequentially: after the first ingested turn, turn.index
     has to equal prior.next_turn. A fresh graph accepts any starting index so
@@ -171,20 +202,20 @@ def extract_turn(
             f"expected turn {prior.next_turn}, got {turn.index}; turns must be sequential"
         )
     digest = prior_digest(prior)
-    merged: dict[str, CanvasObject] = {}
+    merged: dict[tuple[ObjectKind, str], Candidate] = {}
     passes = [ExtractionPass.FIRST, ExtractionPass.GLEAN] if gleaning_enabled else [
         ExtractionPass.FIRST]
     for pass_ in passes:
         if pass_ is ExtractionPass.GLEAN:
-            digest = digest + [_DIGEST_PREFIXES[obj.kind] + obj.content
-                               for obj in merged.values()]
+            digest = digest + [_DIGEST_PREFIXES[candidate.kind] + candidate.content
+                               for candidate in merged.values()]
         survivors, dropped = _run_pass(backend, turn, digest, pass_)
         # Counted per pass, so a glean pass that fails still leaves the
         # first pass's drops counted.
         if report is not None:
             report.dropped_quotes += dropped
-        for obj in survivors:
-            merged.setdefault(obj.id, obj)
+        for candidate in survivors:
+            merged.setdefault((candidate.kind, normalize_text(candidate.content)), candidate)
     return list(merged.values())
 
 
@@ -220,16 +251,16 @@ class MockExtractor:
         turn: ConversationTurn,
         prior_digest: Sequence[str],
         pass_: ExtractionPass,
-    ) -> list[CanvasObject]:
+    ) -> list[Candidate]:
         glean = pass_ is ExtractionPass.GLEAN
-        found: list[CanvasObject] = []
+        found: list[Candidate] = []
         for source in (Source.USER, Source.ASSISTANT):
             for marker, payload in _marked_payloads(turn.text_for(source)):
                 if (marker == GLEAN_MARKER) != glean:
                     continue
                 kind = ObjectKind.KEY_FACT if glean else ObjectKind(marker)
                 found.append(
-                    CanvasObject(
+                    Candidate(
                         kind=kind,
                         content=payload,
                         quote=payload,

@@ -11,7 +11,7 @@ import pytest
 from canvasmem import core
 from canvasmem.core import CanvasGraph, CanvasObject, ObjectKind, Source
 from canvasmem.errors import BackendFailureError
-from canvasmem.extraction import ConversationTurn
+from canvasmem.extraction import Candidate, ConversationTurn
 from canvasmem.scoring import MockEmbedder
 
 
@@ -49,6 +49,25 @@ def make_obj(
         turn=turn,
         confidence=confidence,
         embedding=embedding,
+    )
+
+
+def make_candidate(
+    kind: ObjectKind = ObjectKind.KEY_FACT,
+    content: str = "the cache lives in redis",
+    turn: int = 0,
+    quote: str | None = None,
+    source: Source = Source.USER,
+    confidence: float = 1.0,
+) -> Candidate:
+    """What a fake extractor returns: make_obj's fields, with no embedding."""
+    return Candidate(
+        kind=kind,
+        content=content,
+        quote=quote if quote is not None else content,
+        source=source,
+        turn=turn,
+        confidence=confidence,
     )
 
 

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import re
@@ -11,9 +12,12 @@ from pathlib import Path
 import pytest
 
 import canvasmem.cli
-from canvasmem.cli import main
+from canvasmem import core
+from canvasmem.cli import _read_conversation, main
+from canvasmem.config import build_bundle, load_config
 from canvasmem.core import (CanvasEdge, CanvasGraph, EdgeKind, EdgeOrigin, deserialize_graph,
                             serialize_graph)
+from canvasmem.engine import CanvasEngine
 
 from conftest import axis, make_obj
 
@@ -43,6 +47,79 @@ def test_ingest_writes_a_loadable_graph(conversation, tmp_path, capsys):
     graph = deserialize_graph(graph_path.read_bytes())
     assert len(graph.objects) == 3
     assert graph.next_turn == 3
+
+
+# Three turns whose second holds a tab (the JSON escape \t), which a save
+# escapes in content and quote alike.
+_TABBED_TURNS = (
+    '{"index": 0, "user": "KEY_FACT: the api gateway times out after 30 seconds"}\n'
+    '{"index": 1, "user": "DECISION: use\\tredis for caching"}\n'
+    '{"index": 2, "user": "TODO: write the cache invalidation tests"}\n'
+)
+
+# Where orjson is installed, each test below runs once through its paths
+# and once with them forced off, as in load_both_ways.
+_ORJSON = pytest.mark.parametrize("hide_orjson", [False, True], ids=["orjson", "stdlib"])
+
+
+@pytest.fixture
+def tabbed(tmp_path):
+    """(_TABBED_TURNS's file, the graph file `canvasmem ingest` wrote of it
+    with orjson's paths on)."""
+    conversation, graph_path = tmp_path / "tabbed.jsonl", tmp_path / "tabbed.json"
+    conversation.write_text(_TABBED_TURNS, encoding="utf-8")
+    assert main(["ingest", "--input", str(conversation), "--graph", str(graph_path)]) == 0
+    assert b"use\\tredis" in graph_path.read_bytes()
+    return conversation, graph_path
+
+
+def _hide_orjson(monkeypatch, hide: bool) -> None:
+    if hide:
+        monkeypatch.setattr(core, "_orjson", lambda: None)
+
+
+def test_an_ingest_with_orjson_hidden_writes_the_same_bytes(tabbed, tmp_path, monkeypatch):
+    conversation, graph_path = tabbed
+    _hide_orjson(monkeypatch, True)
+    stdlib_path = tmp_path / "stdlib.json"
+    assert main(["ingest", "--input", str(conversation), "--graph", str(stdlib_path)]) == 0
+    assert stdlib_path.read_bytes() == graph_path.read_bytes()
+
+
+@_ORJSON
+def test_a_loaded_graphs_first_save_gives_back_its_file(hide_orjson, tabbed, monkeypatch):
+    # The whole document in one save: one orjson call, or the stdlib encoder.
+    data = tabbed[1].read_bytes()
+    _hide_orjson(monkeypatch, hide_orjson)
+    assert serialize_graph(deserialize_graph(data)) == data
+
+
+@_ORJSON
+def test_turn_by_turn_saves_end_in_the_one_shot_file(hide_orjson, tabbed, monkeypatch):
+    # Each save after the first joins its new records to the cached document.
+    conversation, graph_path = tabbed
+    _hide_orjson(monkeypatch, hide_orjson)
+    config = load_config()
+    bundle = build_bundle(config)
+    engine = CanvasEngine(extractor=bundle.extractor, embedder=bundle.embedder,
+                          thresholds=config.thresholds, gleaning=config.gleaning)
+    saves = []
+    for turn in _read_conversation(str(conversation)):
+        engine.ingest_turn(turn)
+        saves.append(serialize_graph(engine.graph))
+    assert len(set(saves)) == 3, "a turn's save wrote no new record"
+    assert saves[-1] == graph_path.read_bytes()
+
+
+@_ORJSON
+def test_the_query_block_is_pinned(hide_orjson, tabbed, monkeypatch, capsys):
+    # A change to how a block renders, or to what ingest stores, fails here.
+    _hide_orjson(monkeypatch, hide_orjson)
+    capsys.readouterr()
+    assert main(["query", "why do we use redis?", "--graph", str(tabbed[1])]) == 0
+    block = capsys.readouterr().out
+    assert hashlib.sha256(block.encode("utf-8")).hexdigest() == (
+        "90e46cbdc7ae75752bbc872b6afb4d42e078f4d5a8afa5545d7d6ccc2e1f0a14"), block
 
 
 def test_failed_ingest_leaves_an_existing_graph_file_intact(conversation, tmp_path, monkeypatch):

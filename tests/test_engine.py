@@ -1,19 +1,21 @@
 from __future__ import annotations
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
+import canvasmem.core
 import canvasmem.scoring
-from canvasmem.core import CanvasObject, ObjectKind, Source, serialize_graph
+from canvasmem.core import CanvasObject, object_id, serialize_graph
 from canvasmem.engine import CanvasEngine, IngestReport
 from canvasmem.errors import (BackendFailureError, DimensionMismatchError, InvalidObjectError,
                               SequenceError)
 from canvasmem.extraction import ConversationTurn, ExtractionPass, MockExtractor
 from canvasmem.scoring import MockEmbedder
 
-from conftest import CountingEmbedder, seeded_turns, whole_document
+from conftest import CountingEmbedder, make_candidate, seeded_turns, whole_document
 
 
 def _engine(extractor=None, gleaning=True):
@@ -95,8 +97,8 @@ class _FabricatingExtractor(_FlakyExtractor):
     def extract(self, turn, prior_digest, pass_):
         found = super().extract(turn, prior_digest, pass_)
         if pass_ is ExtractionPass.FIRST:
-            found.append(CanvasObject(ObjectKind.KEY_FACT, f"made up {turn.index}",
-                                      "never said", Source.USER, turn.index))
+            found.append(make_candidate(content=f"made up {turn.index}", quote="never said",
+                                        turn=turn.index))
         return found
 
 
@@ -119,6 +121,16 @@ def test_the_report_counts_every_turn_and_ingest_returns_its_own_share():
                                          objects_added=len(engine.graph.objects),
                                          dropped_quotes=11,
                                          edges_added=len(engine.graph.edges))
+
+
+def test_a_retried_turn_counts_its_dropped_candidates_once():
+    engine = CanvasEngine(_FabricatingExtractor(fail_on=-1), CountingEmbedder(fail_on_call=1))
+    turn = _turn(0, user="KEY_FACT: the api gateway times out after 30 seconds")
+    with pytest.raises(BackendFailureError):
+        engine.ingest_turn(turn)
+    assert engine.report == IngestReport()
+    engine.ingest_turn(turn)
+    assert engine.report == IngestReport(turns_ingested=1, objects_added=1, dropped_quotes=1)
 
 
 def test_out_of_order_turn_raises():
@@ -227,8 +239,7 @@ class _SurrogateQuoteExtractor:
     def extract(self, turn, prior_digest, pass_):
         if pass_ is not ExtractionPass.FIRST:
             return []
-        return [CanvasObject(ObjectKind.KEY_FACT, "the cache lives in redis",
-                             "lone \ud800 quote", Source.USER, turn.index)]
+        return [make_candidate(quote="lone \ud800 quote", turn=turn.index)]
 
 
 def test_a_candidate_the_constructor_refuses_fails_its_turn_as_an_extractor_error():
@@ -273,23 +284,21 @@ def test_ingest_converts_each_stored_embedding_once(monkeypatch):
     assert calls == [obj.embedding for obj in rows]
 
 
-def test_ingest_checks_each_stored_object_twice(monkeypatch):
-    # Once as the extractor's candidate, and once as the object the engine
-    # builds from it with the embedder's output: each instance is checked
-    # once, by its constructor, and add_object does not check it again.
-    checked = []
-    validate = CanvasObject.validate
+def test_ingest_builds_and_hashes_each_stored_object_once(monkeypatch):
+    checked, hashed = [], []
+    validate, hash_id = CanvasObject.validate, canvasmem.core.object_id
     monkeypatch.setattr(CanvasObject, "validate", lambda obj: checked.append(obj) or validate(obj))
+    monkeypatch.setattr(canvasmem.core, "object_id",
+                        lambda *fields: hashed.append(fields) or hash_id(*fields))
     engine = _engine()
     engine.ingest(seeded_turns(5, 40))
     rows = engine.graph.rows
-    assert len(rows) > 20 and len(checked) == 2 * len(rows)
-    assert len({id(obj) for obj in checked}) == len(checked)
-    assert [sum(call is obj for call in checked) for obj in rows] == [1] * len(rows)
+    assert len(rows) > 20 and checked == rows
+    assert hashed == [(obj.kind, obj.content, obj.turn) for obj in rows]
 
 
 class _ScriptedExtractor:
-    """Returns the same candidate instances on every call."""
+    """Returns the same candidates on every call."""
 
     def __init__(self, candidates):
         self.candidates = candidates
@@ -298,27 +307,20 @@ class _ScriptedExtractor:
         return list(self.candidates) if pass_ is ExtractionPass.FIRST else []
 
 
-def test_ingest_writes_to_no_candidate():
+def test_each_stored_object_is_its_candidate_with_the_embedders_vector():
     text = ("KEY_FACT: the api gateway times out after 30 seconds\n"
             "DECISION: we will cache responses in redis")
     candidates = MockExtractor().extract(_turn(0, user=text), [], ExtractionPass.FIRST)
     assert len(candidates) == 2
-    before = [vars(obj).copy() for obj in candidates]
-    # An embedder that fails on the second candidate stores nothing and
-    # leaves the first candidate without the vector it was given.
+    # An embedder that fails on the second candidate stores nothing.
     failing = CanvasEngine(_ScriptedExtractor(candidates), CountingEmbedder(fail_on_call=2))
     with pytest.raises(BackendFailureError):
         failing.ingest_turn(_turn(0, user=text))
     assert failing.graph.rows == []
-    assert [obj.embedding is None for obj in candidates] == [True, True]
-    assert [vars(obj) for obj in candidates] == before
     engine = CanvasEngine(_ScriptedExtractor(candidates), MockEmbedder())
     added = engine.ingest_turn(_turn(0, user=text))
-    assert [obj.embedding is None for obj in candidates] == [True, True]
-    assert [vars(obj) for obj in candidates] == before
-    # The stored objects are new ones, equal to the candidates but for
-    # the embedding.
-    assert added == engine.graph.rows and len(added) == 2
-    assert not any(obj is candidate for obj in added for candidate in candidates)
-    assert [obj.id for obj in added] == [obj.id for obj in candidates]
+    assert added == engine.graph.rows
+    assert [obj.id for obj in added] == [object_id(c.kind, c.content, c.turn) for c in candidates]
+    assert [(obj.kind, obj.content, obj.quote, obj.source, obj.turn, obj.confidence)
+            for obj in added] == [astuple(c) for c in candidates]
     assert all(list(obj.embedding) == MockEmbedder().embed(obj.content) for obj in added)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import logging
 import re
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
@@ -15,11 +16,12 @@ from hypothesis.stateful import (
 )
 
 import canvasmem.extraction
-from canvasmem.core import CanvasGraph, ObjectKind, Source, serialize_graph
+from canvasmem.core import CanvasGraph, CanvasObject, ObjectKind, Source, serialize_graph
 from canvasmem.engine import CanvasEngine, IngestReport
-from canvasmem.errors import BackendFailureError, SequenceError
+from canvasmem.errors import BackendFailureError, InvalidObjectError, SequenceError
 from canvasmem.extraction import (
     DIGEST_CAP,
+    Candidate,
     ConversationTurn,
     ExtractionPass,
     MockExtractor,
@@ -29,7 +31,7 @@ from canvasmem.extraction import (
 )
 from canvasmem.scoring import MockEmbedder
 
-from conftest import graph_of, load_both_ways, make_obj, seeded_turns
+from conftest import graph_of, load_both_ways, make_candidate, make_obj, seeded_turns
 
 
 def test_turn_validation():
@@ -137,12 +139,40 @@ def test_extract_turn_merges_passes_and_deduplicates():
     turn = ConversationTurn(
         index=0,
         user_text="DECISION: ship on friday GLEAN: the release window is friday morning",
-        assistant_text="GLEAN: the release window is friday morning",
+        assistant_text="GLEAN: The release  window is Friday morning",
     )
-    objects = extract_turn(MockExtractor(), turn, CanvasGraph())
-    kinds = sorted(o.kind.value for o in objects)
-    # The duplicated glean fact collapses to one object by content hash.
-    assert kinds == ["DECISION", "KEY_FACT"]
+    candidates = extract_turn(MockExtractor(), turn, CanvasGraph())
+    # The glean fact both sides state collapses to the first one found, by
+    # (kind, normalized content), the key that decides an object's id.
+    assert [(c.kind.value, c.source) for c in candidates] == [
+        ("DECISION", Source.USER), ("KEY_FACT", Source.USER)]
+
+
+_FIELDS = dict(kind=ObjectKind.DECISION, content="use redis", quote="use redis",
+               source=Source.USER, turn=3, confidence=1.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("content", "use \udfff redis"),
+    ("quote", "lone \ud800 quote"),
+    ("turn", -1),
+    ("turn", 2**63),
+    ("confidence", True),
+    ("confidence", -0.1),
+    ("confidence", 1.0001),
+])
+def test_a_candidate_refuses_what_the_object_constructor_refuses(field, value):
+    for build in (Candidate, CanvasObject):
+        build(**_FIELDS)
+        with pytest.raises(InvalidObjectError):
+            build(**dict(_FIELDS, **{field: value}))
+
+
+def test_a_candidate_is_frozen():
+    candidate = Candidate(**_FIELDS)
+    with pytest.raises(FrozenInstanceError):
+        candidate.content = "use memcached"
+    assert candidate == Candidate(**_FIELDS)
 
 
 def test_extract_turn_respects_gleaning_flag():
@@ -154,8 +184,8 @@ def test_extract_turn_respects_gleaning_flag():
     without = extract_turn(MockExtractor(), turn, CanvasGraph(), gleaning_enabled=False)
     assert len(with_glean) == 2
     assert len(without) == 1
-    # Gleaning only ever adds objects on top of the first pass.
-    assert {o.id for o in without} <= {o.id for o in with_glean}
+    # Gleaning only ever adds candidates on top of the first pass.
+    assert set(without) <= set(with_glean)
 
 
 def test_extract_turn_enforces_sequential_indexes():
@@ -180,8 +210,9 @@ class _UngroundedExtractor:
         if pass_ is not ExtractionPass.FIRST:
             return []
         return [
-            make_obj(content="grounded fact", quote=turn.user_text, turn=turn.index),
-            make_obj(content="fabricated fact", quote="never actually said", turn=turn.index),
+            make_candidate(content="grounded fact", quote=turn.user_text, turn=turn.index),
+            make_candidate(content="fabricated fact", quote="never actually said",
+                           turn=turn.index),
         ]
 
 
@@ -220,7 +251,8 @@ class _WrongTurnExtractor:
     def extract(self, turn, prior_digest, pass_):
         found = self.inner.extract(turn, prior_digest, pass_)
         if turn.index == 1 and pass_ is ExtractionPass.FIRST:
-            found.append(make_obj(content="a fact from later", quote=turn.user_text, turn=1000))
+            found.append(make_candidate(content="a fact from later", quote=turn.user_text,
+                                        turn=1000))
         return found
 
 
@@ -246,8 +278,8 @@ class _EchoExtractor:
         found = []
         for source in (Source.USER, Source.ASSISTANT):
             for word in turn.text_for(source).split()[:2] + ["fabricated words"]:
-                found.append(make_obj(content=f"{pass_.value} {source.value} {word}", quote=word,
-                                      source=source, turn=turn.index))
+                found.append(make_candidate(content=f"{pass_.value} {source.value} {word}",
+                                            quote=word, source=source, turn=turn.index))
         return found
 
 
@@ -296,7 +328,7 @@ class _DigestProbe:
     def extract(self, turn, prior_digest, pass_):
         self.seen[pass_] = list(prior_digest)
         if pass_ is ExtractionPass.FIRST:
-            return [make_obj(content="fresh fact", quote=turn.user_text, turn=turn.index)]
+            return [make_candidate(content="fresh fact", quote=turn.user_text, turn=turn.index)]
         return []
 
 
