@@ -347,8 +347,11 @@ def cmd_bench_sweep(args) -> int:
 
 
 def cmd_bench_recall(args) -> int:
+    try:
+        hops_list = [int(h) for h in args.hops.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"--hops {args.hops!r}: {exc}") from exc
     config, bundle, cases, header = _bench_prelude(args, "bench-recall")
-    hops_list = [int(h) for h in args.hops.split(",")]
     rows = retrieval_recall_eval(cases, bundle, config, hops_list)
     return _report(args, rows, ["hops", "questions", "recall"],
                    header, [{"kind": "row", **row} for row in rows])

@@ -122,6 +122,76 @@ def test_the_query_block_is_pinned(hide_orjson, tabbed, monkeypatch, capsys):
         "90e46cbdc7ae75752bbc872b6afb4d42e078f4d5a8afa5545d7d6ccc2e1f0a14"), block
 
 
+def _edit(change):
+    """A tampering of the parsed graph file: change(doc) gives the new one."""
+    def tamper(data: bytes) -> bytes:
+        doc = change(json.loads(data))
+        return json.dumps(doc, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    return tamper
+
+
+def _edges(change):
+    return _edit(lambda doc: dict(doc, edges=change(doc["edges"])))
+
+
+def _first_embedding(change):
+    def first_changed(doc):
+        first, *rest = doc["objects"]
+        return dict(doc, objects=[dict(first, embedding=change(first["embedding"])), *rest])
+    return _edit(first_changed)
+
+
+def _reverse_causal(edges):
+    n = next(n for n, edge in enumerate(edges) if edge["kind"] == "CAUSAL")
+    return [*edges[:n], dict(edges[n], src=edges[n]["dst"], dst=edges[n]["src"]), *edges[n + 1:]]
+
+
+_MALFORMED_RECORD = r"^error: invalid object record: "
+
+# Each fault, the tampering that plants it in the tabbed graph file, and the
+# pattern of the one line the refusal prints. A quote starting with \ud800
+# is a lone surrogate no save could write; an embedding cut to one nonzero
+# component could not sit in a scoring index beside the others; a null or
+# all-zero embedding could not be scored; a norm scaled by 1e152 or 1e-152
+# lies outside the [1e-150, 1e150] the float32 screen bounds; and one scaled
+# by 1e200 overflows its dot product with itself.
+_TAMPERED = {
+    "duplicate-edge": (_edges(lambda edges: [*edges, edges[0]]),
+                       r"^error: duplicate edge '[0-9a-f]+' -> '[0-9a-f]+'$"),
+    "self-loop": (_edges(lambda edges: [dict(edges[0], dst=edges[0]["src"]), *edges[1:]]),
+                  r"^error: invalid edge record: edge endpoints must differ$"),
+    "reversed-causal": (_edges(_reverse_causal),
+                        r"^error: invalid edge record: causal edges must point forward in time$"),
+    "dangling-edge": (_edges(lambda edges: [*edges[:-1], dict(edges[-1], dst="f" * 16)]),
+                      r"^error: invalid edge record: edge endpoints must reference stored objects$"),
+    "surrogate-quote": (lambda data: data.replace(b'"quote":"', b'"quote":"\\ud800', 1),
+                        r"^error: invalid object record: quote .*UTF-8"),
+    "null-component": (_first_embedding(lambda vec: [None, *vec[1:]]), _MALFORMED_RECORD),
+    "short": (_first_embedding(lambda vec: [x for x in vec if x][:1]), _MALFORMED_RECORD),
+    "none": (_first_embedding(lambda vec: None), _MALFORMED_RECORD),
+    "zero": (_first_embedding(lambda vec: [0.0] * len(vec)), _MALFORMED_RECORD),
+    "huge-norm": (_first_embedding(lambda vec: [x * 1e152 for x in vec]), _MALFORMED_RECORD),
+    "tiny-norm": (_first_embedding(lambda vec: [x * 1e-152 for x in vec]), _MALFORMED_RECORD),
+    "overflow-norm": (_first_embedding(lambda vec: [x * 1e200 for x in vec]), _MALFORMED_RECORD),
+}
+
+
+@_ORJSON
+@pytest.mark.parametrize("fault", _TAMPERED)
+def test_a_tampered_graph_file_exits_2_with_one_error_line(fault, hide_orjson, tabbed, tmp_path,
+                                                           monkeypatch, capsys):
+    # Through orjson, whose refusal hands the file to the stdlib load, and
+    # through the stdlib load alone.
+    tamper, pattern = _TAMPERED[fault]
+    tampered = tmp_path / f"{fault}.json"
+    tampered.write_bytes(tamper(tabbed[1].read_bytes()))
+    _hide_orjson(monkeypatch, hide_orjson)
+    capsys.readouterr()
+    assert main(["query", "why do we use redis?", "--graph", str(tampered)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and re.search(pattern, err.rstrip("\n")), err
+
+
 def test_failed_ingest_leaves_an_existing_graph_file_intact(conversation, tmp_path, monkeypatch):
     graph_path = tmp_path / "graph.json"
     assert main(["ingest", "--input", str(conversation), "--graph", str(graph_path)]) == 0
@@ -212,6 +282,7 @@ def test_export_tsv_rows_sorted(conversation, tmp_path, capsys):
     node_lines = [l for l in lines if l.startswith("node\t")]
     edge_lines = [l for l in lines if l.startswith("edge\t")]
     assert len(node_lines) == 3
+    assert all(len(l.split("\t")) == 7 for l in node_lines)
     turns = [int(l.split("\t")[3]) for l in node_lines]
     assert turns == sorted(turns)
     for line in edge_lines:
@@ -343,6 +414,12 @@ def test_bench_run_writes_deterministic_jsonl(tmp_path, capsys):
     header = json.loads(out_a.read_text(encoding="utf-8").splitlines()[0])
     assert header["kind"] == "bench-run"
     assert header["cases"] == 2
+    # The header holds the run's resolved config; fed back as a config file,
+    # it reproduces the run byte for byte.
+    config_path, out_c = tmp_path / "config.json", tmp_path / "c.jsonl"
+    config_path.write_text(json.dumps(header["config"]), encoding="utf-8")
+    assert main(args + ["--config", str(config_path), "--output", str(out_c)]) == 0
+    assert out_c.read_bytes() == out_a.read_bytes()
     out = capsys.readouterr().out
     assert "canvas" in out and "truncation" in out
 
@@ -412,8 +489,22 @@ def test_bench_recall_reports_each_hop_budget(capsys):
     assert "hops" in out and "recall" in out
 
 
-@pytest.mark.parametrize("command", [["sweep", "--kind", "alpha"], ["recall", "--hops", "0"]])
-def test_sweep_and_recall_headers_say_whether_the_cases_are_tagged(command, tmp_path):
+@pytest.mark.parametrize("hops, literal", [("a", "'a'"), ("0,,1", "''")])
+def test_a_malformed_hops_flag_exits_2_naming_it(hops, literal, tmp_path, capsys):
+    out = tmp_path / "recall.jsonl"
+    assert main(["bench", "recall", "--cases", "1", "--hops", hops, "--output", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --hops {hops!r}: invalid literal for int() with base 10: {literal}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["run", "--conditions", "canvas"],
+    ["sweep", "--kind", "alpha"],
+    ["sweep", "--kind", "rag"],
+    ["recall", "--hops", "0"],
+])
+def test_bench_headers_say_whether_the_cases_are_tagged(command, tmp_path):
     headers = []
     for flags in ([], ["--untagged"]):
         out = tmp_path / "out.jsonl"
@@ -469,6 +560,11 @@ def test_a_wrong_typed_override_exits_2_naming_its_key(override, named, capsys):
     ("retrieval.k_simple=0", "'retrieval'.*k_simple must be at least 1, got 0"),
     ("retrieval.alpha=2", "'retrieval'.*alpha must lie in"),
     ("thresholds.theta_ref=0.3", "'thresholds'.*theta_ref and theta_causal"),
+    # An empty indicator phrase would match at every word boundary.
+    ('retrieval.causal_indicators=[""]', "'retrieval'.*causal_indicators phrase ''"),
+    # An embedder mapping without a model would post the chat default.
+    ('backends.embedder={endpoint: "https://example.invalid/v1"}',
+     "'backends'.*'embedder' needs a 'model' key"),
 ])
 def test_an_out_of_range_override_exits_2_naming_its_key(override, named, capsys):
     assert main(["bench", "run", "--cases", "1", "--set", override]) == 2
@@ -498,7 +594,9 @@ def test_missing_graph_file_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
-def test_an_overflowing_embedding_norm_exits_2_with_one_line_on_stderr(conversation, tmp_path):
+@_ORJSON
+def test_an_overflowing_embedding_norm_exits_2_with_one_line_on_stderr(hide_orjson, conversation,
+                                                                     tmp_path):
     graph_path = tmp_path / "graph.json"
     assert main(["ingest", "--input", str(conversation), "--graph", str(graph_path)]) == 0
     doc = json.loads(graph_path.read_text(encoding="utf-8"))
@@ -507,12 +605,22 @@ def test_an_overflowing_embedding_norm_exits_2_with_one_line_on_stderr(conversat
     graph_path.write_text(json.dumps(doc), encoding="utf-8")
     # A fresh interpreter under the default warning filters, which print
     # numpy's overflow warning where this suite's filter would raise it.
+    # To hide orjson there, an orjson module that raises ImportError comes
+    # first on its path, so _orjson() takes its real ImportError branch.
     env = dict(os.environ, PYTHONWARNINGS="default")
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-m", "canvasmem.cli", "query", "why do we use redis?",
+    path, check = [SRC, env.get("PYTHONPATH")], ""
+    if hide_orjson:
+        (tmp_path / "no-orjson").mkdir()
+        (tmp_path / "no-orjson" / "orjson.py").write_text('raise ImportError("orjson is hidden")\n')
+        path.insert(0, str(tmp_path / "no-orjson"))
+        check = "assert core._orjson() is None, 'orjson is not hidden'\n"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, path))
+    code = ("import runpy\nfrom canvasmem import core\n" + check
+            + "runpy.run_module('canvasmem.cli', run_name='__main__')\n")
+    done = subprocess.run([sys.executable, "-c", code, "query", "why do we use redis?",
                            "--graph", str(graph_path)],
                           env=env, capture_output=True, text=True, timeout=120)
-    assert done.returncode == 2
+    assert done.returncode == 2, done.stderr
     assert done.stderr.count("\n") == 1, done.stderr
     assert done.stderr.startswith("error: invalid object record: "), done.stderr
 

@@ -20,7 +20,12 @@ import canvasmem
 SRC = str(Path(canvasmem.__file__).resolve().parent.parent)
 
 OFFLINE_ROUND = textwrap.dedent("""
+    import contextlib
+    import io
+    import json
+    import os
     import sys
+    import tempfile
 
     import canvasmem
     from canvasmem import (CanvasEngine, EngineConfig, deserialize_graph, mock_bundle,
@@ -39,7 +44,16 @@ OFFLINE_ROUND = textwrap.dedent("""
     assert "redis" in result.injection, result.injection
     EngineConfig.from_dict({"retrieval": {"hops": 2}, "thresholds": {"theta_ref": 0.6}})
 
-    import canvasmem.cli
+    # The same round through the CLI, whose ingest and query print to stdout.
+    from canvasmem.cli import main
+
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()) as out:
+        conversation, graph = os.path.join(tmp, "conversation.jsonl"), os.path.join(tmp, "g.json")
+        with open(conversation, "w", encoding="utf-8") as f:
+            f.write(json.dumps({"index": 0, "user": "DECISION: use redis for caching"}) + "\\n")
+        assert main(["ingest", "--input", conversation, "--graph", graph]) == 0
+        assert main(["query", "why do we use redis?", "--graph", graph]) == 0
+    assert "use redis for caching" in out.getvalue(), out.getvalue()
 
     loaded = sorted(m for m in ("requests", "urllib3", "yaml") if m in sys.modules)
     print(" ".join(loaded))
