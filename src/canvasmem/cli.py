@@ -351,6 +351,11 @@ def cmd_bench_recall(args) -> int:
         hops_list = [int(h) for h in args.hops.split(",")]
     except ValueError as exc:
         raise ValueError(f"--hops {args.hops!r}: {exc}") from exc
+    # Checked here, before the prelude generates every case.
+    for hops in hops_list:
+        if hops < 0:
+            raise ValueError(f"--hops {args.hops!r}: a hop budget must be non-negative, "
+                             f"got {hops}")
     config, bundle, cases, header = _bench_prelude(args, "bench-recall")
     rows = retrieval_recall_eval(cases, bundle, config, hops_list)
     return _report(args, rows, ["hops", "questions", "recall"],

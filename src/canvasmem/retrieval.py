@@ -26,14 +26,16 @@ Stages, in order:
    rows' scores in a dict and the k best scores so far in a heap. It
    returns the read's hybrid ranking: the stable sort of seeds then hops by
    descending hybrid score (ties in seeds-then-hops order), each with its
-   hybrid score as its rerank score. Without a reranker backend it is given
-   k, cuts the ranking to k, and walks only what can enter that top k: it
-   stops before a hop whose best inherited score cannot beat the k-th best
-   so far, and on the last hop that can change the top k it walks only the
-   frontier objects whose decayed score beats it. With a backend it is
-   given no k and ranks the whole unpruned pool.
-4. rerank_candidates runs only with a reranker backend. It reorders that
-   ranking by the backend's scores, ties in hybrid order, then cuts to k.
+   hybrid score as its rerank score, cut to the k it is given. It walks
+   only what can enter that top k: it stops before a hop whose best
+   inherited score cannot beat the k-th best so far, and on the last hop
+   that can change the top k it walks only the frontier objects whose
+   decayed score beats it. Without a reranker backend it is given the
+   plan's k, and its cut is the read's ranking; with one it is given
+   max(k, coarse_k), the pool the backend reorders.
+4. rerank_candidates runs only with a reranker backend. It reorders the
+   top max(k, coarse_k) of the hybrid ranking by the backend's scores,
+   ties in hybrid order, then cuts to k.
    A candidate the backend gives no score, a NaN, or a score float()
    rejects (None, a word) ranks last, and so does one whose reply entry is
    not an (id, score) pair. A reply that is not iterable, or a backend that
@@ -158,6 +160,9 @@ class RetrievalConfig:
     file's retrieval section; presets bundle common settings."""
 
     alpha: float = DEFAULT_ALPHA
+    # How wide a read looks before its final cut: the coarse hits it walks
+    # from, and with a reranker the top max(k, coarse_k) of the hybrid
+    # ranking that the backend reorders.
     coarse_k: int = DEFAULT_COARSE_K
     hops: int = DEFAULT_HOPS
     budget_tokens: int = DEFAULT_BUDGET_TOKENS
@@ -317,17 +322,17 @@ def expand_graph(
     graph: CanvasGraph,
     seeds: Sequence[ScoredObject],
     hops: int,
-    k: Optional[int] = None,
+    k: int,
 ) -> list[ScoredObject]:
     """Breadth-first neighborhood expansion from the coarse hits, returned
-    as the read's hybrid ranking.
+    as the top k of the read's hybrid ranking.
 
     Both edge kinds count and edges are walked in both directions. An object
     first reached at hop distance d inherits the best adjacent score decayed
     by 0.8 per hop; each hop's objects come in (-score, id) order, and each
     has its hybrid score as its rerank score. The result is the stable sort
-    of seeds then hops by descending score (ties keep that order), cut to k
-    when k is given. The seeds come back as the objects given.
+    of seeds then hops by descending score (ties keep that order), cut to
+    k. The seeds come back as the objects given.
 
     The walk reads the scoring index's adjacency lists. Each hop (_walk_hop)
     reads the lists of the frontier rows alone and keeps, for each row not
@@ -336,14 +341,14 @@ def expand_graph(
     seen rows' scores are one dict, so a query allocates nothing the size
     of the graph, and a hop costs its frontier's degree.
 
-    With k the walk visits only what can enter the top k. In the stable
-    sort a later candidate enters the top k only with a score above the
-    k-th best so far (kth, the least of a heap of the k best; -inf without
-    k), and every later hop inherits at most 0.8 of the best frontier score
-    (top), or stays below zero when top is negative. So before each hop the
-    walk stops when 0.8 * top cannot beat kth. When 0.64 * top cannot, or
-    no hop is asked for after this one, this is the last hop that can
-    change the top k: it walks only the frontier rows whose 0.8 * score
+    The walk visits only what can enter the top k. In the stable sort a
+    later candidate enters the top k only with a score above the k-th best
+    so far (kth, the least of a heap of the k best; -inf until the heap
+    holds k), and every later hop inherits at most 0.8 of the best frontier
+    score (top), or stays below zero when top is negative. So before each
+    hop the walk stops when 0.8 * top cannot beat kth. When 0.64 * top
+    cannot, or no hop is asked for after this one, this is the last hop that
+    can change the top k: it walks only the frontier rows whose 0.8 * score
     beats kth (a row reached only from the others would score at most kth)
     and then stops. Each hop pools only the rows whose inherited score beats
     kth: kth only rises, so no other row can enter the top k. Every hop but
@@ -352,7 +357,7 @@ def expand_graph(
     """
     pooled = [seed.hybrid for seed in seeds]  # every candidate's score, seeds then hops
     expanded: list[tuple[str, int]] = []  # (id, hop) of each score in pooled past the seeds
-    if hops > 0 and seeds and (k is None or k >= 1):
+    if hops > 0 and seeds and k >= 1:
         _walk(graph, seeds, hops, k, pooled, expanded)
     n = len(seeds)
     ranked = []
@@ -370,7 +375,7 @@ def _walk(
     graph: CanvasGraph,
     seeds: Sequence[ScoredObject],
     hops: int,
-    k: Optional[int],
+    k: int,
     pooled: list[float],
     expanded: list[tuple[str, int]],
 ) -> None:
@@ -386,18 +391,15 @@ def _walk(
     frontier = list(score)
     top = max(score.values())
     # The k best scores so far, least first (a sorted list is a heap).
-    best = sorted(pooled)[-k:] if k is not None else []
-    kth = -math.inf
+    best = sorted(pooled)[-k:]
     rows = graph.rows
     for hop in range(1, hops + 1):
-        last = hop == hops
-        if k is not None:
-            kth = best[0] if len(best) == k else -math.inf
-            if kth >= max(top * EXPANSION_DECAY, 0.0):
-                return
-            last = last or kth >= max(top * EXPANSION_DECAY * EXPANSION_DECAY, 0.0)
-            if last:
-                frontier = [row for row in frontier if score[row] * EXPANSION_DECAY > kth]
+        kth = best[0] if len(best) == k else -math.inf
+        if kth >= max(top * EXPANSION_DECAY, 0.0):
+            return
+        last = hop == hops or kth >= max(top * EXPANSION_DECAY * EXPANSION_DECAY, 0.0)
+        if last:
+            frontier = [row for row in frontier if score[row] * EXPANSION_DECAY > kth]
         parents = _walk_hop(index, frontier, score)
         if not parents:
             return
@@ -414,14 +416,13 @@ def _walk(
         for row, value in parents.items():
             score[row] = value * EXPANSION_DECAY
         top = max(parents.values()) * EXPANSION_DECAY
-        if k is not None:
-            for negated, _ in ordered:
-                if len(best) < k:
-                    heapq.heappush(best, -negated)
-                elif -negated > best[0]:
-                    heapq.heapreplace(best, -negated)
-                else:
-                    break  # the rest of the hop scores no higher
+        for negated, _ in ordered:
+            if len(best) < k:
+                heapq.heappush(best, -negated)
+            elif -negated > best[0]:
+                heapq.heapreplace(best, -negated)
+            else:
+                break  # the rest of the hop scores no higher
 
 
 def _walk_hop(
@@ -446,8 +447,9 @@ def rerank_candidates(
     candidates: Sequence[ScoredObject],
     k: int,
 ) -> list[ScoredObject]:
-    """Reorder candidates, the read's hybrid ranking, by the backend's
-    scores and truncate to k.
+    """Reorder candidates, the top of the read's hybrid ranking (a read
+    passes its first max(k, coarse_k)), by the backend's scores and
+    truncate to k.
 
     The backend sees the candidates in the order given, and ties keep that
     order. A candidate the backend gives no score, a NaN, or a score float()
@@ -549,9 +551,7 @@ def build_injection(
     groups: dict[ObjectKind, list[str]] = {kind: [] for kind in KIND_ORDER}
     objects = graph.objects
     for cand, line in zip(selected, _block_lines(graph, selected)):
-        group = groups.get(objects[cand.object_id].kind)
-        if group is not None:  # a kind outside KIND_ORDER is left out
-            group.append(line)
+        groups[objects[cand.object_id].kind].append(line)
     block = INJECTION_HEADER + "\n" + "".join(chain.from_iterable(groups.values()))
     if plan.klass is QueryClass.MULTI_HOP:
         block += "\n" + REASONING_INSTRUCTION + "\n"
@@ -582,9 +582,9 @@ def retrieve_detailed(
     plan = plan_query(query_text, embedder, config)
     coarse = coarse_retrieve(graph, plan)
     # Without a backend the walk's top-k cut is the read's ranking; a
-    # backend reorders the whole hybrid ranking.
-    ranked = expand_graph(graph, coarse, plan.config.hops,
-                          None if reranker is not None else plan.k)
+    # backend reorders the top max(k, coarse_k) of the hybrid ranking.
+    pool = plan.k if reranker is None else max(plan.k, plan.config.coarse_k)
+    ranked = expand_graph(graph, coarse, plan.config.hops, pool)
     if reranker is not None and ranked:
         ranked = rerank_candidates(graph, reranker, plan.query_text, ranked, plan.k)
     selected = greedy_select(graph, ranked, plan.config.budget_tokens)

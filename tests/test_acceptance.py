@@ -497,7 +497,7 @@ def test_criterion_08_ablation_arm_equivalence():
     for fact in case.planted:
         plan = plan_query(fact.question, bundle.embedder, config.retrieval)
         coarse = coarse_retrieve(graph, plan)
-        expanded = expand_graph(graph, coarse, plan.config.hops)
+        expanded = expand_graph(graph, coarse, plan.config.hops, len(graph.rows))
         no_rerank_order = [
             c.object_id for c in sorted(expanded, key=lambda c: -c.hybrid)
         ][: plan.k]
@@ -511,7 +511,7 @@ def test_criterion_08_ablation_arm_equivalence():
     # hops=0 is the no-expansion arm: the expansion stage is the identity.
     plan = plan_query(case.planted[0].question, bundle.embedder, config.retrieval)
     coarse = coarse_retrieve(graph, plan)
-    no_expansion_identity = expand_graph(graph, coarse, 0) == coarse
+    no_expansion_identity = expand_graph(graph, coarse, 0, len(coarse)) == coarse
 
     # gleaning off is the no-gleaning arm: second-pass objects disappear and
     # nothing new is invented.

@@ -489,12 +489,20 @@ def test_bench_recall_reports_each_hop_budget(capsys):
     assert "hops" in out and "recall" in out
 
 
-@pytest.mark.parametrize("hops, literal", [("a", "'a'"), ("0,,1", "''")])
-def test_a_malformed_hops_flag_exits_2_naming_it(hops, literal, tmp_path, capsys):
+@pytest.mark.parametrize("hops, reason", [
+    ("a", "invalid literal for int() with base 10: 'a'"),
+    ("0,,1", "invalid literal for int() with base 10: ''"),
+    ("-1", "a hop budget must be non-negative, got -1"),
+    ("1,-1", "a hop budget must be non-negative, got -1"),
+])
+def test_a_malformed_hops_flag_exits_2_naming_it(hops, reason, tmp_path, capsys, monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("cases were generated for a refused --hops flag")
+
+    monkeypatch.setattr(canvasmem.cli, "generate_cases", refused)
     out = tmp_path / "recall.jsonl"
     assert main(["bench", "recall", "--cases", "1", "--hops", hops, "--output", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err == f"error: --hops {hops!r}: invalid literal for int() with base 10: {literal}\n"
+    assert capsys.readouterr().err == f"error: --hops {hops!r}: {reason}\n"
     assert not out.exists()
 
 

@@ -6,7 +6,7 @@ walks the scoring index's per-row adjacency lists, which a snapshot shares
 with the graph that keeps appending to them. Its result is the read's
 hybrid ranking: the stable descending sort of the reference's full
 expansion, each candidate with its hybrid score as its rerank score
-(reference.rank), cut to k when k is given, with the same float scores.
+(reference.rank), cut to k, with the same float scores.
 The seeds, like coarse_retrieve's hits, carry their hybrid score as their
 rerank score.
 """
@@ -129,8 +129,8 @@ def test_array_walk_equals_the_dict_walk(scenario, data):
         seeds = [seed(rows[i].id, data.draw(SCORE)) for i in chosen]
         hops = data.draw(st.integers(0, 5))
         full = reference.expand_graph(graph, seeds, hops)
-        whole = expand_graph(graph, seeds, hops)
-        assert exact(whole) == exact(reference.rank(full, None))
+        whole = reference.rank(full, None)
+        # A k at or above the pool ranks all of it.
         for k in range(1, len(full) + 3):
             ranked = expand_graph(graph, seeds, hops, k)
             assert exact(ranked) == exact(reference.rank(full, k))
@@ -180,7 +180,6 @@ def test_unknown_seed_ids_come_back_and_expand_nothing():
     stranger = seed("f" * 16, 1.0)
     seeds = [stranger, seed(a.id, 0.5)]
     full = reference.expand_graph(graph, seeds, 2)
-    assert exact(expand_graph(graph, seeds, 2)) == exact(reference.rank(full, None))
     assert [c.object_id for c in full] == [stranger.object_id, a.id, b.id]
     for k in (1, 2, 3):
         assert exact(expand_graph(graph, seeds, 2, k)) == exact(reference.rank(full, k))
@@ -277,8 +276,8 @@ def test_a_walk_no_row_of_which_can_enter_the_top_k_does_no_edge_work(monkeypatc
         assert exact(expand_graph(graph, seeds, hop_count, 2)) == exact(reference.rank(full, 2))
         assert exact(reference.rank(full, 2)) == exact(reference.rank(seeds, 2))
     assert reads == reached == []
-    # Without k (a reranker backend ranks the candidates) the hop is walked.
-    assert len(expand_graph(graph, seeds, 1)) == 5
+    # With a k above the seed count the heap is not full, so the hop is walked.
+    assert len(expand_graph(graph, seeds, 1, 5)) == 5
     row_of = graph.scoring_index().row_of
     assert reads == [[row_of(ids[name]) for name in "ABC"]]
     assert reached == [[row_of(ids["X"]), row_of(ids["Y"])]]
@@ -347,19 +346,39 @@ def test_a_locomo_read_stops_walking_once_its_heap_holds_the_k_best(monkeypatch)
 
 class _RecordingReranker:
     def __init__(self):
-        self.seen: list[int] = []
+        self.seen: list[list[str]] = []
 
     def rerank(self, query_text, candidates):
-        self.seen.append(len(candidates))
+        self.seen.append([cid for cid, _ in candidates])
         return [(cid, float(len(text))) for cid, text in candidates]
 
 
-def test_a_reranker_backend_still_gets_every_candidate():
+def _uniform(k, **settings):
+    return RetrievalConfig(k_simple=k, k_temporal=k, k_multi_hop=k, **settings)
+
+
+def test_a_reranker_backend_gets_the_first_max_k_coarse_k_of_the_ranking():
+    """The backend reorders the top max(k, coarse_k) of the hybrid ranking,
+    in that order. A bound at or above the reachable pool sends all of it,
+    so the read equals reranking the whole unpruned expansion."""
     embedder = MockEmbedder()
     graph = _ingested(9, 60)
-    config = RetrievalConfig(coarse_k=6, hops=4, k_simple=2, k_temporal=2, k_multi_hop=2)
-    for question in QUESTIONS:
-        reranker = _RecordingReranker()
-        retrieve_detailed(graph, question, embedder, config, reranker)
-        full = _full_expansion(graph, question, embedder, config)
-        assert reranker.seen == [len(full)] and len(full) > 2
+    cut = whole = 0
+    for config in (_uniform(2, coarse_k=6, hops=4), _uniform(9, coarse_k=6, hops=4),
+                   _uniform(100, coarse_k=3, hops=1), _uniform(2, coarse_k=100, hops=4)):
+        for question in QUESTIONS:
+            reranker = _RecordingReranker()
+            got = retrieve_detailed(graph, question, embedder, config, reranker)
+            full = _full_expansion(graph, question, embedder, config)
+            bound = max(got.plan.k, config.coarse_k)
+            pool = reference.rank(full, bound)
+            assert reranker.seen == [[c.object_id for c in pool]]
+            if bound >= len(full):
+                whole += 1
+                again = rerank_candidates(graph, _RecordingReranker(), question,
+                                          reference.rank(full, None), got.plan.k)
+                assert exact(got.ranked) == exact(again)
+            else:
+                cut += 1
+    # Both kinds of read ran: a pool the bound cuts and one it does not.
+    assert cut == 10 and whole == 10

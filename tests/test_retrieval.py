@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import canvasmem.retrieval
+from canvasmem.backends import BackendConfig, RemoteReranker
 from canvasmem.core import CanvasEdge, CanvasGraph, EdgeKind, EdgeOrigin, ObjectKind
 from canvasmem.engine import CanvasEngine
 from canvasmem.extraction import MockExtractor
@@ -223,7 +224,7 @@ def test_expand_graph_decays_and_tracks_hops():
     _reference(graph, a, b)
     _reference(graph, b, c)
     seeds = [ScoredObject(object_id=a.id, hybrid=1.0)]
-    out = expand_graph(graph, seeds, hops=2)
+    out = expand_graph(graph, seeds, hops=2, k=3)
     assert [(o.object_id, o.hop) for o in out] == [(a.id, 0), (b.id, 1), (c.id, 2)]
     assert out[1].hybrid == pytest.approx(EXPANSION_DECAY)
     assert out[2].hybrid == pytest.approx(EXPANSION_DECAY ** 2)
@@ -236,8 +237,8 @@ def test_expand_graph_hop_budget_and_identity():
     graph = graph_of(a, b)
     _reference(graph, a, b)
     seeds = [ScoredObject(object_id=a.id, hybrid=1.0)]
-    assert expand_graph(graph, seeds, hops=0) == seeds
-    assert [o.object_id for o in expand_graph(graph, seeds, hops=1)] == [a.id, b.id]
+    assert expand_graph(graph, seeds, hops=0, k=2) == seeds
+    assert [o.object_id for o in expand_graph(graph, seeds, hops=1, k=2)] == [a.id, b.id]
 
 
 def test_expand_graph_inherits_best_parent_score():
@@ -251,7 +252,7 @@ def test_expand_graph_inherits_best_parent_score():
         ScoredObject(object_id=a.id, hybrid=1.0),
         ScoredObject(object_id=b.id, hybrid=0.5),
     ]
-    out = expand_graph(graph, seeds, hops=1)
+    out = expand_graph(graph, seeds, hops=1, k=3)
     # The shared neighbour inherits the strong seed's score, which ranks it
     # above the weak seed.
     assert [o.object_id for o in out] == [a.id, shared.id, b.id]
@@ -266,7 +267,7 @@ def test_expand_graph_walks_reverse_and_causal_edges():
                               weight=1.0, origin=EdgeOrigin.TEMPORAL_HEURISTIC))
     # Seeding from the edge target still reaches the source.
     seeds = [ScoredObject(object_id=late.id, hybrid=0.9)]
-    out = expand_graph(graph, seeds, hops=1)
+    out = expand_graph(graph, seeds, hops=1, k=2)
     assert [o.object_id for o in out] == [late.id, early.id]
 
 
@@ -277,7 +278,7 @@ def test_expand_graph_deterministic_sibling_order():
     graph = graph_of(seed, sib_a, sib_b)
     _reference(graph, seed, sib_a)
     _reference(graph, seed, sib_b)
-    out = expand_graph(graph, [ScoredObject(object_id=seed.id, hybrid=1.0)], hops=1)
+    out = expand_graph(graph, [ScoredObject(object_id=seed.id, hybrid=1.0)], hops=1, k=3)
     # Equal inherited scores; the id breaks the tie.
     expected = sorted([sib_a.id, sib_b.id])
     assert [o.object_id for o in out[1:]] == expected
@@ -535,17 +536,6 @@ def test_build_injection_keeps_the_selection_order_inside_a_kind():
                      ["decision two", "decision one", "fact two", "fact one"]]
 
 
-def test_build_injection_leaves_out_a_kind_outside_the_block_order(monkeypatch):
-    todo = make_obj(kind=ObjectKind.TODO, content="write the doc", turn=1, embedding=axis(0))
-    decision = make_obj(kind=ObjectKind.DECISION, content="cache in redis", turn=2,
-                        embedding=axis(1))
-    graph = graph_of(todo, decision)
-    monkeypatch.setattr(canvasmem.retrieval, "KIND_ORDER", (ObjectKind.DECISION,))
-    selected = [ScoredObject(object_id=oid, hybrid=1.0) for oid in (todo.id, decision.id)]
-    block = build_injection(graph, selected, _plan())
-    assert block == INJECTION_HEADER + "\n" + render_object_line(decision)
-
-
 def test_build_injection_class_instructions():
     block_multi = build_injection(CanvasGraph(), [], _plan(klass=QueryClass.MULTI_HOP))
     assert block_multi.startswith(INJECTION_HEADER)
@@ -646,11 +636,12 @@ def test_reads_of_a_graph_and_its_snapshots_render_each_line_once(monkeypatch):
     assert selected and selected <= set(rendered)
 
 
-def test_a_reranker_backend_receives_the_full_expansion_in_hybrid_order():
-    """The pool a backend ranks is the whole unpruned expansion: the
+def test_a_reranker_backend_receives_the_top_of_the_hybrid_ranking_in_order():
+    """The pool a backend ranks is the first max(k, coarse_k) of the
     reference's full walk in stable descending hybrid order, each sent as
     its (id, content and quote) pair; the read then ranks by the backend's
-    scores and cuts to k."""
+    scores and cuts to k. A coarse_k at or above the reachable pool sends
+    the whole expansion."""
     class Recording(_ReversingReranker):
         def rerank(self, query_text, candidates):
             pools.append(list(candidates))
@@ -659,22 +650,63 @@ def test_a_reranker_backend_receives_the_full_expansion_in_hybrid_order():
     pools = []
     embedder = MockEmbedder()
     graph = _seeded_graph(9, 60)
-    for config in PRESETS:
+    wide = RetrievalConfig(coarse_k=len(graph.rows), hops=4)
+    for config in (*PRESETS, wide):
         for question in QUESTIONS:
             got = retrieve_detailed(graph, question, embedder, config, Recording())
             plan = plan_query(question, embedder, config)
             full = reference.expand_graph(
                 graph, reference.coarse_retrieve(graph, plan), config.hops)
-            pool = reference.rank(full, None)
+            bound = max(plan.k, config.coarse_k)
+            pool = reference.rank(full, bound)
             objects = [graph.objects[c.object_id] for c in pool]
             assert pools.pop() == [(obj.id, f"{obj.content}\n{obj.quote}") for obj in objects]
+            if config is wide:
+                assert pool == reference.rank(full, None)
+            else:
+                assert len(full) > bound
             # The stub scores by position, so the read's ranking is the
             # pool reversed, cut to k.
             want = [(c.object_id, c.hybrid.hex(), float(i), c.provenance, c.hop)
                     for i, c in reversed(list(enumerate(pool)))][: plan.k]
             assert [(c.object_id, c.hybrid.hex(), c.rerank, c.provenance, c.hop)
                     for c in got.ranked] == want
-            assert len(full) > plan.k
+
+
+def test_a_remote_reranker_posts_one_request_of_the_bounded_pool_per_read(monkeypatch):
+    """A read through RemoteReranker posts once to /rerank, with the texts
+    of the first max(k, coarse_k) of the hybrid ranking as its documents,
+    and ranks by the scores the endpoint returns."""
+    posted = []
+
+    def transport(url, payload, headers, timeout_s):
+        posted.append((url, payload))
+        count = len(payload["documents"])
+        # The last document scores highest, so the read reverses the pool.
+        return 200, {"results": [{"index": i, "relevance_score": float(i)}
+                                 for i in range(count)]}
+
+    monkeypatch.setenv("CANVASMEM_TEST_KEY", "sk-unit-test")
+    client = RemoteReranker(BackendConfig(endpoint="https://example.invalid/v1",
+                                          api_key_env="CANVASMEM_TEST_KEY"), transport)
+    embedder = MockEmbedder()
+    graph = _seeded_graph(9, 60)
+    for config in PRESETS:
+        for question in QUESTIONS:
+            got = retrieve_detailed(graph, question, embedder, config, client)
+            [(url, payload)] = posted
+            posted.clear()
+            bound = max(got.plan.k, config.coarse_k)
+            plan = plan_query(question, embedder, config)
+            full = reference.expand_graph(
+                graph, reference.coarse_retrieve(graph, plan), config.hops)
+            pool = [graph.objects[c.object_id] for c in reference.rank(full, bound)]
+            assert url == "https://example.invalid/v1/rerank"
+            assert payload["query"] == question
+            assert payload["documents"] == [f"{obj.content}\n{obj.quote}" for obj in pool]
+            assert len(payload["documents"]) == bound < len(full)
+            assert [c.object_id for c in got.ranked] == [obj.id for obj in pool[::-1]][: got.plan.k]
+    assert client.stats.calls == 2 * len(QUESTIONS) and client.stats.retries == 0
 
 
 def test_a_read_without_a_backend_ranks_the_coarse_hits_themselves(monkeypatch):

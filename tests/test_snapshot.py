@@ -221,14 +221,14 @@ def test_a_snapshot_never_sees_an_edge_added_later_between_rows_it_holds():
     assert graph.neighbors(a.id) == [b.id, c.id]
     assert graph.neighbors(c.id) == [a.id, b.id]
     seeds = [ScoredObject(object_id=a.id, hybrid=1.0)]
-    assert sorted(x.object_id for x in expand_graph(graph, seeds, 3)) == sorted([a.id, b.id, c.id])
+    assert sorted(x.object_id for x in expand_graph(graph, seeds, 3, 3)) == sorted([a.id, b.id, c.id])
     for side in (twin, grandchild):
         assert side.neighbors(a.id) == [b.id]
         assert side.neighbors(b.id) == [a.id]
         assert side.neighbors(c.id) == []
-        for k in (None, 1, 2, 3):
+        for k in (1, 2, 3):
             assert [x.object_id for x in expand_graph(side, seeds, 3, k)] == [a.id, b.id][:k]
-        assert expand_graph(side, [ScoredObject(object_id=c.id, hybrid=1.0)], 3) == [
+        assert expand_graph(side, [ScoredObject(object_id=c.id, hybrid=1.0)], 3, 3) == [
             ScoredObject(object_id=c.id, hybrid=1.0)]
 
 
